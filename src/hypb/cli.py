@@ -9,17 +9,20 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
-missing input, quadrature grid above the cap without --force).
+missing input, quadrature grid above the cap without --force, a singular
+quadrature table on non-square cells).
 
 Thread count comes from --threads, else the HYPB_THREADS environment
-variable; it is recorded in the output for provenance but the compute paths
-are single-threaded by construction, so results are thread-count invariant.
+variable, and sets the scipy.fft worker count of `verify` and `transform`
+(unset: one worker).  The FFTs split their work by whole lines, so results
+are bit-identical for every thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -167,9 +170,11 @@ def make_config(args) -> vf.RunConfig:
         L, H = parse_domain(args.domain)
     else:
         L, H = 2.8, 5.6
+    threads = resolve_threads(args.threads)
+    if threads is not None and threads < 1:
+        _fail_usage(f"thread count must be at least 1, got {threads}")
     cfg = vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, p=args.p,
-                       tol=args.tol, seed=args.seed,
-                       threads=resolve_threads(args.threads), force=args.force)
+                       tol=args.tol, seed=args.seed, threads=threads, force=args.force)
     if cfg.method == "quadrature" and max(nx, ny) > vf.QUAD_GRID_CAP and not cfg.force:
         _fail_usage(
             f"quadrature above {vf.QUAD_GRID_CAP}^2 is expensive; rerun with --force"
@@ -218,8 +223,16 @@ def cmd_transform(args) -> int:
     fn = parse_testfn(args.testfn)
     plane = PlaneKind.UPPER if op not in ("cauchy", "beurling") else PlaneKind.FULL
     spec = GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx, ny=cfg.ny, plane=plane)
+    if (cfg.method == "quadrature" and op.startswith("beurling")
+            and not math.isclose(spec.hx, spec.hy, rel_tol=1e-12)):
+        # the test kernels.planar_table applies to the singular table
+        _fail_usage(
+            f"--op {args.op} --method quadrature needs square cells, got "
+            f"hx={spec.hx:.6g} hy={spec.hy:.6g}; choose --grid and --domain to match"
+        )
     f = tf.sample(fn, spec, "f")
-    out = tr.transform(f, op, method=cfg.method)
+    with tr.fft_workers(cfg.threads):
+        out = tr.transform(f, op, method=cfg.method)
     if args.json:
         print(json.dumps({
             "op": op, "testfn": args.testfn, "grid": spec.summary(),
@@ -244,6 +257,7 @@ def _classify_payload(res: wh.ClassifyResult) -> dict:
         "fit_residual": float(res.fit_residual),
         "dyadic_growth": float(res.dyadic_growth),
         "weight_value": float(res.weight_value),
+        "x_truncation": float(res.x_truncation),
         "thresholds": res.thresholds,
     }
 
@@ -257,7 +271,7 @@ def cmd_classify(args) -> int:
     f = tf.sample(fn, spec, "f")
     if args.premultiply_m:
         f = Field(spec, spec.y.reshape(-1, 1) * f.data)
-    res = wh.lemma_a1_classify(f)
+    res = wh.lemma_a1_classify(f, warn=False)  # the ratio goes into the output
     payload = _classify_payload(res)
     payload["testfn"] = args.testfn
     payload["premultiply_M"] = bool(args.premultiply_m)
@@ -268,7 +282,8 @@ def cmd_classify(args) -> int:
         print(f"{args.testfn}: {verdict} "
               f"(pos_energy_frac={res.pos_energy_frac:.3e}, "
               f"fit_residual={res.fit_residual:.3e}, "
-              f"dyadic_growth={res.dyadic_growth:.4f})")
+              f"dyadic_growth={res.dyadic_growth:.4f}, "
+              f"x_truncation={res.x_truncation:.2e})")
     if args.out is not None or args.csv:
         rows = [
             f"{x:.17g},{b.real:.17g},{b.imag:.17g}"

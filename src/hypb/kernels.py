@@ -100,19 +100,29 @@ def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float) -> np.ndarray
     yc = (np.arange(-(ny - 1), ny + 1) - 0.5) * hy
     c = x0[None, :] + 1j * yc[:, None]
     step = _log1p(hx / c)  # log(c + hx) - log c
+    # lattice-sized temporaries are formed in place and freed before the
+    # full table is allocated: the nullspace table's lattice is 67 MB each
     if kind == "cauchy":
         # (c + hx) log(c + hx) - c log c, less the -hx that the y step drops
-        col, parity = -1j * (hx * np.log(c) + (c + hx) * step), -1
+        col, parity = np.log(c), -1
+        col *= hx
+        c += hx
+        c *= step
+        col += c
     elif kind == "beurling":
-        col, parity = -1j * step, 1
+        col, parity = step, 1
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    half = np.diff(col, axis=0) / (hx * hy)  # offsets dx >= 0, all dy
+    col *= -1j
+    del c, step
+    half = np.diff(col, axis=0)  # offsets dx >= 0, all dy
+    del col
+    half /= hx * hy
     half[ny - 1, 0] = 0.0  # coincident cell, the only one across the cut
     half[: ny - 1, 0] = parity * half[: ny - 1 : -1, 0]  # exact parity at dx = 0
     tab = np.empty((2 * ny - 1, 2 * nx - 1), dtype=complex)
     tab[:, nx - 1 :] = half
-    tab[:, : nx - 1] = parity * half[::-1, :0:-1]
+    np.multiply(half[::-1, :0:-1], parity, out=tab[:, : nx - 1])
     return tab
 
 

@@ -29,16 +29,44 @@ Methods:
               odd/zero extension of the input; bicauchy_* via their exact
               factorizations through cauchy_up / cauchy_down.
 
+Both paths evaluate their table sums as valid-mode linear convolutions
+(`conv_valid`).  For a table of shape (a0, a1) and data of shape (b0, b1)
+the valid block only reads table offsets inside the table, so a circular
+convolution at any length >= (a0, a1) has no wrap-around there: the FFTs
+run at next_fast_len of the table shape, not at the full linear length
+a + b - 1 (4096 x 2048 instead of 6144 x 3072 points for a 2048 x 1024
+input, 2.25 times fewer).
+
+On the fft path the spectrum of the fully averaged 1/zeta table depends
+only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
+keyed by (ny, nx, hx, hy, real)) as a read-only array; the spatial table is
+dropped once transformed.  The data spectrum is multiplied in place and
+inverted in place.  The quadrature path builds its own tables on every call
+and never reads that cache.
+
+The defect operator M + (i/2)(C_down + conj C_down conj) goes through one
+fused transform, `defect_sum` = C_down + conj C_down conj.  Conjugating
+C_down's input and output conjugates its kernel, so on the fft path the sum
+is a single convolution with the real kernel 2 Re(1/zeta); with
+method="quadrature" it is the two cauchy_down calls.
+
+Every FFT of this module goes through scipy.fft, so `fft_workers(n)` sets
+the worker count of the operators called inside it; pocketfft hands whole
+1-D lines to its workers, so the results are bit-identical for every count.
+
 The two paths share no kernel code beyond the table builders, so agreement
 between them is a meaningful check rather than a tautology.
 """
 
 from __future__ import annotations
 
-import numpy as np
-from scipy import signal
+import contextlib
+import functools
 
-from .grid import Field, GridSpec, PlaneKind, extend_odd, restrict_upper
+import numpy as np
+from scipy import fft as sfft
+
+from .grid import Field, GridSpec, PlaneKind, extend_odd
 from .kernels import avg_inv, mirror_table, planar_table
 
 __all__ = [
@@ -54,6 +82,9 @@ __all__ = [
     "bicauchy_down",
     "bicauchy_real",
     "conj_sandwich",
+    "defect_sum",
+    "conv_valid",
+    "fft_workers",
     "minimal_solve",
     "hyperbolic_beurling",
 ]
@@ -82,6 +113,41 @@ def _meta(f: Field, kernel: str, method: str, **extra) -> Field:
 
 
 # ---------------------------------------------------------------------------
+# valid-mode convolution
+
+
+def fft_workers(threads):
+    """Context that runs every scipy.fft call inside it on `threads` workers (None: default)."""
+    return contextlib.nullcontext() if threads is None else sfft.set_workers(threads)
+
+
+def _fft_shape(tab_shape) -> tuple:
+    return tuple(sfft.next_fast_len(int(n)) for n in tab_shape)
+
+
+def _valid_from_spectrum(kspec: np.ndarray, tab_shape, data: np.ndarray) -> np.ndarray:
+    """Valid block of tab * data, given the table's spectrum at a length >= tab_shape."""
+    (a0, a1), (b0, b1) = tab_shape, data.shape
+    buf = sfft.fft2(data, s=kspec.shape)
+    buf *= kspec
+    out = sfft.ifft2(buf, overwrite_x=True)
+    return out[b0 - 1 : a0, b1 - 1 : a1]
+
+
+def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Valid-mode linear convolution of a table with data no larger than it.
+
+    out[i, j] = sum_{k, l} tab[i + b0 - 1 - k, j + b1 - 1 - l] data[k, l], of
+    shape tab.shape - data.shape + 1 (module docstring: FFT length).
+    """
+    if tab.ndim != 2 or data.ndim != 2 or any(b > a for a, b in zip(tab.shape, data.shape)):
+        raise ValueError(f"need 2-D data no larger than the table, got {data.shape} "
+                         f"against {tab.shape}")
+    kspec = sfft.fft2(tab, s=_fft_shape(tab.shape))
+    return _valid_from_spectrum(kspec, tab.shape, data)
+
+
+# ---------------------------------------------------------------------------
 # quadrature path
 
 
@@ -96,8 +162,7 @@ def _avg_mode(mode: str) -> str:
 def _planar_quad(f: Field, kind: str, mode: str) -> np.ndarray:
     spec = f.spec
     tab = planar_table(kind, spec.ny, spec.nx, spec.hx, spec.hy, average=_avg_mode(mode))
-    out = signal.fftconvolve(tab, f.data, mode="valid")
-    return out * spec.cell_measure
+    return conv_valid(tab, f.data) * spec.cell_measure
 
 
 def _two_term_quad(f: Field, kind: str, sign: int, mode: str) -> np.ndarray:
@@ -108,8 +173,8 @@ def _two_term_quad(f: Field, kind: str, sign: int, mode: str) -> np.ndarray:
     avg = _avg_mode(mode)
     t1_tab = planar_table(kind, ny, nx, spec.hx, spec.hy, average=avg)
     t2_tab = mirror_table(kind, ny, nx, spec.hx, spec.hy, sign=sign, average=avg)
-    t1 = signal.fftconvolve(t1_tab, f.data, mode="valid")
-    t2 = signal.fftconvolve(t2_tab, f.data[::-1, :], mode="valid")
+    t1 = conv_valid(t1_tab, f.data)
+    t2 = conv_valid(t2_tab, f.data[::-1, :])
     out = t1 - t2
     if mode == "matched":
         # drop the mirror term of the w = z source point as well, so the
@@ -125,8 +190,8 @@ def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
     hx, hy = spec.hx, spec.hy
     y = spec.y
     dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
-    L = 3 * nx - 2  # linear convolution length, fixed per grid for determinism
-    fhat = np.fft.fft(f.data, n=L, axis=1)
+    L = _fft_shape([2 * nx - 1])[0]  # a kernel row's length suffices (valid block)
+    fhat = sfft.fft(f.data, n=L, axis=1)
 
     shell = None
     if mode == "accurate":
@@ -149,7 +214,9 @@ def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
                 raise ValueError(f"unknown product kernel {which!r}")
         ki[i, nx - 1] = 0.0  # source cell w = z
         if mode == "accurate":
-            # average of the 1/(z - w) factor times midpoint mirror factor
+            # average of the 1/(z - w) factor times midpoint mirror factor;
+            # source row j = i + dj sits at Im(z - w) = -dj hy, which is
+            # shell row 1 - dj (shell row k is at Im = (k - 1) hy)
             for dj in (-1, 0, 1):
                 j = i + dj
                 if not 0 <= j < ny:
@@ -158,14 +225,14 @@ def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
                 ypv = y[i] + y[j]
                 if which == "bicauchy_up":
                     cof = 1.0 / (dxs - 1j * ypv)
-                    ki[j, nx - 2 : nx + 1] = shell[dj + 1] * cof
+                    ki[j, nx - 2 : nx + 1] = shell[1 - dj] * cof
                 elif which == "bicauchy_down":
                     cof = 1.0 / (dxs + 1j * ypv)
-                    ki[j, nx - 2 : nx + 1] = shell[dj + 1] * cof
+                    ki[j, nx - 2 : nx + 1] = shell[1 - dj] * cof
                 else:
-                    ki[j, nx - 2 : nx + 1] = shell[dj + 1].real / (dxs**2 + ypv**2)
-        acc = np.sum(np.fft.fft(ki, n=L, axis=1) * fhat, axis=0)
-        out[i] = np.fft.ifft(acc)[nx - 1 : 2 * nx - 1]
+                    ki[j, nx - 2 : nx + 1] = shell[1 - dj].real / (dxs**2 + ypv**2)
+        acc = np.sum(sfft.fft(ki, n=L, axis=1) * fhat, axis=0)
+        out[i] = sfft.ifft(acc)[nx - 1 : 2 * nx - 1]
     return out * spec.cell_measure
 
 
@@ -176,8 +243,6 @@ def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
 def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -> np.ndarray:
     ny, nx = data.shape
     py, px = padding * ny, padding * nx
-    buf = np.zeros((py, px), dtype=complex)
-    buf[:ny, :nx] = data
     zeta = (
         2.0 * np.pi * np.fft.fftfreq(px, d=hx)[None, :]
         + 2j * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
@@ -185,14 +250,33 @@ def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.conj(zeta) / zeta
     mult[0, 0] = 0.0
-    out = np.fft.ifft2(mult * np.fft.fft2(buf))
-    return out[:ny, :nx]
+    buf = sfft.fft2(data, s=(py, px))  # zero-padded box
+    buf *= mult
+    return sfft.ifft2(buf, overwrite_x=True)[:ny, :nx]
 
 
-def _cauchy_fft(data: np.ndarray, hx: float, hy: float, cell: float) -> np.ndarray:
-    ny, nx = data.shape
+# fully averaged 1/zeta spectra kept per geometry; the largest battery one
+# (the nullspace check's 2048 x 1024 extended grid) is 134 MB
+_SPECTRUM_CACHE_SIZE = 2
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _cauchy_spectrum(ny: int, nx: int, hx: float, hy: float, real: bool) -> np.ndarray:
+    """Read-only spectrum of the fully averaged 1/zeta table (2 Re of it if real)."""
     tab = planar_table("cauchy", ny, nx, hx, hy, average="all")
-    return signal.fftconvolve(tab, data, mode="valid") * cell
+    if real:
+        tab = 2.0 * tab.real
+    kspec = sfft.fft2(tab, s=_fft_shape(tab.shape), overwrite_x=True)
+    kspec.flags.writeable = False
+    return kspec
+
+
+def _cauchy_fft(
+    data: np.ndarray, hx: float, hy: float, cell: float, real: bool = False
+) -> np.ndarray:
+    ny, nx = data.shape
+    kspec = _cauchy_spectrum(ny, nx, hx, hy, real)
+    return _valid_from_spectrum(kspec, (2 * ny - 1, 2 * nx - 1), data) * cell
 
 
 def _extend_zero(f: Field) -> Field:
@@ -312,10 +396,7 @@ def bicauchy_real(f: Field, method: str = "fft", mode: str = "accurate") -> Fiel
         out = _product_quad(f, "bicauchy_real", mode)
         return _meta(Field(f.spec, out), "bicauchy_real", method)
     # real part of the sandwiched cauchy_down: (C + conj C conj)/2 = 4 M E M
-    g = _im_pow(f, -1)
-    a = cauchy_down(g, method="fft").data
-    b = np.conj(cauchy_down(g.conj(), method="fft").data)
-    out = 0.125 * (a + b)
+    out = 0.125 * defect_sum(_im_pow(f, -1), method="fft").data
     return _meta(_im_pow(Field(f.spec, out), -1), "bicauchy_real", method)
 
 
@@ -342,6 +423,26 @@ def conj_sandwich(op, f: Field, **kw) -> Field:
     """conj after op after conj; the mirror-conjugate companion of op."""
     g = op(f.conj(), **kw)
     return Field(f.spec, np.conj(g.data), meta=dict(g.meta))
+
+
+def defect_sum(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+    """C_down f + conj C_down(conj f), the transform part of the defect
+    operator M + (i/2)(C_down + conj C_down conj).
+
+    fft: one convolution of the odd extension with the real kernel
+    2 Re(1/zeta); quadrature: the two cauchy_down calls.
+    """
+    _require_upper(f, "defect_sum")
+    if method == "fft":
+        full = extend_odd(f)
+        spec = full.spec
+        out = _cauchy_fft(full.data, spec.hx, spec.hy, spec.cell_measure, real=True)[f.spec.ny :]
+    elif method == "quadrature":
+        out = (cauchy_down(f, method, mode).data
+               + conj_sandwich(cauchy_down, f, method=method, mode=mode).data)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _meta(Field(f.spec, out), "defect_sum", method)
 
 
 # ---------------------------------------------------------------------------

@@ -207,20 +207,24 @@ class PartialFourierField:
     meta: dict = dc_field(default_factory=dict)
 
 
-def partial_fourier(h: Field) -> PartialFourierField:
+def partial_fourier(h: Field, warn: bool = True) -> PartialFourierField:
+    """x-Fourier coefficients of h; meta["x_truncation"] is the field's size at
+    x = +/-L relative to its peak, warned about above 1e-8 unless warn=False."""
     spec = h.spec
     edge = max(np.max(np.abs(h.data[:, 0])), np.max(np.abs(h.data[:, -1])))
     peak = np.max(np.abs(h.data))
-    if peak > 0 and edge > 1e-8 * peak:
+    ratio = float(edge / peak) if peak > 0 else 0.0
+    if warn and ratio > 1e-8:
         warnings.warn(
-            f"field is {edge/peak:.2e} of its peak at x = +/-L; "
+            f"field is {ratio:.2e} of its peak at x = +/-L; "
             "frequency data will carry x-truncation ripple",
             stacklevel=2,
         )
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
     x0 = spec.x[0]
     data = spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * x0)[None, :]
-    return PartialFourierField(spec=spec, xi=xi, data=data, meta=dict(h.meta))
+    meta = {**h.meta, "x_truncation": ratio}
+    return PartialFourierField(spec=spec, xi=xi, data=data, meta=meta)
 
 
 def inverse_partial_fourier(p: PartialFourierField) -> Field:
@@ -249,6 +253,7 @@ class ClassifyResult:
     weight_value: float
     dyadic_growth: float
     thresholds: dict
+    x_truncation: float  # |h| at x = +/-L over its peak (partial_fourier)
 
     def summary(self) -> dict:
         return {
@@ -268,6 +273,7 @@ def lemma_a1_classify(
     fit_tol: float = 1e-2,
     growth_tol: float = 1.3,
     wrong_branch: bool = False,
+    warn: bool = True,
 ) -> ClassifyResult:
     """Test whether h looks like (Im z) times an anti-holomorphic function.
 
@@ -280,8 +286,9 @@ def lemma_a1_classify(
 
     wrong_branch fits y e^{-y xi} instead (the growing solution); this is
     the designated negative control and must produce a large fit residual.
+    warn=False records the x-truncation ratio without partial_fourier's warning.
     """
-    p = partial_fourier(h)
+    p = partial_fourier(h, warn=warn)
     spec = p.spec
     y = spec.y.reshape(-1, 1)
     absq = np.abs(p.data) ** 2
@@ -337,4 +344,5 @@ def lemma_a1_classify(
         weight_value=weight_value,
         dyadic_growth=dyadic_growth,
         thresholds={"pos_tol": pos_tol, "fit_tol": fit_tol, "growth_tol": growth_tol},
+        x_truncation=p.meta["x_truncation"],
     )

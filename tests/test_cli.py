@@ -1,7 +1,9 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +117,20 @@ def test_transform_unknown_op(capsys):
     assert "riesz" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("op, grid", [("b", "96"), ("b_down", "96:48")])
+def test_transform_singular_quadrature_needs_square_cells(op, grid, capsys):
+    # the whole-plane grid of the default domain has 1:2 cells
+    assert run(["transform", "--op", op, "--method", "quadrature", "--grid", grid,
+                "--testfn", "gaussian:c=2,sigma=4"]) == 2
+    err = capsys.readouterr().err
+    assert "square cells" in err and "Traceback" not in err
+
+
+def test_threads_must_be_positive(capsys):
+    assert run(["verify", "adjointness", "--threads", "0"]) == 2
+    assert "thread" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", ["nosuch:a=1", "gaussian:zz=1", "gaussian:c"])
 def test_transform_rejects_bad_testfn(spec, capsys):
     assert run(["transform", "--op", "b_down", "--testfn", spec, "--grid", "8"]) == 2
@@ -186,6 +202,7 @@ def test_classify_member_and_nonmember(capsys):
     member = json.loads(capsys.readouterr().out)
     assert member["is_cokernel"] is True
     assert member["premultiply_M"] is True
+    assert member["x_truncation"] == pytest.approx(3.84e-3, rel=1e-2)
 
     assert run(["whittaker", "classify", "--testfn", "gaussian:c=2,sigma=4",
                 "--json"]) == 0
@@ -236,3 +253,14 @@ def test_console_script_smoke():
     proc = subprocess.run(hypb + ["verify", "no-such-check"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, hypb.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

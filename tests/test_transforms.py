@@ -175,3 +175,98 @@ def test_beurling_down_is_linear(ar, ai):
     rhs = a * tr.beurling_down(f).data + tr.beurling_down(g).data
     scale = np.max(np.abs(rhs)) + 1.0
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# valid-mode convolution, spectrum cache, fused defect operator
+
+
+def _direct_valid(tab, data):
+    (a0, a1), (b0, b1) = tab.shape, data.shape
+    out = np.zeros((a0 - b0 + 1, a1 - b1 + 1), dtype=complex)
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            for k in range(b0):
+                for l in range(b1):
+                    out[i, j] += tab[i + b0 - 1 - k, j + b1 - 1 - l] * data[k, l]
+    return out
+
+
+@pytest.mark.parametrize("tab_shape, data_shape", [
+    ((7, 7), (4, 4)), ((9, 5), (5, 3)), ((5, 11), (2, 7)), ((6, 8), (6, 8)),
+    ((1, 9), (1, 4)), ((7, 1), (3, 1)), ((1, 1), (1, 1)), ((13, 17), (1, 1)),
+])
+def test_conv_valid_matches_the_direct_sum(tab_shape, data_shape):
+    rng = np.random.default_rng(sum(tab_shape) + 7 * sum(data_shape))
+    tab = rng.standard_normal(tab_shape) + 1j * rng.standard_normal(tab_shape)
+    data = rng.standard_normal(data_shape) + 1j * rng.standard_normal(data_shape)
+    want = _direct_valid(tab, data)
+    got = tr.conv_valid(tab, data)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_conv_valid_rejects_data_larger_than_the_table():
+    with pytest.raises(ValueError):
+        tr.conv_valid(np.ones((5, 5)), np.ones((6, 3)))
+
+
+@pytest.mark.parametrize("L, H, nx, ny", [(2.8, 5.6, 64, 64), (2.7, 5.9, 48, 40)])
+def test_defect_sum_is_the_two_cauchy_down_calls(L, H, nx, ny):
+    gs = GridSpec(L=L, H=H, nx=nx, ny=ny, plane=PlaneKind.UPPER)
+    rng = np.random.default_rng(nx + ny)
+    f = Field(gs, rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx)))
+    for method in ("fft", "quadrature"):
+        want = (tr.cauchy_down(f, method=method).data
+                + tr.conj_sandwich(tr.cauchy_down, f, method=method).data)
+        got = tr.defect_sum(f, method=method)
+        assert got.meta["kernel"] == "defect_sum"
+        assert np.max(np.abs(got.data - want)) <= 1e-13 * np.max(np.abs(want)), method
+
+
+def test_fft_path_reuses_one_read_only_spectrum_per_geometry():
+    tr._cauchy_spectrum.cache_clear()
+    gs = upper(32)
+    f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
+    tr.cauchy_down(f, method="quadrature")  # the quadrature path keeps out of the cache
+    assert tr._cauchy_spectrum.cache_info().currsize == 0
+    a = tr.cauchy_down(f)
+    tr.cauchy_up(f)  # same extended geometry, same spectrum
+    info = tr._cauchy_spectrum.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(a.data, tr.cauchy_down(f).data)
+    full = extend_odd(f).spec
+    kspec = tr._cauchy_spectrum(full.ny, full.nx, full.hx, full.hy, False)
+    assert not kspec.flags.writeable
+    with pytest.raises(ValueError):
+        kspec[0, 0] = 0.0
+    for n in (8, 12, 16, 20, 24):
+        tr.cauchy_down(tf.sample(tf.gaussian_bump(2.0, 4.0), upper(n), "f"))
+        info = tr._cauchy_spectrum.cache_info()
+        assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("op", [tr.bicauchy_up, tr.bicauchy_down])
+def test_accurate_product_quadrature_matches_the_fft_path(op):
+    # the 3 x 3 shell averages sit on the rows of their own offsets; on the
+    # y-mirrored rows the gap is 2.5e-2 of the peak
+    gs = upper(128)
+    F = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "f")
+    a = op(F, method="fft").data
+    b = op(F, method="quadrature", mode="accurate").data
+    assert np.max(np.abs(a - b)) <= 2e-3 * np.max(np.abs(a))
+
+
+def test_fft_fields_are_bit_identical_across_worker_counts():
+    from scipy import fft as sfft
+
+    gs = upper(256)
+    f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
+    out = {}
+    for threads in (1, 2):
+        with tr.fft_workers(threads):
+            assert sfft.get_workers() == threads
+            out[threads] = [tr.defect_sum(f).data, tr.cauchy_up(f).data,
+                            tr.beurling_down(f).data]
+    for a, b in zip(out[1], out[2]):
+        assert np.array_equal(a, b)

@@ -1,7 +1,9 @@
 import json
 import math
+import warnings
 
 import pytest
+from scipy import fft as sfft
 
 from hypb import verify as vf
 from hypb.report import CheckReport, reports_to_json, strip_runtime
@@ -157,3 +159,22 @@ def test_battery_spec_and_tolerance_defaults():
     assert gs.hx == gs.hy  # the singular quadrature needs square cells
     assert cfg.tolerance(1e-4) == 1e-4
     assert vf.RunConfig(tol=1e-2).tolerance(1e-4) == 1e-2
+
+
+def test_run_checks_sets_the_fft_worker_count(monkeypatch):
+    seen = []
+    monkeypatch.setitem(vf.CHECKS, "fake", lambda cfg: seen.append(sfft.get_workers()) or [])
+    vf.run_checks("fake", vf.RunConfig())
+    vf.run_checks("fake", vf.RunConfig(threads=2))
+    assert seen == [1, 2]
+
+
+def test_classify_check_records_x_truncation_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = vf.run_checks("whittaker-classify", vf.RunConfig())
+    by = {r.check_id: r for r in reports}
+    ratio = by["whittaker-classify/member-accepted"].notes["x_truncation"]
+    assert ratio == pytest.approx(3.84e-3, rel=1e-2)
+    assert by["whittaker-classify/control-gaussian"].notes["x_truncation"] < 1e-8
+    assert all("x_truncation" in r.notes for r in reports)

@@ -83,7 +83,12 @@ def test_partial_fourier_warns_on_x_truncation():
     X, Y = np.meshgrid(gs.x, gs.y)
     slow = Field(gs, 1.0 / (1.0 + X**2 + Y**2) + 0j)
     with pytest.warns(UserWarning, match="truncation ripple"):
-        wh.partial_fourier(slow)
+        p = wh.partial_fourier(slow)
+    edge = np.max(np.abs(slow.data[:, [0, -1]])) / np.max(np.abs(slow.data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        quiet = wh.partial_fourier(slow, warn=False)
+    assert quiet.meta["x_truncation"] == p.meta["x_truncation"] == pytest.approx(edge)
 
 
 def test_pde_residual_vanishes_on_weighted_antiholomorphic_fields():
