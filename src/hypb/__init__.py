@@ -2,7 +2,7 @@
 
 Core surface:
 
-    grid        cell-centered boxes, fields, norms, CSV round trips
+    grid        cell-centered boxes, fields, norms
     calculus    Wirtinger derivatives and their (Im z)-weighted versions
     kernels     singular kernel tables with exact cell averages
     transforms  the integral operators, fft and quadrature paths

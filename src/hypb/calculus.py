@@ -25,7 +25,6 @@ import numpy as np
 from .grid import Field, PlaneKind
 
 __all__ = [
-    "SCHEMES",
     "diff_x",
     "diff_y",
     "d",
@@ -38,9 +37,6 @@ __all__ = [
     "dbar_down",
     "lap_h",
 ]
-
-SCHEMES = ("fd4", "spectral")
-
 
 def _fd4_first(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     """4th-order first derivative, one-sided at the ends. Needs >= 5 samples."""

@@ -10,7 +10,7 @@ Three subcommands:
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
 missing input, quadrature grid above the cap without --force, a singular
-quadrature table on non-square cells).
+quadrature table on non-square cells, a tabulate range past t = 700).
 
 Thread count comes from --threads, else the HYPB_THREADS environment
 variable, and sets the scipy.fft worker count of `verify` and `transform`
@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from .grid import Field, GridSpec, PlaneKind, lp_norm
+from .kernels import CellShapeError
 from .report import reports_to_json
 from . import testfuncs as tf
 from . import transforms as tr
@@ -46,6 +46,11 @@ OP_ALIASES = {
     "d_down": "bicauchy_down",
     "e": "bicauchy_real",
 }
+
+# the residual stencil reaches t1 + 0.1, and y_integral's expm1 overflows at
+# t = 709.78 (whittaker_X's e^{t/2} at 1419.6)
+TABULATE_T_MAX = 700.0
+
 
 def _fail_usage(msg: str) -> "NoReturn":
     print(f"error: {msg}", file=sys.stderr)
@@ -92,11 +97,11 @@ def parse_range(text: str):
     try:
         if len(parts) == 2:
             t0, t1 = float(parts[0]), float(parts[1])
-            if 0 < t0 < t1:
+            if 0 < t0 < t1 <= TABULATE_T_MAX:
                 return t0, t1
     except ValueError:
         pass
-    _fail_usage(f"bad --range {text!r}; expected t0:t1 with 0 < t0 < t1")
+    _fail_usage(f"bad --range {text!r}; expected t0:t1 with 0 < t0 < t1 <= {TABULATE_T_MAX:g}")
 
 
 def resolve_threads(value):
@@ -111,17 +116,14 @@ def resolve_threads(value):
         _fail_usage(f"bad HYPB_THREADS value {env!r}")
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_grid(p: argparse.ArgumentParser):
+    """Flags of the commands that sample on a grid and run the transforms."""
     p.add_argument("--grid", default="256", help="cells per axis, n or nx:ny")
     p.add_argument("--domain", default=None, help="half-width and height, L:H")
     p.add_argument("--method", choices=("fft", "quadrature"), default="fft")
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--force", action="store_true",
                    help="allow quadrature above the grid cap")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -130,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run certification checks")
     pv.add_argument("check", help="check id or 'all'")
-    _add_common(pv)
+    pv.add_argument("--p", type=float, default=2.0)
+    pv.add_argument("--tol", type=float, default=None)
+    pv.add_argument("--seed", type=int, default=0)
+    _add_grid(pv)
+    pv.add_argument("--json", action="store_true", help="machine-readable output")
 
     pt = sub.add_parser("transform", help="apply a transform to a test function")
     pt.add_argument("--op", required=True,
@@ -138,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--testfn", default=None, help="name:key=val,... input field")
     pt.add_argument("--out", default=None, help="output CSV path (default stdout)")
     pt.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    _add_common(pt)
+    _add_grid(pt)
+    pt.add_argument("--json", action="store_true", help="machine-readable output")
 
     pw = sub.add_parser("whittaker", help="cokernel classification and ODE tables")
     wsub = pw.add_subparsers(dest="subcommand", required=True)
@@ -150,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out", default=None, help="write the fitted multiplier table")
     pc.add_argument("--csv", action="store_true",
                     help="write the multiplier table as CSV (xi,re,im)")
-    _add_common(pc)
+    pc.add_argument("--json", action="store_true", help="machine-readable output")
 
     pb = wsub.add_parser("tabulate", help="tabulate a solution branch with residuals")
     pb.add_argument("--family", choices=("X", "Y"), required=True)
@@ -160,11 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--points", type=int, default=200)
     pb.add_argument("--out", default=None, help="output CSV path (default stdout)")
     pb.add_argument("--csv", action="store_true", help="CSV output (the default)")
-    _add_common(pb)
+    pb.add_argument("--json", action="store_true", help="machine-readable output")
     return ap
 
 
-def make_config(args) -> vf.RunConfig:
+def make_config(args, **extra) -> vf.RunConfig:
+    """RunConfig from the grid flags; `extra` sets the fields only verify reads."""
     nx, ny = parse_grid(args.grid)
     if args.domain is not None:
         L, H = parse_domain(args.domain)
@@ -173,13 +181,17 @@ def make_config(args) -> vf.RunConfig:
     threads = resolve_threads(args.threads)
     if threads is not None and threads < 1:
         _fail_usage(f"thread count must be at least 1, got {threads}")
-    cfg = vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, p=args.p,
-                       tol=args.tol, seed=args.seed, threads=threads, force=args.force)
-    if cfg.method == "quadrature" and max(nx, ny) > vf.QUAD_GRID_CAP and not cfg.force:
+    if args.method == "quadrature" and max(nx, ny) > vf.QUAD_GRID_CAP and not args.force:
         _fail_usage(
             f"quadrature above {vf.QUAD_GRID_CAP}^2 is expensive; rerun with --force"
         )
-    return cfg
+    return vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, threads=threads, **extra)
+
+
+def csv_rows(*cols) -> list:
+    """One CSV row per index of the 1-D columns, each value at 17 significant digits."""
+    fmt = ",".join(["%.17g"] * len(cols))
+    return [fmt % row for row in zip(*(c.tolist() for c in cols))]
 
 
 def _write_rows(path, header, rows):
@@ -193,7 +205,7 @@ def _write_rows(path, header, rows):
 
 
 def cmd_verify(args) -> int:
-    cfg = make_config(args)
+    cfg = make_config(args, p=args.p, tol=args.tol, seed=args.seed)
     name = args.check
     if name != "all" and name not in vf.CHECKS:
         _fail_usage(f"unknown check {name!r}; have {sorted(vf.CHECKS)}")
@@ -223,13 +235,6 @@ def cmd_transform(args) -> int:
     fn = parse_testfn(args.testfn)
     plane = PlaneKind.UPPER if op not in ("cauchy", "beurling") else PlaneKind.FULL
     spec = GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx, ny=cfg.ny, plane=plane)
-    if (cfg.method == "quadrature" and op.startswith("beurling")
-            and not math.isclose(spec.hx, spec.hy, rel_tol=1e-12)):
-        # the test kernels.planar_table applies to the singular table
-        _fail_usage(
-            f"--op {args.op} --method quadrature needs square cells, got "
-            f"hx={spec.hx:.6g} hy={spec.hy:.6g}; choose --grid and --domain to match"
-        )
     f = tf.sample(fn, spec, "f")
     with tr.fft_workers(cfg.threads):
         out = tr.transform(f, op, method=cfg.method)
@@ -242,10 +247,7 @@ def cmd_transform(args) -> int:
         if args.out is None and not args.csv:
             return 0
     X, Y = np.meshgrid(spec.x, spec.y)
-    rows = [
-        f"{X[i, j]:.17g},{Y[i, j]:.17g},{out.data[i, j].real:.17g},{out.data[i, j].imag:.17g}"
-        for i in range(spec.ny) for j in range(spec.nx)
-    ]
+    rows = csv_rows(X.ravel(), Y.ravel(), out.data.real.ravel(), out.data.imag.ravel())
     _write_rows(args.out, "x,y,re,im", rows)
     return 0
 
@@ -263,7 +265,6 @@ def _classify_payload(res: wh.ClassifyResult) -> dict:
 
 
 def cmd_classify(args) -> int:
-    cfg = make_config(args)
     if args.testfn is None:
         _fail_usage("classify needs --testfn")
     fn = parse_testfn(args.testfn)
@@ -285,28 +286,15 @@ def cmd_classify(args) -> int:
               f"dyadic_growth={res.dyadic_growth:.4f}, "
               f"x_truncation={res.x_truncation:.2e})")
     if args.out is not None or args.csv:
-        rows = [
-            f"{x:.17g},{b.real:.17g},{b.imag:.17g}"
-            for x, b in zip(res.xi, res.b2)
-        ]
-        _write_rows(args.out, "xi,re,im", rows)
+        _write_rows(args.out, "xi,re,im", csv_rows(res.xi, res.b2.real, res.b2.imag))
     return 0
 
 
 def cmd_tabulate(args) -> int:
-    make_config(args)
     t0, t1 = parse_range(args.trange)
     sol = wh.WhittakerSolution(args.family, args.A, args.B)
     ts = np.geomspace(t0, t1, args.points)
-    vals = sol(ts)
-    # pointwise residual of H'' = (1/4 + sign/t) H by the same 5-point stencil
-    h = np.minimum(0.01 * ts, 0.05)
-    d2 = (
-        -sol(ts + 2 * h) + 16 * sol(ts + h) - 30 * vals + 16 * sol(ts - h)
-        - sol(ts - 2 * h)
-    ) / (12.0 * h**2)
-    target = (0.25 + sol.sign / ts) * vals
-    resid = np.abs(d2 - target) / (np.abs(vals) + np.abs(d2) + 1e-300)
+    vals, resid = wh.pointwise_residual(sol, ts)
     if args.json:
         print(json.dumps({
             "family": args.family, "A": [args.A.real, args.A.imag],
@@ -315,25 +303,22 @@ def cmd_tabulate(args) -> int:
         }, indent=2))
         if args.out is None and not args.csv:
             return 0
-    rows = [
-        f"{t:.17g},{v.real:.17g},{v.imag:.17g},{r:.17g}"
-        for t, v, r in zip(ts, np.asarray(vals, dtype=complex), resid)
-    ]
-    _write_rows(args.out, "t,re,im,residual", rows)
+    _write_rows(args.out, "t,re,im,residual", csv_rows(ts, vals.real, vals.imag, resid))
     return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "transform":
-        return cmd_transform(args)
-    if args.command == "whittaker":
-        if args.subcommand == "classify":
-            return cmd_classify(args)
-        return cmd_tabulate(args)
-    raise AssertionError("unreachable")
+    try:
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "transform":
+            return cmd_transform(args)
+    except CellShapeError as exc:
+        _fail_usage(f"{exc}; choose --grid and --domain to match")
+    if args.subcommand == "classify":
+        return cmd_classify(args)
+    return cmd_tabulate(args)
 
 
 if __name__ == "__main__":

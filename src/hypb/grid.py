@@ -16,10 +16,8 @@ runs and thread counts.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field as dc_field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,10 +30,6 @@ __all__ = [
     "inner_product",
     "extend_odd",
     "restrict_upper",
-    "reflect_field",
-    "save_field",
-    "load_field",
-    "top_octave_fraction",
 ]
 
 
@@ -192,88 +186,3 @@ def restrict_upper(f: Field) -> Field:
     s = f.spec
     half = GridSpec(s.L, s.H, s.nx, s.ny // 2, PlaneKind.UPPER)
     return Field(half, f.data[s.ny // 2:, :].copy(), dict(f.meta))
-
-
-def reflect_field(f: Field) -> Field:
-    """Samples of z -> f(conj z) on the same full-plane grid (row flip)."""
-    if f.spec.plane is not PlaneKind.FULL:
-        raise ValueError("row reflection needs a full-plane grid")
-    return Field(f.spec, f.data[::-1, :].copy(), dict(f.meta))
-
-
-# ---------------------------------------------------------------------------
-# field files: CSV with a JSON sidecar describing the grid
-
-
-def _sidecar_path(path: Path) -> Path:
-    return path.with_suffix(".json") if path.suffix == ".csv" else Path(str(path) + ".json")
-
-
-def save_field(f: Field, path) -> Path:
-    """Write `x,y,re,im` rows (y-major) at 17 significant digits."""
-    path = Path(path)
-    xs = f.spec.x
-    ys = f.spec.y
-    with open(path, "w") as fh:
-        fh.write("x,y,re,im\n")
-        for j in range(f.spec.ny):
-            row = f.data[j]
-            yj = ys[j]
-            for i in range(f.spec.nx):
-                v = row[i]
-                fh.write(f"{xs[i]:.17g},{yj:.17g},{v.real:.17g},{v.imag:.17g}\n")
-    side = dict(f.spec.summary())
-    if f.meta:
-        side["meta"] = _jsonable(f.meta)
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(side, fh, indent=1)
-        fh.write("\n")
-    return path
-
-
-def load_field(path) -> Field:
-    path = Path(path)
-    with open(_sidecar_path(path)) as fh:
-        side = json.load(fh)
-    spec = GridSpec(
-        L=float(side["L"]),
-        H=float(side["H"]),
-        nx=int(side["nx"]),
-        ny=int(side["ny"]),
-        plane=PlaneKind(side["plane"]),
-    )
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    if raw.shape != (spec.ny * spec.nx, 4):
-        raise ValueError(f"{path}: expected {spec.ny * spec.nx} rows of x,y,re,im")
-    data = (raw[:, 2] + 1j * raw[:, 3]).reshape(spec.ny, spec.nx)
-    meta = side.get("meta", {})
-    return Field(spec, data, meta)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    return obj
-
-
-def top_octave_fraction(f: Field) -> float:
-    """Spectral energy fraction in the top octave |k| >= k_nyquist / 2.
-
-    A value above ~1e-6 means the field is marginally resolved and
-    spectral differentiation or multiplier transforms should be treated
-    with suspicion; checks surface this in their reports.
-    """
-    spec_hat = np.fft.fft2(f.data)
-    tot = float(np.sum(np.abs(spec_hat) ** 2))
-    if tot == 0.0:
-        return 0.0
-    kx = np.fft.fftfreq(f.spec.nx)
-    ky = np.fft.fftfreq(f.spec.ny)
-    mask = (np.abs(kx)[None, :] >= 0.25) | (np.abs(ky)[:, None] >= 0.25)
-    return float(np.sum(np.abs(spec_hat[mask]) ** 2) / tot)

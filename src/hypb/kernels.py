@@ -45,12 +45,17 @@ import math
 import numpy as np
 
 __all__ = [
+    "CellShapeError",
     "avg_inv",
     "avg_inv_sq",
     "midpoint_value",
     "planar_table",
     "mirror_table",
 ]
+
+
+class CellShapeError(ValueError):
+    """The singular kernel table was asked for on cells that are not square."""
 
 
 def _prim_inv(c):
@@ -160,7 +165,7 @@ def planar_table(
     if kind == "beurling" and not math.isclose(hx, hy, rel_tol=1e-12):
         # the pv cell vanishes by quarter-turn cancellation only when the
         # cell is square; a rectangular cell would need a nonzero pv value
-        raise ValueError(
+        raise CellShapeError(
             f"the singular kernel table needs square cells, got hx={hx!r} hy={hy!r}"
         )
     if average == "all":

@@ -59,16 +59,12 @@ class AnalyticTestFunction:
     dbar: Callable[[np.ndarray], np.ndarray]
     lap: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    # support/decay metadata used by truncation audits
+    # support metadata used by truncation audits
     support_center: complex = 0j
     support_radius: Optional[float] = None  # None: not compactly supported
-    decay: str = "compact"  # compact | polynomial | strip
-    tags: tuple = ()
     params: dict = dc_field(default_factory=dict)
     # local length scale for finite-difference audits
     length_scale: Callable[[np.ndarray], np.ndarray] = lambda z: np.ones_like(z, dtype=float)
-    # closed-form strip integral M_p(y) = int |f(x+iy)|^p dx, when known
-    strip_mp: Optional[Callable[[float, float], float]] = None
     profile: Optional[StripProfile] = None
 
     def describe(self) -> str:
@@ -146,8 +142,6 @@ def gaussian_bump(c: float = 2.0, sigma: float = 4.0, x0: float = 0.0) -> Analyt
         d2=d2,
         support_center=w0,
         support_radius=radius,
-        decay="compact",
-        tags=("smooth", "compact"),
         params={"c": c, "sigma": sigma, **({"x0": x0} if x0 else {})},
         length_scale=lambda z, s=sigma: np.full(np.shape(z), 1.0 / math.sqrt(s)),
     )
@@ -180,8 +174,6 @@ def conj_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
         dbar=dbar,
         lap=zero,
         d2=zero,
-        decay="polynomial",
-        tags=("conj-analytic", "slow-decay"),
         params={"a": a, "k": k},
         length_scale=lambda z, aa=a: np.abs(z + 1j * aa),
     )
@@ -209,8 +201,6 @@ def holo_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
         dbar=zero,
         lap=zero,
         d2=d2,
-        decay="polynomial",
-        tags=("analytic", "slow-decay"),
         params={"a": a, "k": k},
         length_scale=lambda z, aa=a: np.abs(z + 1j * aa),
     )
@@ -232,7 +222,7 @@ def conj_rational_l2_norm(a: float = 1.0, k: int = 2) -> float:
 
 
 def harmonic_samples() -> dict:
-    """Three harmonic functions on C+ with their strip integrals where known."""
+    """Three harmonic functions on C+."""
     zero = lambda z: np.zeros(np.shape(z), dtype=complex)
 
     imz = AnalyticTestFunction(
@@ -242,8 +232,6 @@ def harmonic_samples() -> dict:
         dbar=lambda z: np.full(np.shape(z), 0.5j),
         lap=zero,
         d2=zero,
-        decay="strip",
-        tags=("harmonic",),
         length_scale=lambda z: np.maximum(np.abs(z), 1.0),
     )
 
@@ -254,16 +242,8 @@ def harmonic_samples() -> dict:
         dbar=lambda z: np.full(np.shape(z), 0.5 + 0j),
         lap=zero,
         d2=zero,
-        decay="strip",
-        tags=("harmonic",),
         length_scale=lambda z: np.maximum(np.abs(z), 1.0),
     )
-
-    def pois_mp(y: float, p: float) -> float:
-        # int (y / (x^2+y^2))^p dx = y^(1-p) sqrt(pi) G(p-1/2) / G(p), p > 1/2
-        if p <= 0.5:
-            raise ValueError("strip integral diverges for p <= 1/2")
-        return y ** (1.0 - p) * math.sqrt(math.pi) * math.gamma(p - 0.5) / math.gamma(p)
 
     poisson = AnalyticTestFunction(
         name="poisson",
@@ -272,10 +252,7 @@ def harmonic_samples() -> dict:
         dbar=lambda z: 0.5j / np.conj(z) ** 2,
         lap=zero,
         d2=lambda z: 1j / z**3,
-        decay="polynomial",
-        tags=("harmonic", "poisson-kernel"),
         length_scale=lambda z: np.abs(z),
-        strip_mp=pois_mp,
     )
     return {"imz": imz, "rez": rez, "poisson": poisson}
 
@@ -412,8 +389,6 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
         dbar=dbar,
         lap=lap,
         d2=d2,
-        decay="strip",
-        tags=("x-invariant", "near-extremal"),
         params={"a": a, "n": n, "ramp": ramp},
         length_scale=lambda z: np.maximum(np.abs(z.imag), 1e-12),
         profile=profile,

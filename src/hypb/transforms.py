@@ -66,6 +66,7 @@ import functools
 import numpy as np
 from scipy import fft as sfft
 
+from .calculus import mult_im_pow
 from .grid import Field, GridSpec, PlaneKind, extend_odd
 from .kernels import avg_inv, mirror_table, planar_table
 
@@ -88,19 +89,6 @@ __all__ = [
     "minimal_solve",
     "hyperbolic_beurling",
 ]
-
-KERNEL_IDS = (
-    "cauchy",
-    "beurling",
-    "cauchy_up",
-    "cauchy_down",
-    "beurling_up",
-    "beurling_down",
-    "bicauchy_up",
-    "bicauchy_down",
-    "bicauchy_real",
-)
-
 
 def _require_upper(f: Field, name: str):
     if f.spec.plane is not PlaneKind.UPPER:
@@ -311,63 +299,45 @@ def beurling(f: Field, method: str = "fft", mode: str = "accurate", padding: int
     raise ValueError(f"unknown method {method!r}")
 
 
-def cauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    _require_upper(f, "cauchy_down")
+def _half_plane(f: Field, name: str, kind: str, sign: int, method: str, mode: str,
+                padding: int = 2) -> Field:
+    """The half-plane operator `name`: translation kernel `kind` less its mirror.
+
+    sign +1 (z - conj w, the down operators) extends f oddly and keeps the
+    upper rows; sign -1 (conj z - w, the up operators) extends f by zero and
+    subtracts the values at conj z from those at z.
+    """
+    _require_upper(f, name)
     if method == "quadrature":
-        out = _two_term_quad(f, "cauchy", sign=+1, mode=mode)
+        out = _two_term_quad(f, kind, sign=sign, mode=mode)
     elif method == "fft":
-        full = extend_odd(f)
-        conv = _cauchy_fft(full.data, full.spec.hx, full.spec.hy, full.spec.cell_measure)
-        out = conv[f.spec.ny :]
+        full = extend_odd(f) if sign == 1 else _extend_zero(f)
+        spec = full.spec
+        if kind == "cauchy":
+            conv = _cauchy_fft(full.data, spec.hx, spec.hy, spec.cell_measure)
+        else:
+            conv = _beurling_multiplier(full.data, spec.hx, spec.hy, padding)
+        ny = f.spec.ny
+        out = conv[ny:] if sign == 1 else conv[ny:] - conv[ny - 1 :: -1]
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), "cauchy_down", method)
+    return _meta(Field(f.spec, out), name, method)
+
+
+def cauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+    return _half_plane(f, "cauchy_down", "cauchy", +1, method, mode)
 
 
 def cauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    _require_upper(f, "cauchy_up")
-    if method == "quadrature":
-        out = _two_term_quad(f, "cauchy", sign=-1, mode=mode)
-    elif method == "fft":
-        full = _extend_zero(f)
-        conv = _cauchy_fft(full.data, full.spec.hx, full.spec.hy, full.spec.cell_measure)
-        ny = f.spec.ny
-        out = conv[ny:] - conv[ny - 1 :: -1]  # values at z minus values at conj z
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), "cauchy_up", method)
+    return _half_plane(f, "cauchy_up", "cauchy", -1, method, mode)
 
 
 def beurling_down(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    _require_upper(f, "beurling_down")
-    if method == "quadrature":
-        out = _two_term_quad(f, "beurling", sign=+1, mode=mode)
-    elif method == "fft":
-        full = extend_odd(f)
-        conv = _beurling_multiplier(full.data, full.spec.hx, full.spec.hy, padding)
-        out = conv[f.spec.ny :]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), "beurling_down", method)
+    return _half_plane(f, "beurling_down", "beurling", +1, method, mode, padding)
 
 
 def beurling_up(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    _require_upper(f, "beurling_up")
-    if method == "quadrature":
-        out = _two_term_quad(f, "beurling", sign=-1, mode=mode)
-    elif method == "fft":
-        full = _extend_zero(f)
-        conv = _beurling_multiplier(full.data, full.spec.hx, full.spec.hy, padding)
-        ny = f.spec.ny
-        out = conv[ny:] - conv[ny - 1 :: -1]
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), "beurling_up", method)
-
-
-def _im_pow(f: Field, p: int) -> Field:
-    y = f.spec.y.reshape(-1, 1)
-    return Field(f.spec, f.data * y ** int(p))
+    return _half_plane(f, "beurling_up", "beurling", -1, method, mode, padding)
 
 
 def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
@@ -377,7 +347,7 @@ def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
         return _meta(Field(f.spec, out), "bicauchy_up", method)
     # exact factorization: cauchy_up = -2i M bicauchy_up
     g = cauchy_up(f, method="fft")
-    return _meta(_im_pow(Field(f.spec, 0.5j * g.data), -1), "bicauchy_up", method)
+    return _meta(mult_im_pow(Field(f.spec, 0.5j * g.data), -1), "bicauchy_up", method)
 
 
 def bicauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
@@ -386,7 +356,7 @@ def bicauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Fiel
         out = _product_quad(f, "bicauchy_down", mode)
         return _meta(Field(f.spec, out), "bicauchy_down", method)
     # exact factorization: cauchy_down[g] = 2i bicauchy_down[M g]
-    g = cauchy_down(_im_pow(f, -1), method="fft")
+    g = cauchy_down(mult_im_pow(f, -1), method="fft")
     return _meta(Field(f.spec, -0.5j * g.data), "bicauchy_down", method)
 
 
@@ -396,8 +366,8 @@ def bicauchy_real(f: Field, method: str = "fft", mode: str = "accurate") -> Fiel
         out = _product_quad(f, "bicauchy_real", mode)
         return _meta(Field(f.spec, out), "bicauchy_real", method)
     # real part of the sandwiched cauchy_down: (C + conj C conj)/2 = 4 M E M
-    out = 0.125 * defect_sum(_im_pow(f, -1), method="fft").data
-    return _meta(_im_pow(Field(f.spec, out), -1), "bicauchy_real", method)
+    out = 0.125 * defect_sum(mult_im_pow(f, -1), method="fft").data
+    return _meta(mult_im_pow(Field(f.spec, out), -1), "bicauchy_real", method)
 
 
 _DISPATCH = {
@@ -411,6 +381,7 @@ _DISPATCH = {
     "bicauchy_down": bicauchy_down,
     "bicauchy_real": bicauchy_real,
 }
+KERNEL_IDS = tuple(_DISPATCH)
 
 
 def transform(f: Field, kernel: str, method: str = "fft", mode: str = "accurate", **kw) -> Field:
@@ -455,15 +426,15 @@ def minimal_solve(f: Field, method: str = "fft", mode: str = "accurate") -> Fiel
     The solution obeys ||u|| <= 4 ||f|| in L2 of the half-plane and is
     orthogonal to M times the holomorphic directions.
     """
-    g = cauchy_down(_im_pow(f, -2), method=method, mode=mode)
-    out = _im_pow(g, 1)
+    g = cauchy_down(mult_im_pow(f, -2), method=method, mode=mode)
+    out = mult_im_pow(g, 1)
     out.meta.update({"kernel": "minimal_solve", "method": method})
     return out
 
 
 def hyperbolic_beurling(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
     """The weighted composition M^2 beurling_down M^-2, an L2 contraction-like map."""
-    g = beurling_down(_im_pow(f, -2), method=method, mode=mode)
-    out = _im_pow(g, 2)
+    g = beurling_down(mult_im_pow(f, -2), method=method, mode=mode)
+    out = mult_im_pow(g, 2)
     out.meta.update({"kernel": "hyperbolic_beurling", "method": method})
     return out

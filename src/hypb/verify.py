@@ -83,7 +83,7 @@ __all__ = [
 HYP = WeightKind.HYPERBOLIC
 DUAL = WeightKind.DUAL_HYPERBOLIC
 
-# quadrature above this many cells per axis is rejected without force=True
+# `hypb` refuses quadrature above this many cells per axis without --force
 QUAD_GRID_CAP = 128
 
 
@@ -128,7 +128,6 @@ class RunConfig:
     tol: Optional[float] = None
     seed: int = 0
     threads: Optional[int] = None
-    force: bool = False
 
     def battery_spec(self) -> GridSpec:
         return GridSpec(L=self.L, H=self.H, nx=self.nx, ny=self.ny, plane=PlaneKind.UPPER)
@@ -149,6 +148,12 @@ def _quintic(u: np.ndarray) -> np.ndarray:
 
 def _battery_gaussian() -> tf.AnalyticTestFunction:
     return tf.gaussian_bump(c=2.0, sigma=4.0)
+
+
+def _gaussian_fields(spec: GridSpec, *which: str) -> list:
+    """The battery gaussian's fields named by `which` ("f", "d", "dbar", "lap", "d2") on spec."""
+    fn = _battery_gaussian()
+    return [tf.sample(fn, spec, w) for w in which]
 
 
 def _rel_l2(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
@@ -281,17 +286,14 @@ def check_norm_identity_p2(cfg: RunConfig, mode: str = "transform") -> list:
     """
     t0 = time.perf_counter()
     spec = cfg.battery_spec()
-    fn = _battery_gaussian()
     y = spec.y.reshape(-1, 1)
-    F = tf.sample(fn, spec, "f")
+    [F] = _gaussian_fields(spec, "f")
     if lp_norm(F, 2.0) == 0.0:
         return [_degenerate(f"norm-identity-{mode}", spec, cfg.method, t0)]
-    dF = tf.sample(fn, spec, "d")
-    dbF = tf.sample(fn, spec, "dbar")
-    lapF = tf.sample(fn, spec, "lap")
+    dF, dbF, lapF = _gaussian_fields(spec, "d", "dbar", "lap")
     reports = []
     if mode == "closed":
-        d2F = tf.sample(fn, spec, "d2")
+        [d2F] = _gaussian_fields(spec, "d2")
         lhs = lp_norm(Field(spec, y * d2F.data), 2.0)
         rhs = lp_norm(Field(spec, y * lapF.data + 0.5j * (dF.data + dbF.data)), 2.0)
         rhs_ctl = lp_norm(Field(spec, y * lapF.data + 1.0j * (dF.data + dbF.data)), 2.0)
@@ -329,9 +331,8 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
     """
     t0 = time.perf_counter()
     spec = cfg.battery_spec()
-    fn = _battery_gaussian()
     y = spec.y.reshape(-1, 1)
-    f = tf.sample(fn, spec, "lap")
+    [f] = _gaussian_fields(spec, "lap")
     top = y * tr.beurling_down(f, method=cfg.method).data
     bot = y * f.data + 0.5j * tr.defect_sum(f, method=cfg.method).data
     cell = spec.cell_measure
@@ -405,13 +406,8 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     """
     t0 = time.perf_counter()
     spec = cfg.battery_spec()
-    fn = _battery_gaussian()
     y = spec.y.reshape(-1, 1)
-    F = tf.sample(fn, spec, "f")
-    dF = tf.sample(fn, spec, "d")
-    dbF = tf.sample(fn, spec, "dbar")
-    lapF = tf.sample(fn, spec, "lap")
-    d2F = tf.sample(fn, spec, "d2")
+    F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
     G = Field(spec, y * dF.data + 0.5j * F.data)
     target_d = y * d2F.data
     target_db = y * lapF.data + 0.5j * (dF.data + dbF.data)
@@ -434,14 +430,15 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     return reports
 
 
-def _commutator_error(n: int, ngrid: int) -> float:
+def _commutator_error(n: int, ngrid: int, sign: int = -1) -> float:
     # steep interior bump: y^n amplifies axis tails, so the member must clear
-    # the axis by several sigma for the dyadic orders to be clean
+    # the axis by several sigma for the dyadic orders to be clean; sign +1 is
+    # the wrong-sign coefficient of the control
     spec = GridSpec(L=2.8, H=5.6, nx=ngrid, ny=ngrid, plane=PlaneKind.UPPER)
     F = tf.sample(tf.gaussian_bump(c=2.8, sigma=8.0), spec, "f")
     y = spec.y.reshape(-1, 1)
     lhs = d(Field(spec, y**n * F.data)).data - y**n * d(F).data
-    rhs = (-0.5j * n) * y ** (n - 1) * F.data
+    rhs = (sign * 0.5j * n) * y ** (n - 1) * F.data
     sc = np.sqrt(np.sum(np.abs(rhs) ** 2)) + 1e-300
     return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / sc)
 
@@ -464,14 +461,9 @@ def check_commutators(cfg: RunConfig) -> list:
                                 "member": "gaussian:c=2.8,sigma=8"})
         )
     # wrong-sign coefficient: the residual is O(1) instead of O(h^4)
-    specc = GridSpec(L=2.8, H=5.6, nx=256, ny=256, plane=PlaneKind.UPPER)
-    F = tf.sample(tf.gaussian_bump(c=2.8, sigma=8.0), specc, "f")
-    y = specc.y.reshape(-1, 1)
-    lhs = d(Field(specc, y**2 * F.data)).data - y**2 * d(F).data
-    rhs = (+0.5j * 2) * y * F.data
-    ew = float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / (np.sqrt(np.sum(np.abs(rhs) ** 2)) + 1e-300))
+    ew = _commutator_error(2, grids[-1], sign=+1)
     reports.append(
-        _report("commutators/control-wrong-sign", specc, "fd4", ew, 0.5, 0.5, ew > 0.5, t0,
+        _report("commutators/control-wrong-sign", spec, "fd4", ew, 0.5, 0.5, ew > 0.5, t0,
                 parameters={"negative_control": True, "n": 2})
     )
     return reports
@@ -487,12 +479,7 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     """
     t0 = time.perf_counter()
     spec = cfg.battery_spec()
-    fn = _battery_gaussian()
-    F = tf.sample(fn, spec, "f")
-    dF = tf.sample(fn, spec, "d")
-    dbF = tf.sample(fn, spec, "dbar")
-    lapF = tf.sample(fn, spec, "lap")
-    d2F = tf.sample(fn, spec, "d2")
+    F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
     tol = cfg.tolerance(1e-3)
     cases = [
         ("c_down", tr.cauchy_down(lapF, method=cfg.method).data, dF.data),
@@ -542,8 +529,7 @@ def check_method_agreement(cfg: RunConfig) -> list:
     t0 = time.perf_counter()
     n = min(cfg.nx, cfg.ny, QUAD_GRID_CAP)
     spec = GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n, plane=PlaneKind.UPPER)
-    fn = _battery_gaussian()
-    lapF = tf.sample(fn, spec, "lap")
+    [lapF] = _gaussian_fields(spec, "lap")
     tol = cfg.tolerance(1e-3)
     reports = []
     for name, op in (("c_down", tr.cauchy_down), ("c_up", tr.cauchy_up)):
@@ -581,7 +567,7 @@ def check_structural_identities(cfg: RunConfig) -> list:
     """
     t0 = time.perf_counter()
     spec = GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER)
-    F = tf.sample(_battery_gaussian(), spec, "f")
+    [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = cfg.tolerance(1e-10)
     reports = []
@@ -622,7 +608,7 @@ def check_e_identity(cfg: RunConfig) -> list:
     """
     t0 = time.perf_counter()
     spec = GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER)
-    F = tf.sample(_battery_gaussian(), spec, "f")
+    [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = cfg.tolerance(1e-10)
     conj_part = np.conj(
@@ -635,7 +621,7 @@ def check_e_identity(cfg: RunConfig) -> list:
         _report("e-identity/matched", spec, "quadrature-matched", e, tol, tol, e <= tol, t0)
     ]
     bspec = cfg.battery_spec()
-    Fb = tf.sample(_battery_gaussian(), bspec, "f")
+    [Fb] = _gaussian_fields(bspec, "f")
     E = tr.bicauchy_real(Fb, method=cfg.method)
     ctol = 1e-3
     r1 = lp_norm(E, 2.0, DUAL) / lp_norm(Fb, 2.0)
@@ -682,9 +668,7 @@ def check_hardy(cfg: RunConfig) -> list:
     spec = cfg.battery_spec()
     const = KnownConstants().hardy_p2
     tol = cfg.tolerance(1e-3)
-    fn = _battery_gaussian()
-    F = tf.sample(fn, spec, "f")
-    dbF = tf.sample(fn, spec, "dbar")
+    F, dbF = _gaussian_fields(spec, "f", "dbar")
     Y = spec.y.reshape(-1, 1)
     num = float(np.sum(np.abs(F.data) ** 2 / Y**2)) * spec.cell_measure
     den = float(np.sum(np.abs(dbF.data) ** 2)) * spec.cell_measure
@@ -742,9 +726,7 @@ def check_cup(cfg: RunConfig) -> list:
     spec = cfg.battery_spec()
     const = KnownConstants().cup_norm_p2
     tol = cfg.tolerance(1e-3)
-    fn = _battery_gaussian()
-    F = tf.sample(fn, spec, "f")
-    dbF = tf.sample(fn, spec, "dbar")
+    F, dbF = _gaussian_fields(spec, "f", "dbar")
     reports = []
     for name, fld in (("F", F), ("dbarF", dbF)):
         r = lp_norm(tr.cauchy_up(fld, method=cfg.method), 2.0, HYP) / lp_norm(fld, 2.0)
@@ -801,9 +783,7 @@ def check_minimal_solver(cfg: RunConfig) -> list:
     spec = cfg.battery_spec()
     const = KnownConstants().c2
     tol = cfg.tolerance(1e-3)
-    fn = _battery_gaussian()
-    F = tf.sample(fn, spec, "f")
-    dbF = tf.sample(fn, spec, "dbar")
+    F, dbF = _gaussian_fields(spec, "f", "dbar")
     reports = []
     for name, fld in (("F", F), ("dbarF", dbF)):
         u = tr.minimal_solve(fld, method=cfg.method)
@@ -862,8 +842,7 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
     t0 = time.perf_counter()
     spec = cfg.battery_spec()
     tol = cfg.tolerance(1e-3)
-    fn = _battery_gaussian()
-    lapF = tf.sample(fn, spec, "lap")
+    [lapF] = _gaussian_fields(spec, "lap")
     y = spec.y.reshape(-1, 1)
     out = Field(spec, y * lapF.data + 0.5j * tr.defect_sum(lapF, method=cfg.method).data)
     w_conj = tf.sample(tf.conj_rational(1.0, 2), spec, "f")
@@ -970,7 +949,7 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
                 tol, tol, e <= tol, t0, parameters={"window": [float(xi.min()), float(xi.max())]},
                 notes=notes)
     )
-    g = tf.sample(_battery_gaussian(), spec, "f")
+    [g] = _gaussian_fields(spec, "f")
     resg = wh.lemma_a1_classify(g, warn=False)
     reports.append(
         _report("whittaker-classify/control-gaussian", spec, "partial-fourier",
@@ -1074,7 +1053,7 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     """
     t0 = time.perf_counter()
     spec = GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER)
-    F = tf.sample(_battery_gaussian(), spec, "f")
+    [F] = _gaussian_fields(spec, "f")
     bd = tr.beurling_down(F, method="quadrature", mode="accurate")
     t1 = kn.planar_table("beurling", spec.ny, spec.nx, spec.hx, spec.hy, average="shell")
     t2 = kn.mirror_table("beurling", spec.ny, spec.nx, spec.hx, spec.hy, sign=1,
@@ -1128,12 +1107,8 @@ def check_adjointness(cfg: RunConfig) -> list:
 
 def _sweep_derivative_identities(cfg: RunConfig, n: int) -> float:
     spec = GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n, plane=PlaneKind.UPPER)
-    fn = _battery_gaussian()
     y = spec.y.reshape(-1, 1)
-    F = tf.sample(fn, spec, "f")
-    dF = tf.sample(fn, spec, "d")
-    dbF = tf.sample(fn, spec, "dbar")
-    lapF = tf.sample(fn, spec, "lap")
+    F, dF, dbF, lapF = _gaussian_fields(spec, "f", "d", "dbar", "lap")
     G = Field(spec, y * dF.data + 0.5j * F.data)
     target = y * lapF.data + 0.5j * (dF.data + dbF.data)
     return _rel_l2(spec, d_bar(G).data, target)

@@ -42,8 +42,8 @@ __all__ = [
     "whittaker_Y",
     "x_integral",
     "y_integral",
+    "pointwise_residual",
     "ode_residual",
-    "pde_residual",
     "pde_residual_ratio",
     "PartialFourierField",
     "partial_fourier",
@@ -144,8 +144,8 @@ def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
     return A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) + B2 * t * np.exp(-t / 2.0)
 
 
-def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> float:
-    """Max normalized residual of H'' = (1/4 + sign/t) H over the grid.
+def pointwise_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> tuple:
+    """Values H(t) and the pointwise normalized residual of H'' = (1/4 + sign/t) H.
 
     Second derivative by the 5-point O(h^4) stencil with h small against the
     e^{t/2} scale; passing an explicit wrong `sign` turns this into the
@@ -162,22 +162,16 @@ def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> 
     ) / (12.0 * h**2)
     target = (0.25 + s / t) * f0
     denom = np.abs(f0) + np.abs(d2) + 1e-300
-    return float(np.max(np.abs(d2 - target) / denom))
+    return f0, np.abs(d2 - target) / denom
+
+
+def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> float:
+    """Max of `pointwise_residual` over the grid."""
+    return float(np.max(pointwise_residual(sol, t_grid, sign)[1]))
 
 
 # ---------------------------------------------------------------------------
 # the cokernel PDE on fields
-
-
-def pde_residual(h: Field) -> Field:
-    """y (dxx + dyy) h + 2i dx h, all derivatives by the 4th-order scheme."""
-    spec = h.spec
-    hx, hy = spec.hx, spec.hy
-    dx1 = _fd4_first(h.data, hx, axis=1)
-    dxx = _fd4_first(dx1, hx, axis=1)
-    dyy = _fd4_first(_fd4_first(h.data, hy, axis=0), hy, axis=0)
-    y = spec.y.reshape(-1, 1)
-    return Field(spec, y * (dxx + dyy) + 2j * dx1)
 
 
 def pde_residual_ratio(h: Field) -> float:

@@ -42,6 +42,25 @@ def test_parse_domain_and_range():
         cli.parse_range("30:0.1")
 
 
+def test_csv_rows_match_the_fstring_rows():
+    # the rows the commands wrote with one f-string per row
+    xs = np.array([0.1, -0.0, np.inf, -np.inf, np.nan, 1e-300, -2.5e-310, 1 / 3])
+    cols = (xs, xs[::-1], np.roll(xs, 3))
+    want = [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(*cols)]
+    assert cli.csv_rows(*cols) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["whittaker", "tabulate", "--family", "Y", "--tol", "1e-3"],
+    ["whittaker", "tabulate", "--family", "X", "--grid", "64"],
+    ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--method", "quadrature"],
+    ["transform", "--op", "b_down", "--testfn", "gaussian:c=2,sigma=4", "--seed", "3"],
+])
+def test_flags_belong_to_the_commands_that_read_them(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_threads_resolution(monkeypatch):
     monkeypatch.delenv("HYPB_THREADS", raising=False)
     assert cli.resolve_threads(None) is None
@@ -126,6 +145,14 @@ def test_transform_singular_quadrature_needs_square_cells(op, grid, capsys):
     assert "square cells" in err and "Traceback" not in err
 
 
+def test_verify_singular_quadrature_needs_square_cells(capsys):
+    # the battery grid of this domain has 2:1 cells
+    assert run(["verify", "norm-identity", "--method", "quadrature", "--grid", "64",
+                "--domain", "2.8:2.8"]) == 2
+    err = capsys.readouterr().err
+    assert "square cells" in err and "Traceback" not in err
+
+
 def test_threads_must_be_positive(capsys):
     assert run(["verify", "adjointness", "--threads", "0"]) == 2
     assert "thread" in capsys.readouterr().err
@@ -194,6 +221,14 @@ def test_tabulate_json_reports_max_residual(capsys):
 def test_tabulate_rejects_bad_range(capsys):
     assert run(["whittaker", "tabulate", "--family", "Y", "--range", "5:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", ["X", "Y"])
+@pytest.mark.parametrize("trange", ["0.1:800", "0.1:1500"])
+def test_tabulate_refuses_ranges_that_overflow(family, trange, capsys):
+    assert run(["whittaker", "tabulate", "--family", family, "--A", "0", "--B", "1",
+                "--range", trange, "--json"]) == 2
+    assert "700" in capsys.readouterr().err
 
 
 def test_classify_member_and_nonmember(capsys):
