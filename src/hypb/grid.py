@@ -62,8 +62,8 @@ class GridSpec:
     plane: PlaneKind = PlaneKind.UPPER
 
     def __post_init__(self):
-        if not (self.L > 0 and self.H > 0):
-            raise ValueError("box half-width L and height H must be positive")
+        if not (0 < self.L < math.inf and 0 < self.H < math.inf):
+            raise ValueError("box half-width L and height H must be positive and finite")
         if self.nx < 4 or self.ny < 4:
             raise ValueError("need at least 4 cells per direction")
         if self.plane is PlaneKind.FULL and self.ny % 2:

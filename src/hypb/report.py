@@ -6,8 +6,10 @@ The JSON form is stable: keys are exactly
 
     check_id, parameters, lhs, rhs, ratio, tolerance, pass, grid, method, runtime_ms
 
-so downstream tooling can diff reports across runs.  `runtime_ms` is the
-only field excluded from determinism comparisons.
+plus `notes` (diagnostics such as an x-truncation ratio or the reason a
+value is only reported) on the records whose notes are non-empty, so
+downstream tooling can diff reports across runs.  `runtime_ms` is the only
+field excluded from determinism comparisons.
 """
 
 from __future__ import annotations
@@ -31,11 +33,11 @@ class CheckReport:
     grid: dict
     method: str
     runtime_ms: float = 0.0
-    # free-form extras (not serialized): degenerate flags, diagnostics
+    # free-form diagnostics; serialized only when non-empty
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
             "parameters": self.parameters,
             "lhs": self.lhs,
@@ -47,6 +49,9 @@ class CheckReport:
             "method": self.method,
             "runtime_ms": self.runtime_ms,
         }
+        if self.notes:
+            out["notes"] = self.notes
+        return out
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

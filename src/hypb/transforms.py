@@ -87,7 +87,6 @@ __all__ = [
     "conv_valid",
     "fft_workers",
     "minimal_solve",
-    "hyperbolic_beurling",
 ]
 
 def _require_upper(f: Field, name: str):
@@ -196,10 +195,8 @@ def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
                 ki = 1.0 / ((dx + 1j * dym) * (dx - 1j * dyp))
             elif which == "bicauchy_down":
                 ki = 1.0 / ((dx + 1j * dym) * (dx + 1j * dyp))
-            elif which == "bicauchy_real":
+            else:  # bicauchy_real
                 ki = (dx / ((dx**2 + dym**2) * (dx**2 + dyp**2))).astype(complex)
-            else:
-                raise ValueError(f"unknown product kernel {which!r}")
         ki[i, nx - 1] = 0.0  # source cell w = z
         if mode == "accurate":
             # average of the 1/(z - w) factor times midpoint mirror factor;
@@ -340,34 +337,41 @@ def beurling_up(f: Field, method: str = "fft", mode: str = "accurate", padding: 
     return _half_plane(f, "beurling_up", "beurling", -1, method, mode, padding)
 
 
-def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    _require_upper(f, "bicauchy_up")
+# the fft path of each product kernel: its exact factorization through the
+# half-plane cauchy transforms
+_FACTORIZATION = {
+    # cauchy_up = -2i M bicauchy_up
+    "bicauchy_up": lambda f: mult_im_pow(Field(f.spec, 0.5j * cauchy_up(f).data), -1).data,
+    # cauchy_down[g] = 2i bicauchy_down[M g]
+    "bicauchy_down": lambda f: -0.5j * cauchy_down(mult_im_pow(f, -1)).data,
+    # real part of the sandwiched cauchy_down: (C + conj C conj)/2 = 4 M E M
+    "bicauchy_real": lambda f: mult_im_pow(
+        Field(f.spec, 0.125 * defect_sum(mult_im_pow(f, -1)).data), -1).data,
+}
+
+
+def _bicauchy(f: Field, name: str, method: str, mode: str) -> Field:
+    """The product-kernel operator `name`: table quadrature or its factorization."""
+    _require_upper(f, name)
     if method == "quadrature":
-        out = _product_quad(f, "bicauchy_up", mode)
-        return _meta(Field(f.spec, out), "bicauchy_up", method)
-    # exact factorization: cauchy_up = -2i M bicauchy_up
-    g = cauchy_up(f, method="fft")
-    return _meta(mult_im_pow(Field(f.spec, 0.5j * g.data), -1), "bicauchy_up", method)
+        out = _product_quad(f, name, mode)
+    elif method == "fft":
+        out = _FACTORIZATION[name](f)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _meta(Field(f.spec, out), name, method)
+
+
+def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+    return _bicauchy(f, "bicauchy_up", method, mode)
 
 
 def bicauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    _require_upper(f, "bicauchy_down")
-    if method == "quadrature":
-        out = _product_quad(f, "bicauchy_down", mode)
-        return _meta(Field(f.spec, out), "bicauchy_down", method)
-    # exact factorization: cauchy_down[g] = 2i bicauchy_down[M g]
-    g = cauchy_down(mult_im_pow(f, -1), method="fft")
-    return _meta(Field(f.spec, -0.5j * g.data), "bicauchy_down", method)
+    return _bicauchy(f, "bicauchy_down", method, mode)
 
 
 def bicauchy_real(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    _require_upper(f, "bicauchy_real")
-    if method == "quadrature":
-        out = _product_quad(f, "bicauchy_real", mode)
-        return _meta(Field(f.spec, out), "bicauchy_real", method)
-    # real part of the sandwiched cauchy_down: (C + conj C conj)/2 = 4 M E M
-    out = 0.125 * defect_sum(mult_im_pow(f, -1), method="fft").data
-    return _meta(mult_im_pow(Field(f.spec, out), -1), "bicauchy_real", method)
+    return _bicauchy(f, "bicauchy_real", method, mode)
 
 
 _DISPATCH = {
@@ -429,12 +433,4 @@ def minimal_solve(f: Field, method: str = "fft", mode: str = "accurate") -> Fiel
     g = cauchy_down(mult_im_pow(f, -2), method=method, mode=mode)
     out = mult_im_pow(g, 1)
     out.meta.update({"kernel": "minimal_solve", "method": method})
-    return out
-
-
-def hyperbolic_beurling(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    """The weighted composition M^2 beurling_down M^-2, an L2 contraction-like map."""
-    g = beurling_down(mult_im_pow(f, -2), method=method, mode=mode)
-    out = mult_im_pow(g, 2)
-    out.meta.update({"kernel": "hyperbolic_beurling", "method": method})
     return out

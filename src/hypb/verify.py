@@ -19,6 +19,19 @@ Conventions shared by all checks:
     enter only the labeled consistency checks and are never treated as
     verified bounds.
 
+Every check writes its reports through one `_Recorder`, made as the check
+begins with the check's id prefix, default grid and method:
+
+  * a report's runtime_ms is its own span: the time since the check's
+    previous report, or since the check began for the first one, so a
+    check's reports sum to its wall time;
+  * a bar verdict (`at_most`, `above`, `at_least`) takes the value and the
+    bar once; the bar is both rhs and tolerance.  Verdicts that are not a
+    plain bar (brackets, relative bounds, floors, classifier flags) go
+    through `record` with lhs, rhs, tolerance and the pass flag written out;
+  * a report is a negative control exactly when its id holds "/control-";
+    the recorder puts `negative_control: true` first in its parameters.
+
 Determinism: every random draw derives from a fixed base seed plus
 RunConfig.seed, reductions are fixed-shape, and runtime_ms is the only
 report field that varies between identical runs.
@@ -29,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -166,48 +179,50 @@ def _rel_pointwise(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b)) / (np.max(np.abs(b)) + 1e-300))
 
 
-def _report(
-    check_id: str,
-    spec: GridSpec,
-    method: str,
-    lhs: float,
-    rhs: float,
-    tol: float,
-    passed: bool,
-    t0: float,
-    parameters: Optional[dict] = None,
-    notes: Optional[dict] = None,
-) -> CheckReport:
-    ratio = lhs / rhs if rhs not in (0.0,) else math.inf
-    return CheckReport(
-        check_id=check_id,
-        parameters=parameters or {},
-        lhs=float(lhs),
-        rhs=float(rhs),
-        ratio=float(ratio),
-        tolerance=float(tol),
-        passed=bool(passed),
-        grid=spec.summary(),
-        method=method,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        notes=notes or {},
-    )
+class _Recorder:
+    """The reports of one check (module docstring: recorder conventions).
 
+    Ids are `prefix/name`, or the bare prefix when name is empty.  A report
+    takes the check's grid and method unless `spec` or `method` is given;
+    its other keyword arguments are its parameters.
+    """
 
-def _degenerate(check_id: str, spec: GridSpec, method: str, t0: float) -> CheckReport:
-    return CheckReport(
-        check_id=check_id,
-        parameters={"degenerate": True},
-        lhs=0.0,
-        rhs=0.0,
-        ratio=1.0,
-        tolerance=math.inf,
-        passed=True,
-        grid=spec.summary(),
-        method=method,
-        runtime_ms=(time.perf_counter() - t0) * 1000.0,
-        notes={"reason": "identically zero input; excluded from aggregates"},
-    )
+    def __init__(self, prefix: str, spec: GridSpec, method: str):
+        self.prefix, self.spec, self.method = prefix, spec, method
+        self.reports: list = []
+        self._mark = time.perf_counter()
+
+    def record(self, name: str, lhs, rhs, tol, passed, *, spec: Optional[GridSpec] = None,
+               method: Optional[str] = None, notes: Optional[dict] = None, **parameters):
+        check_id = f"{self.prefix}/{name}" if name else self.prefix
+        if "/control-" in check_id:
+            parameters = dict(negative_control=True, **parameters)
+        ratio = lhs / rhs if rhs != 0.0 else math.inf
+        self._add(CheckReport(check_id, parameters, float(lhs), float(rhs), float(ratio),
+                              float(tol), bool(passed), (spec or self.spec).summary(),
+                              method or self.method, notes=notes or {}))
+
+    def at_most(self, name: str, value, bar, **kw):
+        self.record(name, value, bar, bar, value <= bar, **kw)
+
+    def above(self, name: str, value, bar, **kw):
+        self.record(name, value, bar, bar, value > bar, **kw)
+
+    def at_least(self, name: str, value, bar, **kw):
+        self.record(name, value, bar, bar, value >= bar, **kw)
+
+    def degenerate(self):
+        """The check's one report on an identically zero input: passes by convention."""
+        self._add(CheckReport(self.prefix, {"degenerate": True}, 0.0, 0.0, 1.0, math.inf, True,
+                              self.spec.summary(), self.method,
+                              notes={"reason": "identically zero input; "
+                                               "excluded from aggregates"}))
+
+    def _add(self, report: CheckReport):
+        now = time.perf_counter()
+        report.runtime_ms = (now - self._mark) * 1000.0
+        self._mark = now
+        self.reports.append(report)
 
 
 def dipole_agreement_field(spec: GridSpec, xk: float = 0.8) -> Field:
@@ -284,22 +299,22 @@ def check_norm_identity_p2(cfg: RunConfig, mode: str = "transform") -> list:
     left side from the singular transform (tolerance 1e-3).  The control
     doubles the i/2 coefficient, which moves the ratio by 4e-2.
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    closed = mode == "closed"
+    rec = _Recorder("norm-identity-closed" if closed else "norm-identity",
+                    cfg.battery_spec(), "closed-form" if closed else cfg.method)
+    spec = rec.spec
     y = spec.y.reshape(-1, 1)
     [F] = _gaussian_fields(spec, "f")
     if lp_norm(F, 2.0) == 0.0:
-        return [_degenerate(f"norm-identity-{mode}", spec, cfg.method, t0)]
+        rec.degenerate()
+        return rec.reports
     dF, dbF, lapF = _gaussian_fields(spec, "d", "dbar", "lap")
-    reports = []
-    if mode == "closed":
+    if closed:
         [d2F] = _gaussian_fields(spec, "d2")
         lhs = lp_norm(Field(spec, y * d2F.data), 2.0)
         rhs = lp_norm(Field(spec, y * lapF.data + 0.5j * (dF.data + dbF.data)), 2.0)
         rhs_ctl = lp_norm(Field(spec, y * lapF.data + 1.0j * (dF.data + dbF.data)), 2.0)
         tol = cfg.tolerance(1e-4)
-        cid = "norm-identity-closed"
-        method = "closed-form"
     else:
         f = lapF
         lhs = lp_norm(Field(spec, y * tr.beurling_down(f, method=cfg.method).data), 2.0)
@@ -307,19 +322,11 @@ def check_norm_identity_p2(cfg: RunConfig, mode: str = "transform") -> list:
         rhs = lp_norm(Field(spec, y * f.data + 0.5j * s), 2.0)
         rhs_ctl = lp_norm(Field(spec, y * f.data + 1.0j * s), 2.0)
         tol = cfg.tolerance(1e-3)
-        cid = "norm-identity"
-        method = cfg.method
-    reports.append(
-        _report(cid, spec, method, lhs, rhs, tol, abs(lhs / rhs - 1.0) <= tol, t0,
-                parameters={"member": "gaussian:c=2,sigma=4", "p": 2.0})
-    )
-    dev = abs(lhs / rhs_ctl - 1.0)
-    reports.append(
-        _report(f"{cid}/control-doubled-coefficient", spec, method, lhs, rhs_ctl, tol,
-                dev > tol, t0,
-                parameters={"negative_control": True, "expected": "ratio deviates"})
-    )
-    return reports
+    rec.record("", lhs, rhs, tol, abs(lhs / rhs - 1.0) <= tol,
+               member="gaussian:c=2,sigma=4", p=2.0)
+    rec.record("control-doubled-coefficient", lhs, rhs_ctl, tol, abs(lhs / rhs_ctl - 1.0) > tol,
+               expected="ratio deviates")
+    return rec.reports
 
 
 def check_two_sided_lp(cfg: RunConfig) -> list:
@@ -329,8 +336,8 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
     ratio sits inside the conjectured bracket with slack, and the reported
     empirical ratio is the datum.  p = 2 is refused here (exact identity).
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("two-sided-p", cfg.battery_spec(), cfg.method)
+    spec = rec.spec
     y = spec.y.reshape(-1, 1)
     [f] = _gaussian_fields(spec, "lap")
     top = y * tr.beurling_down(f, method=cfg.method).data
@@ -341,28 +348,19 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
         return float((np.sum(np.abs(data) ** p) * cell) ** (1.0 / p))
 
     ps = (cfg.p,) if cfg.p != 2.0 else (4.0 / 3.0, 4.0)
-    reports = []
     tol = cfg.tolerance(1e-3)
     for p in ps:
         bp = conjectured_bp(p)
         ratio = lpn(top, p) / lpn(bot, p)
         lo, hi = (1.0 / bp) / (1.0 + tol), bp * (1.0 + tol)
-        reports.append(
-            _report(f"two-sided-p/p={p:g}", spec, cfg.method, ratio, bp, tol,
-                    lo <= ratio <= hi, t0,
-                    parameters={"label": "consistency", "p": p,
-                                "bracket": [1.0 / bp, bp],
-                                "envelope": interpolation_envelope(p)})
-        )
+        rec.record(f"p={p:g}", ratio, bp, tol, lo <= ratio <= hi, label="consistency", p=p,
+                   bracket=[1.0 / bp, bp], envelope=interpolation_envelope(p))
         # control: an artificially tight bracket must reject the same ratio
         tight = 1.05
         inside = (1.0 / tight) <= ratio <= tight
-        reports.append(
-            _report(f"two-sided-p/p={p:g}/control-tight-bracket", spec, cfg.method,
-                    ratio, tight, tol, not inside, t0,
-                    parameters={"negative_control": True, "label": "consistency"})
-        )
-    return reports
+        rec.record(f"p={p:g}/control-tight-bracket", ratio, tight, tol, not inside,
+                   label="consistency")
+    return rec.reports
 
 
 def check_planar_isometry(cfg: RunConfig) -> list:
@@ -373,8 +371,9 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     multiplier is unimodular away from the zero mode.  A mean-bearing bump
     breaks the hypothesis and moves the ratio by 1e-2.
     """
-    t0 = time.perf_counter()
-    spec = GridSpec(L=4.0, H=4.0, nx=256, ny=256, plane=PlaneKind.FULL)
+    rec = _Recorder("planar-isometry", GridSpec(L=4.0, H=4.0, nx=256, ny=256,
+                                                plane=PlaneKind.FULL), "fft")
+    spec = rec.spec
     rng = np.random.default_rng(20260815 + cfg.seed)
     tol = cfg.tolerance(1e-6)
     worst = 0.0
@@ -382,19 +381,13 @@ def check_planar_isometry(cfg: RunConfig) -> list:
         f = banded_field(spec, rng)
         r = lp_norm(tr.beurling(f, method="fft", padding=1), 2.0) / lp_norm(f, 2.0)
         worst = max(worst, abs(r - 1.0))
-    reports = [
-        _report("planar-isometry", spec, "fft", 1.0 + worst, 1.0, tol, worst <= tol, t0,
-                parameters={"fields": 10, "kmax_frac": 0.125, "padding": 1,
-                            "seed": 20260815 + cfg.seed})
-    ]
+    rec.record("", 1.0 + worst, 1.0, tol, worst <= tol, fields=10, kmax_frac=0.125, padding=1,
+               seed=20260815 + cfg.seed)
     zz = spec.zz()
     fb = Field(spec, np.exp(-4.0 * np.abs(zz) ** 2))
     dev = abs(lp_norm(tr.beurling(fb, method="fft", padding=1), 2.0) / lp_norm(fb, 2.0) - 1.0)
-    reports.append(
-        _report("planar-isometry/control-mean-bearing", spec, "fft", 1.0 + dev, 1.0, tol,
-                dev > tol, t0, parameters={"negative_control": True})
-    )
-    return reports
+    rec.record("control-mean-bearing", 1.0 + dev, 1.0, tol, dev > tol)
+    return rec.reports
 
 
 def check_derivative_identities(cfg: RunConfig) -> list:
@@ -404,30 +397,20 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     both are checked with fourth-order finite differences against sampled
     closed forms.  Flipping the i/2 sign in G is the control.
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
+    spec = rec.spec
     y = spec.y.reshape(-1, 1)
     F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
     G = Field(spec, y * dF.data + 0.5j * F.data)
     target_d = y * d2F.data
     target_db = y * lapF.data + 0.5j * (dF.data + dbF.data)
     tol = cfg.tolerance(1e-4)
-    e1 = _rel_l2(spec, d(G).data, target_d)
-    e2 = _rel_l2(spec, d_bar(G).data, target_db)
-    reports = [
-        _report("derivative-identities/d", spec, "fd4", e1, tol, tol, e1 <= tol, t0,
-                parameters={"member": "gaussian:c=2,sigma=4"}),
-        _report("derivative-identities/dbar", spec, "fd4", e2, tol, tol, e2 <= tol, t0,
-                parameters={"member": "gaussian:c=2,sigma=4"}),
-    ]
+    rec.at_most("d", _rel_l2(spec, d(G).data, target_d), tol, member="gaussian:c=2,sigma=4")
+    rec.at_most("dbar", _rel_l2(spec, d_bar(G).data, target_db), tol,
+                member="gaussian:c=2,sigma=4")
     Gw = Field(spec, y * dF.data - 0.5j * F.data)
-    ew = _rel_l2(spec, d_bar(Gw).data, target_db)
-    reports.append(
-        _report("derivative-identities/control-wrong-potential", spec, "fd4",
-                ew, tol, tol, ew > tol, t0,
-                parameters={"negative_control": True})
-    )
-    return reports
+    rec.above("control-wrong-potential", _rel_l2(spec, d_bar(Gw).data, target_db), tol)
+    return rec.reports
 
 
 def _commutator_error(n: int, ngrid: int, sign: int = -1) -> float:
@@ -443,30 +426,28 @@ def _commutator_error(n: int, ngrid: int, sign: int = -1) -> float:
     return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / sc)
 
 
+def _refinement(errs: list, threshold: float) -> tuple:
+    """Orders log2(e_k / e_k+1) of errors on dyadic grids, whether the errors
+    fall monotonically, and the verdict: monotone and min(orders) >= threshold."""
+    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+    monotone = all(a > b for a, b in zip(errs, errs[1:]))
+    return orders, monotone, monotone and min(orders) >= threshold
+
+
 def check_commutators(cfg: RunConfig) -> list:
     """[d, y^n] = -(i/2) n y^(n-1) at fourth order under dyadic refinement."""
-    t0 = time.perf_counter()
     grids = (64, 128, 256)
-    spec = GridSpec(L=2.8, H=5.6, nx=grids[-1], ny=grids[-1], plane=PlaneKind.UPPER)
-    reports = []
+    rec = _Recorder("commutators", GridSpec(L=2.8, H=5.6, nx=grids[-1], ny=grids[-1],
+                                            plane=PlaneKind.UPPER), "fd4")
     thr = 3.5
     for n in (-2, -1, 1, 2):
         errs = [_commutator_error(n, g) for g in grids]
-        orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-        monotone = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-        ok = monotone and min(orders) >= thr
-        reports.append(
-            _report(f"commutators/n={n}", spec, "fd4", min(orders), thr, thr, ok, t0,
-                    parameters={"grids": list(grids), "errors": errs, "orders": orders,
-                                "member": "gaussian:c=2.8,sigma=8"})
-        )
+        orders, _, ok = _refinement(errs, thr)
+        rec.record(f"n={n}", min(orders), thr, thr, ok, grids=list(grids), errors=errs,
+                   orders=orders, member="gaussian:c=2.8,sigma=8")
     # wrong-sign coefficient: the residual is O(1) instead of O(h^4)
-    ew = _commutator_error(2, grids[-1], sign=+1)
-    reports.append(
-        _report("commutators/control-wrong-sign", spec, "fd4", ew, 0.5, 0.5, ew > 0.5, t0,
-                parameters={"negative_control": True, "n": 2})
-    )
-    return reports
+    rec.above("control-wrong-sign", _commutator_error(2, grids[-1], sign=+1), 0.5, n=2)
+    return rec.reports
 
 
 def check_transform_oracles(cfg: RunConfig) -> list:
@@ -477,8 +458,8 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     The whole-plane singular transform is checked against its radial closed
     form on a central window (the frame is periodization-dominated).
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("transform-oracles", cfg.battery_spec(), cfg.method)
+    spec = rec.spec
     F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
     tol = cfg.tolerance(1e-3)
     cases = [
@@ -487,13 +468,8 @@ def check_transform_oracles(cfg: RunConfig) -> list:
         ("b_down", tr.beurling_down(lapF, method=cfg.method).data, d2F.data),
         ("c_up", tr.cauchy_up(dbF, method=cfg.method).data, F.data),
     ]
-    reports = []
     for name, got, want in cases:
-        e = _rel_l2(spec, got, want)
-        reports.append(
-            _report(f"transform-oracles/{name}", spec, cfg.method, e, tol, tol, e <= tol, t0,
-                    parameters={"member": "gaussian:c=2,sigma=4"})
-        )
+        rec.at_most(name, _rel_l2(spec, got, want), tol, member="gaussian:c=2,sigma=4")
     # planar closed form on the central half-window
     fspec = GridSpec(L=4.8, H=4.8, nx=128, ny=128, plane=PlaneKind.FULL)
     X, Y = np.meshgrid(fspec.x, fspec.y)
@@ -505,17 +481,12 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     mask = (np.abs(X) <= 2.4) & (np.abs(Y - 2.0) <= 2.4)
     diff = (out.data - closed)[mask]
     e = float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(closed[mask]) ** 2)))
-    reports.append(
-        _report("transform-oracles/b-planar-closed-form", fspec, "fft", e, tol, tol,
-                e <= tol, t0, parameters={"member": "radial gaussian", "window": "central"})
-    )
+    rec.at_most("b-planar-closed-form", e, tol, spec=fspec, method="fft",
+                member="radial gaussian", window="central")
     # wrong-target control
     ew = _rel_l2(spec, tr.cauchy_down(lapF, method=cfg.method).data, dbF.data)
-    reports.append(
-        _report("transform-oracles/control-wrong-target", spec, cfg.method, ew, tol, tol,
-                ew > tol, t0, parameters={"negative_control": True})
-    )
-    return reports
+    rec.above("control-wrong-target", ew, tol)
+    return rec.reports
 
 
 def check_method_agreement(cfg: RunConfig) -> list:
@@ -526,35 +497,23 @@ def check_method_agreement(cfg: RunConfig) -> list:
     one needs the low-curvature dipole member and fft padding 6 because its
     1/z^2 tail periodizes slowly (padding 1 is the control: 0.16).
     """
-    t0 = time.perf_counter()
     n = min(cfg.nx, cfg.ny, QUAD_GRID_CAP)
-    spec = GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n, plane=PlaneKind.UPPER)
+    rec = _Recorder("method-agreement", GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n,
+                                                 plane=PlaneKind.UPPER), "fft-vs-quadrature")
+    spec = rec.spec
     [lapF] = _gaussian_fields(spec, "lap")
     tol = cfg.tolerance(1e-3)
-    reports = []
     for name, op in (("c_down", tr.cauchy_down), ("c_up", tr.cauchy_up)):
         a = op(lapF, method="fft")
         b = op(lapF, method="quadrature")
-        e = _rel_l2(spec, a.data, b.data)
-        reports.append(
-            _report(f"method-agreement/{name}", spec, "fft-vs-quadrature", e, tol, tol,
-                    e <= tol, t0, parameters={"member": "gaussian:c=2,sigma=4"})
-        )
+        rec.at_most(name, _rel_l2(spec, a.data, b.data), tol, member="gaussian:c=2,sigma=4")
     f = dipole_agreement_field(spec)
     a = tr.beurling_down(f, method="fft", padding=6)
     b = tr.beurling_down(f, method="quadrature")
-    e = _rel_l2(spec, a.data, b.data)
-    reports.append(
-        _report("method-agreement/b_down", spec, "fft-vs-quadrature", e, tol, tol,
-                e <= tol, t0, parameters={"member": "dipole", "padding": 6})
-    )
+    rec.at_most("b_down", _rel_l2(spec, a.data, b.data), tol, member="dipole", padding=6)
     a1 = tr.beurling_down(f, method="fft", padding=1)
-    e1 = _rel_l2(spec, a1.data, b.data)
-    reports.append(
-        _report("method-agreement/control-padding-1", spec, "fft-vs-quadrature", e1, tol,
-                tol, e1 > tol, t0, parameters={"negative_control": True, "padding": 1})
-    )
-    return reports
+    rec.above("control-padding-1", _rel_l2(spec, a1.data, b.data), tol, padding=1)
+    return rec.reports
 
 
 def check_structural_identities(cfg: RunConfig) -> list:
@@ -565,38 +524,29 @@ def check_structural_identities(cfg: RunConfig) -> list:
     1e-15 typical).  Mixing averaging modes breaks the per-summand pairing
     and is the control.
     """
-    t0 = time.perf_counter()
-    spec = GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER)
+    rec = _Recorder("structural-identities", GridSpec(L=2.8, H=5.6, nx=64, ny=64,
+                                                      plane=PlaneKind.UPPER), "quadrature-matched")
+    spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = cfg.tolerance(1e-10)
-    reports = []
 
     lhs = tr.cauchy_up(F, "quadrature", "matched").data
     rhs = -2j * y * tr.bicauchy_up(F, "quadrature", "matched").data
-    e = _rel_pointwise(lhs, rhs)
-    reports.append(_report("structural-identities/up-factorization", spec,
-                           "quadrature-matched", e, tol, tol, e <= tol, t0))
+    rec.at_most("up-factorization", _rel_pointwise(lhs, rhs), tol)
 
     lhs = tr.cauchy_down(F, "quadrature", "matched").data
     rhs = 2j * tr.bicauchy_down(Field(spec, y * F.data), "quadrature", "matched").data
-    e = _rel_pointwise(lhs, rhs)
-    reports.append(_report("structural-identities/down-factorization", spec,
-                           "quadrature-matched", e, tol, tol, e <= tol, t0))
+    rec.at_most("down-factorization", _rel_pointwise(lhs, rhs), tol)
 
     u1 = y * tr.cauchy_down(Field(spec, F.data / y**2), "quadrature", "matched").data
     u2 = 2j * y * tr.bicauchy_down(Field(spec, F.data / y), "quadrature", "matched").data
-    e = _rel_pointwise(u1, u2)
-    reports.append(_report("structural-identities/solver-factorization", spec,
-                           "quadrature-matched", e, tol, tol, e <= tol, t0))
+    rec.at_most("solver-factorization", _rel_pointwise(u1, u2), tol)
 
     lhs = tr.cauchy_up(F, "quadrature", "accurate").data
     rhs = -2j * y * tr.bicauchy_up(F, "quadrature", "matched").data
-    e = _rel_pointwise(lhs, rhs)
-    reports.append(_report("structural-identities/control-averaging-mismatch", spec,
-                           "quadrature", e, tol, tol, e > tol, t0,
-                           parameters={"negative_control": True}))
-    return reports
+    rec.above("control-averaging-mismatch", _rel_pointwise(lhs, rhs), tol, method="quadrature")
+    return rec.reports
 
 
 def check_e_identity(cfg: RunConfig) -> list:
@@ -606,8 +556,9 @@ def check_e_identity(cfg: RunConfig) -> list:
     quadrature; E itself contracts plain-to-dual and hyperbolic-to-plain.
     The sign-flipped combination is the control.
     """
-    t0 = time.perf_counter()
-    spec = GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER)
+    rec = _Recorder("e-identity", GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER),
+                    "quadrature-matched")
+    spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = cfg.tolerance(1e-10)
@@ -616,31 +567,20 @@ def check_e_identity(cfg: RunConfig) -> list:
     )
     lhs = 0.5 * (tr.cauchy_down(F, "quadrature", "matched").data + conj_part)
     rhs = 4 * y * tr.bicauchy_real(Field(spec, y * F.data), "quadrature", "matched").data
-    e = _rel_pointwise(lhs, rhs)
-    reports = [
-        _report("e-identity/matched", spec, "quadrature-matched", e, tol, tol, e <= tol, t0)
-    ]
+    rec.at_most("matched", _rel_pointwise(lhs, rhs), tol)
     bspec = cfg.battery_spec()
     [Fb] = _gaussian_fields(bspec, "f")
     E = tr.bicauchy_real(Fb, method=cfg.method)
     ctol = 1e-3
     r1 = lp_norm(E, 2.0, DUAL) / lp_norm(Fb, 2.0)
     r2 = lp_norm(E, 2.0) / lp_norm(Fb, 2.0, HYP)
-    reports.append(
-        _report("e-identity/contraction-plain-to-dual", bspec, cfg.method, r1, 1.0, ctol,
-                r1 <= 1.0 + ctol, t0)
-    )
-    reports.append(
-        _report("e-identity/contraction-hyp-to-plain", bspec, cfg.method, r2, 1.0, ctol,
-                r2 <= 1.0 + ctol, t0)
-    )
+    rec.record("contraction-plain-to-dual", r1, 1.0, ctol, r1 <= 1.0 + ctol, spec=bspec,
+               method=cfg.method)
+    rec.record("contraction-hyp-to-plain", r2, 1.0, ctol, r2 <= 1.0 + ctol, spec=bspec,
+               method=cfg.method)
     lhs_w = 0.5 * (tr.cauchy_down(F, "quadrature", "matched").data - conj_part)
-    ew = _rel_pointwise(lhs_w, rhs)
-    reports.append(
-        _report("e-identity/control-minus-sign", spec, "quadrature-matched", ew, tol, tol,
-                ew > tol, t0, parameters={"negative_control": True})
-    )
-    return reports
+    rec.above("control-minus-sign", _rel_pointwise(lhs_w, rhs), tol)
+    return rec.reports
 
 
 def _hardy_oracle_1d(a: float, n: int, ramp: float = 1.8) -> float:
@@ -664,8 +604,8 @@ def check_hardy(cfg: RunConfig) -> list:
     gaussian.  A window whose plateau touches the boundary violates the
     decay hypothesis and sends the ratio far above 16.
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("hardy", cfg.battery_spec(), "grid")
+    spec = rec.spec
     const = KnownConstants().hardy_p2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
@@ -673,26 +613,19 @@ def check_hardy(cfg: RunConfig) -> list:
     num = float(np.sum(np.abs(F.data) ** 2 / Y**2)) * spec.cell_measure
     den = float(np.sum(np.abs(dbF.data) ** 2)) * spec.cell_measure
     ratio = num / den
-    reports = [
-        _report("hardy/battery-gaussian", spec, "grid", ratio, const, tol,
-                ratio <= const * (1.0 + tol), t0,
-                parameters={"member": "gaussian:c=2,sigma=4", "p": 2.0})
-    ]
+    rec.record("battery-gaussian", ratio, const, tol, ratio <= const * (1.0 + tol),
+               member="gaussian:c=2,sigma=4", p=2.0)
     family = [(8, None), (64, 12.0), (256, None)]
     values = []
     for n, floor in family:
         r = _hardy_oracle_1d(0.5, n)
         values.append(r)
         ok = r <= const * (1.0 + tol) and (floor is None or r >= floor)
-        reports.append(
-            _report(f"hardy/family-n={n}", spec, "oracle-1d", r, const, tol, ok, t0,
-                    parameters={"a": 0.5, "n": n, "floor": floor})
-        )
+        rec.record(f"family-n={n}", r, const, tol, ok, method="oracle-1d", a=0.5, n=n,
+                   floor=floor)
     monotone = values[0] < values[1] < values[2] < const
-    reports.append(
-        _report("hardy/family-monotone", spec, "oracle-1d", values[-1], const, tol,
-                monotone, t0, parameters={"values": values})
-    )
+    rec.record("family-monotone", values[-1], const, tol, monotone, method="oracle-1d",
+               values=values)
     # control: plateau touching the boundary
     X, Y2 = np.meshgrid(spec.x, spec.y)
     wx = _quintic((spec.L - 0.1 - np.abs(X)) / 1.0)
@@ -701,12 +634,8 @@ def check_hardy(cfg: RunConfig) -> list:
     numc = float(np.sum(np.abs(fctl.data) ** 2 / Y2**2)) * spec.cell_measure
     denc = float(np.sum(np.abs(d_bar(fctl).data) ** 2)) * spec.cell_measure
     rc = numc / denc
-    reports.append(
-        _report("hardy/control-boundary-touching", spec, "grid", rc, const, tol,
-                rc > const * (1.0 + tol), t0,
-                parameters={"negative_control": True})
-    )
-    return reports
+    rec.record("control-boundary-touching", rc, const, tol, rc > const * (1.0 + tol))
+    return rec.reports
 
 
 # annihilation member grid: the conjugate-rational tail decays like 1/|z|,
@@ -722,90 +651,61 @@ def check_cup(cfg: RunConfig) -> list:
     conjugate-holomorphic inputs (k = 3 member; the k = 2 tail only decays
     like 1/L, so its residual is reported, not asserted).
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("cup-norm", cfg.battery_spec(), cfg.method)
+    spec = rec.spec
     const = KnownConstants().cup_norm_p2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
-    reports = []
     for name, fld in (("F", F), ("dbarF", dbF)):
         r = lp_norm(tr.cauchy_up(fld, method=cfg.method), 2.0, HYP) / lp_norm(fld, 2.0)
-        reports.append(
-            _report(f"cup-norm/battery-{name}", spec, cfg.method, r, const, tol,
-                    r <= const * (1.0 + tol), t0,
-                    parameters={"member": f"gaussian {name}"})
-        )
+        rec.record(f"battery-{name}", r, const, tol, r <= const * (1.0 + tol),
+                   member=f"gaussian {name}")
     tspec, g = tuned_cup_member()
     rt = lp_norm(tr.cauchy_up(g, method="fft"), 2.0, HYP) / lp_norm(g, 2.0)
-    reports.append(
-        _report("cup-norm/tuned-member", tspec, "fft", rt, 3.0, tol, rt >= 3.0, t0,
-                parameters={"profile": "t^-1/2 log-plateau n=24 ramp=0.8", "xi": 0.05})
-    )
+    rec.record("tuned-member", rt, 3.0, tol, rt >= 3.0, spec=tspec, method="fft",
+               profile="t^-1/2 log-plateau n=24 ramp=0.8", xi=0.05)
     _, gw = tuned_cup_member(xi=-2.0)
     rw = lp_norm(tr.cauchy_up(gw, method="fft"), 2.0, HYP) / lp_norm(gw, 2.0)
-    reports.append(
-        _report("cup-norm/control-wrong-modulation", tspec, "fft", rw, 3.0, tol,
-                rw < 3.0, t0, parameters={"negative_control": True, "xi": -2.0})
-    )
+    rec.record("control-wrong-modulation", rw, 3.0, tol, rw < 3.0, spec=tspec, method="fft",
+               xi=-2.0)
     out = tr.cauchy_up(dbF, method=cfg.method)
-    e = _rel_l2(spec, out.data, F.data)
-    reports.append(
-        _report("cup-norm/oracle-recovery", spec, cfg.method, e, tol, tol, e <= tol, t0)
-    )
+    rec.at_most("oracle-recovery", _rel_l2(spec, out.data, F.data), tol)
+
     aspec = GridSpec(plane=PlaneKind.UPPER, **_ANNIHILATION_SPEC)
-    g3 = tf.sample(tf.conj_rational(1.0, 3), aspec, "f")
-    r3 = lp_norm(tr.cauchy_up(g3, method="fft"), 2.0, HYP) / lp_norm(g3, 2.0)
-    reports.append(
-        _report("cup-norm/annihilation-k3", aspec, "fft", r3, 1e-2, 1e-2, r3 <= 1e-2, t0,
-                parameters={"member": "conjrat:a=1,k=3"})
-    )
-    g2 = tf.sample(tf.conj_rational(1.0, 2), aspec, "f")
-    r2 = lp_norm(tr.cauchy_up(g2, method="fft"), 2.0, HYP) / lp_norm(g2, 2.0)
-    reports.append(
-        _report("cup-norm/annihilation-k2-reported", aspec, "fft", r2, math.inf, math.inf,
-                True, t0,
-                parameters={"label": "reported", "member": "conjrat:a=1,k=2"},
-                notes={"reason": "1/L truncation tail dominates at any feasible box"})
-    )
-    h3 = tf.sample(tf.holo_rational(1.0, 3), aspec, "f")
-    rh = lp_norm(tr.cauchy_up(h3, method="fft"), 2.0, HYP) / lp_norm(h3, 2.0)
-    reports.append(
-        _report("cup-norm/control-holomorphic", aspec, "fft", rh, 1e-1, 1e-1, rh >= 1e-1,
-                t0, parameters={"negative_control": True, "member": "holorat:a=1,k=3"})
-    )
-    return reports
+
+    def annihilation_ratio(member):
+        g = tf.sample(member, aspec, "f")
+        return lp_norm(tr.cauchy_up(g, method="fft"), 2.0, HYP) / lp_norm(g, 2.0)
+
+    rec.at_most("annihilation-k3", annihilation_ratio(tf.conj_rational(1.0, 3)), 1e-2,
+                spec=aspec, method="fft", member="conjrat:a=1,k=3")
+    rec.record("annihilation-k2-reported", annihilation_ratio(tf.conj_rational(1.0, 2)),
+               math.inf, math.inf, True, spec=aspec, method="fft",
+               notes={"reason": "1/L truncation tail dominates at any feasible box"},
+               label="reported", member="conjrat:a=1,k=2")
+    rec.at_least("control-holomorphic", annihilation_ratio(tf.holo_rational(1.0, 3)), 1e-1,
+                 spec=aspec, method="fft", member="holorat:a=1,k=3")
+    return rec.reports
 
 
 def check_minimal_solver(cfg: RunConfig) -> list:
     """Minimal solution operator: norm bound 4 in the weighted norms on both
     sides, and the output actually solves the shifted dbar equation."""
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("minimal-solver", cfg.battery_spec(), cfg.method)
+    spec = rec.spec
     const = KnownConstants().c2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
-    reports = []
     for name, fld in (("F", F), ("dbarF", dbF)):
         u = tr.minimal_solve(fld, method=cfg.method)
         r = lp_norm(u, 2.0, HYP) / lp_norm(fld, 2.0, HYP)
-        reports.append(
-            _report(f"minimal-solver/bound-{name}", spec, cfg.method, r, const, tol,
-                    r <= const * (1.0 + tol), t0,
-                    parameters={"member": f"gaussian {name}"})
-        )
+        rec.record(f"bound-{name}", r, const, tol, r <= const * (1.0 + tol),
+                   member=f"gaussian {name}")
     u = tr.minimal_solve(F, method=cfg.method)
-    res = _rel_l2(spec, dbar_down(u).data, F.data)
-    reports.append(
-        _report("minimal-solver/residual", spec, cfg.method, res, 1e-2, 1e-2,
-                res <= 1e-2, t0, parameters={"equation": "shifted-dbar"})
-    )
-    y = spec.y.reshape(-1, 1)
-    resw = _rel_l2(spec, d_bar(u).data, F.data)
-    reports.append(
-        _report("minimal-solver/control-wrong-equation", spec, cfg.method, resw, 1e-1,
-                1e-1, resw > 1e-1, t0, parameters={"negative_control": True})
-    )
-    return reports
+    rec.at_most("residual", _rel_l2(spec, dbar_down(u).data, F.data), 1e-2,
+                equation="shifted-dbar")
+    rec.above("control-wrong-equation", _rel_l2(spec, d_bar(u).data, F.data), 1e-1)
+    return rec.reports
 
 
 # residual = box truncation ~ 1/L plus quadrature; this box and grid land at
@@ -817,8 +717,8 @@ _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 def check_nullspace(cfg: RunConfig) -> list:
     """Conjugate-holomorphic inputs are annihilated by M + (i/2)(C + conj C)."""
-    t0 = time.perf_counter()
-    spec = GridSpec(plane=PlaneKind.UPPER, **_NULLSPACE_SPEC)
+    rec = _Recorder("nullspace", GridSpec(plane=PlaneKind.UPPER, **_NULLSPACE_SPEC), "fft")
+    spec = rec.spec
     y = spec.y.reshape(-1, 1)
 
     def residual(member):
@@ -827,20 +727,17 @@ def check_nullspace(cfg: RunConfig) -> list:
         out = Field(spec, Mf.data + 0.5j * tr.defect_sum(f, method="fft").data)
         return lp_norm(out, 2.0) / lp_norm(Mf, 2.0)
 
-    r = residual(tf.conj_rational(1.0, 3))
-    rh = residual(tf.holo_rational(1.0, 3))
-    return [
-        _report("nullspace/conjugate-member", spec, "fft", r, 1e-2, 1e-2, r <= 1e-2, t0,
-                parameters={"member": "conjrat:a=1,k=3"}),
-        _report("nullspace/control-holomorphic", spec, "fft", rh, 1e-1, 1e-1, rh >= 1e-1,
-                t0, parameters={"negative_control": True, "member": "holorat:a=1,k=3"}),
-    ]
+    rec.at_most("conjugate-member", residual(tf.conj_rational(1.0, 3)), 1e-2,
+                member="conjrat:a=1,k=3")
+    rec.at_least("control-holomorphic", residual(tf.holo_rational(1.0, 3)), 1e-1,
+                 member="holorat:a=1,k=3")
+    return rec.reports
 
 
 def check_range_orthogonality(cfg: RunConfig) -> list:
     """Output of the defect operator is orthogonal to conjugate directions."""
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("range-orthogonality", cfg.battery_spec(), cfg.method)
+    spec = rec.spec
     tol = cfg.tolerance(1e-3)
     [lapF] = _gaussian_fields(spec, "lap")
     y = spec.y.reshape(-1, 1)
@@ -848,17 +745,12 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
     w_conj = tf.sample(tf.conj_rational(1.0, 2), spec, "f")
     w_holo = tf.sample(tf.holo_rational(1.0, 2), spec, "f")
     pc = abs(inner_product(out, w_conj)) / (lp_norm(out, 2.0) * lp_norm(w_conj, 2.0))
+    rec.at_most("conjugate-witness", pc, tol, witness="conjrat:a=1,k=2")
     ph = abs(inner_product(out, w_holo)) / (lp_norm(out, 2.0) * lp_norm(w_holo, 2.0))
-    return [
-        _report("range-orthogonality/conjugate-witness", spec, cfg.method, pc, tol, tol,
-                pc <= tol, t0, parameters={"witness": "conjrat:a=1,k=2"}),
-        _report("range-orthogonality/holomorphic-witness", spec, cfg.method, ph, math.inf,
-                math.inf, True, t0,
-                parameters={"label": "reported", "witness": "holorat:a=1,k=2"}),
-        _report("range-orthogonality/control-holomorphic-not-small", spec, cfg.method,
-                ph, tol, tol, ph > tol, t0,
-                parameters={"negative_control": True, "witness": "holorat:a=1,k=2"}),
-    ]
+    rec.record("holomorphic-witness", ph, math.inf, math.inf, True, label="reported",
+               witness="holorat:a=1,k=2")
+    rec.above("control-holomorphic-not-small", ph, tol, witness="holorat:a=1,k=2")
+    return rec.reports
 
 
 def check_whittaker_ode(cfg: RunConfig) -> list:
@@ -869,11 +761,9 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     fast-branch integral, and two asymptotic normalizations.  Evaluating a
     solution against the wrong equation sign is the control.
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("whittaker-ode", cfg.battery_spec(), "stencil")
     tgrid = np.geomspace(0.1, 30.0, 200)
     tol = cfg.tolerance(1e-6)
-    reports = []
     sols = [
         ("X-fast", wh.WhittakerSolution("X", 1.0, 0.0)),
         ("X-slow", wh.WhittakerSolution("X", 0.0, 1.0)),
@@ -881,11 +771,7 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
         ("Y-fast", wh.WhittakerSolution("Y", 0.0, 1.0)),
     ]
     for name, sol in sols:
-        r = wh.ode_residual(sol, tgrid)
-        reports.append(
-            _report(f"whittaker-ode/{name}", spec, "stencil", r, tol, tol, r <= tol, t0,
-                    parameters={"family": sol.family, "A": sol.A, "B": sol.B})
-        )
+        rec.at_most(name, wh.ode_residual(sol, tgrid), tol, family=sol.family, A=sol.A, B=sol.B)
     # closed-form cross-check of the fast-branch integral
     from scipy.special import exp1
 
@@ -893,26 +779,14 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     xi = np.array([wh.x_integral(t) for t in ts])
     closed = 1.0 / ts - np.exp(ts) * exp1(ts)
     e = float(np.max(np.abs(xi - closed) / np.abs(closed)))
-    reports.append(
-        _report("whittaker-ode/integral-closed-form", spec, "quadrature", e, 1e-10,
-                1e-10, e <= 1e-10, t0)
-    )
+    rec.at_most("integral-closed-form", e, 1e-10, method="quadrature")
     a1 = abs(900.0 * wh.x_integral(30.0) - 1.0)
-    reports.append(
-        _report("whittaker-ode/asymptotic-integral", spec, "quadrature", a1, 0.1, 0.1,
-                a1 <= 0.1, t0, parameters={"t": 30.0, "next_order": "-2/t"})
-    )
+    rec.at_most("asymptotic-integral", a1, 0.1, method="quadrature", t=30.0, next_order="-2/t")
     a2 = abs(complex(wh.whittaker_Y(np.array([1e-4]), 1.0, 0.0)[0]) - 1.0)
-    reports.append(
-        _report("whittaker-ode/asymptotic-slow-branch", spec, "series", a2, 2e-3, 2e-3,
-                a2 <= 2e-3, t0, parameters={"t": 1e-4})
-    )
+    rec.at_most("asymptotic-slow-branch", a2, 2e-3, method="series", t=1e-4)
     rw = wh.ode_residual(wh.WhittakerSolution("X", 1.0, 0.0), tgrid, sign=-1)
-    reports.append(
-        _report("whittaker-ode/control-wrong-sign", spec, "stencil", rw, 1e-2, 1e-2,
-                rw > 1e-2, t0, parameters={"negative_control": True})
-    )
-    return reports
+    rec.above("control-wrong-sign", rw, 1e-2)
+    return rec.reports
 
 
 def check_whittaker_classify(cfg: RunConfig) -> list:
@@ -922,58 +796,36 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     Each report's notes carry its member's x-truncation ratio (field size at
     x = +/-L over its peak), which partial_fourier would otherwise warn about.
     """
-    t0 = time.perf_counter()
-    spec = wh.default_classify_spec()
+    rec = _Recorder("whittaker-classify", wh.default_classify_spec(), "partial-fourier")
+    spec = rec.spec
     X, Y = np.meshgrid(spec.x, spec.y)
     Z = X + 1j * Y
     member = Field(spec, Y * np.conj((Z + 1j) ** -2))
     res = wh.lemma_a1_classify(member, warn=False)
     notes = {"x_truncation": res.x_truncation}
     tol = cfg.tolerance(1e-3)
-    reports = [
-        _report("whittaker-classify/member-accepted", spec, "partial-fourier",
-                1.0 if res.is_cokernel else 0.0, 1.0, tol, res.is_cokernel, t0,
-                parameters={"member": "M * conj((z+i)^-2)",
-                            "pos_energy_frac": res.pos_energy_frac,
-                            "fit_residual": res.fit_residual,
-                            "dyadic_growth": res.dyadic_growth},
-                notes=notes)
-    ]
+    rec.record("member-accepted", 1.0 if res.is_cokernel else 0.0, 1.0, tol, res.is_cokernel,
+               notes=notes, member="M * conj((z+i)^-2)", pos_energy_frac=res.pos_energy_frac,
+               fit_residual=res.fit_residual, dyadic_growth=res.dyadic_growth)
     # boundary multiplier -pi e^xi within 1e-3 on the fit window
     xi = res.xi
-    b2 = res.b2
     target = -math.pi * np.exp(xi)
-    e = float(np.max(np.abs(b2 - target) / np.abs(target)))
-    reports.append(
-        _report("whittaker-classify/boundary-multiplier", spec, "partial-fourier", e,
-                tol, tol, e <= tol, t0, parameters={"window": [float(xi.min()), float(xi.max())]},
-                notes=notes)
-    )
+    e = float(np.max(np.abs(res.b2 - target) / np.abs(target)))
+    rec.at_most("boundary-multiplier", e, tol, notes=notes,
+                window=[float(xi.min()), float(xi.max())])
     [g] = _gaussian_fields(spec, "f")
     resg = wh.lemma_a1_classify(g, warn=False)
-    reports.append(
-        _report("whittaker-classify/control-gaussian", spec, "partial-fourier",
-                0.0 if resg.is_cokernel else 1.0, 1.0, tol, not resg.is_cokernel, t0,
-                parameters={"negative_control": True,
-                            "pos_energy_frac": resg.pos_energy_frac},
-                notes={"x_truncation": resg.x_truncation})
-    )
+    rec.record("control-gaussian", 0.0 if resg.is_cokernel else 1.0, 1.0, tol,
+               not resg.is_cokernel, notes={"x_truncation": resg.x_truncation},
+               pos_energy_frac=resg.pos_energy_frac)
     resw = wh.lemma_a1_classify(member, wrong_branch=True, warn=False)
-    reports.append(
-        _report("whittaker-classify/control-wrong-branch", spec, "partial-fourier",
-                resw.fit_residual, 1e-2, 1e-2, resw.fit_residual >= 1e-2, t0,
-                parameters={"negative_control": True}, notes=notes)
-    )
+    rec.at_least("control-wrong-branch", resw.fit_residual, 1e-2, notes=notes)
     holo = Field(spec, Y * (Z + 1j) ** -2.0)
     resh = wh.lemma_a1_classify(holo, warn=False)
-    reports.append(
-        _report("whittaker-classify/control-holomorphic", spec, "partial-fourier",
-                0.0 if resh.is_cokernel else 1.0, 1.0, tol, not resh.is_cokernel, t0,
-                parameters={"negative_control": True,
-                            "pos_energy_frac": resh.pos_energy_frac},
-                notes={"x_truncation": resh.x_truncation})
-    )
-    return reports
+    rec.record("control-holomorphic", 0.0 if resh.is_cokernel else 1.0, 1.0, tol,
+               not resh.is_cokernel, notes={"x_truncation": resh.x_truncation},
+               pos_energy_frac=resh.pos_energy_frac)
+    return rec.reports
 
 
 def _strip_m2(fn, y: float) -> float:
@@ -991,34 +843,24 @@ def check_liouville(cfg: RunConfig) -> list:
     gaussian member is not harmonic and breaks convexity (control); the
     bounded harmonic members are reported for contrast.
     """
-    t0 = time.perf_counter()
-    spec = cfg.battery_spec()
+    rec = _Recorder("liouville", cfg.battery_spec(), "quadrature")
     tol = cfg.tolerance(1e-3)
     hs = tf.harmonic_samples()
     pois = hs["poisson"]
     ys = np.geomspace(0.2, 1.6, 9)
     m2 = np.array([_strip_m2(pois, y) for y in ys])
     e = float(np.max(np.abs(m2 * 2.0 * ys / math.pi - 1.0)))
-    reports = [
-        _report("liouville/kernel-profile", spec, "quadrature", e, tol, tol, e <= tol,
-                t0, parameters={"member": "poisson", "p": 2.0})
-    ]
+    rec.at_most("kernel-profile", e, tol, member="poisson", p=2.0)
     d2 = np.diff(np.log(m2), 2)
     floor = -1e-8 * float(np.max(np.abs(np.log(m2))))
-    reports.append(
-        _report("liouville/log-convexity", spec, "quadrature", float(d2.min()), floor,
-                abs(floor), d2.min() >= floor, t0, parameters={"member": "poisson"})
-    )
+    rec.record("log-convexity", d2.min(), floor, abs(floor), d2.min() >= floor, member="poisson")
     Ds = []
     for k in range(4):
         a, b = 1.6 * 2.0 ** (-k - 1), 1.6 * 2.0 ** (-k)
         v, _ = quad(lambda y: _strip_m2(pois, y) / y**2, a, b, limit=100)
         Ds.append(v)
     growth = min(Ds[k + 1] / Ds[k] for k in range(3))
-    reports.append(
-        _report("liouville/divergence-growth", spec, "quadrature", growth, 3.5, 3.5,
-                growth >= 3.5, t0, parameters={"member": "poisson", "blocks": Ds})
-    )
+    rec.at_least("divergence-growth", growth, 3.5, member="poisson", blocks=Ds)
     # bounded harmonic members, reported for contrast on a lateral window
     for name in ("rez", "imz"):
         fn = hs[name]
@@ -1027,21 +869,13 @@ def check_liouville(cfg: RunConfig) -> list:
             v, _ = quad(lambda x: abs(complex(fn.f(np.complex128(x + 1j * y)))) ** 2, -1.0, 1.0)
             vals.append(v)
         spread = max(vals) / min(vals) - 1.0
-        reports.append(
-            _report(f"liouville/{name}-reported", spec, "quadrature", spread, math.inf,
-                    math.inf, True, t0,
-                    parameters={"label": "reported", "window": [-1.0, 1.0],
-                                "profile": vals})
-        )
+        rec.record(f"{name}-reported", spread, math.inf, math.inf, True, label="reported",
+                   window=[-1.0, 1.0], profile=vals)
     gf = _battery_gaussian()
     logm = np.log([_strip_m2(gf, y) for y in np.geomspace(1.2, 2.4, 9)])
     d2g = float(np.diff(logm, 2).min())
-    reports.append(
-        _report("liouville/control-nonharmonic", spec, "quadrature", d2g, floor,
-                abs(floor), d2g < floor, t0,
-                parameters={"negative_control": True, "member": "gaussian"})
-    )
-    return reports
+    rec.record("control-nonharmonic", d2g, floor, abs(floor), d2g < floor, member="gaussian")
+    return rec.reports
 
 
 def check_reflection_equivalence(cfg: RunConfig) -> list:
@@ -1051,8 +885,9 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     table (same shell averaging) reproduces the library path bit for bit;
     flipping the mirror sign is the control.
     """
-    t0 = time.perf_counter()
-    spec = GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER)
+    rec = _Recorder("reflection-equivalence", GridSpec(L=2.8, H=5.6, nx=64, ny=64,
+                                                       plane=PlaneKind.UPPER), "quadrature")
+    spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     bd = tr.beurling_down(F, method="quadrature", mode="accurate")
     t1 = kn.planar_table("beurling", spec.ny, spec.nx, spec.hx, spec.hy, average="shell")
@@ -1061,14 +896,10 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     c1 = tr.conv_valid(t1, F.data)
     c2 = tr.conv_valid(t2, F.data[::-1, :])
     tol = cfg.tolerance(1e-10)
-    e = _rel_pointwise((c1 - c2) * spec.cell_measure, bd.data)
-    ew = _rel_pointwise((c1 + c2) * spec.cell_measure, bd.data)
-    return [
-        _report("reflection-equivalence/mirror-form", spec, "quadrature", e, tol, tol,
-                e <= tol, t0),
-        _report("reflection-equivalence/control-flipped-sign", spec, "quadrature", ew,
-                tol, tol, ew > tol, t0, parameters={"negative_control": True}),
-    ]
+    rec.at_most("mirror-form", _rel_pointwise((c1 - c2) * spec.cell_measure, bd.data), tol)
+    rec.above("control-flipped-sign", _rel_pointwise((c1 + c2) * spec.cell_measure, bd.data),
+              tol)
+    return rec.reports
 
 
 def check_adjointness(cfg: RunConfig) -> list:
@@ -1078,8 +909,9 @@ def check_adjointness(cfg: RunConfig) -> list:
     rounding-exact.  The sesquilinear pairing is NOT preserved (the kernel
     is symmetric, not hermitian) and serves as the control.
     """
-    t0 = time.perf_counter()
-    spec = GridSpec(L=2.8, H=5.6, nx=32, ny=32, plane=PlaneKind.UPPER)
+    rec = _Recorder("adjointness", GridSpec(L=2.8, H=5.6, nx=32, ny=32, plane=PlaneKind.UPPER),
+                    "quadrature-matched")
+    spec = rec.spec
     rng = np.random.default_rng(7 + cfg.seed)
     fa = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     ga = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
@@ -1092,13 +924,9 @@ def check_adjointness(cfg: RunConfig) -> list:
     lhss = complex(np.sum(Df.data * np.conj(ga.data)) * cell)
     rhss = complex(np.sum(fa.data * np.conj(Ug.data)) * cell)
     es = abs(lhss - rhss) / (abs(lhss) + 1e-300)
-    tol = cfg.tolerance(1e-10)
-    return [
-        _report("adjointness/bilinear", spec, "quadrature-matched", e, tol, tol,
-                e <= tol, t0, parameters={"seed": 7 + cfg.seed}),
-        _report("adjointness/control-sesquilinear", spec, "quadrature-matched", es,
-                1e-2, 1e-2, es > 1e-2, t0, parameters={"negative_control": True}),
-    ]
+    rec.at_most("bilinear", e, cfg.tolerance(1e-10), seed=7 + cfg.seed)
+    rec.above("control-sesquilinear", es, 1e-2)
+    return rec.reports
 
 
 # ---------------------------------------------------------------------------
@@ -1135,18 +963,13 @@ def convergence_sweep(check_id: str, grids=(64, 128, 256), cfg: Optional[RunConf
         raise KeyError(f"no convergence sweep for {check_id!r}; have {sorted(SWEEPS)}")
     fn, threshold = SWEEPS[check_id]
     cfg = cfg or RunConfig()
-    t0 = time.perf_counter()
+    rec = _Recorder("convergence", GridSpec(L=cfg.L, H=cfg.H, nx=grids[-1], ny=grids[-1],
+                                            plane=PlaneKind.UPPER), "sweep")
     errs = [fn(cfg, n) for n in grids]
-    orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
-    monotone = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-    passed = monotone and min(orders) >= threshold
-    spec = GridSpec(L=cfg.L, H=cfg.H, nx=grids[-1], ny=grids[-1], plane=PlaneKind.UPPER)
-    return _report(
-        f"convergence/{check_id}", spec, "sweep", min(orders) if orders else 0.0,
-        threshold, threshold, passed, t0,
-        parameters={"grids": list(grids), "errors": errs, "orders": orders,
-                    "monotone": monotone},
-    )
+    orders, monotone, passed = _refinement(errs, threshold)
+    rec.record(check_id, min(orders) if orders else 0.0, threshold, threshold, passed,
+               grids=list(grids), errors=errs, orders=orders, monotone=monotone)
+    return rec.reports[0]
 
 
 # ---------------------------------------------------------------------------

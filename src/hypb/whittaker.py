@@ -133,7 +133,11 @@ def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t must be positive")
-    return A1 * t * np.exp(t / 2.0) + B1 * t * np.exp(-t / 2.0) * x_integral(t)
+    # a zero coefficient skips its branch (and the quadrature of x_integral):
+    # past t ~ 1420 e^{t/2} overflows, and 0 * inf is NaN
+    fast = A1 * t * np.exp(t / 2.0) if A1 != 0 else A1 * t
+    slow = B1 * t * np.exp(-t / 2.0) * x_integral(t) if B1 != 0 else B1 * t
+    return fast + slow
 
 
 def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
@@ -141,7 +145,9 @@ def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
     if np.any(t <= 0):
         raise ValueError("t must be positive")
     tlogt = t * np.log(t)  # -> 0 as t -> 0+
-    return A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) + B2 * t * np.exp(-t / 2.0)
+    # a zero A2 skips the slow branch: y_integral overflows past t ~ 709
+    slow = A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) if A2 != 0 else A2 * t
+    return slow + B2 * t * np.exp(-t / 2.0)
 
 
 def pointwise_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> tuple:

@@ -47,7 +47,8 @@ def test_summary_round_trips_the_geometry():
     assert s == {"L": 2.5, "H": 5.0, "nx": 16, "ny": 32, "plane": "upper"}
 
 
-@pytest.mark.parametrize("bad", [dict(L=-1.0), dict(H=0.0), dict(nx=0), dict(ny=2)])
+@pytest.mark.parametrize("bad", [dict(L=-1.0), dict(H=0.0), dict(nx=0), dict(ny=2),
+                                 dict(L=np.inf), dict(H=np.inf)])
 def test_degenerate_boxes_are_rejected(bad):
     kw = dict(L=1.0, H=2.0, nx=4, ny=4, plane=PlaneKind.UPPER)
     kw.update(bad)

@@ -1,11 +1,14 @@
 import json
 import math
+import time
 import warnings
 
+import numpy as np
 import pytest
 from scipy import fft as sfft
 
 from hypb import verify as vf
+from hypb.grid import Field
 from hypb.report import CheckReport, reports_to_json, strip_runtime
 
 CHEAP = ["structural-identities", "adjointness", "reflection-equivalence",
@@ -81,6 +84,32 @@ def test_every_cheap_check_carries_a_negative_control(cheap_reports):
         controls = [r for r in reports if r.parameters.get("negative_control")]
         assert controls, f"{prefix} has no negative control"
         assert all(r.passed for r in controls), f"{prefix} control did not trip"
+        # a control is marked by its id, and the flag comes first
+        assert [r.check_id for r in controls] == [r.check_id for r in reports
+                                                  if "/control-" in r.check_id]
+        assert all(next(iter(r.parameters)) == "negative_control" for r in controls)
+
+
+def test_runtime_ms_is_each_reports_own_span():
+    t = time.perf_counter()
+    reports = vf.CHECKS["transform-oracles"](vf.RunConfig())
+    wall_ms = (time.perf_counter() - t) * 1000.0
+    spans = [r.runtime_ms for r in reports]
+    assert len(spans) == 6
+    assert abs(sum(spans) - wall_ms) <= 1.0
+    assert max(spans) <= wall_ms
+
+
+@pytest.mark.parametrize("mode,check_id", [("transform", "norm-identity"),
+                                           ("closed", "norm-identity-closed")])
+def test_degenerate_input_reports_under_the_live_id(monkeypatch, mode, check_id):
+    zeros = lambda spec, *which: [Field(spec, np.zeros((spec.ny, spec.nx), complex))
+                                  for _ in which]
+    monkeypatch.setattr(vf, "_gaussian_fields", zeros)
+    [r] = vf.check_norm_identity_p2(vf.RunConfig(nx=16, ny=16), mode=mode)
+    assert r.check_id == check_id
+    assert r.parameters == {"degenerate": True} and r.passed
+    assert r.to_dict()["notes"]["reason"].startswith("identically zero")
 
 
 def test_determinism_bit_for_bit_modulo_runtime():
@@ -116,7 +145,7 @@ def test_report_serialization_round_trip(cheap_reports):
     r = cheap_reports[0]
     d = r.to_dict()
     assert d["pass"] == r.passed
-    assert "notes" not in d or isinstance(d["notes"], dict)
+    assert "notes" not in d  # the cheap checks carry no notes
     assert "[PASS]" in r.line() or "[FAIL]" in r.line()
     text = reports_to_json(cheap_reports)
     parsed = json.loads(text)
@@ -178,3 +207,4 @@ def test_classify_check_records_x_truncation_without_warning():
     assert ratio == pytest.approx(3.84e-3, rel=1e-2)
     assert by["whittaker-classify/control-gaussian"].notes["x_truncation"] < 1e-8
     assert all("x_truncation" in r.notes for r in reports)
+    assert all(r.to_dict()["notes"] == r.notes for r in reports)

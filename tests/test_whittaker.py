@@ -44,6 +44,17 @@ def test_fast_branch_is_t_exp_half_t():
     assert np.allclose(wh.whittaker_Y(t, 0.0, 1.0), t * np.exp(-t / 2), rtol=1e-13)
 
 
+def test_zero_coefficient_branch_is_skipped_at_large_t():
+    # past t ~ 1420 the fast branch's e^{t/2} overflows, and past t ~ 709 so
+    # does y_integral; a zero coefficient must not turn that into 0 * inf
+    t = np.array([10.0, 1500.0])
+    x = wh.whittaker_X(t, 0.0, 1.0)
+    assert np.all(np.isfinite(x))
+    assert x[0] == wh.whittaker_X(10.0, 0.0, 1.0) > 0
+    y = wh.whittaker_Y(np.array([1000.0]), 0.0, 1.0)
+    assert y[0] == pytest.approx(1000.0 * np.exp(-500.0), rel=1e-13)
+
+
 def test_slow_branch_integral_closed_form():
     # I(t) = int_0^inf e^{-ts} s/(1+s) ds = 1/t - e^t E1(t)
     ts = np.geomspace(0.1, 30.0, 40)
