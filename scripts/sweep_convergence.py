@@ -20,7 +20,11 @@ def main(argv=None) -> int:
 
     failed = False
     for name in args.checks:
-        rep = vf.convergence_sweep(name, grids=tuple(args.grids))
+        try:
+            rep = vf.convergence_sweep(name, grids=tuple(args.grids))
+        except ValueError as exc:  # fewer than two grids
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         p = rep.parameters
         print(f"{name}: min order {rep.lhs:.3f} vs threshold {rep.tolerance:g} "
               f"-> {'ok' if rep.passed else 'FAIL'}")

@@ -47,8 +47,8 @@ OP_ALIASES = {
     "e": "bicauchy_real",
 }
 
-# the residual stencil reaches t1 + 0.1, and y_integral's expm1 overflows at
-# t = 709.78 (whittaker_X's e^{t/2} at 1419.6)
+# the residual stencil reaches t1 + 0.1, and y_integral refuses t > 709.78,
+# where e^t overflows (whittaker_X's e^{t/2} overflows at 1419.6)
 TABULATE_T_MAX = 700.0
 
 

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .calculus import d, d_bar, dbar_down
 from .grid import (
@@ -756,10 +755,10 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
 def check_whittaker_ode(cfg: RunConfig) -> list:
     """Both one-dimensional solution branches satisfy their equation.
 
-    Stencil residuals on [0.1, 30] for all four basis solutions, the series
-    against the quadrature tail for the slow branch, the closed form of the
-    fast-branch integral, and two asymptotic normalizations.  Evaluating a
-    solution against the wrong equation sign is the control.
+    Stencil residuals on [0.1, 30] for all four basis solutions, adaptive
+    quadrature of the X slow-branch integral against `x_integral`'s closed
+    form, and two asymptotic normalizations.  Evaluating a solution against
+    the wrong equation sign is the control.
     """
     rec = _Recorder("whittaker-ode", cfg.battery_spec(), "stencil")
     tgrid = np.geomspace(0.1, 30.0, 200)
@@ -772,13 +771,17 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     ]
     for name, sol in sols:
         rec.at_most(name, wh.ode_residual(sol, tgrid), tol, family=sol.family, A=sol.A, B=sol.B)
-    # closed-form cross-check of the fast-branch integral
-    from scipy.special import exp1
+    # adaptive quadrature of the slow-branch integral against its closed form
+    from scipy.integrate import quad
 
     ts = np.geomspace(0.1, 30.0, 50)
-    xi = np.array([wh.x_integral(t) for t in ts])
-    closed = 1.0 / ts - np.exp(ts) * exp1(ts)
-    e = float(np.max(np.abs(xi - closed) / np.abs(closed)))
+    quadrature = np.array([
+        quad(lambda s, t=t: math.exp(-t * s) * s / (1.0 + s), 0.0, np.inf,
+             epsabs=1e-300, epsrel=1e-10, limit=200)[0]
+        for t in ts
+    ])
+    closed = wh.x_integral(ts)
+    e = float(np.max(np.abs(quadrature - closed) / np.abs(closed)))
     rec.at_most("integral-closed-form", e, 1e-10, method="quadrature")
     a1 = abs(900.0 * wh.x_integral(30.0) - 1.0)
     rec.at_most("asymptotic-integral", a1, 0.1, method="quadrature", t=30.0, next_order="-2/t")
@@ -829,6 +832,8 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
 
 
 def _strip_m2(fn, y: float) -> float:
+    from scipy.integrate import quad
+
     g = lambda x: abs(complex(fn.f(np.complex128(x + 1j * y)))) ** 2
     v, _ = quad(g, -np.inf, np.inf, limit=400)
     return v
@@ -843,6 +848,8 @@ def check_liouville(cfg: RunConfig) -> list:
     gaussian member is not harmonic and breaks convexity (control); the
     bounded harmonic members are reported for contrast.
     """
+    from scipy.integrate import quad
+
     rec = _Recorder("liouville", cfg.battery_spec(), "quadrature")
     tol = cfg.tolerance(1e-3)
     hs = tf.harmonic_samples()
@@ -961,13 +968,15 @@ def convergence_sweep(check_id: str, grids=(64, 128, 256), cfg: Optional[RunConf
     """
     if check_id not in SWEEPS:
         raise KeyError(f"no convergence sweep for {check_id!r}; have {sorted(SWEEPS)}")
+    if len(grids) < 2:
+        raise ValueError(f"a convergence sweep needs at least two grids, got {list(grids)}")
     fn, threshold = SWEEPS[check_id]
     cfg = cfg or RunConfig()
     rec = _Recorder("convergence", GridSpec(L=cfg.L, H=cfg.H, nx=grids[-1], ny=grids[-1],
                                             plane=PlaneKind.UPPER), "sweep")
     errs = [fn(cfg, n) for n in grids]
     orders, monotone, passed = _refinement(errs, threshold)
-    rec.record(check_id, min(orders) if orders else 0.0, threshold, threshold, passed,
+    rec.record(check_id, min(orders), threshold, threshold, passed,
                grids=list(grids), errors=errs, orders=orders, monotone=monotone)
     return rec.reports[0]
 

@@ -15,23 +15,29 @@ The general solutions of the two sign branches are
     Y(t) = A2 e^{-t/2} (1 - t log t - t J(t)) + B2 t e^{-t/2},
                                                 J(t) = int_0^t (e^s - 1 - s)/s^2 ds
 
-(both verified here by residual tests; I has the closed form 1/t - e^t E1(t)
-used as a cross-check).  Only the B2 mode t e^{-t/2} is compatible with the
-weighted-energy finiteness condition, which is what the classifier below
-exploits: a field is in the cokernel class iff its partial Fourier
-transform is carried by xi <= 0 with y-profile proportional to y e^{y xi},
-and the fitted coefficient B2(xi) is the classification output.
+(both verified here by residual tests).  The integrals are evaluated without
+quadrature, vectorised over t: I by its closed form 1/t - e^t E1(t), J by
+its power series, and both by their asymptotic series from t = 40 on.  The
+battery's `whittaker-ode/integral-closed-form` check integrates I by
+adaptive quadrature as the independent cross-check.
+
+Only the B2 mode t e^{-t/2} is compatible with the weighted-energy
+finiteness condition, which is what the classifier below exploits: a field
+is in the cokernel class iff its partial Fourier transform is carried by
+xi <= 0 with y-profile proportional to y e^{y xi}, and the fitted
+coefficient B2(xi) is the classification output.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .calculus import _fd4_first
 from .grid import Field, GridSpec, PlaneKind
@@ -58,53 +64,78 @@ __all__ = [
 # special-function pieces
 
 
-def x_integral(t) -> np.ndarray:
-    """I(t) = int_0^inf e^{-t s} s/(1+s) ds by adaptive quadrature (rel tol 1e-10)."""
+def _positive(t) -> np.ndarray:
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0):
+    if not np.all(ts > 0):
         raise ValueError("t must be positive")
+    return ts
+
+
+# below this t, I's closed form and J's power series; at and above it their
+# asymptotic series, whose 40 terms then end near the smallest (about 1e-15
+# relative to the sum)
+_ASYMPTOTIC_T = 40.0
+_ASYMPTOTIC_TERMS = 40
+# e^t overflows past log(DBL_MAX), and with it J(t)
+Y_INTEGRAL_T_MAX = math.log(sys.float_info.max)  # 709.78...
+
+
+def _factorial_series(t: np.ndarray, sign: float) -> np.ndarray:
+    """sum_{k=1}^{40} sign^(k+1) k!/t^k, the asymptotic series of 1 - t e^t E1(t)
+    (sign -1) and of t e^-t Ei(t) - 1 (sign +1)."""
+    acc = np.zeros_like(t)
+    term = 1.0 / t
+    for k in range(1, _ASYMPTOTIC_TERMS + 1):
+        acc += term
+        term = term * (sign * (k + 1) / t)
+    return acc
+
+
+def x_integral(t) -> np.ndarray:
+    """I(t) = int_0^inf e^{-t s} s/(1+s) ds = 1/t - e^t E1(t).
+
+    The closed form loses about t ulps to cancellation, so from t = 40 on the
+    asymptotic series sum_k (-1)^(k+1) k!/t^(k+1) takes over; it stays
+    finite where e^t overflows.
+    """
+    ts = _positive(t)
     out = np.empty_like(ts)
-    for i, tv in enumerate(ts):
-        val, _ = integrate.quad(
-            lambda s, tv=tv: math.exp(-tv * s) * s / (1.0 + s),
-            0.0,
-            np.inf,
-            epsabs=1e-300,
-            epsrel=1e-10,
-            limit=200,
-        )
-        out[i] = val
+    near = ts < _ASYMPTOTIC_T
+    tn = ts[near]
+    out[near] = 1.0 / tn - np.exp(tn) * special.exp1(tn)
+    tf = ts[~near]
+    out[~near] = _factorial_series(tf, -1.0) / tf
     return out if np.ndim(t) else float(out[0])
 
 
 def y_integral(t) -> np.ndarray:
-    """J(t) = int_0^t (e^s - 1 - s)/s^2 ds; series for t <= 1, quadrature above."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts <= 0):
-        raise ValueError("t must be positive")
-    out = np.empty_like(ts)
-    small = ts <= 1.0
-    if np.any(small):
-        tv = ts[small]
-        acc = np.zeros_like(tv)
-        term = tv.copy()  # m = 0: t / (1 * 2!)
-        # sum t^(m+1) / ((m+1) (m+2)!)
-        for m in range(0, 30):
-            acc = acc + term / ((m + 1) * math.factorial(m + 2))
-            term = term * tv
-        out[small] = acc
-    for i in np.nonzero(~small)[0]:
-        tv = ts[i]
-        val, _ = integrate.quad(
-            lambda s: (math.expm1(s) - s) / s**2, 1.0, tv, epsabs=1e-300, epsrel=1e-12
+    """J(t) = int_0^t (e^s - 1 - s)/s^2 ds = Ei(t) - gamma - ln t - (e^t - 1 - t)/t.
+
+    Below t = 40 the power series, whose terms are all positive; the closed
+    form cancels there (J ~ e^t/t^2 against Ei ~ e^t/t).  From t = 40 on, the
+    asymptotic series of Ei.  J grows like e^t/t^2, so t past
+    Y_INTEGRAL_T_MAX is refused rather than returned as inf.
+    """
+    ts = _positive(t)
+    if np.any(ts > Y_INTEGRAL_T_MAX):
+        raise OverflowError(
+            f"y_integral(t) overflows for t > {Y_INTEGRAL_T_MAX:.2f} (e^t past the float range)"
         )
-        out[i] = _J1 + val
+    out = np.empty_like(ts)
+    near = ts < _ASYMPTOTIC_T
+    tv = ts[near]
+    acc = np.zeros_like(tv)
+    term = tv.copy()  # m = 0: t / (1 * 2!)
+    # sum t^(m+1) / ((m+1) (m+2)!); 110 terms reach 1e-16 at t = 40, and the
+    # terms past m = 30 are below an ulp of the sum for t <= 1
+    for m in range(0, 110):
+        acc = acc + term / ((m + 1) * math.factorial(m + 2))
+        term = term * tv
+    out[near] = acc
+    tf = ts[~near]
+    out[~near] = (np.exp(tf) / tf * _factorial_series(tf, 1.0) + 1.0 / tf + 1.0
+                  - np.euler_gamma - np.log(tf))
     return out if np.ndim(t) else float(out[0])
-
-
-_J1 = float(
-    sum(1.0 / ((m + 1) * math.factorial(m + 2)) for m in range(0, 30))
-)  # J(1) by the series
 
 
 @dataclass
@@ -133,8 +164,8 @@ def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t must be positive")
-    # a zero coefficient skips its branch (and the quadrature of x_integral):
-    # past t ~ 1420 e^{t/2} overflows, and 0 * inf is NaN
+    # a zero coefficient skips its branch: past t ~ 1420 e^{t/2} overflows,
+    # and 0 * inf is NaN
     fast = A1 * t * np.exp(t / 2.0) if A1 != 0 else A1 * t
     slow = B1 * t * np.exp(-t / 2.0) * x_integral(t) if B1 != 0 else B1 * t
     return fast + slow
@@ -145,7 +176,7 @@ def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
     if np.any(t <= 0):
         raise ValueError("t must be positive")
     tlogt = t * np.log(t)  # -> 0 as t -> 0+
-    # a zero A2 skips the slow branch: y_integral overflows past t ~ 709
+    # a zero A2 skips the slow branch: y_integral refuses t past 709.78
     slow = A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) if A2 != 0 else A2 * t
     return slow + B2 * t * np.exp(-t / 2.0)
 

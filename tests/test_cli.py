@@ -290,12 +290,23 @@ def test_console_script_smoke():
     assert proc.returncode == 2
 
 
-def test_cli_import_leaves_scipy_signal_out():
+def _loaded_after_cli_import(modules) -> list:
+    """Which of `modules` a fresh interpreter holds after `import hypb.cli`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, hypb.cli; print('scipy.signal' in sys.modules)"
+    code = ("import json, sys, hypb.cli; "
+            f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    assert _loaded_after_cli_import(["scipy.signal"]) == []
+
+
+def test_cli_import_leaves_quadrature_and_optimize_out():
+    # only the battery's quadrature oracles use scipy.integrate, which loads scipy.optimize
+    assert _loaded_after_cli_import(["scipy.integrate", "scipy.optimize"]) == []

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +181,24 @@ def test_convergence_sweep_fails_on_nonmonotone_error(monkeypatch):
     rep = vf.convergence_sweep("fake", grids=(32, 64, 128))
     assert not rep.passed
     assert not rep.parameters["monotone"]
+
+
+@pytest.mark.parametrize("grids", [(64,), ()])
+def test_convergence_sweep_refuses_fewer_than_two_grids(monkeypatch, grids):
+    calls = []
+    monkeypatch.setitem(vf.SWEEPS, "fake", (lambda cfg, n: calls.append(n) or 1e-3, 1.0))
+    with pytest.raises(ValueError, match="at least two grids"):
+        vf.convergence_sweep("fake", grids=grids)
+    assert calls == []
+
+
+def test_sweep_script_exits_2_on_a_single_grid(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_convergence.py"
+    spec = importlib.util.spec_from_file_location("sweep_convergence", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--grids", "64"]) == 2
+    assert "at least two grids" in capsys.readouterr().err
 
 
 def test_battery_spec_and_tolerance_defaults():

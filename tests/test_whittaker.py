@@ -2,7 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy import special
+from scipy.integrate import quad
 
 from hypb import testfuncs as tf
 from hypb import whittaker as wh
@@ -56,11 +57,74 @@ def test_zero_coefficient_branch_is_skipped_at_large_t():
 
 
 def test_slow_branch_integral_closed_form():
-    # I(t) = int_0^inf e^{-ts} s/(1+s) ds = 1/t - e^t E1(t)
+    # the closed form 1/t - e^t E1(t) against adaptive quadrature of I(t)
     ts = np.geomspace(0.1, 30.0, 40)
-    got = np.array([wh.x_integral(t) for t in ts])
-    want = 1.0 / ts - np.exp(ts) * exp1(ts)
-    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-10
+    want = np.array([
+        quad(lambda s, t=t: np.exp(-t * s) * s / (1.0 + s), 0.0, np.inf,
+             epsabs=1e-300, epsrel=1e-10, limit=200)[0]
+        for t in ts
+    ])
+    assert np.max(np.abs(wh.x_integral(ts) - want) / np.abs(want)) < 1e-10
+
+
+# 40-digit oracles.  Below t = 40 x_integral's closed form loses about t ulps
+# to cancellation (1.2e-14 near t = 28 on a dense grid); the bare forms past
+# their ranges lose far more, which the twin tests pin.
+X_ORACLE_T = np.append(np.geomspace(1e-4, 1500.0, 400), 1e4)
+X_ORACLE_TOL = 2e-14
+Y_ORACLE_T = np.geomspace(1e-3, 709.0, 400)
+Y_ORACLE_TOL = 5e-14
+
+
+def _oracle_error(values, ts, exact) -> float:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = np.array([float(exact(mpmath, mpmath.mpf(t))) for t in ts])
+    return float(np.max(np.abs(values - want) / np.abs(want)))
+
+
+def _I(mp, t):
+    return 1 / t - mp.exp(t) * mp.e1(t)
+
+
+def _J(mp, t):
+    return mp.ei(t) - mp.euler - mp.log(t) - (mp.expm1(t) - t) / t
+
+
+def _bare_exp1_form(t):
+    return 1.0 / t - np.exp(t) * special.exp1(t)
+
+
+def _bare_ei_form(t):
+    return special.expi(t) - np.euler_gamma - np.log(t) - (np.expm1(t) - t) / t
+
+
+def test_x_integral_matches_mpmath():
+    got = wh.x_integral(X_ORACLE_T)
+    assert np.all(np.isfinite(got))
+    assert _oracle_error(got, X_ORACLE_T, _I) < X_ORACLE_TOL
+
+
+def test_x_oracle_rejects_the_bare_closed_form_at_large_t():
+    ts = X_ORACLE_T[X_ORACLE_T <= 700.0]
+    assert _oracle_error(_bare_exp1_form(ts), ts, _I) > X_ORACLE_TOL
+
+
+def test_y_integral_matches_mpmath():
+    assert _oracle_error(wh.y_integral(Y_ORACLE_T), Y_ORACLE_T, _J) < Y_ORACLE_TOL
+
+
+def test_y_oracle_rejects_the_bare_closed_form_above_40():
+    ts = Y_ORACLE_T[Y_ORACLE_T >= 40.0]
+    assert _oracle_error(_bare_ei_form(ts), ts, _J) > Y_ORACLE_TOL
+
+
+def test_y_integral_refuses_t_past_its_overflow_limit():
+    assert np.isfinite(wh.y_integral(wh.Y_INTEGRAL_T_MAX))
+    with pytest.raises(OverflowError, match="709.78"):
+        wh.y_integral(710.0)
+    with pytest.raises(OverflowError, match="709.78"):
+        wh.whittaker_Y(710.0, 1.0, 0.0)
 
 
 def test_slow_branch_integral_asymptotics():
