@@ -12,6 +12,11 @@ violated its tolerance), 2 on usage errors (unknown check or operator,
 missing input, quadrature grid above the cap without --force, a singular
 quadrature table on non-square cells, a tabulate range past t = 700).
 
+CSV output (transform fields, classify multiplier tables, tabulate
+branches) writes every value at 17 significant digits (`%.17g`, which reads
+back as the same double), and its bytes depend only on the arrays: the
+same arrays give the same file.
+
 Thread count comes from --threads, else the HYPB_THREADS environment
 variable, and sets the scipy.fft worker count of `verify` and `transform`
 (unset: one worker).  The FFTs split their work by whole lines, so results
@@ -188,10 +193,23 @@ def make_config(args, **extra) -> vf.RunConfig:
     return vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, threads=threads, **extra)
 
 
-def csv_rows(*cols) -> list:
-    """One CSV row per index of the 1-D columns, each value at 17 significant digits."""
-    fmt = ",".join(["%.17g"] * len(cols))
-    return [fmt % row for row in zip(*(c.tolist() for c in cols))]
+def csv_rows(*cols, grid=None) -> list:
+    """One CSV row per index of the 1-D columns, each value at 17 significant digits.
+
+    With grid=(x, y) the columns hold a field's samples in C order (y slow,
+    x fast), and each row starts with its point's x and y.  Each coordinate
+    is formatted once, into the row templates; a row is one `%` over its
+    template.  The templates are made as the rows consume them, so they
+    never all exist at once.
+    """
+    tail = ",".join(["%.17g"] * len(cols))
+    if grid is None:
+        templates = [tail] * len(cols[0])
+    else:
+        xs = ["%.17g," % v for v in grid[0].tolist()]
+        templates = (xv + yv + tail for yv in ["%.17g," % v for v in grid[1].tolist()]
+                     for xv in xs)
+    return [t % row for t, row in zip(templates, zip(*(c.tolist() for c in cols)))]
 
 
 def _write_rows(path, header, rows):
@@ -246,8 +264,7 @@ def cmd_transform(args) -> int:
         }, indent=2))
         if args.out is None and not args.csv:
             return 0
-    X, Y = np.meshgrid(spec.x, spec.y)
-    rows = csv_rows(X.ravel(), Y.ravel(), out.data.real.ravel(), out.data.imag.ravel())
+    rows = csv_rows(out.data.real.ravel(), out.data.imag.ravel(), grid=(spec.x, spec.y))
     _write_rows(args.out, "x,y,re,im", rows)
     return 0
 

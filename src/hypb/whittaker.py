@@ -16,7 +16,7 @@ The general solutions of the two sign branches are
                                                 J(t) = int_0^t (e^s - 1 - s)/s^2 ds
 
 (both verified here by residual tests).  The integrals are evaluated without
-quadrature, vectorised over t: I by its closed form 1/t - e^t E1(t), J by
+quadrature, vectorised over t: I by its closed form e^t E2(t)/t, J by
 its power series, and both by their asymptotic series from t = 40 on.  The
 battery's `whittaker-ode/integral-closed-form` check integrates I by
 adaptive quadrature as the independent cross-check.
@@ -92,17 +92,17 @@ def _factorial_series(t: np.ndarray, sign: float) -> np.ndarray:
 
 
 def x_integral(t) -> np.ndarray:
-    """I(t) = int_0^inf e^{-t s} s/(1+s) ds = 1/t - e^t E1(t).
+    """I(t) = int_0^inf e^{-t s} s/(1+s) ds = 1/t - e^t E1(t) = e^t E2(t)/t.
 
-    The closed form loses about t ulps to cancellation, so from t = 40 on the
-    asymptotic series sum_k (-1)^(k+1) k!/t^(k+1) takes over; it stays
-    finite where e^t overflows.
+    Below t = 40 the E2 form, which has no cancellation (1/t - e^t E1(t)
+    loses about t ulps); from t = 40 on the asymptotic series
+    sum_k (-1)^(k+1) k!/t^(k+1), which stays finite where e^t overflows.
     """
     ts = _positive(t)
     out = np.empty_like(ts)
     near = ts < _ASYMPTOTIC_T
     tn = ts[near]
-    out[near] = 1.0 / tn - np.exp(tn) * special.exp1(tn)
+    out[near] = np.exp(tn) * special.expn(2, tn) / tn
     tf = ts[~near]
     out[~near] = _factorial_series(tf, -1.0) / tf
     return out if np.ndim(t) else float(out[0])

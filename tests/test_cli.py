@@ -48,6 +48,19 @@ def test_csv_rows_match_the_fstring_rows():
     cols = (xs, xs[::-1], np.roll(xs, 3))
     want = [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(*cols)]
     assert cli.csv_rows(*cols) == want
+    # grid mode: the rows `transform` wrote from meshgrid copies of x and y;
+    # non-uniform x, nx != ny, and the special values among the coordinates
+    x = np.array([-0.0, 1e-300, 5e-324, np.nan, 0.1, 2.0 ** 0.5, -np.inf])
+    y = np.array([np.inf, 1 / 3, -2.5e-310, 7.0, -1e300])
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((y.size, x.size)) + 1j * rng.standard_normal((y.size, x.size))
+    data.real.flat[: xs.size] = xs
+    data.imag.flat[: xs.size] = xs[::-1]
+    X, Y = np.meshgrid(x, y)
+    want = [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d
+            in zip(X.ravel(), Y.ravel(), data.real.ravel(), data.imag.ravel())]
+    got = cli.csv_rows(data.real.ravel(), data.imag.ravel(), grid=(x, y))
+    assert got == want
 
 
 @pytest.mark.parametrize("argv", [

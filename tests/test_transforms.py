@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from hypb import testfuncs as tf
 from hypb import transforms as tr
@@ -201,6 +202,104 @@ def test_conv_valid_matches_the_direct_sum(tab_shape, data_shape):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@st.composite
+def _conv_shapes(draw, min_b0=1):
+    """A table of at most 8 x 8 and data no larger than it, at least min_b0 rows."""
+    a0, a1 = draw(st.integers(min_b0, 8)), draw(st.integers(1, 8))
+    b0, b1 = draw(st.integers(min_b0, a0)), draw(st.integers(1, a1))
+    return (a0, a1), (b0, b1)
+
+
+def _random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _close(got, want, tol=1e-12) -> bool:
+    return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=_conv_shapes(), seed=st.integers(0, 2**32 - 1),
+       ar=st.floats(-2, 2), ai=st.floats(-2, 2))
+def test_conv_valid_is_linear_and_matches_the_direct_sum(shapes, seed, ar, ai):
+    (tab_shape, data_shape), rng = shapes, np.random.default_rng(seed)
+    tab = _random_complex(rng, tab_shape)
+    d1, d2 = _random_complex(rng, data_shape), _random_complex(rng, data_shape)
+    a = complex(ar, ai)
+    assert _close(tr.conv_valid(tab, d1), _direct_valid(tab, d1))
+    rhs = a * tr.conv_valid(tab, d1) + tr.conv_valid(tab, d2)
+    lhs = tr.conv_valid(tab, a * d1 + d2)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * (np.max(np.abs(rhs)) + 1.0)
+
+
+def _off_by_one_valid(tab, data):
+    """conv_valid with its row block one row too high: the twin the property must reject."""
+    (a0, a1), (b0, b1) = tab.shape, data.shape
+    kspec = sfft.fft2(tab, s=tr._fft_shape(tab.shape))
+    return _pruned(data, kspec, slice(b0 - 2, a0 - 1), slice(b1 - 1, a1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes=_conv_shapes(min_b0=2), seed=st.integers(0, 2**32 - 1))
+def test_direct_sum_property_rejects_an_off_by_one_valid_block(shapes, seed):
+    (tab_shape, data_shape), rng = shapes, np.random.default_rng(seed)
+    tab, data = _random_complex(rng, tab_shape), _random_complex(rng, data_shape)
+    assert not _close(_off_by_one_valid(tab, data), _direct_valid(tab, data))
+
+
+# the pruned FFT passes against the unpruned fft2/ifft2 of the same box:
+# odd and even transform lengths, rectangles, length-1 axes
+PRUNE_CASES = [((9, 13), (5, 7)), ((7, 5), (4, 3)), ((6, 8), (6, 8)), ((1, 9), (1, 4)),
+               ((7, 1), (3, 1)), ((1, 1), (1, 1)), ((13, 17), (1, 1))]
+PRUNE_TOL = 1e-15
+
+
+def _unpruned(data, kspec, rows, cols):
+    return sfft.ifft2(sfft.fft2(data, s=kspec.shape) * kspec)[rows, cols]
+
+
+def _pruned(data, kspec, rows, cols):
+    """The pruned passes keeping `rows`: the twin keeps the wrong ones."""
+    buf = tr._fft2_padded(data, kspec.shape)
+    buf *= kspec
+    return tr._ifft2_rows(buf, rows)[:, cols]
+
+
+def _beurling_symbol(py, px, hx, hy):
+    zeta = (2.0 * np.pi * np.fft.fftfreq(px, d=hx)[None, :]
+            + 2j * np.pi * np.fft.fftfreq(py, d=hy)[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mult = np.conj(zeta) / zeta
+    mult[0, 0] = 0.0
+    return mult
+
+
+@pytest.mark.parametrize("tab_shape, data_shape", PRUNE_CASES)
+def test_pruned_convolution_matches_the_unpruned_fft2(tab_shape, data_shape):
+    rng = np.random.default_rng(sum(tab_shape) + 3 * sum(data_shape))
+    kspec = sfft.fft2(_random_complex(rng, tab_shape), s=tr._fft_shape(tab_shape))
+    data = _random_complex(rng, data_shape)
+    (a0, a1), (b0, b1) = tab_shape, data_shape
+    cols = slice(b1 - 1, a1)
+    want = _unpruned(data, kspec, slice(b0 - 1, a0), cols)
+    assert _close(tr._valid_from_spectrum(kspec, tab_shape, data), want, PRUNE_TOL)
+    if b0 > 1:  # twin: the rows a full-mode convolution starts with
+        assert not _close(_pruned(data, kspec, slice(0, a0 - b0 + 1), cols), want, PRUNE_TOL)
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (8, 3), (1, 6), (6, 1), (1, 1)])
+@pytest.mark.parametrize("padding", [2, 3])
+def test_pruned_multiplier_matches_the_unpruned_fft2(shape, padding):
+    rng = np.random.default_rng(shape[0] + 5 * shape[1] + padding)
+    data = _random_complex(rng, shape)
+    (ny, nx), hx, hy = shape, 0.3, 0.2
+    mult = _beurling_symbol(padding * ny, padding * nx, hx, hy)
+    want = _unpruned(data, mult, slice(0, ny), slice(0, nx))
+    assert _close(tr._beurling_multiplier(data, hx, hy, padding), want, PRUNE_TOL)
+    # twin: the next block of rows of the padded box
+    assert not _close(_pruned(data, mult, slice(ny, 2 * ny), slice(0, nx)), want, PRUNE_TOL)
+
+
 def test_conv_valid_rejects_data_larger_than_the_table():
     with pytest.raises(ValueError):
         tr.conv_valid(np.ones((5, 5)), np.ones((6, 3)))
@@ -253,8 +352,6 @@ def test_accurate_product_quadrature_matches_the_fft_path(op):
 
 
 def test_fft_fields_are_bit_identical_across_worker_counts():
-    from scipy import fft as sfft
-
     gs = upper(256)
     f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
     out = {}
@@ -262,6 +359,9 @@ def test_fft_fields_are_bit_identical_across_worker_counts():
         with tr.fft_workers(threads):
             assert sfft.get_workers() == threads
             out[threads] = [tr.defect_sum(f).data, tr.cauchy_up(f).data,
-                            tr.beurling_down(f).data]
+                            tr.beurling_down(f).data,
+                            tr._fft2_padded(f.data[:, :-3], (515, 400)),
+                            tr._ifft2_rows(tr._fft2_padded(f.data, (513, 515)),
+                                           slice(7, 300))]
     for a, b in zip(out[1], out[2]):
         assert np.array_equal(a, b)

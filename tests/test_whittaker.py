@@ -57,7 +57,7 @@ def test_zero_coefficient_branch_is_skipped_at_large_t():
 
 
 def test_slow_branch_integral_closed_form():
-    # the closed form 1/t - e^t E1(t) against adaptive quadrature of I(t)
+    # x_integral against adaptive quadrature of I(t)
     ts = np.geomspace(0.1, 30.0, 40)
     want = np.array([
         quad(lambda s, t=t: np.exp(-t * s) * s / (1.0 + s), 0.0, np.inf,
@@ -67,11 +67,13 @@ def test_slow_branch_integral_closed_form():
     assert np.max(np.abs(wh.x_integral(ts) - want) / np.abs(want)) < 1e-10
 
 
-# 40-digit oracles.  Below t = 40 x_integral's closed form loses about t ulps
-# to cancellation (1.2e-14 near t = 28 on a dense grid); the bare forms past
-# their ranges lose far more, which the twin tests pin.
-X_ORACLE_T = np.append(np.geomspace(1e-4, 1500.0, 400), 1e4)
-X_ORACLE_TOL = 2e-14
+# 40-digit oracles.  x_integral's E2 form has no cancellation below t = 40;
+# the exp1 form 1/t - e^t E1(t) loses about t ulps there (1.1e-14 on the
+# dense scan of [27, 30]), and the bare forms past their ranges lose far
+# more, which the twin tests pin.
+X_ORACLE_T = np.concatenate([np.geomspace(1e-4, 1500.0, 400), np.linspace(27.0, 30.0, 100),
+                             [1e4]])
+X_ORACLE_TOL = 5e-15
 Y_ORACLE_T = np.geomspace(1e-3, 709.0, 400)
 Y_ORACLE_TOL = 5e-14
 
@@ -107,6 +109,11 @@ def test_x_integral_matches_mpmath():
 
 def test_x_oracle_rejects_the_bare_closed_form_at_large_t():
     ts = X_ORACLE_T[X_ORACLE_T <= 700.0]
+    assert _oracle_error(_bare_exp1_form(ts), ts, _I) > X_ORACLE_TOL
+
+
+def test_x_oracle_rejects_the_cancelling_exp1_form_below_40():
+    ts = X_ORACLE_T[X_ORACLE_T < 40.0]
     assert _oracle_error(_bare_exp1_form(ts), ts, _I) > X_ORACLE_TOL
 
 
