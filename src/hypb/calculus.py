@@ -9,10 +9,9 @@ and their weighted versions, with M the multiplier (Im z):
     d_down  = M^2 d M^-1    dbar_down = M^2 dbar M^-1
     lap_h   = M^2 lap
 
-The default axis scheme is a 4th-order non-periodic finite difference
-(one-sided closures at the boundary rows); a periodic spectral scheme is
-available for fields that are effectively periodic on the box.  Exact
-commutation facts used by tests:
+Each axis derivative is a 4th-order non-periodic finite difference
+(one-sided closures at the boundary rows).  Exact commutation facts used
+by tests:
 
     d M^n - M^n d = -(i n / 2) M^(n-1)
     dbar M^n - M^n dbar = +(i n / 2) M^(n-1)
@@ -53,47 +52,29 @@ def _fd4_first(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def _spectral_first(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    n = arr.shape[axis]
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    if n % 2 == 0:
-        xi[n // 2] = 0.0  # drop the unsigned Nyquist mode for odd-order derivatives
-    shape = [1] * arr.ndim
-    shape[axis] = n
-    return np.fft.ifft(1j * xi.reshape(shape) * np.fft.fft(arr, axis=axis), axis=axis)
+def diff_x(f: Field) -> Field:
+    return Field(f.spec, _fd4_first(f.data, f.spec.hx, axis=1))
 
 
-def _first(arr: np.ndarray, h: float, axis: int, scheme: str) -> np.ndarray:
-    if scheme == "fd4":
-        return _fd4_first(arr, h, axis)
-    if scheme == "spectral":
-        return _spectral_first(arr, h, axis)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def diff_y(f: Field) -> Field:
+    return Field(f.spec, _fd4_first(f.data, f.spec.hy, axis=0))
 
 
-def diff_x(f: Field, scheme: str = "fd4") -> Field:
-    return Field(f.spec, _first(f.data, f.spec.hx, axis=1, scheme=scheme))
-
-
-def diff_y(f: Field, scheme: str = "fd4") -> Field:
-    return Field(f.spec, _first(f.data, f.spec.hy, axis=0, scheme=scheme))
-
-
-def d(f: Field, scheme: str = "fd4") -> Field:
-    fx = _first(f.data, f.spec.hx, 1, scheme)
-    fy = _first(f.data, f.spec.hy, 0, scheme)
+def d(f: Field) -> Field:
+    fx = _fd4_first(f.data, f.spec.hx, 1)
+    fy = _fd4_first(f.data, f.spec.hy, 0)
     return Field(f.spec, 0.5 * (fx - 1j * fy))
 
 
-def d_bar(f: Field, scheme: str = "fd4") -> Field:
-    fx = _first(f.data, f.spec.hx, 1, scheme)
-    fy = _first(f.data, f.spec.hy, 0, scheme)
+def d_bar(f: Field) -> Field:
+    fx = _fd4_first(f.data, f.spec.hx, 1)
+    fy = _fd4_first(f.data, f.spec.hy, 0)
     return Field(f.spec, 0.5 * (fx + 1j * fy))
 
 
-def laplacian(f: Field, scheme: str = "fd4") -> Field:
+def laplacian(f: Field) -> Field:
     """lap = d dbar, evaluated as the composition (quarter of the usual Laplacian)."""
-    return d(d_bar(f, scheme), scheme)
+    return d(d_bar(f))
 
 
 def mult_im_pow(f: Field, p: float) -> Field:
@@ -109,21 +90,21 @@ def mult_im_pow(f: Field, p: float) -> Field:
     return Field(spec, f.data * w)
 
 
-def d_up(f: Field, scheme: str = "fd4") -> Field:
-    return mult_im_pow(d(f, scheme), 1)
+def d_up(f: Field) -> Field:
+    return mult_im_pow(d(f), 1)
 
 
-def dbar_up(f: Field, scheme: str = "fd4") -> Field:
-    return mult_im_pow(d_bar(f, scheme), 1)
+def dbar_up(f: Field) -> Field:
+    return mult_im_pow(d_bar(f), 1)
 
 
-def d_down(f: Field, scheme: str = "fd4") -> Field:
-    return mult_im_pow(d(mult_im_pow(f, -1), scheme), 2)
+def d_down(f: Field) -> Field:
+    return mult_im_pow(d(mult_im_pow(f, -1)), 2)
 
 
-def dbar_down(f: Field, scheme: str = "fd4") -> Field:
-    return mult_im_pow(d_bar(mult_im_pow(f, -1), scheme), 2)
+def dbar_down(f: Field) -> Field:
+    return mult_im_pow(d_bar(mult_im_pow(f, -1)), 2)
 
 
-def lap_h(f: Field, scheme: str = "fd4") -> Field:
-    return mult_im_pow(laplacian(f, scheme), 2)
+def lap_h(f: Field) -> Field:
+    return mult_im_pow(laplacian(f), 2)

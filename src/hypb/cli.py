@@ -269,18 +269,6 @@ def cmd_transform(args) -> int:
     return 0
 
 
-def _classify_payload(res: wh.ClassifyResult) -> dict:
-    return {
-        "is_cokernel": bool(res.is_cokernel),
-        "pos_energy_frac": float(res.pos_energy_frac),
-        "fit_residual": float(res.fit_residual),
-        "dyadic_growth": float(res.dyadic_growth),
-        "weight_value": float(res.weight_value),
-        "x_truncation": float(res.x_truncation),
-        "thresholds": res.thresholds,
-    }
-
-
 def cmd_classify(args) -> int:
     if args.testfn is None:
         _fail_usage("classify needs --testfn")
@@ -289,8 +277,8 @@ def cmd_classify(args) -> int:
     f = tf.sample(fn, spec, "f")
     if args.premultiply_m:
         f = Field(spec, spec.y.reshape(-1, 1) * f.data)
-    res = wh.lemma_a1_classify(f, warn=False)  # the ratio goes into the output
-    payload = _classify_payload(res)
+    res = wh.lemma_a1_classify(f)
+    payload = res.summary()
     payload["testfn"] = args.testfn
     payload["premultiply_M"] = bool(args.premultiply_m)
     if args.json:

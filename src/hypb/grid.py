@@ -28,8 +28,6 @@ __all__ = [
     "Field",
     "lp_norm",
     "inner_product",
-    "extend_odd",
-    "restrict_upper",
 ]
 
 
@@ -161,28 +159,3 @@ def inner_product(f: Field, g: Field, weight: WeightKind = WeightKind.PLAIN) -> 
         raise ValueError("fields live on different grids")
     w = f.spec.weight(2.0, weight)
     return complex(np.sum(f.data * np.conj(g.data) * w) * f.spec.cell_measure)
-
-
-def extend_odd(f: Field) -> Field:
-    """Odd extension g(z) = f(z) for Im z > 0, g(z) = -f(conj z) below.
-
-    The negation carries no complex conjugation of the values; only the
-    evaluation point is reflected.
-    """
-    if f.spec.plane is not PlaneKind.UPPER:
-        raise ValueError("odd extension starts from a half-plane field")
-    s = f.spec
-    full = GridSpec(s.L, s.H, s.nx, 2 * s.ny, PlaneKind.FULL)
-    data = np.empty((2 * s.ny, s.nx), dtype=np.complex128)
-    data[s.ny:, :] = f.data
-    data[: s.ny, :] = -f.data[::-1, :]
-    return Field(full, data, dict(f.meta))
-
-
-def restrict_upper(f: Field) -> Field:
-    """Keep the rows with Im z > 0 of a full-plane field."""
-    if f.spec.plane is not PlaneKind.FULL:
-        raise ValueError("restriction acts on full-plane fields")
-    s = f.spec
-    half = GridSpec(s.L, s.H, s.nx, s.ny // 2, PlaneKind.UPPER)
-    return Field(half, f.data[s.ny // 2:, :].copy(), dict(f.meta))

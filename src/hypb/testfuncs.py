@@ -72,32 +72,12 @@ class AnalyticTestFunction:
         return f"{self.name}({ps})" if ps else self.name
 
 
-_GL3_NODES = np.array([-math.sqrt(0.6), 0.0, math.sqrt(0.6)]) * 0.5
-_GL3_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
-
-
-def sample(fn: AnalyticTestFunction, spec: GridSpec, which: str = "f", cell_avg: bool = False) -> Field:
-    """Evaluate one of the closed-form fields on a grid.
-
-    cell_avg replaces midpoint samples by 3x3 Gauss-Legendre cell averages
-    (exact through degree 5), the finite-volume representation matched to
-    convolution against cell-averaged kernel tables.
-    """
-    ev = getattr(fn, which)
-    zz = spec.zz()
-    if not cell_avg:
-        data = ev(zz)
-    else:
-        data = np.zeros(zz.shape, dtype=complex)
-        for wu, du in zip(_GL3_WEIGHTS, _GL3_NODES):
-            for wv, dv in zip(_GL3_WEIGHTS, _GL3_NODES):
-                data += (wu * wv) * ev(zz + du * spec.hx + 1j * dv * spec.hy)
-    out = Field(spec, data)
+def sample(fn: AnalyticTestFunction, spec: GridSpec, which: str = "f") -> Field:
+    """Evaluate one of the closed-form fields at the grid's cell midpoints."""
+    out = Field(spec, getattr(fn, which)(spec.zz()))
     out.meta["testfn"] = fn.describe()
     if which != "f":
         out.meta["derived"] = which
-    if cell_avg:
-        out.meta["sampling"] = "cell_avg"
     return out
 
 

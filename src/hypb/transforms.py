@@ -37,20 +37,21 @@ run at next_fast_len of the table shape, not at the full linear length
 a + b - 1 (4096 x 2048 instead of 6144 x 3072 points for a 2048 x 1024
 input, 2.25 times fewer).
 
-The 2-D FFTs behind the convolutions and the Beurling multiplier are
-pruned (J. D. Markel, "FFT pruning", IEEE Trans. Audio Electroacoust. 19
-(1971) 305-311).  The data fill a b0 x b1 corner of the P0 x P1 box, so the
-forward transform runs its axis-0 pass over those b1 columns only (the
-others are zero and stay zero) and then its axis-1 pass over all P0 rows;
-the caller keeps k rows of the result, so the inverse runs its axis-0 pass
-over every column and its axis-1 pass over those k rows only.  That is
-P0 (b1 + P1) forward and (P0 + k) P1 inverse line points, against 2 P0 P1
-each: 3/4 of the unpruned count for the Cauchy convolution of a 2048 x 1024
-extension (P = 4096 x 2048, k = 2048) and for the multiplier at padding 2
-(k = b0 = P0 / 2).  Both passes run in place in one zeroed buffer.  The
-forward passes are fft2's, less the zero columns; the inverse applies 1/P0
-and 1/P1 in separate passes where ifft2 applies 1/(P0 P1) once, so it can
-differ from ifft2 in the last bit.
+Every fft-path product of a spectrum or symbol with data runs through one
+pruned 2-D FFT, `_pruned_fft2` (J. D. Markel, "FFT pruning", IEEE Trans.
+Audio Electroacoust. 19 (1971) 305-311).  The input blocks fill b1 columns
+of the P0 x P1 box, so the forward axis-0 pass runs over those columns only
+(the others stay zero) and the axis-1 pass over all P0 rows; the caller
+keeps k rows, so the inverse axis-0 pass runs over every column and the
+axis-1 pass over those k rows only: P0 (b1 + P1) forward and (P0 + k) P1
+inverse line points, against 2 P0 P1 each.  Both passes run in place in one
+zeroed buffer, and only the kept block is copied out.  The inverse applies
+1/P0 and 1/P1 in separate passes where ifft2 applies 1/(P0 P1) once, so it
+can differ from ifft2 in the last bit.
+
+The half-plane fft body writes f into rows [ny, 2 ny) of the box and, for
+the odd extension, negates f(conj z) straight into rows [0, ny).  The down
+operators and `defect_sum` keep k = ny rows, the up operators k = 2 ny.
 
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
@@ -82,7 +83,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .calculus import mult_im_pow
-from .grid import Field, GridSpec, PlaneKind, extend_odd
+from .grid import Field, GridSpec, PlaneKind
 from .kernels import avg_inv, mirror_table, planar_table
 
 __all__ = [
@@ -127,38 +128,28 @@ def _fft_shape(tab_shape) -> tuple:
     return tuple(sfft.next_fast_len(int(n)) for n in tab_shape)
 
 
-def _fft2_padded(data: np.ndarray, shape) -> np.ndarray:
-    """fft2 of data zero-padded to `shape`, skipping the all-zero columns.
+def _pruned_fft2(kspec: np.ndarray, blocks, rows: slice, cols: slice) -> np.ndarray:
+    """Rows `rows`, columns `cols` of ifft2(kspec * fft2(box)), as a new array.
 
-    The axis-0 pass runs over the data's columns only (the others stay 0),
-    then the axis-1 pass runs over every row, both in place in one buffer.
+    The box has kspec's shape and is zero but for `blocks`, (row, data, sign)
+    triples: sign * data (sign +1 or -1) at rows [row, row + len(data)) and
+    columns [0, b1), one width b1 for all blocks.
     """
-    b0, b1 = data.shape
-    buf = np.zeros(shape, dtype=complex)
-    buf[:b0, :b1] = data
+    buf = np.zeros(kspec.shape, dtype=complex)
+    b1 = blocks[0][1].shape[1]
+    for row, data, sign in blocks:
+        dst = buf[row : row + len(data), :b1]
+        if sign == 1:
+            dst[...] = data
+        else:
+            np.negative(data, out=dst)
     sfft.fft(buf[:, :b1], axis=0, overwrite_x=True)
     sfft.fft(buf, axis=1, overwrite_x=True)
-    return buf
-
-
-def _ifft2_rows(buf: np.ndarray, rows: slice) -> np.ndarray:
-    """Rows `rows` of ifft2(buf), computed in place: buf is overwritten.
-
-    The axis-0 pass runs over every column, the axis-1 pass over the kept
-    rows only.
-    """
+    buf *= kspec
     sfft.ifft(buf, axis=0, overwrite_x=True)
     out = buf[rows]
     sfft.ifft(out, axis=1, overwrite_x=True)
-    return out
-
-
-def _valid_from_spectrum(kspec: np.ndarray, tab_shape, data: np.ndarray) -> np.ndarray:
-    """Valid block of tab * data, given the table's spectrum at a length >= tab_shape."""
-    (a0, a1), (b0, b1) = tab_shape, data.shape
-    buf = _fft2_padded(data, kspec.shape)
-    buf *= kspec
-    return _ifft2_rows(buf, slice(b0 - 1, a0))[:, b1 - 1 : a1]
+    return out[:, cols].copy()
 
 
 def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -170,8 +161,9 @@ def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
     if tab.ndim != 2 or data.ndim != 2 or any(b > a for a, b in zip(tab.shape, data.shape)):
         raise ValueError(f"need 2-D data no larger than the table, got {data.shape} "
                          f"against {tab.shape}")
+    (a0, a1), (b0, b1) = tab.shape, data.shape
     kspec = sfft.fft2(tab, s=_fft_shape(tab.shape))
-    return _valid_from_spectrum(kspec, tab.shape, data)
+    return _pruned_fft2(kspec, [(0, data, 1)], slice(b0 - 1, a0), slice(b1 - 1, a1))
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +257,8 @@ def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
 # fft path
 
 
-def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -> np.ndarray:
-    ny, nx = data.shape
-    py, px = padding * ny, padding * nx
+def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
+    """The unimodular multiplier conj(zeta)/zeta on a py x px box, 0 at zeta = 0."""
     zeta = (
         2.0 * np.pi * np.fft.fftfreq(px, d=hx)[None, :]
         + 2j * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
@@ -275,9 +266,13 @@ def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -
     with np.errstate(divide="ignore", invalid="ignore"):
         mult = np.conj(zeta) / zeta
     mult[0, 0] = 0.0
-    buf = _fft2_padded(data, (py, px))
-    buf *= mult
-    return _ifft2_rows(buf, slice(0, ny))[:, :nx]
+    return mult
+
+
+def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -> np.ndarray:
+    ny, nx = data.shape
+    symbol = _beurling_symbol(padding * ny, padding * nx, hx, hy)
+    return _pruned_fft2(symbol, [(0, data, 1)], slice(0, ny), slice(0, nx))
 
 
 # fully averaged 1/zeta spectra kept per geometry; the largest battery one
@@ -296,20 +291,33 @@ def _cauchy_spectrum(ny: int, nx: int, hx: float, hy: float, real: bool) -> np.n
     return kspec
 
 
-def _cauchy_fft(
-    data: np.ndarray, hx: float, hy: float, cell: float, real: bool = False
-) -> np.ndarray:
-    ny, nx = data.shape
-    kspec = _cauchy_spectrum(ny, nx, hx, hy, real)
-    return _valid_from_spectrum(kspec, (2 * ny - 1, 2 * nx - 1), data) * cell
+def _cauchy_fft(blocks, ny: int, spec: GridSpec, rows: slice, real: bool = False) -> np.ndarray:
+    """Rows `rows` of the Cauchy transform of the ny-row box holding `blocks`, on spec's cells."""
+    nx = spec.nx
+    kspec = _cauchy_spectrum(ny, nx, spec.hx, spec.hy, real)
+    valid = slice(rows.start + ny - 1, rows.stop + ny - 1)
+    out = _pruned_fft2(kspec, blocks, valid, slice(nx - 1, 2 * nx - 1))
+    out *= spec.cell_measure
+    return out
 
 
-def _extend_zero(f: Field) -> Field:
-    spec = f.spec
-    full = GridSpec(L=spec.L, H=spec.H, nx=spec.nx, ny=2 * spec.ny, plane=PlaneKind.FULL)
-    data = np.zeros((2 * spec.ny, spec.nx), dtype=complex)
-    data[spec.ny :] = f.data
-    return Field(full, data)
+def _half_plane_fft(f: Field, kind: str, sign: int, padding: int = 2,
+                    real: bool = False) -> np.ndarray:
+    """Whole-plane `kind` on the odd (sign +1) or zero (sign -1) extension of f;
+    sign -1 subtracts the values at conj z from those at z."""
+    s = f.spec
+    ny, nx = s.ny, s.nx
+    blocks = [(ny, f.data, 1)]
+    rows = slice(0, 2 * ny)
+    if sign == 1:
+        blocks.append((0, f.data[::-1], -1))
+        rows = slice(ny, 2 * ny)
+    if kind == "cauchy":
+        out = _cauchy_fft(blocks, 2 * ny, s, rows, real)
+    else:
+        symbol = _beurling_symbol(2 * padding * ny, padding * nx, s.hx, s.hy)
+        out = _pruned_fft2(symbol, blocks, rows, slice(0, nx))
+    return out if sign == 1 else out[ny:] - out[ny - 1 :: -1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +326,8 @@ def _extend_zero(f: Field) -> Field:
 
 def cauchy(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
     if method == "fft":
-        out = _cauchy_fft(f.data, f.spec.hx, f.spec.hy, f.spec.cell_measure)
+        ny = f.spec.ny
+        out = _cauchy_fft([(0, f.data, 1)], ny, f.spec, slice(0, ny))
     elif method == "quadrature":
         out = _planar_quad(f, "cauchy", mode)
     else:
@@ -340,22 +349,14 @@ def _half_plane(f: Field, name: str, kind: str, sign: int, method: str, mode: st
                 padding: int = 2) -> Field:
     """The half-plane operator `name`: translation kernel `kind` less its mirror.
 
-    sign +1 (z - conj w, the down operators) extends f oddly and keeps the
-    upper rows; sign -1 (conj z - w, the up operators) extends f by zero and
-    subtracts the values at conj z from those at z.
+    sign +1 (z - conj w, the down operators) extends f oddly; sign -1
+    (conj z - w, the up operators) extends f by zero (`_half_plane_fft`).
     """
     _require_upper(f, name)
     if method == "quadrature":
         out = _two_term_quad(f, kind, sign=sign, mode=mode)
     elif method == "fft":
-        full = extend_odd(f) if sign == 1 else _extend_zero(f)
-        spec = full.spec
-        if kind == "cauchy":
-            conv = _cauchy_fft(full.data, spec.hx, spec.hy, spec.cell_measure)
-        else:
-            conv = _beurling_multiplier(full.data, spec.hx, spec.hy, padding)
-        ny = f.spec.ny
-        out = conv[ny:] if sign == 1 else conv[ny:] - conv[ny - 1 :: -1]
+        out = _half_plane_fft(f, kind, sign, padding)
     else:
         raise ValueError(f"unknown method {method!r}")
     return _meta(Field(f.spec, out), name, method)
@@ -449,9 +450,7 @@ def defect_sum(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
     """
     _require_upper(f, "defect_sum")
     if method == "fft":
-        full = extend_odd(f)
-        spec = full.spec
-        out = _cauchy_fft(full.data, spec.hx, spec.hy, spec.cell_measure, real=True)[f.spec.ny :]
+        out = _half_plane_fft(f, "cauchy", +1, real=True)
     elif method == "quadrature":
         out = (cauchy_down(f, method, mode).data
                + conj_sandwich(cauchy_down, f, method=method, mode=mode).data)

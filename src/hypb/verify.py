@@ -66,7 +66,6 @@ __all__ = [
     "KnownConstants",
     "conjectured_bp",
     "interpolation_envelope",
-    "holder_conjugate",
     "CHECKS",
     "run_checks",
     "overall_pass",
@@ -121,12 +120,6 @@ def conjectured_bp(p: float) -> float:
 def interpolation_envelope(p: float) -> float:
     # crude interpolation bound used only to sanity-bracket consistency runs
     return max(1.0, 2.0 ** (p / 2.0 - 1.0))
-
-
-def holder_conjugate(p: float) -> float:
-    if p <= 1.0:
-        raise ValueError("p must exceed 1")
-    return p / (p - 1.0)
 
 
 @dataclass
@@ -341,16 +334,12 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
     [f] = _gaussian_fields(spec, "lap")
     top = y * tr.beurling_down(f, method=cfg.method).data
     bot = y * f.data + 0.5j * tr.defect_sum(f, method=cfg.method).data
-    cell = spec.cell_measure
-
-    def lpn(data, p):
-        return float((np.sum(np.abs(data) ** p) * cell) ** (1.0 / p))
 
     ps = (cfg.p,) if cfg.p != 2.0 else (4.0 / 3.0, 4.0)
     tol = cfg.tolerance(1e-3)
     for p in ps:
         bp = conjectured_bp(p)
-        ratio = lpn(top, p) / lpn(bot, p)
+        ratio = lp_norm(Field(spec, top), p) / lp_norm(Field(spec, bot), p)
         lo, hi = (1.0 / bp) / (1.0 + tol), bp * (1.0 + tol)
         rec.record(f"p={p:g}", ratio, bp, tol, lo <= ratio <= hi, label="consistency", p=p,
                    bracket=[1.0 / bp, bp], envelope=interpolation_envelope(p))
@@ -561,9 +550,7 @@ def check_e_identity(cfg: RunConfig) -> list:
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = cfg.tolerance(1e-10)
-    conj_part = np.conj(
-        tr.cauchy_down(Field(spec, np.conj(F.data)), "quadrature", "matched").data
-    )
+    conj_part = tr.conj_sandwich(tr.cauchy_down, F, method="quadrature", mode="matched").data
     lhs = 0.5 * (tr.cauchy_down(F, "quadrature", "matched").data + conj_part)
     rhs = 4 * y * tr.bicauchy_real(Field(spec, y * F.data), "quadrature", "matched").data
     rec.at_most("matched", _rel_pointwise(lhs, rhs), tol)
@@ -797,14 +784,14 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     recovers its boundary multiplier, and rejects the imposters.
 
     Each report's notes carry its member's x-truncation ratio (field size at
-    x = +/-L over its peak), which partial_fourier would otherwise warn about.
+    x = +/-L over its peak), the scale of the x-truncation ripple.
     """
     rec = _Recorder("whittaker-classify", wh.default_classify_spec(), "partial-fourier")
     spec = rec.spec
     X, Y = np.meshgrid(spec.x, spec.y)
     Z = X + 1j * Y
     member = Field(spec, Y * np.conj((Z + 1j) ** -2))
-    res = wh.lemma_a1_classify(member, warn=False)
+    res = wh.lemma_a1_classify(member)
     notes = {"x_truncation": res.x_truncation}
     tol = cfg.tolerance(1e-3)
     rec.record("member-accepted", 1.0 if res.is_cokernel else 0.0, 1.0, tol, res.is_cokernel,
@@ -817,14 +804,14 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     rec.at_most("boundary-multiplier", e, tol, notes=notes,
                 window=[float(xi.min()), float(xi.max())])
     [g] = _gaussian_fields(spec, "f")
-    resg = wh.lemma_a1_classify(g, warn=False)
+    resg = wh.lemma_a1_classify(g)
     rec.record("control-gaussian", 0.0 if resg.is_cokernel else 1.0, 1.0, tol,
                not resg.is_cokernel, notes={"x_truncation": resg.x_truncation},
                pos_energy_frac=resg.pos_energy_frac)
-    resw = wh.lemma_a1_classify(member, wrong_branch=True, warn=False)
+    resw = wh.lemma_a1_classify(member, wrong_branch=True)
     rec.at_least("control-wrong-branch", resw.fit_residual, 1e-2, notes=notes)
     holo = Field(spec, Y * (Z + 1j) ** -2.0)
-    resh = wh.lemma_a1_classify(holo, warn=False)
+    resh = wh.lemma_a1_classify(holo)
     rec.record("control-holomorphic", 0.0 if resh.is_cokernel else 1.0, 1.0, tol,
                not resh.is_cokernel, notes={"x_truncation": resh.x_truncation},
                pos_energy_frac=resh.pos_energy_frac)

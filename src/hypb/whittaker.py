@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -238,19 +237,13 @@ class PartialFourierField:
     meta: dict = dc_field(default_factory=dict)
 
 
-def partial_fourier(h: Field, warn: bool = True) -> PartialFourierField:
+def partial_fourier(h: Field) -> PartialFourierField:
     """x-Fourier coefficients of h; meta["x_truncation"] is the field's size at
-    x = +/-L relative to its peak, warned about above 1e-8 unless warn=False."""
+    x = +/-L relative to its peak, the scale of the x-truncation ripple."""
     spec = h.spec
     edge = max(np.max(np.abs(h.data[:, 0])), np.max(np.abs(h.data[:, -1])))
     peak = np.max(np.abs(h.data))
     ratio = float(edge / peak) if peak > 0 else 0.0
-    if warn and ratio > 1e-8:
-        warnings.warn(
-            f"field is {ratio:.2e} of its peak at x = +/-L; "
-            "frequency data will carry x-truncation ripple",
-            stacklevel=2,
-        )
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
     x0 = spec.x[0]
     data = spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * x0)[None, :]
@@ -289,10 +282,11 @@ class ClassifyResult:
     def summary(self) -> dict:
         return {
             "is_cokernel": bool(self.is_cokernel),
-            "pos_energy_frac": self.pos_energy_frac,
-            "fit_residual": self.fit_residual,
-            "weight_value": self.weight_value,
-            "dyadic_growth": self.dyadic_growth,
+            "pos_energy_frac": float(self.pos_energy_frac),
+            "fit_residual": float(self.fit_residual),
+            "dyadic_growth": float(self.dyadic_growth),
+            "weight_value": float(self.weight_value),
+            "x_truncation": float(self.x_truncation),
             "thresholds": self.thresholds,
         }
 
@@ -304,7 +298,6 @@ def lemma_a1_classify(
     fit_tol: float = 1e-2,
     growth_tol: float = 1.3,
     wrong_branch: bool = False,
-    warn: bool = True,
 ) -> ClassifyResult:
     """Test whether h looks like (Im z) times an anti-holomorphic function.
 
@@ -317,9 +310,8 @@ def lemma_a1_classify(
 
     wrong_branch fits y e^{-y xi} instead (the growing solution); this is
     the designated negative control and must produce a large fit residual.
-    warn=False records the x-truncation ratio without partial_fourier's warning.
     """
-    p = partial_fourier(h, warn=warn)
+    p = partial_fourier(h)
     spec = p.spec
     y = spec.y.reshape(-1, 1)
     absq = np.abs(p.data) ** 2

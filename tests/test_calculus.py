@@ -47,25 +47,6 @@ def test_fd4_order_on_the_gaussian(which, op):
     assert min(orders) > 3.5
 
 
-def test_spectral_scheme_is_exact_on_periodic_modes():
-    gs = GridSpec(L=2.0, H=2.0, nx=32, ny=32, plane=PlaneKind.FULL)
-    X, Y = np.meshgrid(gs.x, gs.y)
-    kx = 2 * np.pi * 3 / (2 * gs.L)
-    ky = 2 * np.pi * 2 / (2 * gs.H)
-    f = Field(gs, np.exp(1j * (kx * X + ky * Y)))
-    fx = ca.diff_x(f, scheme="spectral").data
-    assert np.max(np.abs(fx - 1j * kx * f.data)) < 1e-12
-    df = ca.d(f, scheme="spectral").data
-    assert np.max(np.abs(df - 0.5 * (1j * kx + ky) * f.data)) < 1e-12
-
-
-def test_unknown_scheme_rejected():
-    gs = upper(8)
-    f = Field(gs, np.ones((8, 8), dtype=complex))
-    with pytest.raises(ValueError):
-        ca.diff_x(f, scheme="fd2")
-
-
 def test_conjugation_swaps_d_and_dbar():
     gs = upper(32)
     rng = np.random.default_rng(11)

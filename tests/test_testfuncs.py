@@ -119,12 +119,3 @@ def test_parse_testfn_round_trip_and_errors():
         tf.parse_testfn("gaussian:bogus=1")
     with pytest.raises(ValueError):
         tf.parse_testfn("gaussian:c")
-
-
-def test_sample_cell_average_differs_from_midpoint_at_coarse_resolution():
-    gs = upper(16)
-    fn = tf.gaussian_bump(2.0, 4.0)
-    mid = tf.sample(fn, gs, "f")
-    avg = tf.sample(fn, gs, "f", cell_avg=True)
-    delta = np.max(np.abs(mid.data - avg.data))
-    assert 0.0 < delta < 0.1

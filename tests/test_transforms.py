@@ -7,15 +7,7 @@ from scipy import fft as sfft
 from hypb import testfuncs as tf
 from hypb import transforms as tr
 from hypb.calculus import dbar_down
-from hypb.grid import (
-    Field,
-    GridSpec,
-    PlaneKind,
-    WeightKind,
-    extend_odd,
-    lp_norm,
-    restrict_upper,
-)
+from hypb.grid import Field, GridSpec, PlaneKind, WeightKind, lp_norm
 
 
 def upper(n, L=2.8, H=5.6):
@@ -147,18 +139,6 @@ def test_meta_records_kernel_and_method():
     assert outp.meta["padding"] == 3
 
 
-def test_odd_extension_and_restriction_round_trip():
-    gs = upper(8)
-    rng = np.random.default_rng(9)
-    f = Field(gs, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
-    g = extend_odd(f)
-    assert g.spec.plane is PlaneKind.FULL and g.spec.ny == 16
-    assert np.array_equal(g.data[:8], -f.data[::-1, :])
-    assert np.array_equal(restrict_upper(g).data, f.data)
-    with pytest.raises(ValueError):
-        extend_odd(g)
-
-
 @settings(max_examples=10, deadline=None)
 @given(ar=st.floats(-2, 2), ai=st.floats(-2, 2))
 def test_beurling_down_is_linear(ar, ai):
@@ -259,10 +239,8 @@ def _unpruned(data, kspec, rows, cols):
 
 
 def _pruned(data, kspec, rows, cols):
-    """The pruned passes keeping `rows`: the twin keeps the wrong ones."""
-    buf = tr._fft2_padded(data, kspec.shape)
-    buf *= kspec
-    return tr._ifft2_rows(buf, rows)[:, cols]
+    """The pruned primitive on one block at row 0, keeping `rows` and `cols`."""
+    return tr._pruned_fft2(kspec, [(0, data, 1)], rows, cols)
 
 
 def _beurling_symbol(py, px, hx, hy):
@@ -282,7 +260,7 @@ def test_pruned_convolution_matches_the_unpruned_fft2(tab_shape, data_shape):
     (a0, a1), (b0, b1) = tab_shape, data_shape
     cols = slice(b1 - 1, a1)
     want = _unpruned(data, kspec, slice(b0 - 1, a0), cols)
-    assert _close(tr._valid_from_spectrum(kspec, tab_shape, data), want, PRUNE_TOL)
+    assert _close(_pruned(data, kspec, slice(b0 - 1, a0), cols), want, PRUNE_TOL)
     if b0 > 1:  # twin: the rows a full-mode convolution starts with
         assert not _close(_pruned(data, kspec, slice(0, a0 - b0 + 1), cols), want, PRUNE_TOL)
 
@@ -329,8 +307,7 @@ def test_fft_path_reuses_one_read_only_spectrum_per_geometry():
     info = tr._cauchy_spectrum.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(a.data, tr.cauchy_down(f).data)
-    full = extend_odd(f).spec
-    kspec = tr._cauchy_spectrum(full.ny, full.nx, full.hx, full.hy, False)
+    kspec = tr._cauchy_spectrum(2 * gs.ny, gs.nx, gs.hx, gs.hy, False)  # the odd extension's
     assert not kspec.flags.writeable
     with pytest.raises(ValueError):
         kspec[0, 0] = 0.0
@@ -354,14 +331,80 @@ def test_accurate_product_quadrature_matches_the_fft_path(op):
 def test_fft_fields_are_bit_identical_across_worker_counts():
     gs = upper(256)
     f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
+    rng = np.random.default_rng(11)
+    k1, k2 = _random_complex(rng, (515, 400)), _random_complex(rng, (1025, 515))
     out = {}
     for threads in (1, 2):
         with tr.fft_workers(threads):
             assert sfft.get_workers() == threads
             out[threads] = [tr.defect_sum(f).data, tr.cauchy_up(f).data,
                             tr.beurling_down(f).data,
-                            tr._fft2_padded(f.data[:, :-3], (515, 400)),
-                            tr._ifft2_rows(tr._fft2_padded(f.data, (513, 515)),
-                                           slice(7, 300))]
+                            tr._pruned_fft2(k1, [(0, f.data[:, :-3], 1)], slice(7, 300),
+                                            slice(0, 253)),
+                            tr._pruned_fft2(k2, [(256, f.data, 1), (0, f.data[::-1], -1)],
+                                            slice(3, 511), slice(5, 260))]
     for a, b in zip(out[1], out[2]):
         assert np.array_equal(a, b)
+
+
+# the half-plane fft body against the explicit pipeline: the extension array
+# built here, the same primitive keeping every row, then the row slicing
+HALF_PLANE_FFT = {  # op: (kernel, sign, real kernel)
+    "cauchy_down": ("cauchy", 1, False), "cauchy_up": ("cauchy", -1, False),
+    "beurling_down": ("beurling", 1, False), "beurling_up": ("beurling", -1, False),
+    "defect_sum": ("cauchy", 1, True),
+}
+
+
+def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2):
+    """Odd (sign +1) or zero extension, whole-plane `kind`, restriction.
+
+    `reflection` is the sign of the mirrored term: of the lower block for the
+    odd extension, of the subtracted values at conj z for the zero one.
+    """
+    s = f.spec
+    ny, nx = s.ny, s.nx
+    lower = np.zeros_like(f.data)
+    if sign == 1:
+        lower = -f.data[::-1] if reflection == -1 else f.data[::-1]
+    ext = np.concatenate([lower, f.data])
+    if kind == "cauchy":
+        kspec = tr._cauchy_spectrum(2 * ny, nx, s.hx, s.hy, real)
+        full = tr._pruned_fft2(kspec, [(0, ext, 1)], slice(2 * ny - 1, 4 * ny - 1),
+                               slice(nx - 1, 2 * nx - 1)) * s.cell_measure
+    else:
+        symbol = tr._beurling_symbol(2 * padding * ny, padding * nx, s.hx, s.hy)
+        full = tr._pruned_fft2(symbol, [(0, ext, 1)], slice(0, 2 * ny), slice(0, nx))
+    if sign == 1:
+        return full[ny:]
+    mirror = full[ny - 1 :: -1]
+    return full[ny:] - mirror if reflection == -1 else full[ny:] + mirror
+
+
+@pytest.mark.parametrize("op", sorted(HALF_PLANE_FFT))
+@pytest.mark.parametrize("nx, ny", [(21, 13), (48, 40)])
+def test_half_plane_fft_body_is_the_explicit_pipeline(op, nx, ny):
+    gs = GridSpec(L=2.7, H=5.9, nx=nx, ny=ny, plane=PlaneKind.UPPER)
+    rng = np.random.default_rng(nx * ny)
+    f = Field(gs, _random_complex(rng, (ny, nx)))
+    kind, sign, real = HALF_PLANE_FFT[op]
+    got = getattr(tr, op)(f).data
+    assert np.array_equal(got, _explicit_half_plane(f, kind, sign, real))
+    # twin: the reflection with its sign flipped
+    twin = _explicit_half_plane(f, kind, sign, real, reflection=+1)
+    assert np.max(np.abs(got - twin)) > 1e-3 * np.max(np.abs(got))
+
+
+def _referenced_bytes(a: np.ndarray) -> int:
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize("op", tr.KERNEL_IDS)
+def test_fft_results_own_their_memory(op):
+    plane = PlaneKind.FULL if op in ("cauchy", "beurling") else PlaneKind.UPPER
+    gs = GridSpec(L=2.7, H=5.9, nx=24, ny=20, plane=plane)
+    f = Field(gs, _random_complex(np.random.default_rng(4), (20, 24)))
+    out = tr.transform(f, op, method="fft").data
+    assert _referenced_bytes(out) == out.nbytes

@@ -36,19 +36,12 @@ def test_conjectured_constant_for_general_p():
     assert vf.conjectured_bp(3.0) == 2.0
     # dual exponents share the constant
     for p in (1.3, 1.7, 2.5, 5.0):
-        q = vf.holder_conjugate(p)
+        q = p / (p - 1)
         assert vf.conjectured_bp(p) == pytest.approx(vf.conjectured_bp(q))
     with pytest.raises(ValueError):
         vf.conjectured_bp(2.0)  # exact constant lives elsewhere
     with pytest.raises(ValueError):
         vf.conjectured_bp(1.0)
-
-
-def test_holder_conjugate():
-    assert vf.holder_conjugate(4.0) == pytest.approx(4.0 / 3.0)
-    assert vf.holder_conjugate(2.0) == 2.0
-    with pytest.raises(ValueError):
-        vf.holder_conjugate(0.5)
 
 
 def test_interpolation_envelope():

@@ -160,17 +160,17 @@ def test_partial_fourier_round_trip():
     assert np.max(np.abs(back.data - f.data)) < 1e-12
 
 
-def test_partial_fourier_warns_on_x_truncation():
+def test_partial_fourier_records_x_truncation_without_warning():
     gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
     X, Y = np.meshgrid(gs.x, gs.y)
     slow = Field(gs, 1.0 / (1.0 + X**2 + Y**2) + 0j)
-    with pytest.warns(UserWarning, match="truncation ripple"):
-        p = wh.partial_fourier(slow)
     edge = np.max(np.abs(slow.data[:, [0, -1]])) / np.max(np.abs(slow.data))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        quiet = wh.partial_fourier(slow, warn=False)
-    assert quiet.meta["x_truncation"] == p.meta["x_truncation"] == pytest.approx(edge)
+        p = wh.partial_fourier(slow)
+        res = wh.lemma_a1_classify(slow)
+    assert edge > 1e-2
+    assert p.meta["x_truncation"] == res.x_truncation == pytest.approx(edge)
 
 
 def test_pde_residual_vanishes_on_weighted_antiholomorphic_fields():
@@ -191,10 +191,7 @@ def _classify_single_mode(profile_of_t, xi_target=-1.0):
     data = np.zeros((spec.ny, spec.nx), dtype=complex)
     data[:, j] = profile_of_t(t)
     h = wh.inverse_partial_fourier(wh.PartialFourierField(spec=spec, xi=xi, data=data))
-    with warnings.catch_warnings():
-        # single modes do not decay in x; the DFT is still exact for them
-        warnings.simplefilter("ignore")
-        return wh.lemma_a1_classify(h)
+    return wh.lemma_a1_classify(h)
 
 
 def test_decaying_mode_is_classified_as_cokernel():
@@ -223,16 +220,12 @@ def test_classifier_end_to_end_on_the_rational_member():
     X, Y = np.meshgrid(spec.x, spec.y)
     Z = X + 1j * Y
     member = Field(spec, Y * np.conj((Z + 1j) ** -2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = wh.lemma_a1_classify(member)
+    res = wh.lemma_a1_classify(member)
     assert res.is_cokernel
     target = -np.pi * np.exp(res.xi)
     assert np.max(np.abs(res.b2 - target) / np.abs(target)) < 1e-3
     # the mirrored fit profile cannot represent the same data
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        wrong = wh.lemma_a1_classify(member, wrong_branch=True)
+    wrong = wh.lemma_a1_classify(member, wrong_branch=True)
     assert wrong.fit_residual > 1e-2
 
 
@@ -243,9 +236,7 @@ def test_classifier_rejects_the_gaussian_and_the_holomorphic_twin():
     g = tf.sample(tf.gaussian_bump(2.0, 4.0), spec, "f")
     assert not wh.lemma_a1_classify(g).is_cokernel
     holo = Field(spec, Y * (Z + 1j) ** -2.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = wh.lemma_a1_classify(holo)
+    res = wh.lemma_a1_classify(holo)
     assert not res.is_cokernel
     assert res.pos_energy_frac > 0.5  # energy sits on the wrong frequency side
 
@@ -260,5 +251,6 @@ def test_empty_fit_window_is_an_error():
 def test_classify_result_summary_fields():
     res = _classify_single_mode(lambda t: t * np.exp(-t / 2))
     s = res.summary()
-    assert set(s) == {"is_cokernel", "pos_energy_frac", "fit_residual",
-                      "weight_value", "dyadic_growth", "thresholds"}
+    assert list(s) == ["is_cokernel", "pos_energy_frac", "fit_residual", "dyadic_growth",
+                       "weight_value", "x_truncation", "thresholds"]
+    assert s["x_truncation"] == res.x_truncation and type(s["x_truncation"]) is float
