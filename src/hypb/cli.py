@@ -26,6 +26,7 @@ are bit-identical for every thread count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -213,13 +214,16 @@ def csv_rows(*cols, grid=None) -> list:
 
 
 def _write_rows(path, header, rows):
-    lines = [header] + rows
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    """Write the header, then the rows, one line each, to `path` or stdout.
+
+    The rows go out in blocks of 4096 lines, each joined on its own: the
+    whole text never sits next to the row list, and one write per block
+    keeps the per-line cost of the file object off the rows.
+    """
+    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+        fh.write(header + "\n")
+        for k in range(0, len(rows), 4096):
+            fh.write("\n".join(rows[k : k + 4096]) + "\n")
 
 
 def cmd_verify(args) -> int:

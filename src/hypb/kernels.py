@@ -5,10 +5,10 @@ Two kernel families drive everything:
     cauchy    K(zeta) = 1 / zeta
     beurling  K(zeta) = -1 / zeta^2
 
-Half-plane operators combine a translation-invariant part evaluated at
-zeta = z - w ("T1" offsets, (i - j) hy in y) with a mirror part evaluated
-at z - conj(w) or conj(z) - w ("T2" offsets, +/-(i + j + 1) hy in y, never
-zero on cell-centered grids).
+The tables hold the kernel at the offsets zeta = z - w of a cell-centered
+box.  Half-plane operators read the image offsets z - conj(w) and
+conj(z) - w, +/-(i + j + 1) hy in y, from the same table on a box twice as
+tall (`transforms`).
 
 Near the singularity a midpoint sample misrepresents the integral, so the
 tables can replace entries by exact cell averages
@@ -50,7 +50,6 @@ __all__ = [
     "avg_inv_sq",
     "midpoint_value",
     "planar_table",
-    "mirror_table",
 ]
 
 
@@ -181,27 +180,3 @@ def planar_table(
         raise ValueError(f"unknown averaging mode {average!r}")
     return tab
 
-
-def mirror_table(
-    kind: str, ny: int, nx: int, hx: float, hy: float, sign: int = 1, average: str = "shell"
-) -> np.ndarray:
-    """Offsets (k - l) hx + sign * i (i + j + 1) hy; rows s = 1 .. 2 ny - 1.
-
-    sign +1 is the z - conj(w) geometry, -1 the conj(z) - w one.  The table
-    is never singular, but the s = 1 row sits one cell step from the
-    singularity; with average='shell' that row's central 3 cells get exact
-    averages so a restricted whole-plane operator and the half-plane
-    operator agree cell for cell.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    s = (np.arange(1, 2 * ny) * hy * sign)[:, None]
-    dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
-    z0 = dx + 1j * s
-    tab = midpoint_value(kind, z0)
-    if average == "shell":
-        block = z0[0:1, nx - 2 : nx + 1]
-        tab[0:1, nx - 2 : nx + 1] = _avg_value(kind, block, hx, hy)
-    elif average != "none":
-        raise ValueError(f"unknown averaging mode {average!r}")
-    return tab

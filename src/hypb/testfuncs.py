@@ -247,41 +247,28 @@ def harmonic_samples() -> dict:
 
 
 def _psi(t):
-    out = np.zeros_like(t, dtype=float)
-    pos = t > 1e-8
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
-def _psi_d1(t):
-    out = np.zeros_like(t, dtype=float)
-    pos = t > 1e-8
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out
-
-
-def _psi_d2(t):
-    out = np.zeros_like(t, dtype=float)
+    """psi(t) = exp(-1/t) for t > 0, else 0, and its first two derivatives."""
+    out = np.zeros((3,) + np.shape(t))
     pos = t > 1e-8
     tp = t[pos]
-    out[pos] = np.exp(-1.0 / tp) * (1.0 / tp**4 - 2.0 / tp**3)
+    e = np.exp(-1.0 / tp)
+    out[0][pos] = e
+    out[1][pos] = e / tp**2
+    out[2][pos] = e * (1.0 / tp**4 - 2.0 / tp**3)
     return out
 
 
 def _smoothstep(u):
     """C-infinity ramp r with r(u<=0)=0, r(u>=1)=1, and r', r''."""
     u = np.asarray(u, dtype=float)
-    n = _psi(u)
-    m = _psi(1.0 - u)
+    n, n1, n2 = _psi(u)
+    m, m1, m2 = _psi(1.0 - u)
+    m1 = -m1
     den = n + m
     r = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, n / np.where(den == 0, 1.0, den)))
 
-    n1 = _psi_d1(u)
-    m1 = -_psi_d1(1.0 - u)
     d1 = np.where((u <= 0.0) | (u >= 1.0), 0.0, (n1 - r * (n1 + m1)) / np.where(den == 0, 1.0, den))
 
-    n2 = _psi_d2(u)
-    m2 = _psi_d2(1.0 - u)
     d2 = np.where(
         (u <= 0.0) | (u >= 1.0),
         0.0,
@@ -318,32 +305,24 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
         w2 = (r_up2 * r_dn - 2.0 * r_up1 * r_dn1 + r_up * r_dn2) / R**2
         return w, w1, w2
 
-    def prof(y):
+    def on_support(y, value):
+        """value(y, w, w1, w2) where exp(t0) < y <= 1, and 0 elsewhere."""
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         ok = (y > 0) & (np.log(np.maximum(y, 1e-300)) > t0) & (y <= 1.0)
-        t = np.log(y[ok])
-        w, _, _ = w_parts(t)
-        out[ok] = y[ok] ** a * w
+        yk = y[ok]
+        out[ok] = value(yk, *w_parts(np.log(yk)))
         return out
+
+    def prof(y):
+        return on_support(y, lambda y, w, w1, w2: y**a * w)
 
     def dprof(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        ok = (y > 0) & (np.log(np.maximum(y, 1e-300)) > t0) & (y <= 1.0)
-        t = np.log(y[ok])
-        w, w1, _ = w_parts(t)
-        out[ok] = y[ok] ** (a - 1.0) * (a * w + w1)
-        return out
+        return on_support(y, lambda y, w, w1, w2: y ** (a - 1.0) * (a * w + w1))
 
     def d2prof(y):
-        y = np.asarray(y, dtype=float)
-        out = np.zeros_like(y)
-        ok = (y > 0) & (np.log(np.maximum(y, 1e-300)) > t0) & (y <= 1.0)
-        t = np.log(y[ok])
-        w, w1, w2 = w_parts(t)
-        out[ok] = y[ok] ** (a - 2.0) * (a * (a - 1.0) * w + (2.0 * a - 1.0) * w1 + w2)
-        return out
+        return on_support(y, lambda y, w, w1, w2:
+                          y ** (a - 2.0) * (a * (a - 1.0) * w + (2.0 * a - 1.0) * w1 + w2))
 
     profile = StripProfile(f=prof, d1=dprof, d2=d2prof, y_lo=math.exp(t0), y_hi=1.0)
 

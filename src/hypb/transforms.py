@@ -5,8 +5,8 @@ Whole-plane operators (dA = dx dy / pi):
     cauchy    C[f](z) =  int f(w) / (z - w)   dA(w)
     beurling  B[f](z) = -pv int f(w) / (z - w)^2 dA(w)
 
-Half-plane operators on the upper half-plane, built from one translation
-kernel and one mirror kernel:
+Half-plane operators on the upper half-plane, built from a whole-plane
+kernel and its image under w -> conj w (or z -> conj z):
 
     cauchy_down    1/(z - w) - 1/(z - conj w)
     cauchy_up      1/(z - w) - 1/(conj z - w)
@@ -23,6 +23,10 @@ Methods:
               the single source cell w = z omitted everywhere ("matched").
               Matched evaluation makes pointwise kernel identities hold to
               rounding, because both sides then sum identical terms.
+              The two-term half-plane operators sum the whole-plane table
+              of the 2 ny-row box once over the extension of f (the fft
+              path's layout, built separately); the product kernels are
+              the Cauchy table's 1/(z - w) times a closed-form image factor.
   fft         beurling via the unimodular Fourier multiplier conj(zeta)/zeta
               on a zero-padded box; cauchy via fast convolution with the
               fully cell-averaged 1/zeta table; half-plane operators via
@@ -84,7 +88,7 @@ from scipy import fft as sfft
 
 from .calculus import mult_im_pow
 from .grid import Field, GridSpec, PlaneKind
-from .kernels import avg_inv, mirror_table, planar_table
+from .kernels import planar_table
 
 __all__ = [
     "KERNEL_IDS",
@@ -185,69 +189,51 @@ def _planar_quad(f: Field, kind: str, mode: str) -> np.ndarray:
 
 
 def _two_term_quad(f: Field, kind: str, sign: int, mode: str) -> np.ndarray:
-    # the table sums are evaluated by fast exact convolution; the y-flip of
-    # the input turns the (i + j) mirror pairing into a plain convolution
+    """The whole-plane table of the 2 ny-row box, summed over f's extension.
+
+    f fills rows [ny, 2 ny) of the box.  sign +1 (z - conj w, the down
+    operators) puts its negated reflection in rows [0, ny) and keeps rows
+    [ny, 2 ny), which read table rows [ny, 4 ny - 1) only.  sign -1
+    (conj z - w, the up operators) leaves rows [0, ny) zero, so the sum is
+    over f with table rows [0, 3 ny - 1), and subtracts the rows at conj z.
+    """
     spec = f.spec
     ny, nx = spec.ny, spec.nx
-    avg = _avg_mode(mode)
-    t1_tab = planar_table(kind, ny, nx, spec.hx, spec.hy, average=avg)
-    t2_tab = mirror_table(kind, ny, nx, spec.hx, spec.hy, sign=sign, average=avg)
-    t1 = conv_valid(t1_tab, f.data)
-    t2 = conv_valid(t2_tab, f.data[::-1, :])
-    out = t1 - t2
+    tab = planar_table(kind, 2 * ny, nx, spec.hx, spec.hy, average=_avg_mode(mode))
+    if sign == 1:
+        out = conv_valid(tab[ny:], np.concatenate([-f.data[::-1], f.data]))
+    else:
+        full = conv_valid(tab[: 3 * ny - 1], f.data)
+        out = full[ny:] - full[ny - 1 :: -1]
     if mode == "matched":
-        # drop the mirror term of the w = z source point as well, so the
-        # whole summand is omitted and per-point kernel identities survive
-        diag = t2_tab[2 * np.arange(ny), nx - 1]
-        out = out + diag[:, None] * f.data
+        # add back the image of the source cell w = z, so the whole summand
+        # is omitted and per-point kernel identities survive
+        image = tab[2 * ny - 1 + sign * (2 * np.arange(ny) + 1), nx - 1]
+        out += image[:, None] * f.data
     return out * spec.cell_measure
 
 
 def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
+    """Product kernels: the 1/(z - w) factor, shell averages included, from
+    the Cauchy table, times the midpoint image factor at Im = (i + j + 1) hy."""
     spec = f.spec
     ny, nx = spec.ny, spec.nx
-    hx, hy = spec.hx, spec.hy
-    y = spec.y
-    dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
+    tab = planar_table("cauchy", ny, nx, spec.hx, spec.hy, average=_avg_mode(mode))
+    dx = (np.arange(-(nx - 1), nx) * spec.hx)[None, :]
+    s = (np.arange(1, 2 * ny) * spec.hy)[:, None]
+    if which == "bicauchy_up":
+        image = 1.0 / (dx - 1j * s)  # 1/(conj z - w)
+    elif which == "bicauchy_down":
+        image = 1.0 / (dx + 1j * s)  # 1/(z - conj w)
+    else:  # bicauchy_real: Re 1/(z - w) times 1/|z - conj w|^2
+        tab = tab.real
+        image = 1.0 / (dx**2 + s**2)
     L = _fft_shape([2 * nx - 1])[0]  # a kernel row's length suffices (valid block)
     fhat = sfft.fft(f.data, n=L, axis=1)
-
-    shell = None
-    if mode == "accurate":
-        dxs = np.array([-hx, 0.0, hx])
-        offs = dxs[None, :] + 1j * (np.array([-hy, 0.0, hy]))[:, None]
-        shell = avg_inv(offs, hx, hy)  # 3x3 averages of the singular factor
-
     out = np.empty((ny, nx), dtype=complex)
     for i in range(ny):
-        dym = (y[i] - y)[:, None]
-        dyp = (y[i] + y)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if which == "bicauchy_up":
-                ki = 1.0 / ((dx + 1j * dym) * (dx - 1j * dyp))
-            elif which == "bicauchy_down":
-                ki = 1.0 / ((dx + 1j * dym) * (dx + 1j * dyp))
-            else:  # bicauchy_real
-                ki = (dx / ((dx**2 + dym**2) * (dx**2 + dyp**2))).astype(complex)
-        ki[i, nx - 1] = 0.0  # source cell w = z
-        if mode == "accurate":
-            # average of the 1/(z - w) factor times midpoint mirror factor;
-            # source row j = i + dj sits at Im(z - w) = -dj hy, which is
-            # shell row 1 - dj (shell row k is at Im = (k - 1) hy)
-            for dj in (-1, 0, 1):
-                j = i + dj
-                if not 0 <= j < ny:
-                    continue
-                dxs = np.array([-hx, 0.0, hx])
-                ypv = y[i] + y[j]
-                if which == "bicauchy_up":
-                    cof = 1.0 / (dxs - 1j * ypv)
-                    ki[j, nx - 2 : nx + 1] = shell[1 - dj] * cof
-                elif which == "bicauchy_down":
-                    cof = 1.0 / (dxs + 1j * ypv)
-                    ki[j, nx - 2 : nx + 1] = shell[1 - dj] * cof
-                else:
-                    ki[j, nx - 2 : nx + 1] = shell[1 - dj].real / (dxs**2 + ypv**2)
+        # source row j reads table row i + ny - 1 - j and image row i + j
+        ki = tab[i : i + ny][::-1] * image[i : i + ny]
         acc = np.sum(sfft.fft(ki, n=L, axis=1) * fhat, axis=0)
         out[i] = sfft.ifft(acc)[nx - 1 : 2 * nx - 1]
     return out * spec.cell_measure

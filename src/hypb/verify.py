@@ -580,6 +580,15 @@ def _hardy_oracle_1d(a: float, n: int, ramp: float = 1.8) -> float:
     return float(num / den)
 
 
+def _hardy_ratio(f: Field, dbar_f: Field) -> float:
+    """int |f|^2 / y^2 dA over int |dbar f|^2 dA, both as midpoint sums."""
+    spec = f.spec
+    y = spec.y.reshape(-1, 1)
+    num = float(np.sum(np.abs(f.data) ** 2 / y**2)) * spec.cell_measure
+    den = float(np.sum(np.abs(dbar_f.data) ** 2)) * spec.cell_measure
+    return num / den
+
+
 def check_hardy(cfg: RunConfig) -> list:
     """Boundary-decay inequality: the weighted square norm is at most 16
     times the dbar energy, and the log-plateau family approaches the
@@ -595,10 +604,7 @@ def check_hardy(cfg: RunConfig) -> list:
     const = KnownConstants().hardy_p2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
-    Y = spec.y.reshape(-1, 1)
-    num = float(np.sum(np.abs(F.data) ** 2 / Y**2)) * spec.cell_measure
-    den = float(np.sum(np.abs(dbF.data) ** 2)) * spec.cell_measure
-    ratio = num / den
+    ratio = _hardy_ratio(F, dbF)
     rec.record("battery-gaussian", ratio, const, tol, ratio <= const * (1.0 + tol),
                member="gaussian:c=2,sigma=4", p=2.0)
     family = [(8, None), (64, 12.0), (256, None)]
@@ -613,13 +619,11 @@ def check_hardy(cfg: RunConfig) -> list:
     rec.record("family-monotone", values[-1], const, tol, monotone, method="oracle-1d",
                values=values)
     # control: plateau touching the boundary
-    X, Y2 = np.meshgrid(spec.x, spec.y)
+    X, Y = np.meshgrid(spec.x, spec.y)
     wx = _quintic((spec.L - 0.1 - np.abs(X)) / 1.0)
-    wy = _quintic((spec.H * 0.6 - Y2) / 1.0)
+    wy = _quintic((spec.H * 0.6 - Y) / 1.0)
     fctl = Field(spec, (wx * wy).astype(complex))
-    numc = float(np.sum(np.abs(fctl.data) ** 2 / Y2**2)) * spec.cell_measure
-    denc = float(np.sum(np.abs(d_bar(fctl).data) ** 2)) * spec.cell_measure
-    rc = numc / denc
+    rc = _hardy_ratio(fctl, d_bar(fctl))
     rec.record("control-boundary-touching", rc, const, tol, rc > const * (1.0 + tol))
     return rec.reports
 
@@ -788,9 +792,8 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     """
     rec = _Recorder("whittaker-classify", wh.default_classify_spec(), "partial-fourier")
     spec = rec.spec
-    X, Y = np.meshgrid(spec.x, spec.y)
-    Z = X + 1j * Y
-    member = Field(spec, Y * np.conj((Z + 1j) ** -2))
+    y = spec.y.reshape(-1, 1)
+    member = Field(spec, y * tf.sample(tf.conj_rational(1, 2), spec).data)
     res = wh.lemma_a1_classify(member)
     notes = {"x_truncation": res.x_truncation}
     tol = cfg.tolerance(1e-3)
@@ -810,7 +813,7 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
                pos_energy_frac=resg.pos_energy_frac)
     resw = wh.lemma_a1_classify(member, wrong_branch=True)
     rec.at_least("control-wrong-branch", resw.fit_residual, 1e-2, notes=notes)
-    holo = Field(spec, Y * (Z + 1j) ** -2.0)
+    holo = Field(spec, y * tf.sample(tf.holo_rational(1, 2), spec).data)
     resh = wh.lemma_a1_classify(holo)
     rec.record("control-holomorphic", 0.0 if resh.is_cokernel else 1.0, 1.0, tol,
                not resh.is_cokernel, notes={"x_truncation": resh.x_truncation},
@@ -875,20 +878,22 @@ def check_liouville(cfg: RunConfig) -> list:
 def check_reflection_equivalence(cfg: RunConfig) -> list:
     """The half-plane singular transform equals its two-table mirror form.
 
-    Rebuilding the operator from the whole-plane table minus the mirrored
-    table (same shell averaging) reproduces the library path bit for bit;
-    flipping the mirror sign is the control.
+    The library sums the table of the 2 ny-row box once over the odd
+    extension of f.  Rebuilding the operator as two convolutions over f
+    alone, with the whole-plane rows of that table minus its image rows
+    (i + j + 1) hy, is a different summation of the same terms, so the two
+    agree to rounding, not bit for bit; flipping the mirror sign is the
+    control.
     """
     rec = _Recorder("reflection-equivalence", GridSpec(L=2.8, H=5.6, nx=64, ny=64,
                                                        plane=PlaneKind.UPPER), "quadrature")
     spec = rec.spec
+    ny = spec.ny
     [F] = _gaussian_fields(spec, "f")
     bd = tr.beurling_down(F, method="quadrature", mode="accurate")
-    t1 = kn.planar_table("beurling", spec.ny, spec.nx, spec.hx, spec.hy, average="shell")
-    t2 = kn.mirror_table("beurling", spec.ny, spec.nx, spec.hx, spec.hy, sign=1,
-                         average="shell")
-    c1 = tr.conv_valid(t1, F.data)
-    c2 = tr.conv_valid(t2, F.data[::-1, :])
+    tab = kn.planar_table("beurling", 2 * ny, spec.nx, spec.hx, spec.hy, average="shell")
+    c1 = tr.conv_valid(tab[ny : 3 * ny - 1], F.data)
+    c2 = tr.conv_valid(tab[2 * ny :], F.data[::-1, :])
     tol = cfg.tolerance(1e-10)
     rec.at_most("mirror-form", _rel_pointwise((c1 - c2) * spec.cell_measure, bd.data), tol)
     rec.above("control-flipped-sign", _rel_pointwise((c1 + c2) * spec.cell_measure, bd.data),

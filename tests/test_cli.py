@@ -63,6 +63,18 @@ def test_csv_rows_match_the_fstring_rows():
     assert got == want
 
 
+@pytest.mark.parametrize("rows", [[], ["1,2"], ["0.5,-1", "", "nan,inf"],
+                                  [f"{k},{k / 3}" for k in range(4096 * 2 + 5)]])
+def test_write_rows_writes_the_joined_text_to_file_and_stdout(rows, tmp_path, capsys):
+    want = "\n".join(["a,b"] + rows) + "\n"
+    path = tmp_path / "rows.csv"
+    cli._write_rows(str(path), "a,b", rows)
+    assert path.read_bytes() == want.encode()
+    capsys.readouterr()
+    cli._write_rows(None, "a,b", rows)
+    assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize("argv", [
     ["whittaker", "tabulate", "--family", "Y", "--tol", "1e-3"],
     ["whittaker", "tabulate", "--family", "X", "--grid", "64"],

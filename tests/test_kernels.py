@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import dblquad
 
 from hypb import kernels as kn
+from hypb import transforms as tr
+from hypb.grid import Field, GridSpec, PlaneKind
 
 
 def test_cell_average_of_inverse_matches_numeric_integration():
@@ -52,8 +54,6 @@ def test_unknown_kernel_kind_rejected():
 def test_table_shapes_cover_all_offsets():
     t = kn.planar_table("cauchy", 8, 6, 0.1, 0.1)
     assert t.shape == (15, 11)
-    m = kn.mirror_table("beurling", 8, 6, 0.1, 0.1)
-    assert m.shape == (15, 11)
 
 
 def test_table_rotation_symmetry():
@@ -84,9 +84,13 @@ def test_anisotropic_cells_rejected_for_the_singular_kernel():
     # table quadrature is affected (the fft path is a frequency multiplier)
     with pytest.raises(ValueError):
         kn.planar_table("beurling", 8, 8, 0.1, 0.2)
-    # the mirror table has no pv cell, and the smooth kernel no constraint
-    kn.mirror_table("beurling", 8, 8, 0.1, 0.2)
-    kn.planar_table("cauchy", 8, 8, 0.1, 0.2)
+    kn.planar_table("cauchy", 8, 8, 0.1, 0.2)  # the smooth kernel has no constraint
+    # the same on the half-plane operators, whose quadrature reads these tables
+    gs = GridSpec(L=0.4, H=1.6, nx=8, ny=8, plane=PlaneKind.UPPER)  # hx = 0.1, hy = 0.2
+    f = Field(gs, np.ones((8, 8)))
+    assert np.all(np.isfinite(tr.cauchy_down(f, method="quadrature").data))
+    with pytest.raises(kn.CellShapeError):
+        tr.beurling_down(f, method="quadrature")
 
 
 # ---------------------------------------------------------------------------

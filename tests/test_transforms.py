@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from hypb import kernels as kn
 from hypb import testfuncs as tf
 from hypb import transforms as tr
 from hypb.calculus import dbar_down
@@ -408,3 +409,89 @@ def test_fft_results_own_their_memory(op):
     f = Field(gs, _random_complex(np.random.default_rng(4), (20, 24)))
     out = tr.transform(f, op, method="fft").data
     assert _referenced_bytes(out) == out.nbytes
+
+
+# the quadrature path against explicit four-loop sums of each half-plane
+# kernel.  matched: midpoint values with the whole w = z summand omitted;
+# accurate: exact cell averages on the 3 x 3 shell offsets of z - w and on
+# the central three cells of the first image row, midpoint values elsewhere
+QUAD_TWO_TERM = {"cauchy_down": ("cauchy", 1), "cauchy_up": ("cauchy", -1),
+                 "beurling_down": ("beurling", 1), "beurling_up": ("beurling", -1)}
+QUAD_PRODUCT = ("bicauchy_up", "bicauchy_down", "bicauchy_real")
+QUAD_SHAPES = [(8, 8), (7, 5), (5, 8)]  # (nx, ny)
+QUAD_TOL = 1e-13
+
+
+def _kernel_value(kind, zeta, averaged, hx, hy):
+    if averaged:
+        return complex(kn.avg_inv(zeta, hx, hy) if kind == "cauchy"
+                       else -kn.avg_inv_sq(zeta, hx, hy))
+    if zeta == 0:
+        return 0.0
+    return 1.0 / zeta if kind == "cauchy" else -1.0 / zeta**2
+
+
+def _quad_direct(op, f, mode, image_rows=1, image_sign=-1):
+    """The four-loop sum of op's kernel over f.
+
+    The image of source row j seen from row i sits at Im (i + j + image_rows)
+    hy; the two-term kernels add `image_sign` times its term.  The defaults
+    are the operator; the twins change one of them.
+    """
+    s = f.spec
+    x, y, hx, hy = s.x, s.y, s.hx, s.hy
+    accurate = mode == "accurate"
+    out = np.zeros((s.ny, s.nx), dtype=complex)
+    for i in range(s.ny):
+        for k in range(s.nx):
+            for j in range(s.ny):
+                for l in range(s.nx):
+                    if mode == "matched" and (i, k) == (j, l):
+                        continue
+                    dx = x[k] - x[l]
+                    zeta = dx + 1j * (y[i] - y[j])
+                    height = (i + j + image_rows) * hy
+                    shell = accurate and abs(i - j) <= 1 and abs(k - l) <= 1
+                    if op in QUAD_TWO_TERM:
+                        kind, sign = QUAD_TWO_TERM[op]
+                        eta = dx + 1j * sign * height
+                        first_image = accurate and i + j == 0 and abs(k - l) <= 1
+                        val = (_kernel_value(kind, zeta, shell, hx, hy)
+                               + image_sign * _kernel_value(kind, eta, first_image, hx, hy))
+                    else:
+                        c = _kernel_value("cauchy", zeta, shell, hx, hy)
+                        if op == "bicauchy_real":
+                            den = dx**2 + height**2
+                            val = c.real / den if den else 0.0
+                        else:
+                            eta = dx + (-1j if op == "bicauchy_up" else 1j) * height
+                            val = c / eta if eta else 0.0
+                    out[i, k] += val * f.data[j, l]
+    return out * s.cell_measure
+
+
+def _quad_case(op, nx, ny):
+    # square cells for the singular kernel, rectangular ones for the rest
+    hy = 0.3 if op.startswith("beurling") else 0.37
+    gs = GridSpec(L=0.15 * nx, H=hy * ny, nx=nx, ny=ny, plane=PlaneKind.UPPER)
+    return Field(gs, _random_complex(np.random.default_rng(nx * ny), (ny, nx)))
+
+
+@pytest.mark.parametrize("mode", ["matched", "accurate"])
+@pytest.mark.parametrize("nx, ny", QUAD_SHAPES)
+@pytest.mark.parametrize("op", sorted(QUAD_TWO_TERM) + list(QUAD_PRODUCT))
+def test_quadrature_half_plane_operators_are_their_direct_sums(op, nx, ny, mode):
+    f = _quad_case(op, nx, ny)
+    got = tr.transform(f, op, method="quadrature", mode=mode).data
+    assert _close(got, _quad_direct(op, f, mode), QUAD_TOL)
+
+
+@pytest.mark.parametrize("mode", ["matched", "accurate"])
+@pytest.mark.parametrize("op, twin", [(op, {"image_rows": 0}) for op in sorted(QUAD_TWO_TERM)]
+                         + [(op, {"image_rows": 0}) for op in QUAD_PRODUCT]
+                         + [(op, {"image_sign": 1}) for op in sorted(QUAD_TWO_TERM)])
+def test_quadrature_direct_sum_twins_fail_the_bar(op, twin, mode):
+    # the image at (i + j) hy instead of (i + j + 1) hy, or added, not subtracted
+    f = _quad_case(op, 7, 5)
+    got = tr.transform(f, op, method="quadrature", mode=mode).data
+    assert not _close(got, _quad_direct(op, f, mode, **twin), QUAD_TOL)
