@@ -1,13 +1,11 @@
 """Wirtinger calculus on sampled fields.
 
     d    = (1/2)(d/dx - i d/dy)      dbar = (1/2)(d/dx + i d/dy)
-    lap  = d dbar
 
-and their weighted versions, with M the multiplier (Im z):
+so d + dbar = d/dx and i(d - dbar) = d/dy.  With M the multiplier (Im z),
+powers of which `mult_im_pow` applies, the minimal solver inverts
 
-    d_up    = M d           dbar_up   = M dbar
-    d_down  = M^2 d M^-1    dbar_down = M^2 dbar M^-1
-    lap_h   = M^2 lap
+    dbar_down = M^2 dbar M^-1
 
 Each axis derivative is a 4th-order non-periodic finite difference
 (one-sided closures at the boundary rows).  Exact commutation facts used
@@ -24,17 +22,10 @@ import numpy as np
 from .grid import Field, PlaneKind
 
 __all__ = [
-    "diff_x",
-    "diff_y",
     "d",
     "d_bar",
-    "laplacian",
     "mult_im_pow",
-    "d_up",
-    "dbar_up",
-    "d_down",
     "dbar_down",
-    "lap_h",
 ]
 
 def _fd4_first(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -52,14 +43,6 @@ def _fd4_first(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     return np.moveaxis(out, 0, axis)
 
 
-def diff_x(f: Field) -> Field:
-    return Field(f.spec, _fd4_first(f.data, f.spec.hx, axis=1))
-
-
-def diff_y(f: Field) -> Field:
-    return Field(f.spec, _fd4_first(f.data, f.spec.hy, axis=0))
-
-
 def d(f: Field) -> Field:
     fx = _fd4_first(f.data, f.spec.hx, 1)
     fy = _fd4_first(f.data, f.spec.hy, 0)
@@ -70,11 +53,6 @@ def d_bar(f: Field) -> Field:
     fx = _fd4_first(f.data, f.spec.hx, 1)
     fy = _fd4_first(f.data, f.spec.hy, 0)
     return Field(f.spec, 0.5 * (fx + 1j * fy))
-
-
-def laplacian(f: Field) -> Field:
-    """lap = d dbar, evaluated as the composition (quarter of the usual Laplacian)."""
-    return d(d_bar(f))
 
 
 def mult_im_pow(f: Field, p: float) -> Field:
@@ -90,21 +68,5 @@ def mult_im_pow(f: Field, p: float) -> Field:
     return Field(spec, f.data * w)
 
 
-def d_up(f: Field) -> Field:
-    return mult_im_pow(d(f), 1)
-
-
-def dbar_up(f: Field) -> Field:
-    return mult_im_pow(d_bar(f), 1)
-
-
-def d_down(f: Field) -> Field:
-    return mult_im_pow(d(mult_im_pow(f, -1)), 2)
-
-
 def dbar_down(f: Field) -> Field:
     return mult_im_pow(d_bar(mult_im_pow(f, -1)), 2)
-
-
-def lap_h(f: Field) -> Field:
-    return mult_im_pow(laplacian(f), 2)

@@ -9,8 +9,8 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
-missing input, quadrature grid above the cap without --force, a singular
-quadrature table on non-square cells, a tabulate range past t = 700).
+missing input, a singular quadrature table on non-square cells, a tabulate
+range past t = 700).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
@@ -128,8 +128,6 @@ def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--domain", default=None, help="half-width and height, L:H")
     p.add_argument("--method", choices=("fft", "quadrature"), default="fft")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--force", action="store_true",
-                   help="allow quadrature above the grid cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,10 +185,6 @@ def make_config(args, **extra) -> vf.RunConfig:
     threads = resolve_threads(args.threads)
     if threads is not None and threads < 1:
         _fail_usage(f"thread count must be at least 1, got {threads}")
-    if args.method == "quadrature" and max(nx, ny) > vf.QUAD_GRID_CAP and not args.force:
-        _fail_usage(
-            f"quadrature above {vf.QUAD_GRID_CAP}^2 is expensive; rerun with --force"
-        )
     return vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, threads=threads, **extra)
 
 

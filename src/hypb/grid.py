@@ -153,9 +153,8 @@ def lp_norm(f: Field, p: float = 2.0, weight: WeightKind = WeightKind.PLAIN) -> 
     return float((acc * f.spec.cell_measure) ** (1.0 / p))
 
 
-def inner_product(f: Field, g: Field, weight: WeightKind = WeightKind.PLAIN) -> complex:
-    """Sesquilinear pairing sum f conj(g) w(p=2) * hx hy / pi."""
+def inner_product(f: Field, g: Field) -> complex:
+    """Sesquilinear pairing sum f conj(g) * hx hy / pi."""
     if f.spec != g.spec:
         raise ValueError("fields live on different grids")
-    w = f.spec.weight(2.0, weight)
-    return complex(np.sum(f.data * np.conj(g.data) * w) * f.spec.cell_measure)
+    return complex(np.sum(f.data * np.conj(g.data)) * f.spec.cell_measure)

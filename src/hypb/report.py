@@ -61,8 +61,8 @@ class CheckReport:
         )
 
 
-def reports_to_json(reports: list, indent: int = 2) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=indent)
+def reports_to_json(reports: list) -> str:
+    return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
 def strip_runtime(payload):

@@ -10,8 +10,8 @@ The derivative convention throughout:
     d    = (1/2)(d/dx - i d/dy)        dbar = (1/2)(d/dx + i d/dy)
     lap  = d dbar = (1/4)(dxx + dyy)
 
-Every factory is audited (tests) by finite differences at random points:
-lap F against d(dbar F) and d2 F against d(d F).
+The tests audit the gaussian's closed forms by finite differences at
+random points: lap F against d(dbar F) and d2 F against d(d F).
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ __all__ = [
     "hardy_family",
     "parse_testfn",
     "sample",
-    "conj_rational_l2_norm",
-    "audit_consistency",
-    "boundary_mass_fraction",
 ]
 
 
@@ -59,12 +56,7 @@ class AnalyticTestFunction:
     dbar: Callable[[np.ndarray], np.ndarray]
     lap: Callable[[np.ndarray], np.ndarray]
     d2: Callable[[np.ndarray], np.ndarray]
-    # support metadata used by truncation audits
-    support_center: complex = 0j
-    support_radius: Optional[float] = None  # None: not compactly supported
     params: dict = dc_field(default_factory=dict)
-    # local length scale for finite-difference audits
-    length_scale: Callable[[np.ndarray], np.ndarray] = lambda z: np.ones_like(z, dtype=float)
     profile: Optional[StripProfile] = None
 
     def describe(self) -> str:
@@ -112,7 +104,6 @@ def gaussian_bump(c: float = 2.0, sigma: float = 4.0, x0: float = 0.0) -> Analyt
     def d2(z):
         return sigma**2 * np.conj(z - w0) ** 2 * f(z)
 
-    radius = math.sqrt(28.0 / sigma)  # exp(-sigma r^2) <= 1e-12 outside, in L2 mass
     return AnalyticTestFunction(
         name="gaussian",
         f=f,
@@ -120,10 +111,7 @@ def gaussian_bump(c: float = 2.0, sigma: float = 4.0, x0: float = 0.0) -> Analyt
         dbar=dbar,
         lap=lap,
         d2=d2,
-        support_center=w0,
-        support_radius=radius,
         params={"c": c, "sigma": sigma, **({"x0": x0} if x0 else {})},
-        length_scale=lambda z, s=sigma: np.full(np.shape(z), 1.0 / math.sqrt(s)),
     )
 
 
@@ -155,7 +143,6 @@ def conj_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
         lap=zero,
         d2=zero,
         params={"a": a, "k": k},
-        length_scale=lambda z, aa=a: np.abs(z + 1j * aa),
     )
 
 
@@ -182,19 +169,7 @@ def holo_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
         lap=zero,
         d2=d2,
         params={"a": a, "k": k},
-        length_scale=lambda z, aa=a: np.abs(z + 1j * aa),
     )
-
-
-def conj_rational_l2_norm(a: float = 1.0, k: int = 2) -> float:
-    """Closed-form || (conj z - ia)^(-k) ||_{L^2(C+)} under dA = dx dy / pi.
-
-    Inner x-integral: int (x^2 + b^2)^(-k) dx = b^(1-2k) sqrt(pi) G(k-1/2)/G(k),
-    then int_0^inf (y+a)^(1-2k) dy = a^(2-2k)/(2k-2).
-    """
-    g = math.gamma
-    sq = g(k - 0.5) / (math.sqrt(math.pi) * g(k)) * a ** (2 - 2 * k) / (2 * k - 2)
-    return math.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +187,6 @@ def harmonic_samples() -> dict:
         dbar=lambda z: np.full(np.shape(z), 0.5j),
         lap=zero,
         d2=zero,
-        length_scale=lambda z: np.maximum(np.abs(z), 1.0),
     )
 
     rez = AnalyticTestFunction(
@@ -222,7 +196,6 @@ def harmonic_samples() -> dict:
         dbar=lambda z: np.full(np.shape(z), 0.5 + 0j),
         lap=zero,
         d2=zero,
-        length_scale=lambda z: np.maximum(np.abs(z), 1.0),
     )
 
     poisson = AnalyticTestFunction(
@@ -232,7 +205,6 @@ def harmonic_samples() -> dict:
         dbar=lambda z: 0.5j / np.conj(z) ** 2,
         lap=zero,
         d2=lambda z: 1j / z**3,
-        length_scale=lambda z: np.abs(z),
     )
     return {"imz": imz, "rez": rez, "poisson": poisson}
 
@@ -349,7 +321,6 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
         lap=lap,
         d2=d2,
         params={"a": a, "n": n, "ramp": ramp},
-        length_scale=lambda z: np.maximum(np.abs(z.imag), 1e-12),
         profile=profile,
     )
 
@@ -384,61 +355,3 @@ def parse_testfn(text: str) -> AnalyticTestFunction:
     if kv:
         raise ValueError(f"unknown parameters {sorted(kv)} for testfn {head!r}")
     return fn
-
-
-# ---------------------------------------------------------------------------
-# audits
-
-
-def audit_consistency(fn: AnalyticTestFunction, seed: int = 0, npts: int = 100) -> dict:
-    """Finite-difference audit of lap = d(dbar .) and d2 = d(d .).
-
-    Points are drawn inside the declared support (or a unit-ish box for
-    unbounded functions); errors are scaled by the largest sampled
-    magnitude of the target field, so flat regions do not blow up the
-    quotient.
-    """
-    rng = np.random.default_rng(seed)
-    if fn.support_radius is not None:
-        r = fn.support_radius * 0.7 * np.sqrt(rng.uniform(0.01, 1.0, npts))
-        th = rng.uniform(0, 2 * np.pi, npts)
-        z = fn.support_center + r * np.cos(th) + 1j * r * np.sin(th)
-        z = np.where(z.imag <= 0.05, z.real + 0.05j, z)
-    elif fn.profile is not None:
-        lo, hi = math.log(fn.profile.y_lo), math.log(fn.profile.y_hi)
-        t = rng.uniform(lo + 0.02 * (hi - lo), hi - 1e-3, npts)
-        z = rng.uniform(-1, 1, npts) + 1j * np.exp(t)
-    else:
-        z = rng.uniform(-2, 2, npts) + 1j * rng.uniform(0.3, 3.0, npts)
-
-    h = 3e-5 * fn.length_scale(z)
-
-    def d_of(ev, zp):
-        fx = (ev(zp + h) - ev(zp - h)) / (2 * h)
-        fy = (ev(zp + 1j * h) - ev(zp - 1j * h)) / (2 * h)
-        return 0.5 * (fx - 1j * fy)
-
-    lap_fd = d_of(fn.dbar, z)
-    d2_fd = d_of(fn.d, z)
-    lap_cf = fn.lap(z)
-    d2_cf = fn.d2(z)
-    s_lap = max(np.max(np.abs(lap_cf)), 1e-300)
-    s_d2 = max(np.max(np.abs(d2_cf)), np.max(np.abs(d2_fd)), 1e-300)
-    return {
-        "lap_err": float(np.max(np.abs(lap_fd - lap_cf)) / s_lap),
-        "d2_err": float(np.max(np.abs(d2_fd - d2_cf)) / s_d2),
-        "npts": npts,
-    }
-
-
-def boundary_mass_fraction(fn: AnalyticTestFunction, spec: GridSpec) -> float:
-    """L2 mass fraction sitting outside the declared support radius."""
-    if fn.support_radius is None:
-        raise ValueError("no declared support radius")
-    zz = spec.zz()
-    vals = np.abs(fn.f(zz)) ** 2
-    outside = np.abs(zz - fn.support_center) > fn.support_radius
-    tot = float(np.sum(vals))
-    if tot == 0:
-        return 0.0
-    return math.sqrt(float(np.sum(vals[outside])) / tot)

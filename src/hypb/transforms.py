@@ -452,8 +452,12 @@ def defect_sum(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
 def minimal_solve(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
     """Minimal-norm u with M^2 dbar (M^-1 u) = f: u = M cauchy_down[M^-2 f].
 
-    The solution obeys ||u|| <= 4 ||f|| in L2 of the half-plane and is
-    orthogonal to M times the holomorphic directions.
+    The bound ||u|| <= 4 ||f|| holds in the hyperbolic norm on both sides,
+    ||g||^2 = int |g|^2 (Im z)^-2 dA (lp_norm with WeightKind.HYPERBOLIC, as
+    the minimal-solver/bound-* checks measure it).  In plain L2 of the
+    half-plane the operator is unbounded: its finite sections at x-frequency
+    +1 grow without bound.  The solution is orthogonal to M times the
+    holomorphic directions.
     """
     g = cauchy_down(mult_im_pow(f, -2), method=method, mode=mode)
     out = mult_im_pow(g, 1)

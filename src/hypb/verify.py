@@ -65,7 +65,6 @@ __all__ = [
     "RunConfig",
     "KnownConstants",
     "conjectured_bp",
-    "interpolation_envelope",
     "CHECKS",
     "run_checks",
     "overall_pass",
@@ -94,9 +93,6 @@ __all__ = [
 HYP = WeightKind.HYPERBOLIC
 DUAL = WeightKind.DUAL_HYPERBOLIC
 
-# `hypb` refuses quadrature above this many cells per axis without --force
-QUAD_GRID_CAP = 128
-
 
 @dataclass
 class KnownConstants:
@@ -115,11 +111,6 @@ def conjectured_bp(p: float) -> float:
     if p == 2.0:
         raise ValueError("p = 2 uses the exact constant; see KnownConstants.b2")
     return max(p - 1.0, 1.0 / (p - 1.0))
-
-
-def interpolation_envelope(p: float) -> float:
-    # crude interpolation bound used only to sanity-bracket consistency runs
-    return max(1.0, 2.0 ** (p / 2.0 - 1.0))
 
 
 @dataclass
@@ -217,14 +208,15 @@ class _Recorder:
         self.reports.append(report)
 
 
-def dipole_agreement_field(spec: GridSpec, xk: float = 0.8) -> Field:
+def dipole_agreement_field(spec: GridSpec) -> Field:
     """Gentle mean-zero dipole: the only fields on which the fft and table
-    paths of the singular-kernel transform can agree at 1e-3 on a 128^2 grid.
+    paths of the singular-kernel transform agree at 1e-3 on method-agreement's
+    128^2 grid.
 
     The table quadrature carries an O(h^2) error proportional to the field's
     curvature, so the member keeps every length scale comparable to the box:
     an x-window with wide quintic ramps times d/dy of a wide arch (mean-zero
-    in y by construction), with a unit-frequency modulation so the transform
+    in y by construction), with a modulation e^{0.8 i x} so the transform
     acts nontrivially.  The residual grid-mean is projected onto the window.
     """
     X, Y = np.meshgrid(spec.x, spec.y)
@@ -232,7 +224,7 @@ def dipole_agreement_field(spec: GridSpec, xk: float = 0.8) -> Field:
     y0, y1 = 0.15 * spec.H, 0.85 * spec.H
     u = np.clip((Y - y0) / (y1 - y0), 0.0, 1.0)
     darch = 3.0 * np.pi / (y1 - y0) * np.sin(np.pi * u) ** 2 * np.cos(np.pi * u)
-    f = wx * darch * np.exp(1j * xk * X)
+    f = wx * darch * np.exp(0.8j * X)
     w = wx * np.sin(np.pi * u) ** 2
     return Field(spec, f - (np.sum(f) / np.sum(w)) * w)
 
@@ -262,13 +254,17 @@ def tuned_cup_member(xi: float = 0.05) -> tuple:
     return spec, Field(spec, wx * np.exp(1j * xi * X) * prof)
 
 
-def banded_field(spec: GridSpec, rng: np.random.Generator, kmax_frac: float = 0.125) -> Field:
+# banded_field keeps the frequencies |k| <= this fraction of the sampling rate
+_BAND_KMAX_FRAC = 0.125
+
+
+def banded_field(spec: GridSpec, rng: np.random.Generator) -> Field:
     """Band-limited, compactly supported, exactly mean-zero random field."""
     ny, nx = spec.ny, spec.nx
     coeff = rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx))
     ky = np.abs(np.fft.fftfreq(ny))[:, None]
     kx = np.abs(np.fft.fftfreq(nx))[None, :]
-    band = (np.maximum(kx, ky) <= kmax_frac) & ~((kx == 0) & (ky == 0))
+    band = (np.maximum(kx, ky) <= _BAND_KMAX_FRAC) & ~((kx == 0) & (ky == 0))
     g = np.fft.ifft2(coeff * band)
     X, Y = np.meshgrid(spec.x, spec.y)
     w = _quintic((spec.L - np.abs(X)) / (0.25 * spec.L)) * _quintic(
@@ -342,7 +338,7 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
         ratio = lp_norm(Field(spec, top), p) / lp_norm(Field(spec, bot), p)
         lo, hi = (1.0 / bp) / (1.0 + tol), bp * (1.0 + tol)
         rec.record(f"p={p:g}", ratio, bp, tol, lo <= ratio <= hi, label="consistency", p=p,
-                   bracket=[1.0 / bp, bp], envelope=interpolation_envelope(p))
+                   bracket=[1.0 / bp, bp])
         # control: an artificially tight bracket must reject the same ratio
         tight = 1.05
         inside = (1.0 / tight) <= ratio <= tight
@@ -369,13 +365,22 @@ def check_planar_isometry(cfg: RunConfig) -> list:
         f = banded_field(spec, rng)
         r = lp_norm(tr.beurling(f, method="fft", padding=1), 2.0) / lp_norm(f, 2.0)
         worst = max(worst, abs(r - 1.0))
-    rec.record("", 1.0 + worst, 1.0, tol, worst <= tol, fields=10, kmax_frac=0.125, padding=1,
-               seed=20260815 + cfg.seed)
+    rec.record("", 1.0 + worst, 1.0, tol, worst <= tol, fields=10, kmax_frac=_BAND_KMAX_FRAC,
+               padding=1, seed=20260815 + cfg.seed)
     zz = spec.zz()
     fb = Field(spec, np.exp(-4.0 * np.abs(zz) ** 2))
     dev = abs(lp_norm(tr.beurling(fb, method="fft", padding=1), 2.0) / lp_norm(fb, 2.0) - 1.0)
     rec.record("control-mean-bearing", 1.0 + dev, 1.0, tol, dev > tol)
     return rec.reports
+
+
+def _potential_and_dbar_target(spec: GridSpec) -> tuple:
+    """F, dF, the potential G = M dF + (i/2) F of the battery gaussian, and
+    the target M lap F + (i/2)(dF + dbarF) that dbar G must reproduce."""
+    y = spec.y.reshape(-1, 1)
+    F, dF, dbF, lapF = _gaussian_fields(spec, "f", "d", "dbar", "lap")
+    G = Field(spec, y * dF.data + 0.5j * F.data)
+    return F, dF, G, y * lapF.data + 0.5j * (dF.data + dbF.data)
 
 
 def check_derivative_identities(cfg: RunConfig) -> list:
@@ -388,10 +393,9 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
     spec = rec.spec
     y = spec.y.reshape(-1, 1)
-    F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
-    G = Field(spec, y * dF.data + 0.5j * F.data)
+    F, dF, G, target_db = _potential_and_dbar_target(spec)
+    [d2F] = _gaussian_fields(spec, "d2")
     target_d = y * d2F.data
-    target_db = y * lapF.data + 0.5j * (dF.data + dbF.data)
     tol = cfg.tolerance(1e-4)
     rec.at_most("d", _rel_l2(spec, d(G).data, target_d), tol, member="gaussian:c=2,sigma=4")
     rec.at_most("dbar", _rel_l2(spec, d_bar(G).data, target_db), tol,
@@ -477,15 +481,24 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     return rec.reports
 
 
+# method-agreement's own grid limit, in cells per axis.  The check takes
+# 0.10-0.12 s at 128^2 and 0.43-0.57 s at 256^2 on a 2-core Xeon (x86-64,
+# Python 3.11, numpy 2.4, scipy 1.17): at the default grid it would add
+# 0.3-0.45 s to the benchmark's 2.7 s battery round (bench/), whose bound is
+# 25%.  The limit stays until the grid-rate reports need the finer grid.
+_AGREEMENT_N_MAX = 128
+
+
 def check_method_agreement(cfg: RunConfig) -> list:
     """fft and table-quadrature paths agree on grid-matched members.
 
-    The table path is capped at 128^2 (cost), so agreement is measured there.
-    The smooth-kernel transforms agree on the gaussian member; the singular
-    one needs the low-curvature dipole member and fft padding 6 because its
-    1/z^2 tail periodizes slowly (padding 1 is the control: 0.16).
+    Agreement is measured on the battery box at min(nx, ny, 128) cells per
+    axis (`_AGREEMENT_N_MAX`, a cost limit of this check only).  The
+    smooth-kernel transforms agree on the gaussian member; the singular one
+    needs the low-curvature dipole member and fft padding 6 because its 1/z^2
+    tail periodizes slowly (padding 1 is the control: 0.16).
     """
-    n = min(cfg.nx, cfg.ny, QUAD_GRID_CAP)
+    n = min(cfg.nx, cfg.ny, _AGREEMENT_N_MAX)
     rec = _Recorder("method-agreement", GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n,
                                                  plane=PlaneKind.UPPER), "fft-vs-quadrature")
     spec = rec.spec
@@ -934,10 +947,7 @@ def check_adjointness(cfg: RunConfig) -> list:
 
 def _sweep_derivative_identities(cfg: RunConfig, n: int) -> float:
     spec = GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n, plane=PlaneKind.UPPER)
-    y = spec.y.reshape(-1, 1)
-    F, dF, dbF, lapF = _gaussian_fields(spec, "f", "d", "dbar", "lap")
-    G = Field(spec, y * dF.data + 0.5j * F.data)
-    target = y * lapF.data + 0.5j * (dF.data + dbF.data)
+    _, _, G, target = _potential_and_dbar_target(spec)
     return _rel_l2(spec, d_bar(G).data, target)
 
 

@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .calculus import _fd4_first
 from .grid import Field, GridSpec, PlaneKind
 
 __all__ = [
@@ -49,10 +48,8 @@ __all__ = [
     "y_integral",
     "pointwise_residual",
     "ode_residual",
-    "pde_residual_ratio",
     "PartialFourierField",
     "partial_fourier",
-    "inverse_partial_fourier",
     "ClassifyResult",
     "lemma_a1_classify",
     "default_classify_spec",
@@ -207,25 +204,6 @@ def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# the cokernel PDE on fields
-
-
-def pde_residual_ratio(h: Field) -> float:
-    """Residual normalized by the sizes of its two terms (scale-free)."""
-    spec = h.spec
-    hx, hy = spec.hx, spec.hy
-    dx1 = _fd4_first(h.data, hx, axis=1)
-    dxx = _fd4_first(dx1, hx, axis=1)
-    dyy = _fd4_first(_fd4_first(h.data, hy, axis=0), hy, axis=0)
-    y = spec.y.reshape(-1, 1)
-    t1 = y * (dxx + dyy)
-    t2 = 2j * dx1
-    num = np.sqrt(np.sum(np.abs(t1 + t2) ** 2))
-    den = np.sqrt(np.sum(np.abs(t1) ** 2)) + np.sqrt(np.sum(np.abs(t2) ** 2)) + 1e-300
-    return float(num / den)
-
-
-# ---------------------------------------------------------------------------
 # partial Fourier transform in x
 
 
@@ -249,13 +227,6 @@ def partial_fourier(h: Field) -> PartialFourierField:
     data = spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * x0)[None, :]
     meta = {**h.meta, "x_truncation": ratio}
     return PartialFourierField(spec=spec, xi=xi, data=data, meta=meta)
-
-
-def inverse_partial_fourier(p: PartialFourierField) -> Field:
-    spec = p.spec
-    x0 = spec.x[0]
-    data = np.fft.ifft(p.data * np.exp(1j * p.xi * x0)[None, :], axis=1) / spec.hx
-    return Field(spec, data, meta=dict(p.meta))
 
 
 def default_classify_spec() -> GridSpec:
@@ -291,22 +262,25 @@ class ClassifyResult:
         }
 
 
-def lemma_a1_classify(
-    h: Field,
-    xi_window=(-2.5, -0.25),
-    pos_tol: float = 1e-4,
-    fit_tol: float = 1e-2,
-    growth_tol: float = 1.3,
-    wrong_branch: bool = False,
-) -> ClassifyResult:
+# the classifier's fit window in xi and its three thresholds: the fraction of
+# the energy at xi > 0, the relative fit residual, and the dyadic growth probe
+CLASSIFY_XI_WINDOW = (-2.5, -0.25)
+CLASSIFY_POS_TOL = 1e-4
+CLASSIFY_FIT_TOL = 1e-2
+CLASSIFY_GROWTH_TOL = 1.3
+
+
+def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
     """Test whether h looks like (Im z) times an anti-holomorphic function.
 
     Three grid-level criteria on the partial Fourier transform:
-      (i)   essentially no energy at xi > 0;
-      (ii)  each xi < 0 slice is proportional to y e^{y xi}; the factor is
-            the fitted B2(xi) (least squares over y, residual reported);
+      (i)   at most CLASSIFY_POS_TOL of the energy at xi > 0;
+      (ii)  each xi < 0 slice of CLASSIFY_XI_WINDOW is proportional to
+            y e^{y xi}; the factor is the fitted B2(xi) (least squares over
+            y, relative residual at most CLASSIFY_FIT_TOL);
       (iii) the weighted energy (1/2) sum |hhat|^2 / y^2 stays finite, in the
-            sense that dyadic lower-cutoff partial sums stop growing.
+            sense that dyadic lower-cutoff partial sums stop growing (growth
+            probe at most CLASSIFY_GROWTH_TOL).
 
     wrong_branch fits y e^{-y xi} instead (the growing solution); this is
     the designated negative control and must produce a large fit residual.
@@ -320,7 +294,7 @@ def lemma_a1_classify(
     pos = float(np.sum(absq[:, p.xi > 0]))
     pos_frac = pos / tot if tot > 0 else 0.0
 
-    lo, hi = xi_window
+    lo, hi = CLASSIFY_XI_WINDOW
     cols = np.nonzero((p.xi >= lo) & (p.xi <= hi))[0]
     if cols.size == 0:
         raise ValueError("no frequencies in the fit window; enlarge the grid")
@@ -357,7 +331,8 @@ def lemma_a1_classify(
     probes = ratios[:2] + [s_top / max(s_shell, 1e-300)]
     dyadic_growth = max(probes) if probes else 1.0
 
-    ok = (pos_frac <= pos_tol) and (fit_residual <= fit_tol) and (dyadic_growth <= growth_tol)
+    ok = (pos_frac <= CLASSIFY_POS_TOL and fit_residual <= CLASSIFY_FIT_TOL
+          and dyadic_growth <= CLASSIFY_GROWTH_TOL)
     return ClassifyResult(
         is_cokernel=bool(ok),
         xi=xi_w,
@@ -366,6 +341,7 @@ def lemma_a1_classify(
         fit_residual=fit_residual,
         weight_value=weight_value,
         dyadic_growth=dyadic_growth,
-        thresholds={"pos_tol": pos_tol, "fit_tol": fit_tol, "growth_tol": growth_tol},
+        thresholds={"pos_tol": CLASSIFY_POS_TOL, "fit_tol": CLASSIFY_FIT_TOL,
+                    "growth_tol": CLASSIFY_GROWTH_TOL},
         x_truncation=p.meta["x_truncation"],
     )

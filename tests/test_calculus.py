@@ -20,12 +20,12 @@ def rel_l2(a, b):
 
 def test_fd4_differentiates_quartics_exactly():
     # the one-sided end stencils are 4th order too, so degree 4 is exact
-    # everywhere, not just in the interior
+    # everywhere, not just in the interior; d/dx = d + dbar, d/dy = i(d - dbar)
     gs = upper(16)
     X, Y = np.meshgrid(gs.x, gs.y)
     f = Field(gs, (X**4 + 2 * Y**3 * X).astype(complex))
-    fx = ca.diff_x(f).data
-    fy = ca.diff_y(f).data
+    fx = ca.d(f).data + ca.d_bar(f).data
+    fy = 1j * (ca.d(f).data - ca.d_bar(f).data)
     assert np.max(np.abs(fx - (4 * X**3 + 2 * Y**3))) < 1e-10
     assert np.max(np.abs(fy - 6 * Y**2 * X)) < 1e-10
 
@@ -33,7 +33,7 @@ def test_fd4_differentiates_quartics_exactly():
 @pytest.mark.parametrize("which,op", [
     ("d", ca.d),
     ("dbar", ca.d_bar),
-    ("lap", ca.laplacian),
+    ("lap", lambda f: ca.d(ca.d_bar(f))),
 ])
 def test_fd4_order_on_the_gaussian(which, op):
     fn = tf.gaussian_bump(2.0, 4.0)
@@ -73,21 +73,23 @@ def test_fractional_power_needs_positive_heights():
 
 
 def test_conjugated_operators_expand_by_the_product_rule():
-    # d_down = M d M^-1 M = M d - (i/2) on smooth fields, and similarly with
-    # +i/2 for dbar_down; check against closed-form derivatives
+    # M^2 d M^-1 = M d + (i/2) on smooth fields, and M^2 dbar M^-1 = M dbar
+    # - (i/2); check these and M d, M dbar, M^2 d dbar, each composed from
+    # mult_im_pow, against closed-form derivatives
     gs = upper(128)
     fn = tf.gaussian_bump(2.0, 4.0)
     F = tf.sample(fn, gs, "f")
     dF = tf.sample(fn, gs, "d").data
     dbF = tf.sample(fn, gs, "dbar").data
     y = gs.y.reshape(-1, 1)
-    assert rel_l2(ca.d_down(F).data, y * dF + 0.5j * F.data) < 1e-4
+    M = ca.mult_im_pow
+    assert rel_l2(M(ca.d(M(F, -1)), 2).data, y * dF + 0.5j * F.data) < 1e-4
     assert rel_l2(ca.dbar_down(F).data, y * dbF - 0.5j * F.data) < 1e-4
-    assert rel_l2(ca.d_up(F).data, y * dF) < 1e-4
-    assert rel_l2(ca.dbar_up(F).data, y * dbF) < 1e-4
+    assert rel_l2(M(ca.d(F), 1).data, y * dF) < 1e-4
+    assert rel_l2(M(ca.d_bar(F), 1).data, y * dbF) < 1e-4
     lapF = tf.sample(fn, gs, "lap").data
     # composed double differencing loses one order near the edges
-    assert rel_l2(ca.lap_h(F).data, y**2 * lapF) < 1e-3
+    assert rel_l2(M(ca.d(ca.d_bar(F)), 2).data, y**2 * lapF) < 1e-3
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -86,6 +88,49 @@ def test_flags_belong_to_the_commands_that_read_them(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _subparsers(parser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _commands() -> dict:
+    """{"verify": parser, ..., "whittaker tabulate": parser}: every leaf subcommand."""
+    out = {}
+    for name, p in _subparsers(cli.build_parser()).items():
+        inner = _subparsers(p)
+        out.update({f"{name} {n}": q for n, q in inner.items()} if inner else {name: p})
+    return out
+
+
+def _readme_flags() -> dict:
+    """{command: flags} from README's "Flags per subcommand" bullets, with the
+    grid-flags paragraph's flags added to each bullet that names the grid flags."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("Flags per subcommand", 1)[1].split("Operator names accept", 1)[0]
+    bullets, grid = section.split("\n\nThe grid flags are", 1)
+    flag = re.compile(r"--[A-Za-z][\w-]*")
+    grid_flags = set(flag.findall(grid))
+    out = {}
+    for bullet in bullets.split("\n- `")[1:]:
+        head = bullet.split("`", 1)[0]
+        command = " ".join(w for w in head.split() if re.fullmatch(r"[a-z]+", w))
+        out[command] = set(flag.findall(bullet)) | (grid_flags if "grid flags" in bullet else set())
+    return out
+
+
+def test_readme_lists_exactly_the_flags_of_each_subcommand():
+    documented = _readme_flags()
+    commands = _commands()
+    assert set(documented) == set(commands)
+    for name, parser in commands.items():
+        flags = {s for a in parser._actions for s in a.option_strings
+                 if s.startswith("--") and s != "--help"}
+        assert flags - documented[name] == set(), f"{name}: flags missing from README"
+        assert documented[name] - flags == set(), f"{name}: README lists flags the parser lacks"
+
+
 def test_threads_resolution(monkeypatch):
     monkeypatch.delenv("HYPB_THREADS", raising=False)
     assert cli.resolve_threads(None) is None
@@ -131,14 +176,13 @@ def test_verify_json_is_deterministic(capsys):
     assert all("runtime_ms" in rec for rec in first)
 
 
-def test_verify_quadrature_cap(capsys):
-    assert run(["verify", "adjointness", "--method", "quadrature",
-                "--grid", "256"]) == 2
-    assert "--force" in capsys.readouterr().err
-    # the override is explicit; adjointness pins its own small grid, so cheap
-    assert run(["verify", "adjointness", "--method", "quadrature",
-                "--grid", "256", "--force"]) == 0
+def test_verify_quadrature_has_no_grid_cap(capsys):
+    # adjointness pins its own small grid, so 256 costs nothing here
+    assert run(["verify", "adjointness", "--method", "quadrature", "--grid", "256"]) == 0
     capsys.readouterr()
+    assert run(["verify", "adjointness", "--method", "quadrature", "--grid", "256",
+                "--force"]) == 2
+    assert "unrecognized arguments: --force" in capsys.readouterr().err
 
 
 def test_verify_bad_threads_env(monkeypatch, capsys):

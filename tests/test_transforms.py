@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,13 +73,6 @@ def test_upward_kernel_inverts_dbar(gaussian_fields):
     assert rel(tr.cauchy_up(s["dbar"]).data, s["f"].data) < 3e-3
 
 
-def test_conj_sandwich_is_an_involution(gaussian_fields):
-    gs, s = gaussian_fields
-    once = lambda h, **kw: tr.conj_sandwich(tr.cauchy_down, h, **kw)
-    twice = tr.conj_sandwich(once, s["f"])
-    assert np.array_equal(twice.data, tr.cauchy_down(s["f"]).data)
-
-
 def test_quadrature_and_fft_agree_on_the_smooth_kernel():
     gs = upper(64)
     f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
@@ -138,20 +133,6 @@ def test_meta_records_kernel_and_method():
     assert out.meta["method"] == "quadrature"
     outp = tr.beurling(f, padding=3)
     assert outp.meta["padding"] == 3
-
-
-@settings(max_examples=10, deadline=None)
-@given(ar=st.floats(-2, 2), ai=st.floats(-2, 2))
-def test_beurling_down_is_linear(ar, ai):
-    gs = upper(16)
-    rng = np.random.default_rng(6)
-    f = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    g = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    a = complex(ar, ai)
-    lhs = tr.beurling_down(Field(gs, a * f.data + g.data)).data
-    rhs = a * tr.beurling_down(f).data + tr.beurling_down(g).data
-    scale = np.max(np.abs(rhs)) + 1.0
-    assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -495,3 +476,76 @@ def test_quadrature_direct_sum_twins_fail_the_bar(op, twin, mode):
     f = _quad_case(op, 7, 5)
     got = tr.transform(f, op, method="quadrature", mode=mode).data
     assert not _close(got, _quad_direct(op, f, mode, **twin), QUAD_TOL)
+
+
+# ---------------------------------------------------------------------------
+# properties of every operator on small random inputs, each with a broken
+# twin that the same property must reject
+
+
+def _small_grid(op):
+    """8 x 8 square cells: the whole-plane box for the planar ops, else the half-plane."""
+    if op in ("cauchy", "beurling"):
+        return GridSpec(L=1.4, H=1.4, nx=8, ny=8, plane=PlaneKind.FULL)
+    return GridSpec(L=1.4, H=2.8, nx=8, ny=8, plane=PlaneKind.UPPER)
+
+
+def _is_linear(op, f, g, a, tol=1e-12) -> bool:
+    """op(f + g) = op f + op g and op(a f) = a op f, to rounding of the largest term."""
+    spec = f.spec
+    of, og = op(f).data, op(g).data
+    scale = max(np.max(np.abs(of)), np.max(np.abs(og)), np.max(np.abs(a * of)))
+    additive = np.max(np.abs(op(Field(spec, f.data + g.data)).data - (of + og)))
+    homogeneous = np.max(np.abs(op(Field(spec, a * f.data)).data - a * of))
+    return max(additive, homogeneous) <= tol * scale
+
+
+def _plus_one(op):
+    """op with the constant 1 added to its output: affine, not linear."""
+    return lambda h: Field(h.spec, op(h).data + 1.0)
+
+
+_METHODS = ("fft", "quadrature")
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("name", tr.KERNEL_IDS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ar=st.floats(-2, 2), ai=st.floats(-2, 2))
+def test_every_operator_is_linear_on_both_paths(name, method, seed, ar, ai):
+    gs, rng = _small_grid(name), np.random.default_rng(seed)
+    f, g = (Field(gs, _random_complex(rng, (8, 8))) for _ in range(2))
+    op = functools.partial(tr.transform, kernel=name, method=method)
+    assert _is_linear(op, f, g, complex(ar, ai))
+    assert not _is_linear(_plus_one(op), f, g, complex(ar, ai))
+
+
+def _input_only_sandwich(op, f, **kw):
+    """conj_sandwich without its outer conj: the twin the involution property must reject."""
+    return op(f.conj(), **kw)
+
+
+def _is_linear_involution(sandwich, op, f) -> bool:
+    """sandwich(sandwich(op)) is op bit for bit, and sandwich(op) is complex-linear.
+
+    Conjugating the input alone is an involution too, so the property also
+    asks that the sandwich of a linear operator commute with i.
+    """
+    once = lambda h: sandwich(op, h)
+    twice = sandwich(once, f).data
+    i_once = once(Field(f.spec, 1j * f.data)).data
+    once_f = once(f).data
+    return (np.array_equal(twice, op(f).data)
+            and np.max(np.abs(i_once - 1j * once_f)) <= 1e-12 * np.max(np.abs(once_f)))
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("name", tr.KERNEL_IDS)
+@settings(max_examples=4, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_conj_sandwich_is_a_linear_involution(name, method, seed):
+    gs = _small_grid(name)
+    f = Field(gs, _random_complex(np.random.default_rng(seed), (8, 8)))
+    op = functools.partial(tr.transform, kernel=name, method=method)
+    assert _is_linear_involution(tr.conj_sandwich, op, f)
+    assert not _is_linear_involution(_input_only_sandwich, op, f)

@@ -7,10 +7,35 @@ from scipy.integrate import quad
 
 from hypb import testfuncs as tf
 from hypb import whittaker as wh
+from hypb.calculus import _fd4_first
 from hypb.grid import Field, GridSpec, PlaneKind
 
 
 T_GRID = np.geomspace(0.1, 30.0, 200)
+
+
+def inverse_partial_fourier(p: wh.PartialFourierField) -> Field:
+    """The field whose `partial_fourier` is p."""
+    spec = p.spec
+    x0 = spec.x[0]
+    data = np.fft.ifft(p.data * np.exp(1j * p.xi * x0)[None, :], axis=1) / spec.hx
+    return Field(spec, data, meta=dict(p.meta))
+
+
+def pde_residual_ratio(h: Field) -> float:
+    """Residual of the cokernel PDE y (dxx + dyy) h + 2i dx h = 0, normalized
+    by the sizes of its two terms (scale-free)."""
+    spec = h.spec
+    hx, hy = spec.hx, spec.hy
+    dx1 = _fd4_first(h.data, hx, axis=1)
+    dxx = _fd4_first(dx1, hx, axis=1)
+    dyy = _fd4_first(_fd4_first(h.data, hy, axis=0), hy, axis=0)
+    y = spec.y.reshape(-1, 1)
+    t1 = y * (dxx + dyy)
+    t2 = 2j * dx1
+    num = np.sqrt(np.sum(np.abs(t1 + t2) ** 2))
+    den = np.sqrt(np.sum(np.abs(t1) ** 2)) + np.sqrt(np.sum(np.abs(t2) ** 2)) + 1e-300
+    return float(num / den)
 
 
 @pytest.mark.parametrize("family,A,B", [
@@ -156,7 +181,7 @@ def test_partial_fourier_round_trip():
     gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
     f = tf.sample(tf.gaussian_bump(1.0, 32.0, x0=0.5), gs, "f")
     p = wh.partial_fourier(f)
-    back = wh.inverse_partial_fourier(p)
+    back = inverse_partial_fourier(p)
     assert np.max(np.abs(back.data - f.data)) < 1e-12
 
 
@@ -178,9 +203,9 @@ def test_pde_residual_vanishes_on_weighted_antiholomorphic_fields():
     X, Y = np.meshgrid(spec.x, spec.y)
     Z = X + 1j * Y
     member = Field(spec, Y * np.conj((Z + 1j) ** -2))
-    assert wh.pde_residual_ratio(member) < 1e-3
+    assert pde_residual_ratio(member) < 1e-3
     g = tf.sample(tf.gaussian_bump(2.0, 4.0), spec, "f")
-    assert wh.pde_residual_ratio(g) > 1e-1
+    assert pde_residual_ratio(g) > 1e-1
 
 
 def _classify_single_mode(profile_of_t, xi_target=-1.0):
@@ -190,7 +215,7 @@ def _classify_single_mode(profile_of_t, xi_target=-1.0):
     t = 2.0 * abs(xi[j]) * spec.y
     data = np.zeros((spec.ny, spec.nx), dtype=complex)
     data[:, j] = profile_of_t(t)
-    h = wh.inverse_partial_fourier(wh.PartialFourierField(spec=spec, xi=xi, data=data))
+    h = inverse_partial_fourier(wh.PartialFourierField(spec=spec, xi=xi, data=data))
     return wh.lemma_a1_classify(h)
 
 
@@ -242,10 +267,15 @@ def test_classifier_rejects_the_gaussian_and_the_holomorphic_twin():
 
 
 def test_empty_fit_window_is_an_error():
-    gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
+    # on a box of half-width 1 the frequencies are multiples of pi, so none
+    # falls in the fit window [-2.5, -0.25]
+    gs = GridSpec(L=1.0, H=2.0, nx=8, ny=16, plane=PlaneKind.UPPER)
+    xi = 2.0 * np.pi * np.fft.fftfreq(gs.nx, d=gs.hx)
+    lo, hi = wh.CLASSIFY_XI_WINDOW
+    assert not np.any((xi >= lo) & (xi <= hi))
     f = tf.sample(tf.gaussian_bump(1.0, 32.0), gs, "f")
-    with pytest.raises(ValueError):
-        wh.lemma_a1_classify(f, xi_window=(-1e-9, -1e-10))
+    with pytest.raises(ValueError, match="no frequencies in the fit window"):
+        wh.lemma_a1_classify(f)
 
 
 def test_classify_result_summary_fields():
@@ -254,3 +284,4 @@ def test_classify_result_summary_fields():
     assert list(s) == ["is_cokernel", "pos_energy_frac", "fit_residual", "dyadic_growth",
                        "weight_value", "x_truncation", "thresholds"]
     assert s["x_truncation"] == res.x_truncation and type(s["x_truncation"]) is float
+    assert s["thresholds"] == {"pos_tol": 1e-4, "fit_tol": 1e-2, "growth_tol": 1.3}
