@@ -19,7 +19,7 @@ def main(argv=None) -> int:
     ap.add_argument("--ramp", type=float, default=1.8)
     args = ap.parse_args(argv)
 
-    const = vf.KnownConstants().hardy_p2
+    const = vf.HARDY_P2
     print(f"{'n':>6}  {'ratio':>10}  {'ratio/16':>9}")
     for n in args.n:
         r = vf._hardy_oracle_1d(args.a, n, ramp=args.ramp)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 __all__ = ["CheckReport", "reports_to_json", "strip_runtime"]
 

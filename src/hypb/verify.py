@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -63,7 +63,9 @@ from . import whittaker as wh
 
 __all__ = [
     "RunConfig",
-    "KnownConstants",
+    "HARDY_P2",
+    "CUP_NORM_P2",
+    "C2",
     "conjectured_bp",
     "CHECKS",
     "run_checks",
@@ -94,14 +96,10 @@ HYP = WeightKind.HYPERBOLIC
 DUAL = WeightKind.DUAL_HYPERBOLIC
 
 
-@dataclass
-class KnownConstants:
-    """Proven p = 2 constants; everything else is conjecture, kept separate."""
-
-    b2: float = 1.0            # two-sided constant at p = 2 (exact identity)
-    hardy_p2: float = 16.0     # boundary-decay inequality constant, squared scale
-    cup_norm_p2: float = 4.0   # upward transform L2 -> weighted-L2 norm
-    c2: float = 4.0            # minimal-solver norm bound
+# proven p = 2 constants; everything else is conjecture, kept separate
+HARDY_P2 = 16.0     # boundary-decay inequality constant, squared scale
+CUP_NORM_P2 = 4.0   # upward transform L2 -> weighted-L2 norm
+C2 = 4.0            # minimal-solver norm bound
 
 
 def conjectured_bp(p: float) -> float:
@@ -109,7 +107,7 @@ def conjectured_bp(p: float) -> float:
     if p <= 1.0:
         raise ValueError("p must exceed 1")
     if p == 2.0:
-        raise ValueError("p = 2 uses the exact constant; see KnownConstants.b2")
+        raise ValueError("p = 2 uses the exact constant 1 of the norm identity")
     return max(p - 1.0, 1.0 / (p - 1.0))
 
 
@@ -374,15 +372,6 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     return rec.reports
 
 
-def _potential_and_dbar_target(spec: GridSpec) -> tuple:
-    """F, dF, the potential G = M dF + (i/2) F of the battery gaussian, and
-    the target M lap F + (i/2)(dF + dbarF) that dbar G must reproduce."""
-    y = spec.y.reshape(-1, 1)
-    F, dF, dbF, lapF = _gaussian_fields(spec, "f", "d", "dbar", "lap")
-    G = Field(spec, y * dF.data + 0.5j * F.data)
-    return F, dF, G, y * lapF.data + 0.5j * (dF.data + dbF.data)
-
-
 def check_derivative_identities(cfg: RunConfig) -> list:
     """The potential G = M dF + (i/2) F reproduces both target derivatives.
 
@@ -393,9 +382,10 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
     spec = rec.spec
     y = spec.y.reshape(-1, 1)
-    F, dF, G, target_db = _potential_and_dbar_target(spec)
-    [d2F] = _gaussian_fields(spec, "d2")
+    F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
+    G = Field(spec, y * dF.data + 0.5j * F.data)
     target_d = y * d2F.data
+    target_db = y * lapF.data + 0.5j * (dF.data + dbF.data)
     tol = cfg.tolerance(1e-4)
     rec.at_most("d", _rel_l2(spec, d(G).data, target_d), tol, member="gaussian:c=2,sigma=4")
     rec.at_most("dbar", _rel_l2(spec, d_bar(G).data, target_db), tol,
@@ -614,7 +604,7 @@ def check_hardy(cfg: RunConfig) -> list:
     """
     rec = _Recorder("hardy", cfg.battery_spec(), "grid")
     spec = rec.spec
-    const = KnownConstants().hardy_p2
+    const = HARDY_P2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
     ratio = _hardy_ratio(F, dbF)
@@ -656,7 +646,7 @@ def check_cup(cfg: RunConfig) -> list:
     """
     rec = _Recorder("cup-norm", cfg.battery_spec(), cfg.method)
     spec = rec.spec
-    const = KnownConstants().cup_norm_p2
+    const = CUP_NORM_P2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
     for name, fld in (("F", F), ("dbarF", dbF)):
@@ -696,7 +686,7 @@ def check_minimal_solver(cfg: RunConfig) -> list:
     sides, and the output actually solves the shifted dbar equation."""
     rec = _Recorder("minimal-solver", cfg.battery_spec(), cfg.method)
     spec = rec.spec
-    const = KnownConstants().c2
+    const = C2
     tol = cfg.tolerance(1e-3)
     F, dbF = _gaussian_fields(spec, "f", "dbar")
     for name, fld in (("F", F), ("dbarF", dbF)):
@@ -946,9 +936,9 @@ def check_adjointness(cfg: RunConfig) -> list:
 
 
 def _sweep_derivative_identities(cfg: RunConfig, n: int) -> float:
-    spec = GridSpec(L=cfg.L, H=cfg.H, nx=n, ny=n, plane=PlaneKind.UPPER)
-    _, _, G, target = _potential_and_dbar_target(spec)
-    return _rel_l2(spec, d_bar(G).data, target)
+    # the check itself on an n x n grid: the sweep reads its dbar residual
+    reports = check_derivative_identities(replace(cfg, nx=n, ny=n))
+    return next(r.lhs for r in reports if r.check_id == "derivative-identities/dbar")
 
 
 def _sweep_commutators(cfg: RunConfig, n: int) -> float:

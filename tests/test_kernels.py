@@ -58,8 +58,23 @@ def test_table_shapes_cover_all_offsets():
     assert t.shape == (15, 11)
 
 
+def test_table_rotation_symmetry():
+    # 1/zeta is odd under zeta -> -zeta, 1/zeta^2 is even; the offset tables
+    # inherit this up to rounding in the averaged closed forms
+    for avg in ("none", "shell", "all"):
+        tc = kn.planar_table("cauchy", 8, 8, 0.1, 0.2, average=avg)
+        tb = kn.planar_table("beurling", 8, 8, 0.1, 0.1, average=avg)
+        assert np.max(np.abs(tc + tc[::-1, ::-1])) < 1e-12
+        assert np.max(np.abs(tb - tb[::-1, ::-1])) < 1e-12
+
+
 def _has_parity(tab, sign) -> bool:
-    """tab at -zeta is sign times tab at zeta, to rounding of the largest entry."""
+    """tab at -zeta is sign times tab at zeta, to rounding of the largest entry.
+
+    The bar is relative because the drawn cells reach h = 0.05, where the
+    beurling table's largest entry is about 1/h^2 = 400; the fixed cells of
+    `test_table_rotation_symmetry` keep the absolute 1e-12 bar.
+    """
     return np.max(np.abs(tab - sign * tab[::-1, ::-1])) <= 1e-12 * np.max(np.abs(tab))
 
 

@@ -73,6 +73,13 @@ def test_upward_kernel_inverts_dbar(gaussian_fields):
     assert rel(tr.cauchy_up(s["dbar"]).data, s["f"].data) < 3e-3
 
 
+def test_conj_sandwich_is_an_involution(gaussian_fields):
+    gs, s = gaussian_fields
+    once = lambda h, **kw: tr.conj_sandwich(tr.cauchy_down, h, **kw)
+    twice = tr.conj_sandwich(once, s["f"])
+    assert np.array_equal(twice.data, tr.cauchy_down(s["f"]).data)
+
+
 def test_quadrature_and_fft_agree_on_the_smooth_kernel():
     gs = upper(64)
     f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
@@ -133,6 +140,20 @@ def test_meta_records_kernel_and_method():
     assert out.meta["method"] == "quadrature"
     outp = tr.beurling(f, padding=3)
     assert outp.meta["padding"] == 3
+
+
+@settings(max_examples=10, deadline=None)
+@given(ar=st.floats(-2, 2), ai=st.floats(-2, 2))
+def test_beurling_down_is_linear(ar, ai):
+    gs = upper(16)
+    rng = np.random.default_rng(6)
+    f = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    g = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    a = complex(ar, ai)
+    lhs = tr.beurling_down(Field(gs, a * f.data + g.data)).data
+    rhs = a * tr.beurling_down(f).data + tr.beurling_down(g).data
+    scale = np.max(np.abs(rhs)) + 1.0
+    assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
 
 # ---------------------------------------------------------------------------

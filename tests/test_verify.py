@@ -23,11 +23,9 @@ def cheap_reports():
 
 
 def test_known_constants_are_frozen():
-    kc = vf.KnownConstants()
-    assert kc.b2 == 1.0
-    assert kc.hardy_p2 == 16.0
-    assert kc.cup_norm_p2 == 4.0
-    assert kc.c2 == 4.0
+    assert vf.HARDY_P2 == 16.0
+    assert vf.CUP_NORM_P2 == 4.0
+    assert vf.C2 == 4.0
 
 
 def test_conjectured_constant_for_general_p():

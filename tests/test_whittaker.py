@@ -5,9 +5,9 @@ import pytest
 from scipy import special
 from scipy.integrate import quad
 
+from hypb import calculus as ca
 from hypb import testfuncs as tf
 from hypb import whittaker as wh
-from hypb.calculus import _fd4_first
 from hypb.grid import Field, GridSpec, PlaneKind
 
 
@@ -24,14 +24,13 @@ def inverse_partial_fourier(p: wh.PartialFourierField) -> Field:
 
 def pde_residual_ratio(h: Field) -> float:
     """Residual of the cokernel PDE y (dxx + dyy) h + 2i dx h = 0, normalized
-    by the sizes of its two terms (scale-free)."""
+    by the sizes of its two terms (scale-free).  dx = d + dbar and
+    dxx + dyy = 4 d dbar."""
     spec = h.spec
-    hx, hy = spec.hx, spec.hy
-    dx1 = _fd4_first(h.data, hx, axis=1)
-    dxx = _fd4_first(dx1, hx, axis=1)
-    dyy = _fd4_first(_fd4_first(h.data, hy, axis=0), hy, axis=0)
+    dbar_h = ca.d_bar(h)
+    dx1 = ca.d(h).data + dbar_h.data
     y = spec.y.reshape(-1, 1)
-    t1 = y * (dxx + dyy)
+    t1 = y * 4.0 * ca.d(dbar_h).data
     t2 = 2j * dx1
     num = np.sqrt(np.sum(np.abs(t1 + t2) ** 2))
     den = np.sqrt(np.sum(np.abs(t1) ** 2)) + np.sqrt(np.sum(np.abs(t2) ** 2)) + 1e-300
