@@ -9,8 +9,8 @@ Three subcommands:
 
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
-missing input, a singular quadrature table on non-square cells, a tabulate
-range past t = 700).
+missing input, a grid or box the grid refuses, a singular quadrature table
+on non-square cells, a tabulate range past t = 700).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -91,11 +92,11 @@ def parse_domain(text: str):
     try:
         if len(parts) == 2:
             L, H = float(parts[0]), float(parts[1])
-            if L > 0 and H > 0:
+            if 0 < L < math.inf and 0 < H < math.inf:  # same bounds the grid enforces
                 return L, H
     except ValueError:
         pass
-    _fail_usage(f"bad --domain {text!r}; expected L:H with positive sides")
+    _fail_usage(f"bad --domain {text!r}; expected L:H with positive finite sides")
 
 
 def parse_range(text: str):
@@ -147,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="operator id or alias (e.g. b_down, c_up)")
     pt.add_argument("--testfn", default=None, help="name:key=val,... input field")
     pt.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    pt.add_argument("--csv", action="store_true", help="CSV output (the default)")
     _add_grid(pt)
     pt.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -158,9 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--testfn", default=None, help="name:key=val,... input field")
     pc.add_argument("--premultiply-M", dest="premultiply_m", action="store_true",
                     help="multiply the sampled field by Im z before classifying")
-    pc.add_argument("--out", default=None, help="write the fitted multiplier table")
-    pc.add_argument("--csv", action="store_true",
-                    help="write the multiplier table as CSV (xi,re,im)")
+    pc.add_argument("--out", default=None, help="write the fitted multiplier table (xi,re,im)")
     pc.add_argument("--json", action="store_true", help="machine-readable output")
 
     pb = wsub.add_parser("tabulate", help="tabulate a solution branch with residuals")
@@ -170,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--range", dest="trange", default="0.1:30")
     pb.add_argument("--points", type=int, default=200)
     pb.add_argument("--out", default=None, help="output CSV path (default stdout)")
-    pb.add_argument("--csv", action="store_true", help="CSV output (the default)")
     pb.add_argument("--json", action="store_true", help="machine-readable output")
     return ap
 
@@ -178,10 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 def make_config(args, **extra) -> vf.RunConfig:
     """RunConfig from the grid flags; `extra` sets the fields only verify reads."""
     nx, ny = parse_grid(args.grid)
-    if args.domain is not None:
-        L, H = parse_domain(args.domain)
-    else:
-        L, H = 2.8, 5.6
+    L, H = vf.DEFAULT_BOX if args.domain is None else parse_domain(args.domain)
     threads = resolve_threads(args.threads)
     if threads is not None and threads < 1:
         _fail_usage(f"thread count must be at least 1, got {threads}")
@@ -250,7 +244,10 @@ def cmd_transform(args) -> int:
                     f"{sorted(tr.KERNEL_IDS)} plus aliases {sorted(OP_ALIASES)}")
     fn = parse_testfn(args.testfn)
     plane = PlaneKind.UPPER if op not in ("cauchy", "beurling") else PlaneKind.FULL
-    spec = GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx, ny=cfg.ny, plane=plane)
+    try:
+        spec = GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx, ny=cfg.ny, plane=plane)
+    except ValueError as exc:
+        _fail_usage(f"{exc}; --op {args.op} samples the {plane.value} plane")
     f = tf.sample(fn, spec, "f")
     with tr.fft_workers(cfg.threads):
         out = tr.transform(f, op, method=cfg.method)
@@ -260,7 +257,7 @@ def cmd_transform(args) -> int:
             "method": cfg.method, "threads": cfg.threads,
             "input_l2": lp_norm(f, 2.0), "output_l2": lp_norm(out, 2.0),
         }, indent=2))
-        if args.out is None and not args.csv:
+        if args.out is None:
             return 0
     rows = csv_rows(out.data.real.ravel(), out.data.imag.ravel(), grid=(spec.x, spec.y))
     _write_rows(args.out, "x,y,re,im", rows)
@@ -288,7 +285,7 @@ def cmd_classify(args) -> int:
               f"fit_residual={res.fit_residual:.3e}, "
               f"dyadic_growth={res.dyadic_growth:.4f}, "
               f"x_truncation={res.x_truncation:.2e})")
-    if args.out is not None or args.csv:
+    if args.out is not None:
         _write_rows(args.out, "xi,re,im", csv_rows(res.xi, res.b2.real, res.b2.imag))
     return 0
 
@@ -304,7 +301,7 @@ def cmd_tabulate(args) -> int:
             "B": [args.B.real, args.B.imag], "range": [t0, t1],
             "points": args.points, "max_residual": float(resid.max()),
         }, indent=2))
-        if args.out is None and not args.csv:
+        if args.out is None:
             return 0
     _write_rows(args.out, "t,re,im,residual", csv_rows(ts, vals.real, vals.imag, resid))
     return 0

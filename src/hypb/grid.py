@@ -4,9 +4,9 @@ Everything downstream integrates against the normalized area measure
 dA = dx dy / pi.  Grids are uniform and cell-centered: on a half-plane
 box [-L, L] x (0, H] the y-samples sit at (j + 1/2) * hy, so no sample
 ever lands on the real axis, where the hyperbolic weights (Im z)^(+-p)
-degenerate.  A full-plane box [-L, L] x [-H, H] built by odd reflection
-of a half-plane grid has the same spacing and is symmetric under
-y -> -y, sample for sample.
+degenerate.  A full-plane box [-L, L] x [-H, H] needs an even ny for the
+same reason: its cell centres then sit at odd multiples of hy / 2, and
+none lies on the axis.
 
 Norms use a plain midpoint rule with a fixed-shape pairwise reduction
 (numpy's summation), so results are reproducible bit-for-bit across
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,8 @@ class GridSpec:
         if self.nx < 4 or self.ny < 4:
             raise ValueError("need at least 4 cells per direction")
         if self.plane is PlaneKind.FULL and self.ny % 2:
-            raise ValueError("full-plane grids need even ny so rows pair under y -> -y")
+            raise ValueError("full-plane grids need even ny, so that no cell centre "
+                             "lies on the axis y = 0")
 
     @property
     def hx(self) -> float:
@@ -119,11 +120,10 @@ class GridSpec:
 
 @dataclass
 class Field:
-    """Complex samples on a grid, plus free-form diagnostics in `meta`."""
+    """Complex samples on a grid."""
 
     spec: GridSpec
     data: np.ndarray
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.complex128)
@@ -132,11 +132,8 @@ class Field:
                 f"data shape {self.data.shape} does not match grid ({self.spec.ny}, {self.spec.nx})"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.spec, self.data.copy(), dict(self.meta))
-
     def conj(self) -> "Field":
-        return Field(self.spec, np.conj(self.data), dict(self.meta))
+        return Field(self.spec, np.conj(self.data))
 
 
 def lp_norm(f: Field, p: float = 2.0, weight: WeightKind = WeightKind.PLAIN) -> float:

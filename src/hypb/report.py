@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["CheckReport", "reports_to_json", "strip_runtime"]
+__all__ = ["CheckReport", "reports_to_json"]
 
 
 @dataclass
@@ -62,12 +62,3 @@ class CheckReport:
 
 def reports_to_json(reports: list) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def strip_runtime(payload):
-    """Drop runtime_ms recursively; used by the determinism comparison."""
-    if isinstance(payload, list):
-        return [strip_runtime(p) for p in payload]
-    if isinstance(payload, dict):
-        return {k: strip_runtime(v) for k, v in payload.items() if k != "runtime_ms"}
-    return payload

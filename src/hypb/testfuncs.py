@@ -1,9 +1,12 @@
 """Analytic test inputs with exact derivative data.
 
-Each factory returns an :class:`AnalyticTestFunction` bundling closed-form
-evaluators for F, dF, dbarF, the quarter-Laplacian lap F = d(dbar F), and
-d^2 F.  Checks consume these instead of differentiating numerically, so a
-failed identity points at the operator under test, not at the input.
+Each factory returns an :class:`AnalyticTestFunction` bundling a closed-form
+evaluator for F and, where checks read them, for dF, dbarF, the
+quarter-Laplacian lap F = d(dbar F) and d^2 F.  The gaussian, rational and
+harmonic members carry all five; the Hardy family carries F and its
+y-profile only, and `sample` refuses the other four by name.  Checks
+consume these instead of differentiating numerically, so a failed identity
+points at the operator under test, not at the input.
 
 The derivative convention throughout:
 
@@ -39,11 +42,10 @@ __all__ = [
 
 @dataclass
 class StripProfile:
-    """x-independent profile f(Im z) with two derivatives, supported in [y_lo, y_hi]."""
+    """x-independent profile f(Im z) and its derivative, supported in [y_lo, y_hi]."""
 
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
     y_lo: float
     y_hi: float
 
@@ -52,10 +54,10 @@ class StripProfile:
 class AnalyticTestFunction:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
-    d: Callable[[np.ndarray], np.ndarray]
-    dbar: Callable[[np.ndarray], np.ndarray]
-    lap: Callable[[np.ndarray], np.ndarray]
-    d2: Callable[[np.ndarray], np.ndarray]
+    d: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dbar: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    lap: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    d2: Optional[Callable[[np.ndarray], np.ndarray]] = None
     params: dict = dc_field(default_factory=dict)
     profile: Optional[StripProfile] = None
 
@@ -66,11 +68,10 @@ class AnalyticTestFunction:
 
 def sample(fn: AnalyticTestFunction, spec: GridSpec, which: str = "f") -> Field:
     """Evaluate one of the closed-form fields at the grid's cell midpoints."""
-    out = Field(spec, getattr(fn, which)(spec.zz()))
-    out.meta["testfn"] = fn.describe()
-    if which != "f":
-        out.meta["derived"] = which
-    return out
+    form = getattr(fn, which)
+    if form is None:
+        raise ValueError(f"{fn.describe()} has no closed form for {which!r}")
+    return Field(spec, form(spec.zz()))
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +220,26 @@ def harmonic_samples() -> dict:
 
 
 def _psi(t):
-    """psi(t) = exp(-1/t) for t > 0, else 0, and its first two derivatives."""
-    out = np.zeros((3,) + np.shape(t))
+    """psi(t) = exp(-1/t) for t > 0, else 0, and its derivative."""
+    out = np.zeros((2,) + np.shape(t))
     pos = t > 1e-8
     tp = t[pos]
     e = np.exp(-1.0 / tp)
     out[0][pos] = e
     out[1][pos] = e / tp**2
-    out[2][pos] = e * (1.0 / tp**4 - 2.0 / tp**3)
     return out
 
 
 def _smoothstep(u):
-    """C-infinity ramp r with r(u<=0)=0, r(u>=1)=1, and r', r''."""
+    """C-infinity ramp r with r(u<=0)=0, r(u>=1)=1, and r'."""
     u = np.asarray(u, dtype=float)
-    n, n1, n2 = _psi(u)
-    m, m1, m2 = _psi(1.0 - u)
+    n, n1 = _psi(u)
+    m, m1 = _psi(1.0 - u)
     m1 = -m1
     den = n + m
     r = np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, n / np.where(den == 0, 1.0, den)))
-
     d1 = np.where((u <= 0.0) | (u >= 1.0), 0.0, (n1 - r * (n1 + m1)) / np.where(den == 0, 1.0, den))
-
-    d2 = np.where(
-        (u <= 0.0) | (u >= 1.0),
-        0.0,
-        (n2 - r * (n2 + m2) - 2.0 * d1 * (n1 + m1)) / np.where(den == 0, 1.0, den),
-    )
-    return r, d1, d2
+    return r, d1
 
 
 def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTestFunction:
@@ -256,7 +249,8 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
     widening both with n is what drives the Hardy ratio toward the sharp
     constant.  Since f depends on y alone, dbar f = (i/2) f'(y) and the
     two-dimensional ratio reduces to the one-dimensional Hardy ratio, which
-    checks evaluate by log-spaced quadrature.
+    checks evaluate by log-spaced quadrature of `profile`; the member
+    carries no two-dimensional derivative fields.
     """
     if n < 2:
         raise ValueError("cutoff scale n must be an integer >= 2")
@@ -269,16 +263,15 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
     def w_parts(t):
         u_up = (t - t0) / R
         u_dn = (t3 - t) / R
-        r_up, r_up1, r_up2 = _smoothstep(u_up)
-        r_dn, r_dn1, r_dn2 = _smoothstep(u_dn)
+        r_up, r_up1 = _smoothstep(u_up)
+        r_dn, r_dn1 = _smoothstep(u_dn)
         w = r_up * r_dn
-        # d/dt and d2/dt2 of the product; chain rule brings 1/R per order
+        # d/dt of the product; the chain rule brings 1/R
         w1 = (r_up1 * r_dn - r_up * r_dn1) / R
-        w2 = (r_up2 * r_dn - 2.0 * r_up1 * r_dn1 + r_up * r_dn2) / R**2
-        return w, w1, w2
+        return w, w1
 
     def on_support(y, value):
-        """value(y, w, w1, w2) where exp(t0) < y <= 1, and 0 elsewhere."""
+        """value(y, w, w1) where exp(t0) < y <= 1, and 0 elsewhere."""
         y = np.asarray(y, dtype=float)
         out = np.zeros_like(y)
         ok = (y > 0) & (np.log(np.maximum(y, 1e-300)) > t0) & (y <= 1.0)
@@ -287,41 +280,16 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
         return out
 
     def prof(y):
-        return on_support(y, lambda y, w, w1, w2: y**a * w)
+        return on_support(y, lambda y, w, w1: y**a * w)
 
     def dprof(y):
-        return on_support(y, lambda y, w, w1, w2: y ** (a - 1.0) * (a * w + w1))
-
-    def d2prof(y):
-        return on_support(y, lambda y, w, w1, w2:
-                          y ** (a - 2.0) * (a * (a - 1.0) * w + (2.0 * a - 1.0) * w1 + w2))
-
-    profile = StripProfile(f=prof, d1=dprof, d2=d2prof, y_lo=math.exp(t0), y_hi=1.0)
-
-    def f(z):
-        return prof(z.imag).astype(complex)
-
-    def d(z):
-        return -0.5j * dprof(z.imag)
-
-    def dbar(z):
-        return 0.5j * dprof(z.imag)
-
-    def lap(z):
-        return 0.25 * d2prof(z.imag).astype(complex)
-
-    def d2(z):
-        return -0.25 * d2prof(z.imag).astype(complex)
+        return on_support(y, lambda y, w, w1: y ** (a - 1.0) * (a * w + w1))
 
     return AnalyticTestFunction(
         name="hardy",
-        f=f,
-        d=d,
-        dbar=dbar,
-        lap=lap,
-        d2=d2,
+        f=lambda z: prof(z.imag).astype(complex),
         params={"a": a, "n": n, "ramp": ramp},
-        profile=profile,
+        profile=StripProfile(f=prof, d1=dprof, y_lo=math.exp(t0), y_hi=1.0),
     )
 
 

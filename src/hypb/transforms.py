@@ -114,11 +114,6 @@ def _require_upper(f: Field, name: str):
         raise ValueError(f"{name} acts on upper-half-plane grids")
 
 
-def _meta(f: Field, kernel: str, method: str, **extra) -> Field:
-    f.meta.update({"kernel": kernel, "method": method, **extra})
-    return f
-
-
 # ---------------------------------------------------------------------------
 # valid-mode convolution
 
@@ -318,17 +313,17 @@ def cauchy(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
         out = _planar_quad(f, "cauchy", mode)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), "cauchy", method)
+    return Field(f.spec, out)
 
 
 def beurling(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
     if method == "fft":
         out = _beurling_multiplier(f.data, f.spec.hx, f.spec.hy, padding)
-        return _meta(Field(f.spec, out), "beurling", method, padding=padding)
-    if method == "quadrature":
+    elif method == "quadrature":
         out = _planar_quad(f, "beurling", mode)
-        return _meta(Field(f.spec, out), "beurling", method)
-    raise ValueError(f"unknown method {method!r}")
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return Field(f.spec, out)
 
 
 def _half_plane(f: Field, name: str, kind: str, sign: int, method: str, mode: str,
@@ -345,7 +340,7 @@ def _half_plane(f: Field, name: str, kind: str, sign: int, method: str, mode: st
         out = _half_plane_fft(f, kind, sign, padding)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), name, method)
+    return Field(f.spec, out)
 
 
 def cauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
@@ -360,8 +355,8 @@ def beurling_down(f: Field, method: str = "fft", mode: str = "accurate", padding
     return _half_plane(f, "beurling_down", "beurling", +1, method, mode, padding)
 
 
-def beurling_up(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    return _half_plane(f, "beurling_up", "beurling", -1, method, mode, padding)
+def beurling_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+    return _half_plane(f, "beurling_up", "beurling", -1, method, mode)
 
 
 # the fft path of each product kernel: its exact factorization through the
@@ -386,7 +381,7 @@ def _bicauchy(f: Field, name: str, method: str, mode: str) -> Field:
         out = _FACTORIZATION[name](f)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), name, method)
+    return Field(f.spec, out)
 
 
 def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
@@ -415,41 +410,39 @@ _DISPATCH = {
 KERNEL_IDS = tuple(_DISPATCH)
 
 
-def transform(f: Field, kernel: str, method: str = "fft", mode: str = "accurate", **kw) -> Field:
+def transform(f: Field, kernel: str, method: str = "fft", mode: str = "accurate") -> Field:
     if kernel not in _DISPATCH:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNEL_IDS}")
-    return _DISPATCH[kernel](f, method=method, mode=mode, **kw)
+    return _DISPATCH[kernel](f, method=method, mode=mode)
 
 
 def conj_sandwich(op, f: Field, **kw) -> Field:
     """conj after op after conj; the mirror-conjugate companion of op."""
-    g = op(f.conj(), **kw)
-    return Field(f.spec, np.conj(g.data), meta=dict(g.meta))
+    return op(f.conj(), **kw).conj()
 
 
-def defect_sum(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+def defect_sum(f: Field, method: str = "fft") -> Field:
     """C_down f + conj C_down(conj f), the transform part of the defect
     operator M + (i/2)(C_down + conj C_down conj).
 
     fft: one convolution of the odd extension with the real kernel
-    2 Re(1/zeta); quadrature: the two cauchy_down calls.
+    2 Re(1/zeta); quadrature: the two accurate cauchy_down calls.
     """
     _require_upper(f, "defect_sum")
     if method == "fft":
         out = _half_plane_fft(f, "cauchy", +1, real=True)
     elif method == "quadrature":
-        out = (cauchy_down(f, method, mode).data
-               + conj_sandwich(cauchy_down, f, method=method, mode=mode).data)
+        out = cauchy_down(f, method).data + conj_sandwich(cauchy_down, f, method=method).data
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _meta(Field(f.spec, out), "defect_sum", method)
+    return Field(f.spec, out)
 
 
 # ---------------------------------------------------------------------------
 # derived solvers
 
 
-def minimal_solve(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+def minimal_solve(f: Field, method: str = "fft") -> Field:
     """Minimal-norm u with M^2 dbar (M^-1 u) = f: u = M cauchy_down[M^-2 f].
 
     The bound ||u|| <= 4 ||f|| holds in the hyperbolic norm on both sides,
@@ -459,7 +452,4 @@ def minimal_solve(f: Field, method: str = "fft", mode: str = "accurate") -> Fiel
     +1 grow without bound.  The solution is orthogonal to M times the
     holomorphic directions.
     """
-    g = cauchy_down(mult_im_pow(f, -2), method=method, mode=mode)
-    out = mult_im_pow(g, 1)
-    out.meta.update({"kernel": "minimal_solve", "method": method})
-    return out
+    return mult_im_pow(cauchy_down(mult_im_pow(f, -2), method=method), 1)

@@ -9,9 +9,10 @@ both that the identities hold and that the checks can detect failure.
 Conventions shared by all checks:
 
   * the battery box is the upper-half-plane window [-L, L] x (0, H] from
-    RunConfig (default 2.8 x 5.6 at 256^2, square cells);
+    RunConfig (default DEFAULT_BOX at 256^2, square cells);
   * some members are calibrated on their own pinned grids (annihilation
-    needs a large box, the tuned averaging member needs a tall thin one);
+    needs a large box, the tuned averaging member needs a tall thin one),
+    and some checks pin their grid size on DEFAULT_BOX (`_box_spec`);
     those grids are fixed constants, not RunConfig-driven;
   * inputs with identically zero norm are flagged degenerate and pass by
     convention; `overall_pass` excludes them from the aggregate verdict;
@@ -62,6 +63,7 @@ from . import transforms as tr
 from . import whittaker as wh
 
 __all__ = [
+    "DEFAULT_BOX",
     "RunConfig",
     "HARDY_P2",
     "CUP_NORM_P2",
@@ -111,12 +113,16 @@ def conjectured_bp(p: float) -> float:
     return max(p - 1.0, 1.0 / (p - 1.0))
 
 
+# the default battery box (L, H)
+DEFAULT_BOX = (2.8, 5.6)
+
+
 @dataclass
 class RunConfig:
     nx: int = 256
     ny: int = 256
-    L: float = 2.8
-    H: float = 5.6
+    L: float = DEFAULT_BOX[0]
+    H: float = DEFAULT_BOX[1]
     method: str = "fft"
     p: float = 2.0
     tol: Optional[float] = None
@@ -132,6 +138,11 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # shared helpers and calibrated members
+
+
+def _box_spec(n: int) -> GridSpec:
+    """DEFAULT_BOX at n x n cells, whatever the RunConfig box."""
+    return GridSpec(*DEFAULT_BOX, nx=n, ny=n, plane=PlaneKind.UPPER)
 
 
 def _quintic(u: np.ndarray) -> np.ndarray:
@@ -244,12 +255,10 @@ def tuned_cup_member(xi: float = 0.05) -> tuple:
     collapses it to 2.0, which is the negative control).
     """
     spec = GridSpec(plane=PlaneKind.UPPER, **_TUNED_SPEC)
-    X, Y = np.meshgrid(spec.x, spec.y)
-    fam = tf.hardy_family(0.5, 24, ramp=0.8)
-    p = fam.profile
-    prof = np.where(Y > 0, p.f(Y) / np.maximum(Y, 1e-300), 0.0)
-    wx = _quintic((spec.L - 0.05 - np.abs(X)) / 3.0)
-    return spec, Field(spec, wx * np.exp(1j * xi * X) * prof)
+    x, y = spec.x, spec.y[:, None]
+    prof = tf.hardy_family(0.5, 24, ramp=0.8).profile.f(y) / y  # y > 0 at every cell centre
+    wx = _quintic((spec.L - 0.05 - np.abs(x)) / 3.0)
+    return spec, Field(spec, wx * np.exp(1j * xi * x) * prof)
 
 
 # banded_field keeps the frequencies |k| <= this fraction of the sampling rate
@@ -399,7 +408,7 @@ def _commutator_error(n: int, ngrid: int, sign: int = -1) -> float:
     # steep interior bump: y^n amplifies axis tails, so the member must clear
     # the axis by several sigma for the dyadic orders to be clean; sign +1 is
     # the wrong-sign coefficient of the control
-    spec = GridSpec(L=2.8, H=5.6, nx=ngrid, ny=ngrid, plane=PlaneKind.UPPER)
+    spec = _box_spec(ngrid)
     F = tf.sample(tf.gaussian_bump(c=2.8, sigma=8.0), spec, "f")
     y = spec.y.reshape(-1, 1)
     lhs = d(Field(spec, y**n * F.data)).data - y**n * d(F).data
@@ -419,8 +428,7 @@ def _refinement(errs: list, threshold: float) -> tuple:
 def check_commutators(cfg: RunConfig) -> list:
     """[d, y^n] = -(i/2) n y^(n-1) at fourth order under dyadic refinement."""
     grids = (64, 128, 256)
-    rec = _Recorder("commutators", GridSpec(L=2.8, H=5.6, nx=grids[-1], ny=grids[-1],
-                                            plane=PlaneKind.UPPER), "fd4")
+    rec = _Recorder("commutators", _box_spec(grids[-1]), "fd4")
     thr = 3.5
     for n in (-2, -1, 1, 2):
         errs = [_commutator_error(n, g) for g in grids]
@@ -515,8 +523,7 @@ def check_structural_identities(cfg: RunConfig) -> list:
     1e-15 typical).  Mixing averaging modes breaks the per-summand pairing
     and is the control.
     """
-    rec = _Recorder("structural-identities", GridSpec(L=2.8, H=5.6, nx=64, ny=64,
-                                                      plane=PlaneKind.UPPER), "quadrature-matched")
+    rec = _Recorder("structural-identities", _box_spec(64), "quadrature-matched")
     spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
@@ -547,8 +554,7 @@ def check_e_identity(cfg: RunConfig) -> list:
     quadrature; E itself contracts plain-to-dual and hyperbolic-to-plain.
     The sign-flipped combination is the control.
     """
-    rec = _Recorder("e-identity", GridSpec(L=2.8, H=5.6, nx=64, ny=64, plane=PlaneKind.UPPER),
-                    "quadrature-matched")
+    rec = _Recorder("e-identity", _box_spec(64), "quadrature-matched")
     spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
@@ -888,8 +894,7 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     agree to rounding, not bit for bit; flipping the mirror sign is the
     control.
     """
-    rec = _Recorder("reflection-equivalence", GridSpec(L=2.8, H=5.6, nx=64, ny=64,
-                                                       plane=PlaneKind.UPPER), "quadrature")
+    rec = _Recorder("reflection-equivalence", _box_spec(64), "quadrature")
     spec = rec.spec
     ny = spec.ny
     [F] = _gaussian_fields(spec, "f")
@@ -911,8 +916,7 @@ def check_adjointness(cfg: RunConfig) -> list:
     rounding-exact.  The sesquilinear pairing is NOT preserved (the kernel
     is symmetric, not hermitian) and serves as the control.
     """
-    rec = _Recorder("adjointness", GridSpec(L=2.8, H=5.6, nx=32, ny=32, plane=PlaneKind.UPPER),
-                    "quadrature-matched")
+    rec = _Recorder("adjointness", _box_spec(32), "quadrature-matched")
     spec = rec.spec
     rng = np.random.default_rng(7 + cfg.seed)
     fa = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -212,12 +212,11 @@ class PartialFourierField:
     spec: GridSpec
     xi: np.ndarray  # (nx,) angular frequencies, fftfreq order
     data: np.ndarray  # (ny, nx) coefficients approximating int h e^{-i xi x} dx
-    meta: dict = dc_field(default_factory=dict)
+    x_truncation: float  # |h| at x = +/-L over its peak: the scale of the truncation ripple
 
 
 def partial_fourier(h: Field) -> PartialFourierField:
-    """x-Fourier coefficients of h; meta["x_truncation"] is the field's size at
-    x = +/-L relative to its peak, the scale of the x-truncation ripple."""
+    """x-Fourier coefficients of h, with its x_truncation ratio."""
     spec = h.spec
     edge = max(np.max(np.abs(h.data[:, 0])), np.max(np.abs(h.data[:, -1])))
     peak = np.max(np.abs(h.data))
@@ -225,8 +224,7 @@ def partial_fourier(h: Field) -> PartialFourierField:
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
     x0 = spec.x[0]
     data = spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * x0)[None, :]
-    meta = {**h.meta, "x_truncation": ratio}
-    return PartialFourierField(spec=spec, xi=xi, data=data, meta=meta)
+    return PartialFourierField(spec=spec, xi=xi, data=data, x_truncation=ratio)
 
 
 def default_classify_spec() -> GridSpec:
@@ -314,22 +312,18 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
     neg = p.xi < 0
     wdens = absq[:, neg] / y**2  # (ny, #neg)
     weight_value = 0.5 * float(np.sum(wdens)) * spec.hy * dxi
-    cuts = []
-    k = 1
-    while k <= spec.ny // 4:
-        cuts.append(k)
-        k *= 2
-    # S(c) sums rows at or above the cutoff index; a 1/y^2 divergence at the
-    # axis makes S double each time the cutoff halves, an integrable density
-    # leaves consecutive sums nearly equal
+    # S(c) sums the rows at or above cutoff index c, for the cuts 1, 2, 4
+    # that are at most ny / 4; a 1/y^2 divergence at the axis makes S double
+    # each time the cutoff halves, an integrable density leaves consecutive
+    # sums nearly equal
+    cuts = [c for c in (1, 2, 4) if c <= spec.ny // 4]
     sums = [0.5 * float(np.sum(wdens[c:])) * spec.hy * dxi for c in cuts]
     ratios = [sums[i] / max(sums[i + 1], 1e-300) for i in range(len(sums) - 1)]
     # growing solution branches blow up at the top of the box instead; the
     # top octave then dwarfs the shell below it
     s_top = float(np.sum(wdens[spec.ny // 2 :]))
     s_shell = float(np.sum(wdens[spec.ny // 4 : spec.ny // 2]))
-    probes = ratios[:2] + [s_top / max(s_shell, 1e-300)]
-    dyadic_growth = max(probes) if probes else 1.0
+    dyadic_growth = max(ratios + [s_top / max(s_shell, 1e-300)])
 
     ok = (pos_frac <= CLASSIFY_POS_TOL and fit_residual <= CLASSIFY_FIT_TOL
           and dyadic_growth <= CLASSIFY_GROWTH_TOL)
@@ -343,5 +337,5 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
         dyadic_growth=dyadic_growth,
         thresholds={"pos_tol": CLASSIFY_POS_TOL, "fit_tol": CLASSIFY_FIT_TOL,
                     "growth_tol": CLASSIFY_GROWTH_TOL},
-        x_truncation=p.meta["x_truncation"],
+        x_truncation=p.x_truncation,
     )

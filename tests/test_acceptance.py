@@ -15,7 +15,6 @@ from hypb import testfuncs as tf
 from hypb import verify as vf
 from hypb.calculus import d
 from hypb.grid import Field, GridSpec, PlaneKind
-from hypb.report import strip_runtime
 
 
 def _verdict(num: int, desc: str, ok: bool, detail: str = ""):
@@ -186,7 +185,7 @@ def test_criterion_10_two_sided_p():
              f"ratios {ratios[4.0 / 3.0]:.3f}, {ratios[4.0]:.3f}")
 
 
-def test_criterion_11_full_battery_deterministic():
+def test_criterion_11_full_battery_deterministic(strip_runtime):
     t0 = time.perf_counter()
     first = vf.run_checks("all", vf.RunConfig())
     dt = time.perf_counter() - t0

@@ -2,9 +2,10 @@
 
 A name in a module's `__all__` must be read somewhere in `src/` or
 `scripts/`: as a name, an attribute or an import.  Its own `def`, `class`
-or assignment, and its string in `__all__`, do not count, and neither do
-reads from `tests/`: a function that only its own test calls belongs in
-the test, so it fails here.
+or assignment, its string in `__all__`, and a function's reads of its own
+name inside its own body (recursion) do not count, and neither do reads
+from `tests/`: a function that only its own test calls belongs in the
+test, so it fails here.
 """
 
 import ast
@@ -30,16 +31,26 @@ def _exported(tree) -> list:
 
 
 def _references(root: Path, tops) -> set:
-    """Names read anywhere in the given trees (loads, attributes, imports)."""
+    """Names read anywhere in the given trees (loads, attributes, imports),
+    less each function's reads of its own name inside its own body."""
     seen = set()
-    for _, tree in _trees(root, tops):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+
+    def visit(node, own: frozenset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            own = own | {node.name}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in own:
                 seen.add(node.id)
-            elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute):
+            if node.attr not in own:
                 seen.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                seen.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            seen.update(alias.name for alias in node.names)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
+    for _, tree in _trees(root, tops):
+        visit(tree, frozenset())
     return seen
 
 
@@ -60,14 +71,20 @@ def test_every_exported_name_is_referenced():
 
 
 def test_a_name_read_only_by_its_test_is_reported(tmp_path):
-    # negative control: `helper` is exported and read only from tests/
+    # negative control: `helper` is exported and read only from tests/, and
+    # `walk` only from tests/ and from its own recursive call; `api` calls
+    # `leaf`, so `leaf` is read
     (tmp_path / "src" / "pkg").mkdir(parents=True)
     (tmp_path / "scripts").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "pkg" / "mod.py").write_text(
-        '__all__ = ["api", "helper"]\n\n\ndef api():\n    return 1\n\n\n'
-        'def helper():\n    return 2\n')
+        '__all__ = ["api", "helper", "leaf", "walk"]\n\n\n'
+        'def api():\n    return leaf()\n\n\n'
+        'def helper():\n    return 2\n\n\n'
+        'def leaf():\n    return 1\n\n\n'
+        'def walk(x):\n    return [walk(y) for y in x]\n')
     (tmp_path / "scripts" / "run.py").write_text("from pkg.mod import api\n\napi()\n")
     (tmp_path / "tests" / "test_mod.py").write_text(
-        "from pkg import mod\n\n\ndef test_helper():\n    assert mod.helper() == 2\n")
-    assert unread_exports(tmp_path) == {"src/pkg/mod.py": ["helper"]}
+        "from pkg import mod\n\n\ndef test_helper():\n    assert mod.helper() == 2\n"
+        "    assert mod.walk([[]]) == [[]]\n")
+    assert unread_exports(tmp_path) == {"src/pkg/mod.py": ["helper", "walk"]}

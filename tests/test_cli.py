@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from hypb import cli
-from hypb.report import strip_runtime
 
 
 def run(argv):
@@ -37,7 +36,7 @@ def test_parse_grid():
 def test_parse_domain_and_range():
     assert cli.parse_domain("2.8:5.6") == (2.8, 5.6)
     assert cli.parse_range("0.1:30") == (0.1, 30.0)
-    for bad in ("2.8", "0:5", "-1:2"):
+    for bad in ("2.8", "0:5", "-1:2", "inf:5"):
         with pytest.raises(SystemExit):
             cli.parse_domain(bad)
     with pytest.raises(SystemExit):
@@ -167,7 +166,7 @@ def test_verify_numerical_failure_exits_one(capsys):
     assert out.strip().splitlines()[-1].startswith("FAILED")
 
 
-def test_verify_json_is_deterministic(capsys):
+def test_verify_json_is_deterministic(capsys, strip_runtime):
     assert run(["verify", "adjointness", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)
     assert run(["verify", "adjointness", "--json"]) == 0
@@ -212,6 +211,17 @@ def test_transform_singular_quadrature_needs_square_cells(op, grid, capsys):
                 "--testfn", "gaussian:c=2,sigma=4"]) == 2
     err = capsys.readouterr().err
     assert "square cells" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, needle", [
+    (["--grid", "64:63"], "even ny"),  # the whole-plane grid puts a cell centre on the axis
+    (["--domain", "inf:5"], "--domain"),
+])
+def test_transform_geometry_refusals_are_usage_errors(flags, needle, capsys):
+    assert run(["transform", "--op", "c", "--testfn", "gaussian:c=2,sigma=4"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+    assert needle in err
 
 
 def test_verify_singular_quadrature_needs_square_cells(capsys):

@@ -155,6 +155,15 @@ def test_hardy_family_derivatives_match_profile():
     assert np.max(np.abs(fd1 - p.d1(y)) / (np.abs(p.d1(y)) + 1.0)) < 1e-4
 
 
+@pytest.mark.parametrize("which", ["d", "dbar", "lap", "d2"])
+def test_sample_refuses_a_closed_form_the_member_lacks(which):
+    # the Hardy family carries F and its y-profile only
+    fam = tf.hardy_family()
+    assert tf.sample(fam, upper(16), "f").data.shape == (16, 16)
+    with pytest.raises(ValueError, match=rf"hardy\(a=0\.5,n=64,ramp=1\.8\) .*'{which}'"):
+        tf.sample(fam, upper(16), which)
+
+
 def test_harmonic_samples_have_zero_laplacian():
     gs = upper(32)
     for name, fn in tf.harmonic_samples().items():

@@ -11,7 +11,7 @@ from scipy import fft as sfft
 
 from hypb import verify as vf
 from hypb.grid import Field
-from hypb.report import CheckReport, reports_to_json, strip_runtime
+from hypb.report import CheckReport, reports_to_json
 
 CHEAP = ["structural-identities", "adjointness", "reflection-equivalence",
          "derivative-identities", "e-identity", "commutators"]
@@ -100,12 +100,18 @@ def test_degenerate_input_reports_under_the_live_id(monkeypatch, mode, check_id)
     assert r.to_dict()["notes"]["reason"].startswith("identically zero")
 
 
-def test_determinism_bit_for_bit_modulo_runtime():
+def test_determinism_bit_for_bit_modulo_runtime(strip_runtime):
     a = vf.run_checks(["structural-identities", "adjointness"], vf.RunConfig())
     b = vf.run_checks(["structural-identities", "adjointness"], vf.RunConfig())
     ja = json.dumps(strip_runtime([r.to_dict() for r in a]), sort_keys=True)
     jb = json.dumps(strip_runtime([r.to_dict() for r in b]), sort_keys=True)
     assert ja == jb
+
+
+def test_pinned_grid_checks_keep_the_default_box():
+    # adjointness pins a 32 x 32 grid on DEFAULT_BOX; a RunConfig box must not move it
+    reports = vf.run_checks(["adjointness"], vf.RunConfig(L=3.0, H=6.0))
+    assert {(r.grid["L"], r.grid["H"]) for r in reports} == {vf.DEFAULT_BOX}
 
 
 def test_tolerance_override_is_plumbed_through():
@@ -140,7 +146,7 @@ def test_report_serialization_round_trip(cheap_reports):
     assert [p["check_id"] for p in parsed] == [r.check_id for r in cheap_reports]
 
 
-def test_strip_runtime_is_recursive():
+def test_strip_runtime_is_recursive(strip_runtime):
     data = {"runtime_ms": 1.0, "inner": [{"runtime_ms": 2.0, "keep": 3}]}
     out = strip_runtime(data)
     assert out == {"inner": [{"keep": 3}]}

@@ -14,12 +14,11 @@ from hypb.grid import Field, GridSpec, PlaneKind
 T_GRID = np.geomspace(0.1, 30.0, 200)
 
 
-def inverse_partial_fourier(p: wh.PartialFourierField) -> Field:
-    """The field whose `partial_fourier` is p."""
-    spec = p.spec
+def inverse_partial_fourier(spec: GridSpec, xi: np.ndarray, coeffs: np.ndarray) -> Field:
+    """The field on spec whose `partial_fourier` has frequencies xi and data coeffs."""
     x0 = spec.x[0]
-    data = np.fft.ifft(p.data * np.exp(1j * p.xi * x0)[None, :], axis=1) / spec.hx
-    return Field(spec, data, meta=dict(p.meta))
+    data = np.fft.ifft(coeffs * np.exp(1j * xi * x0)[None, :], axis=1) / spec.hx
+    return Field(spec, data)
 
 
 def pde_residual_ratio(h: Field) -> float:
@@ -180,7 +179,7 @@ def test_partial_fourier_round_trip():
     gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
     f = tf.sample(tf.gaussian_bump(1.0, 32.0, x0=0.5), gs, "f")
     p = wh.partial_fourier(f)
-    back = inverse_partial_fourier(p)
+    back = inverse_partial_fourier(p.spec, p.xi, p.data)
     assert np.max(np.abs(back.data - f.data)) < 1e-12
 
 
@@ -194,7 +193,7 @@ def test_partial_fourier_records_x_truncation_without_warning():
         p = wh.partial_fourier(slow)
         res = wh.lemma_a1_classify(slow)
     assert edge > 1e-2
-    assert p.meta["x_truncation"] == res.x_truncation == pytest.approx(edge)
+    assert p.x_truncation == res.x_truncation == pytest.approx(edge)
 
 
 def test_pde_residual_vanishes_on_weighted_antiholomorphic_fields():
@@ -214,7 +213,7 @@ def _classify_single_mode(profile_of_t, xi_target=-1.0):
     t = 2.0 * abs(xi[j]) * spec.y
     data = np.zeros((spec.ny, spec.nx), dtype=complex)
     data[:, j] = profile_of_t(t)
-    h = inverse_partial_fourier(wh.PartialFourierField(spec=spec, xi=xi, data=data))
+    h = inverse_partial_fourier(spec, xi, data)
     return wh.lemma_a1_classify(h)
 
 
