@@ -179,7 +179,12 @@ def make_config(args, **extra) -> vf.RunConfig:
     threads = resolve_threads(args.threads)
     if threads is not None and threads < 1:
         _fail_usage(f"thread count must be at least 1, got {threads}")
-    return vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, threads=threads, **extra)
+    cfg = vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, threads=threads, **extra)
+    try:
+        cfg.battery_spec()
+    except ValueError as exc:
+        _fail_usage(f"{exc}; choose --grid and --domain to match")
+    return cfg
 
 
 def csv_rows(*cols, grid=None) -> list:
@@ -256,7 +261,7 @@ def cmd_transform(args) -> int:
             "op": op, "testfn": args.testfn, "grid": spec.summary(),
             "method": cfg.method, "threads": cfg.threads,
             "input_l2": lp_norm(f, 2.0), "output_l2": lp_norm(out, 2.0),
-        }, indent=2))
+        }, indent=2, allow_nan=False))
         if args.out is None:
             return 0
     rows = csv_rows(out.data.real.ravel(), out.data.imag.ravel(), grid=(spec.x, spec.y))
@@ -277,7 +282,7 @@ def cmd_classify(args) -> int:
     payload["testfn"] = args.testfn
     payload["premultiply_M"] = bool(args.premultiply_m)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         verdict = "cokernel" if res.is_cokernel else "not cokernel"
         print(f"{args.testfn}: {verdict} "
@@ -292,6 +297,8 @@ def cmd_classify(args) -> int:
 
 def cmd_tabulate(args) -> int:
     t0, t1 = parse_range(args.trange)
+    if args.points < 1:
+        _fail_usage(f"bad --points {args.points}; expected a count of at least 1")
     sol = wh.WhittakerSolution(args.family, args.A, args.B)
     ts = np.geomspace(t0, t1, args.points)
     vals, resid = wh.pointwise_residual(sol, ts)
@@ -300,7 +307,7 @@ def cmd_tabulate(args) -> int:
             "family": args.family, "A": [args.A.real, args.A.imag],
             "B": [args.B.real, args.B.imag], "range": [t0, t1],
             "points": args.points, "max_residual": float(resid.max()),
-        }, indent=2))
+        }, indent=2, allow_nan=False))
         if args.out is None:
             return 0
     _write_rows(args.out, "t,re,im,residual", csv_rows(ts, vals.real, vals.imag, resid))

@@ -67,6 +67,10 @@ class GridSpec:
         if self.plane is PlaneKind.FULL and self.ny % 2:
             raise ValueError("full-plane grids need even ny, so that no cell centre "
                              "lies on the axis y = 0")
+        m = self.cell_measure  # norms square it, and outputs scale like it
+        if not np.finfo(float).tiny <= m * m < math.inf:
+            raise ValueError(f"the cell measure hx hy / pi = {m!r} and its square must "
+                             "be finite positive normal floats")
 
     @property
     def hx(self) -> float:

@@ -25,17 +25,22 @@ whole cell.  The principal log is cut along the negative real axis, and
 offsets are whole multiples of the cell size, so no corner lies on the real
 axis and, on the half-table with Re(offset) >= 0, only the coincident cell
 crosses the cut.  The fully averaged tables are therefore built on the
-corner lattice: each corner's log is taken once, the x step of the primitive
-is formed in closed form through log(c + hx) = log c + log1p(hx / c) (a
-plain four-corner sum of values of size |zeta| ln|zeta| loses up to 1e-8
-relative on far-field entries to cancellation), and the y step is a finite
-difference along the lattice.  The Re(offset) < 0 half, and the lower half
-of the Re(offset) = 0 column, follow from parity (1/zeta is odd, 1/zeta^2 is
-even), so the tables are exactly odd or even.  The per-offset averages used
-for the 3 x 3 shell blocks flip each offset to Re >= 0 the same way and take
-the four-corner sum directly.  The coincident cell (offset 0) gets the value
-0: the 1/zeta average vanishes by oddness, and the 1/zeta^2 entry is the
-omitted principal-value cell (exactly zero for square cells).
+corner lattice of the quadrant Re, Im(offset) >= 0: each corner's log is
+taken once, the x step of the primitive is formed in closed form through
+log(c + hx) = log c + log1p(hx / c) (a plain four-corner sum of values of
+size |zeta| ln|zeta| loses up to 1e-8 relative on far-field entries to
+cancellation), and the y step is a finite difference along the lattice.
+Both kernels have K(conj zeta) = conj K(zeta), and corners mirrored in Im
+are exact conjugates, so the Im(offset) < 0 rows are the conjugated
+quadrant rows, bit for bit.  The Re(offset) < 0 half, and the lower half of
+the Re(offset) = 0 column, follow from parity (1/zeta is odd, 1/zeta^2 is
+even), so the tables are exactly odd or even; on that column parity and
+conjugation differ only in the sign of a rounding-level part.  The
+per-offset averages used for the 3 x 3 shell blocks flip each offset to
+Re >= 0 the same way and take the four-corner sum directly.  The
+coincident cell (offset 0) gets the value 0: the 1/zeta average vanishes by
+oddness, and the 1/zeta^2 entry is the omitted principal-value cell
+(exactly zero for square cells).
 """
 
 from __future__ import annotations
@@ -98,14 +103,14 @@ def _log1p(z):
     return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
 
 
-def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float) -> np.ndarray:
-    """The fully averaged planar table, built on the corner lattice (module docstring)."""
+def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
+    """The fully averaged planar table, in `out` (its real part if `out` is real)."""
     x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
-    yc = (np.arange(-(ny - 1), ny + 1) - 0.5) * hy
+    yc = (np.arange(0, ny + 1) - 0.5) * hy  # lower corners of the dy >= 0 rows
     c = x0[None, :] + 1j * yc[:, None]
     step = _log1p(hx / c)  # log(c + hx) - log c
     # lattice-sized temporaries are formed in place and freed before the
-    # full table is allocated: the nullspace table's lattice is 67 MB each
+    # table is written: the nullspace table's lattice is 34 MB each
     if kind == "cauchy":
         # (c + hx) log(c + hx) - c log c, less the -hx that the y step drops
         col, parity = np.log(c), -1
@@ -119,15 +124,16 @@ def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float) -> np.ndarray
         raise ValueError(f"unknown kernel kind {kind!r}")
     col *= -1j
     del c, step
-    half = np.diff(col, axis=0)  # offsets dx >= 0, all dy
+    quad = np.diff(col, axis=0)  # offsets dx >= 0, dy >= 0
     del col
-    half /= hx * hy
-    half[ny - 1, 0] = 0.0  # coincident cell, the only one across the cut
-    half[: ny - 1, 0] = parity * half[: ny - 1 : -1, 0]  # exact parity at dx = 0
-    tab = np.empty((2 * ny - 1, 2 * nx - 1), dtype=complex)
-    tab[:, nx - 1 :] = half
-    np.multiply(half[::-1, :0:-1], parity, out=tab[:, : nx - 1])
-    return tab
+    quad /= hx * hy
+    quad[0, 0] = 0.0  # coincident cell, the only one across the cut
+    quad = quad.real if out.dtype.kind == "f" else quad
+    out[ny - 1 :, nx - 1 :] = quad
+    np.conjugate(quad[:0:-1, 1:], out=out[: ny - 1, nx:])  # K(conj zeta) = conj K(zeta)
+    np.multiply(quad[:0:-1, 0], parity, out=out[: ny - 1, nx - 1])  # exact parity at dx = 0
+    np.multiply(out[::-1, : nx - 1 : -1], parity, out=out[:, : nx - 1])
+    return out
 
 
 def midpoint_value(kind: str, z0: np.ndarray) -> np.ndarray:
@@ -168,7 +174,7 @@ def planar_table(
             f"the singular kernel table needs square cells, got hx={hx!r} hy={hy!r}"
         )
     if average == "all":
-        return _planar_all(kind, ny, nx, hx, hy)
+        return _planar_all(kind, ny, nx, hx, hy, np.empty((2 * ny - 1, 2 * nx - 1), complex))
     dy = (np.arange(-(ny - 1), ny) * hy)[:, None]
     dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
     z0 = dx + 1j * dy

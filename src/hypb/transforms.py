@@ -51,7 +51,11 @@ axis-1 pass over those k rows only: P0 (b1 + P1) forward and (P0 + k) P1
 inverse line points, against 2 P0 P1 each.  Both passes run in place in one
 zeroed buffer, and only the kept block is copied out.  The inverse applies
 1/P0 and 1/P1 in separate passes where ifft2 applies 1/(P0 P1) once, so it
-can differ from ifft2 in the last bit.
+can differ from ifft2 in the last bit.  Its sibling `_pruned_rfft2` takes a
+real kernel's half spectrum rfft2(k), P0 x (P1/2 + 1) (H. V. Sorensen et
+al., IEEE Trans. ASSP 35 (1987) 849-863), and runs on the real, then the
+imaginary part of the blocks in one half-width buffer: rfft over the block
+rows, both axis-0 passes, irfft over the k kept rows.
 
 The half-plane fft body writes f into rows [ny, 2 ny) of the box and, for
 the odd extension, negates f(conj z) straight into rows [0, ny).  The down
@@ -59,16 +63,17 @@ operators and `defect_sum` keep k = ny rows, the up operators k = 2 ny.
 
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
-keyed by (ny, nx, hx, hy, real)) as a read-only array; the spatial table is
-dropped once transformed.  The data spectrum is multiplied in place and
-inverted in place.  The quadrature path builds its own tables on every call
-and never reads that cache.
+keyed by (ny, nx, hx, hy, real)) as a read-only array; the table is built
+in its zero-padded box and transformed there.  The data spectrum is
+multiplied in place and inverted in place.  The quadrature path builds its
+own tables on every call and never reads that cache.
 
 The defect operator M + (i/2)(C_down + conj C_down conj) goes through one
 fused transform, `defect_sum` = C_down + conj C_down conj.  Conjugating
 C_down's input and output conjugates its kernel, so on the fft path the sum
-is a single convolution with the real kernel 2 Re(1/zeta); with
-method="quadrature" it is the two cauchy_down calls.
+is a single convolution with the real kernel 2 Re(1/zeta), whose spectrum
+is kept as its half; with method="quadrature" it is the two cauchy_down
+calls.
 
 Every FFT of this module goes through scipy.fft, so `fft_workers(n)` sets
 the worker count of the operators called inside it; pocketfft hands whole
@@ -88,7 +93,7 @@ from scipy import fft as sfft
 
 from .calculus import mult_im_pow
 from .grid import Field, GridSpec, PlaneKind
-from .kernels import planar_table
+from .kernels import _planar_all, planar_table
 
 __all__ = [
     "KERNEL_IDS",
@@ -149,6 +154,21 @@ def _pruned_fft2(kspec: np.ndarray, blocks, rows: slice, cols: slice) -> np.ndar
     out = buf[rows]
     sfft.ifft(out, axis=1, overwrite_x=True)
     return out[:, cols].copy()
+
+
+def _pruned_rfft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, n1: int) -> np.ndarray:
+    """`_pruned_fft2` for a real kernel, kspec = rfft2(k) on a P0 x n1 box (module docstring)."""
+    buf = np.empty(kspec.shape, dtype=complex)
+    parts = []
+    for part in (np.real, np.imag):
+        buf.fill(0.0)
+        for row, data, sign in blocks:
+            buf[row : row + len(data)] = sfft.rfft(sign * part(data), n=n1, axis=1)
+        sfft.fft(buf, axis=0, overwrite_x=True)
+        buf *= kspec
+        sfft.ifft(buf, axis=0, overwrite_x=True)
+        parts.append(sfft.irfft(buf[rows], n=n1, axis=1)[:, cols])
+    return parts[0] + 1j * parts[1]
 
 
 def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
@@ -257,17 +277,21 @@ def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -
 
 
 # fully averaged 1/zeta spectra kept per geometry; the largest battery one
-# (the nullspace check's 2048 x 1024 extended grid) is 134 MB
+# (the nullspace check's real kernel, half spectrum 4096 x 1025) is 67 MB
 _SPECTRUM_CACHE_SIZE = 2
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _cauchy_spectrum(ny: int, nx: int, hx: float, hy: float, real: bool) -> np.ndarray:
-    """Read-only spectrum of the fully averaged 1/zeta table (2 Re of it if real)."""
-    tab = planar_table("cauchy", ny, nx, hx, hy, average="all")
+    """Read-only spectrum of the fully averaged 1/zeta table (rfft2 of 2 Re of it if real)."""
+    a0, a1 = 2 * ny - 1, 2 * nx - 1
+    box = np.zeros(_fft_shape((a0, a1)), dtype=float if real else complex)
+    _planar_all("cauchy", ny, nx, hx, hy, out=box[:a0, :a1])
     if real:
-        tab = 2.0 * tab.real
-    kspec = sfft.fft2(tab, s=_fft_shape(tab.shape), overwrite_x=True)
+        kspec = sfft.rfft2(box)
+        kspec *= 2.0  # exact: this is rfft2 of 2 Re K
+    else:
+        kspec = sfft.fft2(box, overwrite_x=True)
     kspec.flags.writeable = False
     return kspec
 
@@ -277,7 +301,8 @@ def _cauchy_fft(blocks, ny: int, spec: GridSpec, rows: slice, real: bool = False
     nx = spec.nx
     kspec = _cauchy_spectrum(ny, nx, spec.hx, spec.hy, real)
     valid = slice(rows.start + ny - 1, rows.stop + ny - 1)
-    out = _pruned_fft2(kspec, blocks, valid, slice(nx - 1, 2 * nx - 1))
+    args = (kspec, blocks, valid, slice(nx - 1, 2 * nx - 1))
+    out = _pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real else _pruned_fft2(*args)
     out *= spec.cell_measure
     return out
 

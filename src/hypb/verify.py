@@ -708,9 +708,9 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 
 
 # residual = box truncation ~ 1/L plus quadrature; this box and grid land at
-# 9.9e-3 against the 1e-2 bar, and the check takes 2.5-2.7 s on a 2-core
+# 9.9e-3 against the 1e-2 bar, and the check takes 1.3-1.5 s on a 2-core
 # Xeon (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 2048 x 1024 table
-# and its spectrum, then one fused convolution per member
+# and its half spectrum, then one fused convolution per member
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 

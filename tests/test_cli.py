@@ -224,6 +224,28 @@ def test_transform_geometry_refusals_are_usage_errors(flags, needle, capsys):
     assert needle in err
 
 
+@pytest.mark.parametrize("domain", ["1e300:1e300", "1e-300:5"])
+def test_boxes_whose_cell_measure_leaves_the_normal_range_are_usage_errors(domain, capsys):
+    # at 1e300:1e300 hx hy / pi overflows and the norms were printed as NaN; at
+    # 1e-300:5 the squared output underflowed and output_l2 read 0.0
+    assert run(["transform", "--op", "c_down", "--testfn", "gaussian", "--grid", "16",
+                "--domain", domain, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--domain" in captured.err
+    assert run(["verify", "adjointness", "--domain", domain]) == 2
+    assert "cell measure" in capsys.readouterr().err
+
+
+def test_cli_json_refuses_non_finite_numbers(monkeypatch, capsys):
+    # a non-finite value fails loudly instead of printing NaN, which is not JSON
+    monkeypatch.setattr(cli, "lp_norm", lambda f, p: float("nan"))
+    with pytest.raises(ValueError, match="JSON"):
+        cli.main(["transform", "--op", "c_down", "--testfn", "gaussian", "--grid", "8",
+                  "--json"])
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_singular_quadrature_needs_square_cells(capsys):
     # the battery grid of this domain has 2:1 cells
     assert run(["verify", "norm-identity", "--method", "quadrature", "--grid", "64",
@@ -300,6 +322,13 @@ def test_tabulate_json_reports_max_residual(capsys):
 def test_tabulate_rejects_bad_range(capsys):
     assert run(["whittaker", "tabulate", "--family", "Y", "--range", "5:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_tabulate_refuses_point_counts_below_one(points, capsys):
+    assert run(["whittaker", "tabulate", "--family", "X", "--points", points, "--json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--points" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("family", ["X", "Y"])

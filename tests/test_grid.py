@@ -48,7 +48,10 @@ def test_summary_round_trips_the_geometry():
 
 
 @pytest.mark.parametrize("bad", [dict(L=-1.0), dict(H=0.0), dict(nx=0), dict(ny=2),
-                                 dict(L=np.inf), dict(H=np.inf)])
+                                 dict(L=np.inf), dict(H=np.inf),
+                                 # cell measure, or its square, outside the normal floats
+                                 dict(L=1e300, H=1e300), dict(L=1e100, H=1e100),
+                                 dict(L=1e-300, H=5.0), dict(L=1e-160, H=1.0)])
 def test_degenerate_boxes_are_rejected(bad):
     kw = dict(L=1.0, H=2.0, nx=4, ny=4, plane=PlaneKind.UPPER)
     kw.update(bad)

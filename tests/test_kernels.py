@@ -167,6 +167,45 @@ def test_full_table_parity_is_exact():
     assert np.array_equal(tb, tb[::-1, ::-1])
 
 
+def _is_conjugate_symmetric(tab, kind) -> bool:
+    """tab at conj zeta is conj tab at zeta, bit for bit.
+
+    On the column dx = 0 the table keeps exact parity instead, so there the
+    part that is zero in exact arithmetic (real for cauchy, imaginary for
+    beurling) carries the parity's sign; only the other part is compared.
+    """
+    ny, nx = (tab.shape[0] + 1) // 2, (tab.shape[1] + 1) // 2
+    up, down = tab[ny - 1 :], np.conj(tab[ny - 1 :: -1])
+    off = np.arange(tab.shape[1]) != nx - 1
+    part = np.imag if kind == "cauchy" else np.real
+    return (np.array_equal(up[:, off], down[:, off])
+            and np.array_equal(part(up[:, nx - 1]), part(down[:, nx - 1])))
+
+
+@pytest.mark.parametrize("kind, ny, nx, hx, hy", [
+    ("cauchy", 9, 7, 0.1, 0.1), ("beurling", 9, 7, 0.1, 0.1),
+    ("cauchy", 64, 48, 2.8 / 24, 5.6 / 32), ("beurling", 64, 48, 0.05, 0.05),
+    ("cauchy", 9, 7, 0.1, 0.23), ("cauchy", 40, 12, 0.09375, 1.5 / 3072),
+])
+def test_full_table_is_conjugate_symmetric(kind, ny, nx, hx, hy):
+    # K(conj zeta) = conj K(zeta), and the cell at conj z0 is the mirror of
+    # the cell at z0: the builder fills dy < 0 from dy > 0 by conjugation.
+    # Twin: one off-axis entry perturbed
+    tab = kn.planar_table(kind, ny, nx, hx, hy, average="all")
+    assert _is_conjugate_symmetric(tab, kind)
+    tab[ny + 2, nx + 3] *= 1.0 + 1e-15
+    assert not _is_conjugate_symmetric(tab, kind)
+
+
+def test_full_table_writes_its_real_part_into_a_real_box():
+    ny, nx = 6, 5
+    box = np.zeros((2 * ny + 3, 2 * nx + 1))
+    kn._planar_all("cauchy", ny, nx, 0.3, 0.2, out=box[: 2 * ny - 1, : 2 * nx - 1])
+    tab = kn.planar_table("cauchy", ny, nx, 0.3, 0.2, average="all")
+    assert np.array_equal(box[: 2 * ny - 1, : 2 * nx - 1], tab.real)
+    assert not box[2 * ny - 1 :].any() and not box[:, 2 * nx - 1 :].any()
+
+
 def test_lattice_tables_match_per_offset_averages():
     # rectangular cells where the kernel allows them; the planar singular
     # table needs square ones

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,6 +349,41 @@ def test_fft_fields_are_bit_identical_across_worker_counts():
         assert np.array_equal(a, b)
 
 
+def _peak_bytes(fn) -> int:
+    """tracemalloc's peak, in bytes, of the allocations made while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [256, 512])
+def test_defect_sum_peak_memory_stays_under_1_7_full_spectra(n):
+    # from a cold cache: the table is built in its padded box and the real
+    # kernel keeps half a spectrum, 1.5 full spectra at both sizes.  Twin: the
+    # full complex spectrum of the same real table, 3.0
+    gs = upper(n)
+    f = Field(gs, _random_complex(np.random.default_rng(n), (n, n)))
+    P0, P1 = tr._fft_shape((4 * n - 1, 2 * n - 1))
+    bar = 1.7 * P0 * P1 * 16
+    blocks = [(n, f.data, 1), (0, f.data[::-1], -1)]
+
+    def full_spectrum_route():
+        tab = kn.planar_table("cauchy", 2 * n, n, gs.hx, gs.hy, average="all")
+        kspec = sfft.fft2(2.0 * tab.real, s=(P0, P1))
+        del tab
+        tr._pruned_fft2(kspec, blocks, slice(2 * n - 1, 3 * n - 1), slice(n - 1, 2 * n - 1))
+
+    tr._cauchy_spectrum.cache_clear()
+    try:
+        assert _peak_bytes(lambda: tr.defect_sum(f)) <= bar
+        assert _peak_bytes(full_spectrum_route) > bar
+    finally:
+        tr._cauchy_spectrum.cache_clear()
+
+
 # the half-plane fft body against the explicit pipeline: the extension array
 # built here, the same primitive keeping every row, then the row slicing
 HALF_PLANE_FFT = {  # op: (kernel, sign, real kernel)
@@ -371,8 +407,12 @@ def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2):
     ext = np.concatenate([lower, f.data])
     if kind == "cauchy":
         kspec = tr._cauchy_spectrum(2 * ny, nx, s.hx, s.hy, real)
-        full = tr._pruned_fft2(kspec, [(0, ext, 1)], slice(2 * ny - 1, 4 * ny - 1),
-                               slice(nx - 1, 2 * nx - 1)) * s.cell_measure
+        rows, cols = slice(2 * ny - 1, 4 * ny - 1), slice(nx - 1, 2 * nx - 1)
+        if real:  # the real kernel's half spectrum
+            n1 = tr._fft_shape([2 * nx - 1])[0]
+            full = tr._pruned_rfft2(kspec, [(0, ext, 1)], rows, cols, n1) * s.cell_measure
+        else:
+            full = tr._pruned_fft2(kspec, [(0, ext, 1)], rows, cols) * s.cell_measure
     else:
         symbol = tr._beurling_symbol(2 * padding * ny, padding * nx, s.hx, s.hy)
         full = tr._pruned_fft2(symbol, [(0, ext, 1)], slice(0, 2 * ny), slice(0, nx))
