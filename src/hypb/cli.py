@@ -55,7 +55,7 @@ OP_ALIASES = {
 }
 
 # the residual stencil reaches t1 + 0.1, and y_integral refuses t > 709.78,
-# where e^t overflows (whittaker_X's e^{t/2} overflows at 1419.6)
+# where e^t overflows (whittaker_X refuses t >= 1405.07)
 TABULATE_T_MAX = 700.0
 
 
@@ -248,7 +248,7 @@ def cmd_transform(args) -> int:
         _fail_usage(f"unknown operator {args.op!r}; have "
                     f"{sorted(tr.KERNEL_IDS)} plus aliases {sorted(OP_ALIASES)}")
     fn = parse_testfn(args.testfn)
-    plane = PlaneKind.UPPER if op not in ("cauchy", "beurling") else PlaneKind.FULL
+    plane = PlaneKind.FULL if op in tr.WHOLE_PLANE else PlaneKind.UPPER
     try:
         spec = GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx, ny=cfg.ny, plane=plane)
     except ValueError as exc:
@@ -287,6 +287,7 @@ def cmd_classify(args) -> int:
         verdict = "cokernel" if res.is_cokernel else "not cokernel"
         print(f"{args.testfn}: {verdict} "
               f"(pos_energy_frac={res.pos_energy_frac:.3e}, "
+              f"window_energy_frac={res.window_energy_frac:.3e}, "
               f"fit_residual={res.fit_residual:.3e}, "
               f"dyadic_growth={res.dyadic_growth:.4f}, "
               f"x_truncation={res.x_truncation:.2e})")

@@ -16,6 +16,15 @@ kernel and its image under w -> conj w (or z -> conj z):
     bicauchy_down  1 / ((z - w)(z - conj w))
     bicauchy_real  Re(z - w) / |(z - w)(z - conj w)|^2
 
+`transform(f, kernel, method, mode)` is the one dispatcher; the named
+operators are one-line calls into it.  Its table `_KERNELS` gives each
+translation kernel as a whole-plane kind (1/zeta or -1/zeta^2) and a sign:
+the kind is summed over f (sign 0), over f's odd extension (+1: z - conj w,
+the down operators) or over f's zero extension less the values at conj z
+(-1: conj z - w, the up operators).  The product kernels map to None.  Each
+path has one body per class: `_plane_quad` and `_product_quad`,
+`_plane_fft` and `_FACTORIZATION`.
+
 Methods:
 
   quadrature  midpoint Riemann sums with exact cell averages near the
@@ -23,15 +32,15 @@ Methods:
               the single source cell w = z omitted everywhere ("matched").
               Matched evaluation makes pointwise kernel identities hold to
               rounding, because both sides then sum identical terms.
-              The two-term half-plane operators sum the whole-plane table
-              of the 2 ny-row box once over the extension of f (the fft
-              path's layout, built separately); the product kernels are
-              the Cauchy table's 1/(z - w) times a closed-form image factor.
+              The half-plane operators sum the whole-plane table of the
+              2 ny-row box once over the extension of f (the fft path's
+              layout, built separately); the product kernels are the
+              Cauchy table's 1/(z - w) times a closed-form image factor.
   fft         beurling via the unimodular Fourier multiplier conj(zeta)/zeta
               on a zero-padded box; cauchy via fast convolution with the
-              fully cell-averaged 1/zeta table; half-plane operators via
-              odd/zero extension of the input; bicauchy_* via their exact
-              factorizations through cauchy_up / cauchy_down.
+              fully cell-averaged 1/zeta table; the product kernels via
+              their exact factorizations through cauchy_up / cauchy_down.
+              The mode is checked and has no effect.
 
 Both paths evaluate their table sums as valid-mode linear convolutions
 (`conv_valid`).  For a table of shape (a0, a1) and data of shape (b0, b1)
@@ -57,9 +66,11 @@ al., IEEE Trans. ASSP 35 (1987) 849-863), and runs on the real, then the
 imaginary part of the blocks in one half-width buffer: rfft over the block
 rows, both axis-0 passes, irfft over the k kept rows.
 
-The half-plane fft body writes f into rows [ny, 2 ny) of the box and, for
-the odd extension, negates f(conj z) straight into rows [0, ny).  The down
-operators and `defect_sum` keep k = ny rows, the up operators k = 2 ny.
+The fft body puts f in an ny-row box for sign 0.  For the half-plane signs
+it writes f into rows [ny, 2 ny) of a 2 ny-row box and, for the odd
+extension, negates f(conj z) straight into rows [0, ny).  The whole-plane
+and down operators and `defect_sum` keep k = ny rows, the up operators
+k = 2 ny.
 
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
@@ -92,17 +103,16 @@ import numpy as np
 from scipy import fft as sfft
 
 from .calculus import mult_im_pow
-from .grid import Field, GridSpec, PlaneKind
+from .grid import Field, PlaneKind
 from .kernels import _planar_all, planar_table
 
 __all__ = [
     "KERNEL_IDS",
+    "WHOLE_PLANE",
     "transform",
-    "cauchy",
     "beurling",
     "cauchy_up",
     "cauchy_down",
-    "beurling_up",
     "beurling_down",
     "bicauchy_up",
     "bicauchy_down",
@@ -189,38 +199,27 @@ def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
 # quadrature path
 
 
-def _avg_mode(mode: str) -> str:
-    if mode == "accurate":
-        return "shell"
-    if mode == "matched":
-        return "none"
-    raise ValueError(f"unknown quadrature mode {mode!r}")
+def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
+    """The whole-plane `kind` table summed over f (sign 0) or its extension.
 
-
-def _planar_quad(f: Field, kind: str, mode: str) -> np.ndarray:
-    spec = f.spec
-    tab = planar_table(kind, spec.ny, spec.nx, spec.hx, spec.hy, average=_avg_mode(mode))
-    return conv_valid(tab, f.data) * spec.cell_measure
-
-
-def _two_term_quad(f: Field, kind: str, sign: int, mode: str) -> np.ndarray:
-    """The whole-plane table of the 2 ny-row box, summed over f's extension.
-
-    f fills rows [ny, 2 ny) of the box.  sign +1 (z - conj w, the down
-    operators) puts its negated reflection in rows [0, ny) and keeps rows
-    [ny, 2 ny), which read table rows [ny, 4 ny - 1) only.  sign -1
-    (conj z - w, the up operators) leaves rows [0, ny) zero, so the sum is
-    over f with table rows [0, 3 ny - 1), and subtracts the rows at conj z.
+    For the half-plane signs f fills rows [ny, 2 ny) of a 2 ny-row box.
+    sign +1 (z - conj w, the down operators) puts its negated reflection in
+    rows [0, ny) and keeps rows [ny, 2 ny), which read table rows
+    [ny, 4 ny - 1) only.  sign -1 (conj z - w, the up operators) leaves rows
+    [0, ny) zero, so the sum is over f with table rows [0, 3 ny - 1), and
+    subtracts the rows at conj z.
     """
     spec = f.spec
     ny, nx = spec.ny, spec.nx
-    tab = planar_table(kind, 2 * ny, nx, spec.hx, spec.hy, average=_avg_mode(mode))
-    if sign == 1:
+    tab = planar_table(kind, (2 if sign else 1) * ny, nx, spec.hx, spec.hy, average=average)
+    if sign == 0:
+        out = conv_valid(tab, f.data)
+    elif sign == 1:
         out = conv_valid(tab[ny:], np.concatenate([-f.data[::-1], f.data]))
     else:
         full = conv_valid(tab[: 3 * ny - 1], f.data)
         out = full[ny:] - full[ny - 1 :: -1]
-    if mode == "matched":
+    if sign and average == "none":
         # add back the image of the source cell w = z, so the whole summand
         # is omitted and per-point kernel identities survive
         image = tab[2 * ny - 1 + sign * (2 * np.arange(ny) + 1), nx - 1]
@@ -228,12 +227,12 @@ def _two_term_quad(f: Field, kind: str, sign: int, mode: str) -> np.ndarray:
     return out * spec.cell_measure
 
 
-def _product_quad(f: Field, which: str, mode: str) -> np.ndarray:
+def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
     """Product kernels: the 1/(z - w) factor, shell averages included, from
     the Cauchy table, times the midpoint image factor at Im = (i + j + 1) hy."""
     spec = f.spec
     ny, nx = spec.ny, spec.nx
-    tab = planar_table("cauchy", ny, nx, spec.hx, spec.hy, average=_avg_mode(mode))
+    tab = planar_table("cauchy", ny, nx, spec.hx, spec.hy, average=average)
     dx = (np.arange(-(nx - 1), nx) * spec.hx)[None, :]
     s = (np.arange(1, 2 * ny) * spec.hy)[:, None]
     if which == "bicauchy_up":
@@ -270,12 +269,6 @@ def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
     return mult
 
 
-def _beurling_multiplier(data: np.ndarray, hx: float, hy: float, padding: int) -> np.ndarray:
-    ny, nx = data.shape
-    symbol = _beurling_symbol(padding * ny, padding * nx, hx, hy)
-    return _pruned_fft2(symbol, [(0, data, 1)], slice(0, ny), slice(0, nx))
-
-
 # fully averaged 1/zeta spectra kept per geometry; the largest battery one
 # (the nullspace check's real kernel, half spectrum 4096 x 1025) is 67 MB
 _SPECTRUM_CACHE_SIZE = 2
@@ -296,92 +289,28 @@ def _cauchy_spectrum(ny: int, nx: int, hx: float, hy: float, real: bool) -> np.n
     return kspec
 
 
-def _cauchy_fft(blocks, ny: int, spec: GridSpec, rows: slice, real: bool = False) -> np.ndarray:
-    """Rows `rows` of the Cauchy transform of the ny-row box holding `blocks`, on spec's cells."""
-    nx = spec.nx
-    kspec = _cauchy_spectrum(ny, nx, spec.hx, spec.hy, real)
-    valid = slice(rows.start + ny - 1, rows.stop + ny - 1)
-    args = (kspec, blocks, valid, slice(nx - 1, 2 * nx - 1))
-    out = _pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real else _pruned_fft2(*args)
-    out *= spec.cell_measure
-    return out
-
-
-def _half_plane_fft(f: Field, kind: str, sign: int, padding: int = 2,
-                    real: bool = False) -> np.ndarray:
-    """Whole-plane `kind` on the odd (sign +1) or zero (sign -1) extension of f;
-    sign -1 subtracts the values at conj z from those at z."""
+def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False) -> np.ndarray:
+    """Whole-plane `kind` on f (sign 0), its odd extension (+1) or its zero
+    extension less the values at conj z (-1); `padding` scales the Beurling
+    multiplier's box, `real` takes 2 Re of the Cauchy kernel (`defect_sum`)."""
     s = f.spec
     ny, nx = s.ny, s.nx
-    blocks = [(ny, f.data, 1)]
-    rows = slice(0, 2 * ny)
-    if sign == 1:
-        blocks.append((0, f.data[::-1], -1))
-        rows = slice(ny, 2 * ny)
+    if sign == 0:
+        box, blocks, rows = ny, [(0, f.data, 1)], slice(0, ny)
+    elif sign == 1:
+        box, blocks, rows = 2 * ny, [(ny, f.data, 1), (0, f.data[::-1], -1)], slice(ny, 2 * ny)
+    else:
+        box, blocks, rows = 2 * ny, [(ny, f.data, 1)], slice(0, 2 * ny)
     if kind == "cauchy":
-        out = _cauchy_fft(blocks, 2 * ny, s, rows, real)
+        kspec = _cauchy_spectrum(box, nx, s.hx, s.hy, real)
+        args = (kspec, blocks, slice(rows.start + box - 1, rows.stop + box - 1),
+                slice(nx - 1, 2 * nx - 1))
+        out = _pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real else _pruned_fft2(*args)
+        out *= s.cell_measure
     else:
-        symbol = _beurling_symbol(2 * padding * ny, padding * nx, s.hx, s.hy)
+        symbol = _beurling_symbol(padding * box, padding * nx, s.hx, s.hy)
         out = _pruned_fft2(symbol, blocks, rows, slice(0, nx))
-    return out if sign == 1 else out[ny:] - out[ny - 1 :: -1]
-
-
-# ---------------------------------------------------------------------------
-# public operators
-
-
-def cauchy(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    if method == "fft":
-        ny = f.spec.ny
-        out = _cauchy_fft([(0, f.data, 1)], ny, f.spec, slice(0, ny))
-    elif method == "quadrature":
-        out = _planar_quad(f, "cauchy", mode)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Field(f.spec, out)
-
-
-def beurling(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    if method == "fft":
-        out = _beurling_multiplier(f.data, f.spec.hx, f.spec.hy, padding)
-    elif method == "quadrature":
-        out = _planar_quad(f, "beurling", mode)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Field(f.spec, out)
-
-
-def _half_plane(f: Field, name: str, kind: str, sign: int, method: str, mode: str,
-                padding: int = 2) -> Field:
-    """The half-plane operator `name`: translation kernel `kind` less its mirror.
-
-    sign +1 (z - conj w, the down operators) extends f oddly; sign -1
-    (conj z - w, the up operators) extends f by zero (`_half_plane_fft`).
-    """
-    _require_upper(f, name)
-    if method == "quadrature":
-        out = _two_term_quad(f, kind, sign=sign, mode=mode)
-    elif method == "fft":
-        out = _half_plane_fft(f, kind, sign, padding)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Field(f.spec, out)
-
-
-def cauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return _half_plane(f, "cauchy_down", "cauchy", +1, method, mode)
-
-
-def cauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return _half_plane(f, "cauchy_up", "cauchy", -1, method, mode)
-
-
-def beurling_down(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    return _half_plane(f, "beurling_down", "beurling", +1, method, mode, padding)
-
-
-def beurling_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return _half_plane(f, "beurling_up", "beurling", -1, method, mode)
+    return out if sign >= 0 else out[ny:] - out[ny - 1 :: -1]
 
 
 # the fft path of each product kernel: its exact factorization through the
@@ -397,48 +326,72 @@ _FACTORIZATION = {
 }
 
 
-def _bicauchy(f: Field, name: str, method: str, mode: str) -> Field:
-    """The product-kernel operator `name`: table quadrature or its factorization."""
-    _require_upper(f, name)
-    if method == "quadrature":
-        out = _product_quad(f, name, mode)
-    elif method == "fft":
-        out = _FACTORIZATION[name](f)
-    else:
+# ---------------------------------------------------------------------------
+# the dispatcher and the named operators
+
+
+# kernel id: (whole-plane kind, sign) of a translation kernel (module
+# docstring), None for a product kernel
+_KERNELS = {
+    "cauchy": ("cauchy", 0), "beurling": ("beurling", 0),
+    "cauchy_up": ("cauchy", -1), "cauchy_down": ("cauchy", 1),
+    "beurling_up": ("beurling", -1), "beurling_down": ("beurling", 1),
+    "bicauchy_up": None, "bicauchy_down": None, "bicauchy_real": None,
+}
+KERNEL_IDS = tuple(_KERNELS)
+WHOLE_PLANE = tuple(k for k, geo in _KERNELS.items() if geo is not None and geo[1] == 0)
+# quadrature mode: the averaging of its planar tables
+_AVERAGE = {"accurate": "shell", "matched": "none"}
+
+
+def transform(f: Field, kernel: str, method: str = "fft", mode: str = "accurate",
+              padding: int = 2) -> Field:
+    """The operator `kernel` on f by `method`; `mode` sets the quadrature's
+    cell averages, `padding` the Beurling multiplier's box."""
+    if kernel not in _KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNEL_IDS}")
+    if method not in ("fft", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
+    if mode not in _AVERAGE:
+        raise ValueError(f"unknown mode {mode!r}")
+    geometry = _KERNELS[kernel]
+    if kernel not in WHOLE_PLANE:
+        _require_upper(f, kernel)
+    if method == "fft":
+        out = _FACTORIZATION[kernel](f) if geometry is None else _plane_fft(f, *geometry, padding)
+    elif geometry is None:
+        out = _product_quad(f, kernel, _AVERAGE[mode])
+    else:
+        out = _plane_quad(f, *geometry, _AVERAGE[mode])
     return Field(f.spec, out)
 
 
+def beurling(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
+    return transform(f, "beurling", method, mode, padding)
+
+
+def cauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+    return transform(f, "cauchy_down", method, mode)
+
+
+def cauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
+    return transform(f, "cauchy_up", method, mode)
+
+
+def beurling_down(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
+    return transform(f, "beurling_down", method, mode, padding)
+
+
 def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return _bicauchy(f, "bicauchy_up", method, mode)
+    return transform(f, "bicauchy_up", method, mode)
 
 
 def bicauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return _bicauchy(f, "bicauchy_down", method, mode)
+    return transform(f, "bicauchy_down", method, mode)
 
 
 def bicauchy_real(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return _bicauchy(f, "bicauchy_real", method, mode)
-
-
-_DISPATCH = {
-    "cauchy": cauchy,
-    "beurling": beurling,
-    "cauchy_up": cauchy_up,
-    "cauchy_down": cauchy_down,
-    "beurling_up": beurling_up,
-    "beurling_down": beurling_down,
-    "bicauchy_up": bicauchy_up,
-    "bicauchy_down": bicauchy_down,
-    "bicauchy_real": bicauchy_real,
-}
-KERNEL_IDS = tuple(_DISPATCH)
-
-
-def transform(f: Field, kernel: str, method: str = "fft", mode: str = "accurate") -> Field:
-    if kernel not in _DISPATCH:
-        raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNEL_IDS}")
-    return _DISPATCH[kernel](f, method=method, mode=mode)
+    return transform(f, "bicauchy_real", method, mode)
 
 
 def conj_sandwich(op, f: Field, **kw) -> Field:
@@ -455,7 +408,7 @@ def defect_sum(f: Field, method: str = "fft") -> Field:
     """
     _require_upper(f, "defect_sum")
     if method == "fft":
-        out = _half_plane_fft(f, "cauchy", +1, real=True)
+        out = _plane_fft(f, "cauchy", 1, None, real=True)
     elif method == "quadrature":
         out = cauchy_down(f, method).data + conj_sandwich(cauchy_down, f, method=method).data
     else:

@@ -72,8 +72,10 @@ def _positive(t) -> np.ndarray:
 # relative to the sum)
 _ASYMPTOTIC_T = 40.0
 _ASYMPTOTIC_TERMS = 40
-# e^t overflows past log(DBL_MAX), and with it J(t)
+# e^t overflows past log(DBL_MAX), and with it J(t); t e^{t/2}, X's fast
+# branch, from t = 2 W(DBL_MAX / 2) on (W: the Lambert function)
 Y_INTEGRAL_T_MAX = math.log(sys.float_info.max)  # 709.78...
+X_FAST_T_MAX = 2.0 * float(special.lambertw(sys.float_info.max / 2).real)  # 1405.07...
 
 
 def _factorial_series(t: np.ndarray, sign: float) -> np.ndarray:
@@ -160,8 +162,10 @@ def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t must be positive")
-    # a zero coefficient skips its branch: past t ~ 1420 e^{t/2} overflows,
-    # and 0 * inf is NaN
+    if A1 != 0 and np.any(t >= X_FAST_T_MAX):
+        raise OverflowError(f"whittaker_X(t) overflows for t >= {X_FAST_T_MAX:.2f} "
+                            "(t e^(t/2) past the float range)")
+    # a zero coefficient skips its branch: t e^{t/2} may be inf, and 0 * inf is NaN
     fast = A1 * t * np.exp(t / 2.0) if A1 != 0 else A1 * t
     slow = B1 * t * np.exp(-t / 2.0) * x_integral(t) if B1 != 0 else B1 * t
     return fast + slow
@@ -242,6 +246,7 @@ class ClassifyResult:
     xi: np.ndarray  # fitted window (negative frequencies)
     b2: np.ndarray  # fitted B2(xi) on the window
     pos_energy_frac: float
+    window_energy_frac: float
     fit_residual: float
     weight_value: float
     dyadic_growth: float
@@ -252,6 +257,7 @@ class ClassifyResult:
         return {
             "is_cokernel": bool(self.is_cokernel),
             "pos_energy_frac": float(self.pos_energy_frac),
+            "window_energy_frac": float(self.window_energy_frac),
             "fit_residual": float(self.fit_residual),
             "dyadic_growth": float(self.dyadic_growth),
             "weight_value": float(self.weight_value),
@@ -260,10 +266,12 @@ class ClassifyResult:
         }
 
 
-# the classifier's fit window in xi and its three thresholds: the fraction of
-# the energy at xi > 0, the relative fit residual, and the dyadic growth probe
+# the classifier's fit window in xi and its four thresholds: the fraction of
+# the energy at xi > 0, the least fraction in the window, the relative fit
+# residual, and the dyadic growth probe
 CLASSIFY_XI_WINDOW = (-2.5, -0.25)
 CLASSIFY_POS_TOL = 1e-4
+CLASSIFY_WINDOW_MIN = 1e-2
 CLASSIFY_FIT_TOL = 1e-2
 CLASSIFY_GROWTH_TOL = 1.3
 
@@ -271,11 +279,13 @@ CLASSIFY_GROWTH_TOL = 1.3
 def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
     """Test whether h looks like (Im z) times an anti-holomorphic function.
 
-    Three grid-level criteria on the partial Fourier transform:
+    Four grid-level criteria on the partial Fourier transform:
       (i)   at most CLASSIFY_POS_TOL of the energy at xi > 0;
       (ii)  each xi < 0 slice of CLASSIFY_XI_WINDOW is proportional to
             y e^{y xi}; the factor is the fitted B2(xi) (least squares over
-            y, relative residual at most CLASSIFY_FIT_TOL);
+            y, relative residual at most CLASSIFY_FIT_TOL), and the window
+            carries at least CLASSIFY_WINDOW_MIN of the energy, so that an
+            empty window is no fit;
       (iii) the weighted energy (1/2) sum |hhat|^2 / y^2 stays finite, in the
             sense that dyadic lower-cutoff partial sums stop growing (growth
             probe at most CLASSIFY_GROWTH_TOL).
@@ -300,6 +310,7 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
     sgn = -1.0 if wrong_branch else 1.0
     prof = 2.0 * np.abs(xi_w)[None, :] * y * np.exp(sgn * y * xi_w[None, :])
     block = p.data[:, cols]
+    window_frac = float(np.sum(absq[:, cols])) / tot if tot > 0 else 0.0
     denom = np.sum(prof * prof, axis=0)
     b2 = np.sum(block * prof, axis=0) / denom
     resid = block - b2[None, :] * prof
@@ -325,17 +336,18 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
     s_shell = float(np.sum(wdens[spec.ny // 4 : spec.ny // 2]))
     dyadic_growth = max(ratios + [s_top / max(s_shell, 1e-300)])
 
-    ok = (pos_frac <= CLASSIFY_POS_TOL and fit_residual <= CLASSIFY_FIT_TOL
-          and dyadic_growth <= CLASSIFY_GROWTH_TOL)
+    ok = (pos_frac <= CLASSIFY_POS_TOL and window_frac >= CLASSIFY_WINDOW_MIN
+          and fit_residual <= CLASSIFY_FIT_TOL and dyadic_growth <= CLASSIFY_GROWTH_TOL)
     return ClassifyResult(
         is_cokernel=bool(ok),
         xi=xi_w,
         b2=b2,
         pos_energy_frac=pos_frac,
+        window_energy_frac=window_frac,
         fit_residual=fit_residual,
         weight_value=weight_value,
         dyadic_growth=dyadic_growth,
-        thresholds={"pos_tol": CLASSIFY_POS_TOL, "fit_tol": CLASSIFY_FIT_TOL,
-                    "growth_tol": CLASSIFY_GROWTH_TOL},
+        thresholds={"pos_tol": CLASSIFY_POS_TOL, "window_min": CLASSIFY_WINDOW_MIN,
+                    "fit_tol": CLASSIFY_FIT_TOL, "growth_tol": CLASSIFY_GROWTH_TOL},
         x_truncation=p.x_truncation,
     )

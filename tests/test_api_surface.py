@@ -6,6 +6,10 @@ or assignment, its string in `__all__`, and a function's reads of its own
 name inside its own body (recursion) do not count, and neither do reads
 from `tests/`: a function that only its own test calls belongs in the
 test, so it fails here.
+
+Every module-level private name (`_name`: a function, class or assigned
+value) defined in `src/` must be read somewhere in `src/`, by the same
+rules, so a body that a rewrite replaced cannot live on for its tests alone.
 """
 
 import ast
@@ -65,6 +69,29 @@ def unread_exports(root: Path) -> dict:
     return unread
 
 
+def _private_defs(tree) -> list:
+    """The module-level `_name`s a module defines by def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def unread_privates(root: Path) -> dict:
+    """{module path: names} of module-level `_name`s under src/ that src/ never reads."""
+    used = _references(root, ("src",))
+    unread = {}
+    for path, tree in _trees(root, ("src",)):
+        missing = sorted(set(_private_defs(tree)) - used)
+        if missing:
+            unread[str(path.relative_to(root))] = missing
+    return unread
+
+
 def test_every_exported_name_is_referenced():
     unread = unread_exports(ROOT)
     assert not unread, f"exported names that src/ and scripts/ never read: {unread}"
@@ -88,3 +115,23 @@ def test_a_name_read_only_by_its_test_is_reported(tmp_path):
         "from pkg import mod\n\n\ndef test_helper():\n    assert mod.helper() == 2\n"
         "    assert mod.walk([[]]) == [[]]\n")
     assert unread_exports(tmp_path) == {"src/pkg/mod.py": ["helper", "walk"]}
+
+
+def test_every_private_name_is_read_in_src():
+    unread = unread_privates(ROOT)
+    assert not unread, f"private names that src/ never reads: {unread}"
+
+
+def test_an_orphan_private_helper_is_reported(tmp_path):
+    # negative control: `_old_body` is read only by its own recursive call
+    # and from tests/; `_body` and `_TABLE` are read by `api`
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        '__all__ = ["api"]\n_TABLE = {"a": 1}\n\n\n'
+        'def api():\n    return _body(_TABLE)\n\n\n'
+        'def _body(t):\n    return t\n\n\n'
+        'def _old_body(t):\n    return _old_body(t[1:]) if t else t\n')
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import _old_body\n\n\ndef test_old():\n    assert _old_body([]) == []\n")
+    assert unread_privates(tmp_path) == {"src/pkg/mod.py": ["_old_body"]}

@@ -353,6 +353,18 @@ def test_classify_member_and_nonmember(capsys):
     assert bump["is_cokernel"] is False
 
 
+def test_classify_rejects_a_field_with_an_empty_fit_window(capsys):
+    # the Hardy member depends on y alone, so all its energy sits at xi = 0:
+    # the fit window carries none of it, and its fit residual 0 proves nothing
+    assert run(["whittaker", "classify", "--testfn", "hardy:a=0.5,n=64", "--json"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["is_cokernel"] is False
+    assert res["window_energy_frac"] < res["thresholds"]["window_min"] == 1e-2
+    th = res["thresholds"]
+    assert res["pos_energy_frac"] <= th["pos_tol"] and res["fit_residual"] <= th["fit_tol"]
+    assert res["dyadic_growth"] <= th["growth_tol"]
+
+
 def test_classify_writes_multiplier_table(tmp_path, capsys):
     out = tmp_path / "b2.csv"
     assert run(["whittaker", "classify", "--testfn", "conjrat:a=1,k=2",

@@ -32,10 +32,12 @@ def gaussian_fields():
 def test_halfplane_operators_reject_fullplane_fields():
     gs = GridSpec(L=1.0, H=1.0, nx=8, ny=8, plane=PlaneKind.FULL)
     f = Field(gs, np.ones((8, 8), dtype=complex))
-    for op in (tr.cauchy_down, tr.cauchy_up, tr.beurling_down, tr.beurling_up,
-               tr.bicauchy_up, tr.bicauchy_down, tr.bicauchy_real):
-        with pytest.raises(ValueError):
-            op(f)
+    half_plane = [k for k in tr.KERNEL_IDS if k not in tr.WHOLE_PLANE]
+    assert len(half_plane) == 7
+    for op in half_plane:
+        for method in ("fft", "quadrature"):
+            with pytest.raises(ValueError, match="upper-half-plane"):
+                tr.transform(f, op, method)
 
 
 def test_unknown_method_mode_kernel_rejected():
@@ -48,6 +50,12 @@ def test_unknown_method_mode_kernel_rejected():
             tr.transform(f, k, method="exact")
     with pytest.raises(ValueError):
         tr.cauchy_down(f, method="quadrature", mode="sloppy")
+    with pytest.raises(ValueError, match="unknown mode"):
+        tr.cauchy_down(f, method="fft", mode="sloppy")
+    for k in tr.KERNEL_IDS:
+        for method in ("fft", "quadrature"):
+            with pytest.raises(ValueError, match="unknown mode"):
+                tr.transform(f, k, method=method, mode="sloppy")
     with pytest.raises(ValueError):
         tr.transform(f, "riesz")
 
@@ -137,9 +145,9 @@ def test_operators_run_the_named_method_and_padding():
     f = Field(gs, np.ones((16, 16), dtype=complex))
     out = tr.cauchy_down(f, method="quadrature")
     assert out.spec == gs
-    assert np.array_equal(out.data, tr._two_term_quad(f, "cauchy", +1, "accurate"))
+    assert np.array_equal(out.data, tr._plane_quad(f, "cauchy", +1, "shell"))
     outp = tr.beurling(f, padding=3)
-    assert np.array_equal(outp.data, tr._beurling_multiplier(f.data, gs.hx, gs.hy, 3))
+    assert np.array_equal(outp.data, tr._plane_fft(f, "beurling", 0, 3))
 
 
 @settings(max_examples=10, deadline=None)
@@ -276,7 +284,9 @@ def test_pruned_multiplier_matches_the_unpruned_fft2(shape, padding):
     (ny, nx), hx, hy = shape, 0.3, 0.2
     mult = _beurling_symbol(padding * ny, padding * nx, hx, hy)
     want = _unpruned(data, mult, slice(0, ny), slice(0, nx))
-    assert _close(tr._beurling_multiplier(data, hx, hy, padding), want, PRUNE_TOL)
+    pruned = tr._pruned_fft2(tr._beurling_symbol(padding * ny, padding * nx, hx, hy),
+                             [(0, data, 1)], slice(0, ny), slice(0, nx))
+    assert _close(pruned, want, PRUNE_TOL)
     # twin: the next block of rows of the padded box
     assert not _close(_pruned(data, mult, slice(ny, 2 * ny), slice(0, nx)), want, PRUNE_TOL)
 
@@ -429,7 +439,7 @@ def test_half_plane_fft_body_is_the_explicit_pipeline(op, nx, ny):
     rng = np.random.default_rng(nx * ny)
     f = Field(gs, _random_complex(rng, (ny, nx)))
     kind, sign, real = HALF_PLANE_FFT[op]
-    got = getattr(tr, op)(f).data
+    got = (tr.defect_sum(f) if op == "defect_sum" else tr.transform(f, op)).data
     assert np.array_equal(got, _explicit_half_plane(f, kind, sign, real))
     # twin: the reflection with its sign flipped
     twin = _explicit_half_plane(f, kind, sign, real, reflection=+1)
@@ -444,7 +454,7 @@ def _referenced_bytes(a: np.ndarray) -> int:
 
 @pytest.mark.parametrize("op", tr.KERNEL_IDS)
 def test_fft_results_own_their_memory(op):
-    plane = PlaneKind.FULL if op in ("cauchy", "beurling") else PlaneKind.UPPER
+    plane = PlaneKind.FULL if op in tr.WHOLE_PLANE else PlaneKind.UPPER
     gs = GridSpec(L=2.7, H=5.9, nx=24, ny=20, plane=plane)
     f = Field(gs, _random_complex(np.random.default_rng(4), (20, 24)))
     out = tr.transform(f, op, method="fft").data

@@ -157,6 +157,22 @@ def test_y_integral_refuses_t_past_its_overflow_limit():
         wh.whittaker_Y(710.0, 1.0, 0.0)
 
 
+def test_whittaker_X_refuses_t_past_its_fast_branch_overflow():
+    # t e^{t/2} overflows from X_FAST_T_MAX on; below it the value is finite
+    assert 1405.0 < wh.X_FAST_T_MAX < 1405.1
+    below = np.nextafter(wh.X_FAST_T_MAX, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(wh.whittaker_X(below, 1.0, 0.0))
+    for t in (wh.X_FAST_T_MAX, 1419.0, [1.0, 1500.0]):
+        with pytest.raises(OverflowError, match="1405.07"):
+            wh.whittaker_X(t, 1.0, 0.0)
+    with pytest.raises(OverflowError, match="1405.07"):
+        wh.ode_residual(wh.WhittakerSolution("X", 1.0, 0.0), [1000.0, 1500.0])
+    # the slow branch alone stays finite there
+    assert np.isfinite(wh.whittaker_X(1500.0, 0.0, 1.0))
+
+
 def test_slow_branch_integral_asymptotics():
     # I(t) ~ 1/t^2 for large t; I(t) = 1/t + log t + gamma + O(t log t) small
     assert abs(900.0 * wh.x_integral(30.0) - 1.0) < 0.1
@@ -279,7 +295,8 @@ def test_empty_fit_window_is_an_error():
 def test_classify_result_summary_fields():
     res = _classify_single_mode(lambda t: t * np.exp(-t / 2))
     s = res.summary()
-    assert list(s) == ["is_cokernel", "pos_energy_frac", "fit_residual", "dyadic_growth",
-                       "weight_value", "x_truncation", "thresholds"]
+    assert list(s) == ["is_cokernel", "pos_energy_frac", "window_energy_frac", "fit_residual",
+                       "dyadic_growth", "weight_value", "x_truncation", "thresholds"]
     assert s["x_truncation"] == res.x_truncation and type(s["x_truncation"]) is float
-    assert s["thresholds"] == {"pos_tol": 1e-4, "fit_tol": 1e-2, "growth_tol": 1.3}
+    assert s["thresholds"] == {"pos_tol": 1e-4, "window_min": 1e-2, "fit_tol": 1e-2,
+                               "growth_tol": 1.3}
