@@ -10,7 +10,8 @@ Three subcommands:
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
 missing input, a grid or box the grid refuses, a singular quadrature table
-on non-square cells, a tabulate range past t = 700).
+on non-square cells, a tabulate range past t = 700 or a branch past the
+float range there).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
@@ -302,7 +303,10 @@ def cmd_tabulate(args) -> int:
         _fail_usage(f"bad --points {args.points}; expected a count of at least 1")
     sol = wh.WhittakerSolution(args.family, args.A, args.B)
     ts = np.geomspace(t0, t1, args.points)
-    vals, resid = wh.pointwise_residual(sol, ts)
+    try:
+        vals, resid = wh.pointwise_residual(sol, ts)
+    except OverflowError as exc:
+        _fail_usage(f"{exc}; choose a smaller --A or --range")
     if args.json:
         print(json.dumps({
             "family": args.family, "A": [args.A.real, args.A.imag],

@@ -8,7 +8,8 @@ Two kernel families drive everything:
 The tables hold the kernel at the offsets zeta = z - w of a cell-centered
 box.  Half-plane operators read the image offsets z - conj(w) and
 conj(z) - w, +/-(i + j + 1) hy in y, from the same table on a box twice as
-tall (`transforms`).
+tall, of which they read 3 ny - 1 rows (`transforms`); so a table can be
+built over any range of rows dy / hy that holds 0.
 
 Near the singularity a midpoint sample misrepresents the integral, so the
 tables can replace entries by exact cell averages
@@ -32,12 +33,14 @@ size |zeta| ln|zeta| loses up to 1e-8 relative on far-field entries to
 cancellation), and the y step is a finite difference along the lattice.
 Both kernels have K(conj zeta) = conj K(zeta), and corners mirrored in Im
 are exact conjugates, so the Im(offset) < 0 rows are the conjugated
-quadrant rows, bit for bit.  The Re(offset) < 0 half, and the lower half of
-the Re(offset) = 0 column, follow from parity (1/zeta is odd, 1/zeta^2 is
-even), so the tables are exactly odd or even; on that column parity and
-conjugation differ only in the sign of a rounding-level part.  The
-per-offset averages used for the 3 x 3 shell blocks flip each offset to
-Re >= 0 the same way and take the four-corner sum directly.  The
+quadrant rows, bit for bit.  The lower half of the Re(offset) = 0 column
+follows from parity (1/zeta is odd, 1/zeta^2 is even); on that column parity
+and conjugation differ only in the sign of a rounding-level part.  The
+Re(offset) < 0 half is the x-mirror K(-conj zeta) = parity conj K(zeta),
+row by row, so a table can span any rows (down to dy = -b hy from the
+quadrant's rows up to b hy), and the full tables are exactly odd or even.
+The per-offset averages used for the 3 x 3 shell blocks flip each offset
+to Re >= 0 the same way and take the four-corner sum directly.  The
 coincident cell (offset 0) gets the value 0: the 1/zeta average vanishes by
 oddness, and the 1/zeta^2 entry is the omitted principal-value cell
 (exactly zero for square cells).
@@ -98,15 +101,26 @@ def avg_inv_sq(z0, hx: float, hy: float) -> np.ndarray:
 
 
 def _log1p(z):
-    """log(1 + z) for complex z, accurate for small |z| (numpy's complex log1p is not)."""
+    """log(1 + z) for complex z, accurate for small |z| (numpy's complex log1p is
+    not), written over z with two real temporaries."""
     x, y = z.real, z.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+    arg = np.arctan2(y, x + 1.0)
+    mod = x + 2.0
+    mod *= x
+    y *= y
+    mod += y
+    np.log1p(mod, out=mod)
+    mod *= 0.5
+    z.real, z.imag = mod, arg
+    return z
 
 
 def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
-    """The fully averaged planar table, in `out` (its real part if `out` is real)."""
+    """The fully averaged table at the offsets dy in [-below, ny), below = len(out) - ny,
+    times dx in (-nx, nx), in `out` (its real part if `out` is real)."""
+    below = len(out) - ny
     x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
-    yc = (np.arange(0, ny + 1) - 0.5) * hy  # lower corners of the dy >= 0 rows
+    yc = (np.arange(0, max(ny, below + 1) + 1) - 0.5) * hy  # lower corners, dy >= 0 rows
     c = x0[None, :] + 1j * yc[:, None]
     step = _log1p(hx / c)  # log(c + hx) - log c
     # lattice-sized temporaries are formed in place and freed before the
@@ -129,10 +143,12 @@ def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.nd
     quad /= hx * hy
     quad[0, 0] = 0.0  # coincident cell, the only one across the cut
     quad = quad.real if out.dtype.kind == "f" else quad
-    out[ny - 1 :, nx - 1 :] = quad
-    np.conjugate(quad[:0:-1, 1:], out=out[: ny - 1, nx:])  # K(conj zeta) = conj K(zeta)
-    np.multiply(quad[:0:-1, 0], parity, out=out[: ny - 1, nx - 1])  # exact parity at dx = 0
-    np.multiply(out[::-1, : nx - 1 : -1], parity, out=out[:, : nx - 1])
+    out[below:, nx - 1 :] = quad[:ny]
+    np.conjugate(quad[below:0:-1, 1:], out=out[:below, nx:])  # K(conj zeta) = conj K(zeta)
+    np.multiply(quad[below:0:-1, 0], parity, out=out[:below, nx - 1])  # exact parity at dx = 0
+    left = out[:, : nx - 1]
+    np.conjugate(out[:, : nx - 1 : -1], out=left)  # K(-conj zeta) = parity conj K(zeta)
+    left *= parity
     return out
 
 
@@ -158,9 +174,12 @@ def _avg_value(kind: str, z0, hx, hy):
 
 
 def planar_table(
-    kind: str, ny: int, nx: int, hx: float, hy: float, average: str = "shell"
+    kind: str, ny: int | range, nx: int, hx: float, hy: float, average: str = "shell"
 ) -> np.ndarray:
     """Offsets (i - j) hy x (k - l) hx; shape (2 ny - 1, 2 nx - 1).
+
+    An int ny gives the rows dy / hy in (-ny, ny); a range gives the rows in
+    it, which must hold 0 (a half-plane operator reads 3 ny - 1 rows).
 
     average:
       none  - midpoint everywhere (coincident offset 0)
@@ -173,15 +192,16 @@ def planar_table(
         raise CellShapeError(
             f"the singular kernel table needs square cells, got hx={hx!r} hy={hy!r}"
         )
+    rows = ny if isinstance(ny, range) else range(1 - ny, ny)
     if average == "all":
-        return _planar_all(kind, ny, nx, hx, hy, np.empty((2 * ny - 1, 2 * nx - 1), complex))
-    dy = (np.arange(-(ny - 1), ny) * hy)[:, None]
+        return _planar_all(kind, rows.stop, nx, hx, hy, np.empty((len(rows), 2 * nx - 1), complex))
+    dy = (np.arange(rows.start, rows.stop) * hy)[:, None]
     dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
     z0 = dx + 1j * dy
     tab = midpoint_value(kind, z0)
     if average == "shell":
-        block = z0[ny - 2 : ny + 1, nx - 2 : nx + 1]
-        tab[ny - 2 : ny + 1, nx - 2 : nx + 1] = _avg_value(kind, block, hx, hy)
+        shell = slice(max(-rows.start - 1, 0), 2 - rows.start), slice(nx - 2, nx + 1)
+        tab[shell] = _avg_value(kind, z0[shell], hx, hy)
     elif average != "none":
         raise ValueError(f"unknown averaging mode {average!r}")
     return tab

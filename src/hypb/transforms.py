@@ -32,10 +32,11 @@ Methods:
               the single source cell w = z omitted everywhere ("matched").
               Matched evaluation makes pointwise kernel identities hold to
               rounding, because both sides then sum identical terms.
-              The half-plane operators sum the whole-plane table of the
-              2 ny-row box once over the extension of f (the fft path's
-              layout, built separately); the product kernels are the
-              Cauchy table's 1/(z - w) times a closed-form image factor.
+              The half-plane operators sum the whole-plane table once over
+              the extension of f, built with just the 3 ny - 1 rows the
+              sum reads (the fft path's rows, built separately); the
+              product kernels are the Cauchy table's 1/(z - w) times a
+              closed-form image factor.
   fft         beurling via the unimodular Fourier multiplier conj(zeta)/zeta
               on a zero-padded box; cauchy via fast convolution with the
               fully cell-averaged 1/zeta table; the product kernels via
@@ -47,8 +48,8 @@ Both paths evaluate their table sums as valid-mode linear convolutions
 the valid block only reads table offsets inside the table, so a circular
 convolution at any length >= (a0, a1) has no wrap-around there: the FFTs
 run at next_fast_len of the table shape, not at the full linear length
-a + b - 1 (4096 x 2048 instead of 6144 x 3072 points for a 2048 x 1024
-input, 2.25 times fewer).
+a + b - 1 (3072 x 2048 instead of 5120 x 3072 points for a 2048 x 1024
+input and a 3071 x 2047 table, 2.5 times fewer).
 
 Every fft-path product of a spectrum or symbol with data runs through one
 pruned 2-D FFT, `_pruned_fft2` (J. D. Markel, "FFT pruning", IEEE Trans.
@@ -67,17 +68,23 @@ imaginary part of the blocks in one half-width buffer: rfft over the block
 rows, both axis-0 passes, irfft over the k kept rows.
 
 The fft body puts f in an ny-row box for sign 0.  For the half-plane signs
-it writes f into rows [ny, 2 ny) of a 2 ny-row box and, for the odd
-extension, negates f(conj z) straight into rows [0, ny).  The whole-plane
-and down operators and `defect_sum` keep k = ny rows, the up operators
-k = 2 ny.
+it lays the extension out over 2 ny rows: f in rows [ny, 2 ny) and, for the
+odd extension, -f(conj z) written straight into rows [0, ny); that is the
+Beurling multiplier's box (times the padding).  The Cauchy table holds just
+the 3 ny - 1 rows dy / hy in (-ny, 2 ny) the odd extension reads, so its box
+is next_fast_len(3 ny - 1) rows tall (3072, not 4096, for nullspace).  The
+zero extension reads the same rows reflected through 0; 1/zeta is odd, so
+it is summed as -f flipped in x and y, then flipped back, with the down
+operators' spectrum.  The whole-plane and down operators and `defect_sum`
+keep k = ny rows, the up operators k = 2 ny.
 
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
-keyed by (ny, nx, hx, hy, real)) as a read-only array; the table is built
-in its zero-padded box and transformed there.  The data spectrum is
-multiplied in place and inverted in place.  The quadrature path builds its
-own tables on every call and never reads that cache.
+keyed by (top, ny, nx, hx, hy, real) for the rows dy / hy in (-ny, top)) as
+a read-only array; the table is built in its zero-padded box and
+transformed there.  The data spectrum is multiplied in place and inverted
+in place.  The quadrature path builds its own tables on every call and
+never reads that cache.
 
 The defect operator M + (i/2)(C_down + conj C_down conj) goes through one
 fused transform, `defect_sum` = C_down + conj C_down conj.  Conjugating
@@ -204,25 +211,25 @@ def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
 
     For the half-plane signs f fills rows [ny, 2 ny) of a 2 ny-row box.
     sign +1 (z - conj w, the down operators) puts its negated reflection in
-    rows [0, ny) and keeps rows [ny, 2 ny), which read table rows
-    [ny, 4 ny - 1) only.  sign -1 (conj z - w, the up operators) leaves rows
-    [0, ny) zero, so the sum is over f with table rows [0, 3 ny - 1), and
-    subtracts the rows at conj z.
+    rows [0, ny) and keeps rows [ny, 2 ny), which read the offsets dy / hy
+    in (-ny, 2 ny) only.  sign -1 (conj z - w, the up operators) leaves rows
+    [0, ny) zero, so the sum is over f with the offsets in (-2 ny, ny), and
+    subtracts the rows at conj z.  The table holds just those 3 ny - 1 rows.
     """
     spec = f.spec
     ny, nx = spec.ny, spec.nx
-    tab = planar_table(kind, (2 if sign else 1) * ny, nx, spec.hx, spec.hy, average=average)
-    if sign == 0:
-        out = conv_valid(tab, f.data)
-    elif sign == 1:
-        out = conv_valid(tab[ny:], np.concatenate([-f.data[::-1], f.data]))
+    rows = {0: range(1 - ny, ny), 1: range(1 - ny, 2 * ny), -1: range(1 - 2 * ny, ny)}[sign]
+    tab = planar_table(kind, rows, nx, spec.hx, spec.hy, average=average)
+    if sign == 1:
+        out = conv_valid(tab, np.concatenate([-f.data[::-1], f.data]))
     else:
-        full = conv_valid(tab[: 3 * ny - 1], f.data)
-        out = full[ny:] - full[ny - 1 :: -1]
+        out = conv_valid(tab, f.data)
+    if sign == -1:
+        out = out[ny:] - out[ny - 1 :: -1]
     if sign and average == "none":
-        # add back the image of the source cell w = z, so the whole summand
-        # is omitted and per-point kernel identities survive
-        image = tab[2 * ny - 1 + sign * (2 * np.arange(ny) + 1), nx - 1]
+        # add back the image of the source cell w = z, at dy / hy = sign (2 i + 1),
+        # so the whole summand is omitted and per-point kernel identities survive
+        image = tab[sign * (2 * np.arange(ny) + 1) - rows.start, nx - 1]
         out += image[:, None] * f.data
     return out * spec.cell_measure
 
@@ -270,16 +277,17 @@ def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
 
 
 # fully averaged 1/zeta spectra kept per geometry; the largest battery one
-# (the nullspace check's real kernel, half spectrum 4096 x 1025) is 67 MB
+# (the nullspace check's real kernel, half spectrum 3072 x 1025) is 50 MB
 _SPECTRUM_CACHE_SIZE = 2
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
-def _cauchy_spectrum(ny: int, nx: int, hx: float, hy: float, real: bool) -> np.ndarray:
-    """Read-only spectrum of the fully averaged 1/zeta table (rfft2 of 2 Re of it if real)."""
-    a0, a1 = 2 * ny - 1, 2 * nx - 1
+def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: bool) -> np.ndarray:
+    """Read-only spectrum of the fully averaged 1/zeta table at the offsets
+    dy in (-ny, top) (rfft2 of 2 Re of it if real)."""
+    a0, a1 = top + ny - 1, 2 * nx - 1
     box = np.zeros(_fft_shape((a0, a1)), dtype=float if real else complex)
-    _planar_all("cauchy", ny, nx, hx, hy, out=box[:a0, :a1])
+    _planar_all("cauchy", top, nx, hx, hy, out=box[:a0, :a1])
     if real:
         kspec = sfft.rfft2(box)
         kspec *= 2.0  # exact: this is rfft2 of 2 Re K
@@ -299,14 +307,18 @@ def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False)
         box, blocks, rows = ny, [(0, f.data, 1)], slice(0, ny)
     elif sign == 1:
         box, blocks, rows = 2 * ny, [(ny, f.data, 1), (0, f.data[::-1], -1)], slice(ny, 2 * ny)
+    elif kind == "cauchy":  # K(-zeta) = -K(zeta): the down table over -f flipped in x and y
+        box, blocks, rows = 2 * ny, [(0, f.data[::-1, ::-1], -1)], slice(0, 2 * ny)
     else:
         box, blocks, rows = 2 * ny, [(ny, f.data, 1)], slice(0, 2 * ny)
     if kind == "cauchy":
-        kspec = _cauchy_spectrum(box, nx, s.hx, s.hy, real)
-        args = (kspec, blocks, slice(rows.start + box - 1, rows.stop + box - 1),
+        kspec = _cauchy_spectrum(box, ny, nx, s.hx, s.hy, real)
+        args = (kspec, blocks, slice(rows.start + ny - 1, rows.stop + ny - 1),
                 slice(nx - 1, 2 * nx - 1))
         out = _pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real else _pruned_fft2(*args)
         out *= s.cell_measure
+        if sign < 0:
+            out = out[::-1, ::-1]  # flipped back
     else:
         symbol = _beurling_symbol(padding * box, padding * nx, s.hx, s.hy)
         out = _pruned_fft2(symbol, blocks, rows, slice(0, nx))

@@ -708,9 +708,10 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 
 
 # residual = box truncation ~ 1/L plus quadrature; this box and grid land at
-# 9.9e-3 against the 1e-2 bar, and the check takes 1.3-1.5 s on a 2-core
-# Xeon (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 2048 x 1024 table
-# and its half spectrum, then one fused convolution per member
+# 9.9e-3 against the 1e-2 bar, and the check takes 1.4-1.5 s on a 2-core
+# Xeon (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 3071 x 2047 table
+# (the 3 ny - 1 rows the odd extension reads) and its 3072 x 1025 half
+# spectrum, then one fused convolution per member
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 
@@ -887,7 +888,7 @@ def check_liouville(cfg: RunConfig) -> list:
 def check_reflection_equivalence(cfg: RunConfig) -> list:
     """The half-plane singular transform equals its two-table mirror form.
 
-    The library sums the table of the 2 ny-row box once over the odd
+    The library sums the table rows dy / hy in (-ny, 2 ny) once over the odd
     extension of f.  Rebuilding the operator as two convolutions over f
     alone, with the whole-plane rows of that table minus its image rows
     (i + j + 1) hy, is a different summation of the same terms, so the two
@@ -899,9 +900,10 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     ny = spec.ny
     [F] = _gaussian_fields(spec, "f")
     bd = tr.beurling_down(F, method="quadrature", mode="accurate")
-    tab = kn.planar_table("beurling", 2 * ny, spec.nx, spec.hx, spec.hy, average="shell")
-    c1 = tr.conv_valid(tab[ny : 3 * ny - 1], F.data)
-    c2 = tr.conv_valid(tab[2 * ny :], F.data[::-1, :])
+    tab = kn.planar_table("beurling", range(1 - ny, 2 * ny), spec.nx, spec.hx, spec.hy,
+                          average="shell")
+    c1 = tr.conv_valid(tab[: 2 * ny - 1], F.data)
+    c2 = tr.conv_valid(tab[ny:], F.data[::-1, :])
     tol = cfg.tolerance(1e-10)
     rec.at_most("mirror-form", _rel_pointwise((c1 - c2) * spec.cell_measure, bd.data), tol)
     rec.above("control-flipped-sign", _rel_pointwise((c1 + c2) * spec.cell_measure, bd.data),

@@ -166,7 +166,12 @@ def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
         raise OverflowError(f"whittaker_X(t) overflows for t >= {X_FAST_T_MAX:.2f} "
                             "(t e^(t/2) past the float range)")
     # a zero coefficient skips its branch: t e^{t/2} may be inf, and 0 * inf is NaN
-    fast = A1 * t * np.exp(t / 2.0) if A1 != 0 else A1 * t
+    with np.errstate(over="ignore"):
+        fast = A1 * t * np.exp(t / 2.0) if A1 != 0 else A1 * t
+    if not np.all(np.isfinite(fast)):
+        raise OverflowError(f"whittaker_X(t) overflows: |A1| t e^(t/2) is past the float "
+                            f"range for |A1| = {abs(A1):.6g} at t = "
+                            f"{np.min(t[~np.isfinite(fast)]):.6g}")
     slow = B1 * t * np.exp(-t / 2.0) * x_integral(t) if B1 != 0 else B1 * t
     return fast + slow
 

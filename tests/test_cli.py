@@ -339,6 +339,20 @@ def test_tabulate_refuses_ranges_that_overflow(family, trange, capsys):
     assert "700" in capsys.readouterr().err
 
 
+def test_tabulate_refuses_a_fast_branch_past_the_float_range(capsys):
+    # |A1| t e^{t/2} overflows at t = 600 for A1 = 1e300, inside the allowed range.
+    # Twin: the same range at A1 = 1 is finite and tabulates
+    argv = ["whittaker", "tabulate", "--family", "X", "--B", "0", "--range", "600:700",
+            "--json"]
+    assert run(argv + ["--A=1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "|A1| t e^(t/2)" in err and "\n" not in err
+    assert run(argv + ["--A=1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
+
+
 def test_classify_member_and_nonmember(capsys):
     assert run(["whittaker", "classify", "--testfn", "conjrat:a=1,k=2",
                 "--premultiply-M", "--json"]) == 0

@@ -206,6 +206,29 @@ def test_full_table_writes_its_real_part_into_a_real_box():
     assert not box[2 * ny - 1 :].any() and not box[:, 2 * nx - 1 :].any()
 
 
+@pytest.mark.parametrize("kind, hy", [("cauchy", 0.23), ("beurling", 0.1)])
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("ny, nx, below", [(13, 21, 6), (40, 48, 19), (64, 64, 0),
+                                           (8, 12, 15)])
+def test_row_range_table_is_the_matching_rows_of_the_full_table(kind, hy, dtype, ny, nx,
+                                                                below):
+    # rows dy / hy in [-below, ny), set by the height of `out`, against the rows
+    # of the full table of the m-row box, m = max(ny, below + 1), whose quadrant
+    # lattice is the same.  Twin: the same range shifted by one row
+    hx, m = 0.1, max(ny, below + 1)
+    full = kn._planar_all(kind, m, nx, hx, hy, np.empty((2 * m - 1, 2 * nx - 1), dtype))
+    got = kn._planar_all(kind, ny, nx, hx, hy, np.empty((below + ny, 2 * nx - 1), dtype))
+    lo, hi = m - 1 - below, m - 1 + ny
+    assert np.array_equal(got, full[lo:hi])
+    shifted = full[lo + 1 : hi + 1] if hi < len(full) else full[lo - 1 : hi - 1]
+    assert not np.array_equal(got, shifted)
+    # the public builder over the same rows, in every averaging mode
+    for average in ("none", "shell", "all"):
+        want = kn.planar_table(kind, m, nx, hx, hy, average=average)[lo:hi]
+        rows = kn.planar_table(kind, range(-below, ny), nx, hx, hy, average=average)
+        assert np.array_equal(rows, want), average
+
+
 def test_lattice_tables_match_per_offset_averages():
     # rectangular cells where the kernel allows them; the planar singular
     # table needs square ones

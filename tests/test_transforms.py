@@ -319,7 +319,7 @@ def test_fft_path_reuses_one_read_only_spectrum_per_geometry():
     info = tr._cauchy_spectrum.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert np.array_equal(a.data, tr.cauchy_down(f).data)
-    kspec = tr._cauchy_spectrum(2 * gs.ny, gs.nx, gs.hx, gs.hy, False)  # the odd extension's
+    kspec = tr._cauchy_spectrum(2 * gs.ny, gs.ny, gs.nx, gs.hx, gs.hy, False)  # the down rows'
     assert not kspec.flags.writeable
     with pytest.raises(ValueError):
         kspec[0, 0] = 0.0
@@ -327,6 +327,21 @@ def test_fft_path_reuses_one_read_only_spectrum_per_geometry():
         tr.cauchy_down(tf.sample(tf.gaussian_bump(2.0, 4.0), upper(n), "f"))
         info = tr._cauchy_spectrum.cache_info()
         assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("nx, ny", [(32, 32), (24, 40)])
+def test_half_plane_spectrum_spans_the_3_ny_minus_1_rows_it_reads(nx, ny):
+    # the down operators read the offsets dy / hy in (-ny, 2 ny) and the up
+    # operators the flipped ones, so the box is next_fast_len(3 ny - 1) rows
+    # tall.  Twin: the 2 ny-row box's full table, 4 ny - 1 rows, is taller
+    gs = GridSpec(L=2.7, H=5.9, nx=nx, ny=ny, plane=PlaneKind.UPPER)
+    tr._cauchy_spectrum.cache_clear()
+    tr.cauchy_down(Field(gs, _random_complex(np.random.default_rng(ny), (ny, nx))))
+    kspec = tr._cauchy_spectrum(2 * ny, ny, nx, gs.hx, gs.hy, False)
+    assert tr._cauchy_spectrum.cache_info().hits == 1  # the spectrum cauchy_down cached
+    assert kspec.shape == (sfft.next_fast_len(3 * ny - 1), sfft.next_fast_len(2 * nx - 1))
+    assert kspec.shape[0] < sfft.next_fast_len(4 * ny - 1)
+    tr._cauchy_spectrum.cache_clear()
 
 
 @pytest.mark.parametrize("op", [tr.bicauchy_up, tr.bicauchy_down])
@@ -371,17 +386,18 @@ def _peak_bytes(fn) -> int:
 
 @pytest.mark.parametrize("n", [256, 512])
 def test_defect_sum_peak_memory_stays_under_1_7_full_spectra(n):
-    # from a cold cache: the table is built in its padded box and the real
-    # kernel keeps half a spectrum, 1.5 full spectra at both sizes.  Twin: the
-    # full complex spectrum of the same real table, 3.0
+    # from a cold cache: the table of the 3 n - 1 rows the odd extension reads
+    # is built in its padded box and the real kernel keeps half a spectrum,
+    # 1.6 full spectra of that box at both sizes.  Twin: the full complex
+    # spectrum of the same real table
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n), (n, n)))
-    P0, P1 = tr._fft_shape((4 * n - 1, 2 * n - 1))
+    P0, P1 = tr._fft_shape((3 * n - 1, 2 * n - 1))
     bar = 1.7 * P0 * P1 * 16
     blocks = [(n, f.data, 1), (0, f.data[::-1], -1)]
 
     def full_spectrum_route():
-        tab = kn.planar_table("cauchy", 2 * n, n, gs.hx, gs.hy, average="all")
+        tab = kn.planar_table("cauchy", range(1 - n, 2 * n), n, gs.hx, gs.hy, average="all")
         kspec = sfft.fft2(2.0 * tab.real, s=(P0, P1))
         del tab
         tr._pruned_fft2(kspec, blocks, slice(2 * n - 1, 3 * n - 1), slice(n - 1, 2 * n - 1))
@@ -406,6 +422,10 @@ HALF_PLANE_FFT = {  # op: (kernel, sign, real kernel)
 def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2):
     """Odd (sign +1) or zero extension, whole-plane `kind`, restriction.
 
+    The Cauchy spectrum is that of the table rows dy / hy in (-ny, 2 ny): the
+    zero extension is summed flipped in x and y, and the sum negated and
+    flipped back (1/zeta is odd).  For the odd extension the rows z in the
+    lower half are wrapped sums, which the restriction drops.
     `reflection` is the sign of the mirrored term: of the lower block for the
     odd extension, of the subtracted values at conj z for the zero one.
     """
@@ -416,13 +436,15 @@ def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2):
         lower = -f.data[::-1] if reflection == -1 else f.data[::-1]
     ext = np.concatenate([lower, f.data])
     if kind == "cauchy":
-        kspec = tr._cauchy_spectrum(2 * ny, nx, s.hx, s.hy, real)
-        rows, cols = slice(2 * ny - 1, 4 * ny - 1), slice(nx - 1, 2 * nx - 1)
+        kspec = tr._cauchy_spectrum(2 * ny, ny, nx, s.hx, s.hy, real)
+        data = ext if sign == 1 else ext[::-1, ::-1]
+        rows, cols = slice(ny - 1, 3 * ny - 1), slice(nx - 1, 2 * nx - 1)
         if real:  # the real kernel's half spectrum
             n1 = tr._fft_shape([2 * nx - 1])[0]
-            full = tr._pruned_rfft2(kspec, [(0, ext, 1)], rows, cols, n1) * s.cell_measure
+            full = tr._pruned_rfft2(kspec, [(0, data, 1)], rows, cols, n1) * s.cell_measure
         else:
-            full = tr._pruned_fft2(kspec, [(0, ext, 1)], rows, cols) * s.cell_measure
+            full = tr._pruned_fft2(kspec, [(0, data, 1)], rows, cols) * s.cell_measure
+        full = full if sign == 1 else -full[::-1, ::-1]
     else:
         symbol = tr._beurling_symbol(2 * padding * ny, padding * nx, s.hx, s.hy)
         full = tr._pruned_fft2(symbol, [(0, ext, 1)], slice(0, 2 * ny), slice(0, nx))
