@@ -31,6 +31,8 @@ taken once, the x step of the primitive is formed in closed form through
 log(c + hx) = log c + log1p(hx / c) (a plain four-corner sum of values of
 size |zeta| ln|zeta| loses up to 1e-8 relative on far-field entries to
 cancellation), and the y step is a finite difference along the lattice.
+The lattice is built in blocks of 128 rows, each written into the table when
+done; an entry's arithmetic does not depend on its block.
 Both kernels have K(conj zeta) = conj K(zeta), and corners mirrored in Im
 are exact conjugates, so the Im(offset) < 0 rows are the conjugated
 quadrant rows, bit for bit.  The lower half of the Re(offset) = 0 column
@@ -115,37 +117,46 @@ def _log1p(z):
     return z
 
 
+_ROW_BLOCK = 128  # quadrant rows per block of the corner lattice
+
+
 def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
     """The fully averaged table at the offsets dy in [-below, ny), below = len(out) - ny,
     times dx in (-nx, nx), in `out` (its real part if `out` is real)."""
-    below = len(out) - ny
-    x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
-    yc = (np.arange(0, max(ny, below + 1) + 1) - 0.5) * hy  # lower corners, dy >= 0 rows
-    c = x0[None, :] + 1j * yc[:, None]
-    step = _log1p(hx / c)  # log(c + hx) - log c
-    # lattice-sized temporaries are formed in place and freed before the
-    # table is written: the nullspace table's lattice is 34 MB each
-    if kind == "cauchy":
-        # (c + hx) log(c + hx) - c log c, less the -hx that the y step drops
-        col, parity = np.log(c), -1
-        col *= hx
-        c += hx
-        c *= step
-        col += c
-    elif kind == "beurling":
-        col, parity = step, 1
-    else:
+    if kind not in ("cauchy", "beurling"):
         raise ValueError(f"unknown kernel kind {kind!r}")
-    col *= -1j
-    del c, step
-    quad = np.diff(col, axis=0)  # offsets dx >= 0, dy >= 0
-    del col
-    quad /= hx * hy
-    quad[0, 0] = 0.0  # coincident cell, the only one across the cut
-    quad = quad.real if out.dtype.kind == "f" else quad
-    out[below:, nx - 1 :] = quad[:ny]
-    np.conjugate(quad[below:0:-1, 1:], out=out[:below, nx:])  # K(conj zeta) = conj K(zeta)
-    np.multiply(quad[below:0:-1, 0], parity, out=out[:below, nx - 1])  # exact parity at dx = 0
+    below, parity = len(out) - ny, -1 if kind == "cauchy" else 1
+    x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
+    rows = max(ny, below + 1)  # quadrant rows dy / hy in [0, rows)
+    for j0 in range(0, rows, _ROW_BLOCK):
+        # quadrant rows [j0, j1) from the corner rows [j0, j1], one shared with the next block
+        j1 = min(j0 + _ROW_BLOCK, rows)
+        c = x0[None, :] + 1j * ((np.arange(j0, j1 + 1) - 0.5) * hy)[:, None]
+        step = _log1p(hx / c)  # log(c + hx) - log c
+        if kind == "cauchy":
+            # (c + hx) log(c + hx) - c log c, less the -hx that the y step drops
+            col = np.log(c)
+            col *= hx
+            c += hx
+            c *= step
+            col += c
+        else:
+            col = step
+        col *= -1j
+        del c, step
+        quad = np.diff(col, axis=0)  # offsets dx >= 0, dy >= 0
+        del col
+        quad /= hx * hy
+        if j0 == 0:
+            quad[0, 0] = 0.0  # coincident cell, the only one across the cut
+        quad = quad.real if out.dtype.kind == "f" else quad
+        if j0 < ny:
+            out[below + j0 : below + min(j1, ny), nx - 1 :] = quad[: ny - j0]
+        lo, hi = max(j0, 1), min(j1, below + 1)  # the rows dy / hy = -j, lo <= j < hi
+        if lo < hi:
+            src, dst = quad[lo - j0 : hi - j0][::-1], out[below - hi + 1 : below - lo + 1]
+            np.conjugate(src[:, 1:], out=dst[:, nx:])  # K(conj zeta) = conj K(zeta)
+            np.multiply(src[:, 0], parity, out=dst[:, nx - 1])  # exact parity at dx = 0
     left = out[:, : nx - 1]
     np.conjugate(out[:, : nx - 1 : -1], out=left)  # K(-conj zeta) = parity conj K(zeta)
     left *= parity

@@ -708,10 +708,10 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 
 
 # residual = box truncation ~ 1/L plus quadrature; this box and grid land at
-# 9.9e-3 against the 1e-2 bar, and the check takes 1.4-1.5 s on a 2-core
+# 9.9e-3 against the 1e-2 bar, and the check takes 1.1 s on a 2-core
 # Xeon (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 3071 x 2047 table
-# (the 3 ny - 1 rows the odd extension reads) and its 3072 x 1025 half
-# spectrum, then one fused convolution per member
+# (the 3 ny - 1 rows the odd extension reads) built in place in its
+# 3072 x 1025 half spectrum, then one fused convolution per member
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 
@@ -723,8 +723,9 @@ def check_nullspace(cfg: RunConfig) -> list:
 
     def residual(member):
         f = tf.sample(member, spec, "f")
+        s = tr.defect_sum(f, method="fft").data  # before M f: one field fewer at its peak
         Mf = Field(spec, y * f.data)
-        out = Field(spec, Mf.data + 0.5j * tr.defect_sum(f, method="fft").data)
+        out = Field(spec, Mf.data + 0.5j * s)
         return lp_norm(out, 2.0) / lp_norm(Mf, 2.0)
 
     rec.at_most("conjugate-member", residual(tf.conj_rational(1.0, 3)), 1e-2,
@@ -816,12 +817,13 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     e = float(np.max(np.abs(res.b2 - target) / np.abs(target)))
     rec.at_most("boundary-multiplier", e, tol, notes=notes,
                 window=[float(xi.min()), float(xi.max())])
+    resw = wh.lemma_a1_classify(member, wrong_branch=True)
+    del member  # one classify-grid field at a time
     [g] = _gaussian_fields(spec, "f")
     resg = wh.lemma_a1_classify(g)
     rec.record("control-gaussian", 0.0 if resg.is_cokernel else 1.0, 1.0, tol,
                not resg.is_cokernel, notes={"x_truncation": resg.x_truncation},
                pos_energy_frac=resg.pos_energy_frac)
-    resw = wh.lemma_a1_classify(member, wrong_branch=True)
     rec.at_least("control-wrong-branch", resw.fit_residual, 1e-2, notes=notes)
     holo = Field(spec, y * tf.sample(tf.holo_rational(1, 2), spec).data)
     resh = wh.lemma_a1_classify(holo)

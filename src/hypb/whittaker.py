@@ -182,7 +182,12 @@ def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
         raise ValueError("t must be positive")
     tlogt = t * np.log(t)  # -> 0 as t -> 0+
     # a zero A2 skips the slow branch: y_integral refuses t past 709.78
-    slow = A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) if A2 != 0 else A2 * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        slow = A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) if A2 != 0 else A2 * t
+    if not np.all(np.isfinite(slow)):
+        raise OverflowError(f"whittaker_Y(t) overflows: |A2| e^(-t/2) (1 - t ln t - t J(t)) is "
+                            f"past the float range for |A2| = {abs(A2):.6g} at t = "
+                            f"{np.min(t[~np.isfinite(slow)]):.6g}")
     return slow + B2 * t * np.exp(-t / 2.0)
 
 
@@ -232,7 +237,9 @@ def partial_fourier(h: Field) -> PartialFourierField:
     ratio = float(edge / peak) if peak > 0 else 0.0
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
     x0 = spec.x[0]
-    data = spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * x0)[None, :]
+    data = np.fft.fft(h.data, axis=1)
+    data *= spec.hx  # in place: one field-sized array
+    data *= np.exp(-1j * xi * x0)[None, :]
     return PartialFourierField(spec=spec, xi=xi, data=data, x_truncation=ratio)
 
 

@@ -1,5 +1,7 @@
 """Helpers shared by several test modules."""
 
+import tracemalloc
+
 import pytest
 
 
@@ -15,3 +17,18 @@ def _strip_runtime(payload):
 @pytest.fixture
 def strip_runtime():
     return _strip_runtime
+
+
+def _peak_bytes(fn) -> int:
+    """tracemalloc's peak, in bytes, of the allocations made while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    return _peak_bytes

@@ -353,6 +353,21 @@ def test_tabulate_refuses_a_fast_branch_past_the_float_range(capsys):
     assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
 
 
+def test_tabulate_refuses_a_slow_y_branch_past_the_float_range(capsys):
+    # |A2| e^{-t/2} t J(t) ~ |A2| e^{t/2} / t overflows at t = 600 for A2 = 1e300.
+    # Twin: the same range at A2 = 1 is finite and tabulates
+    argv = ["whittaker", "tabulate", "--family", "Y", "--B", "0", "--range", "600:700",
+            "--json"]
+    assert run(argv + ["--A=1e300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "whittaker_Y(t) overflows" in err and "\n" not in err
+    assert "|A2| = 1e+300 at t = 600" in err
+    assert run(argv + ["--A=1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
+
+
 def test_classify_member_and_nonmember(capsys):
     assert run(["whittaker", "classify", "--testfn", "conjrat:a=1,k=2",
                 "--premultiply-M", "--json"]) == 0

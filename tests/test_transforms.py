@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,26 +373,16 @@ def test_fft_fields_are_bit_identical_across_worker_counts():
         assert np.array_equal(a, b)
 
 
-def _peak_bytes(fn) -> int:
-    """tracemalloc's peak, in bytes, of the allocations made while fn runs."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.mark.parametrize("n", [256, 512])
-def test_defect_sum_peak_memory_stays_under_1_7_full_spectra(n):
+def test_defect_sum_peak_memory_stays_under_1_3_full_spectra(n, peak_bytes):
     # from a cold cache: the table of the 3 n - 1 rows the odd extension reads
-    # is built in its padded box and the real kernel keeps half a spectrum,
-    # 1.6 full spectra of that box at both sizes.  Twin: the full complex
-    # spectrum of the same real table
+    # is built in place in the half spectrum, and the x-first panel pass holds
+    # a few fields beside it, 1.1 full spectra of that box at both sizes.
+    # Twin: the full complex spectrum of the same real table
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n), (n, n)))
     P0, P1 = tr._fft_shape((3 * n - 1, 2 * n - 1))
-    bar = 1.7 * P0 * P1 * 16
+    bar = 1.3 * P0 * P1 * 16
     blocks = [(n, f.data, 1), (0, f.data[::-1], -1)]
 
     def full_spectrum_route():
@@ -404,10 +393,93 @@ def test_defect_sum_peak_memory_stays_under_1_7_full_spectra(n):
 
     tr._cauchy_spectrum.cache_clear()
     try:
-        assert _peak_bytes(lambda: tr.defect_sum(f)) <= bar
-        assert _peak_bytes(full_spectrum_route) > bar
+        assert peak_bytes(lambda: tr.defect_sum(f)) <= bar
+        assert peak_bytes(full_spectrum_route) > bar
     finally:
         tr._cauchy_spectrum.cache_clear()
+
+
+def test_spectrum_builds_hold_little_beside_the_spectrum(peak_bytes, monkeypatch):
+    # in units of the full spectrum of the 3 n - 1 half-plane rows at 512^2:
+    # the real kernel's table is rfft'd in place in its half spectrum (0.71),
+    # the complex one is built in its box a row block at a time (1.21).
+    # Twins: the real table in a box of its own, then rfft2 (1.00), and the
+    # whole quadrant lattice at once (2.00)
+    n = 512
+    gs = upper(n)
+    a0, a1 = 3 * n - 1, 2 * n - 1
+    P0, P1 = tr._fft_shape((a0, a1))
+    unit = P0 * P1 * 16
+
+    def build(real):
+        return lambda: tr._cauchy_spectrum(2 * n, n, n, gs.hx, gs.hy, real)
+
+    def box_then_rfft2():
+        box = np.zeros((P0, P1))
+        kn._planar_all("cauchy", 2 * n, n, gs.hx, gs.hy, out=box[:a0, :a1])
+        sfft.rfft2(box)
+
+    try:
+        for fn, bar, below in [(build(True), 0.9, True), (box_then_rfft2, 0.9, False),
+                               (build(False), 1.4, True)]:
+            tr._cauchy_spectrum.cache_clear()
+            assert (peak_bytes(fn) <= bar * unit) is below
+        monkeypatch.setattr(kn, "_ROW_BLOCK", 3 * n)
+        tr._cauchy_spectrum.cache_clear()
+        assert peak_bytes(build(False)) > 1.4 * unit
+    finally:
+        tr._cauchy_spectrum.cache_clear()
+
+
+# odd P1 at nx = 13 and 5; the half-plane lattices of ny = 70 and 140 are
+# taller than one row block of kernels._planar_all
+SPECTRUM_GEOMETRIES = [(13, 70), (5, 140), (24, 40)]
+
+
+@pytest.mark.parametrize("nx, ny", SPECTRUM_GEOMETRIES)
+@pytest.mark.parametrize("half", [False, True])
+def test_spectra_are_the_ffts_of_their_padded_boxes(nx, ny, half):
+    hx, hy = 2.7 / nx, 5.9 / ny
+    top = 2 * ny if half else ny
+    tab = kn.planar_table("cauchy", range(1 - ny, top), nx, hx, hy, average="all")
+    shape = tr._fft_shape(tab.shape)
+    box = np.zeros(shape, dtype=complex)
+    box[: tab.shape[0], : tab.shape[1]] = tab
+    real_box = np.zeros(shape)
+    real_box[: tab.shape[0], : tab.shape[1]] = tab.real
+    tr._cauchy_spectrum.cache_clear()
+    try:
+        kspec = tr._cauchy_spectrum(top, ny, nx, hx, hy, False)
+        assert np.array_equal(kspec, sfft.fft2(box))
+        half_spec = tr._cauchy_spectrum(top, ny, nx, hx, hy, True)
+        assert np.array_equal(half_spec, 2 * sfft.rfft2(real_box))
+        # twin: the table one row lower in its box
+        assert not np.array_equal(half_spec, 2 * sfft.rfft2(np.roll(real_box, 1, axis=0)))
+    finally:
+        tr._cauchy_spectrum.cache_clear()
+
+
+@pytest.mark.parametrize("nx, ny", SPECTRUM_GEOMETRIES)
+def test_pruned_rfft2_blocks_are_the_extension_as_one_block(nx, ny):
+    # the lower block of the odd extension shares the upper one's x-pass
+    hx, hy = 2.7 / nx, 5.9 / ny
+    rng = np.random.default_rng(nx + ny)
+    f, g = _random_complex(rng, (ny, nx)), _random_complex(rng, (ny, nx))
+    kspec = tr._cauchy_spectrum(2 * ny, ny, nx, hx, hy, True)
+    n1 = tr._fft_shape([2 * nx - 1])[0]
+    rows, cols = slice(2 * ny - 1, 3 * ny - 1), slice(nx - 1, 2 * nx - 1)
+
+    def one_block(lower, upper):
+        return tr._pruned_rfft2(kspec, [(0, np.concatenate([lower, upper]), 1)], rows, cols, n1)
+
+    got = tr._pruned_rfft2(kspec, [(ny, f, 1), (0, f[::-1], -1)], rows, cols, n1)
+    assert np.array_equal(got, one_block(-f[::-1], f))
+    # a different array in the lower block gets its own x-pass
+    other = tr._pruned_rfft2(kspec, [(ny, f, 1), (0, g[::-1], -1)], rows, cols, n1)
+    assert np.array_equal(other, one_block(-g[::-1], f))
+    # twin: the even extension
+    twin = one_block(f[::-1], f)
+    assert np.max(np.abs(got - twin)) > 1e-3 * np.max(np.abs(got))
 
 
 # the half-plane fft body against the explicit pipeline: the extension array

@@ -199,6 +199,28 @@ def test_partial_fourier_round_trip():
     assert np.max(np.abs(back.data - f.data)) < 1e-12
 
 
+def test_partial_fourier_peak_memory_stays_under_1_25_fields(peak_bytes):
+    # on the classify grid the FFT is scaled in place, one field (1.01).
+    # Twin: the three-factor product, whose first factor is a second field (2.01)
+    spec = wh.default_classify_spec()
+    rng = np.random.default_rng(5)
+    h = Field(spec, rng.standard_normal((spec.ny, spec.nx)) + 1j)
+    bar = 1.25 * h.data.nbytes
+    p = None
+
+    def product():
+        xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
+        return spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * spec.x[0])[None, :]
+
+    def keep():
+        nonlocal p
+        p = wh.partial_fourier(h)
+
+    assert peak_bytes(keep) <= bar
+    assert peak_bytes(product) > bar
+    assert np.array_equal(p.data, product())
+
+
 def test_partial_fourier_records_x_truncation_without_warning():
     gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
     X, Y = np.meshgrid(gs.x, gs.y)
