@@ -35,7 +35,7 @@ import sys
 
 import numpy as np
 
-from .grid import Field, GridSpec, PlaneKind, lp_norm
+from .grid import GridSpec, PlaneKind, lp_norm
 from .kernels import CellShapeError
 from .report import reports_to_json
 from . import testfuncs as tf
@@ -258,10 +258,13 @@ def cmd_transform(args) -> int:
     with tr.fft_workers(cfg.threads):
         out = tr.transform(f, op, method=cfg.method)
     if args.json:
+        try:
+            norms = {"input_l2": lp_norm(f, 2.0), "output_l2": lp_norm(out, 2.0)}
+        except OverflowError as exc:
+            _fail_usage(f"{exc} for --testfn {args.testfn}")
         print(json.dumps({
             "op": op, "testfn": args.testfn, "grid": spec.summary(),
-            "method": cfg.method, "threads": cfg.threads,
-            "input_l2": lp_norm(f, 2.0), "output_l2": lp_norm(out, 2.0),
+            "method": cfg.method, "threads": cfg.threads, **norms,
         }, indent=2, allow_nan=False))
         if args.out is None:
             return 0
@@ -273,12 +276,12 @@ def cmd_transform(args) -> int:
 def cmd_classify(args) -> int:
     if args.testfn is None:
         _fail_usage("classify needs --testfn")
-    fn = parse_testfn(args.testfn)
-    spec = wh.default_classify_spec()
-    f = tf.sample(fn, spec, "f")
-    if args.premultiply_m:
-        f = Field(spec, spec.y.reshape(-1, 1) * f.data)
-    res = wh.lemma_a1_classify(f)
+    rows = tf.RowSampler(parse_testfn(args.testfn), wh.default_classify_spec(),
+                         times_y=args.premultiply_m)
+    try:
+        res = wh.lemma_a1_classify(rows)
+    except OverflowError as exc:
+        _fail_usage(f"{exc} for --testfn {args.testfn}")
     payload = res.summary()
     payload["testfn"] = args.testfn
     payload["premultiply_M"] = bool(args.premultiply_m)

@@ -139,18 +139,24 @@ class Field:
     def conj(self) -> "Field":
         return Field(self.spec, np.conj(self.data))
 
+    def rows(self, r: slice) -> np.ndarray:  # how the cokernel classifier reads a field
+        return self.data[r]
+
 
 def lp_norm(f: Field, p: float = 2.0, weight: WeightKind = WeightKind.PLAIN) -> float:
     """Midpoint-rule L^p norm, ( sum |f|^p w * hx hy / pi )^(1/p).
 
     The weight is applied pointwise, so lp_norm(f, p, HYPERBOLIC) agrees
     with lp_norm(f / Im z, p, PLAIN) to rounding, with no discretization
-    gap between the two.
+    gap between the two.  A sum past the float range is an OverflowError.
     """
     if p <= 0:
         raise ValueError("p must be positive")
     w = f.spec.weight(p, weight)
-    acc = np.sum(np.abs(f.data) ** p * w)
+    with np.errstate(over="ignore"):
+        acc = np.sum(np.abs(f.data) ** p * w)
+    if acc == math.inf:
+        raise OverflowError(f"the L^{p:g} norm's sum |f|^{p:g} w leaves the float range")
     return float((acc * f.spec.cell_measure) ** (1.0 / p))
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "hardy_family",
     "parse_testfn",
     "sample",
+    "RowSampler",
 ]
 
 
@@ -72,6 +73,22 @@ def sample(fn: AnalyticTestFunction, spec: GridSpec, which: str = "f") -> Field:
     if form is None:
         raise ValueError(f"{fn.describe()} has no closed form for {which!r}")
     return Field(spec, form(spec.zz()))
+
+
+@dataclass(frozen=True)
+class RowSampler:
+    """fn.f on spec, times Im z if times_y, sampled a block of rows at a time:
+    rows(r) evaluates the rows r (a slice) alone, bit-identical to those rows
+    of sample(fn, spec, "f") (times Im z), with no whole field ever built."""
+
+    fn: AnalyticTestFunction
+    spec: GridSpec
+    times_y: bool = False
+
+    def rows(self, r: slice) -> np.ndarray:
+        y = self.spec.y[r, None]
+        out = self.fn.f(self.spec.x[None, :] + 1j * y)
+        return y * out if self.times_y else out
 
 
 # ---------------------------------------------------------------------------

@@ -803,8 +803,7 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     """
     rec = _Recorder("whittaker-classify", wh.default_classify_spec(), "partial-fourier")
     spec = rec.spec
-    y = spec.y.reshape(-1, 1)
-    member = Field(spec, y * tf.sample(tf.conj_rational(1, 2), spec).data)
+    member = tf.RowSampler(tf.conj_rational(1, 2), spec, times_y=True)
     res = wh.lemma_a1_classify(member)
     notes = {"x_truncation": res.x_truncation}
     tol = cfg.tolerance(1e-3)
@@ -818,15 +817,12 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     rec.at_most("boundary-multiplier", e, tol, notes=notes,
                 window=[float(xi.min()), float(xi.max())])
     resw = wh.lemma_a1_classify(member, wrong_branch=True)
-    del member  # one classify-grid field at a time
-    [g] = _gaussian_fields(spec, "f")
-    resg = wh.lemma_a1_classify(g)
+    resg = wh.lemma_a1_classify(tf.RowSampler(_battery_gaussian(), spec))
     rec.record("control-gaussian", 0.0 if resg.is_cokernel else 1.0, 1.0, tol,
                not resg.is_cokernel, notes={"x_truncation": resg.x_truncation},
                pos_energy_frac=resg.pos_energy_frac)
     rec.at_least("control-wrong-branch", resw.fit_residual, 1e-2, notes=notes)
-    holo = Field(spec, y * tf.sample(tf.holo_rational(1, 2), spec).data)
-    resh = wh.lemma_a1_classify(holo)
+    resh = wh.lemma_a1_classify(tf.RowSampler(tf.holo_rational(1, 2), spec, times_y=True))
     rec.record("control-holomorphic", 0.0 if resh.is_cokernel else 1.0, 1.0, tol,
                not resh.is_cokernel, notes={"x_truncation": resh.x_truncation},
                pos_energy_frac=resh.pos_energy_frac)

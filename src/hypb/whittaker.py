@@ -26,6 +26,13 @@ finiteness condition, which is what the classifier below exploits: a field
 is in the cokernel class iff its partial Fourier transform is carried by
 xi <= 0 with y-profile proportional to y e^{y xi}, and the fitted
 coefficient B2(xi) is the classification output.
+
+The classifier reads the field in blocks of 16 rows, x-transforms each
+block (hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by
+frequency group and the fit-window columns: no grid-sized array exists.
+B2, the fit residual and x_truncation are bit-identical to a whole-field
+pass; the energy fractions, weighted energy and growth probe sum the same
+terms by row first, which moves them at rounding level (1e-15 relative).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from typing import Optional
 import numpy as np
 from scipy import special
 
-from .grid import Field, GridSpec, PlaneKind
+from .grid import GridSpec, PlaneKind
 
 __all__ = [
     "WhittakerSolution",
@@ -48,8 +55,6 @@ __all__ = [
     "y_integral",
     "pointwise_residual",
     "ode_residual",
-    "PartialFourierField",
-    "partial_fourier",
     "ClassifyResult",
     "lemma_a1_classify",
     "default_classify_spec",
@@ -218,38 +223,12 @@ def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# partial Fourier transform in x
-
-
-@dataclass
-class PartialFourierField:
-    spec: GridSpec
-    xi: np.ndarray  # (nx,) angular frequencies, fftfreq order
-    data: np.ndarray  # (ny, nx) coefficients approximating int h e^{-i xi x} dx
-    x_truncation: float  # |h| at x = +/-L over its peak: the scale of the truncation ripple
-
-
-def partial_fourier(h: Field) -> PartialFourierField:
-    """x-Fourier coefficients of h, with its x_truncation ratio."""
-    spec = h.spec
-    edge = max(np.max(np.abs(h.data[:, 0])), np.max(np.abs(h.data[:, -1])))
-    peak = np.max(np.abs(h.data))
-    ratio = float(edge / peak) if peak > 0 else 0.0
-    xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
-    x0 = spec.x[0]
-    data = np.fft.fft(h.data, axis=1)
-    data *= spec.hx  # in place: one field-sized array
-    data *= np.exp(-1j * xi * x0)[None, :]
-    return PartialFourierField(spec=spec, xi=xi, data=data, x_truncation=ratio)
+# classification
 
 
 def default_classify_spec() -> GridSpec:
     """Wide, axis-hugging grid sized for 1e-3 frequency-profile accuracy."""
     return GridSpec(L=128.0, H=16.0, nx=2048, ny=640, plane=PlaneKind.UPPER)
-
-
-# ---------------------------------------------------------------------------
-# classification
 
 
 @dataclass
@@ -263,7 +242,7 @@ class ClassifyResult:
     weight_value: float
     dyadic_growth: float
     thresholds: dict
-    x_truncation: float  # |h| at x = +/-L over its peak (partial_fourier)
+    x_truncation: float  # |h| at x = +/-L over its peak: the scale of the truncation ripple
 
     def summary(self) -> dict:
         return {
@@ -286,9 +265,10 @@ CLASSIFY_POS_TOL = 1e-4
 CLASSIFY_WINDOW_MIN = 1e-2
 CLASSIFY_FIT_TOL = 1e-2
 CLASSIFY_GROWTH_TOL = 1.3
+_CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay in L2
 
 
-def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
+def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
     """Test whether h looks like (Im z) times an anti-holomorphic function.
 
     Four grid-level criteria on the partial Fourier transform:
@@ -302,27 +282,54 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
             sense that dyadic lower-cutoff partial sums stop growing (growth
             probe at most CLASSIFY_GROWTH_TOL).
 
+    h is a Field or a `testfuncs.RowSampler`: anything with a `spec` and a
+    `rows(r)` that returns the rows r (a slice) of the field.  It is read in
+    row blocks (module docstring); energies past the float range raise.
+
     wrong_branch fits y e^{-y xi} instead (the growing solution); this is
     the designated negative control and must produce a large fit residual.
     """
-    p = partial_fourier(h)
-    spec = p.spec
+    spec = h.spec
     y = spec.y.reshape(-1, 1)
-    absq = np.abs(p.data) ** 2
-
-    tot = float(np.sum(absq))
-    pos = float(np.sum(absq[:, p.xi > 0]))
-    pos_frac = pos / tot if tot > 0 else 0.0
-
+    xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
     lo, hi = CLASSIFY_XI_WINDOW
-    cols = np.nonzero((p.xi >= lo) & (p.xi <= hi))[0]
+    cols = np.nonzero((xi >= lo) & (xi <= hi))[0]
     if cols.size == 0:
         raise ValueError("no frequencies in the fit window; enlarge the grid")
-    xi_w = p.xi[cols]
+    win = slice(cols[0], cols[-1] + 1)  # xi < 0 runs upward in fftfreq order
+    split = (spec.nx + 1) // 2  # fftfreq order: 0, then xi > 0 up to split, xi < 0 from it
+    phase = np.exp(-1j * xi * spec.x[0])[None, :]
+    # per row: the energy at xi = 0, xi > 0, xi < 0 and in the window
+    energy = np.empty((4, spec.ny))
+    block = np.empty((spec.ny, cols.size), dtype=complex, order="F")
+    edge = peak = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r0 in range(0, spec.ny, _CLASSIFY_ROWS):
+            r = slice(r0, min(r0 + _CLASSIFY_ROWS, spec.ny))
+            data = h.rows(r)
+            mag = np.abs(data)
+            edge = max(edge, mag[:, 0].max(), mag[:, -1].max())
+            peak = max(peak, mag.max())
+            data = np.fft.fft(data, axis=1)
+            data *= spec.hx
+            data *= phase
+            block[r] = data[:, win]
+            absq = np.abs(data)
+            absq *= absq
+            energy[:, r] = (absq[:, 0], absq[:, 1:split].sum(axis=1),
+                            absq[:, split:].sum(axis=1), absq[:, win].sum(axis=1))
+            del data, mag, absq  # before the next block is sampled
+            if not np.all(np.isfinite(energy[:, r])):
+                raise OverflowError(f"the partial Fourier energies |hhat|^2 of rows "
+                                    f"{r.start}-{r.stop - 1} leave the float range")
+
+    tot = float(np.sum(energy[:3]))
+    pos_frac = float(np.sum(energy[1])) / tot if tot > 0 else 0.0
+    window_frac = float(np.sum(energy[3])) / tot if tot > 0 else 0.0
+
+    xi_w = xi[cols]
     sgn = -1.0 if wrong_branch else 1.0
     prof = 2.0 * np.abs(xi_w)[None, :] * y * np.exp(sgn * y * xi_w[None, :])
-    block = p.data[:, cols]
-    window_frac = float(np.sum(absq[:, cols])) / tot if tot > 0 else 0.0
     denom = np.sum(prof * prof, axis=0)
     b2 = np.sum(block * prof, axis=0) / denom
     resid = block - b2[None, :] * prof
@@ -332,8 +339,7 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
 
     # weighted energy over xi <= 0 and its dyadic lower-cutoff growth
     dxi = 2.0 * np.pi / (spec.nx * spec.hx)
-    neg = p.xi < 0
-    wdens = absq[:, neg] / y**2  # (ny, #neg)
+    wdens = energy[2] / spec.y**2  # per row
     weight_value = 0.5 * float(np.sum(wdens)) * spec.hy * dxi
     # S(c) sums the rows at or above cutoff index c, for the cuts 1, 2, 4
     # that are at most ny / 4; a 1/y^2 divergence at the axis makes S double
@@ -361,5 +367,5 @@ def lemma_a1_classify(h: Field, wrong_branch: bool = False) -> ClassifyResult:
         dyadic_growth=dyadic_growth,
         thresholds={"pos_tol": CLASSIFY_POS_TOL, "window_min": CLASSIFY_WINDOW_MIN,
                     "fit_tol": CLASSIFY_FIT_TOL, "growth_tol": CLASSIFY_GROWTH_TOL},
-        x_truncation=p.x_truncation,
+        x_truncation=float(edge / peak) if peak > 0 else 0.0,
     )

@@ -409,6 +409,26 @@ def test_classify_writes_multiplier_table(tmp_path, capsys):
     assert np.allclose(table[:, 1], -np.pi * np.exp(xi), rtol=5e-3, atol=1e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ["whittaker", "classify", "--testfn", "conjrat:a=0.001,k={k}"],
+    ["whittaker", "classify", "--testfn", "conjrat:a=0.001,k={k}", "--json"],
+    ["transform", "--op", "c_down", "--testfn", "conjrat:a=0.001,k={k}", "--grid", "64",
+     "--json"],
+])
+def test_inputs_past_the_float_range_are_refused(argv, capsys):
+    # at k = 200 the squared field overflows: classify printed a verdict from
+    # NaN figures (or a JSON traceback), transform's lp_norm read inf.
+    # Twin: k = 2 runs
+    assert run([a.format(k=200) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip()
+    assert err.startswith("error:") and "the float range" in err
+    assert "\n" not in err and "conjrat:a=0.001,k=200" in err
+    assert run([a.format(k=2) for a in argv]) == 0
+    assert "nan" not in capsys.readouterr().out.lower()
+
+
 def test_classify_requires_testfn(capsys):
     assert run(["whittaker", "classify"]) == 2
     capsys.readouterr()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,17 @@ def test_constant_field_norm_and_inner_product_agree():
     n2 = lp_norm(f, 2.0)
     assert n2 == pytest.approx(np.sqrt(16 * gs.cell_measure))
     assert inner_product(f, f) == pytest.approx(n2**2)
+
+
+def test_a_norm_whose_sum_leaves_the_float_range_is_an_overflow_error():
+    # |f|^2 of a finite 1e200 overflows; twin: 1e100 squares to a finite sum
+    gs = upper(nx=4, ny=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="float range"):
+            lp_norm(Field(gs, np.full((4, 4), 1e200 + 0j)), 2.0)
+        assert lp_norm(Field(gs, np.full((4, 4), 1e100 + 0j)), 2.0) == pytest.approx(
+            1e100 * np.sqrt(16 * gs.cell_measure))
 
 
 def test_hyperbolic_norm_equals_plain_norm_of_divided_field():

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import json
 import warnings
 
 import numpy as np
@@ -6,6 +9,7 @@ from scipy import special
 from scipy.integrate import quad
 
 from hypb import calculus as ca
+from hypb import cli
 from hypb import testfuncs as tf
 from hypb import whittaker as wh
 from hypb.grid import Field, GridSpec, PlaneKind
@@ -15,7 +19,7 @@ T_GRID = np.geomspace(0.1, 30.0, 200)
 
 
 def inverse_partial_fourier(spec: GridSpec, xi: np.ndarray, coeffs: np.ndarray) -> Field:
-    """The field on spec whose `partial_fourier` has frequencies xi and data coeffs."""
+    """The field on spec whose `_partial_fourier` has frequencies xi and data coeffs."""
     x0 = spec.x[0]
     data = np.fft.ifft(coeffs * np.exp(1j * xi * x0)[None, :], axis=1) / spec.hx
     return Field(spec, data)
@@ -191,47 +195,177 @@ def test_slow_y_branch_tends_to_one_at_zero():
     assert abs(v - 1.0) < 2e-3
 
 
+def _partial_fourier(h: Field):
+    """xi and the x-Fourier coefficients of the whole field at once (the oracle's transform)."""
+    spec = h.spec
+    xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
+    data = np.fft.fft(h.data, axis=1)
+    data *= spec.hx
+    data *= np.exp(-1j * xi * spec.x[0])[None, :]
+    return xi, data
+
+
+def _whole_field_classify(h: Field, wrong_branch: bool = False) -> wh.ClassifyResult:
+    """The classifier on the whole field at once, as it was before it read row
+    blocks: the oracle of the streamed one."""
+    spec = h.spec
+    edge = max(np.max(np.abs(h.data[:, 0])), np.max(np.abs(h.data[:, -1])))
+    peak = np.max(np.abs(h.data))
+    xi, data = _partial_fourier(h)
+    y = spec.y.reshape(-1, 1)
+    absq = np.abs(data) ** 2
+    tot = float(np.sum(absq))
+    pos_frac = float(np.sum(absq[:, xi > 0])) / tot if tot > 0 else 0.0
+    lo, hi = wh.CLASSIFY_XI_WINDOW
+    cols = np.nonzero((xi >= lo) & (xi <= hi))[0]
+    xi_w = xi[cols]
+    sgn = -1.0 if wrong_branch else 1.0
+    prof = 2.0 * np.abs(xi_w)[None, :] * y * np.exp(sgn * y * xi_w[None, :])
+    block = data[:, cols]
+    window_frac = float(np.sum(absq[:, cols])) / tot if tot > 0 else 0.0
+    b2 = np.sum(block * prof, axis=0) / np.sum(prof * prof, axis=0)
+    resid = block - b2[None, :] * prof
+    fit_residual = float(
+        np.sqrt(np.sum(np.abs(resid) ** 2) / max(np.sum(np.abs(block) ** 2), 1e-300)))
+    dxi = 2.0 * np.pi / (spec.nx * spec.hx)
+    wdens = absq[:, xi < 0] / y**2
+    weight_value = 0.5 * float(np.sum(wdens)) * spec.hy * dxi
+    cuts = [c for c in (1, 2, 4) if c <= spec.ny // 4]
+    sums = [0.5 * float(np.sum(wdens[c:])) * spec.hy * dxi for c in cuts]
+    ratios = [sums[i] / max(sums[i + 1], 1e-300) for i in range(len(sums) - 1)]
+    s_top = float(np.sum(wdens[spec.ny // 2 :]))
+    s_shell = float(np.sum(wdens[spec.ny // 4 : spec.ny // 2]))
+    dyadic_growth = max(ratios + [s_top / max(s_shell, 1e-300)])
+    ok = (pos_frac <= wh.CLASSIFY_POS_TOL and window_frac >= wh.CLASSIFY_WINDOW_MIN
+          and fit_residual <= wh.CLASSIFY_FIT_TOL and dyadic_growth <= wh.CLASSIFY_GROWTH_TOL)
+    return wh.ClassifyResult(
+        is_cokernel=bool(ok), xi=xi_w, b2=b2, pos_energy_frac=pos_frac,
+        window_energy_frac=window_frac, fit_residual=fit_residual,
+        weight_value=weight_value, dyadic_growth=dyadic_growth, thresholds={},
+        x_truncation=float(edge / peak) if peak > 0 else 0.0)
+
+
+def _assert_same_classification(got: wh.ClassifyResult, want: wh.ClassifyResult):
+    """Same verdict; xi, b2, the fit residual and x_truncation bit for bit; the
+    figures summed over the energy groups within 1e-14 relative."""
+    assert got.is_cokernel == want.is_cokernel
+    for name in ("xi", "b2", "fit_residual", "x_truncation"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("pos_energy_frac", "window_energy_frac", "weight_value", "dyadic_growth"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0), name
+
+
 def test_partial_fourier_round_trip():
     gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
     f = tf.sample(tf.gaussian_bump(1.0, 32.0, x0=0.5), gs, "f")
-    p = wh.partial_fourier(f)
-    back = inverse_partial_fourier(p.spec, p.xi, p.data)
+    xi, data = _partial_fourier(f)
+    back = inverse_partial_fourier(gs, xi, data)
     assert np.max(np.abs(back.data - f.data)) < 1e-12
 
 
-def test_partial_fourier_peak_memory_stays_under_1_25_fields(peak_bytes):
-    # on the classify grid the FFT is scaled in place, one field (1.01).
-    # Twin: the three-factor product, whose first factor is a second field (2.01)
+CLASSIFY_MEMBERS = (
+    [(f"conjrat:a={a},k={k}", m) for a in (0.5, 0.65, 1.25) for k in (2, 3) for m in (True, False)]
+    + [("holorat:a=1,k=2", True), ("gaussian:c=2,sigma=4", False), ("poisson", True)])
+
+
+@pytest.mark.parametrize("testfn,times_y", CLASSIFY_MEMBERS)
+def test_streamed_classifier_matches_the_whole_field_one(testfn, times_y):
     spec = wh.default_classify_spec()
-    rng = np.random.default_rng(5)
-    h = Field(spec, rng.standard_normal((spec.ny, spec.nx)) + 1j)
-    bar = 1.25 * h.data.nbytes
-    p = None
-
-    def product():
-        xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
-        return spec.hx * np.fft.fft(h.data, axis=1) * np.exp(-1j * xi * spec.x[0])[None, :]
-
-    def keep():
-        nonlocal p
-        p = wh.partial_fourier(h)
-
-    assert peak_bytes(keep) <= bar
-    assert peak_bytes(product) > bar
-    assert np.array_equal(p.data, product())
+    fn = tf.parse_testfn(testfn)
+    field = tf.sample(fn, spec)
+    if times_y:
+        field = Field(spec, spec.y.reshape(-1, 1) * field.data)
+    want = _whole_field_classify(field)
+    _assert_same_classification(wh.lemma_a1_classify(tf.RowSampler(fn, spec, times_y)), want)
+    _assert_same_classification(wh.lemma_a1_classify(field), want)
 
 
-def test_partial_fourier_records_x_truncation_without_warning():
+@pytest.mark.parametrize("nx,ny", [(65, 70), (64, 12), (2048, 640)])
+def test_streamed_classifier_matches_on_partial_blocks_and_the_wrong_branch(nx, ny):
+    # 70 rows end in a block of 6, 12 rows are less than one block
+    spec = GridSpec(L=16.0 * nx / 65, H=16.0 * ny / 640, nx=nx, ny=ny)
+    fn = tf.conj_rational(1.0, 2)
+    field = Field(spec, spec.y.reshape(-1, 1) * tf.sample(fn, spec).data)
+    for wrong in (False, True):
+        want = _whole_field_classify(field, wrong_branch=wrong)
+        _assert_same_classification(wh.lemma_a1_classify(field, wrong_branch=wrong), want)
+        got = wh.lemma_a1_classify(tf.RowSampler(fn, spec, times_y=True), wrong_branch=wrong)
+        _assert_same_classification(got, want)
+
+
+def test_a_reader_with_one_block_shifted_a_row_fails_the_comparison():
+    spec = wh.default_classify_spec()
+    field = tf.sample(tf.conj_rational(1.0, 2), spec)
+    field = Field(spec, spec.y.reshape(-1, 1) * field.data)
+
+    class Shifted:
+        """The field's rows, except that the block from row 64 on starts a row late."""
+        def __init__(self):
+            self.spec = spec
+
+        def rows(self, r):
+            return field.data[r.start + 1 : r.stop + 1] if r.start == 64 else field.data[r]
+
+    want = _whole_field_classify(field)
+    _assert_same_classification(wh.lemma_a1_classify(field), want)
+    with pytest.raises(AssertionError):
+        _assert_same_classification(wh.lemma_a1_classify(Shifted()), want)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "conjrat", "holorat", "hardy", "poisson",
+                                  "rez", "imz"])
+@pytest.mark.parametrize("nx,ny", [(2048, 640), (65, 70)])
+def test_row_sampler_blocks_are_the_rows_of_the_sampled_field(name, nx, ny):
+    spec = GridSpec(L=128.0 * nx / 2048, H=16.0 * ny / 640, nx=nx, ny=ny)
+    fn = tf.parse_testfn(name)
+    whole = tf.sample(fn, spec).data
+    weighted = spec.y.reshape(-1, 1) * whole
+    plain, times_y = tf.RowSampler(fn, spec), tf.RowSampler(fn, spec, times_y=True)
+    n = wh._CLASSIFY_ROWS
+    for r in [slice(r0, min(r0 + n, ny)) for r0 in range(0, ny, n)] + [slice(5, 12)]:
+        assert np.array_equal(plain.rows(r), whole[r])
+        assert np.array_equal(times_y.rows(r), weighted[r])
+
+
+def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes):
+    # the classify run never holds a classify-grid field: its row blocks and
+    # the ny x 91 window block stay under a quarter of one.  Twin: sampling the
+    # whole field first holds more than one
+    spec = wh.default_classify_spec()
+    field_bytes = spec.nx * spec.ny * 16
+    argv = ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M", "--json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert peak_bytes(lambda: cli.main(argv)) <= 0.25 * field_bytes
+    assert json.loads(out.getvalue())["is_cokernel"] is True
+
+    def whole():
+        fn = tf.conj_rational(1.0, 2)
+        wh.lemma_a1_classify(Field(spec, spec.y.reshape(-1, 1) * tf.sample(fn, spec).data))
+
+    assert peak_bytes(whole) > field_bytes
+
+
+def test_classifier_records_x_truncation_without_warning():
     gs = GridSpec(L=4.0, H=2.0, nx=64, ny=16, plane=PlaneKind.UPPER)
     X, Y = np.meshgrid(gs.x, gs.y)
     slow = Field(gs, 1.0 / (1.0 + X**2 + Y**2) + 0j)
     edge = np.max(np.abs(slow.data[:, [0, -1]])) / np.max(np.abs(slow.data))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = wh.partial_fourier(slow)
         res = wh.lemma_a1_classify(slow)
     assert edge > 1e-2
-    assert p.x_truncation == res.x_truncation == pytest.approx(edge)
+    assert res.x_truncation == pytest.approx(edge)
+
+
+def test_energies_past_the_float_range_are_an_overflow_error():
+    # |hhat|^2 of this member overflows in the first block of rows; twin: k = 2
+    spec = wh.default_classify_spec()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="rows 0-15 leave the float range"):
+            wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(0.001, 200), spec))
+        res = wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(0.001, 2), spec))
+    assert np.isfinite(res.pos_energy_frac) and np.isfinite(res.dyadic_growth)
 
 
 def test_pde_residual_vanishes_on_weighted_antiholomorphic_fields():
