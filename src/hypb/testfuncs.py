@@ -67,27 +67,34 @@ class AnalyticTestFunction:
         return f"{self.name}({ps})" if ps else self.name
 
 
+_SAMPLE_ROWS = 16  # rows per block of `sample`: a block's complex arrays stay in L2
+
+
 def sample(fn: AnalyticTestFunction, spec: GridSpec, which: str = "f") -> Field:
-    """Evaluate one of the closed-form fields at the grid's cell midpoints."""
-    form = getattr(fn, which)
-    if form is None:
+    """Evaluate one of the closed-form fields at the cell midpoints, a block of rows at a time."""
+    if getattr(fn, which) is None:
         raise ValueError(f"{fn.describe()} has no closed form for {which!r}")
-    return Field(spec, form(spec.zz()))
+    sampler = RowSampler(fn, spec, which=which)
+    out = np.empty((spec.ny, spec.nx), dtype=complex)
+    for r0 in range(0, spec.ny, _SAMPLE_ROWS):
+        out[r0 : r0 + _SAMPLE_ROWS] = sampler.rows(slice(r0, r0 + _SAMPLE_ROWS))
+    return Field(spec, out)
 
 
 @dataclass(frozen=True)
 class RowSampler:
-    """fn.f on spec, times Im z if times_y, sampled a block of rows at a time:
-    rows(r) evaluates the rows r (a slice) alone, bit-identical to those rows
-    of sample(fn, spec, "f") (times Im z), with no whole field ever built."""
+    """The closed form `which` of fn on spec, times Im z if times_y, a block of
+    rows at a time: rows(r) evaluates the rows r (a slice) alone, bit-identical
+    to those rows of the form at spec.zz() (times Im z), with no field built."""
 
     fn: AnalyticTestFunction
     spec: GridSpec
     times_y: bool = False
+    which: str = "f"
 
     def rows(self, r: slice) -> np.ndarray:
         y = self.spec.y[r, None]
-        out = self.fn.f(self.spec.x[None, :] + 1j * y)
+        out = getattr(self.fn, self.which)(self.spec.x[None, :] + 1j * y)
         return y * out if self.times_y else out
 
 

@@ -53,23 +53,22 @@ input and a 3071 x 2047 table, 2.5 times fewer).
 
 Every fft-path product of a spectrum or symbol with data runs through one
 pruned 2-D FFT, `_pruned_fft2` (J. D. Markel, "FFT pruning", IEEE Trans.
-Audio Electroacoust. 19 (1971) 305-311).  The input blocks fill b1 columns
-of the P0 x P1 box, so the forward axis-0 pass runs over those columns only
-(the others stay zero) and the axis-1 pass over all P0 rows; the caller
-keeps k rows, so the inverse axis-0 pass runs over every column and the
-axis-1 pass over those k rows only: P0 (b1 + P1) forward and (P0 + k) P1
-inverse line points, against 2 P0 P1 each.  Both passes run in place in one
-zeroed buffer, and only the kept block is copied out.  The inverse applies
-1/P0 and 1/P1 in separate passes where ifft2 applies 1/(P0 P1) once, so it
-can differ from ifft2 in the last bit.  Its sibling `_pruned_rfft2` takes a
-real kernel's half spectrum rfft2(k), P0 x (P1/2 + 1) (H. V. Sorensen et
-al., IEEE Trans. ASSP 35 (1987) 849-863), and runs on the real, then the
-imaginary part of the blocks: one rfft per array the blocks read (the odd
-extension's lower block is the upper one, row-reversed and negated, both
-exact), both axis-0 passes per panel of 32 columns, keeping k rows, and the
-irfft of those into the result; bit for bit a whole-box pass, with no
-P0 x (P1/2 + 1) buffer.  `_pruned_fft2` keeps its order: a panel version was
-no faster (0.171 against 0.166 s at the tuned cup member), nor smaller.
+Audio Electroacoust. 19 (1971) 305-311), x first.  The input blocks fill b0
+rows of the P0 x P1 box, so the x pass runs over those rows only, in row
+panels, once per array the blocks read (the odd extension's lower block is
+the upper one reversed and negated, and reads its x-spectrum so, exactly).
+Then each panel of 32 columns gets a zeroed P0 x 32 buffer, the y pass, the
+product, the inverse y pass and the caller's k rows, and the inverse x pass
+runs over those k rows only: (b0 + P0) P1 forward and (P0 + k) P1 inverse
+line points, against 2 P0 P1 each, with no P0 x P1 buffer.  The kept rows
+are written over the x-spectrum when the blocks read one array of at least
+k rows; each panel's columns are read into its buffer before its kept rows
+are written back.  The inverse applies 1/P0 and 1/P1 in separate passes
+where ifft2 applies 1/(P0 P1) once, so it can differ from ifft2 in the last
+bit.  Its sibling `_pruned_rfft2` takes a real kernel's half spectrum
+rfft2(k), P0 x (P1/2 + 1) (H. V. Sorensen et al., IEEE Trans. ASSP 35
+(1987) 849-863), and runs the same pass with rfft and irfft on the real,
+then the imaginary part of the blocks.
 
 The fft body puts f in an ny-row box for sign 0.  For the half-plane signs
 it lays the extension out over 2 ny rows: f in rows [ny, 2 ny) and, for the
@@ -78,9 +77,11 @@ Beurling multiplier's box (times the padding).  The Cauchy table holds just
 the 3 ny - 1 rows dy / hy in (-ny, 2 ny) the odd extension reads, so its box
 is next_fast_len(3 ny - 1) rows tall (3072, not 4096, for nullspace).  The
 zero extension reads the same rows reflected through 0; 1/zeta is odd, so
-it is summed as -f flipped in x and y, then flipped back, with the down
-operators' spectrum.  The whole-plane and down operators and `defect_sum`
-keep k = ny rows, the up operators k = 2 ny.
+it is summed as -f flipped in x and y with the down operators' spectrum.
+The whole-plane and down operators and `defect_sum` keep k = ny rows.  The
+up operators keep 2 ny rows Q and, as the inverse x pass is linear in rows,
+fold them before it to Q[ny + i] - Q[ny - 1 - i], the values at z less
+those at conj z (negated and flipped in x for Cauchy).
 
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
@@ -156,59 +157,63 @@ def _fft_shape(tab_shape) -> tuple:
     return tuple(sfft.next_fast_len(int(n)) for n in tab_shape)
 
 
-def _pruned_fft2(kspec: np.ndarray, blocks, rows: slice, cols: slice) -> np.ndarray:
+_PANEL = 32  # rows of an x pass, or columns of a y pass, per block
+
+
+def _pruned(kspec, blocks, rows, cols, fold, xfft, xinv, out=None) -> np.ndarray:
+    """`_pruned_fft2` with the x transform xfft onto kspec's columns and its
+    inverse xinv, into `out` or a complex array made after the y pass."""
+    P0, H = kspec.shape
+    k = len(range(P0)[rows]) // (2 if fold else 1)
+    spectra, xs = {}, []
+    for row, data, sign in blocks:  # x first, once per array the blocks read
+        flip = data.strides[0] < 0  # another block's rows reversed, as its x-spectrum's are
+        base = data[::-1] if flip else data
+        key = (base.ctypes.data, base.shape, base.strides)
+        if key not in spectra:
+            spectra[key] = x = np.empty((len(base), H), dtype=complex)
+            for r in range(0, len(base), _PANEL):
+                x[r : r + _PANEL] = xfft(base[r : r + _PANEL])
+        xs.append((row, spectra[key][::-1] if flip else spectra[key], sign))
+    # the kept rows go over the one x-spectrum if it is tall enough: each panel
+    # reads its columns into the buffer before its kept rows are written back
+    kept = x[:k] if len(spectra) == 1 and len(x) >= k else np.empty((k, H), dtype=complex)
+    for c0 in range(0, H, _PANEL):
+        c = slice(c0, min(c0 + _PANEL, H))
+        buf = np.zeros((P0, c.stop - c0), dtype=complex)
+        for row, xb, sign in xs:
+            np.multiply(xb[:, c], sign, out=buf[row : row + len(xb)])
+        buf = sfft.fft(buf, axis=0, overwrite_x=True)
+        buf *= kspec[:, c]
+        q = sfft.ifft(buf, axis=0, overwrite_x=True)[rows]
+        kept[:, c] = q[k:] - q[k - 1 :: -1] if fold else q
+    del spectra, xs, x, buf, q  # only the kept rows live on beside the output
+    if out is None:
+        out = np.empty((k, len(range(H)[cols])), dtype=complex)
+    for r in range(0, k, _PANEL):
+        out[r : r + _PANEL] = xinv(kept[r : r + _PANEL])[:, cols]
+    return out
+
+
+def _pruned_fft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, fold=False) -> np.ndarray:
     """Rows `rows`, columns `cols` of ifft2(kspec * fft2(box)), as a new array.
 
     The box has kspec's shape and is zero but for `blocks`, (row, data, sign)
     triples: sign * data (sign +1 or -1) at rows [row, row + len(data)) and
-    columns [0, b1), one width b1 for all blocks.
+    columns [0, b1), one width b1 for all blocks.  With `fold` the 2 k kept
+    rows Q give the k rows Q[k + i] - Q[k - 1 - i].
     """
-    buf = np.zeros(kspec.shape, dtype=complex)
-    b1 = blocks[0][1].shape[1]
-    for row, data, sign in blocks:
-        dst = buf[row : row + len(data), :b1]
-        if sign == 1:
-            dst[...] = data
-        else:
-            np.negative(data, out=dst)
-    sfft.fft(buf[:, :b1], axis=0, overwrite_x=True)
-    sfft.fft(buf, axis=1, overwrite_x=True)
-    buf *= kspec
-    sfft.ifft(buf, axis=0, overwrite_x=True)
-    out = buf[rows]
-    sfft.ifft(out, axis=1, overwrite_x=True)
-    return out[:, cols].copy()
-
-
-_PANEL = 32  # rows of an rfft pass, or columns of an axis-0 pass, per half-spectrum block
+    P1 = kspec.shape[1]
+    return _pruned(kspec, blocks, rows, cols, fold, lambda a: sfft.fft(a, n=P1, axis=1),
+                   lambda a: sfft.ifft(a, axis=1))
 
 
 def _pruned_rfft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, n1: int) -> np.ndarray:
     """`_pruned_fft2` for a real kernel, kspec = rfft2(k) on a P0 x n1 box (module docstring)."""
-    P0, H = kspec.shape
-    kept = np.empty((len(range(P0)[rows]), H), dtype=complex)
-    out = np.empty((len(kept), len(range(n1)[cols])), dtype=complex)
-    for part, dst in ((np.real, out.real), (np.imag, out.imag)):
-        spectra, xs = {}, []
-        for row, data, sign in blocks:  # x first, once per array the blocks read
-            flip = data.strides[0] < 0  # another block's rows reversed, as rfft's are
-            base = data[::-1] if flip else data
-            key = (base.ctypes.data, base.shape, base.strides)
-            if key not in spectra:
-                spectra[key] = x = np.empty((len(base), H), dtype=complex)
-                for r in range(0, len(base), _PANEL):
-                    x[r : r + _PANEL] = sfft.rfft(part(base[r : r + _PANEL]), n=n1, axis=1)
-            xs.append((row, spectra[key][::-1] if flip else spectra[key], sign))
-        for c0 in range(0, H, _PANEL):
-            c = slice(c0, min(c0 + _PANEL, H))
-            buf = np.zeros((P0, c.stop - c0), dtype=complex)
-            for row, x, sign in xs:
-                np.multiply(x[:, c], sign, out=buf[row : row + len(x)])
-            buf = sfft.fft(buf, axis=0, overwrite_x=True)
-            buf *= kspec[:, c]
-            kept[:, c] = sfft.ifft(buf, axis=0, overwrite_x=True)[rows]
-        del spectra, xs, x  # the x-spectra go before the irfft output comes
-        dst[...] = sfft.irfft(kept, n=n1, axis=1)[:, cols]
+    out = np.empty((len(range(kspec.shape[0])[rows]), len(range(n1)[cols])), dtype=complex)
+    for part in (np.real, np.imag):  # views of out
+        _pruned(kspec, blocks, rows, cols, False, lambda a: sfft.rfft(part(a), n=n1, axis=1),
+                lambda a: sfft.irfft(a, n=n1, axis=1), part(out))
     return out
 
 
@@ -289,20 +294,23 @@ def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
 
 
 def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
-    """The unimodular multiplier conj(zeta)/zeta on a py x px box, 0 at zeta = 0."""
-    zeta = (
-        2.0 * np.pi * np.fft.fftfreq(px, d=hx)[None, :]
-        + 2j * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
-    )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mult = np.conj(zeta) / zeta
-    mult[0, 0] = 0.0
+    """The unimodular multiplier conj(zeta)/zeta on a py x px box, 0 at zeta = 0:
+    ((kx^2 - ky^2) - 2i kx ky) / (kx^2 + ky^2), with no complex division."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(px, d=hx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
+    r2 = kx**2 + ky**2
+    r2[0, 0] = 1.0  # at zeta = 0 both numerators are 0
+    mult = np.empty((py, px), dtype=complex)
+    np.subtract(kx**2, ky**2, out=mult.real)
+    np.multiply(-2.0 * kx, ky, out=mult.imag)
+    mult.real /= r2
+    mult.imag /= r2
     return mult
 
 
-# fully averaged 1/zeta spectra kept per geometry; the largest battery one
-# (the nullspace check's real kernel, half spectrum 3072 x 1025) is 50 MB,
-# and neither its build nor its products hold a buffer of its size beside it
+# fully averaged 1/zeta spectra kept per geometry, at most 57 MB each in the
+# battery (cup-norm's 9216 x 384); no build or product holds a buffer of a
+# spectrum's size beside it, and evicting the older one first measured no gain
 _SPECTRUM_CACHE_SIZE = 2
 
 
@@ -329,8 +337,9 @@ def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: boo
 
 def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False) -> np.ndarray:
     """Whole-plane `kind` on f (sign 0), its odd extension (+1) or its zero
-    extension less the values at conj z (-1); `padding` scales the Beurling
-    multiplier's box, `real` takes 2 Re of the Cauchy kernel (`defect_sum`)."""
+    extension less the values at conj z (-1, subtracted before the inverse
+    x pass); `padding` scales the Beurling multiplier's box, `real` takes
+    2 Re of the Cauchy kernel (`defect_sum`)."""
     s = f.spec
     ny, nx = s.ny, s.nx
     if sign == 0:
@@ -341,18 +350,18 @@ def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False)
         box, blocks, rows = 2 * ny, [(0, f.data[::-1, ::-1], -1)], slice(0, 2 * ny)
     else:
         box, blocks, rows = 2 * ny, [(ny, f.data, 1)], slice(0, 2 * ny)
-    if kind == "cauchy":
-        kspec = _cauchy_spectrum(box, ny, nx, s.hx, s.hy, real)
-        args = (kspec, blocks, slice(rows.start + ny - 1, rows.stop + ny - 1),
-                slice(nx - 1, 2 * nx - 1))
-        out = _pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real else _pruned_fft2(*args)
-        out *= s.cell_measure
-        if sign < 0:
-            out = out[::-1, ::-1]  # flipped back
-    else:
+    if kind == "beurling":
         symbol = _beurling_symbol(padding * box, padding * nx, s.hx, s.hy)
-        out = _pruned_fft2(symbol, blocks, rows, slice(0, nx))
-    return out if sign >= 0 else out[ny:] - out[ny - 1 :: -1]
+        return _pruned_fft2(symbol, blocks, rows, slice(0, nx), fold=sign < 0)
+    kspec = _cauchy_spectrum(box, ny, nx, s.hx, s.hy, real)
+    args = (kspec, blocks, slice(rows.start + ny - 1, rows.stop + ny - 1),
+            slice(nx - 1, 2 * nx - 1))
+    out = (_pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real
+           else _pruned_fft2(*args, fold=sign < 0))
+    if sign < 0:  # the fold of the flipped sum, negated and flipped back in x
+        return out[:, ::-1] * -s.cell_measure
+    out *= s.cell_measure
+    return out
 
 
 # the fft path of each product kernel: its exact factorization through the

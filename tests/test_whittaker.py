@@ -316,15 +316,23 @@ def test_a_reader_with_one_block_shifted_a_row_fails_the_comparison():
                                   "rez", "imz"])
 @pytest.mark.parametrize("nx,ny", [(2048, 640), (65, 70)])
 def test_row_sampler_blocks_are_the_rows_of_the_sampled_field(name, nx, ny):
+    # against each closed form evaluated on the whole grid at once; ny = 70 is
+    # no multiple of the blocks of the classifier and of tf.sample
     spec = GridSpec(L=128.0 * nx / 2048, H=16.0 * ny / 640, nx=nx, ny=ny)
     fn = tf.parse_testfn(name)
-    whole = tf.sample(fn, spec).data
+    whole = fn.f(spec.zz())
     weighted = spec.y.reshape(-1, 1) * whole
     plain, times_y = tf.RowSampler(fn, spec), tf.RowSampler(fn, spec, times_y=True)
     n = wh._CLASSIFY_ROWS
     for r in [slice(r0, min(r0 + n, ny)) for r0 in range(0, ny, n)] + [slice(5, 12)]:
         assert np.array_equal(plain.rows(r), whole[r])
         assert np.array_equal(times_y.rows(r), weighted[r])
+    if nx % 2:  # the odd grid ends in a partial block of tf.sample
+        assert ny % tf._SAMPLE_ROWS
+    for which in ("f", "d", "dbar", "lap", "d2"):
+        form = getattr(fn, which)
+        if form is not None:
+            assert np.array_equal(tf.sample(fn, spec, which).data, form(spec.zz())), which
 
 
 def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes):
