@@ -389,7 +389,7 @@ def test_fft_fields_are_bit_identical_across_worker_counts():
 def test_defect_sum_peak_memory_stays_under_1_15_full_spectra(n, peak_bytes):
     # from a cold cache: the table of the 3 n - 1 rows the odd extension reads
     # is built in place in the half spectrum, and the x-first panel pass holds
-    # a few fields beside it, 1.02-1.05 full spectra of that box.
+    # a few fields beside it, 0.90-0.98 full spectra of that box.
     # Twin: the full complex spectrum of the same real table
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n), (n, n)))
@@ -431,7 +431,7 @@ def _y_first_pruned_fft2(kspec, blocks, rows, cols):
 def test_warm_cauchy_half_plane_ops_hold_under_0_7_full_spectra(n, peak_bytes):
     # beside the cached spectrum of the 3 n - 1 rows: the one x-spectrum
     # (n x P1, which takes the kept rows), a P0 x 32 panel and the result,
-    # 0.53-0.56 full spectra for both signs.  Twin: the y-first pass on the
+    # 0.52-0.54 full spectra for both signs.  Twin: the y-first pass on the
     # same blocks and spectrum holds a P0 x P1 buffer
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n + 1), (n, n)))
