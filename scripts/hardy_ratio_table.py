@@ -19,10 +19,14 @@ def main(argv=None) -> int:
     ap.add_argument("--ramp", type=float, default=1.8)
     args = ap.parse_args(argv)
 
+    try:
+        ratios = [vf._hardy_oracle_1d(args.a, n, ramp=args.ramp) for n in args.n]
+    except ValueError as exc:  # a cutoff scale below 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     const = vf.HARDY_P2
     print(f"{'n':>6}  {'ratio':>10}  {'ratio/16':>9}")
-    for n in args.n:
-        r = vf._hardy_oracle_1d(args.a, n, ramp=args.ramp)
+    for n, r in zip(args.n, ratios):
         print(f"{n:>6}  {r:>10.4f}  {r / const:>9.4f}")
     return 0
 

@@ -17,6 +17,11 @@ def main(argv=None) -> int:
                     help=f"which sweeps to run (have {sorted(vf.SWEEPS)})")
     ap.add_argument("--grids", type=int, nargs="+", default=[64, 128, 256])
     args = ap.parse_args(argv)
+    unknown = [name for name in args.checks if name not in vf.SWEEPS]
+    if unknown:
+        print(f"error: no convergence sweep for {unknown}; have {sorted(vf.SWEEPS)}",
+              file=sys.stderr)
+        return 2
 
     failed = False
     for name in args.checks:

@@ -10,8 +10,10 @@ Three subcommands:
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
 missing input, a grid or box the grid refuses, a singular quadrature table
-on non-square cells, a tabulate range past t = 700 or a branch past the
-float range there).
+on non-square cells, a verify --p that is not a finite p > 1 or --tol not
+a finite tolerance > 0, a norm past the float range, a transform input
+that is zero or not finite on its grid, a tabulate range outside
+[1e-4, 700] or a branch past the float range there).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
@@ -58,6 +60,9 @@ OP_ALIASES = {
 # the residual stencil reaches t1 + 0.1, and y_integral refuses t > 709.78,
 # where e^t overflows (whittaker_X refuses t >= 1405.07)
 TABULATE_T_MAX = 700.0
+# below it the residual can exceed the 1e-6 the README promises (X at
+# A = B = 1 reads 7.0e-6 from t0 = 1e-6); from it every branch reads at most 2.7e-7
+TABULATE_T_MIN = 1e-4
 
 
 def _fail_usage(msg: str) -> "NoReturn":
@@ -105,11 +110,12 @@ def parse_range(text: str):
     try:
         if len(parts) == 2:
             t0, t1 = float(parts[0]), float(parts[1])
-            if 0 < t0 < t1 <= TABULATE_T_MAX:
+            if TABULATE_T_MIN <= t0 < t1 <= TABULATE_T_MAX:
                 return t0, t1
     except ValueError:
         pass
-    _fail_usage(f"bad --range {text!r}; expected t0:t1 with 0 < t0 < t1 <= {TABULATE_T_MAX:g}")
+    _fail_usage(f"bad --range {text!r}; expected t0:t1 with "
+                f"{TABULATE_T_MIN:g} <= t0 < t1 <= {TABULATE_T_MAX:g}")
 
 
 def resolve_threads(value):
@@ -221,11 +227,18 @@ def _write_rows(path, header, rows):
 
 
 def cmd_verify(args) -> int:
+    if not 1 < args.p < math.inf:
+        _fail_usage(f"bad --p {args.p!r}; expected a finite p > 1")
+    if args.tol is not None and not 0 < args.tol < math.inf:
+        _fail_usage(f"bad --tol {args.tol!r}; expected a finite tolerance > 0")
     cfg = make_config(args, p=args.p, tol=args.tol, seed=args.seed)
     name = args.check
     if name != "all" and name not in vf.CHECKS:
         _fail_usage(f"unknown check {name!r}; have {sorted(vf.CHECKS)}")
-    reports = vf.run_checks(name, cfg)
+    try:
+        reports = vf.run_checks(name, cfg)
+    except OverflowError as exc:
+        _fail_usage(f"{exc} at --p {args.p:g}")
     ok = vf.overall_pass(reports)
     if args.json:
         print(reports_to_json(reports))
@@ -254,7 +267,10 @@ def cmd_transform(args) -> int:
         spec = GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx, ny=cfg.ny, plane=plane)
     except ValueError as exc:
         _fail_usage(f"{exc}; --op {args.op} samples the {plane.value} plane")
-    f = tf.sample(fn, spec, "f")
+    with np.errstate(all="ignore"):  # a member past the float range is refused below
+        f = tf.sample(fn, spec, "f")
+    if not f.data.any() or not np.isfinite(f.data).all():
+        _fail_usage(f"--testfn {args.testfn} is zero or not finite on the grid")
     with tr.fft_workers(cfg.threads):
         out = tr.transform(f, op, method=cfg.method)
     if args.json:

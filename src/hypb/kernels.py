@@ -25,27 +25,30 @@ The four-corner difference is exact as long as the log is continuous on the
 whole cell.  The principal log is cut along the negative real axis, and
 offsets are whole multiples of the cell size, so no corner lies on the real
 axis and, on the half-table with Re(offset) >= 0, only the coincident cell
-crosses the cut.  The fully averaged tables are therefore built on the
-corner lattice of the quadrant Re, Im(offset) >= 0: each corner's log is
-taken once, the x step of the primitive is formed in closed form through
-log(c + hx) = log c + log1p(hx / c) (a plain four-corner sum of values of
-size |zeta| ln|zeta| loses up to 1e-8 relative on far-field entries to
-cancellation), and the y step is a finite difference along the lattice.
-The lattice is built in blocks of 128 rows, each written into the table when
-done; an entry's arithmetic does not depend on its block.
-Both kernels have K(conj zeta) = conj K(zeta), and corners mirrored in Im
-are exact conjugates, so the Im(offset) < 0 rows are the conjugated
-quadrant rows, bit for bit.  The lower half of the Re(offset) = 0 column
-follows from parity (1/zeta is odd, 1/zeta^2 is even); on that column parity
-and conjugation differ only in the sign of a rounding-level part.  The
-Re(offset) < 0 half is the x-mirror K(-conj zeta) = parity conj K(zeta),
-row by row, so a table can span any rows (down to dy = -b hy from the
-quadrant's rows up to b hy), and the full tables are exactly odd or even.
-The per-offset averages used for the 3 x 3 shell blocks flip each offset
-to Re >= 0 the same way and take the four-corner sum directly.  The
-coincident cell (offset 0) gets the value 0: the 1/zeta average vanishes by
-oddness, and the 1/zeta^2 entry is the omitted principal-value cell
-(exactly zero for square cells).
+crosses the cut.  Both kernels have K(conj zeta) = conj K(zeta) and a
+parity (1/zeta is odd, 1/zeta^2 is even).  The coincident cell (offset 0)
+gets the value 0: the 1/zeta average vanishes by oddness, and the 1/zeta^2
+entry is the omitted principal-value cell (exactly zero for square cells).
+
+Each transform path has its own builder.  The quadrature path's
+`planar_table` takes midpoint values and the per-offset averages (`avg_inv`,
+`avg_inv_sq`) on the 3 x 3 shell around the singular offset; each offset is
+flipped to Re >= 0 by K(-conj zeta) = parity conj K(zeta) and its
+four-corner sum taken directly, good to 1e-13 relative on the shell.  Far
+out that sum of values of size |zeta| ln|zeta| loses up to 1e-8 relative to
+cancellation, so the fft path's `_planar_all` builds the fully averaged
+1/zeta table on the corner lattice of the quadrant Re, Im(offset) >= 0:
+each corner's log is taken once, the x step of the primitive is formed in
+closed form through log(c + hx) = log c + log1p(hx / c), and the y
+step is a finite difference along the lattice, in blocks of 128 rows, each
+written into the table when done (an entry's arithmetic does not depend on
+its block).  Corners mirrored in Im are exact conjugates, so the
+Im(offset) < 0 rows are the conjugated quadrant rows, bit for bit.  The
+lower half of the Re(offset) = 0 column follows from oddness, which differs
+there from conjugation only in the sign of a rounding-level part, and the
+Re(offset) < 0 half is the x-mirror, row by row; so a table can span any
+rows (down to dy = -b hy from the quadrant's rows up to b hy) and is
+exactly odd.
 """
 
 from __future__ import annotations
@@ -120,12 +123,10 @@ def _log1p(z):
 _ROW_BLOCK = 128  # quadrant rows per block of the corner lattice
 
 
-def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
-    """The fully averaged table at the offsets dy in [-below, ny), below = len(out) - ny,
-    times dx in (-nx, nx), in `out` (its real part if `out` is real)."""
-    if kind not in ("cauchy", "beurling"):
-        raise ValueError(f"unknown kernel kind {kind!r}")
-    below, parity = len(out) - ny, -1 if kind == "cauchy" else 1
+def _planar_all(ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
+    """The fully averaged 1/zeta table at the offsets dy in [-below, ny), below =
+    len(out) - ny, times dx in (-nx, nx), in `out` (its real part if `out` is real)."""
+    below = len(out) - ny
     x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
     rows = max(ny, below + 1)  # quadrant rows dy / hy in [0, rows)
     for j0 in range(0, rows, _ROW_BLOCK):
@@ -133,15 +134,12 @@ def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.nd
         j1 = min(j0 + _ROW_BLOCK, rows)
         c = x0[None, :] + 1j * ((np.arange(j0, j1 + 1) - 0.5) * hy)[:, None]
         step = _log1p(hx / c)  # log(c + hx) - log c
-        if kind == "cauchy":
-            # (c + hx) log(c + hx) - c log c, less the -hx that the y step drops
-            col = np.log(c)
-            col *= hx
-            c += hx
-            c *= step
-            col += c
-        else:
-            col = step
+        # (c + hx) log(c + hx) - c log c, less the -hx that the y step drops
+        col = np.log(c)
+        col *= hx
+        c += hx
+        c *= step
+        col += c
         col *= -1j
         del c, step
         quad = np.diff(col, axis=0)  # offsets dx >= 0, dy >= 0
@@ -156,10 +154,10 @@ def _planar_all(kind: str, ny: int, nx: int, hx: float, hy: float, out) -> np.nd
         if lo < hi:
             src, dst = quad[lo - j0 : hi - j0][::-1], out[below - hi + 1 : below - lo + 1]
             np.conjugate(src[:, 1:], out=dst[:, nx:])  # K(conj zeta) = conj K(zeta)
-            np.multiply(src[:, 0], parity, out=dst[:, nx - 1])  # exact parity at dx = 0
+            np.multiply(src[:, 0], -1, out=dst[:, nx - 1])  # exact oddness at dx = 0
     left = out[:, : nx - 1]
-    np.conjugate(out[:, : nx - 1 : -1], out=left)  # K(-conj zeta) = parity conj K(zeta)
-    left *= parity
+    np.conjugate(out[:, : nx - 1 : -1], out=left)  # K(-conj zeta) = -conj K(zeta)
+    left *= -1
     return out
 
 
@@ -176,18 +174,11 @@ def midpoint_value(kind: str, z0: np.ndarray) -> np.ndarray:
     return np.where(z0 == 0, 0.0, vals)
 
 
-def _avg_value(kind: str, z0, hx, hy):
-    if kind == "cauchy":
-        return avg_inv(z0, hx, hy)
-    if kind == "beurling":
-        return -avg_inv_sq(z0, hx, hy)
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
 def planar_table(
     kind: str, ny: int | range, nx: int, hx: float, hy: float, average: str = "shell"
 ) -> np.ndarray:
-    """Offsets (i - j) hy x (k - l) hx; shape (2 ny - 1, 2 nx - 1).
+    """The quadrature path's table at the offsets (i - j) hy x (k - l) hx; shape
+    (2 ny - 1, 2 nx - 1).
 
     An int ny gives the rows dy / hy in (-ny, ny); a range gives the rows in
     it, which must hold 0 (a half-plane operator reads 3 ny - 1 rows).
@@ -195,7 +186,6 @@ def planar_table(
     average:
       none  - midpoint everywhere (coincident offset 0)
       shell - exact averages on the 3 x 3 block around the singular offset
-      all   - exact averages everywhere
     """
     if kind == "beurling" and not math.isclose(hx, hy, rel_tol=1e-12):
         # the pv cell vanishes by quarter-turn cancellation only when the
@@ -204,15 +194,14 @@ def planar_table(
             f"the singular kernel table needs square cells, got hx={hx!r} hy={hy!r}"
         )
     rows = ny if isinstance(ny, range) else range(1 - ny, ny)
-    if average == "all":
-        return _planar_all(kind, rows.stop, nx, hx, hy, np.empty((len(rows), 2 * nx - 1), complex))
     dy = (np.arange(rows.start, rows.stop) * hy)[:, None]
     dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
     z0 = dx + 1j * dy
     tab = midpoint_value(kind, z0)
     if average == "shell":
         shell = slice(max(-rows.start - 1, 0), 2 - rows.start), slice(nx - 2, nx + 1)
-        tab[shell] = _avg_value(kind, z0[shell], hx, hy)
+        near = z0[shell]
+        tab[shell] = avg_inv(near, hx, hy) if kind == "cauchy" else -avg_inv_sq(near, hx, hy)
     elif average != "none":
         raise ValueError(f"unknown averaging mode {average!r}")
     return tab

@@ -43,13 +43,14 @@ Methods:
               their exact factorizations through cauchy_up / cauchy_down.
               The mode is checked and has no effect.
 
-Both paths evaluate their table sums as valid-mode linear convolutions
-(`conv_valid`).  For a table of shape (a0, a1) and data of shape (b0, b1)
-the valid block only reads table offsets inside the table, so a circular
-convolution at any length >= (a0, a1) has no wrap-around there: the FFTs
-run at next_fast_len of the table shape, not at the full linear length
-a + b - 1 (3072 x 2048 instead of 5120 x 3072 points for a 2048 x 1024
-input and a 3071 x 2047 table, 2.5 times fewer).
+The quadrature path evaluates its table sums as valid-mode linear
+convolutions, `conv_valid`, one whole-box product each.  For a table of
+shape (a0, a1) and data of shape (b0, b1) the valid block only reads table
+offsets inside the table, so a circular convolution at any length >= (a0,
+a1) has no wrap-around there: the FFTs run at next_fast_len of the table
+shape (`_fft_shape`), not at the full linear length a + b - 1 (3072 x 2048
+instead of 5120 x 3072 points for a 2048 x 1024 input and a 3071 x 2047
+table, 2.5 times fewer).
 
 Every fft-path product of a spectrum or symbol with data runs through one
 pruned 2-D FFT, `_pruned_fft2` (J. D. Markel, "FFT pruning", IEEE Trans.
@@ -105,8 +106,9 @@ Every FFT of this module goes through scipy.fft, so `fft_workers(n)` sets
 the worker count of the operators called inside it; pocketfft hands whole
 1-D lines to its workers, so the results are bit-identical for every count.
 
-The two paths share no kernel code beyond the table builders, so agreement
-between them is a meaningful check rather than a tautology.
+The two paths share no code but `_fft_shape`, so agreement between them is
+a meaningful check rather than a tautology; tests/test_api_surface.py holds
+them to it (`test_fft_and_quadrature_paths_share_only_fft_shape`).
 """
 
 from __future__ import annotations
@@ -145,7 +147,7 @@ def _require_upper(f: Field, name: str):
 
 
 # ---------------------------------------------------------------------------
-# valid-mode convolution
+# shared by both paths: the FFT worker count and transform lengths
 
 
 def fft_workers(threads):
@@ -155,6 +157,84 @@ def fft_workers(threads):
 
 def _fft_shape(tab_shape) -> tuple:
     return tuple(sfft.next_fast_len(int(n)) for n in tab_shape)
+
+
+# ---------------------------------------------------------------------------
+# quadrature path
+
+
+def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Valid-mode linear convolution of a table with data no larger than it.
+
+    out[i, j] = sum_{k, l} tab[i + b0 - 1 - k, j + b1 - 1 - l] data[k, l], of
+    shape tab.shape - data.shape + 1 (module docstring: FFT length).
+    """
+    if tab.ndim != 2 or data.ndim != 2 or any(b > a for a, b in zip(tab.shape, data.shape)):
+        raise ValueError(f"need 2-D data no larger than the table, got {data.shape} "
+                         f"against {tab.shape}")
+    (a0, a1), (b0, b1) = tab.shape, data.shape
+    s = _fft_shape(tab.shape)
+    prod = sfft.fft2(tab, s)
+    prod *= sfft.fft2(data, s)
+    return sfft.ifft2(prod, overwrite_x=True)[b0 - 1 : a0, b1 - 1 : a1]
+
+
+def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
+    """The whole-plane `kind` table summed over f (sign 0) or its extension.
+
+    For the half-plane signs f fills rows [ny, 2 ny) of a 2 ny-row box.
+    sign +1 (z - conj w, the down operators) puts its negated reflection in
+    rows [0, ny) and keeps rows [ny, 2 ny), which read the offsets dy / hy
+    in (-ny, 2 ny) only.  sign -1 (conj z - w, the up operators) leaves rows
+    [0, ny) zero, so the sum is over f with the offsets in (-2 ny, ny), and
+    subtracts the rows at conj z.  The table holds just those 3 ny - 1 rows.
+    """
+    spec = f.spec
+    ny, nx = spec.ny, spec.nx
+    rows = {0: range(1 - ny, ny), 1: range(1 - ny, 2 * ny), -1: range(1 - 2 * ny, ny)}[sign]
+    tab = planar_table(kind, rows, nx, spec.hx, spec.hy, average=average)
+    if sign == 1:
+        out = conv_valid(tab, np.concatenate([-f.data[::-1], f.data]))
+    else:
+        out = conv_valid(tab, f.data)
+    if sign == -1:
+        out = out[ny:] - out[ny - 1 :: -1]
+    if sign and average == "none":
+        # add back the image of the source cell w = z, at dy / hy = sign (2 i + 1),
+        # so the whole summand is omitted and per-point kernel identities survive
+        image = tab[sign * (2 * np.arange(ny) + 1) - rows.start, nx - 1]
+        out += image[:, None] * f.data
+    return out * spec.cell_measure
+
+
+def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
+    """Product kernels: the 1/(z - w) factor, shell averages included, from
+    the Cauchy table, times the midpoint image factor at Im = (i + j + 1) hy."""
+    spec = f.spec
+    ny, nx = spec.ny, spec.nx
+    tab = planar_table("cauchy", ny, nx, spec.hx, spec.hy, average=average)
+    dx = (np.arange(-(nx - 1), nx) * spec.hx)[None, :]
+    s = (np.arange(1, 2 * ny) * spec.hy)[:, None]
+    if which == "bicauchy_up":
+        image = 1.0 / (dx - 1j * s)  # 1/(conj z - w)
+    elif which == "bicauchy_down":
+        image = 1.0 / (dx + 1j * s)  # 1/(z - conj w)
+    else:  # bicauchy_real: Re 1/(z - w) times 1/|z - conj w|^2
+        tab = tab.real
+        image = 1.0 / (dx**2 + s**2)
+    L = _fft_shape([2 * nx - 1])[0]  # a kernel row's length suffices (valid block)
+    fhat = sfft.fft(f.data, n=L, axis=1)
+    out = np.empty((ny, nx), dtype=complex)
+    for i in range(ny):
+        # source row j reads table row i + ny - 1 - j and image row i + j
+        ki = tab[i : i + ny][::-1] * image[i : i + ny]
+        acc = np.sum(sfft.fft(ki, n=L, axis=1) * fhat, axis=0)
+        out[i] = sfft.ifft(acc)[nx - 1 : 2 * nx - 1]
+    return out * spec.cell_measure
+
+
+# ---------------------------------------------------------------------------
+# fft path
 
 
 _PANEL = 32  # rows of an x pass, or columns of a y pass, per block
@@ -217,82 +297,6 @@ def _pruned_rfft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, n1: int) 
     return out
 
 
-def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
-    """Valid-mode linear convolution of a table with data no larger than it.
-
-    out[i, j] = sum_{k, l} tab[i + b0 - 1 - k, j + b1 - 1 - l] data[k, l], of
-    shape tab.shape - data.shape + 1 (module docstring: FFT length).
-    """
-    if tab.ndim != 2 or data.ndim != 2 or any(b > a for a, b in zip(tab.shape, data.shape)):
-        raise ValueError(f"need 2-D data no larger than the table, got {data.shape} "
-                         f"against {tab.shape}")
-    (a0, a1), (b0, b1) = tab.shape, data.shape
-    kspec = sfft.fft2(tab, s=_fft_shape(tab.shape))
-    return _pruned_fft2(kspec, [(0, data, 1)], slice(b0 - 1, a0), slice(b1 - 1, a1))
-
-
-# ---------------------------------------------------------------------------
-# quadrature path
-
-
-def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
-    """The whole-plane `kind` table summed over f (sign 0) or its extension.
-
-    For the half-plane signs f fills rows [ny, 2 ny) of a 2 ny-row box.
-    sign +1 (z - conj w, the down operators) puts its negated reflection in
-    rows [0, ny) and keeps rows [ny, 2 ny), which read the offsets dy / hy
-    in (-ny, 2 ny) only.  sign -1 (conj z - w, the up operators) leaves rows
-    [0, ny) zero, so the sum is over f with the offsets in (-2 ny, ny), and
-    subtracts the rows at conj z.  The table holds just those 3 ny - 1 rows.
-    """
-    spec = f.spec
-    ny, nx = spec.ny, spec.nx
-    rows = {0: range(1 - ny, ny), 1: range(1 - ny, 2 * ny), -1: range(1 - 2 * ny, ny)}[sign]
-    tab = planar_table(kind, rows, nx, spec.hx, spec.hy, average=average)
-    if sign == 1:
-        out = conv_valid(tab, np.concatenate([-f.data[::-1], f.data]))
-    else:
-        out = conv_valid(tab, f.data)
-    if sign == -1:
-        out = out[ny:] - out[ny - 1 :: -1]
-    if sign and average == "none":
-        # add back the image of the source cell w = z, at dy / hy = sign (2 i + 1),
-        # so the whole summand is omitted and per-point kernel identities survive
-        image = tab[sign * (2 * np.arange(ny) + 1) - rows.start, nx - 1]
-        out += image[:, None] * f.data
-    return out * spec.cell_measure
-
-
-def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
-    """Product kernels: the 1/(z - w) factor, shell averages included, from
-    the Cauchy table, times the midpoint image factor at Im = (i + j + 1) hy."""
-    spec = f.spec
-    ny, nx = spec.ny, spec.nx
-    tab = planar_table("cauchy", ny, nx, spec.hx, spec.hy, average=average)
-    dx = (np.arange(-(nx - 1), nx) * spec.hx)[None, :]
-    s = (np.arange(1, 2 * ny) * spec.hy)[:, None]
-    if which == "bicauchy_up":
-        image = 1.0 / (dx - 1j * s)  # 1/(conj z - w)
-    elif which == "bicauchy_down":
-        image = 1.0 / (dx + 1j * s)  # 1/(z - conj w)
-    else:  # bicauchy_real: Re 1/(z - w) times 1/|z - conj w|^2
-        tab = tab.real
-        image = 1.0 / (dx**2 + s**2)
-    L = _fft_shape([2 * nx - 1])[0]  # a kernel row's length suffices (valid block)
-    fhat = sfft.fft(f.data, n=L, axis=1)
-    out = np.empty((ny, nx), dtype=complex)
-    for i in range(ny):
-        # source row j reads table row i + ny - 1 - j and image row i + j
-        ki = tab[i : i + ny][::-1] * image[i : i + ny]
-        acc = np.sum(sfft.fft(ki, n=L, axis=1) * fhat, axis=0)
-        out[i] = sfft.ifft(acc)[nx - 1 : 2 * nx - 1]
-    return out * spec.cell_measure
-
-
-# ---------------------------------------------------------------------------
-# fft path
-
-
 def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
     """The unimodular multiplier conj(zeta)/zeta on a py x px box, 0 at zeta = 0:
     ((kx^2 - ky^2) - 2i kx ky) / (kx^2 + ky^2), with no complex division."""
@@ -323,7 +327,7 @@ def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: boo
     # real: the table in the first P1 floats of each half-spectrum row (module docstring)
     kspec = np.zeros((P0, P1 // 2 + 1) if real else (P0, P1), dtype=complex)
     box = kspec.view(float) if real else kspec
-    _planar_all("cauchy", top, nx, hx, hy, out=box[:a0, :a1])
+    _planar_all(top, nx, hx, hy, out=box[:a0, :a1])
     if real:
         for r in range(0, P0, _PANEL):  # each row's rfft over its own memory
             kspec[r : r + _PANEL] = sfft.rfft(box[r : r + _PANEL, :P1], axis=1)

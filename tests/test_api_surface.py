@@ -10,10 +10,16 @@ test, so it fails here.
 Every module-level private name (`_name`: a function, class or assigned
 value) defined in `src/` must be read somewhere in `src/`, by the same
 rules, so a body that a rewrite replaced cannot live on for its tests alone.
+
+The fft and quadrature paths of `transforms` share no code but
+`_fft_shape`: the module-level names that the bodies of one path reach
+through the call graph of `src/hypb` are not reached from the other.
 """
 
 import ast
 from pathlib import Path
+
+from hypb.transforms import KERNEL_IDS
 
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = ("src", "scripts")
@@ -135,3 +141,102 @@ def test_an_orphan_private_helper_is_reported(tmp_path):
     (tmp_path / "tests" / "test_mod.py").write_text(
         "from pkg.mod import _old_body\n\n\ndef test_old():\n    assert _old_body([]) == []\n")
     assert unread_privates(tmp_path) == {"src/pkg/mod.py": ["_old_body"]}
+
+
+# ---------------------------------------------------------------------------
+# the two transform paths share no code
+
+QUADRATURE_ROOTS = ("_plane_quad", "_product_quad", "conv_valid")
+FFT_ROOTS = ("_plane_fft", "_cauchy_spectrum", "_beurling_symbol", "_FACTORIZATION")
+# these pick a path by their `method` argument, so the walk does not enter them
+PATH_SWITCHES = frozenset({"transform", "defect_sum", *KERNEL_IDS})
+SHARED_BY_BOTH_PATHS = frozenset({"_fft_shape"})
+
+
+def _definitions(trees) -> dict:
+    """{name: nodes} of the module-level defs, classes and assignments."""
+    defs = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defs.setdefault(name, []).append(node)
+    return defs
+
+
+def _reads(node) -> set:
+    """Names, attributes and imported names read under `node`, less its type annotations."""
+    seen, todo = set(), [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):  # an import inside a body
+            seen.update(alias.name for alias in node.names)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                todo += [v for v in (value if isinstance(value, list) else [value])
+                         if isinstance(v, ast.AST)]
+    return seen
+
+
+def _reachable(defs: dict, roots) -> set:
+    """The module-level names the roots reach, stopping at the path switches."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen or name in PATH_SWITCHES or name not in defs:
+            continue
+        seen.add(name)
+        for node in defs[name]:
+            todo += _reads(node)
+    return seen
+
+
+def shared_path_names(defs: dict) -> set:
+    """Names both paths reach, less the allowed ones."""
+    missing = [r for r in QUADRATURE_ROOTS + FFT_ROOTS if r not in defs]
+    assert not missing, f"path roots not defined in src/hypb: {missing}"
+    both = _reachable(defs, QUADRATURE_ROOTS) & _reachable(defs, FFT_ROOTS)
+    return both - SHARED_BY_BOTH_PATHS
+
+
+def _program_definitions() -> dict:
+    return _definitions(tree for _, tree in _trees(ROOT, ("src",)))
+
+
+def test_fft_and_quadrature_paths_share_only_fft_shape():
+    shared = shared_path_names(_program_definitions())
+    assert not shared, f"names both transform paths reach: {sorted(shared)}"
+
+
+# the bridges the paths once had: conv_valid through the fft path's pruned
+# pass, and planar_table's average="all" through the fft path's lattice
+BRIDGES = """
+def conv_valid(tab, data):
+    (a0, a1), (b0, b1) = tab.shape, data.shape
+    kspec = sfft.fft2(tab, s=_fft_shape(tab.shape))
+    return _pruned_fft2(kspec, [(0, data, 1)], slice(b0 - 1, a0), slice(b1 - 1, a1))
+
+
+def planar_table(kind, ny, nx, hx, hy, average="shell"):
+    rows = ny if isinstance(ny, range) else range(1 - ny, ny)
+    if average == "all":
+        return _planar_all(rows.stop, nx, hx, hy, np.empty((len(rows), 2 * nx - 1), complex))
+"""
+
+
+def test_a_bridge_between_the_paths_is_reported():
+    # negative control: the program's definitions with the bridges' bodies added
+    defs = _program_definitions()
+    for name, nodes in _definitions([ast.parse(BRIDGES)]).items():
+        defs[name] = defs[name] + nodes
+    assert {"_pruned_fft2", "_pruned", "_planar_all"} <= shared_path_names(defs)

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,34 @@ def test_verify_bad_threads_env(monkeypatch, capsys):
     assert "HYPB_THREADS" in capsys.readouterr().err
 
 
+def _one_error_line(capsys, *needles) -> bool:
+    """Nothing on stdout, and one `error:` line on stderr that holds the needles."""
+    captured = capsys.readouterr()
+    err = captured.err.strip()
+    return (captured.out == "" and err.startswith("error:") and "\n" not in err
+            and all(n in err for n in needles))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "1"), ("--p", "0.5"), ("--p", "nan"), ("--p", "inf"),
+    ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "inf"),
+])
+def test_verify_refuses_p_and_tol_out_of_range(flag, value, capsys):
+    # p must be finite and above 1, a tolerance finite and positive: --p 1 and
+    # 0.5 ended in a ValueError traceback, --p nan and --tol nan printed NaN
+    assert run(["verify", "two-sided-p", "--grid", "64", "--json", flag, value]) == 2
+    assert _one_error_line(capsys, f"bad {flag}")
+
+
+def test_verify_refuses_a_norm_past_the_float_range(capsys):
+    # |f|^p leaves the float range at p = 1e6, which ended in a traceback.
+    # Twin: p = 3 runs
+    assert run(["verify", "two-sided-p", "--grid", "64", "--json", "--p", "1e6"]) == 2
+    assert _one_error_line(capsys, "the float range", "--p 1e+06")
+    assert run(["verify", "two-sided-p", "--grid", "64", "--json", "--p", "3"]) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------------------
 # transform subcommand
 
@@ -265,6 +294,23 @@ def test_transform_rejects_bad_testfn(spec, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("testfn", ["gaussian:c=1e308,sigma=4", "gaussian:c=2,sigma=1e300",
+                                    "conjrat:a=0.001,k=400"])
+def test_transform_refuses_a_member_that_is_zero_or_not_finite_on_the_grid(testfn, capsys):
+    # the two gaussians sample to 0 everywhere (the first after an overflow
+    # warning) and printed input_l2 0; the conjrat samples to inf, which
+    # warned in the transform.  Refused with no warning.  Twin: the battery
+    # gaussian runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["transform", "--op", "c_down", "--testfn", testfn, "--grid", "32",
+                    "--json"]) == 2
+        assert _one_error_line(capsys, testfn, "zero or not finite")
+        assert run(["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4",
+                    "--grid", "32", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input_l2"] > 0
+
+
 def test_transform_writes_csv(tmp_path, capsys):
     out = tmp_path / "f.csv"
     assert run(["transform", "--op", "b_down", "--testfn", "gaussian:c=2,sigma=4",
@@ -322,6 +368,18 @@ def test_tabulate_json_reports_max_residual(capsys):
 def test_tabulate_rejects_bad_range(capsys):
     assert run(["whittaker", "tabulate", "--family", "Y", "--range", "5:1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("family", ["X", "Y"])
+@pytest.mark.parametrize("t0", ["1e-6", "9.9e-5", "1e-300"])
+def test_tabulate_refuses_t0_below_the_residual_floor(family, t0, capsys):
+    # from t0 = 1e-6 the residual reads 7.0e-6 (X) against the promised 1e-6,
+    # and 1e-300 printed a JSON traceback.  Twin: t0 = 1e-4 keeps the promise
+    argv = ["whittaker", "tabulate", "--family", family, "--A", "1", "--B", "1", "--json"]
+    assert run([*argv, "--range", f"{t0}:1"]) == 2
+    assert _one_error_line(capsys, "--range", "0.0001 <= t0")
+    assert run([*argv, "--range", f"{cli.TABULATE_T_MIN!r}:1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
 
 
 @pytest.mark.parametrize("points", ["0", "-3"])

@@ -61,7 +61,7 @@ def test_table_shapes_cover_all_offsets():
 def test_table_rotation_symmetry():
     # 1/zeta is odd under zeta -> -zeta, 1/zeta^2 is even; the offset tables
     # inherit this up to rounding in the averaged closed forms
-    for avg in ("none", "shell", "all"):
+    for avg in ("none", "shell"):
         tc = kn.planar_table("cauchy", 8, 8, 0.1, 0.2, average=avg)
         tb = kn.planar_table("beurling", 8, 8, 0.1, 0.1, average=avg)
         assert np.max(np.abs(tc + tc[::-1, ::-1])) < 1e-12
@@ -80,7 +80,7 @@ def _has_parity(tab, sign) -> bool:
 
 @settings(max_examples=40, deadline=None)
 @given(ny=st.integers(2, 9), nx=st.integers(2, 9), hx=st.floats(0.05, 2.0),
-       aspect=st.floats(0.3, 3.0), average=st.sampled_from(["none", "shell", "all"]))
+       aspect=st.floats(0.3, 3.0), average=st.sampled_from(["none", "shell"]))
 def test_cauchy_table_is_odd_and_beurling_table_even(ny, nx, hx, aspect, average):
     # 1/zeta is odd under zeta -> -zeta and 1/zeta^2 even; the offset tables
     # inherit this up to rounding in the averaged closed forms.  Twin: the
@@ -96,11 +96,12 @@ def test_shell_averaging_is_local():
     # field is untouched
     tn = kn.planar_table("beurling", 8, 8, 0.1, 0.1, average="none")
     ts = kn.planar_table("beurling", 8, 8, 0.1, 0.1, average="shell")
-    ta = kn.planar_table("beurling", 8, 8, 0.1, 0.1, average="all")
     diff = np.abs(ts - tn)
     assert np.count_nonzero(diff) > 0
     assert diff[0, 0] == 0.0  # far corner identical
-    # full averaging touches every cell
+    # the cell averages at every offset touch every cell
+    z0 = (np.arange(-7, 8) * 0.1)[None, :] + 1j * (np.arange(-7, 8) * 0.1)[:, None]
+    ta = -kn.avg_inv_sq(z0, 0.1, 0.1)
     assert np.count_nonzero(np.abs(ta - tn)) == ta.size - 1  # pv cell is 0 in both
 
 
@@ -138,105 +139,118 @@ def _mp_cell_average(power, i, j):
         return complex(val / h**2)
 
 
+def _lattice(ny, nx, hx, hy, dtype=complex, below=None):
+    """The fft path's fully averaged 1/zeta table at the rows dy / hy in
+    [-below, ny) (below = ny - 1 by default)."""
+    below = ny - 1 if below is None else below
+    return kn._planar_all(ny, nx, hx, hy, np.empty((below + ny, 2 * nx - 1), dtype))
+
+
+# the full cell average at offset (i, j) cells: for Cauchy the entry of the fft
+# path's lattice of ny x nx offsets, for Beurling the per-offset average the
+# quadrature shell reads
+FULL_AVERAGE = {
+    "cauchy": lambda i, j, ny, nx: _lattice(ny, nx, H16, H16)[ny - 1 + j, nx - 1 + i],
+    "beurling": lambda i, j, ny, nx: -kn.avg_inv_sq(complex(i, j) * H16, H16, H16),
+}
+
+
 @pytest.mark.parametrize("kind,power,sign", [("cauchy", 1, 1), ("beurling", 2, -1)])
 @pytest.mark.parametrize("offsets,tol", [(NEAR, 1e-13), (MID, 1e-11)], ids=["near", "mid"])
 def test_full_table_matches_mpmath_cell_averages(kind, power, sign, offsets, tol):
-    n = 41
-    tab = kn.planar_table(kind, n, n, H16, H16, average="all")
     for i, j in offsets:
         want = sign * _mp_cell_average(power, i, j)
-        got = tab[n - 1 + j, n - 1 + i]
+        got = FULL_AVERAGE[kind](i, j, 41, 41)
         assert abs(got - want) <= tol * abs(want), (kind, i, j, got, want)
 
 
-@pytest.mark.parametrize("kind,power,sign", [("cauchy", 1, 1), ("beurling", 2, -1)])
-def test_full_table_keeps_far_field_digits(kind, power, sign):
-    # a plain four-corner sum of the primitive loses ~1e-10 here to cancellation
+def test_full_table_keeps_far_field_digits():
+    # a plain four-corner sum of the primitive, as the per-offset averages of
+    # the quadrature shell take it, loses 2e-10 to 5e-9 here to cancellation
     for i, j in [(2000, 3), (-1900, -40), (37, 1900)]:
-        ny, nx = abs(j) + 2, abs(i) + 2
-        tab = kn.planar_table(kind, ny, nx, H16, H16, average="all")
-        want = sign * _mp_cell_average(power, i, j)
-        got = tab[ny - 1 + j, nx - 1 + i]
-        assert abs(got - want) <= 1e-11 * abs(want), (kind, i, j, got, want)
+        want = _mp_cell_average(1, i, j)
+        got = FULL_AVERAGE["cauchy"](i, j, abs(j) + 2, abs(i) + 2)
+        assert abs(got - want) <= 1e-11 * abs(want), (i, j, got, want)
 
 
 def test_full_table_parity_is_exact():
-    tc = kn.planar_table("cauchy", 9, 7, 0.1, 0.23, average="all")
-    tb = kn.planar_table("beurling", 9, 7, 0.1, 0.1, average="all")
+    tc = _lattice(9, 7, 0.1, 0.23)
     assert np.array_equal(tc, -tc[::-1, ::-1])
-    assert np.array_equal(tb, tb[::-1, ::-1])
 
 
-def _is_conjugate_symmetric(tab, kind) -> bool:
+def _is_conjugate_symmetric(tab) -> bool:
     """tab at conj zeta is conj tab at zeta, bit for bit.
 
-    On the column dx = 0 the table keeps exact parity instead, so there the
-    part that is zero in exact arithmetic (real for cauchy, imaginary for
-    beurling) carries the parity's sign; only the other part is compared.
+    On the column dx = 0 the table keeps exact oddness instead, so there the
+    real part, zero in exact arithmetic, carries the sign of the oddness;
+    only the imaginary part is compared.
     """
     ny, nx = (tab.shape[0] + 1) // 2, (tab.shape[1] + 1) // 2
     up, down = tab[ny - 1 :], np.conj(tab[ny - 1 :: -1])
     off = np.arange(tab.shape[1]) != nx - 1
-    part = np.imag if kind == "cauchy" else np.real
     return (np.array_equal(up[:, off], down[:, off])
-            and np.array_equal(part(up[:, nx - 1]), part(down[:, nx - 1])))
+            and np.array_equal(up[:, nx - 1].imag, down[:, nx - 1].imag))
 
 
-@pytest.mark.parametrize("kind, ny, nx, hx, hy", [
-    ("cauchy", 9, 7, 0.1, 0.1), ("beurling", 9, 7, 0.1, 0.1),
-    ("cauchy", 64, 48, 2.8 / 24, 5.6 / 32), ("beurling", 64, 48, 0.05, 0.05),
-    ("cauchy", 9, 7, 0.1, 0.23), ("cauchy", 40, 12, 0.09375, 1.5 / 3072),
+@pytest.mark.parametrize("ny, nx, hx, hy", [
+    (9, 7, 0.1, 0.1), (64, 48, 2.8 / 24, 5.6 / 32), (9, 7, 0.1, 0.23),
+    (40, 12, 0.09375, 1.5 / 3072),
 ])
-def test_full_table_is_conjugate_symmetric(kind, ny, nx, hx, hy):
+def test_full_table_is_conjugate_symmetric(ny, nx, hx, hy):
     # K(conj zeta) = conj K(zeta), and the cell at conj z0 is the mirror of
     # the cell at z0: the builder fills dy < 0 from dy > 0 by conjugation.
     # Twin: one off-axis entry perturbed
-    tab = kn.planar_table(kind, ny, nx, hx, hy, average="all")
-    assert _is_conjugate_symmetric(tab, kind)
+    tab = _lattice(ny, nx, hx, hy)
+    assert _is_conjugate_symmetric(tab)
     tab[ny + 2, nx + 3] *= 1.0 + 1e-15
-    assert not _is_conjugate_symmetric(tab, kind)
+    assert not _is_conjugate_symmetric(tab)
 
 
 def test_full_table_writes_its_real_part_into_a_real_box():
     ny, nx = 6, 5
     box = np.zeros((2 * ny + 3, 2 * nx + 1))
-    kn._planar_all("cauchy", ny, nx, 0.3, 0.2, out=box[: 2 * ny - 1, : 2 * nx - 1])
-    tab = kn.planar_table("cauchy", ny, nx, 0.3, 0.2, average="all")
-    assert np.array_equal(box[: 2 * ny - 1, : 2 * nx - 1], tab.real)
+    kn._planar_all(ny, nx, 0.3, 0.2, out=box[: 2 * ny - 1, : 2 * nx - 1])
+    assert np.array_equal(box[: 2 * ny - 1, : 2 * nx - 1], _lattice(ny, nx, 0.3, 0.2).real)
     assert not box[2 * ny - 1 :].any() and not box[:, 2 * nx - 1 :].any()
 
 
-@pytest.mark.parametrize("kind, hy", [("cauchy", 0.23), ("beurling", 0.1)])
+ROW_RANGES = [(13, 21, 6), (40, 48, 19), (64, 64, 0), (8, 12, 15)]  # ny, nx, below
+
+
 @pytest.mark.parametrize("dtype", [complex, float])
-@pytest.mark.parametrize("ny, nx, below", [(13, 21, 6), (40, 48, 19), (64, 64, 0),
-                                           (8, 12, 15)])
-def test_row_range_table_is_the_matching_rows_of_the_full_table(kind, hy, dtype, ny, nx,
-                                                                below):
+@pytest.mark.parametrize("ny, nx, below", ROW_RANGES)
+def test_row_range_table_is_the_matching_rows_of_the_full_table(dtype, ny, nx, below):
     # rows dy / hy in [-below, ny), set by the height of `out`, against the rows
     # of the full table of the m-row box, m = max(ny, below + 1), whose quadrant
     # lattice is the same.  Twin: the same range shifted by one row
-    hx, m = 0.1, max(ny, below + 1)
-    full = kn._planar_all(kind, m, nx, hx, hy, np.empty((2 * m - 1, 2 * nx - 1), dtype))
-    got = kn._planar_all(kind, ny, nx, hx, hy, np.empty((below + ny, 2 * nx - 1), dtype))
+    hx, hy, m = 0.1, 0.23, max(ny, below + 1)
+    full = _lattice(m, nx, hx, hy, dtype)
+    got = _lattice(ny, nx, hx, hy, dtype, below)
     lo, hi = m - 1 - below, m - 1 + ny
     assert np.array_equal(got, full[lo:hi])
     shifted = full[lo + 1 : hi + 1] if hi < len(full) else full[lo - 1 : hi - 1]
     assert not np.array_equal(got, shifted)
-    # the public builder over the same rows, in every averaging mode
-    for average in ("none", "shell", "all"):
+
+
+@pytest.mark.parametrize("kind, hy", [("cauchy", 0.23), ("beurling", 0.1)])
+@pytest.mark.parametrize("ny, nx, below", ROW_RANGES)
+def test_row_range_planar_table_is_the_matching_rows_of_the_full_table(kind, hy, ny, nx,
+                                                                       below):
+    # the quadrature builder over the rows dy / hy in [-below, ny), in both
+    # averaging modes, against the same rows of its m-row table
+    hx, m = 0.1, max(ny, below + 1)
+    lo, hi = m - 1 - below, m - 1 + ny
+    for average in ("none", "shell"):
         want = kn.planar_table(kind, m, nx, hx, hy, average=average)[lo:hi]
         rows = kn.planar_table(kind, range(-below, ny), nx, hx, hy, average=average)
         assert np.array_equal(rows, want), average
 
 
 def test_lattice_tables_match_per_offset_averages():
-    # rectangular cells where the kernel allows them; the planar singular
-    # table needs square ones
-    ny, nx = 6, 9
-    for kind, hx, hy, avg in [("cauchy", 0.3, 0.2, kn.avg_inv),
-                              ("beurling", 0.2, 0.2, lambda z, a, b: -kn.avg_inv_sq(z, a, b))]:
-        dy = (np.arange(-(ny - 1), ny) * hy)[:, None]
-        dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
-        want = avg(dx + 1j * dy, hx, hy)
-        got = kn.planar_table(kind, ny, nx, hx, hy, average="all")
-        assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) < 1e-12
+    # rectangular cells, which the smooth kernel allows
+    ny, nx, hx, hy = 6, 9, 0.3, 0.2
+    dy = (np.arange(-(ny - 1), ny) * hy)[:, None]
+    dx = (np.arange(-(nx - 1), nx) * hx)[None, :]
+    want = kn.avg_inv(dx + 1j * dy, hx, hy)
+    got = _lattice(ny, nx, hx, hy)
+    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)) < 1e-12

@@ -187,13 +187,25 @@ def test_convergence_sweep_refuses_fewer_than_two_grids(monkeypatch, grids):
     assert calls == []
 
 
-def test_sweep_script_exits_2_on_a_single_grid(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "sweep_convergence.py"
-    spec = importlib.util.spec_from_file_location("sweep_convergence", path)
+def _script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.main(["--grids", "64"]) == 2
-    assert "at least two grids" in capsys.readouterr().err
+    return script
+
+
+def test_sweep_script_exits_2_on_a_single_grid(capsys):
+    # and the scripts' other usage faults: one error line, nothing on stdout
+    for name, argv, message in [
+        ("sweep_convergence", ["--grids", "64"], "at least two grids"),
+        ("sweep_convergence", ["--checks", "foo"], "no convergence sweep for ['foo']"),
+        ("hardy_ratio_table", ["--n", "8", "1"], "cutoff scale n must be an integer >= 2"),
+    ]:
+        assert _script(name).main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
 
 
 def test_battery_spec_and_tolerance_defaults():
