@@ -10,20 +10,15 @@ Three subcommands:
 Exit codes: 0 on success, 1 on a numerical failure (a non-degenerate check
 violated its tolerance), 2 on usage errors (unknown check or operator,
 missing input, a grid or box the grid refuses, a singular quadrature table
-on non-square cells, a verify --p that is not a finite p > 1 or --tol not
-a finite tolerance > 0, a norm past the float range, a transform input
-that is zero or not finite on its grid, a tabulate range outside
-[1e-4, 700] or a branch past the float range there).
+on non-square cells, a verify --p that is not a finite p > 1, --tol not a
+finite tolerance > 0 or --seed below 0, a norm past the float range, a
+transform input that is zero or not finite on its grid, a tabulate range
+outside [1e-4, 700] or a branch past the float range there).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
 back as the same double), and its bytes depend only on the arrays: the
 same arrays give the same file.
-
-Thread count comes from --threads, else the HYPB_THREADS environment
-variable, and sets the scipy.fft worker count of `verify` and `transform`
-(unset: one worker).  The FFTs split their work by whole lines, so results
-are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -32,7 +27,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -118,24 +112,11 @@ def parse_range(text: str):
                 f"{TABULATE_T_MIN:g} <= t0 < t1 <= {TABULATE_T_MAX:g}")
 
 
-def resolve_threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("HYPB_THREADS")
-    if env is None:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        _fail_usage(f"bad HYPB_THREADS value {env!r}")
-
-
 def _add_grid(p: argparse.ArgumentParser):
     """Flags of the commands that sample on a grid and run the transforms."""
     p.add_argument("--grid", default="256", help="cells per axis, n or nx:ny")
     p.add_argument("--domain", default=None, help="half-width and height, L:H")
     p.add_argument("--method", choices=("fft", "quadrature"), default="fft")
-    p.add_argument("--threads", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,10 +164,7 @@ def make_config(args, **extra) -> vf.RunConfig:
     """RunConfig from the grid flags; `extra` sets the fields only verify reads."""
     nx, ny = parse_grid(args.grid)
     L, H = vf.DEFAULT_BOX if args.domain is None else parse_domain(args.domain)
-    threads = resolve_threads(args.threads)
-    if threads is not None and threads < 1:
-        _fail_usage(f"thread count must be at least 1, got {threads}")
-    cfg = vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, threads=threads, **extra)
+    cfg = vf.RunConfig(nx=nx, ny=ny, L=L, H=H, method=args.method, **extra)
     try:
         cfg.battery_spec()
     except ValueError as exc:
@@ -231,6 +209,8 @@ def cmd_verify(args) -> int:
         _fail_usage(f"bad --p {args.p!r}; expected a finite p > 1")
     if args.tol is not None and not 0 < args.tol < math.inf:
         _fail_usage(f"bad --tol {args.tol!r}; expected a finite tolerance > 0")
+    if args.seed < 0:  # checks seed their generators with a base seed plus --seed
+        _fail_usage(f"bad --seed {args.seed}; expected an integer >= 0")
     cfg = make_config(args, p=args.p, tol=args.tol, seed=args.seed)
     name = args.check
     if name != "all" and name not in vf.CHECKS:
@@ -271,8 +251,7 @@ def cmd_transform(args) -> int:
         f = tf.sample(fn, spec, "f")
     if not f.data.any() or not np.isfinite(f.data).all():
         _fail_usage(f"--testfn {args.testfn} is zero or not finite on the grid")
-    with tr.fft_workers(cfg.threads):
-        out = tr.transform(f, op, method=cfg.method)
+    out = tr.transform(f, op, method=cfg.method)
     if args.json:
         try:
             norms = {"input_l2": lp_norm(f, 2.0), "output_l2": lp_norm(out, 2.0)}
@@ -280,7 +259,7 @@ def cmd_transform(args) -> int:
             _fail_usage(f"{exc} for --testfn {args.testfn}")
         print(json.dumps({
             "op": op, "testfn": args.testfn, "grid": spec.summary(),
-            "method": cfg.method, "threads": cfg.threads, **norms,
+            "method": cfg.method, **norms,
         }, indent=2, allow_nan=False))
         if args.out is None:
             return 0

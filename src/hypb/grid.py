@@ -10,7 +10,7 @@ none lies on the axis.
 
 Norms use a plain midpoint rule with a fixed-shape pairwise reduction
 (numpy's summation), so results are reproducible bit-for-bit across
-runs and thread counts.
+runs.
 """
 
 from __future__ import annotations

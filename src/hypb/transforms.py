@@ -102,10 +102,6 @@ is a single convolution with the real kernel 2 Re(1/zeta), whose spectrum
 is kept as its half; with method="quadrature" it is the two cauchy_down
 calls.
 
-Every FFT of this module goes through scipy.fft, so `fft_workers(n)` sets
-the worker count of the operators called inside it; pocketfft hands whole
-1-D lines to its workers, so the results are bit-identical for every count.
-
 The two paths share no code but `_fft_shape`, so agreement between them is
 a meaningful check rather than a tautology; tests/test_api_surface.py holds
 them to it (`test_fft_and_quadrature_paths_share_only_fft_shape`).
@@ -113,7 +109,6 @@ them to it (`test_fft_and_quadrature_paths_share_only_fft_shape`).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 
 import numpy as np
@@ -137,7 +132,6 @@ __all__ = [
     "conj_sandwich",
     "defect_sum",
     "conv_valid",
-    "fft_workers",
     "minimal_solve",
 ]
 
@@ -147,12 +141,7 @@ def _require_upper(f: Field, name: str):
 
 
 # ---------------------------------------------------------------------------
-# shared by both paths: the FFT worker count and transform lengths
-
-
-def fft_workers(threads):
-    """Context that runs every scipy.fft call inside it on `threads` workers (None: default)."""
-    return contextlib.nullcontext() if threads is None else sfft.set_workers(threads)
+# shared by both paths: transform lengths
 
 
 def _fft_shape(tab_shape) -> tuple:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -72,7 +72,6 @@ __all__ = [
     "CHECKS",
     "run_checks",
     "overall_pass",
-    "convergence_sweep",
     "check_norm_identity_p2",
     "check_two_sided_lp",
     "check_planar_isometry",
@@ -127,7 +126,6 @@ class RunConfig:
     p: float = 2.0
     tol: Optional[float] = None
     seed: int = 0
-    threads: Optional[int] = None
 
     def battery_spec(self) -> GridSpec:
         return GridSpec(L=self.L, H=self.H, nx=self.nx, ny=self.ny, plane=PlaneKind.UPPER)
@@ -381,26 +379,41 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     return rec.reports
 
 
+def _potential_residuals(spec: GridSpec, sign: float = 1.0) -> tuple:
+    """Relative L2 residuals of dG = M d2F and dbar G = M lapF + (i/2)(dF + dbarF)
+    for G = M dF + sign (i/2) F, F the battery gaussian (sign -1: the control)."""
+    y = spec.y.reshape(-1, 1)
+    F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
+    G = Field(spec, y * dF.data + sign * 0.5j * F.data)
+    target_db = y * lapF.data + 0.5j * (dF.data + dbF.data)
+    return _rel_l2(spec, d(G).data, y * d2F.data), _rel_l2(spec, d_bar(G).data, target_db)
+
+
 def check_derivative_identities(cfg: RunConfig) -> list:
     """The potential G = M dF + (i/2) F reproduces both target derivatives.
 
     dG must equal M d2 F and dbar G must equal M lap F + (i/2)(dF + dbarF);
     both are checked with fourth-order finite differences against sampled
-    closed forms.  Flipping the i/2 sign in G is the control.
+    closed forms.  Flipping the i/2 sign in G is the control.  `h-order`
+    takes the dbar residual on DEFAULT_BOX under dyadic refinement, at the
+    commutators' bar; the wrong-sign potential's residual does not fall.
     """
     rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
-    spec = rec.spec
-    y = spec.y.reshape(-1, 1)
-    F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
-    G = Field(spec, y * dF.data + 0.5j * F.data)
-    target_d = y * d2F.data
-    target_db = y * lapF.data + 0.5j * (dF.data + dbF.data)
     tol = cfg.tolerance(1e-4)
-    rec.at_most("d", _rel_l2(spec, d(G).data, target_d), tol, member="gaussian:c=2,sigma=4")
-    rec.at_most("dbar", _rel_l2(spec, d_bar(G).data, target_db), tol,
-                member="gaussian:c=2,sigma=4")
-    Gw = Field(spec, y * dF.data - 0.5j * F.data)
-    rec.above("control-wrong-potential", _rel_l2(spec, d_bar(Gw).data, target_db), tol)
+    err_d, err_db = _potential_residuals(rec.spec)
+    rec.at_most("d", err_d, tol, member="gaussian:c=2,sigma=4")
+    rec.at_most("dbar", err_db, tol, member="gaussian:c=2,sigma=4")
+    err_wrong = _potential_residuals(rec.spec, -1.0)[1]
+    rec.above("control-wrong-potential", err_wrong, tol)
+    grids, thr = (64, 128, 256), 3.5
+    specs = [_box_spec(g) for g in grids]
+    for name, sign, at_battery in (("h-order", 1.0, err_db),
+                                   ("control-order-wrong-potential", -1.0, err_wrong)):
+        # a refinement grid that is the battery grid reuses its residual
+        errs = [at_battery if s == rec.spec else _potential_residuals(s, sign)[1] for s in specs]
+        orders, _, ok = _refinement(errs, thr)
+        rec.record(name, min(orders), thr, thr, ok if sign > 0 else not ok, spec=specs[-1],
+                   grids=list(grids), errors=errs, orders=orders, member="gaussian:c=2,sigma=4")
     return rec.reports
 
 
@@ -937,48 +950,6 @@ def check_adjointness(cfg: RunConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# convergence sweeps
-
-
-def _sweep_derivative_identities(cfg: RunConfig, n: int) -> float:
-    # the check itself on an n x n grid: the sweep reads its dbar residual
-    reports = check_derivative_identities(replace(cfg, nx=n, ny=n))
-    return next(r.lhs for r in reports if r.check_id == "derivative-identities/dbar")
-
-
-def _sweep_commutators(cfg: RunConfig, n: int) -> float:
-    return max(_commutator_error(k, n) for k in (-2, -1, 1, 2))
-
-
-SWEEPS: dict = {
-    "derivative-identities": (_sweep_derivative_identities, 1.8),
-    "commutators": (_sweep_commutators, 3.5),
-}
-
-
-def convergence_sweep(check_id: str, grids=(64, 128, 256), cfg: Optional[RunConfig] = None) -> CheckReport:
-    """Empirical order of a check's error under dyadic refinement.
-
-    Non-monotone error decay is a failure regardless of the fitted order:
-    a sweep that bottoms out early means the member or the tolerance is
-    miscalibrated for those grids.
-    """
-    if check_id not in SWEEPS:
-        raise KeyError(f"no convergence sweep for {check_id!r}; have {sorted(SWEEPS)}")
-    if len(grids) < 2:
-        raise ValueError(f"a convergence sweep needs at least two grids, got {list(grids)}")
-    fn, threshold = SWEEPS[check_id]
-    cfg = cfg or RunConfig()
-    rec = _Recorder("convergence", GridSpec(L=cfg.L, H=cfg.H, nx=grids[-1], ny=grids[-1],
-                                            plane=PlaneKind.UPPER), "sweep")
-    errs = [fn(cfg, n) for n in grids]
-    orders, monotone, passed = _refinement(errs, threshold)
-    rec.record(check_id, min(orders), threshold, threshold, passed,
-               grids=list(grids), errors=errs, orders=orders, monotone=monotone)
-    return rec.reports[0]
-
-
-# ---------------------------------------------------------------------------
 # registry and drivers
 
 CHECKS: dict = {
@@ -1011,11 +982,10 @@ def run_checks(names, cfg: Optional[RunConfig] = None) -> list:
     if isinstance(names, str):
         names = list(CHECKS) if names == "all" else [names]
     reports = []
-    with tr.fft_workers(cfg.threads):
-        for name in names:
-            if name not in CHECKS:
-                raise KeyError(f"unknown check {name!r}; have {sorted(CHECKS)}")
-            reports.extend(CHECKS[name](cfg))
+    for name in names:
+        if name not in CHECKS:
+            raise KeyError(f"unknown check {name!r}; have {sorted(CHECKS)}")
+        reports.extend(CHECKS[name](cfg))
     return sorted(reports, key=lambda r: r.check_id)
 
 

@@ -131,18 +131,6 @@ def test_readme_lists_exactly_the_flags_of_each_subcommand():
         assert documented[name] - flags == set(), f"{name}: README lists flags the parser lacks"
 
 
-def test_threads_resolution(monkeypatch):
-    monkeypatch.delenv("HYPB_THREADS", raising=False)
-    assert cli.resolve_threads(None) is None
-    assert cli.resolve_threads(2) == 2
-    monkeypatch.setenv("HYPB_THREADS", "3")
-    assert cli.resolve_threads(None) == 3
-    assert cli.resolve_threads(2) == 2  # explicit flag wins
-    monkeypatch.setenv("HYPB_THREADS", "many")
-    with pytest.raises(SystemExit):
-        cli.resolve_threads(None)
-
-
 # ---------------------------------------------------------------------------
 # verify subcommand
 
@@ -183,12 +171,6 @@ def test_verify_quadrature_has_no_grid_cap(capsys):
     assert run(["verify", "adjointness", "--method", "quadrature", "--grid", "256",
                 "--force"]) == 2
     assert "unrecognized arguments: --force" in capsys.readouterr().err
-
-
-def test_verify_bad_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("HYPB_THREADS", "lots")
-    assert run(["verify", "adjointness"]) == 2
-    assert "HYPB_THREADS" in capsys.readouterr().err
 
 
 def _one_error_line(capsys, *needles) -> bool:
@@ -283,9 +265,17 @@ def test_verify_singular_quadrature_needs_square_cells(capsys):
     assert "square cells" in err and "Traceback" not in err
 
 
-def test_threads_must_be_positive(capsys):
-    assert run(["verify", "adjointness", "--threads", "0"]) == 2
-    assert "thread" in capsys.readouterr().err
+def test_verify_has_no_threads_flag(capsys):
+    assert run(["verify", "adjointness", "--threads", "2"]) == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+def test_a_negative_seed_is_a_usage_error(capsys):
+    # checks seed with a base plus --seed (adjointness 7), and numpy refuses a negative seed
+    assert run(["verify", "adjointness", "--seed", "-100"]) == 2
+    assert _one_error_line(capsys, "--seed -100")
+    assert run(["verify", "adjointness", "--seed", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("spec", ["nosuch:a=1", "gaussian:zz=1", "gaussian:c"])

@@ -366,25 +366,6 @@ def test_accurate_product_quadrature_matches_the_fft_path(op):
     assert np.max(np.abs(a - b)) <= 2e-3 * np.max(np.abs(a))
 
 
-def test_fft_fields_are_bit_identical_across_worker_counts():
-    gs = upper(256)
-    f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
-    rng = np.random.default_rng(11)
-    k1, k2 = _random_complex(rng, (515, 400)), _random_complex(rng, (1025, 515))
-    out = {}
-    for threads in (1, 2):
-        with tr.fft_workers(threads):
-            assert sfft.get_workers() == threads
-            out[threads] = [tr.defect_sum(f).data, tr.cauchy_up(f).data,
-                            tr.beurling_down(f).data,
-                            tr._pruned_fft2(k1, [(0, f.data[:, :-3], 1)], slice(7, 300),
-                                            slice(0, 253)),
-                            tr._pruned_fft2(k2, [(256, f.data, 1), (0, f.data[::-1], -1)],
-                                            slice(3, 511), slice(5, 260))]
-    for a, b in zip(out[1], out[2]):
-        assert np.array_equal(a, b)
-
-
 @pytest.mark.parametrize("n", [256, 512])
 def test_defect_sum_peak_memory_stays_under_1_15_full_spectra(n, peak_bytes):
     # from a cold cache: the table of the 3 n - 1 rows the odd extension reads

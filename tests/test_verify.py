@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import fft as sfft
 
 from hypb import verify as vf
 from hypb.grid import Field
@@ -153,38 +152,28 @@ def test_strip_runtime_is_recursive(strip_runtime):
 
 
 def test_convergence_sweep_passes_for_the_sweepable_checks(cheap_reports):
-    rep = vf.convergence_sweep("derivative-identities")
+    by = {r.check_id: r for r in cheap_reports}
+    rep = by["derivative-identities/h-order"]
     assert rep.passed
-    assert rep.tolerance == 1.8
-    assert rep.parameters["monotone"]
-    assert len(rep.parameters["errors"]) == 3
-    # the sweep and the check share one residual: bit-identical at the battery grid
-    [dbar] = [r for r in cheap_reports if r.check_id == "derivative-identities/dbar"]
-    assert rep.parameters["errors"][-1] == dbar.lhs
+    assert rep.tolerance == 3.5
+    errs = rep.parameters["errors"]
+    assert len(errs) == 3
+    assert all(a > b for a, b in zip(errs, errs[1:]))
+    assert rep.lhs == min(rep.parameters["orders"]) >= 3.5
+    # the order and the check share one residual: bit-identical at the battery grid
+    assert errs[-1] == by["derivative-identities/dbar"].lhs
+    control = by["derivative-identities/control-order-wrong-potential"]
+    assert control.passed and control.lhs < 3.5
 
 
-def test_convergence_sweep_rejects_unswept_checks():
-    with pytest.raises(KeyError):
-        vf.convergence_sweep("method-agreement")
-    with pytest.raises(KeyError):
-        vf.convergence_sweep("norm-identity")
-
-
-def test_convergence_sweep_fails_on_nonmonotone_error(monkeypatch):
-    seq = {32: 1e-2, 64: 1e-3, 128: 5e-3}
-    monkeypatch.setitem(vf.SWEEPS, "fake", (lambda cfg, n: seq[n], 1.0))
-    rep = vf.convergence_sweep("fake", grids=(32, 64, 128))
-    assert not rep.passed
-    assert not rep.parameters["monotone"]
-
-
-@pytest.mark.parametrize("grids", [(64,), ()])
-def test_convergence_sweep_refuses_fewer_than_two_grids(monkeypatch, grids):
-    calls = []
-    monkeypatch.setitem(vf.SWEEPS, "fake", (lambda cfg, n: calls.append(n) or 1e-3, 1.0))
-    with pytest.raises(ValueError, match="at least two grids"):
-        vf.convergence_sweep("fake", grids=grids)
-    assert calls == []
+def test_convergence_sweep_fails_on_nonmonotone_error():
+    # the orders are [3.32, -2.32]: the second grid's error rises
+    orders, monotone, passed = vf._refinement([1e-2, 1e-3, 5e-3], 1.0)
+    assert orders[0] > 1.0 > orders[1]
+    assert not monotone and not passed
+    # a monotone fall below the threshold fails too, and one above it passes
+    assert vf._refinement([1e-2, 6e-3, 4e-3], 1.0)[1:] == (True, False)
+    assert vf._refinement([1e-2, 4e-3, 1e-3], 1.0)[1:] == (True, True)
 
 
 def _script(name):
@@ -195,17 +184,12 @@ def _script(name):
     return script
 
 
-def test_sweep_script_exits_2_on_a_single_grid(capsys):
-    # and the scripts' other usage faults: one error line, nothing on stdout
-    for name, argv, message in [
-        ("sweep_convergence", ["--grids", "64"], "at least two grids"),
-        ("sweep_convergence", ["--checks", "foo"], "no convergence sweep for ['foo']"),
-        ("hardy_ratio_table", ["--n", "8", "1"], "cutoff scale n must be an integer >= 2"),
-    ]:
-        assert _script(name).main(argv) == 2, argv
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
-        assert message in err
+def test_hardy_script_exits_2_on_a_cutoff_below_2(capsys):
+    # one error line, nothing on stdout
+    assert _script("hardy_ratio_table").main(["--n", "8", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "cutoff scale n must be an integer >= 2" in err
 
 
 def test_battery_spec_and_tolerance_defaults():
@@ -215,14 +199,6 @@ def test_battery_spec_and_tolerance_defaults():
     assert gs.hx == gs.hy  # the singular quadrature needs square cells
     assert cfg.tolerance(1e-4) == 1e-4
     assert vf.RunConfig(tol=1e-2).tolerance(1e-4) == 1e-2
-
-
-def test_run_checks_sets_the_fft_worker_count(monkeypatch):
-    seen = []
-    monkeypatch.setitem(vf.CHECKS, "fake", lambda cfg: seen.append(sfft.get_workers()) or [])
-    vf.run_checks("fake", vf.RunConfig())
-    vf.run_checks("fake", vf.RunConfig(threads=2))
-    assert seen == [1, 2]
 
 
 def test_classify_check_records_x_truncation_without_warning():
