@@ -43,14 +43,18 @@ Methods:
               their exact factorizations through cauchy_up / cauchy_down.
               The mode is checked and has no effect.
 
+Every transform is `numpy.fft` (pocketfft).  The 2-D ones run as per-axis
+passes, axis 0 first, the order of `scipy.fft.fft2` (numpy's `fft2` runs
+axis 1 first, which differs in the last bit), in place through `out=`.
+
 The quadrature path evaluates its table sums as valid-mode linear
 convolutions, `conv_valid`, one whole-box product each.  For a table of
 shape (a0, a1) and data of shape (b0, b1) the valid block only reads table
 offsets inside the table, so a circular convolution at any length >= (a0,
-a1) has no wrap-around there: the FFTs run at next_fast_len of the table
-shape (`_fft_shape`), not at the full linear length a + b - 1 (3072 x 2048
-instead of 5120 x 3072 points for a 2048 x 1024 input and a 3071 x 2047
-table, 2.5 times fewer).
+a1) has no wrap-around there: the FFTs run at the next 11-smooth lengths
+of the table shape (`_fft_shape`), not at the full linear length a + b - 1
+(3072 x 2048 instead of 5120 x 3072 points for a 2048 x 1024 input and a
+3071 x 2047 table, 2.5 times fewer).
 
 Every fft-path product of a spectrum or symbol with data runs through one
 pruned 2-D FFT, `_pruned_fft2` (J. D. Markel, "FFT pruning", IEEE Trans.
@@ -112,7 +116,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import fft as sfft
 
 from .calculus import mult_im_pow
 from .grid import Field, PlaneKind
@@ -145,7 +148,22 @@ def _require_upper(f: Field, name: str):
 
 
 def _fft_shape(tab_shape) -> tuple:
-    return tuple(sfft.next_fast_len(int(n)) for n in tab_shape)
+    """Each length raised to the next 11-smooth integer (2^a 3^b 5^c 7^d 11^e),
+    pocketfft's fast lengths for complex transforms."""
+    out = []
+    for n in map(int, tab_shape):
+        if n < 1:
+            raise ValueError(f"transform lengths must be positive, got {n}")
+        while True:
+            m = n
+            for p in (2, 3, 5, 7, 11):
+                while m % p == 0:
+                    m //= p
+            if m == 1:
+                break
+            n += 1
+        out.append(n)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +180,22 @@ def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
         raise ValueError(f"need 2-D data no larger than the table, got {data.shape} "
                          f"against {tab.shape}")
     (a0, a1), (b0, b1) = tab.shape, data.shape
-    s = _fft_shape(tab.shape)
-    prod = sfft.fft2(tab, s)
-    prod *= sfft.fft2(data, s)
-    return sfft.ifft2(prod, overwrite_x=True)[b0 - 1 : a0, b1 - 1 : a1]
+    s0, s1 = _fft_shape(tab.shape)
+
+    def fft2(a):  # zero-padded to (s0, s1), axis 0 first as in scipy.fft.fft2
+        box = np.zeros((s0, s1), dtype=complex)
+        cols = box[:, : a.shape[1]]
+        cols[: len(a)] = a
+        np.fft.fft(cols, axis=0, out=cols)
+        return np.fft.fft(box, axis=1, out=box)
+
+    prod = fft2(tab)
+    prod *= fft2(data)
+    # the inverse likewise: unscaled axis-0 pass, the one factor 1/(s0 s1), axis-1 pass
+    np.fft.ifft(prod, axis=0, norm="forward", out=prod)
+    prod *= 1.0 / (s0 * s1)
+    np.fft.ifft(prod, axis=1, norm="forward", out=prod)
+    return prod[b0 - 1 : a0, b1 - 1 : a1]
 
 
 def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
@@ -212,13 +242,13 @@ def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
         tab = tab.real
         image = 1.0 / (dx**2 + s**2)
     L = _fft_shape([2 * nx - 1])[0]  # a kernel row's length suffices (valid block)
-    fhat = sfft.fft(f.data, n=L, axis=1)
+    fhat = np.fft.fft(f.data, n=L, axis=1)
     out = np.empty((ny, nx), dtype=complex)
     for i in range(ny):
         # source row j reads table row i + ny - 1 - j and image row i + j
         ki = tab[i : i + ny][::-1] * image[i : i + ny]
-        acc = np.sum(sfft.fft(ki, n=L, axis=1) * fhat, axis=0)
-        out[i] = sfft.ifft(acc)[nx - 1 : 2 * nx - 1]
+        acc = np.sum(np.fft.fft(ki, n=L, axis=1) * fhat, axis=0)
+        out[i] = np.fft.ifft(acc)[nx - 1 : 2 * nx - 1]
     return out * spec.cell_measure
 
 
@@ -252,9 +282,9 @@ def _pruned(kspec, blocks, rows, cols, fold, xfft, xinv, out=None) -> np.ndarray
         buf = np.zeros((P0, c.stop - c0), dtype=complex)
         for row, xb, sign in xs:
             np.multiply(xb[:, c], sign, out=buf[row : row + len(xb)])
-        buf = sfft.fft(buf, axis=0, overwrite_x=True)
+        np.fft.fft(buf, axis=0, out=buf)
         buf *= kspec[:, c]
-        q = sfft.ifft(buf, axis=0, overwrite_x=True)[rows]
+        q = np.fft.ifft(buf, axis=0, out=buf)[rows]
         kept[:, c] = q[k:] - q[k - 1 :: -1] if fold else q
     del spectra, xs, x, buf, q  # only the kept rows live on beside the output
     if out is None:
@@ -273,16 +303,16 @@ def _pruned_fft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, fold=False
     rows Q give the k rows Q[k + i] - Q[k - 1 - i].
     """
     P1 = kspec.shape[1]
-    return _pruned(kspec, blocks, rows, cols, fold, lambda a: sfft.fft(a, n=P1, axis=1),
-                   lambda a: sfft.ifft(a, axis=1))
+    return _pruned(kspec, blocks, rows, cols, fold, lambda a: np.fft.fft(a, n=P1, axis=1),
+                   lambda a: np.fft.ifft(a, axis=1))
 
 
 def _pruned_rfft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, n1: int) -> np.ndarray:
     """`_pruned_fft2` for a real kernel, kspec = rfft2(k) on a P0 x n1 box (module docstring)."""
     out = np.empty((len(range(kspec.shape[0])[rows]), len(range(n1)[cols])), dtype=complex)
     for part in (np.real, np.imag):  # views of out
-        _pruned(kspec, blocks, rows, cols, False, lambda a: sfft.rfft(part(a), n=n1, axis=1),
-                lambda a: sfft.irfft(a, n=n1, axis=1), part(out))
+        _pruned(kspec, blocks, rows, cols, False, lambda a: np.fft.rfft(part(a), n=n1, axis=1),
+                lambda a: np.fft.irfft(a, n=n1, axis=1), part(out))
     return out
 
 
@@ -319,11 +349,12 @@ def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: boo
     _planar_all(top, nx, hx, hy, out=box[:a0, :a1])
     if real:
         for r in range(0, P0, _PANEL):  # each row's rfft over its own memory
-            kspec[r : r + _PANEL] = sfft.rfft(box[r : r + _PANEL, :P1], axis=1)
-        sfft.fft(kspec, axis=0, overwrite_x=True)
+            kspec[r : r + _PANEL] = np.fft.rfft(box[r : r + _PANEL, :P1], axis=1)
+        np.fft.fft(kspec, axis=0, out=kspec)
         kspec *= 2.0  # exact: this is rfft2 of 2 Re K
-    else:
-        kspec = sfft.fft2(kspec, overwrite_x=True)
+    else:  # fft2 in scipy.fft's axis order, 0 then 1
+        np.fft.fft(kspec, axis=0, out=kspec)
+        np.fft.fft(kspec, axis=1, out=kspec)
     kspec.flags.writeable = False
     return kspec
 

@@ -768,13 +768,70 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
     return rec.reports
 
 
+# double-exponential quadrature: nodes at u = k h for |u| <= _DE_U, the step
+# halved from 1 down to 2^-_DE_LEVELS; the terms within _DE_END of the ends
+# stand for what the cut at |u| = _DE_U leaves out
+_DE_U = 4.0
+_DE_END = 0.25
+_DE_LEVELS = 8
+
+
+def _de_quad(f, a, b, tol: float = 1e-13) -> np.ndarray:
+    """int_a^b f(x) dx by double-exponential quadrature (H. Takahasi and
+    M. Mori, Publ. RIMS 9 (1974) 721-741).
+
+    With v = (pi/2) sinh u: tanh-sinh x = c + r tanh v on a finite [a, b]
+    (c, r the midpoint and half-width), exp-sinh x = a + e^v on [a, inf),
+    sinh-sinh x = sinh v on (-inf, inf); then the trapezoidal rule in u on
+    |u| <= 4.  a and b may be arrays: the nodes run along a new last axis,
+    and f maps an array of nodes to its values elementwise, broadcasting
+    any leading axes it adds.  The step halves from 1 until two levels
+    agree to tol times the integral of |f|, and the sum of the terms at
+    |u| >= 3.75, which stands for the cut-off tails, must be below that bar
+    too.  Either failing at step 2^-8 raises, so an integrand that does not
+    decay at the ends or is infinite at an end of [a, b] (the outer nodes
+    round onto it), or a divergent integral, never returns a number.
+    """
+    a, b = np.asarray(a, dtype=float)[..., None], np.asarray(b, dtype=float)[..., None]
+    if np.all(np.isfinite(a)) and np.all(np.isfinite(b)):
+        c, r = (a + b) / 2.0, (b - a) / 2.0
+        node = lambda v: c + r * np.tanh(v)
+        weight = lambda v: r / np.cosh(v) ** 2
+    elif np.all(np.isfinite(a)) and np.all(b == np.inf):
+        node = lambda v: a + np.exp(v)
+        weight = np.exp
+    elif np.all(a == -np.inf) and np.all(b == np.inf):
+        node, weight = np.sinh, np.cosh
+    else:
+        raise ValueError("need a finite [a, b], [a, inf) or (-inf, inf)")
+    total = absolute = tail = 0.0
+    with np.errstate(all="ignore"):  # a non-finite term fails the test below
+        for level in range(_DE_LEVELS + 1):
+            h = 2.0**-level
+            # the nodes this level adds: all of them first, then the odd multiples of h
+            u = np.arange(-_DE_U, _DE_U + h / 2, h) if level == 0 else np.arange(
+                h - _DE_U, _DE_U, 2 * h)
+            v = 0.5 * np.pi * np.sinh(u)
+            terms = h * f(node(v)) * (weight(v) * (0.5 * np.pi * np.cosh(u)))
+            prev, total = total, total / 2.0 + np.sum(terms, axis=-1)
+            absolute = absolute / 2.0 + np.sum(np.abs(terms), axis=-1)
+            ends = np.abs(terms[..., np.abs(u) >= _DE_U - _DE_END])
+            tail = tail / 2.0 + np.sum(ends, axis=-1)
+            bar = tol * absolute
+            if level and np.all(np.abs(total - prev) <= bar) and np.all(tail <= bar):
+                return total
+    raise ArithmeticError(f"double-exponential quadrature did not converge on [{a.min()}, "
+                          f"{b.max()}] at step 2^-{_DE_LEVELS}: its levels or its "
+                          "end terms stay above the bar")
+
+
 def check_whittaker_ode(cfg: RunConfig) -> list:
     """Both one-dimensional solution branches satisfy their equation.
 
-    Stencil residuals on [0.1, 30] for all four basis solutions, adaptive
-    quadrature of the X slow-branch integral against `x_integral`'s closed
-    form, and two asymptotic normalizations.  Evaluating a solution against
-    the wrong equation sign is the control.
+    Stencil residuals on [0.1, 30] for all four basis solutions,
+    double-exponential quadrature of the X slow-branch integral against
+    `x_integral`'s closed form, and two asymptotic normalizations.
+    Evaluating a solution against the wrong equation sign is the control.
     """
     rec = _Recorder("whittaker-ode", cfg.battery_spec(), "stencil")
     tgrid = np.geomspace(0.1, 30.0, 200)
@@ -787,16 +844,10 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     ]
     for name, sol in sols:
         rec.at_most(name, wh.ode_residual(sol, tgrid), tol, family=sol.family, A=sol.A, B=sol.B)
-    # adaptive quadrature of the slow-branch integral against its closed form
-    from scipy.integrate import quad
-
-    ts = np.geomspace(0.1, 30.0, 50)
-    quadrature = np.array([
-        quad(lambda s, t=t: math.exp(-t * s) * s / (1.0 + s), 0.0, np.inf,
-             epsabs=1e-300, epsrel=1e-10, limit=200)[0]
-        for t in ts
-    ])
-    closed = wh.x_integral(ts)
+    # quadrature of the slow-branch integral against its closed form
+    ts = np.geomspace(0.1, 30.0, 50)[:, None]
+    quadrature = _de_quad(lambda s: np.exp(-ts * s) * s / (1.0 + s), 0.0, np.inf)
+    closed = wh.x_integral(ts[:, 0])
     e = float(np.max(np.abs(quadrature - closed) / np.abs(closed)))
     rec.at_most("integral-closed-form", e, 1e-10, method="quadrature")
     a1 = abs(900.0 * wh.x_integral(30.0) - 1.0)
@@ -843,12 +894,11 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     return rec.reports
 
 
-def _strip_m2(fn, y: float) -> float:
-    from scipy.integrate import quad
-
-    g = lambda x: abs(complex(fn.f(np.complex128(x + 1j * y)))) ** 2
-    v, _ = quad(g, -np.inf, np.inf, limit=400)
-    return v
+def _strip_m2(fn, y) -> np.ndarray:
+    """M2(y) = int |f(x + i y)|^2 dx over the real line, for each y of an
+    array; in x = y s, so that the poisson member's scale is fixed."""
+    y = np.asarray(y, dtype=float)[..., None]
+    return y[..., 0] * _de_quad(lambda s: np.abs(fn.f(y * (s + 1j))) ** 2, -np.inf, np.inf)
 
 
 def check_liouville(cfg: RunConfig) -> list:
@@ -858,40 +908,34 @@ def check_liouville(cfg: RunConfig) -> list:
     The kernel member has M2(y) = pi/(2y) exactly, log M2 convex in log y,
     and dyadic blocks of int M2 / y^2 growing by 4 toward the axis.  The
     gaussian member is not harmonic and breaks convexity (control); the
-    bounded harmonic members are reported for contrast.
+    bounded harmonic members are reported for contrast.  All integrals are
+    double-exponential quadratures (`_de_quad`); the four blocks are one
+    nested quadrature over a 2-D array of (y, x) nodes.
     """
-    from scipy.integrate import quad
-
     rec = _Recorder("liouville", cfg.battery_spec(), "quadrature")
     tol = cfg.tolerance(1e-3)
     hs = tf.harmonic_samples()
     pois = hs["poisson"]
     ys = np.geomspace(0.2, 1.6, 9)
-    m2 = np.array([_strip_m2(pois, y) for y in ys])
+    m2 = _strip_m2(pois, ys)
     e = float(np.max(np.abs(m2 * 2.0 * ys / math.pi - 1.0)))
     rec.at_most("kernel-profile", e, tol, member="poisson", p=2.0)
     d2 = np.diff(np.log(m2), 2)
     floor = -1e-8 * float(np.max(np.abs(np.log(m2))))
     rec.record("log-convexity", d2.min(), floor, abs(floor), d2.min() >= floor, member="poisson")
-    Ds = []
-    for k in range(4):
-        a, b = 1.6 * 2.0 ** (-k - 1), 1.6 * 2.0 ** (-k)
-        v, _ = quad(lambda y: _strip_m2(pois, y) / y**2, a, b, limit=100)
-        Ds.append(v)
+    tops = 1.6 * 2.0 ** -np.arange(4.0)
+    Ds = _de_quad(lambda y: _strip_m2(pois, y) / y**2, tops / 2.0, tops).tolist()
     growth = min(Ds[k + 1] / Ds[k] for k in range(3))
     rec.at_least("divergence-growth", growth, 3.5, member="poisson", blocks=Ds)
     # bounded harmonic members, reported for contrast on a lateral window
     for name in ("rez", "imz"):
         fn = hs[name]
-        vals = []
-        for y in ys:
-            v, _ = quad(lambda x: abs(complex(fn.f(np.complex128(x + 1j * y)))) ** 2, -1.0, 1.0)
-            vals.append(v)
+        vals = _de_quad(lambda x: np.abs(fn.f(x + 1j * ys[:, None])) ** 2, -1.0, 1.0).tolist()
         spread = max(vals) / min(vals) - 1.0
         rec.record(f"{name}-reported", spread, math.inf, math.inf, True, label="reported",
                    window=[-1.0, 1.0], profile=vals)
     gf = _battery_gaussian()
-    logm = np.log([_strip_m2(gf, y) for y in np.geomspace(1.2, 2.4, 9)])
+    logm = np.log(_strip_m2(gf, np.geomspace(1.2, 2.4, 9)))
     d2g = float(np.diff(logm, 2).min())
     rec.record("control-nonharmonic", d2g, floor, abs(floor), d2g < floor, member="gaussian")
     return rec.reports

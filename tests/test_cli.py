@@ -507,17 +507,21 @@ def test_console_script_smoke():
     assert proc.returncode == 2
 
 
-def _loaded_after_cli_import(modules) -> list:
-    """Which of `modules` a fresh interpreter holds after `import hypb.cli`."""
+def _fresh_python(code: str, *args: str):
+    """`code` in a fresh interpreter that imports hypb from this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import json, sys, hypb.cli; "
-            f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120, env=env)
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          text=True, timeout=300, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+def _loaded_after_cli_import(modules) -> list:
+    """Which of `modules` a fresh interpreter holds after `import hypb.cli`."""
+    return _fresh_python("import json, sys, hypb.cli; "
+                         f"print(json.dumps([m for m in {list(modules)!r} if m in sys.modules]))")
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -525,5 +529,54 @@ def test_cli_import_leaves_scipy_signal_out():
 
 
 def test_cli_import_leaves_quadrature_and_optimize_out():
-    # only the battery's quadrature oracles use scipy.integrate, which loads scipy.optimize
+    # the battery's quadratures are numpy's own (verify._de_quad); scipy.integrate
+    # would load scipy.optimize with it
     assert _loaded_after_cli_import(["scipy.integrate", "scipy.optimize"]) == []
+
+
+_SCIPY_AFTER_EACH = """
+import contextlib, io, json, sys
+import hypb.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = [scipy_modules()]
+for step in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(step)
+    seen.append(scipy_modules())
+print(json.dumps(seen))
+"""
+
+
+def _scipy_after_each(steps) -> list:
+    """The scipy modules a fresh interpreter holds after `import hypb.cli`,
+    then after each step (Python source) in turn."""
+    return _fresh_python(_SCIPY_AFTER_EACH, json.dumps(steps))
+
+
+def _cli_step(argv) -> str:
+    return f"assert hypb.cli.main({argv!r}) == 0, {argv!r}"
+
+
+def test_no_cli_command_loads_scipy():
+    # scipy is a test-only dependency: numpy.fft, the numpy E2 of whittaker.py
+    # and verify._de_quad cover every command
+    argvs = [["transform", "--op", op, "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
+              "--method", method, "--json"]
+             for op in ("c_down", "b_up", "e") for method in ("fft", "quadrature")]
+    argvs += [["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M"],
+              ["whittaker", "tabulate", "--family", "X", "--A", "1", "--B", "1"],
+              ["whittaker", "tabulate", "--family", "Y", "--A", "1", "--B", "1"]]
+    argvs += [["verify", check, "--json"] for check in ("whittaker-ode", "liouville",
+                                                        "adjointness")]
+    seen = _scipy_after_each([_cli_step(a) for a in argvs])
+    assert len(seen) == len(argvs) + 1
+    assert seen == [[]] * len(seen)
+
+
+def test_the_scipy_probe_flags_a_scipy_import():
+    seen = _scipy_after_each([_cli_step(["verify", "adjointness"]), "import scipy.special"])
+    assert seen[:2] == [[], []]
+    assert "scipy.special" in seen[2]

@@ -340,6 +340,15 @@ def test_fft_path_reuses_one_read_only_spectrum_per_geometry():
         assert info.currsize <= info.maxsize
 
 
+def test_fft_shape_is_scipys_next_fast_len():
+    # the 11-smooth lengths pocketfft runs fast; scipy is the oracle here only
+    ns = range(1, 30_001)
+    assert tr._fft_shape(ns) == tuple(sfft.next_fast_len(n) for n in ns)
+    assert tr._fft_shape((3071, 2047)) == (3072, 2048)
+    with pytest.raises(ValueError, match="positive"):
+        tr._fft_shape((0, 5))
+
+
 @pytest.mark.parametrize("nx, ny", [(32, 32), (24, 40)])
 def test_half_plane_spectrum_spans_the_3_ny_minus_1_rows_it_reads(nx, ny):
     # the down operators read the offsets dy / hy in (-ny, 2 ny) and the up

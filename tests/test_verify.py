@@ -211,3 +211,52 @@ def test_classify_check_records_x_truncation_without_warning():
     assert by["whittaker-classify/control-gaussian"].notes["x_truncation"] < 1e-8
     assert all("x_truncation" in r.notes for r in reports)
     assert all(r.to_dict()["notes"] == r.notes for r in reports)
+
+
+# closed forms for the three double-exponential rules: tanh-sinh on [a, b]
+# (one with an infinite derivative at an end), exp-sinh on [a, inf),
+# sinh-sinh on the real line
+DE_CASES = [
+    (lambda x: np.sqrt(1.0 - x * x), 0.0, 1.0, math.pi / 4),
+    (lambda x: 1.0 / (1.0 + x * x), -1.0, 2.0, math.atan(2.0) + math.pi / 4),
+    (lambda x: np.exp(-x), 0.0, np.inf, 1.0),
+    (lambda x: 1.0 / x**2, 1.0, np.inf, 1.0),
+    (lambda x: np.exp(-x * x), -np.inf, np.inf, math.sqrt(math.pi)),
+    (lambda x: 1.0 / (1.0 + x * x), -np.inf, np.inf, math.pi),
+]
+
+
+@pytest.mark.parametrize("case", range(len(DE_CASES)))
+def test_de_quad_matches_closed_forms_on_each_interval_kind(case):
+    f, a, b, want = DE_CASES[case]
+    assert abs(vf._de_quad(f, a, b) - want) <= 1e-13 * want
+
+
+def test_de_quad_integrates_a_batch_along_its_last_axis():
+    # an array of upper limits, and an integrand that adds a leading axis
+    b = np.linspace(0.5, 3.0, 6)
+    assert np.max(np.abs(vf._de_quad(np.cos, 0.0, b) - np.sin(b))) <= 1e-13
+    t = np.array([0.5, 1.0, 4.0])[:, None]
+    assert np.max(np.abs(vf._de_quad(lambda s: np.exp(-t * s), 0.0, np.inf) * t[:, 0] - 1.0)) \
+        <= 1e-13
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.sin, -np.inf, np.inf),             # no integral; the symmetric sums read exactly 0
+    (lambda x: 1.0 / (1.0 + x), 0.0, np.inf),  # divergent
+    (lambda x: np.log(x), 0.0, 1.0),       # infinite at an end
+])
+def test_de_quad_raises_rather_than_return_a_wrong_number(f, a, b):
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        vf._de_quad(f, a, b)
+
+
+def test_de_quad_refuses_other_intervals():
+    with pytest.raises(ValueError):
+        vf._de_quad(np.exp, -np.inf, 0.0)
+
+
+def test_without_its_end_terms_de_quad_returns_0_for_sin(monkeypatch):
+    # twin of the sin control: the level test alone accepts the exact zeros
+    monkeypatch.setattr(vf, "_DE_END", -1.0)
+    assert vf._de_quad(np.sin, -np.inf, np.inf) == 0.0

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -98,8 +99,11 @@ def test_slow_branch_integral_closed_form():
 # the exp1 form 1/t - e^t E1(t) loses about t ulps there (1.1e-14 on the
 # dense scan of [27, 30]), and the bare forms past their ranges lose far
 # more, which the twin tests pin.
+# one ulp either side of the series / continued fraction switch (0.5) and of
+# the continued fraction / asymptotic switch (40)
+X_BRANCH_EDGES = [np.nextafter(t, t + side) for t in (0.5, 40.0) for side in (-1.0, 0.0, 1.0)]
 X_ORACLE_T = np.concatenate([np.geomspace(1e-4, 1500.0, 400), np.linspace(27.0, 30.0, 100),
-                             [1e4]])
+                             [1e4], X_BRANCH_EDGES])
 X_ORACLE_TOL = 5e-15
 Y_ORACLE_T = np.geomspace(1e-3, 709.0, 400)
 Y_ORACLE_TOL = 5e-14
@@ -132,6 +136,27 @@ def test_x_integral_matches_mpmath():
     got = wh.x_integral(X_ORACLE_T)
     assert np.all(np.isfinite(got))
     assert _oracle_error(got, X_ORACLE_T, _I) < X_ORACLE_TOL
+
+
+def test_x_integral_meets_the_oracle_at_its_branch_edges():
+    assert wh._E2_SERIES_T == 0.5 and wh._ASYMPTOTIC_T == 40.0
+    edges = np.array(X_BRANCH_EDGES)
+    assert len(np.unique(edges)) == 6
+    assert _oracle_error(wh.x_integral(edges), edges, _I) < X_ORACLE_TOL
+
+
+def test_x_oracle_rejects_a_continued_fraction_cut_at_120_levels(monkeypatch):
+    # 120 levels leave 2.7e-13 at t = 0.5, where the fraction converges slowest
+    monkeypatch.setattr(wh, "_E2_FRACTION_LEVELS", 120)
+    ts = X_ORACLE_T[X_ORACLE_T < 40.0]
+    assert _oracle_error(wh.x_integral(ts), ts, _I) > X_ORACLE_TOL
+
+
+def test_fast_branch_limit_is_twice_the_lambert_w_of_half_dbl_max():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = float(2 * mpmath.lambertw(mpmath.mpf(sys.float_info.max) / 2))
+    assert wh.X_FAST_T_MAX == want
 
 
 def test_x_oracle_rejects_the_bare_closed_form_at_large_t():
