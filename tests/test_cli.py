@@ -513,7 +513,7 @@ def _fresh_python(code: str, *args: str):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, timeout=300, env=env)
+                          text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

@@ -138,13 +138,6 @@ def test_x_integral_matches_mpmath():
     assert _oracle_error(got, X_ORACLE_T, _I) < X_ORACLE_TOL
 
 
-def test_x_integral_meets_the_oracle_at_its_branch_edges():
-    assert wh._E2_SERIES_T == 0.5 and wh._ASYMPTOTIC_T == 40.0
-    edges = np.array(X_BRANCH_EDGES)
-    assert len(np.unique(edges)) == 6
-    assert _oracle_error(wh.x_integral(edges), edges, _I) < X_ORACLE_TOL
-
-
 def test_x_oracle_rejects_a_continued_fraction_cut_at_120_levels(monkeypatch):
     # 120 levels leave 2.7e-13 at t = 0.5, where the fraction converges slowest
     monkeypatch.setattr(wh, "_E2_FRACTION_LEVELS", 120)
