@@ -182,7 +182,7 @@ def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
     (a0, a1), (b0, b1) = tab.shape, data.shape
     s0, s1 = _fft_shape(tab.shape)
 
-    def fft2(a):  # zero-padded to (s0, s1), axis 0 first as in scipy.fft.fft2
+    def fft2(a):  # zero-padded to (s0, s1); axis 0 over a's columns only
         box = np.zeros((s0, s1), dtype=complex)
         cols = box[:, : a.shape[1]]
         cols[: len(a)] = a
@@ -191,11 +191,7 @@ def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
 
     prod = fft2(tab)
     prod *= fft2(data)
-    # the inverse likewise: unscaled axis-0 pass, the one factor 1/(s0 s1), axis-1 pass
-    np.fft.ifft(prod, axis=0, norm="forward", out=prod)
-    prod *= 1.0 / (s0 * s1)
-    np.fft.ifft(prod, axis=1, norm="forward", out=prod)
-    return prod[b0 - 1 : a0, b1 - 1 : a1]
+    return np.fft.ifft2(prod, out=prod)[b0 - 1 : a0, b1 - 1 : a1]
 
 
 def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:

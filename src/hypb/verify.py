@@ -769,14 +769,16 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
 
 
 # double-exponential quadrature: nodes at u = k h for |u| <= _DE_U, the step
-# halved from 1 down to 2^-_DE_LEVELS; the terms within _DE_END of the ends
-# stand for what the cut at |u| = _DE_U leaves out
+# halved from 1 down to 2^-_DE_LEVELS until two levels agree to _DE_TOL times
+# the integral of |f|; the terms within _DE_END of the ends stand for what the
+# cut at |u| = _DE_U leaves out
 _DE_U = 4.0
 _DE_END = 0.25
 _DE_LEVELS = 8
+_DE_TOL = 1e-13
 
 
-def _de_quad(f, a, b, tol: float = 1e-13) -> np.ndarray:
+def _de_quad(f, a, b) -> np.ndarray:
     """int_a^b f(x) dx by double-exponential quadrature (H. Takahasi and
     M. Mori, Publ. RIMS 9 (1974) 721-741).
 
@@ -786,7 +788,7 @@ def _de_quad(f, a, b, tol: float = 1e-13) -> np.ndarray:
     |u| <= 4.  a and b may be arrays: the nodes run along a new last axis,
     and f maps an array of nodes to its values elementwise, broadcasting
     any leading axes it adds.  The step halves from 1 until two levels
-    agree to tol times the integral of |f|, and the sum of the terms at
+    agree to 1e-13 times the integral of |f|, and the sum of the terms at
     |u| >= 3.75, which stands for the cut-off tails, must be below that bar
     too.  Either failing at step 2^-8 raises, so an integrand that does not
     decay at the ends or is infinite at an end of [a, b] (the outer nodes
@@ -817,7 +819,7 @@ def _de_quad(f, a, b, tol: float = 1e-13) -> np.ndarray:
             absolute = absolute / 2.0 + np.sum(np.abs(terms), axis=-1)
             ends = np.abs(terms[..., np.abs(u) >= _DE_U - _DE_END])
             tail = tail / 2.0 + np.sum(ends, axis=-1)
-            bar = tol * absolute
+            bar = _DE_TOL * absolute
             if level and np.all(np.abs(total - prev) <= bar) and np.all(tail <= bar):
                 return total
     raise ArithmeticError(f"double-exponential quadrature did not converge on [{a.min()}, "

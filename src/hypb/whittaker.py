@@ -18,8 +18,8 @@ The general solutions of the two sign branches are
 (both verified here by residual tests).  The integrals are evaluated without
 quadrature, vectorised over t: I by its closed form e^t E2(t)/t, J by
 its power series, and both by their asymptotic series from t = 40 on.
-e^t E2(t) is the power series of E2 below t = 0.5 and a continued fraction,
-evaluated backward from 250 levels, from 0.5 to 40 (numpy alone: no
+e^t E2(t) is the power series of E2 below t = 1 and a continued fraction,
+evaluated backward from 130 levels, from 1 to 40 (numpy alone: no
 special-function library).  The battery's `whittaker-ode/integral-closed-form`
 check integrates I by double-exponential quadrature as the independent
 cross-check.
@@ -85,19 +85,22 @@ _ASYMPTOTIC_TERMS = 40
 Y_INTEGRAL_T_MAX = math.log(sys.float_info.max)  # 709.78...
 X_FAST_T_MAX = 1405.0697413497535
 # e^t E2(t): its power series below this t, the continued fraction from it on
-_E2_SERIES_T = 0.5
-_E2_FRACTION_LEVELS = 250
+_E2_SERIES_T = 1.0
+_E2_FRACTION_LEVELS = 130
 
 
 def _exp_e2(t: np.ndarray) -> np.ndarray:
     """e^t E2(t) for 0 < t < 40, to about 4e-16 relative.
 
-    Below t = 0.5 the power series E2(t) = 1 - t (1 - gamma - ln t)
+    Below t = 1 the power series E2(t) = 1 - t (1 - gamma - ln t)
     - sum_{k>=2} (-t)^k / ((k - 1) k!) (DLMF 8.19(iv)); its 18 terms end
-    below 1e-21 there.  From 0.5 on the continued fraction
+    below 5e-19 there, and its cancellation costs at most 1e-15 near t = 1.
+    From 1 on the continued fraction
     1/(t + 2 - 1*2/(t + 4 - 2*3/(t + 6 - ...))) (Numerical Recipes, 3rd ed.,
-    section 6.3), evaluated backward from 250 levels: at t = 0.5, where it
-    converges slowest, 150 levels leave 7e-15 and 200 reach rounding.
+    section 6.3), evaluated backward from 130 levels: at t = 1, where it
+    converges slowest, 80 levels leave 8e-15 and 100 reach rounding.  The
+    split at t = 1 is that of Cephes' expn; a lower one would need about
+    120/t levels, each a pass over the whole array.
     """
     out = np.empty_like(t)
     lo = t < _E2_SERIES_T
@@ -131,7 +134,7 @@ def x_integral(t) -> np.ndarray:
     """I(t) = int_0^inf e^{-t s} s/(1+s) ds = 1/t - e^t E1(t) = e^t E2(t)/t.
 
     Below t = 40 the E2 form, which has no cancellation (1/t - e^t E1(t)
-    loses about t ulps), with e^t E2(t) from its power series below t = 0.5
+    loses about t ulps), with e^t E2(t) from its power series below t = 1
     and its continued fraction above (`_exp_e2`); from t = 40 on the
     asymptotic series
     sum_k (-1)^(k+1) k!/t^(k+1), which stays finite where e^t overflows.

@@ -99,9 +99,11 @@ def test_slow_branch_integral_closed_form():
 # the exp1 form 1/t - e^t E1(t) loses about t ulps there (1.1e-14 on the
 # dense scan of [27, 30]), and the bare forms past their ranges lose far
 # more, which the twin tests pin.
-# one ulp either side of the series / continued fraction switch (0.5) and of
-# the continued fraction / asymptotic switch (40)
-X_BRANCH_EDGES = [np.nextafter(t, t + side) for t in (0.5, 40.0) for side in (-1.0, 0.0, 1.0)]
+# one ulp either side of the series / continued fraction switch (1), of the
+# switch's earlier place (0.5) and of the continued fraction / asymptotic
+# switch (40)
+X_BRANCH_EDGES = [np.nextafter(t, t + side) for t in (0.5, 1.0, 40.0)
+                  for side in (-1.0, 0.0, 1.0)]
 X_ORACLE_T = np.concatenate([np.geomspace(1e-4, 1500.0, 400), np.linspace(27.0, 30.0, 100),
                              [1e4], X_BRANCH_EDGES])
 X_ORACLE_TOL = 5e-15
@@ -138,9 +140,9 @@ def test_x_integral_matches_mpmath():
     assert _oracle_error(got, X_ORACLE_T, _I) < X_ORACLE_TOL
 
 
-def test_x_oracle_rejects_a_continued_fraction_cut_at_120_levels(monkeypatch):
-    # 120 levels leave 2.7e-13 at t = 0.5, where the fraction converges slowest
-    monkeypatch.setattr(wh, "_E2_FRACTION_LEVELS", 120)
+def test_x_oracle_rejects_a_continued_fraction_cut_at_80_levels(monkeypatch):
+    # 80 levels leave 8e-15 at t = 1, where the fraction converges slowest
+    monkeypatch.setattr(wh, "_E2_FRACTION_LEVELS", 80)
     ts = X_ORACLE_T[X_ORACLE_T < 40.0]
     assert _oracle_error(wh.x_integral(ts), ts, _I) > X_ORACLE_TOL
 
