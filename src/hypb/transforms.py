@@ -43,9 +43,10 @@ Methods:
               their exact factorizations through cauchy_up / cauchy_down.
               The mode is checked and has no effect.
 
-Every transform is `numpy.fft` (pocketfft).  The 2-D ones run as per-axis
-passes, axis 0 first, the order of `scipy.fft.fft2` (numpy's `fft2` runs
-axis 1 first, which differs in the last bit), in place through `out=`.
+Every transform is `numpy.fft` (pocketfft).  The complex 2-D forward
+transforms run as per-axis passes, axis 0 first, the order of
+`scipy.fft.fft2` (numpy's `fft2` runs axis 1 first, which differs in the
+last bit), in place through `out=`.
 
 The quadrature path evaluates its table sums as valid-mode linear
 convolutions, `conv_valid`, one whole-box product each.  For a table of
