@@ -331,15 +331,22 @@ def parse_testfn(text: str) -> AnalyticTestFunction:
             if not _ or not k:
                 raise ValueError(f"malformed testfn parameter {part!r} in {text!r}")
             kv[k.strip()] = float(v)
+
+    def whole(key, default):  # int() would truncate 2.7 and overflow on inf
+        v = kv.pop(key, default)
+        if float(v).is_integer():
+            return int(v)
+        raise ValueError(f"testfn parameter {key}={v!r} in {text!r} is not a finite integer")
+
     head = head.strip().lower()
     if head == "gaussian":
         fn = gaussian_bump(c=kv.pop("c", 2.0), sigma=kv.pop("sigma", 4.0), x0=kv.pop("x0", 0.0))
     elif head == "conjrat":
-        fn = conj_rational(a=kv.pop("a", 1.0), k=int(kv.pop("k", 2)))
+        fn = conj_rational(a=kv.pop("a", 1.0), k=whole("k", 2))
     elif head == "holorat":
-        fn = holo_rational(a=kv.pop("a", 1.0), k=int(kv.pop("k", 2)))
+        fn = holo_rational(a=kv.pop("a", 1.0), k=whole("k", 2))
     elif head == "hardy":
-        fn = hardy_family(a=kv.pop("a", 0.5), n=int(kv.pop("n", 64)), ramp=kv.pop("ramp", 1.8))
+        fn = hardy_family(a=kv.pop("a", 0.5), n=whole("n", 64), ramp=kv.pop("ramp", 1.8))
     elif head in ("imz", "rez", "poisson"):
         fn = harmonic_samples()[head]
     else:

@@ -59,22 +59,21 @@ of the table shape (`_fft_shape`), not at the full linear length a + b - 1
 
 Every fft-path product of a spectrum or symbol with data runs through one
 pruned 2-D FFT, `_pruned_fft2` (J. D. Markel, "FFT pruning", IEEE Trans.
-Audio Electroacoust. 19 (1971) 305-311), x first.  The input blocks fill b0
-rows of the P0 x P1 box, so the x pass runs over those rows only, in row
-panels, once per array the blocks read (the odd extension's lower block is
-the upper one reversed and negated, and reads its x-spectrum so, exactly).
-Then each panel of 32 columns gets a zeroed P0 x 32 buffer, the y pass, the
-product, the inverse y pass and the caller's k rows, and the inverse x pass
-runs over those k rows only: (b0 + P0) P1 forward and (P0 + k) P1 inverse
-line points, against 2 P0 P1 each, with no P0 x P1 buffer.  The kept rows
-are written over the x-spectrum when the blocks read one array of at least
-k rows; each panel's columns are read into its buffer before its kept rows
-are written back.  The inverse applies 1/P0 and 1/P1 in separate passes
-where ifft2 applies 1/(P0 P1) once, so it can differ from ifft2 in the last
-bit.  Its sibling `_pruned_rfft2` takes a real kernel's half spectrum
-rfft2(k), P0 x (P1/2 + 1) (H. V. Sorensen et al., IEEE Trans. ASSP 35
-(1987) 849-863), and runs the same pass with rfft and irfft on the real,
-then the imaginary part of the blocks.
+Audio Electroacoust. 19 (1971) 305-311), x first.  Its input is f in b0 rows
+of the P0 x P1 box and, for the odd extension, -f reversed below it, so the
+x pass runs over f's rows only, in row panels (the lower block reads f's
+x-spectrum reversed and negated, exactly).  Then each panel of 32 columns
+gets a zeroed P0 x 32 buffer, the y pass, the product, the inverse y pass
+and the caller's k rows, and the inverse x pass runs over those k rows only:
+(b0 + P0) P1 forward and (P0 + k) P1 inverse line points, against 2 P0 P1
+each, with no P0 x P1 buffer.  The kept rows are written over the x-spectrum
+when f has at least k rows; each panel's columns are read into its buffer
+before its kept rows are written back.  The inverse applies 1/P0 and 1/P1 in
+separate passes where ifft2 applies 1/(P0 P1) once, so it can differ from
+ifft2 in the last bit.  Its sibling `_pruned_rfft2` takes a real kernel's
+half spectrum rfft2(k), P0 x (P1/2 + 1) (H. V. Sorensen et al., IEEE
+Trans. ASSP 35 (1987) 849-863), and runs the same pass with rfft and irfft
+on the real, then the imaginary part of f.
 
 The fft body puts f in an ny-row box for sign 0.  For the half-plane signs
 it lays the extension out over 2 ny rows: f in rows [ny, 2 ny) and, for the
@@ -82,12 +81,13 @@ odd extension, -f(conj z) written straight into rows [0, ny); that is the
 Beurling multiplier's box (times the padding).  The Cauchy table holds just
 the 3 ny - 1 rows dy / hy in (-ny, 2 ny) the odd extension reads, so its box
 is next_fast_len(3 ny - 1) rows tall (3072, not 4096, for nullspace).  The
-zero extension reads the same rows reflected through 0; 1/zeta is odd, so
-it is summed as -f flipped in x and y with the down operators' spectrum.
+zero extension reads the same rows reflected through 0, so it is summed
+over f flipped in x and y with the down operators' spectrum (1/zeta is odd,
+and the flip swaps z and conj z in the fold below: the two signs cancel).
 The whole-plane and down operators and `defect_sum` keep k = ny rows.  The
 up operators keep 2 ny rows Q and, as the inverse x pass is linear in rows,
 fold them before it to Q[ny + i] - Q[ny - 1 - i], the values at z less
-those at conj z (negated and flipped in x for Cauchy).
+those at conj z (flipped back in x for Cauchy).
 
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
@@ -256,34 +256,29 @@ def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
 _PANEL = 32  # rows of an x pass, or columns of a y pass, per block
 
 
-def _pruned(kspec, blocks, rows, cols, fold, xfft, xinv, out=None) -> np.ndarray:
+def _pruned(kspec, f, lift, odd, rows, cols, fold, xfft, xinv, out=None) -> np.ndarray:
     """`_pruned_fft2` with the x transform xfft onto kspec's columns and its
     inverse xinv, into `out` or a complex array made after the y pass."""
     P0, H = kspec.shape
     k = len(range(P0)[rows]) // (2 if fold else 1)
-    spectra, xs = {}, []
-    for row, data, sign in blocks:  # x first, once per array the blocks read
-        flip = data.strides[0] < 0  # another block's rows reversed, as its x-spectrum's are
-        base = data[::-1] if flip else data
-        key = (base.ctypes.data, base.shape, base.strides)
-        if key not in spectra:
-            spectra[key] = x = np.empty((len(base), H), dtype=complex)
-            for r in range(0, len(base), _PANEL):
-                x[r : r + _PANEL] = xfft(base[r : r + _PANEL])
-        xs.append((row, spectra[key][::-1] if flip else spectra[key], sign))
-    # the kept rows go over the one x-spectrum if it is tall enough: each panel
+    n = len(f)
+    x = np.empty((n, H), dtype=complex)
+    for r in range(0, n, _PANEL):  # x first, over f's rows only
+        x[r : r + _PANEL] = xfft(f[r : r + _PANEL])
+    # the kept rows go over the x-spectrum if it is tall enough: each panel
     # reads its columns into the buffer before its kept rows are written back
-    kept = x[:k] if len(spectra) == 1 and len(x) >= k else np.empty((k, H), dtype=complex)
+    kept = x[:k] if n >= k else np.empty((k, H), dtype=complex)
     for c0 in range(0, H, _PANEL):
         c = slice(c0, min(c0 + _PANEL, H))
         buf = np.zeros((P0, c.stop - c0), dtype=complex)
-        for row, xb, sign in xs:
-            np.multiply(xb[:, c], sign, out=buf[row : row + len(xb)])
+        buf[lift : lift + n] = x[:, c]
+        if odd:
+            np.negative(x[::-1, c], out=buf[:n])
         np.fft.fft(buf, axis=0, out=buf)
         buf *= kspec[:, c]
         q = np.fft.ifft(buf, axis=0, out=buf)[rows]
         kept[:, c] = q[k:] - q[k - 1 :: -1] if fold else q
-    del spectra, xs, x, buf, q  # only the kept rows live on beside the output
+    del x, buf, q  # only the kept rows live on beside the output
     if out is None:
         out = np.empty((k, len(range(H)[cols])), dtype=complex)
     for r in range(0, k, _PANEL):
@@ -291,24 +286,25 @@ def _pruned(kspec, blocks, rows, cols, fold, xfft, xinv, out=None) -> np.ndarray
     return out
 
 
-def _pruned_fft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, fold=False) -> np.ndarray:
+def _pruned_fft2(kspec, f, lift, odd, rows, cols, fold=False) -> np.ndarray:
     """Rows `rows`, columns `cols` of ifft2(kspec * fft2(box)), as a new array.
 
-    The box has kspec's shape and is zero but for `blocks`, (row, data, sign)
-    triples: sign * data (sign +1 or -1) at rows [row, row + len(data)) and
-    columns [0, b1), one width b1 for all blocks.  With `fold` the 2 k kept
-    rows Q give the k rows Q[k + i] - Q[k - 1 - i].
+    The box has kspec's shape and is zero but for f, b0 x b1, at rows
+    [lift, lift + b0) and columns [0, b1), and with `odd` also -f[::-1] at
+    rows [0, b0) (lift >= b0).  With `fold` the 2 k kept rows Q give the k
+    rows Q[k + i] - Q[k - 1 - i].
     """
     P1 = kspec.shape[1]
-    return _pruned(kspec, blocks, rows, cols, fold, lambda a: np.fft.fft(a, n=P1, axis=1),
+    return _pruned(kspec, f, lift, odd, rows, cols, fold, lambda a: np.fft.fft(a, n=P1, axis=1),
                    lambda a: np.fft.ifft(a, axis=1))
 
 
-def _pruned_rfft2(kspec: np.ndarray, blocks, rows: slice, cols: slice, n1: int) -> np.ndarray:
+def _pruned_rfft2(kspec, f, lift, odd, rows, cols, n1) -> np.ndarray:
     """`_pruned_fft2` for a real kernel, kspec = rfft2(k) on a P0 x n1 box (module docstring)."""
     out = np.empty((len(range(kspec.shape[0])[rows]), len(range(n1)[cols])), dtype=complex)
     for part in (np.real, np.imag):  # views of out
-        _pruned(kspec, blocks, rows, cols, False, lambda a: np.fft.rfft(part(a), n=n1, axis=1),
+        _pruned(kspec, f, lift, odd, rows, cols, False,
+                lambda a: np.fft.rfft(part(a), n=n1, axis=1),
                 lambda a: np.fft.irfft(a, n=n1, axis=1), part(out))
     return out
 
@@ -363,24 +359,24 @@ def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False)
     2 Re of the Cauchy kernel (`defect_sum`)."""
     s = f.spec
     ny, nx = s.ny, s.nx
+    # the half-plane boxes hold f in rows [ny, 2 ny) of 2 ny
+    box, data, lift, odd, rows = 2 * ny, f.data, ny, sign == 1, slice(0, 2 * ny)
     if sign == 0:
-        box, blocks, rows = ny, [(0, f.data, 1)], slice(0, ny)
+        box, lift, rows = ny, 0, slice(0, ny)
     elif sign == 1:
-        box, blocks, rows = 2 * ny, [(ny, f.data, 1), (0, f.data[::-1], -1)], slice(ny, 2 * ny)
-    elif kind == "cauchy":  # K(-zeta) = -K(zeta): the down table over -f flipped in x and y
-        box, blocks, rows = 2 * ny, [(0, f.data[::-1, ::-1], -1)], slice(0, 2 * ny)
-    else:
-        box, blocks, rows = 2 * ny, [(ny, f.data, 1)], slice(0, 2 * ny)
+        rows = slice(ny, 2 * ny)
+    elif kind == "cauchy":  # the down table over f flipped in x and y (module docstring)
+        data, lift = f.data[::-1, ::-1], 0
     if kind == "beurling":
         symbol = _beurling_symbol(padding * box, padding * nx, s.hx, s.hy)
-        return _pruned_fft2(symbol, blocks, rows, slice(0, nx), fold=sign < 0)
+        return _pruned_fft2(symbol, data, lift, odd, rows, slice(0, nx), fold=sign < 0)
     kspec = _cauchy_spectrum(box, ny, nx, s.hx, s.hy, real)
-    args = (kspec, blocks, slice(rows.start + ny - 1, rows.stop + ny - 1),
+    args = (kspec, data, lift, odd, slice(rows.start + ny - 1, rows.stop + ny - 1),
             slice(nx - 1, 2 * nx - 1))
     out = (_pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real
            else _pruned_fft2(*args, fold=sign < 0))
-    if sign < 0:  # the fold of the flipped sum, negated and flipped back in x
-        return out[:, ::-1] * -s.cell_measure
+    if sign < 0:  # the fold of the flipped sum, flipped back in x
+        return out[:, ::-1] * s.cell_measure
     out *= s.cell_measure
     return out
 

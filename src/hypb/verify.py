@@ -124,14 +124,10 @@ class RunConfig:
     H: float = DEFAULT_BOX[1]
     method: str = "fft"
     p: float = 2.0
-    tol: Optional[float] = None
     seed: int = 0
 
     def battery_spec(self) -> GridSpec:
         return GridSpec(L=self.L, H=self.H, nx=self.nx, ny=self.ny, plane=PlaneKind.UPPER)
-
-    def tolerance(self, default: float) -> float:
-        return default if self.tol is None else self.tol
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +303,14 @@ def check_norm_identity_p2(cfg: RunConfig, mode: str = "transform") -> list:
         lhs = lp_norm(Field(spec, y * d2F.data), 2.0)
         rhs = lp_norm(Field(spec, y * lapF.data + 0.5j * (dF.data + dbF.data)), 2.0)
         rhs_ctl = lp_norm(Field(spec, y * lapF.data + 1.0j * (dF.data + dbF.data)), 2.0)
-        tol = cfg.tolerance(1e-4)
+        tol = 1e-4
     else:
         f = lapF
         lhs = lp_norm(Field(spec, y * tr.beurling_down(f, method=cfg.method).data), 2.0)
         s = tr.defect_sum(f, method=cfg.method).data
         rhs = lp_norm(Field(spec, y * f.data + 0.5j * s), 2.0)
         rhs_ctl = lp_norm(Field(spec, y * f.data + 1.0j * s), 2.0)
-        tol = cfg.tolerance(1e-3)
+        tol = 1e-3
     rec.record("", lhs, rhs, tol, abs(lhs / rhs - 1.0) <= tol,
                member="gaussian:c=2,sigma=4", p=2.0)
     rec.record("control-doubled-coefficient", lhs, rhs_ctl, tol, abs(lhs / rhs_ctl - 1.0) > tol,
@@ -337,7 +333,7 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
     bot = y * f.data + 0.5j * tr.defect_sum(f, method=cfg.method).data
 
     ps = (cfg.p,) if cfg.p != 2.0 else (4.0 / 3.0, 4.0)
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     for p in ps:
         bp = conjectured_bp(p)
         ratio = lp_norm(Field(spec, top), p) / lp_norm(Field(spec, bot), p)
@@ -364,7 +360,7 @@ def check_planar_isometry(cfg: RunConfig) -> list:
                                                 plane=PlaneKind.FULL), "fft")
     spec = rec.spec
     rng = np.random.default_rng(20260815 + cfg.seed)
-    tol = cfg.tolerance(1e-6)
+    tol = 1e-6
     worst = 0.0
     for _ in range(10):
         f = banded_field(spec, rng)
@@ -399,7 +395,7 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     commutators' bar; the wrong-sign potential's residual does not fall.
     """
     rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
-    tol = cfg.tolerance(1e-4)
+    tol = 1e-4
     err_d, err_db = _potential_residuals(rec.spec)
     rec.at_most("d", err_d, tol, member="gaussian:c=2,sigma=4")
     rec.at_most("dbar", err_db, tol, member="gaussian:c=2,sigma=4")
@@ -464,7 +460,7 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     rec = _Recorder("transform-oracles", cfg.battery_spec(), cfg.method)
     spec = rec.spec
     F, dF, dbF, lapF, d2F = _gaussian_fields(spec, "f", "d", "dbar", "lap", "d2")
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     cases = [
         ("c_down", tr.cauchy_down(lapF, method=cfg.method).data, dF.data),
         ("conj-c_down", tr.conj_sandwich(tr.cauchy_down, lapF, method=cfg.method).data, dbF.data),
@@ -514,7 +510,7 @@ def check_method_agreement(cfg: RunConfig) -> list:
                                                  plane=PlaneKind.UPPER), "fft-vs-quadrature")
     spec = rec.spec
     [lapF] = _gaussian_fields(spec, "lap")
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     for name, op in (("c_down", tr.cauchy_down), ("c_up", tr.cauchy_up)):
         a = op(lapF, method="fft")
         b = op(lapF, method="quadrature")
@@ -540,7 +536,7 @@ def check_structural_identities(cfg: RunConfig) -> list:
     spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
-    tol = cfg.tolerance(1e-10)
+    tol = 1e-10
 
     lhs = tr.cauchy_up(F, "quadrature", "matched").data
     rhs = -2j * y * tr.bicauchy_up(F, "quadrature", "matched").data
@@ -571,7 +567,7 @@ def check_e_identity(cfg: RunConfig) -> list:
     spec = rec.spec
     [F] = _gaussian_fields(spec, "f")
     y = spec.y.reshape(-1, 1)
-    tol = cfg.tolerance(1e-10)
+    tol = 1e-10
     conj_part = tr.conj_sandwich(tr.cauchy_down, F, method="quadrature", mode="matched").data
     lhs = 0.5 * (tr.cauchy_down(F, "quadrature", "matched").data + conj_part)
     rhs = 4 * y * tr.bicauchy_real(Field(spec, y * F.data), "quadrature", "matched").data
@@ -624,7 +620,7 @@ def check_hardy(cfg: RunConfig) -> list:
     rec = _Recorder("hardy", cfg.battery_spec(), "grid")
     spec = rec.spec
     const = HARDY_P2
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     F, dbF = _gaussian_fields(spec, "f", "dbar")
     ratio = _hardy_ratio(F, dbF)
     rec.record("battery-gaussian", ratio, const, tol, ratio <= const * (1.0 + tol),
@@ -666,7 +662,7 @@ def check_cup(cfg: RunConfig) -> list:
     rec = _Recorder("cup-norm", cfg.battery_spec(), cfg.method)
     spec = rec.spec
     const = CUP_NORM_P2
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     F, dbF = _gaussian_fields(spec, "f", "dbar")
     for name, fld in (("F", F), ("dbarF", dbF)):
         r = lp_norm(tr.cauchy_up(fld, method=cfg.method), 2.0, HYP) / lp_norm(fld, 2.0)
@@ -706,7 +702,7 @@ def check_minimal_solver(cfg: RunConfig) -> list:
     rec = _Recorder("minimal-solver", cfg.battery_spec(), cfg.method)
     spec = rec.spec
     const = C2
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     F, dbF = _gaussian_fields(spec, "f", "dbar")
     for name, fld in (("F", F), ("dbarF", dbF)):
         u = tr.minimal_solve(fld, method=cfg.method)
@@ -753,7 +749,7 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
     """Output of the defect operator is orthogonal to conjugate directions."""
     rec = _Recorder("range-orthogonality", cfg.battery_spec(), cfg.method)
     spec = rec.spec
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     [lapF] = _gaussian_fields(spec, "lap")
     y = spec.y.reshape(-1, 1)
     out = Field(spec, y * lapF.data + 0.5j * tr.defect_sum(lapF, method=cfg.method).data)
@@ -837,7 +833,7 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     """
     rec = _Recorder("whittaker-ode", cfg.battery_spec(), "stencil")
     tgrid = np.geomspace(0.1, 30.0, 200)
-    tol = cfg.tolerance(1e-6)
+    tol = 1e-6
     sols = [
         ("X-fast", wh.WhittakerSolution("X", 1.0, 0.0)),
         ("X-slow", wh.WhittakerSolution("X", 0.0, 1.0)),
@@ -873,7 +869,7 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     member = tf.RowSampler(tf.conj_rational(1, 2), spec, times_y=True)
     res = wh.lemma_a1_classify(member)
     notes = {"x_truncation": res.x_truncation}
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     rec.record("member-accepted", 1.0 if res.is_cokernel else 0.0, 1.0, tol, res.is_cokernel,
                notes=notes, member="M * conj((z+i)^-2)", pos_energy_frac=res.pos_energy_frac,
                fit_residual=res.fit_residual, dyadic_growth=res.dyadic_growth)
@@ -915,7 +911,7 @@ def check_liouville(cfg: RunConfig) -> list:
     nested quadrature over a 2-D array of (y, x) nodes.
     """
     rec = _Recorder("liouville", cfg.battery_spec(), "quadrature")
-    tol = cfg.tolerance(1e-3)
+    tol = 1e-3
     hs = tf.harmonic_samples()
     pois = hs["poisson"]
     ys = np.geomspace(0.2, 1.6, 9)
@@ -962,7 +958,7 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
                           average="shell")
     c1 = tr.conv_valid(tab[: 2 * ny - 1], F.data)
     c2 = tr.conv_valid(tab[ny:], F.data[::-1, :])
-    tol = cfg.tolerance(1e-10)
+    tol = 1e-10
     rec.at_most("mirror-form", _rel_pointwise((c1 - c2) * spec.cell_measure, bd.data), tol)
     rec.above("control-flipped-sign", _rel_pointwise((c1 + c2) * spec.cell_measure, bd.data),
               tol)
@@ -990,7 +986,7 @@ def check_adjointness(cfg: RunConfig) -> list:
     lhss = complex(np.sum(Df.data * np.conj(ga.data)) * cell)
     rhss = complex(np.sum(fa.data * np.conj(Ug.data)) * cell)
     es = abs(lhss - rhss) / (abs(lhss) + 1e-300)
-    rec.at_most("bilinear", e, cfg.tolerance(1e-10), seed=7 + cfg.seed)
+    rec.at_most("bilinear", e, 1e-10, seed=7 + cfg.seed)
     rec.above("control-sesquilinear", es, 1e-2)
     return rec.reports
 

@@ -10,6 +10,9 @@ test, so it fails here.
 Every module-level private name (`_name`: a function, class or assigned
 value) defined in `src/` must be read somewhere in `src/`, by the same
 rules, so a body that a rewrite replaced cannot live on for its tests alone.
+By the same token every field of `verify.RunConfig` must be read as an
+attribute in `src/` outside the class body: a setting no check reads is
+a knob that does nothing.
 
 The fft and quadrature paths of `transforms` share no code but
 `_fft_shape`: the module-level names that the bodies of one path reach
@@ -40,21 +43,25 @@ def _exported(tree) -> list:
     return []
 
 
-def _references(root: Path, tops) -> set:
+def _references(root: Path, tops, outside: str = "", attributes: bool = False) -> set:
     """Names read anywhere in the given trees (loads, attributes, imports),
-    less each function's reads of its own name inside its own body."""
+    less each function's reads of its own name inside its own body.  The
+    body of the class named `outside` is not walked; with `attributes` only
+    attribute reads count."""
     seen = set()
 
     def visit(node, own: frozenset):
+        if isinstance(node, ast.ClassDef) and node.name == outside:
+            return
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             own = own | {node.name}
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            if node.id not in own:
+            if node.id not in own and not attributes:
                 seen.add(node.id)
         elif isinstance(node, ast.Attribute):
             if node.attr not in own:
                 seen.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and not attributes:
             seen.update(alias.name for alias in node.names)
         for child in ast.iter_child_nodes(node):
             visit(child, own)
@@ -143,6 +150,32 @@ def test_an_orphan_private_helper_is_reported(tmp_path):
     assert unread_privates(tmp_path) == {"src/pkg/mod.py": ["_old_body"]}
 
 
+def unread_fields(root: Path, cls: str) -> list:
+    """The annotated fields of class `cls` under src/ that no attribute read
+    in src/ outside the class body names."""
+    fields = [stmt.target.id for _, tree in _trees(root, ("src",)) for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == cls
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign)]
+    assert fields, f"no class {cls} with fields under {root / 'src'}"
+    return sorted(set(fields) - _references(root, ("src",), outside=cls, attributes=True))
+
+
+def test_every_run_config_field_is_read_in_src():
+    unread = unread_fields(ROOT, "RunConfig")
+    assert not unread, f"RunConfig fields that no check reads: {unread}"
+
+
+def test_an_unread_config_field_is_reported(tmp_path):
+    # negative control: `tol` is read only inside the class body and shares
+    # its name with a local; `nx` is read by `run`
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(
+        "class RunConfig:\n    nx: int = 4\n    tol: float = 0.0\n\n"
+        "    def tolerance(self, default):\n        return self.tol or default\n\n\n"
+        "def run(cfg):\n    tol = 1e-3\n    return cfg.nx * tol\n")
+    assert unread_fields(tmp_path, "RunConfig") == ["tol"]
+
+
 # ---------------------------------------------------------------------------
 # the two transform paths share no code
 
@@ -224,7 +257,7 @@ BRIDGES = """
 def conv_valid(tab, data):
     (a0, a1), (b0, b1) = tab.shape, data.shape
     kspec = sfft.fft2(tab, s=_fft_shape(tab.shape))
-    return _pruned_fft2(kspec, [(0, data, 1)], slice(b0 - 1, a0), slice(b1 - 1, a1))
+    return _pruned_fft2(kspec, data, 0, False, slice(b0 - 1, a0), slice(b1 - 1, a1))
 
 
 def planar_table(kind, ny, nx, hx, hy, average="shell"):

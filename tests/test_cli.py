@@ -148,8 +148,8 @@ def test_verify_unknown_check_is_a_usage_error(capsys):
 
 
 def test_verify_numerical_failure_exits_one(capsys):
-    # an impossible tolerance forces the live sub-checks below the rounding floor
-    assert run(["verify", "structural-identities", "--tol", "1e-20"]) == 1
+    # at 128^2 the fft c_down reads 3.1e-3 against its 1e-3 bar
+    assert run(["verify", "transform-oracles", "--grid", "128"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL]" in out
     assert out.strip().splitlines()[-1].startswith("FAILED")
@@ -183,11 +183,10 @@ def _one_error_line(capsys, *needles) -> bool:
 
 @pytest.mark.parametrize("flag, value", [
     ("--p", "1"), ("--p", "0.5"), ("--p", "nan"), ("--p", "inf"),
-    ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"), ("--tol", "inf"),
 ])
 def test_verify_refuses_p_and_tol_out_of_range(flag, value, capsys):
-    # p must be finite and above 1, a tolerance finite and positive: --p 1 and
-    # 0.5 ended in a ValueError traceback, --p nan and --tol nan printed NaN
+    # p must be finite and above 1: --p 1 and 0.5 ended in a ValueError
+    # traceback, --p nan printed NaN
     assert run(["verify", "two-sided-p", "--grid", "64", "--json", flag, value]) == 2
     assert _one_error_line(capsys, f"bad {flag}")
 
@@ -270,12 +269,46 @@ def test_verify_has_no_threads_flag(capsys):
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
+def test_verify_has_no_tol_flag(capsys):
+    # each check owns its bars; a single override fed all of them and their controls
+    assert run(["verify", "adjointness", "--tol", "1e-3"]) == 2
+    assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
+
 def test_a_negative_seed_is_a_usage_error(capsys):
     # checks seed with a base plus --seed (adjointness 7), and numpy refuses a negative seed
     assert run(["verify", "adjointness", "--seed", "-100"]) == 2
     assert _one_error_line(capsys, "--seed -100")
     assert run(["verify", "adjointness", "--seed", "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("check, grid", [("derivative-identities", "4"), ("hardy", "4"),
+                                         ("minimal-solver", "4"),
+                                         ("derivative-identities", "8:4")])
+def test_verify_refuses_a_grid_narrower_than_the_fd4_stencil(check, grid, capsys):
+    # each ended in a ValueError traceback from calculus._fd4_first.  Twins:
+    # --grid 5 runs to a verdict (exit 1, JSON), and transform keeps --grid 4
+    assert run(["verify", check, "--grid", grid, "--json"]) == 2
+    assert _one_error_line(capsys, f"bad --grid {grid!r}", "fd4")
+    assert run(["verify", check, "--grid", "5", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)
+    assert run(["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4",
+                "--grid", grid, "--json"]) == 0
+
+
+@pytest.mark.parametrize("testfn, needle", [("conjrat:a=1,k=2.7", "k=2.7"),
+                                            ("conjrat:a=1,k=1e400", "k=inf"),
+                                            ("holorat:a=1,k=nan", "k=nan"),
+                                            ("hardy:n=64.9", "n=64.9")])
+def test_integer_testfn_parameters_must_be_finite_integers(testfn, needle, capsys):
+    # k = 2.7 ran as k = 2 and n = 64.9 as n = 64, each echoing the value it
+    # was given; k = 1e400 ended in an OverflowError traceback.  Twin: k = 3 runs
+    argv = ["whittaker", "classify", "--premultiply-M", "--json", "--testfn"]
+    assert run(argv + [testfn]) == 2
+    assert _one_error_line(capsys, needle, "not a finite integer")
+    assert run(argv + ["conjrat:a=1,k=3"]) == 0
+    assert json.loads(capsys.readouterr().out)["testfn"] == "conjrat:a=1,k=3"
 
 
 @pytest.mark.parametrize("spec", ["nosuch:a=1", "gaussian:zz=1", "gaussian:c"])
@@ -499,7 +532,7 @@ def test_console_script_smoke():
     assert proc.returncode == 0
     assert "PASSED" in proc.stdout
     # the entry point must hand back main's exit codes, not just exit cleanly
-    proc = subprocess.run(hypb + ["verify", "adjointness", "--tol", "1e-20"],
+    proc = subprocess.run(hypb + ["verify", "transform-oracles", "--grid", "128"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     proc = subprocess.run(hypb + ["verify", "no-such-check"],

@@ -249,8 +249,8 @@ def _unpruned(data, kspec, rows, cols):
 
 
 def _pruned(data, kspec, rows, cols):
-    """The pruned primitive on one block at row 0, keeping `rows` and `cols`."""
-    return tr._pruned_fft2(kspec, [(0, data, 1)], rows, cols)
+    """The pruned primitive on data at row 0, keeping `rows` and `cols`."""
+    return tr._pruned_fft2(kspec, data, 0, False, rows, cols)
 
 
 def _beurling_symbol(py, px, hx, hy):
@@ -296,7 +296,7 @@ def test_pruned_multiplier_matches_the_unpruned_fft2(shape, padding):
     mult = _beurling_symbol(padding * ny, padding * nx, hx, hy)
     want = _unpruned(data, mult, slice(0, ny), slice(0, nx))
     pruned = tr._pruned_fft2(tr._beurling_symbol(padding * ny, padding * nx, hx, hy),
-                             [(0, data, 1)], slice(0, ny), slice(0, nx))
+                             data, 0, False, slice(0, ny), slice(0, nx))
     assert _close(pruned, want, PRUNE_TOL)
     # twin: the next block of rows of the padded box
     assert not _close(_pruned(data, mult, slice(ny, 2 * ny), slice(0, nx)), want, PRUNE_TOL)
@@ -385,13 +385,13 @@ def test_defect_sum_peak_memory_stays_under_1_15_full_spectra(n, peak_bytes):
     f = Field(gs, _random_complex(np.random.default_rng(n), (n, n)))
     P0, P1 = tr._fft_shape((3 * n - 1, 2 * n - 1))
     bar = 1.15 * P0 * P1 * 16
-    blocks = [(n, f.data, 1), (0, f.data[::-1], -1)]
 
     def full_spectrum_route():
         tab = kn._planar_all(2 * n, n, gs.hx, gs.hy, np.empty((3 * n - 1, 2 * n - 1), complex))
         kspec = sfft.fft2(2.0 * tab.real, s=(P0, P1))
         del tab
-        tr._pruned_fft2(kspec, blocks, slice(2 * n - 1, 3 * n - 1), slice(n - 1, 2 * n - 1))
+        tr._pruned_fft2(kspec, f.data, n, True, slice(2 * n - 1, 3 * n - 1),
+                        slice(n - 1, 2 * n - 1))
 
     tr._cauchy_spectrum.cache_clear()
     try:
@@ -401,13 +401,12 @@ def test_defect_sum_peak_memory_stays_under_1_15_full_spectra(n, peak_bytes):
         tr._cauchy_spectrum.cache_clear()
 
 
-def _y_first_pruned_fft2(kspec, blocks, rows, cols):
-    """The y-first whole-box pruned pass the x-first one replaced: one zeroed
-    P0 x P1 buffer, and a copy of the kept block."""
+def _y_first_pruned_fft2(kspec, data, rows, cols):
+    """The y-first whole-box pruned pass the x-first one replaced, on data at
+    row 0: one zeroed P0 x P1 buffer, and a copy of the kept block."""
     buf = np.zeros(kspec.shape, dtype=complex)
-    b1 = blocks[0][1].shape[1]
-    for row, data, sign in blocks:
-        buf[row : row + len(data), :b1] = sign * data
+    b1 = data.shape[1]
+    buf[: len(data), :b1] = data
     sfft.fft(buf[:, :b1], axis=0, overwrite_x=True)
     sfft.fft(buf, axis=1, overwrite_x=True)
     buf *= kspec
@@ -422,7 +421,7 @@ def test_warm_cauchy_half_plane_ops_hold_under_0_7_full_spectra(n, peak_bytes):
     # beside the cached spectrum of the 3 n - 1 rows: the one x-spectrum
     # (n x P1, which takes the kept rows), a P0 x 32 panel and the result,
     # 0.52-0.54 full spectra for both signs.  Twin: the y-first pass on the
-    # same blocks and spectrum holds a P0 x P1 buffer
+    # same flipped input and spectrum holds a P0 x P1 buffer
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n + 1), (n, n)))
     P0, P1 = tr._fft_shape((3 * n - 1, 2 * n - 1))
@@ -433,9 +432,8 @@ def test_warm_cauchy_half_plane_ops_hold_under_0_7_full_spectra(n, peak_bytes):
         kspec = tr._cauchy_spectrum(2 * n, n, n, gs.hx, gs.hy, False)
         for op in (tr.cauchy_up, tr.cauchy_down):
             assert peak_bytes(lambda: op(f)) <= bar, op.__name__
-        blocks = [(0, f.data[::-1, ::-1], -1)]
-        y_first = lambda: _y_first_pruned_fft2(kspec, blocks, slice(n - 1, 3 * n - 1),
-                                                slice(n - 1, 2 * n - 1))
+        y_first = lambda: _y_first_pruned_fft2(kspec, f.data[::-1, ::-1],
+                                                slice(n - 1, 3 * n - 1), slice(n - 1, 2 * n - 1))
         assert peak_bytes(y_first) > 1.0 * P0 * P1 * 16
     finally:
         tr._cauchy_spectrum.cache_clear()
@@ -505,20 +503,16 @@ def test_spectra_are_the_ffts_of_their_padded_boxes(nx, ny, half):
 def test_pruned_rfft2_blocks_are_the_extension_as_one_block(nx, ny):
     # the lower block of the odd extension shares the upper one's x-pass
     hx, hy = 2.7 / nx, 5.9 / ny
-    rng = np.random.default_rng(nx + ny)
-    f, g = _random_complex(rng, (ny, nx)), _random_complex(rng, (ny, nx))
+    f = _random_complex(np.random.default_rng(nx + ny), (ny, nx))
     kspec = tr._cauchy_spectrum(2 * ny, ny, nx, hx, hy, True)
     n1 = tr._fft_shape([2 * nx - 1])[0]
     rows, cols = slice(2 * ny - 1, 3 * ny - 1), slice(nx - 1, 2 * nx - 1)
 
     def one_block(lower, upper):
-        return tr._pruned_rfft2(kspec, [(0, np.concatenate([lower, upper]), 1)], rows, cols, n1)
+        return tr._pruned_rfft2(kspec, np.concatenate([lower, upper]), 0, False, rows, cols, n1)
 
-    got = tr._pruned_rfft2(kspec, [(ny, f, 1), (0, f[::-1], -1)], rows, cols, n1)
+    got = tr._pruned_rfft2(kspec, f, ny, True, rows, cols, n1)
     assert np.array_equal(got, one_block(-f[::-1], f))
-    # a different array in the lower block gets its own x-pass
-    other = tr._pruned_rfft2(kspec, [(ny, f, 1), (0, g[::-1], -1)], rows, cols, n1)
-    assert np.array_equal(other, one_block(-g[::-1], f))
     # twin: the even extension
     twin = one_block(f[::-1], f)
     assert np.max(np.abs(got - twin)) > 1e-3 * np.max(np.abs(got))

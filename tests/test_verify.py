@@ -113,13 +113,6 @@ def test_pinned_grid_checks_keep_the_default_box():
     assert {(r.grid["L"], r.grid["H"]) for r in reports} == {vf.DEFAULT_BOX}
 
 
-def test_tolerance_override_is_plumbed_through():
-    reports = vf.run_checks(["structural-identities"], vf.RunConfig(tol=1e-20))
-    main = [r for r in reports if not r.parameters.get("negative_control")]
-    assert all(not r.passed for r in main)  # 1e-16 rounding floor > 1e-20
-    assert not vf.overall_pass(reports)
-
-
 def test_degenerate_reports_are_excluded_from_the_verdict():
     live_fail = CheckReport(
         check_id="x", parameters={}, lhs=1.0, rhs=1.0, ratio=1.0,
@@ -197,8 +190,6 @@ def test_battery_spec_and_tolerance_defaults():
     gs = cfg.battery_spec()
     assert (gs.nx, gs.ny, gs.L, gs.H) == (256, 256, 2.8, 5.6)
     assert gs.hx == gs.hy  # the singular quadrature needs square cells
-    assert cfg.tolerance(1e-4) == 1e-4
-    assert vf.RunConfig(tol=1e-2).tolerance(1e-4) == 1e-2
 
 
 def test_classify_check_records_x_truncation_without_warning():
