@@ -278,6 +278,8 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
     """
     if n < 2:
         raise ValueError("cutoff scale n must be an integer >= 2")
+    if not ramp > 0:
+        raise ValueError(f"ramp must be positive, got {ramp!r}")
     P = math.log(n)
     R = ramp * P
     t3 = 0.0  # support top at y = 1
@@ -332,6 +334,12 @@ def parse_testfn(text: str) -> AnalyticTestFunction:
                 raise ValueError(f"malformed testfn parameter {part!r} in {text!r}")
             kv[k.strip()] = float(v)
 
+    def real(key, default):
+        v = kv.pop(key, default)
+        if math.isfinite(v):
+            return v
+        raise ValueError(f"testfn parameter {key}={v!r} in {text!r} is not a finite number")
+
     def whole(key, default):  # int() would truncate 2.7 and overflow on inf
         v = kv.pop(key, default)
         if float(v).is_integer():
@@ -340,13 +348,13 @@ def parse_testfn(text: str) -> AnalyticTestFunction:
 
     head = head.strip().lower()
     if head == "gaussian":
-        fn = gaussian_bump(c=kv.pop("c", 2.0), sigma=kv.pop("sigma", 4.0), x0=kv.pop("x0", 0.0))
+        fn = gaussian_bump(c=real("c", 2.0), sigma=real("sigma", 4.0), x0=real("x0", 0.0))
     elif head == "conjrat":
-        fn = conj_rational(a=kv.pop("a", 1.0), k=whole("k", 2))
+        fn = conj_rational(a=real("a", 1.0), k=whole("k", 2))
     elif head == "holorat":
-        fn = holo_rational(a=kv.pop("a", 1.0), k=whole("k", 2))
+        fn = holo_rational(a=real("a", 1.0), k=whole("k", 2))
     elif head == "hardy":
-        fn = hardy_family(a=kv.pop("a", 0.5), n=whole("n", 64), ramp=kv.pop("ramp", 1.8))
+        fn = hardy_family(a=real("a", 0.5), n=whole("n", 64), ramp=real("ramp", 1.8))
     elif head in ("imz", "rez", "poisson"):
         fn = harmonic_samples()[head]
     else:

@@ -203,8 +203,7 @@ class WhittakerSolution:
 
 def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
+    _positive(t)
     if A1 != 0 and np.any(t >= X_FAST_T_MAX):
         raise OverflowError(f"whittaker_X(t) overflows for t >= {X_FAST_T_MAX:.2f} "
                             "(t e^(t/2) past the float range)")
@@ -221,8 +220,7 @@ def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
 
 def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t must be positive")
+    _positive(t)
     tlogt = t * np.log(t)  # -> 0 as t -> 0+
     # a zero A2 skips the slow branch: y_integral refuses t past 709.78
     with np.errstate(over="ignore", invalid="ignore"):
@@ -243,8 +241,7 @@ def pointwise_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = Non
     """
     s = sol.sign if sign is None else sign
     t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0):
-        raise ValueError("t_grid must be positive")
+    _positive(t)
     h = np.minimum(0.01 * t, 0.05)
     f0 = sol(t)
     d2 = (
@@ -322,7 +319,8 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
 
     h is a Field or a `testfuncs.RowSampler`: anything with a `spec` and a
     `rows(r)` that returns the rows r (a slice) of the field.  It is read in
-    row blocks (module docstring); energies past the float range raise.
+    row blocks (module docstring); energies past the float range raise
+    OverflowError, and a field with none (zero, or underflowing) ValueError.
 
     wrong_branch fits y e^{-y xi} instead (the growing solution); this is
     the designated negative control and must produce a large fit residual.
@@ -362,8 +360,10 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
                                     f"{r.start}-{r.stop - 1} leave the float range")
 
     tot = float(np.sum(energy[:3]))
-    pos_frac = float(np.sum(energy[1])) / tot if tot > 0 else 0.0
-    window_frac = float(np.sum(energy[3])) / tot if tot > 0 else 0.0
+    if tot == 0.0:
+        raise ValueError("the field has no partial Fourier energy |hhat|^2 on the grid")
+    pos_frac = float(np.sum(energy[1])) / tot
+    window_frac = float(np.sum(energy[3])) / tot
 
     xi_w = xi[cols]
     sgn = -1.0 if wrong_branch else 1.0
@@ -405,5 +405,5 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
         dyadic_growth=dyadic_growth,
         thresholds={"pos_tol": CLASSIFY_POS_TOL, "window_min": CLASSIFY_WINDOW_MIN,
                     "fit_tol": CLASSIFY_FIT_TOL, "growth_tol": CLASSIFY_GROWTH_TOL},
-        x_truncation=float(edge / peak) if peak > 0 else 0.0,
+        x_truncation=float(edge / peak),
     )

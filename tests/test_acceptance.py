@@ -199,7 +199,7 @@ def test_criterion_11_full_battery_deterministic(strip_runtime):
     jb = json.dumps(strip_runtime([r.to_dict() for r in second]), sort_keys=True)
     prefixes = {r.check_id.split("/")[0] for r in first}
     covered = set(vf.CHECKS) <= prefixes
-    ok = (vf.overall_pass(first) and vf.overall_pass(second)
+    ok = (all(r.passed for r in first + second)
           and ja == jb and covered and dt <= 60.0)
     _verdict(11, "full battery passes, <=60s, bit-identical across two runs",
              ok, f"{dt:.0f}s, {len(first)} reports, identical={ja == jb}")

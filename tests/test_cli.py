@@ -275,6 +275,29 @@ def test_verify_has_no_tol_flag(capsys):
     assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["verify", "all", "--domain", "10000:20000"], "L^2 norm 0"),
+    # L^2 is 2.9e-85 here, but the L^4 norm two-sided-p divides by is 0
+    (["verify", "all", "--domain", "1500:3000"], "L^4 norm 0"),
+    (["verify", "norm-identity", "--domain", "2000:4000"], "L^2 norm 0"),
+])
+def test_verify_refuses_a_battery_member_that_vanishes_on_its_grid(argv, needle, capsys):
+    # the first two ended in a ZeroDivisionError traceback, the third printed
+    # "PASSED 0/0 checks".  Twin: test_verify_runs_to_a_verdict_on_a_small_member
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert _one_error_line(capsys, f"--domain {argv[-1]!r}", needle)
+
+
+def test_verify_runs_to_a_verdict_on_a_small_member(capsys):
+    # the battery gaussian is about 1e-32 in every norm on this box: every
+    # check runs, some fail, and nothing raises
+    assert run(["verify", "all", "--domain", "1000:2000", "--json"]) == 1
+    reports = json.loads(capsys.readouterr().out)
+    assert len(reports) == 84 and not all(r["pass"] for r in reports)
+
+
 def test_a_negative_seed_is_a_usage_error(capsys):
     # checks seed with a base plus --seed (adjointness 7), and numpy refuses a negative seed
     assert run(["verify", "adjointness", "--seed", "-100"]) == 2
@@ -332,6 +355,17 @@ def test_transform_refuses_a_member_that_is_zero_or_not_finite_on_the_grid(testf
         assert run(["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4",
                     "--grid", "32", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["input_l2"] > 0
+
+
+def test_transform_refuses_a_member_whose_squares_underflow(capsys):
+    # the samples are nonzero, but their squares underflow: input_l2 read 0.0.
+    # Twin: on 1000:2000 the same member runs with input_l2 about 1e-32
+    argv = ["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4", "--grid", "256",
+            "--json", "--domain"]
+    assert run(argv + ["2000:4000"]) == 2
+    assert _one_error_line(capsys, "gaussian:c=2,sigma=4", "zero or not finite")
+    assert run(argv + ["1000:2000"]) == 0
+    assert 0.0 < json.loads(capsys.readouterr().out)["input_l2"] < 1e-30
 
 
 def test_transform_writes_csv(tmp_path, capsys):
@@ -508,6 +542,37 @@ def test_inputs_past_the_float_range_are_refused(argv, capsys):
     assert "\n" not in err and "conjrat:a=0.001,k=200" in err
     assert run([a.format(k=2) for a in argv]) == 0
     assert "nan" not in capsys.readouterr().out.lower()
+
+
+def test_classify_refuses_a_field_with_no_energy(capsys):
+    # the member underflows to 0 on the classify grid, and every figure read
+    # 0.0.  Twin: hardy:a=-3 is nonzero, with all its energy at xi = 0
+    argv = ["whittaker", "classify", "--json", "--testfn"]
+    assert run(argv + ["gaussian:c=400,sigma=4"]) == 2
+    assert _one_error_line(capsys, "no partial Fourier energy", "gaussian:c=400,sigma=4")
+    assert run(argv + ["hardy:a=-3"]) == 0
+    res = json.loads(capsys.readouterr().out)
+    assert res["is_cokernel"] is False and res["pos_energy_frac"] == 0.0
+
+
+@pytest.mark.parametrize("testfn, needles", [
+    ("hardy:ramp=-1", ("ramp must be positive", "-1.0")),
+    ("hardy:ramp=0", ("ramp must be positive", "0.0")),
+    ("hardy:ramp=nan", ("ramp=nan", "not a finite number")),
+    ("conjrat:a=nan,k=2", ("a=nan", "not a finite number")),
+    ("gaussian:c=inf", ("c=inf", "not a finite number")),
+])
+def test_testfn_parameters_must_be_finite_and_the_ramp_positive(testfn, needles, capsys):
+    # the hardy members exited 0 with every figure 0.0 (ramp=0 after two
+    # divide-by-zero warnings); a=nan was refused as an overflow.  Twin: the
+    # default ramp runs
+    argv = ["whittaker", "classify", "--json", "--testfn"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + [testfn]) == 2
+    assert _one_error_line(capsys, *needles)
+    assert run(argv + ["hardy:ramp=1.8"]) == 0
+    assert json.loads(capsys.readouterr().out)["testfn"] == "hardy:ramp=1.8"
 
 
 def test_classify_requires_testfn(capsys):
