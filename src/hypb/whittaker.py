@@ -377,8 +377,11 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
 
     # weighted energy over xi <= 0 and its dyadic lower-cutoff growth
     dxi = 2.0 * np.pi / (spec.nx * spec.hx)
-    wdens = energy[2] / spec.y**2  # per row
-    weight_value = 0.5 * float(np.sum(wdens)) * spec.hy * dxi
+    with np.errstate(over="ignore"):  # finite row energies near the float maximum
+        wdens = energy[2] / spec.y**2  # per row
+        weight_value = 0.5 * float(np.sum(wdens)) * spec.hy * dxi
+    if not math.isfinite(weight_value):  # it bounds every partial sum below
+        raise OverflowError("the weighted energy |hhat|^2 / y^2 leaves the float range")
     # S(c) sums the rows at or above cutoff index c, for the cuts 1, 2, 4
     # that are at most ny / 4; a 1/y^2 divergence at the axis makes S double
     # each time the cutoff halves, an integrable density leaves consecutive

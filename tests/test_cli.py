@@ -544,6 +544,22 @@ def test_inputs_past_the_float_range_are_refused(argv, capsys):
     assert "nan" not in capsys.readouterr().out.lower()
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_classify_refuses_a_weighted_energy_past_the_float_range(flags, capsys):
+    # at k = 128 the row energies are finite but |hhat|^2 / y^2 overflows:
+    # --json ended in a ValueError traceback from json, the text printed a
+    # RuntimeWarning and dyadic_growth 6.2e41.  Twin: k = 126 gives finite JSON
+    argv = ["whittaker", "classify", "--testfn", "conjrat:a=0.001,k={k}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([a.format(k=128) for a in argv] + flags) == 2
+        assert _one_error_line(capsys, "weighted energy", "the float range", "k=128")
+        assert run([a.format(k=126) for a in argv] + ["--json"]) == 0
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and "NaN" not in out
+    assert np.isfinite(json.loads(out)["dyadic_growth"])
+
+
 def test_classify_refuses_a_field_with_no_energy(capsys):
     # the member underflows to 0 on the classify grid, and every figure read
     # 0.0.  Twin: hardy:a=-3 is nonzero, with all its energy at xi = 0

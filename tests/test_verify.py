@@ -1,4 +1,7 @@
+import collections
+import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypb import transforms as tr
 from hypb import verify as vf
 from hypb.report import reports_to_json
 
@@ -255,3 +259,57 @@ def test_without_its_end_terms_de_quad_returns_0_for_sin(monkeypatch):
     # twin of the sin control: the level test alone accepts the exact zeros
     monkeypatch.setattr(vf, "_DE_END", -1.0)
     assert vf._de_quad(np.sin, -np.inf, np.inf) == 0.0
+
+
+@pytest.fixture(scope="module", params=["fft", "quadrature"])
+def spied_battery(request):
+    """The whole battery on one method, with every `transforms.transform` and
+    `transforms.defect_sum` call, nested ones included, keyed by its check:
+    (kernel, method, mode, padding, grid, hash of the input's bytes)."""
+    calls, state = collections.defaultdict(list), {}
+
+    def spy(op):
+        sig = inspect.signature(op)
+
+        def spied(*args, **kw):
+            a = sig.bind(*args, **kw)
+            a.apply_defaults()
+            a = a.arguments
+            f = a["f"]
+            calls[state["check"]].append((
+                a.get("kernel", op.__name__), a["method"], a.get("mode"), a.get("padding"),
+                tuple(f.spec.summary().values()),
+                hashlib.sha1(np.ascontiguousarray(f.data)).hexdigest()))
+            return op(*args, **kw)
+        return spied
+
+    def in_check(cid, check):
+        def run(cfg):
+            state["check"] = cid
+            return check(cfg)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "transform", spy(tr.transform))
+        mp.setattr(tr, "defect_sum", spy(tr.defect_sum))
+        for cid, check in list(vf.CHECKS.items()):
+            mp.setitem(vf.CHECKS, cid, in_check(cid, check))
+        reports = vf.run_checks("all", vf.RunConfig(method=request.param))
+    return request.param, reports, calls
+
+
+def test_the_battery_passes_on_each_method(spied_battery):
+    # nothing else holds the quadrature path's battery green
+    method, reports, _ = spied_battery
+    assert len(reports) == 84 and all(r.passed for r in reports), method
+    assert sum(bool(r.parameters.get("negative_control")) for r in reports) == 25
+
+
+def test_no_check_evaluates_one_operator_twice_on_one_input(spied_battery):
+    # five checks computed a transform twice: transform-oracles, cup-norm,
+    # minimal-solver, e-identity and structural-identities
+    method, _, calls = spied_battery
+    repeats = {cid: sorted({key[:4] for key, n in collections.Counter(keys).items() if n > 1})
+               for cid, keys in calls.items()}
+    assert {cid: r for cid, r in repeats.items() if r} == {}
+    assert sum(map(len, calls.values())) <= {"fft": 54, "quadrature": 59}[method]
