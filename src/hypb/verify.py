@@ -19,9 +19,10 @@ Conventions shared by all checks:
   * RunConfig refuses a grid on which the battery member has L^q norm 0
     (q = 2 or an exponent of two-sided-p), so no check meets a zero member;
   * `_norm_sides(member, spec, method)` gives both sides of the p = 2 norm
-    identity, by a transform method or from the closed forms (nullspace
-    builds its defect side in place, for memory);
-  * each check computes each operator value once;
+    identity, by a transform method or from the closed forms; `_sides` alone
+    assembles them (nullspace builds its defect side in place, for memory);
+  * each check computes each operator value, samples each closed form and
+    classifies each member once (the wrong-branch control refits its block);
   * checks at p = 2 use exact constants only.  Conjectured p != 2 constants
     enter only the labeled consistency checks and are never treated as
     verified bounds.
@@ -180,16 +181,19 @@ def _norm_sides(member: str, spec: GridSpec, method: str, coefficients=(0.5j,), 
     norm identity (c = i is its doubled-coefficient control).  "closed-form"
     takes B_down f = d2 F and S f = dF + dbar F; top=False gives None for B_down f.
     """
-    y = spec.y.reshape(-1, 1)
     if method == "closed-form":
         f, d2F, dF, dbF = _fields(member, spec, "lap", "d2", "d", "dbar")
-        bf, s = d2F.data, dF.data + dbF.data
-    else:
-        [f] = _fields(member, spec, "lap")
-        bf = tr.beurling_down(f, method=method).data if top else None
-        s = tr.defect_sum(f, method=method).data
+        return _sides(f, d2F.data, dF.data + dbF.data, coefficients)
+    [f] = _fields(member, spec, "lap")
+    bf = tr.beurling_down(f, method=method).data if top else None
+    return _sides(f, bf, tr.defect_sum(f, method=method).data, coefficients)
+
+
+def _sides(f: Field, bf, s, coefficients=(0.5j,)) -> list:
+    """`_norm_sides` from the field f and the arrays B_down f (or None) and S f."""
+    y = f.spec.y.reshape(-1, 1)
     Mf = y * f.data
-    return [y * bf if top else None] + [Mf + c * s for c in coefficients]
+    return [None if bf is None else y * bf] + [Mf + c * s for c in coefficients]
 
 
 def _rel_l2(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
@@ -382,14 +386,15 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     return rec.reports
 
 
-def _potential_residuals(member: str, spec: GridSpec, sign: float = 1.0) -> tuple:
-    """Relative L2 residuals of dG = M d2F and dbar G = M lapF + (i/2)(dF + dbarF)
-    for G = M dF + sign (i/2) F, F the selector member (sign -1: the control)."""
+def _potential_residuals(member: str, spec: GridSpec) -> tuple:
+    """Relative L2 residuals of dG = M d2F and dbar G = M lapF + (i/2)(dF + dbarF) for
+    G = M dF + (i/2) F, F the selector member, then of dbar G for the control's - (i/2)."""
     y = spec.y.reshape(-1, 1)
-    target_d, target_db = _norm_sides(member, spec, "closed-form")
-    F, dF = _fields(member, spec, "f", "d")
-    G = Field(spec, y * dF.data + sign * 0.5j * F.data)
-    return _rel_l2(spec, d(G).data, target_d), _rel_l2(spec, d_bar(G).data, target_db)
+    F, dF, dbF, lapF, d2F = _fields(member, spec, "f", "d", "dbar", "lap", "d2")
+    target_d, target_db = _sides(lapF, d2F.data, dF.data + dbF.data)
+    G, G_wrong = (Field(spec, y * dF.data + c * F.data) for c in (0.5j, -0.5j))
+    return (_rel_l2(spec, d(G).data, target_d), _rel_l2(spec, d_bar(G).data, target_db),
+            _rel_l2(spec, d_bar(G_wrong).data, target_db))
 
 
 def check_derivative_identities(cfg: RunConfig) -> list:
@@ -403,35 +408,36 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     """
     rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
     tol = 1e-4
-    err_d, err_db = _potential_residuals(BATTERY, rec.spec)
+    err_d, err_db, err_wrong = at_battery = _potential_residuals(BATTERY, rec.spec)
     rec.at_most("d", err_d, tol, member=BATTERY)
     rec.at_most("dbar", err_db, tol, member=BATTERY)
-    err_wrong = _potential_residuals(BATTERY, rec.spec, -1.0)[1]
     rec.above("control-wrong-potential", err_wrong, tol)
     grids, thr = (64, 128, 256), 3.5
-    specs = [_box_spec(g) for g in grids]
-    for name, sign, at_battery in (("h-order", 1.0, err_db),
-                                   ("control-order-wrong-potential", -1.0, err_wrong)):
-        # a refinement grid that is the battery grid reuses its residual
-        errs = [at_battery if g == rec.spec else _potential_residuals(BATTERY, g, sign)[1]
-                for g in specs]
+    # a refinement grid that is the battery grid reuses its residuals
+    by_grid = [at_battery if g == rec.spec else _potential_residuals(BATTERY, g)
+               for g in map(_box_spec, grids)]
+    for name, k in (("h-order", 1), ("control-order-wrong-potential", 2)):
+        errs = [res[k] for res in by_grid]
         orders, _, ok = _refinement(errs, thr)
-        rec.record(name, min(orders), thr, thr, ok if sign > 0 else not ok, spec=specs[-1],
+        rec.record(name, min(orders), thr, thr, ok if k == 1 else not ok, spec=_box_spec(grids[-1]),
                    grids=list(grids), errors=errs, orders=orders, member=BATTERY)
     return rec.reports
 
 
-def _commutator_error(n: int, ngrid: int, sign: int = -1) -> float:
-    # steep interior bump: y^n amplifies axis tails, so the member must clear
-    # the axis by several sigma for the dyadic orders to be clean; sign +1 is
-    # the wrong-sign coefficient of the control
+def _commutator_errors(member: str, ngrid: int) -> list:
+    """Relative residuals of [d, y^n] F = -(i/2) n y^(n-1) F, n = -2, -1, 1, 2, then of the
+    control's +(i/2) n at n = 2, from one sample of F and one dF on DEFAULT_BOX at ngrid^2."""
     spec = _box_spec(ngrid)
-    F = tf.sample(tf.gaussian_bump(c=2.8, sigma=8.0), spec, "f")
-    y = spec.y.reshape(-1, 1)
-    lhs = d(Field(spec, y**n * F.data)).data - y**n * d(F).data
-    rhs = (sign * 0.5j * n) * y ** (n - 1) * F.data
-    sc = np.sqrt(np.sum(np.abs(rhs) ** 2)) + 1e-300
-    return float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / sc)
+    [F] = _fields(member, spec, "f")
+    dF, y = d(F).data, spec.y.reshape(-1, 1)
+    errs = []
+    for n in (-2, -1, 1, 2):
+        lhs = d(Field(spec, y**n * F.data)).data - y**n * dF
+        for sign in (-1, 1) if n == 2 else (-1,):
+            rhs = (sign * 0.5j * n) * y ** (n - 1) * F.data
+            sc = np.sqrt(np.sum(np.abs(rhs) ** 2)) + 1e-300
+            errs.append(float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / sc))
+    return errs
 
 
 def _refinement(errs: list, threshold: float) -> tuple:
@@ -444,16 +450,15 @@ def _refinement(errs: list, threshold: float) -> tuple:
 
 def check_commutators(cfg: RunConfig) -> list:
     """[d, y^n] = -(i/2) n y^(n-1) at fourth order under dyadic refinement."""
-    grids = (64, 128, 256)
+    grids, thr = (64, 128, 256), 3.5
     rec = _Recorder("commutators", _box_spec(grids[-1]), "fd4")
-    thr = 3.5
-    for n in (-2, -1, 1, 2):
-        errs = [_commutator_error(n, g) for g in grids]
+    member = "gaussian:c=2.8,sigma=8"  # steep, clear of the axis: y^n amplifies axis tails
+    by_grid = [_commutator_errors(member, g) for g in grids]
+    for n, errs in zip((-2, -1, 1, 2), map(list, zip(*by_grid))):  # zip leaves the control out
         orders, _, ok = _refinement(errs, thr)
         rec.record(f"n={n}", min(orders), thr, thr, ok, grids=list(grids), errors=errs,
-                   orders=orders, member="gaussian:c=2.8,sigma=8")
-    # wrong-sign coefficient: the residual is O(1) instead of O(h^4)
-    rec.above("control-wrong-sign", _commutator_error(2, grids[-1], sign=+1), 0.5, n=2)
+                   orders=orders, member=member)
+    rec.above("control-wrong-sign", by_grid[-1][-1], 0.5, n=2)  # O(1) instead of O(h^4)
     return rec.reports
 
 
@@ -687,18 +692,16 @@ def check_cup(cfg: RunConfig) -> list:
 
     aspec = GridSpec(plane=PlaneKind.UPPER, **_ANNIHILATION_SPEC)
 
-    def annihilation_ratio(member):
-        g = tf.sample(member, aspec, "f")
-        return lp_norm(tr.cauchy_up(g, method="fft"), 2.0, HYP) / lp_norm(g, 2.0)
+    def annihilation(verdict, name, member, *bar, **kw):
+        [g] = _fields(member, aspec, "f")
+        ratio = lp_norm(tr.cauchy_up(g, method="fft"), 2.0, HYP) / lp_norm(g, 2.0)
+        verdict(name, ratio, *bar, spec=aspec, method="fft", **kw, member=member)
 
-    rec.at_most("annihilation-k3", annihilation_ratio(tf.conj_rational(1.0, 3)), 1e-2,
-                spec=aspec, method="fft", member="conjrat:a=1,k=3")
-    rec.record("annihilation-k2-reported", annihilation_ratio(tf.conj_rational(1.0, 2)),
-               math.inf, math.inf, True, spec=aspec, method="fft",
-               notes={"reason": "1/L truncation tail dominates at any feasible box"},
-               label="reported", member="conjrat:a=1,k=2")
-    rec.at_least("control-holomorphic", annihilation_ratio(tf.holo_rational(1.0, 3)), 1e-1,
-                 spec=aspec, method="fft", member="holorat:a=1,k=3")
+    annihilation(rec.at_most, "annihilation-k3", "conjrat:a=1,k=3", 1e-2)
+    annihilation(rec.record, "annihilation-k2-reported", "conjrat:a=1,k=2", math.inf, math.inf,
+                 True, notes={"reason": "1/L truncation tail dominates at any feasible box"},
+                 label="reported")
+    annihilation(rec.at_least, "control-holomorphic", "holorat:a=1,k=3", 1e-1)
     return rec.reports
 
 
@@ -737,17 +740,16 @@ def check_nullspace(cfg: RunConfig) -> list:
     y = spec.y.reshape(-1, 1)
 
     def residual(member):
-        f = tf.sample(member, spec, "f")
+        [f] = _fields(member, spec, "f")
         s = tr.defect_sum(f, method="fft").data
         Mf = np.multiply(y, f.data, out=f.data)  # M f over f, M f + (i/2) s over s
         s *= 0.5j
         s += Mf
         return lp_norm(Field(spec, s), 2.0) / lp_norm(Field(spec, Mf), 2.0)
 
-    rec.at_most("conjugate-member", residual(tf.conj_rational(1.0, 3)), 1e-2,
-                member="conjrat:a=1,k=3")
-    rec.at_least("control-holomorphic", residual(tf.holo_rational(1.0, 3)), 1e-1,
-                 member="holorat:a=1,k=3")
+    conj, holo = "conjrat:a=1,k=3", "holorat:a=1,k=3"
+    rec.at_most("conjugate-member", residual(conj), 1e-2, member=conj)
+    rec.at_least("control-holomorphic", residual(holo), 1e-1, member=holo)
     return rec.reports
 
 
@@ -757,14 +759,12 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
     spec = rec.spec
     tol = 1e-3
     out = Field(spec, _norm_sides(BATTERY, spec, cfg.method, top=False)[1])
-    w_conj = tf.sample(tf.conj_rational(1.0, 2), spec, "f")
-    w_holo = tf.sample(tf.holo_rational(1.0, 2), spec, "f")
-    pc = abs(inner_product(out, w_conj)) / (lp_norm(out, 2.0) * lp_norm(w_conj, 2.0))
-    rec.at_most("conjugate-witness", pc, tol, witness="conjrat:a=1,k=2")
-    ph = abs(inner_product(out, w_holo)) / (lp_norm(out, 2.0) * lp_norm(w_holo, 2.0))
-    rec.record("holomorphic-witness", ph, math.inf, math.inf, True, label="reported",
-               witness="holorat:a=1,k=2")
-    rec.above("control-holomorphic-not-small", ph, tol, witness="holorat:a=1,k=2")
+    conj, holo = "conjrat:a=1,k=2", "holorat:a=1,k=2"
+    pc, ph = (abs(inner_product(out, w)) / (lp_norm(out, 2.0) * lp_norm(w, 2.0))
+              for w in _fields(conj, spec, "f") + _fields(holo, spec, "f"))
+    rec.at_most("conjugate-witness", pc, tol, witness=conj)
+    rec.record("holomorphic-witness", ph, math.inf, math.inf, True, label="reported", witness=holo)
+    rec.above("control-holomorphic-not-small", ph, tol, witness=holo)
     return rec.reports
 
 
@@ -870,8 +870,7 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     """
     rec = _Recorder("whittaker-classify", wh.default_classify_spec(), "partial-fourier")
     spec = rec.spec
-    member = tf.RowSampler(tf.conj_rational(1, 2), spec, times_y=True)
-    res = wh.lemma_a1_classify(member)
+    res = wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(1, 2), spec, times_y=True))
     notes = {"x_truncation": res.x_truncation}
     tol = 1e-3
     rec.record("member-accepted", 1.0 if res.is_cokernel else 0.0, 1.0, tol, res.is_cokernel,
@@ -883,11 +882,11 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
     e = float(np.max(np.abs(res.b2 - target) / np.abs(target)))
     rec.at_most("boundary-multiplier", e, tol, notes=notes,
                 window=[float(xi.min()), float(xi.max())])
-    resw = wh.lemma_a1_classify(member, wrong_branch=True)
-    rec.at_least("control-wrong-branch", resw.fit_residual, 1e-2, notes=notes)
-    for name, imposter, times_y in (("control-gaussian", tf.parse_testfn(BATTERY), False),
-                                    ("control-holomorphic", tf.holo_rational(1, 2), True)):
-        r = wh.lemma_a1_classify(tf.RowSampler(imposter, spec, times_y=times_y))
+    wrong = wh.fit_profile(res.block, xi, spec.y, -1.0)[1]  # the growing profile, same pass
+    rec.at_least("control-wrong-branch", wrong, 1e-2, notes=notes)
+    for name, imposter, times_y in (("control-gaussian", BATTERY, False),
+                                    ("control-holomorphic", "holorat:a=1,k=2", True)):
+        r = wh.lemma_a1_classify(tf.RowSampler(tf.parse_testfn(imposter), spec, times_y=times_y))
         rec.record(name, 0.0 if r.is_cokernel else 1.0, 1.0, tol, not r.is_cokernel,
                    notes={"x_truncation": r.x_truncation}, pos_energy_frac=r.pos_energy_frac)
     return rec.reports

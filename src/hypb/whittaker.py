@@ -30,12 +30,13 @@ is in the cokernel class iff its partial Fourier transform is carried by
 xi <= 0 with y-profile proportional to y e^{y xi}, and the fitted
 coefficient B2(xi) is the classification output.
 
-The classifier reads the field in blocks of 16 rows, x-transforms each
-block (hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by
-frequency group and the fit-window columns: no grid-sized array exists.
-B2, the fit residual and x_truncation are bit-identical to a whole-field
-pass; the energy fractions, weighted energy and growth probe sum the same
-terms by row first, which moves them at rounding level (1e-15 relative).
+The classifier reads the field in blocks of 16 rows, x-transforms each block
+(hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by frequency
+group and the fit-window columns, the window block that its result keeps for
+`fit_profile` and its control: no grid-sized array exists.  B2, the fit
+residual and x_truncation are bit-identical to a whole-field pass; the
+energy fractions, weighted energy and growth probe sum the same terms by row
+first, which moves them at rounding level (1e-15 relative).
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ __all__ = [
     "pointwise_residual",
     "ode_residual",
     "ClassifyResult",
+    "fit_profile",
     "lemma_a1_classify",
     "default_classify_spec",
 ]
@@ -278,6 +280,7 @@ class ClassifyResult:
     dyadic_growth: float
     thresholds: dict
     x_truncation: float  # |h| at x = +/-L over its peak: the scale of the truncation ripple
+    block: np.ndarray  # hhat on the window xi, ny x xi.size: `fit_profile`'s input
 
     def summary(self) -> dict:
         return {
@@ -303,14 +306,23 @@ CLASSIFY_GROWTH_TOL = 1.3
 _CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay in L2
 
 
-def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
+def fit_profile(block: np.ndarray, xi: np.ndarray, y: np.ndarray, sign: float = 1.0) -> tuple:
+    """(B2, relative residual) of the least-squares fit of each column xi of block (hhat
+    at heights y) to B2 2|xi| y e^{sign y xi}: sign 1 the decaying mode, -1 the control's."""
+    prof = 2.0 * np.abs(xi)[None, :] * y[:, None] * np.exp(sign * y[:, None] * xi[None, :])
+    b2 = np.sum(block * prof, axis=0) / np.sum(prof * prof, axis=0)
+    resid = block - b2[None, :] * prof
+    return b2, float(np.sqrt(np.sum(np.abs(resid) ** 2) / max(np.sum(np.abs(block) ** 2), 1e-300)))
+
+
+def lemma_a1_classify(h) -> ClassifyResult:
     """Test whether h looks like (Im z) times an anti-holomorphic function.
 
-    Four grid-level criteria on the partial Fourier transform:
+    Three grid-level criteria, four thresholds, on the partial Fourier transform:
       (i)   at most CLASSIFY_POS_TOL of the energy at xi > 0;
       (ii)  each xi < 0 slice of CLASSIFY_XI_WINDOW is proportional to
-            y e^{y xi}; the factor is the fitted B2(xi) (least squares over
-            y, relative residual at most CLASSIFY_FIT_TOL), and the window
+            y e^{y xi}; the factor is the fitted B2(xi) (`fit_profile`,
+            relative residual at most CLASSIFY_FIT_TOL), and the window
             carries at least CLASSIFY_WINDOW_MIN of the energy, so that an
             empty window is no fit;
       (iii) the weighted energy (1/2) sum |hhat|^2 / y^2 stays finite, in the
@@ -321,12 +333,8 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
     `rows(r)` that returns the rows r (a slice) of the field.  It is read in
     row blocks (module docstring); energies past the float range raise
     OverflowError, and a field with none (zero, or underflowing) ValueError.
-
-    wrong_branch fits y e^{-y xi} instead (the growing solution); this is
-    the designated negative control and must produce a large fit residual.
     """
     spec = h.spec
-    y = spec.y.reshape(-1, 1)
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
     lo, hi = CLASSIFY_XI_WINDOW
     cols = np.nonzero((xi >= lo) & (xi <= hi))[0]
@@ -366,14 +374,7 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
     window_frac = float(np.sum(energy[3])) / tot
 
     xi_w = xi[cols]
-    sgn = -1.0 if wrong_branch else 1.0
-    prof = 2.0 * np.abs(xi_w)[None, :] * y * np.exp(sgn * y * xi_w[None, :])
-    denom = np.sum(prof * prof, axis=0)
-    b2 = np.sum(block * prof, axis=0) / denom
-    resid = block - b2[None, :] * prof
-    fit_residual = float(
-        np.sqrt(np.sum(np.abs(resid) ** 2) / max(np.sum(np.abs(block) ** 2), 1e-300))
-    )
+    b2, fit_residual = fit_profile(block, xi_w, spec.y)
 
     # weighted energy over xi <= 0 and its dyadic lower-cutoff growth
     dxi = 2.0 * np.pi / (spec.nx * spec.hx)
@@ -408,5 +409,5 @@ def lemma_a1_classify(h, wrong_branch: bool = False) -> ClassifyResult:
         dyadic_growth=dyadic_growth,
         thresholds={"pos_tol": CLASSIFY_POS_TOL, "window_min": CLASSIFY_WINDOW_MIN,
                     "fit_tol": CLASSIFY_FIT_TOL, "growth_tol": CLASSIFY_GROWTH_TOL},
-        x_truncation=float(edge / peak),
+        x_truncation=float(edge / peak), block=block,
     )

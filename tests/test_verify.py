@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypb import testfuncs as tf
 from hypb import transforms as tr
 from hypb import verify as vf
+from hypb import whittaker as wh
 from hypb.report import reports_to_json
 
 CHEAP = ["structural-identities", "adjointness", "reflection-equivalence",
@@ -261,12 +263,32 @@ def test_without_its_end_terms_de_quad_returns_0_for_sin(monkeypatch):
     assert vf._de_quad(np.sin, -np.inf, np.inf) == 0.0
 
 
+def _reader_key(h) -> tuple:
+    """A row reader (`testfuncs.RowSampler`) as its member, grid, form and weight."""
+    return h.fn.describe(), tuple(h.spec.summary().values()), h.which, h.times_y
+
+
 @pytest.fixture(scope="module", params=["fft", "quadrature"])
 def spied_battery(request):
-    """The whole battery on one method, with every `transforms.transform` and
-    `transforms.defect_sum` call, nested ones included, keyed by its check:
-    (kernel, method, mode, padding, grid, hash of the input's bytes)."""
+    """The whole battery on one method, keyed by check: every `transforms.transform`
+    and `transforms.defect_sum` call, nested ones included, as (kernel, method,
+    mode, padding, grid, hash of the input's bytes); every block of closed-form
+    rows, `testfuncs.RowSampler.rows`, as (member, grid, form, weight, rows) and
+    its point count; every classifier pass as its member.  Calls made outside a
+    check, such as RunConfig's zero-member refusal, are skipped."""
     calls, state = collections.defaultdict(list), {}
+    samples, passes = collections.defaultdict(list), collections.defaultdict(list)
+    rows, classify = tf.RowSampler.rows, wh.lemma_a1_classify
+
+    def spied_rows(self, r):
+        out = rows(self, r)
+        if "check" in state:
+            samples[state["check"]].append(((*_reader_key(self), r.start, r.stop), out.size))
+        return out
+
+    def spied_classify(h, *args, **kw):
+        passes[state["check"]].append(_reader_key(h))
+        return classify(h, *args, **kw)
 
     def spy(op):
         sig = inspect.signature(op)
@@ -292,15 +314,17 @@ def spied_battery(request):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tr, "transform", spy(tr.transform))
         mp.setattr(tr, "defect_sum", spy(tr.defect_sum))
+        mp.setattr(tf.RowSampler, "rows", spied_rows)
+        mp.setattr(wh, "lemma_a1_classify", spied_classify)
         for cid, check in list(vf.CHECKS.items()):
             mp.setitem(vf.CHECKS, cid, in_check(cid, check))
         reports = vf.run_checks("all", vf.RunConfig(method=request.param))
-    return request.param, reports, calls
+    return request.param, reports, calls, samples, passes
 
 
 def test_the_battery_passes_on_each_method(spied_battery):
     # nothing else holds the quadrature path's battery green
-    method, reports, _ = spied_battery
+    method, reports, *_ = spied_battery
     assert len(reports) == 84 and all(r.passed for r in reports), method
     assert sum(bool(r.parameters.get("negative_control")) for r in reports) == 25
 
@@ -308,8 +332,25 @@ def test_the_battery_passes_on_each_method(spied_battery):
 def test_no_check_evaluates_one_operator_twice_on_one_input(spied_battery):
     # five checks computed a transform twice: transform-oracles, cup-norm,
     # minimal-solver, e-identity and structural-identities
-    method, _, calls = spied_battery
+    method, _, calls, *_ = spied_battery
     repeats = {cid: sorted({key[:4] for key, n in collections.Counter(keys).items() if n > 1})
                for cid, keys in calls.items()}
     assert {cid: r for cid, r in repeats.items() if r} == {}
     assert sum(map(len, calls.values())) <= {"fft": 54, "quadrature": 59}[method]
+
+
+def test_no_check_samples_one_closed_form_twice_or_classifies_one_member_twice(spied_battery):
+    # derivative-identities resampled its member once per potential sign and
+    # grid, commutators once per n, and whittaker-classify made a second pass
+    # over its member for the wrong-branch control: 10.63 M points in all
+    _, _, _, samples, passes = spied_battery
+
+    def repeated(keys):  # a sample's key less its rows: the member, grid, form and weight
+        return sorted({key[:4] for key, n in collections.Counter(keys).items() if n > 1})
+
+    repeats = {(cid, "samples"): repeated(key for key, _ in blocks)
+               for cid, blocks in samples.items()}
+    repeats.update({(cid, "passes"): repeated(keys) for cid, keys in passes.items()})
+    assert {cid: r for cid, r in repeats.items() if r} == {}
+    assert len(passes["whittaker-classify"]) == 3 and list(passes) == ["whittaker-classify"]
+    assert sum(n for blocks in samples.values() for _, n in blocks) <= 8.4e6

@@ -262,14 +262,14 @@ def _whole_field_classify(h: Field, wrong_branch: bool = False) -> wh.ClassifyRe
         is_cokernel=bool(ok), xi=xi_w, b2=b2, pos_energy_frac=pos_frac,
         window_energy_frac=window_frac, fit_residual=fit_residual,
         weight_value=weight_value, dyadic_growth=dyadic_growth, thresholds={},
-        x_truncation=float(edge / peak) if peak > 0 else 0.0)
+        x_truncation=float(edge / peak) if peak > 0 else 0.0, block=block)
 
 
 def _assert_same_classification(got: wh.ClassifyResult, want: wh.ClassifyResult):
-    """Same verdict; xi, b2, the fit residual and x_truncation bit for bit; the
-    figures summed over the energy groups within 1e-14 relative."""
+    """Same verdict; xi, b2, the fit residual, x_truncation and the window block
+    bit for bit; the figures summed over the energy groups within 1e-14 relative."""
     assert got.is_cokernel == want.is_cokernel
-    for name in ("xi", "b2", "fit_residual", "x_truncation"):
+    for name in ("xi", "b2", "fit_residual", "x_truncation", "block"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     for name in ("pos_energy_frac", "window_energy_frac", "weight_value", "dyadic_growth"):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0), name
@@ -302,15 +302,19 @@ def test_streamed_classifier_matches_the_whole_field_one(testfn, times_y):
 
 @pytest.mark.parametrize("nx,ny", [(65, 70), (64, 12), (2048, 640)])
 def test_streamed_classifier_matches_on_partial_blocks_and_the_wrong_branch(nx, ny):
-    # 70 rows end in a block of 6, 12 rows are less than one block
+    # 70 rows end in a block of 6, 12 rows are less than one block; the
+    # wrong-branch fit of the streamed pass's own block is the whole-field one
     spec = GridSpec(L=16.0 * nx / 65, H=16.0 * ny / 640, nx=nx, ny=ny)
     fn = tf.conj_rational(1.0, 2)
     field = Field(spec, spec.y.reshape(-1, 1) * tf.sample(fn, spec).data)
-    for wrong in (False, True):
-        want = _whole_field_classify(field, wrong_branch=wrong)
-        _assert_same_classification(wh.lemma_a1_classify(field, wrong_branch=wrong), want)
-        got = wh.lemma_a1_classify(tf.RowSampler(fn, spec, times_y=True), wrong_branch=wrong)
+    want = _whole_field_classify(field)
+    want_wrong = _whole_field_classify(field, wrong_branch=True)
+    for reader in (field, tf.RowSampler(fn, spec, times_y=True)):
+        got = wh.lemma_a1_classify(reader)
         _assert_same_classification(got, want)
+        b2, fit_residual = wh.fit_profile(got.block, got.xi, spec.y, -1.0)
+        assert np.array_equal(b2, want_wrong.b2)
+        assert fit_residual == want_wrong.fit_residual
 
 
 def test_a_reader_with_one_block_shifted_a_row_fails_the_comparison():
@@ -448,8 +452,7 @@ def test_classifier_end_to_end_on_the_rational_member():
     target = -np.pi * np.exp(res.xi)
     assert np.max(np.abs(res.b2 - target) / np.abs(target)) < 1e-3
     # the mirrored fit profile cannot represent the same data
-    wrong = wh.lemma_a1_classify(member, wrong_branch=True)
-    assert wrong.fit_residual > 1e-2
+    assert wh.fit_profile(res.block, res.xi, spec.y, -1.0)[1] > 1e-2
 
 
 def test_classifier_rejects_the_gaussian_and_the_holomorphic_twin():
