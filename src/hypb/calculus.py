@@ -61,11 +61,7 @@ def mult_im_pow(f: Field, p: float) -> Field:
     y = spec.y.reshape(-1, 1)
     if spec.plane is not PlaneKind.UPPER and p != int(p):
         raise ValueError("fractional powers of Im z need an upper-half-plane grid")
-    if p == int(p):
-        w = y ** int(p)
-    else:
-        w = y**p
-    return Field(spec, f.data * w)
+    return Field(spec, f.data * y**p)
 
 
 def dbar_down(f: Field) -> Field:

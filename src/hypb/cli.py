@@ -8,12 +8,13 @@ Three subcommands:
              the one-dimensional solution branches
 
 Exit codes: 0 on success, 1 on a numerical failure (a check violated its
-tolerance), 2 on usage errors (unknown check or operator, missing input or
-a non-finite test-function parameter, a grid or box the grid or RunConfig
-refuses, a singular quadrature table on non-square cells, --p that is not
-a finite p > 1 or --seed below 0, a norm past the float range, an input
-that vanishes or is not finite on its grid, a tabulate range outside
-[1e-4, 700] or a branch past the float range there).
+tolerance), 2 on usage errors (unknown check or operator, missing input, a
+non-finite or repeated test-function parameter, a grid or box the grid or
+RunConfig refuses, a singular quadrature table on non-square cells, --p
+that is not a finite p > 1 or --seed below 0, a norm past the float range,
+an input that vanishes or is not finite on its grid, a tabulate range
+outside [1e-4, 700], a non-finite --A or --B or a branch or residual past
+the float range, or an --out that cannot be written).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
@@ -184,12 +185,18 @@ def _write_rows(path, header, rows):
 
     The rows go out in blocks of 4096 lines, each joined on its own: the
     whole text never sits next to the row list, and one write per block
-    keeps the per-line cost of the file object off the rows.
+    keeps the per-line cost of the file object off the rows.  A path that
+    cannot be written is a usage error, so callers write it before stdout.
     """
-    with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
-        fh.write(header + "\n")
-        for k in range(0, len(rows), 4096):
-            fh.write("\n".join(rows[k : k + 4096]) + "\n")
+    try:
+        with contextlib.nullcontext(sys.stdout) if path is None else open(path, "w") as fh:
+            fh.write(header + "\n")
+            for k in range(0, len(rows), 4096):
+                fh.write("\n".join(rows[k : k + 4096]) + "\n")
+    except OSError as exc:
+        if path is None:
+            raise
+        _fail_usage(f"cannot write --out {path!r}: {exc.strerror or exc}")
 
 
 def cmd_verify(args) -> int:
@@ -248,15 +255,14 @@ def cmd_transform(args) -> int:
         output_l2 = lp_norm(out, 2.0) if args.json else None
     except OverflowError as exc:
         _fail_usage(f"{exc} for --testfn {args.testfn}")
+    if args.out is not None or not args.json:  # --json alone prints no CSV
+        rows = csv_rows(out.data.real.ravel(), out.data.imag.ravel(), grid=(spec.x, spec.y))
+        _write_rows(args.out, "x,y,re,im", rows)
     if args.json:
         print(json.dumps({
             "op": op, "testfn": args.testfn, "grid": spec.summary(),
             "method": args.method, "input_l2": input_l2, "output_l2": output_l2,
         }, indent=2, allow_nan=False))
-        if args.out is None:
-            return 0
-    rows = csv_rows(out.data.real.ravel(), out.data.imag.ravel(), grid=(spec.x, spec.y))
-    _write_rows(args.out, "x,y,re,im", rows)
     return 0
 
 
@@ -269,6 +275,8 @@ def cmd_classify(args) -> int:
         res = wh.lemma_a1_classify(rows)
     except (OverflowError, ValueError) as exc:
         _fail_usage(f"{exc} for --testfn {args.testfn}")
+    if args.out is not None:
+        _write_rows(args.out, "xi,re,im", csv_rows(res.xi, res.b2.real, res.b2.imag))
     payload = res.summary()
     payload["testfn"] = args.testfn
     payload["premultiply_M"] = bool(args.premultiply_m)
@@ -282,8 +290,6 @@ def cmd_classify(args) -> int:
               f"fit_residual={res.fit_residual:.3e}, "
               f"dyadic_growth={res.dyadic_growth:.4f}, "
               f"x_truncation={res.x_truncation:.2e})")
-    if args.out is not None:
-        _write_rows(args.out, "xi,re,im", csv_rows(res.xi, res.b2.real, res.b2.imag))
     return 0
 
 
@@ -291,21 +297,22 @@ def cmd_tabulate(args) -> int:
     t0, t1 = parse_range(args.trange)
     if args.points < 1:
         _fail_usage(f"bad --points {args.points}; expected a count of at least 1")
+    if not np.isfinite([args.A, args.B]).all():
+        _fail_usage(f"bad --A {args.A} or --B {args.B}; expected finite coefficients")
     sol = wh.WhittakerSolution(args.family, args.A, args.B)
     ts = np.geomspace(t0, t1, args.points)
     try:
         vals, resid = wh.pointwise_residual(sol, ts)
     except OverflowError as exc:
-        _fail_usage(f"{exc}; choose a smaller --A or --range")
+        _fail_usage(f"{exc}; choose a smaller --A, --B or --range")
+    if args.out is not None or not args.json:  # --json alone prints no CSV
+        _write_rows(args.out, "t,re,im,residual", csv_rows(ts, vals.real, vals.imag, resid))
     if args.json:
         print(json.dumps({
             "family": args.family, "A": [args.A.real, args.A.imag],
             "B": [args.B.real, args.B.imag], "range": [t0, t1],
             "points": args.points, "max_residual": float(resid.max()),
         }, indent=2, allow_nan=False))
-        if args.out is None:
-            return 0
-    _write_rows(args.out, "t,re,im,residual", csv_rows(ts, vals.real, vals.imag, resid))
     return 0
 
 

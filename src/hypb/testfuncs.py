@@ -332,7 +332,10 @@ def parse_testfn(text: str) -> AnalyticTestFunction:
             k, _, v = part.partition("=")
             if not _ or not k:
                 raise ValueError(f"malformed testfn parameter {part!r} in {text!r}")
-            kv[k.strip()] = float(v)
+            k = k.strip()
+            if k in kv:
+                raise ValueError(f"testfn parameter {k!r} repeated in {text!r}")
+            kv[k] = float(v)
 
     def real(key, default):
         v = kv.pop(key, default)

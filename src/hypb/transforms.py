@@ -16,32 +16,33 @@ kernel and its image under w -> conj w (or z -> conj z):
     bicauchy_down  1 / ((z - w)(z - conj w))
     bicauchy_real  Re(z - w) / |(z - w)(z - conj w)|^2
 
-`transform(f, kernel, method, mode)` is the one dispatcher; the named
-operators are one-line calls into it.  Its table `_KERNELS` gives each
-translation kernel as a whole-plane kind (1/zeta or -1/zeta^2) and a sign:
-the kind is summed over f (sign 0), over f's odd extension (+1: z - conj w,
-the down operators) or over f's zero extension less the values at conj z
-(-1: conj z - w, the up operators).  The product kernels map to None.  Each
-path has one body per class: `_plane_quad` and `_product_quad`,
-`_plane_fft` and `_FACTORIZATION`.
+`transform(f, kernel, method, padding)` is the one way to call an
+operator.  Its table `_KERNELS` gives each translation kernel as a
+whole-plane kind (1/zeta or -1/zeta^2) and a sign: the kind is summed over
+f (sign 0), over f's odd extension (+1: z - conj w, the down operators) or
+over f's zero extension less the values at conj z (-1: conj z - w, the up
+operators).  The product kernels map to None.  Each path has one body per
+class: `_plane_quad` and `_product_quad`, `_plane_fft` and `_FACTORIZATION`.
 
 Methods:
 
-  quadrature  midpoint Riemann sums with exact cell averages near the
-              singular offsets ("accurate"), or pure midpoint values with
-              the single source cell w = z omitted everywhere ("matched").
-              Matched evaluation makes pointwise kernel identities hold to
-              rounding, because both sides then sum identical terms.
-              The half-plane operators sum the whole-plane table once over
-              the extension of f, built with just the 3 ny - 1 rows the
-              sum reads (the fft path's rows, built separately); the
-              product kernels are the Cauchy table's 1/(z - w) times a
-              closed-form image factor.
-  fft         beurling via the unimodular Fourier multiplier conj(zeta)/zeta
-              on a zero-padded box; cauchy via fast convolution with the
-              fully cell-averaged 1/zeta table; the product kernels via
-              their exact factorizations through cauchy_up / cauchy_down.
-              The mode is checked and has no effect.
+  quadrature          midpoint Riemann sums with exact cell averages near
+                      the singular offsets.  The half-plane operators sum
+                      the whole-plane table once over the extension of f,
+                      built with just the 3 ny - 1 rows the sum reads (the
+                      fft path's rows, built separately); the product
+                      kernels are the Cauchy table's 1/(z - w) times a
+                      closed-form image factor.
+  quadrature-matched  the same sums with pure midpoint values and the
+                      single source cell w = z omitted everywhere, so
+                      pointwise kernel identities hold to rounding: both
+                      sides then sum identical terms.
+  fft                 beurling via the unimodular Fourier multiplier
+                      conj(zeta)/zeta on a zero-padded box (`padding`
+                      scales it); cauchy via fast convolution with the
+                      fully cell-averaged 1/zeta table; the product kernels
+                      via their exact factorizations through cauchy_up /
+                      cauchy_down.
 
 Every transform is `numpy.fft` (pocketfft).  The complex 2-D forward
 transforms run as per-axis passes, axis 0 first, the order of
@@ -104,7 +105,7 @@ The defect operator M + (i/2)(C_down + conj C_down conj) goes through one
 fused transform, `defect_sum` = C_down + conj C_down conj.  Conjugating
 C_down's input and output conjugates its kernel, so on the fft path the sum
 is a single convolution with the real kernel 2 Re(1/zeta), whose spectrum
-is kept as its half; with method="quadrature" it is the two cauchy_down
+is kept as its half; on the quadrature methods it is the two cauchy_down
 calls.
 
 The two paths share no code but `_fft_shape`, so agreement between them is
@@ -126,14 +127,6 @@ __all__ = [
     "KERNEL_IDS",
     "WHOLE_PLANE",
     "transform",
-    "beurling",
-    "cauchy_up",
-    "cauchy_down",
-    "beurling_down",
-    "bicauchy_up",
-    "bicauchy_down",
-    "bicauchy_real",
-    "conj_sandwich",
     "defect_sum",
     "conv_valid",
     "minimal_solve",
@@ -385,9 +378,10 @@ def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False)
 # half-plane cauchy transforms
 _FACTORIZATION = {
     # cauchy_up = -2i M bicauchy_up
-    "bicauchy_up": lambda f: mult_im_pow(Field(f.spec, 0.5j * cauchy_up(f).data), -1).data,
+    "bicauchy_up": lambda f: mult_im_pow(Field(f.spec, 0.5j * transform(f, "cauchy_up").data),
+                                         -1).data,
     # cauchy_down[g] = 2i bicauchy_down[M g]
-    "bicauchy_down": lambda f: -0.5j * cauchy_down(mult_im_pow(f, -1)).data,
+    "bicauchy_down": lambda f: -0.5j * transform(mult_im_pow(f, -1), "cauchy_down").data,
     # real part of the sandwiched cauchy_down: (C + conj C conj)/2 = 4 M E M
     "bicauchy_real": lambda f: mult_im_pow(
         Field(f.spec, 0.125 * defect_sum(mult_im_pow(f, -1)).data), -1).data,
@@ -395,7 +389,7 @@ _FACTORIZATION = {
 
 
 # ---------------------------------------------------------------------------
-# the dispatcher and the named operators
+# the dispatcher
 
 
 # kernel id: (whole-plane kind, sign) of a translation kernel (module
@@ -408,63 +402,27 @@ _KERNELS = {
 }
 KERNEL_IDS = tuple(_KERNELS)
 WHOLE_PLANE = tuple(k for k, geo in _KERNELS.items() if geo is not None and geo[1] == 0)
-# quadrature mode: the averaging of its planar tables
-_AVERAGE = {"accurate": "shell", "matched": "none"}
+# quadrature method: the averaging of its planar tables
+_AVERAGE = {"quadrature": "shell", "quadrature-matched": "none"}
 
 
-def transform(f: Field, kernel: str, method: str = "fft", mode: str = "accurate",
-              padding: int = 2) -> Field:
-    """The operator `kernel` on f by `method`; `mode` sets the quadrature's
-    cell averages, `padding` the Beurling multiplier's box."""
+def transform(f: Field, kernel: str, method: str = "fft", padding: int = 2) -> Field:
+    """The operator `kernel` on f by `method` ("fft", "quadrature" or
+    "quadrature-matched"); `padding` sets the Beurling multiplier's box."""
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNEL_IDS}")
-    if method not in ("fft", "quadrature"):
+    if method != "fft" and method not in _AVERAGE:
         raise ValueError(f"unknown method {method!r}")
-    if mode not in _AVERAGE:
-        raise ValueError(f"unknown mode {mode!r}")
     geometry = _KERNELS[kernel]
     if kernel not in WHOLE_PLANE:
         _require_upper(f, kernel)
     if method == "fft":
         out = _FACTORIZATION[kernel](f) if geometry is None else _plane_fft(f, *geometry, padding)
     elif geometry is None:
-        out = _product_quad(f, kernel, _AVERAGE[mode])
+        out = _product_quad(f, kernel, _AVERAGE[method])
     else:
-        out = _plane_quad(f, *geometry, _AVERAGE[mode])
+        out = _plane_quad(f, *geometry, _AVERAGE[method])
     return Field(f.spec, out)
-
-
-def beurling(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    return transform(f, "beurling", method, mode, padding)
-
-
-def cauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return transform(f, "cauchy_down", method, mode)
-
-
-def cauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return transform(f, "cauchy_up", method, mode)
-
-
-def beurling_down(f: Field, method: str = "fft", mode: str = "accurate", padding: int = 2) -> Field:
-    return transform(f, "beurling_down", method, mode, padding)
-
-
-def bicauchy_up(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return transform(f, "bicauchy_up", method, mode)
-
-
-def bicauchy_down(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return transform(f, "bicauchy_down", method, mode)
-
-
-def bicauchy_real(f: Field, method: str = "fft", mode: str = "accurate") -> Field:
-    return transform(f, "bicauchy_real", method, mode)
-
-
-def conj_sandwich(op, f: Field, **kw) -> Field:
-    """conj after op after conj; the mirror-conjugate companion of op."""
-    return op(f.conj(), **kw).conj()
 
 
 def defect_sum(f: Field, method: str = "fft") -> Field:
@@ -472,15 +430,15 @@ def defect_sum(f: Field, method: str = "fft") -> Field:
     operator M + (i/2)(C_down + conj C_down conj).
 
     fft: one convolution of the odd extension with the real kernel
-    2 Re(1/zeta); quadrature: the two accurate cauchy_down calls.
+    2 Re(1/zeta); a quadrature method: the two cauchy_down calls, whose
+    `transform` refuses an unknown method.
     """
     _require_upper(f, "defect_sum")
     if method == "fft":
         out = _plane_fft(f, "cauchy", 1, None, real=True)
-    elif method == "quadrature":
-        out = cauchy_down(f, method).data + conj_sandwich(cauchy_down, f, method=method).data
     else:
-        raise ValueError(f"unknown method {method!r}")
+        out = (transform(f, "cauchy_down", method).data
+               + transform(f.conj(), "cauchy_down", method).data.conj())
     return Field(f.spec, out)
 
 
@@ -498,4 +456,4 @@ def minimal_solve(f: Field, method: str = "fft") -> Field:
     +1 grow without bound.  The solution is orthogonal to M times the
     holomorphic directions.
     """
-    return mult_im_pow(cauchy_down(mult_im_pow(f, -2), method=method), 1)
+    return mult_im_pow(transform(mult_im_pow(f, -2), "cauchy_down", method), 1)

@@ -185,7 +185,7 @@ def _norm_sides(member: str, spec: GridSpec, method: str, coefficients=(0.5j,), 
         f, d2F, dF, dbF = _fields(member, spec, "lap", "d2", "d", "dbar")
         return _sides(f, d2F.data, dF.data + dbF.data, coefficients)
     [f] = _fields(member, spec, "lap")
-    bf = tr.beurling_down(f, method=method).data if top else None
+    bf = tr.transform(f, "beurling_down", method).data if top else None
     return _sides(f, bf, tr.defect_sum(f, method=method).data, coefficients)
 
 
@@ -375,13 +375,13 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     worst = 0.0
     for _ in range(10):
         f = banded_field(spec, rng)
-        r = lp_norm(tr.beurling(f, method="fft", padding=1), 2.0) / lp_norm(f, 2.0)
+        r = lp_norm(tr.transform(f, "beurling", padding=1), 2.0) / lp_norm(f, 2.0)
         worst = max(worst, abs(r - 1.0))
     rec.record("", 1.0 + worst, 1.0, tol, worst <= tol, fields=10, kmax_frac=_BAND_KMAX_FRAC,
                padding=1, seed=20260815 + cfg.seed)
     zz = spec.zz()
     fb = Field(spec, np.exp(-4.0 * np.abs(zz) ** 2))
-    dev = abs(lp_norm(tr.beurling(fb, method="fft", padding=1), 2.0) / lp_norm(fb, 2.0) - 1.0)
+    dev = abs(lp_norm(tr.transform(fb, "beurling", padding=1), 2.0) / lp_norm(fb, 2.0) - 1.0)
     rec.record("control-mean-bearing", 1.0 + dev, 1.0, tol, dev > tol)
     return rec.reports
 
@@ -471,15 +471,15 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     form on a central window (the frame is periodization-dominated).
     """
     rec = _Recorder("transform-oracles", cfg.battery_spec(), cfg.method)
-    spec = rec.spec
+    spec, m = rec.spec, rec.method
     F, dF, dbF, lapF, d2F = _fields(BATTERY, spec, "f", "d", "dbar", "lap", "d2")
     tol = 1e-3
-    c_down = tr.cauchy_down(lapF, method=cfg.method).data
+    c_down = tr.transform(lapF, "cauchy_down", m).data
     cases = [
         ("c_down", c_down, dF.data),
-        ("conj-c_down", tr.conj_sandwich(tr.cauchy_down, lapF, method=cfg.method).data, dbF.data),
-        ("b_down", tr.beurling_down(lapF, method=cfg.method).data, d2F.data),
-        ("c_up", tr.cauchy_up(dbF, method=cfg.method).data, F.data),
+        ("conj-c_down", tr.transform(lapF.conj(), "cauchy_down", m).data.conj(), dbF.data),
+        ("b_down", tr.transform(lapF, "beurling_down", m).data, d2F.data),
+        ("c_up", tr.transform(dbF, "cauchy_up", m).data, F.data),
     ]
     for name, got, want in cases:
         rec.at_most(name, _rel_l2(spec, got, want), tol, member=BATTERY)
@@ -490,7 +490,7 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     r2 = np.abs(zeta) ** 2
     E = np.exp(-4.0 * r2)
     closed = (np.conj(zeta) / zeta) * (E - (1.0 - E) / (4.0 * r2))
-    out = tr.beurling(Field(fspec, E.astype(complex)), method="fft")
+    out = tr.transform(Field(fspec, E.astype(complex)), "beurling")
     mask = (np.abs(X) <= 2.4) & (np.abs(Y - 2.0) <= 2.4)
     diff = (out.data - closed)[mask]
     e = float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(closed[mask]) ** 2)))
@@ -524,14 +524,14 @@ def check_method_agreement(cfg: RunConfig) -> list:
     rec = _Recorder("method-agreement", spec, "fft-vs-quadrature")
     [lapF] = _fields(BATTERY, spec, "lap")
     tol = 1e-3
-    for name, op in (("c_down", tr.cauchy_down), ("c_up", tr.cauchy_up)):
-        a, b = (op(lapF, method=m).data for m in ("fft", "quadrature"))
+    for name, kernel in (("c_down", "cauchy_down"), ("c_up", "cauchy_up")):
+        a, b = (tr.transform(lapF, kernel, m).data for m in ("fft", "quadrature"))
         rec.at_most(name, _rel_l2(spec, a, b), tol, member=BATTERY)
     f = dipole_agreement_field(spec)
-    a = tr.beurling_down(f, method="fft", padding=6)
-    b = tr.beurling_down(f, method="quadrature")
+    a = tr.transform(f, "beurling_down", padding=6)
+    b = tr.transform(f, "beurling_down", "quadrature")
     rec.at_most("b_down", _rel_l2(spec, a.data, b.data), tol, member="dipole", padding=6)
-    a1 = tr.beurling_down(f, method="fft", padding=1)
+    a1 = tr.transform(f, "beurling_down", padding=1)
     rec.above("control-padding-1", _rel_l2(spec, a1.data, b.data), tol, padding=1)
     return rec.reports
 
@@ -545,24 +545,24 @@ def check_structural_identities(cfg: RunConfig) -> list:
     and is the control.
     """
     rec = _Recorder("structural-identities", _box_spec(64), "quadrature-matched")
-    spec = rec.spec
+    spec, m = rec.spec, rec.method
     [F] = _fields(BATTERY, spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = 1e-10
 
-    lhs = tr.cauchy_up(F, "quadrature", "matched").data
-    up_rhs = -2j * y * tr.bicauchy_up(F, "quadrature", "matched").data
+    lhs = tr.transform(F, "cauchy_up", m).data
+    up_rhs = -2j * y * tr.transform(F, "bicauchy_up", m).data
     rec.at_most("up-factorization", _rel_pointwise(lhs, up_rhs), tol)
 
-    lhs = tr.cauchy_down(F, "quadrature", "matched").data
-    rhs = 2j * tr.bicauchy_down(Field(spec, y * F.data), "quadrature", "matched").data
+    lhs = tr.transform(F, "cauchy_down", m).data
+    rhs = 2j * tr.transform(Field(spec, y * F.data), "bicauchy_down", m).data
     rec.at_most("down-factorization", _rel_pointwise(lhs, rhs), tol)
 
-    u1 = y * tr.cauchy_down(Field(spec, F.data / y**2), "quadrature", "matched").data
-    u2 = 2j * y * tr.bicauchy_down(Field(spec, F.data / y), "quadrature", "matched").data
+    u1 = y * tr.transform(Field(spec, F.data / y**2), "cauchy_down", m).data
+    u2 = 2j * y * tr.transform(Field(spec, F.data / y), "bicauchy_down", m).data
     rec.at_most("solver-factorization", _rel_pointwise(u1, u2), tol)
 
-    lhs = tr.cauchy_up(F, "quadrature", "accurate").data
+    lhs = tr.transform(F, "cauchy_up", "quadrature").data
     rec.above("control-averaging-mismatch", _rel_pointwise(lhs, up_rhs), tol, method="quadrature")
     return rec.reports
 
@@ -575,17 +575,17 @@ def check_e_identity(cfg: RunConfig) -> list:
     The sign-flipped combination is the control.
     """
     rec = _Recorder("e-identity", _box_spec(64), "quadrature-matched")
-    spec = rec.spec
+    spec, m = rec.spec, rec.method
     [F] = _fields(BATTERY, spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = 1e-10
-    down = tr.cauchy_down(F, "quadrature", "matched").data
-    conj_part = tr.conj_sandwich(tr.cauchy_down, F, method="quadrature", mode="matched").data
-    rhs = 4 * y * tr.bicauchy_real(Field(spec, y * F.data), "quadrature", "matched").data
+    down = tr.transform(F, "cauchy_down", m).data
+    conj_part = tr.transform(F.conj(), "cauchy_down", m).data.conj()
+    rhs = 4 * y * tr.transform(Field(spec, y * F.data), "bicauchy_real", m).data
     rec.at_most("matched", _rel_pointwise(0.5 * (down + conj_part), rhs), tol)
     bspec = cfg.battery_spec()
     [Fb] = _fields(BATTERY, bspec, "f")
-    E = tr.bicauchy_real(Fb, method=cfg.method)
+    E = tr.transform(Fb, "bicauchy_real", cfg.method)
     ctol = 1e-3
     r1 = lp_norm(E, 2.0, DUAL) / lp_norm(Fb, 2.0)
     r2 = lp_norm(E, 2.0) / lp_norm(Fb, 2.0, HYP)
@@ -675,18 +675,18 @@ def check_cup(cfg: RunConfig) -> list:
     tol = 1e-3
     F, dbF = _fields(BATTERY, spec, "f", "dbar")
     for name, fld in (("F", F), ("dbarF", dbF)):
-        up = tr.cauchy_up(fld, method=cfg.method)
+        up = tr.transform(fld, "cauchy_up", cfg.method)
         r = lp_norm(up, 2.0, HYP) / lp_norm(fld, 2.0)
         rec.record(f"battery-{name}", r, const, tol, r <= const * (1.0 + tol),
                    member=f"gaussian {name}")
     rec.at_most("oracle-recovery", _rel_l2(spec, up.data, F.data), tol)  # up is C_up dbar F
     del up  # before the tuned member's 57 MB spectrum
     tspec, g = tuned_cup_member()
-    rt = lp_norm(tr.cauchy_up(g, method="fft"), 2.0, HYP) / lp_norm(g, 2.0)
+    rt = lp_norm(tr.transform(g, "cauchy_up"), 2.0, HYP) / lp_norm(g, 2.0)
     rec.record("tuned-member", rt, 3.0, tol, rt >= 3.0, spec=tspec, method="fft",
                profile="t^-1/2 log-plateau n=24 ramp=0.8", xi=0.05)
     _, gw = tuned_cup_member(xi=-2.0)
-    rw = lp_norm(tr.cauchy_up(gw, method="fft"), 2.0, HYP) / lp_norm(gw, 2.0)
+    rw = lp_norm(tr.transform(gw, "cauchy_up"), 2.0, HYP) / lp_norm(gw, 2.0)
     rec.record("control-wrong-modulation", rw, 3.0, tol, rw < 3.0, spec=tspec, method="fft",
                xi=-2.0)
 
@@ -694,7 +694,7 @@ def check_cup(cfg: RunConfig) -> list:
 
     def annihilation(verdict, name, member, *bar, **kw):
         [g] = _fields(member, aspec, "f")
-        ratio = lp_norm(tr.cauchy_up(g, method="fft"), 2.0, HYP) / lp_norm(g, 2.0)
+        ratio = lp_norm(tr.transform(g, "cauchy_up"), 2.0, HYP) / lp_norm(g, 2.0)
         verdict(name, ratio, *bar, spec=aspec, method="fft", **kw, member=member)
 
     annihilation(rec.at_most, "annihilation-k3", "conjrat:a=1,k=3", 1e-2)
@@ -952,7 +952,7 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     spec = rec.spec
     ny = spec.ny
     [F] = _fields(BATTERY, spec, "f")
-    bd = tr.beurling_down(F, method="quadrature", mode="accurate")
+    bd = tr.transform(F, "beurling_down", "quadrature")
     tab = kn.planar_table("beurling", range(1 - ny, 2 * ny), spec.nx, spec.hx, spec.hy,
                           average="shell")
     c1 = tr.conv_valid(tab[: 2 * ny - 1], F.data)
@@ -972,12 +972,12 @@ def check_adjointness(cfg: RunConfig) -> list:
     is symmetric, not hermitian) and serves as the control.
     """
     rec = _Recorder("adjointness", _box_spec(32), "quadrature-matched")
-    spec = rec.spec
+    spec, m = rec.spec, rec.method
     rng = np.random.default_rng(7 + cfg.seed)
     fa = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     ga = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
-    Df = tr.bicauchy_down(fa, "quadrature", "matched")
-    Ug = tr.bicauchy_up(ga, "quadrature", "matched")
+    Df = tr.transform(fa, "bicauchy_down", m)
+    Ug = tr.transform(ga, "bicauchy_up", m)
     cell = spec.cell_measure
     lhs = complex(np.sum(Df.data * ga.data) * cell)
     rhs = complex(np.sum(fa.data * Ug.data) * cell)

@@ -239,19 +239,26 @@ def pointwise_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = Non
 
     Second derivative by the 5-point O(h^4) stencil with h small against the
     e^{t/2} scale; passing an explicit wrong `sign` turns this into the
-    branch negative control.
+    branch negative control.  A value or residual past the float range (a
+    coefficient near it, or the stencil's sums) raises OverflowError.
     """
     s = sol.sign if sign is None else sign
     t = np.asarray(t_grid, dtype=float)
     _positive(t)
     h = np.minimum(0.01 * t, 0.05)
-    f0 = sol(t)
-    d2 = (
-        -sol(t + 2 * h) + 16 * sol(t + h) - 30 * f0 + 16 * sol(t - h) - sol(t - 2 * h)
-    ) / (12.0 * h**2)
-    target = (0.25 + s / t) * f0
-    denom = np.abs(f0) + np.abs(d2) + 1e-300
-    return f0, np.abs(d2 - target) / denom
+    with np.errstate(all="ignore"):  # refused below
+        f0 = sol(t)
+        d2 = (
+            -sol(t + 2 * h) + 16 * sol(t + h) - 30 * f0 + 16 * sol(t - h) - sol(t - 2 * h)
+        ) / (12.0 * h**2)
+        target = (0.25 + s / t) * f0
+        denom = np.abs(f0) + np.abs(d2) + 1e-300
+        resid = np.abs(d2 - target) / denom
+    bad = ~(np.isfinite(f0) & np.isfinite(resid))
+    if bad.any():
+        raise OverflowError(f"the {sol.family} branch or its residual is past the float range "
+                            f"from t = {np.min(t[bad]):.6g}")
+    return f0, resid
 
 
 def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> float:

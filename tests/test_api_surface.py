@@ -22,8 +22,6 @@ through the call graph of `src/hypb` are not reached from the other.
 import ast
 from pathlib import Path
 
-from hypb.transforms import KERNEL_IDS
-
 ROOT = Path(__file__).resolve().parents[1]
 PROGRAM = ("src", "scripts")
 
@@ -181,8 +179,9 @@ def test_an_unread_config_field_is_reported(tmp_path):
 
 QUADRATURE_ROOTS = ("_plane_quad", "_product_quad", "conv_valid")
 FFT_ROOTS = ("_plane_fft", "_cauchy_spectrum", "_beurling_symbol", "_FACTORIZATION")
-# these pick a path by their `method` argument, so the walk does not enter them
-PATH_SWITCHES = frozenset({"transform", "defect_sum", *KERNEL_IDS})
+# the two functions that pick a path by their `method` argument; every
+# operator call goes through them, so the walk stops there
+PATH_SWITCHES = frozenset({"transform", "defect_sum"})
 SHARED_BY_BOTH_PATHS = frozenset({"_fft_shape"})
 
 

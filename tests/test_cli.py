@@ -483,6 +483,76 @@ def test_tabulate_refuses_a_slow_y_branch_past_the_float_range(capsys):
     assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["--family", "X", "--A", "0", "--B", "nan"], "finite coefficients"),
+    (["--family", "X", "--A", "0", "--B", "nan", "--json"], "finite coefficients"),
+    (["--family", "Y", "--A=inf", "--B", "0"], "finite coefficients"),
+    (["--family", "X", "--A=1e300", "--B", "0", "--json"], "X branch or its residual"),
+    (["--family", "Y", "--A", "0", "--B=1e307", "--json"], "Y branch or its residual"),
+    (["--family", "Y", "--A", "0", "--B=1e308"], "Y branch or its residual"),
+])
+def test_tabulate_refuses_coefficients_not_finite_or_past_the_float_range(argv, needle, capsys):
+    # --B nan printed a CSV of nan, and a JSON traceback with --json.  At
+    # A1 = 1e300 the branch stays finite but the residual stencil overflows;
+    # B2 = 1e307 and 1e308 overflow the branch: JSON tracebacks, RuntimeWarnings
+    # and inf and nan rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["whittaker", "tabulate", *argv]) == 2
+    assert _one_error_line(capsys, needle)
+
+
+def _strict_json(text: str):
+    def refuse(name):
+        raise ValueError(f"non-finite JSON number {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("family, coefficient", [("Y", "1e306"), ("X", "1e300")])
+def test_tabulate_runs_just_inside_the_float_range(family, coefficient, capsys):
+    # twins of the refusals above: residuals 1.4e-9 (Y) and 1.2e-8 (X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["whittaker", "tabulate", "--family", family, "--A", "0",
+                    f"--B={coefficient}", "--json"]) == 0
+    assert _strict_json(capsys.readouterr().out)["max_residual"] <= 1e-6
+
+
+def test_a_repeated_testfn_parameter_is_refused(capsys):
+    # c=2,sigma=4,c=3 ran c = 3 and echoed the ambiguous selector.  Twin: c=3 once
+    argv = ["transform", "--op", "c_down", "--grid", "16", "--json", "--testfn"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["gaussian:c=2,sigma=4,c=3"]) == 2
+    assert _one_error_line(capsys, "testfn parameter 'c' repeated")
+    assert run(argv + ["gaussian:c=3,sigma=4"]) == 0
+    assert _strict_json(capsys.readouterr().out)["testfn"] == "gaussian:c=3,sigma=4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--op", "c_down", "--testfn", "gaussian", "--grid", "16"],
+    ["whittaker", "tabulate", "--family", "Y"],
+    ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M", "--json"],
+])
+def test_an_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    # a missing directory ended in a FileNotFoundError traceback with exit 1,
+    # and classify printed its JSON before it.  Twin: a writable --out holds
+    # the CSV that stdout gets without it, and --json prints the same JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 2
+    assert _one_error_line(capsys, "cannot write --out", "missing")
+    assert run(argv) == 0
+    alone = capsys.readouterr().out
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 0
+    if "--json" in argv:
+        assert capsys.readouterr().out == alone
+        assert out.read_text().startswith("xi,re,im\n")
+    else:
+        assert capsys.readouterr().out == "" and out.read_text() == alone
+
+
 def test_classify_member_and_nonmember(capsys):
     assert run(["whittaker", "classify", "--testfn", "conjrat:a=1,k=2",
                 "--premultiply-M", "--json"]) == 0

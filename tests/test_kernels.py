@@ -114,9 +114,9 @@ def test_anisotropic_cells_rejected_for_the_singular_kernel():
     # the same on the half-plane operators, whose quadrature reads these tables
     gs = GridSpec(L=0.4, H=1.6, nx=8, ny=8, plane=PlaneKind.UPPER)  # hx = 0.1, hy = 0.2
     f = Field(gs, np.ones((8, 8)))
-    assert np.all(np.isfinite(tr.cauchy_down(f, method="quadrature").data))
+    assert np.all(np.isfinite(tr.transform(f, "cauchy_down", "quadrature").data))
     with pytest.raises(kn.CellShapeError):
-        tr.beurling_down(f, method="quadrature")
+        tr.transform(f, "beurling_down", "quadrature")
 
 
 # ---------------------------------------------------------------------------

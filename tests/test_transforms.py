@@ -40,59 +40,41 @@ def test_halfplane_operators_reject_fullplane_fields():
 
 
 def test_unknown_method_mode_kernel_rejected():
+    # the retired quadrature modes "matched" and "accurate" are no methods
     gs = upper(8)
     f = Field(gs, np.ones((8, 8), dtype=complex))
-    with pytest.raises(ValueError):
-        tr.cauchy_down(f, method="exact")
-    for k in tr.KERNEL_IDS:
-        with pytest.raises(ValueError, match="unknown method"):
-            tr.transform(f, k, method="exact")
-    with pytest.raises(ValueError):
-        tr.cauchy_down(f, method="quadrature", mode="sloppy")
-    with pytest.raises(ValueError, match="unknown mode"):
-        tr.cauchy_down(f, method="fft", mode="sloppy")
-    for k in tr.KERNEL_IDS:
-        for method in ("fft", "quadrature"):
-            with pytest.raises(ValueError, match="unknown mode"):
-                tr.transform(f, k, method=method, mode="sloppy")
+    for method in ("exact", "matched", "accurate"):
+        for k in tr.KERNEL_IDS:
+            with pytest.raises(ValueError, match="unknown method"):
+                tr.transform(f, k, method)
+        for op in (tr.defect_sum, tr.minimal_solve):
+            with pytest.raises(ValueError, match="unknown method"):
+                op(f, method)
+    with pytest.raises(TypeError):
+        tr.transform(f, "cauchy_down", "quadrature", mode="matched")
     with pytest.raises(ValueError):
         tr.transform(f, "riesz")
 
 
-def test_transform_dispatch_matches_direct_calls():
-    gs = upper(16)
-    rng = np.random.default_rng(2)
-    f = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
-    a = tr.transform(f, "cauchy_down")
-    b = tr.cauchy_down(f)
-    assert np.array_equal(a.data, b.data)
-
-
 def test_downward_kernels_reproduce_closed_derivatives(gaussian_fields):
     gs, s = gaussian_fields
-    assert rel(tr.cauchy_down(s["lap"]).data, s["d"].data) < 5e-3
-    assert rel(tr.conj_sandwich(tr.cauchy_down, s["lap"]).data, s["dbar"].data) < 5e-3
+    assert rel(tr.transform(s["lap"], "cauchy_down").data, s["d"].data) < 5e-3
+    conj_part = tr.transform(s["lap"].conj(), "cauchy_down").data.conj()
+    assert rel(conj_part, s["dbar"].data) < 5e-3
     # the singular transform maps lap to d2 at multiplier-level accuracy
-    assert rel(tr.beurling_down(s["lap"]).data, s["d2"].data) < 1e-6
+    assert rel(tr.transform(s["lap"], "beurling_down").data, s["d2"].data) < 1e-6
 
 
 def test_upward_kernel_inverts_dbar(gaussian_fields):
     gs, s = gaussian_fields
-    assert rel(tr.cauchy_up(s["dbar"]).data, s["f"].data) < 3e-3
-
-
-def test_conj_sandwich_is_an_involution(gaussian_fields):
-    gs, s = gaussian_fields
-    once = lambda h, **kw: tr.conj_sandwich(tr.cauchy_down, h, **kw)
-    twice = tr.conj_sandwich(once, s["f"])
-    assert np.array_equal(twice.data, tr.cauchy_down(s["f"]).data)
+    assert rel(tr.transform(s["dbar"], "cauchy_up").data, s["f"].data) < 3e-3
 
 
 def test_quadrature_and_fft_agree_on_the_smooth_kernel():
     gs = upper(64)
     f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
-    a = tr.cauchy_down(f, method="fft")
-    b = tr.cauchy_down(f, method="quadrature")
+    a = tr.transform(f, "cauchy_down", "fft")
+    b = tr.transform(f, "cauchy_down", "quadrature")
     assert rel(a.data, b.data) < 1e-3
 
 
@@ -100,11 +82,11 @@ def test_matched_quadrature_factorizations_are_exact():
     gs = upper(32)
     F = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "f")
     y = gs.y.reshape(-1, 1)
-    lhs = tr.cauchy_up(F, "quadrature", "matched").data
-    rhs = -2j * y * tr.bicauchy_up(F, "quadrature", "matched").data
+    lhs = tr.transform(F, "cauchy_up", "quadrature-matched").data
+    rhs = -2j * y * tr.transform(F, "bicauchy_up", "quadrature-matched").data
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
-    lhs = tr.cauchy_down(F, "quadrature", "matched").data
-    rhs = 2j * tr.bicauchy_down(Field(gs, y * F.data), "quadrature", "matched").data
+    lhs = tr.transform(F, "cauchy_down", "quadrature-matched").data
+    rhs = 2j * tr.transform(Field(gs, y * F.data), "bicauchy_down", "quadrature-matched").data
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
 
@@ -123,7 +105,7 @@ def test_planar_isometry_on_one_banded_field():
 
     gs = GridSpec(L=4.0, H=4.0, nx=128, ny=128, plane=PlaneKind.FULL)
     f = banded_field(gs, np.random.default_rng(1))
-    r = lp_norm(tr.beurling(f, method="fft", padding=1), 2.0) / lp_norm(f, 2.0)
+    r = lp_norm(tr.transform(f, "beurling", "fft", padding=1), 2.0) / lp_norm(f, 2.0)
     assert abs(r - 1.0) < 1e-6
 
 
@@ -134,18 +116,18 @@ def test_padding_changes_the_periodization_tail():
     # so the periodization tail is visibly padding-dependent
     gs = upper(64)
     f = dipole_agreement_field(gs)
-    a = tr.beurling_down(f, padding=1)
-    b = tr.beurling_down(f, padding=2)
+    a = tr.transform(f, "beurling_down", padding=1)
+    b = tr.transform(f, "beurling_down", padding=2)
     assert rel(a.data, b.data) > 1e-4
 
 
 def test_operators_run_the_named_method_and_padding():
     gs = upper(16)
     f = Field(gs, np.ones((16, 16), dtype=complex))
-    out = tr.cauchy_down(f, method="quadrature")
+    out = tr.transform(f, "cauchy_down", "quadrature")
     assert out.spec == gs
     assert np.array_equal(out.data, tr._plane_quad(f, "cauchy", +1, "shell"))
-    outp = tr.beurling(f, padding=3)
+    outp = tr.transform(f, "beurling", padding=3)
     assert np.array_equal(outp.data, tr._plane_fft(f, "beurling", 0, 3))
 
 
@@ -157,8 +139,8 @@ def test_beurling_down_is_linear(ar, ai):
     f = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     g = Field(gs, rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
     a = complex(ar, ai)
-    lhs = tr.beurling_down(Field(gs, a * f.data + g.data)).data
-    rhs = a * tr.beurling_down(f).data + tr.beurling_down(g).data
+    lhs = tr.transform(Field(gs, a * f.data + g.data), "beurling_down").data
+    rhs = a * tr.transform(f, "beurling_down").data + tr.transform(g, "beurling_down").data
     scale = np.max(np.abs(rhs)) + 1.0
     assert np.max(np.abs(lhs - rhs)) / scale < 1e-12
 
@@ -313,8 +295,8 @@ def test_defect_sum_is_the_two_cauchy_down_calls(L, H, nx, ny):
     rng = np.random.default_rng(nx + ny)
     f = Field(gs, rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx)))
     for method in ("fft", "quadrature"):
-        want = (tr.cauchy_down(f, method=method).data
-                + tr.conj_sandwich(tr.cauchy_down, f, method=method).data)
+        want = (tr.transform(f, "cauchy_down", method).data
+                + tr.transform(f.conj(), "cauchy_down", method).data.conj())
         got = tr.defect_sum(f, method=method)
         assert np.max(np.abs(got.data - want)) <= 1e-13 * np.max(np.abs(want)), method
 
@@ -323,19 +305,19 @@ def test_fft_path_reuses_one_read_only_spectrum_per_geometry():
     tr._cauchy_spectrum.cache_clear()
     gs = upper(32)
     f = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "lap")
-    tr.cauchy_down(f, method="quadrature")  # the quadrature path keeps out of the cache
+    tr.transform(f, "cauchy_down", "quadrature")  # the quadrature path keeps out of the cache
     assert tr._cauchy_spectrum.cache_info().currsize == 0
-    a = tr.cauchy_down(f)
-    tr.cauchy_up(f)  # same extended geometry, same spectrum
+    a = tr.transform(f, "cauchy_down")
+    tr.transform(f, "cauchy_up")  # same extended geometry, same spectrum
     info = tr._cauchy_spectrum.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert np.array_equal(a.data, tr.cauchy_down(f).data)
+    assert np.array_equal(a.data, tr.transform(f, "cauchy_down").data)
     kspec = tr._cauchy_spectrum(2 * gs.ny, gs.ny, gs.nx, gs.hx, gs.hy, False)  # the down rows'
     assert not kspec.flags.writeable
     with pytest.raises(ValueError):
         kspec[0, 0] = 0.0
     for n in (8, 12, 16, 20, 24):
-        tr.cauchy_down(tf.sample(tf.gaussian_bump(2.0, 4.0), upper(n), "f"))
+        tr.transform(tf.sample(tf.gaussian_bump(2.0, 4.0), upper(n), "f"), "cauchy_down")
         info = tr._cauchy_spectrum.cache_info()
         assert info.currsize <= info.maxsize
 
@@ -356,7 +338,7 @@ def test_half_plane_spectrum_spans_the_3_ny_minus_1_rows_it_reads(nx, ny):
     # tall.  Twin: the 2 ny-row box's full table, 4 ny - 1 rows, is taller
     gs = GridSpec(L=2.7, H=5.9, nx=nx, ny=ny, plane=PlaneKind.UPPER)
     tr._cauchy_spectrum.cache_clear()
-    tr.cauchy_down(Field(gs, _random_complex(np.random.default_rng(ny), (ny, nx))))
+    tr.transform(Field(gs, _random_complex(np.random.default_rng(ny), (ny, nx))), "cauchy_down")
     kspec = tr._cauchy_spectrum(2 * ny, ny, nx, gs.hx, gs.hy, False)
     assert tr._cauchy_spectrum.cache_info().hits == 1  # the spectrum cauchy_down cached
     assert kspec.shape == (sfft.next_fast_len(3 * ny - 1), sfft.next_fast_len(2 * nx - 1))
@@ -364,14 +346,14 @@ def test_half_plane_spectrum_spans_the_3_ny_minus_1_rows_it_reads(nx, ny):
     tr._cauchy_spectrum.cache_clear()
 
 
-@pytest.mark.parametrize("op", [tr.bicauchy_up, tr.bicauchy_down])
+@pytest.mark.parametrize("op", ["bicauchy_up", "bicauchy_down"])
 def test_accurate_product_quadrature_matches_the_fft_path(op):
     # the 3 x 3 shell averages sit on the rows of their own offsets; on the
     # y-mirrored rows the gap is 2.5e-2 of the peak
     gs = upper(128)
     F = tf.sample(tf.gaussian_bump(2.0, 4.0), gs, "f")
-    a = op(F, method="fft").data
-    b = op(F, method="quadrature", mode="accurate").data
+    a = tr.transform(F, op, "fft").data
+    b = tr.transform(F, op, "quadrature").data
     assert np.max(np.abs(a - b)) <= 2e-3 * np.max(np.abs(a))
 
 
@@ -428,10 +410,10 @@ def test_warm_cauchy_half_plane_ops_hold_under_0_7_full_spectra(n, peak_bytes):
     bar = 0.7 * P0 * P1 * 16
     tr._cauchy_spectrum.cache_clear()
     try:
-        tr.cauchy_down(f)  # warms the one spectrum both signs read
+        tr.transform(f, "cauchy_down")  # warms the one spectrum both signs read
         kspec = tr._cauchy_spectrum(2 * n, n, n, gs.hx, gs.hy, False)
-        for op in (tr.cauchy_up, tr.cauchy_down):
-            assert peak_bytes(lambda: op(f)) <= bar, op.__name__
+        for op in ("cauchy_up", "cauchy_down"):
+            assert peak_bytes(lambda: tr.transform(f, op)) <= bar, op
         y_first = lambda: _y_first_pruned_fft2(kspec, f.data[::-1, ::-1],
                                                 slice(n - 1, 3 * n - 1), slice(n - 1, 2 * n - 1))
         assert peak_bytes(y_first) > 1.0 * P0 * P1 * 16
@@ -608,14 +590,16 @@ def test_fft_results_own_their_memory(op):
     assert _referenced_bytes(out) == out.nbytes
 
 
-# the quadrature path against explicit four-loop sums of each half-plane
-# kernel.  matched: midpoint values with the whole w = z summand omitted;
-# accurate: exact cell averages on the 3 x 3 shell offsets of z - w and on
-# the central three cells of the first image row, midpoint values elsewhere
+# the quadrature paths against explicit four-loop sums of each half-plane
+# kernel.  quadrature-matched: midpoint values with the whole w = z summand
+# omitted; quadrature: exact cell averages on the 3 x 3 shell offsets of
+# z - w and on the central three cells of the first image row, midpoint
+# values elsewhere
 QUAD_TWO_TERM = {"cauchy_down": ("cauchy", 1), "cauchy_up": ("cauchy", -1),
                  "beurling_down": ("beurling", 1), "beurling_up": ("beurling", -1)}
 QUAD_PRODUCT = ("bicauchy_up", "bicauchy_down", "bicauchy_real")
 QUAD_SHAPES = [(8, 8), (7, 5), (5, 8)]  # (nx, ny)
+QUAD_METHODS = ["quadrature-matched", "quadrature"]
 QUAD_TOL = 1e-13
 
 
@@ -628,7 +612,7 @@ def _kernel_value(kind, zeta, averaged, hx, hy):
     return 1.0 / zeta if kind == "cauchy" else -1.0 / zeta**2
 
 
-def _quad_direct(op, f, mode, image_rows=1, image_sign=-1):
+def _quad_direct(op, f, method, image_rows=1, image_sign=-1):
     """The four-loop sum of op's kernel over f.
 
     The image of source row j seen from row i sits at Im (i + j + image_rows)
@@ -637,13 +621,13 @@ def _quad_direct(op, f, mode, image_rows=1, image_sign=-1):
     """
     s = f.spec
     x, y, hx, hy = s.x, s.y, s.hx, s.hy
-    accurate = mode == "accurate"
+    accurate = method == "quadrature"
     out = np.zeros((s.ny, s.nx), dtype=complex)
     for i in range(s.ny):
         for k in range(s.nx):
             for j in range(s.ny):
                 for l in range(s.nx):
-                    if mode == "matched" and (i, k) == (j, l):
+                    if not accurate and (i, k) == (j, l):
                         continue
                     dx = x[k] - x[l]
                     zeta = dx + 1j * (y[i] - y[j])
@@ -674,24 +658,24 @@ def _quad_case(op, nx, ny):
     return Field(gs, _random_complex(np.random.default_rng(nx * ny), (ny, nx)))
 
 
-@pytest.mark.parametrize("mode", ["matched", "accurate"])
+@pytest.mark.parametrize("method", QUAD_METHODS)
 @pytest.mark.parametrize("nx, ny", QUAD_SHAPES)
 @pytest.mark.parametrize("op", sorted(QUAD_TWO_TERM) + list(QUAD_PRODUCT))
-def test_quadrature_half_plane_operators_are_their_direct_sums(op, nx, ny, mode):
+def test_quadrature_half_plane_operators_are_their_direct_sums(op, nx, ny, method):
     f = _quad_case(op, nx, ny)
-    got = tr.transform(f, op, method="quadrature", mode=mode).data
-    assert _close(got, _quad_direct(op, f, mode), QUAD_TOL)
+    got = tr.transform(f, op, method).data
+    assert _close(got, _quad_direct(op, f, method), QUAD_TOL)
 
 
-@pytest.mark.parametrize("mode", ["matched", "accurate"])
+@pytest.mark.parametrize("method", QUAD_METHODS)
 @pytest.mark.parametrize("op, twin", [(op, {"image_rows": 0}) for op in sorted(QUAD_TWO_TERM)]
                          + [(op, {"image_rows": 0}) for op in QUAD_PRODUCT]
                          + [(op, {"image_sign": 1}) for op in sorted(QUAD_TWO_TERM)])
-def test_quadrature_direct_sum_twins_fail_the_bar(op, twin, mode):
+def test_quadrature_direct_sum_twins_fail_the_bar(op, twin, method):
     # the image at (i + j) hy instead of (i + j + 1) hy, or added, not subtracted
     f = _quad_case(op, 7, 5)
-    got = tr.transform(f, op, method="quadrature", mode=mode).data
-    assert not _close(got, _quad_direct(op, f, mode, **twin), QUAD_TOL)
+    got = tr.transform(f, op, method).data
+    assert not _close(got, _quad_direct(op, f, method, **twin), QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +720,14 @@ def test_every_operator_is_linear_on_both_paths(name, method, seed, ar, ai):
     assert not _is_linear(_plus_one(op), f, g, complex(ar, ai))
 
 
-def _input_only_sandwich(op, f, **kw):
-    """conj_sandwich without its outer conj: the twin the involution property must reject."""
-    return op(f.conj(), **kw)
+def _conj_sandwich(op, f):
+    """conj after op after conj: the mirror-conjugate companion of op."""
+    return op(f.conj()).conj()
+
+
+def _input_only_sandwich(op, f):
+    """_conj_sandwich without its outer conj: the twin the involution property must reject."""
+    return op(f.conj())
 
 
 def _is_linear_involution(sandwich, op, f) -> bool:
@@ -763,5 +752,5 @@ def test_conj_sandwich_is_a_linear_involution(name, method, seed):
     gs = _small_grid(name)
     f = Field(gs, _random_complex(np.random.default_rng(seed), (8, 8)))
     op = functools.partial(tr.transform, kernel=name, method=method)
-    assert _is_linear_involution(tr.conj_sandwich, op, f)
+    assert _is_linear_involution(_conj_sandwich, op, f)
     assert not _is_linear_involution(_input_only_sandwich, op, f)

@@ -272,7 +272,7 @@ def _reader_key(h) -> tuple:
 def spied_battery(request):
     """The whole battery on one method, keyed by check: every `transforms.transform`
     and `transforms.defect_sum` call, nested ones included, as (kernel, method,
-    mode, padding, grid, hash of the input's bytes); every block of closed-form
+    padding, grid, hash of the input's bytes); every block of closed-form
     rows, `testfuncs.RowSampler.rows`, as (member, grid, form, weight, rows) and
     its point count; every classifier pass as its member.  Calls made outside a
     check, such as RunConfig's zero-member refusal, are skipped."""
@@ -299,7 +299,7 @@ def spied_battery(request):
             a = a.arguments
             f = a["f"]
             calls[state["check"]].append((
-                a.get("kernel", op.__name__), a["method"], a.get("mode"), a.get("padding"),
+                a.get("kernel", op.__name__), a["method"], a.get("padding"),
                 tuple(f.spec.summary().values()),
                 hashlib.sha1(np.ascontiguousarray(f.data)).hexdigest()))
             return op(*args, **kw)
