@@ -13,8 +13,10 @@ non-finite or repeated test-function parameter, a grid or box the grid or
 RunConfig refuses, a singular quadrature table on non-square cells, --p
 that is not a finite p > 1 or --seed below 0, a norm past the float range,
 an input that vanishes or is not finite on its grid, a tabulate range
-outside [1e-4, 700], a non-finite --A or --B or a branch or residual past
-the float range, or an --out that cannot be written).
+outside [1e-4, 700], a non-finite --A or --B or a tabulated branch or its
+residual past the float range, or an --out that cannot be written), and
+141, with nothing on stderr, when the reader of stdout closes it early (the
+status a shell gives a process that SIGPIPE ends).
 
 CSV output (transform fields, classify multiplier tables, tabulate
 branches) writes every value at 17 significant digits (`%.17g`, which reads
@@ -28,6 +30,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -53,11 +56,13 @@ OP_ALIASES = {
 }
 
 # the residual stencil reaches t1 + 0.1, and y_integral refuses t > 709.78,
-# where e^t overflows (whittaker_X refuses t >= 1405.07)
+# where e^t overflows
 TABULATE_T_MAX = 700.0
 # below it the residual can exceed the 1e-6 the README promises (X at
 # A = B = 1 reads 7.0e-6 from t0 = 1e-6); from it every branch reads at most 2.7e-7
 TABULATE_T_MIN = 1e-4
+# the status a shell gives a process that SIGPIPE ended: stdout's reader went away
+EXIT_BROKEN_PIPE = 141
 
 
 def _fail_usage(msg: str) -> "NoReturn":
@@ -299,10 +304,9 @@ def cmd_tabulate(args) -> int:
         _fail_usage(f"bad --points {args.points}; expected a count of at least 1")
     if not np.isfinite([args.A, args.B]).all():
         _fail_usage(f"bad --A {args.A} or --B {args.B}; expected finite coefficients")
-    sol = wh.WhittakerSolution(args.family, args.A, args.B)
     ts = np.geomspace(t0, t1, args.points)
     try:
-        vals, resid = wh.pointwise_residual(sol, ts)
+        vals, resid = wh.pointwise_residual(args.family, args.A, args.B, ts)
     except OverflowError as exc:
         _fail_usage(f"{exc}; choose a smaller --A, --B or --range")
     if args.out is not None or not args.json:  # --json alone prints no CSV
@@ -318,16 +322,19 @@ def cmd_tabulate(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "whittaker":
+        cmd = cmd_classify if args.subcommand == "classify" else cmd_tabulate
+    else:
+        cmd = cmd_verify if args.command == "verify" else cmd_transform
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "transform":
-            return cmd_transform(args)
+        status = cmd(args)
+        sys.stdout.flush()  # here, so that the flush at exit has nothing left to raise
     except CellShapeError as exc:
         _fail_usage(f"{exc}; choose --grid and --domain to match")
-    if args.subcommand == "classify":
-        return cmd_classify(args)
-    return cmd_tabulate(args)
+    except BrokenPipeError:  # the reader closed stdout: quietly, with the shell's SIGPIPE status
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return status
 
 
 if __name__ == "__main__":

@@ -8,14 +8,17 @@ The JSON form is stable: keys are exactly
 
 plus `notes` (diagnostics such as an x-truncation ratio or the reason a
 value is only reported) on the records whose notes are non-empty, so
-downstream tooling can diff reports across runs.  `runtime_ms` is the only
-field excluded from determinism comparisons.
+downstream tooling can diff reports across runs.  `grid` is null on the
+records of a check that evaluates no grid (stencils on a t-grid, series and
+1-D quadratures).  `runtime_ms` is the only field excluded from determinism
+comparisons.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Optional
 
 __all__ = ["CheckReport", "reports_to_json"]
 
@@ -29,7 +32,7 @@ class CheckReport:
     ratio: float
     tolerance: float
     passed: bool
-    grid: dict
+    grid: Optional[dict]  # None for a check that evaluates no grid
     method: str
     runtime_ms: float = 0.0
     # free-form diagnostics; serialized only when non-empty

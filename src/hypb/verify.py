@@ -20,7 +20,7 @@ Conventions shared by all checks:
     (q = 2 or an exponent of two-sided-p), so no check meets a zero member;
   * `_norm_sides(member, spec, method)` gives both sides of the p = 2 norm
     identity, by a transform method or from the closed forms; `_sides` alone
-    assembles them (nullspace builds its defect side in place, for memory);
+    assembles them, over its inputs (nullspace's defect side too, for memory);
   * each check computes each operator value, samples each closed form and
     classifies each member once (the wrong-branch control refits its block);
   * checks at p = 2 use exact constants only.  Conjectured p != 2 constants
@@ -190,10 +190,14 @@ def _norm_sides(member: str, spec: GridSpec, method: str, coefficients=(0.5j,), 
 
 
 def _sides(f: Field, bf, s, coefficients=(0.5j,)) -> list:
-    """`_norm_sides` from the field f and the arrays B_down f (or None) and S f."""
+    """`_norm_sides` from the field f and the arrays B_down f (or None) and S f.
+    It consumes f and s: M f is written over f.data, the last side over s."""
     y = f.spec.y.reshape(-1, 1)
-    Mf = y * f.data
-    return [None if bf is None else y * bf] + [Mf + c * s for c in coefficients]
+    Mf = np.multiply(y, f.data, out=f.data)
+    sides = [Mf + c * s for c in coefficients[:-1]]
+    s *= coefficients[-1]
+    s += Mf
+    return [None if bf is None else y * bf] + sides + [s]
 
 
 def _rel_l2(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> float:
@@ -211,10 +215,11 @@ class _Recorder:
 
     Ids are `prefix/name`, or the bare prefix when name is empty.  A report
     takes the check's grid and method unless `spec` or `method` is given;
-    its other keyword arguments are its parameters.
+    its other keyword arguments are its parameters.  A check that evaluates
+    no grid passes spec None, and its reports' grid is None.
     """
 
-    def __init__(self, prefix: str, spec: GridSpec, method: str):
+    def __init__(self, prefix: str, spec: Optional[GridSpec], method: str):
         self.prefix, self.spec, self.method = prefix, spec, method
         self.reports: list = []
         self._mark = time.perf_counter()
@@ -225,8 +230,9 @@ class _Recorder:
         if "/control-" in check_id:
             parameters = dict(negative_control=True, **parameters)
         ratio = lhs / rhs if rhs != 0.0 else math.inf
+        grid = spec or self.spec
         self._add(CheckReport(check_id, parameters, float(lhs), float(rhs), float(ratio),
-                              float(tol), bool(passed), (spec or self.spec).summary(),
+                              float(tol), bool(passed), grid.summary() if grid else None,
                               method or self.method, notes=notes or {}))
 
     def at_most(self, name: str, value, bar, **kw):
@@ -728,8 +734,8 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 # 9.9e-3 against the 1e-2 bar, and the check takes 0.9 s on a 2-core Xeon
 # (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 3071 x 2047 table built
 # in place in its 3072 x 1025 half spectrum, one fused convolution per
-# member, then M f over f and the residual over the sum (99 MiB traced), not
-# `_norm_sides`: one more 1024^2 array is 16 MB, 11% of the battery's 150 MB peak
+# member, then `_sides`, which writes M f over f and the residual over the sum
+# (99 MiB traced): one more 1024^2 array is 16 MB, 11% of the battery's 150 MB peak
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 
@@ -737,15 +743,11 @@ def check_nullspace(cfg: RunConfig) -> list:
     """Conjugate-holomorphic inputs are annihilated by M + (i/2)(C + conj C)."""
     rec = _Recorder("nullspace", GridSpec(plane=PlaneKind.UPPER, **_NULLSPACE_SPEC), "fft")
     spec = rec.spec
-    y = spec.y.reshape(-1, 1)
 
     def residual(member):
         [f] = _fields(member, spec, "f")
-        s = tr.defect_sum(f, method="fft").data
-        Mf = np.multiply(y, f.data, out=f.data)  # M f over f, M f + (i/2) s over s
-        s *= 0.5j
-        s += Mf
-        return lp_norm(Field(spec, s), 2.0) / lp_norm(Field(spec, Mf), 2.0)
+        side = _sides(f, None, tr.defect_sum(f, method="fft").data)[1]
+        return lp_norm(Field(spec, side), 2.0) / lp_norm(f, 2.0)  # M f is over f
 
     conj, holo = "conjrat:a=1,k=3", "holorat:a=1,k=3"
     rec.at_most("conjugate-member", residual(conj), 1e-2, member=conj)
@@ -835,17 +837,12 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     `x_integral`'s closed form, and two asymptotic normalizations.
     Evaluating a solution against the wrong equation sign is the control.
     """
-    rec = _Recorder("whittaker-ode", cfg.battery_spec(), "stencil")
+    rec = _Recorder("whittaker-ode", None, "stencil")
     tgrid = np.geomspace(0.1, 30.0, 200)
     tol = 1e-6
-    sols = [
-        ("X-fast", wh.WhittakerSolution("X", 1.0, 0.0)),
-        ("X-slow", wh.WhittakerSolution("X", 0.0, 1.0)),
-        ("Y-slow", wh.WhittakerSolution("Y", 1.0, 0.0)),
-        ("Y-fast", wh.WhittakerSolution("Y", 0.0, 1.0)),
-    ]
-    for name, sol in sols:
-        rec.at_most(name, wh.ode_residual(sol, tgrid), tol, family=sol.family, A=sol.A, B=sol.B)
+    for name, family, A, B in (("X-fast", "X", 1.0, 0.0), ("X-slow", "X", 0.0, 1.0),
+                               ("Y-slow", "Y", 1.0, 0.0), ("Y-fast", "Y", 0.0, 1.0)):
+        rec.at_most(name, wh.ode_residual(family, A, B, tgrid), tol, family=family, A=A, B=B)
     # quadrature of the slow-branch integral against its closed form
     ts = np.geomspace(0.1, 30.0, 50)[:, None]
     quadrature = _de_quad(lambda s: np.exp(-ts * s) * s / (1.0 + s), 0.0, np.inf)
@@ -854,9 +851,9 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     rec.at_most("integral-closed-form", e, 1e-10, method="quadrature")
     a1 = abs(900.0 * wh.x_integral(30.0) - 1.0)
     rec.at_most("asymptotic-integral", a1, 0.1, method="quadrature", t=30.0, next_order="-2/t")
-    a2 = abs(complex(wh.whittaker_Y(np.array([1e-4]), 1.0, 0.0)[0]) - 1.0)
+    a2 = abs(complex(wh.branch("Y", 1.0, 0.0, np.array([1e-4]))[0]) - 1.0)
     rec.at_most("asymptotic-slow-branch", a2, 2e-3, method="series", t=1e-4)
-    rw = wh.ode_residual(wh.WhittakerSolution("X", 1.0, 0.0), tgrid, sign=-1)
+    rw = wh.ode_residual("X", 1.0, 0.0, tgrid, sign=-1)
     rec.above("control-wrong-sign", rw, 1e-2)
     return rec.reports
 
@@ -910,7 +907,7 @@ def check_liouville(cfg: RunConfig) -> list:
     double-exponential quadratures (`_de_quad`); the four blocks are one
     nested quadrature over a 2-D array of (y, x) nodes.
     """
-    rec = _Recorder("liouville", cfg.battery_spec(), "quadrature")
+    rec = _Recorder("liouville", None, "quadrature")
     tol = 1e-3
     hs = tf.harmonic_samples()
     pois = hs["poisson"]

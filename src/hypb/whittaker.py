@@ -15,9 +15,11 @@ The general solutions of the two sign branches are
     Y(t) = A2 e^{-t/2} (1 - t log t - t J(t)) + B2 t e^{-t/2},
                                                 J(t) = int_0^t (e^s - 1 - s)/s^2 ds
 
-(both verified here by residual tests).  The integrals are evaluated without
-quadrature, vectorised over t: I by its closed form e^t E2(t)/t, J by
-its power series, and both by their asymptotic series from t = 40 on.
+(both verified here by residual tests).  `branch(family, A, B, t)` is the
+one evaluator of either, from the table `_MODES` of the four modes, and the
+one refusal of a value past the float range.  The integrals are evaluated
+without quadrature, vectorised over t: I by its closed form e^t E2(t)/t, J
+by its power series, and both by their asymptotic series from t = 40 on.
 e^t E2(t) is the power series of E2 below t = 1 and a continued fraction,
 evaluated backward from 130 levels, from 1 to 40 (numpy alone: no
 special-function library).  The battery's `whittaker-ode/integral-closed-form`
@@ -27,8 +29,9 @@ cross-check.
 Only the B2 mode t e^{-t/2} is compatible with the weighted-energy
 finiteness condition, which is what the classifier below exploits: a field
 is in the cokernel class iff its partial Fourier transform is carried by
-xi <= 0 with y-profile proportional to y e^{y xi}, and the fitted
-coefficient B2(xi) is the classification output.
+xi <= 0 with y-profile proportional to y e^{y xi} (the B2 mode
+`branch("Y", 0, 1, t)` at t = 2 |xi| y), and the fitted coefficient B2(xi) is
+the classification output.
 
 The classifier reads the field in blocks of 16 rows, x-transforms each block
 (hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by frequency
@@ -51,9 +54,7 @@ import numpy as np
 from .grid import GridSpec, PlaneKind
 
 __all__ = [
-    "WhittakerSolution",
-    "whittaker_X",
-    "whittaker_Y",
+    "branch",
     "x_integral",
     "y_integral",
     "pointwise_residual",
@@ -81,11 +82,8 @@ def _positive(t) -> np.ndarray:
 # relative to the sum)
 _ASYMPTOTIC_T = 40.0
 _ASYMPTOTIC_TERMS = 40
-# e^t overflows past log(DBL_MAX), and with it J(t); t e^{t/2}, X's fast
-# branch, from t = 2 W(DBL_MAX / 2) on (W: the Lambert function, which a
-# test evaluates with mpmath)
+# e^t overflows past log(DBL_MAX), and with it J(t)
 Y_INTEGRAL_T_MAX = math.log(sys.float_info.max)  # 709.78...
-X_FAST_T_MAX = 1405.0697413497535
 # e^t E2(t): its power series below this t, the continued fraction from it on
 _E2_SERIES_T = 1.0
 _E2_FRACTION_LEVELS = 130
@@ -181,89 +179,69 @@ def y_integral(t) -> np.ndarray:
     return out if np.ndim(t) else float(out[0])
 
 
-@dataclass
-class WhittakerSolution:
-    """One branch of H'' = (1/4 + sign/t) H; family X has sign +1, Y has -1."""
-
-    family: str
-    A: complex = 0.0
-    B: complex = 1.0
-
-    def __post_init__(self):
-        if self.family not in ("X", "Y"):
-            raise ValueError("family must be 'X' or 'Y'")
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.family == "X" else -1
-
-    def __call__(self, t):
-        if self.family == "X":
-            return whittaker_X(t, self.A, self.B)
-        return whittaker_Y(t, self.A, self.B)
+# c times the modes (a, b) of the family with sign +1 (X) and -1 (Y) in
+# H'' = (1/4 + sign/t) H, each one left-to-right product
+_MODES = {
+    "X": (lambda c, t: c * t * np.exp(t / 2.0),
+          lambda c, t: c * t * np.exp(-t / 2.0) * x_integral(t)),
+    "Y": (lambda c, t: c * np.exp(-t / 2.0) * (1.0 - t * np.log(t) - t * y_integral(t)),
+          lambda c, t: c * t * np.exp(-t / 2.0)),
+}
 
 
-def whittaker_X(t, A1: complex = 0.0, B1: complex = 1.0):
+def branch(family: str, A: complex, B: complex, t):
+    """A a(t) + B b(t) with the modes (a, b) of the family in `_MODES`.  A zero
+    coefficient skips its mode (e^{t/2} may be inf, y_integral refuses t past
+    709.78, and 0 * inf is NaN); a sum past the float range raises OverflowError.
+    """
+    if family not in _MODES:
+        raise ValueError("family must be 'X' or 'Y'")
     t = np.asarray(t, dtype=float)
     _positive(t)
-    if A1 != 0 and np.any(t >= X_FAST_T_MAX):
-        raise OverflowError(f"whittaker_X(t) overflows for t >= {X_FAST_T_MAX:.2f} "
-                            "(t e^(t/2) past the float range)")
-    # a zero coefficient skips its branch: t e^{t/2} may be inf, and 0 * inf is NaN
-    with np.errstate(over="ignore"):
-        fast = A1 * t * np.exp(t / 2.0) if A1 != 0 else A1 * t
-    if not np.all(np.isfinite(fast)):
-        raise OverflowError(f"whittaker_X(t) overflows: |A1| t e^(t/2) is past the float "
-                            f"range for |A1| = {abs(A1):.6g} at t = "
-                            f"{np.min(t[~np.isfinite(fast)]):.6g}")
-    slow = B1 * t * np.exp(-t / 2.0) * x_integral(t) if B1 != 0 else B1 * t
-    return fast + slow
+    out = np.zeros_like(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for c, mode in zip((A, B), _MODES[family]):
+            if c != 0:
+                out = out + mode(c, t)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise OverflowError(f"the {family} branch A a(t) + B b(t) overflows at |A| = "
+                            f"{abs(A):.6g}, |B| = {abs(B):.6g}: past the float range from "
+                            f"t = {np.min(t[bad]):.6g}")
+    return out
 
 
-def whittaker_Y(t, A2: complex = 1.0, B2: complex = 0.0):
-    t = np.asarray(t, dtype=float)
-    _positive(t)
-    tlogt = t * np.log(t)  # -> 0 as t -> 0+
-    # a zero A2 skips the slow branch: y_integral refuses t past 709.78
-    with np.errstate(over="ignore", invalid="ignore"):
-        slow = A2 * np.exp(-t / 2.0) * (1.0 - tlogt - t * y_integral(t)) if A2 != 0 else A2 * t
-    if not np.all(np.isfinite(slow)):
-        raise OverflowError(f"whittaker_Y(t) overflows: |A2| e^(-t/2) (1 - t ln t - t J(t)) is "
-                            f"past the float range for |A2| = {abs(A2):.6g} at t = "
-                            f"{np.min(t[~np.isfinite(slow)]):.6g}")
-    return slow + B2 * t * np.exp(-t / 2.0)
-
-
-def pointwise_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> tuple:
-    """Values H(t) and the pointwise normalized residual of H'' = (1/4 + sign/t) H.
+def pointwise_residual(family: str, A, B, t_grid, sign: Optional[int] = None) -> tuple:
+    """Values H(t) = `branch`(family, A, B, t) and the pointwise normalized
+    residual of H'' = (1/4 + sign/t) H.
 
     Second derivative by the 5-point O(h^4) stencil with h small against the
     e^{t/2} scale; passing an explicit wrong `sign` turns this into the
-    branch negative control.  A value or residual past the float range (a
-    coefficient near it, or the stencil's sums) raises OverflowError.
+    branch negative control.  A residual past the float range (the stencil's
+    sums) raises OverflowError, as `branch` does for a value.
     """
-    s = sol.sign if sign is None else sign
+    s = (1 if family == "X" else -1) if sign is None else sign
     t = np.asarray(t_grid, dtype=float)
-    _positive(t)
     h = np.minimum(0.01 * t, 0.05)
     with np.errstate(all="ignore"):  # refused below
-        f0 = sol(t)
+        f0 = branch(family, A, B, t)  # refuses a t that is not positive
         d2 = (
-            -sol(t + 2 * h) + 16 * sol(t + h) - 30 * f0 + 16 * sol(t - h) - sol(t - 2 * h)
+            -branch(family, A, B, t + 2 * h) + 16 * branch(family, A, B, t + h) - 30 * f0
+            + 16 * branch(family, A, B, t - h) - branch(family, A, B, t - 2 * h)
         ) / (12.0 * h**2)
         target = (0.25 + s / t) * f0
         denom = np.abs(f0) + np.abs(d2) + 1e-300
         resid = np.abs(d2 - target) / denom
-    bad = ~(np.isfinite(f0) & np.isfinite(resid))
+    bad = ~np.isfinite(resid)
     if bad.any():
-        raise OverflowError(f"the {sol.family} branch or its residual is past the float range "
+        raise OverflowError(f"the {family} branch or its residual is past the float range "
                             f"from t = {np.min(t[bad]):.6g}")
     return f0, resid
 
 
-def ode_residual(sol: WhittakerSolution, t_grid, sign: Optional[int] = None) -> float:
+def ode_residual(family: str, A, B, t_grid, sign: Optional[int] = None) -> float:
     """Max of `pointwise_residual` over the grid."""
-    return float(np.max(pointwise_residual(sol, t_grid, sign)[1]))
+    return float(np.max(pointwise_residual(family, A, B, t_grid, sign)[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +292,11 @@ _CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay i
 
 
 def fit_profile(block: np.ndarray, xi: np.ndarray, y: np.ndarray, sign: float = 1.0) -> tuple:
-    """(B2, relative residual) of the least-squares fit of each column xi of block (hhat
-    at heights y) to B2 2|xi| y e^{sign y xi}: sign 1 the decaying mode, -1 the control's."""
-    prof = 2.0 * np.abs(xi)[None, :] * y[:, None] * np.exp(sign * y[:, None] * xi[None, :])
+    """(B2, relative residual) of the least-squares fit of each column xi < 0 of block
+    (hhat at heights y) to B2 times a mode at t = 2|xi| y: sign 1 Y's decaying
+    t e^{-t/2}, -1 the control's X mode t e^{t/2}."""
+    t = 2.0 * np.abs(xi)[None, :] * y[:, None]
+    prof = branch("Y", 0, 1, t) if sign > 0 else branch("X", 1, 0, t)
     b2 = np.sum(block * prof, axis=0) / np.sum(prof * prof, axis=0)
     resid = block - b2[None, :] * prof
     return b2, float(np.sqrt(np.sum(np.abs(resid) ** 2) / max(np.sum(np.abs(block) ** 2), 1e-300)))

@@ -463,7 +463,8 @@ def test_tabulate_refuses_a_fast_branch_past_the_float_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip()
-    assert err.startswith("error:") and "|A1| t e^(t/2)" in err and "\n" not in err
+    assert err.startswith("error:") and "X branch A a(t) + B b(t) overflows" in err
+    assert "|A| = 1e+300, |B| = 0: past the float range from t = 600" in err and "\n" not in err
     assert run(argv + ["--A=1"]) == 0
     assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
 
@@ -477,8 +478,8 @@ def test_tabulate_refuses_a_slow_y_branch_past_the_float_range(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip()
-    assert err.startswith("error:") and "whittaker_Y(t) overflows" in err and "\n" not in err
-    assert "|A2| = 1e+300 at t = 600" in err
+    assert err.startswith("error:") and "Y branch A a(t) + B b(t) overflows" in err
+    assert "|A| = 1e+300, |B| = 0: past the float range from t = 600" in err and "\n" not in err
     assert run(argv + ["--A=1"]) == 0
     assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-6
 
@@ -488,14 +489,14 @@ def test_tabulate_refuses_a_slow_y_branch_past_the_float_range(capsys):
     (["--family", "X", "--A", "0", "--B", "nan", "--json"], "finite coefficients"),
     (["--family", "Y", "--A=inf", "--B", "0"], "finite coefficients"),
     (["--family", "X", "--A=1e300", "--B", "0", "--json"], "X branch or its residual"),
-    (["--family", "Y", "--A", "0", "--B=1e307", "--json"], "Y branch or its residual"),
-    (["--family", "Y", "--A", "0", "--B=1e308"], "Y branch or its residual"),
+    (["--family", "Y", "--A", "0", "--B=1e307", "--json"], "Y branch A a(t) + B b(t) overflows"),
+    (["--family", "Y", "--A", "0", "--B=1e308"], "Y branch A a(t) + B b(t) overflows"),
 ])
 def test_tabulate_refuses_coefficients_not_finite_or_past_the_float_range(argv, needle, capsys):
     # --B nan printed a CSV of nan, and a JSON traceback with --json.  At
     # A1 = 1e300 the branch stays finite but the residual stencil overflows;
-    # B2 = 1e307 and 1e308 overflow the branch: JSON tracebacks, RuntimeWarnings
-    # and inf and nan rows
+    # B2 = 1e307 and 1e308 overflow the branch (B2 t, the mode's first product):
+    # JSON tracebacks, RuntimeWarnings and inf and nan rows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["whittaker", "tabulate", *argv]) == 2
@@ -527,6 +528,13 @@ def test_a_repeated_testfn_parameter_is_refused(capsys):
     assert _one_error_line(capsys, "testfn parameter 'c' repeated")
     assert run(argv + ["gaussian:c=3,sigma=4"]) == 0
     assert _strict_json(capsys.readouterr().out)["testfn"] == "gaussian:c=3,sigma=4"
+
+
+def _checkout_env() -> dict:
+    """The environment with this checkout's hypb first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 @pytest.mark.parametrize("argv", [
@@ -691,13 +699,34 @@ def test_console_script_smoke():
     assert proc.returncode == 2
 
 
+def _checkout_env() -> dict:
+    """The environment with this checkout's hypb first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4", "--grid", "128"],
+    ["whittaker", "tabulate", "--family", "Y", "--points", "20000"],
+])
+def test_a_reader_that_closes_stdout_early_ends_the_command_quietly(argv):
+    # each CSV is over 1 MB, past a pipe's buffer: the command is still writing
+    # when the reader takes one line and closes.  This was a BrokenPipeError
+    # traceback with exit 1, the status of a violated tolerance
+    proc = subprocess.Popen([sys.executable, "-m", "hypb", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_checkout_env())
+    assert proc.stdout.readline() in (b"x,y,re,im\n", b"t,re,im,residual\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 def _fresh_python(code: str, *args: str):
     """`code` in a fresh interpreter that imports hypb from this checkout."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          text=True, timeout=120, env=env)
+                          text=True, timeout=120, env=_checkout_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 

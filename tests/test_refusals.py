@@ -34,18 +34,18 @@ ZERO = Field(UPPER, np.zeros((8, 8)))
     (lambda: tf.hardy_family(ramp=0.0), ValueError, "ramp must be positive"),
     (lambda: tf.hardy_family(ramp=math.nan), ValueError, "ramp must be positive"),
     (lambda: tr.defect_sum(ZERO, method="spectral"), ValueError, "unknown method 'spectral'"),
-    (lambda: wh.WhittakerSolution("Z"), ValueError, "family must be 'X' or 'Y'"),
+    (lambda: wh.branch("Z", 0.0, 1.0, 1.0), ValueError, "family must be 'X' or 'Y'"),
     (lambda: wh.lemma_a1_classify(Field(GridSpec(L=16.0, H=4.0, nx=64, ny=16),
                                         np.zeros((16, 64)))), ValueError,
      "no partial Fourier energy"),
-    (lambda: wh.whittaker_X(0.0), ValueError, "t must be positive"),
-    (lambda: wh.whittaker_Y(np.array([1.0, -1.0])), ValueError, "t must be positive"),
-    (lambda: wh.pointwise_residual(wh.WhittakerSolution("X"), [0.0, 1.0]), ValueError,
+    (lambda: wh.branch("X", 0.0, 1.0, 0.0), ValueError, "t must be positive"),
+    (lambda: wh.branch("Y", 1.0, 0.0, np.array([1.0, -1.0])), ValueError, "t must be positive"),
+    (lambda: wh.pointwise_residual("X", 0.0, 1.0, [0.0, 1.0]), ValueError,
      "t must be positive"),
     # NaN is not positive: `t <= 0` let it through, into an overflow message at t = nan
-    (lambda: wh.whittaker_X(math.nan, 0.0, 1.0), ValueError, "t must be positive"),
-    (lambda: wh.whittaker_Y(math.nan), ValueError, "t must be positive"),
-    (lambda: wh.pointwise_residual(wh.WhittakerSolution("Y"), [math.nan]), ValueError,
+    (lambda: wh.branch("X", 0.0, 1.0, math.nan), ValueError, "t must be positive"),
+    (lambda: wh.branch("Y", 1.0, 0.0, math.nan), ValueError, "t must be positive"),
+    (lambda: wh.pointwise_residual("Y", 0.0, 1.0, [math.nan]), ValueError,
      "t must be positive"),
     (lambda: cli.parse_domain("a:b"), SystemExit, "bad --domain 'a:b'"),
     (lambda: cli.parse_range("0.1:x"), SystemExit, "bad --range '0.1:x'"),

@@ -131,6 +131,18 @@ def test_determinism_bit_for_bit_modulo_runtime(strip_runtime):
     assert ja == jb
 
 
+def test_grid_free_checks_report_no_grid():
+    # whittaker-ode (a stencil on a t-grid and a series) and liouville (1-D
+    # quadratures) evaluate no grid, yet reported the battery grid: nx 64 at
+    # --grid 64.  Twin: hardy's gridded report keeps the battery grid
+    cfg = vf.RunConfig(nx=64, ny=64)
+    reports = vf.run_checks(["whittaker-ode", "liouville"], cfg)
+    assert len(reports) == 14 and all(r.grid is None for r in reports)
+    assert all(json.loads(reports_to_json(reports))[k]["grid"] is None for k in range(14))
+    [gauss] = [r for r in vf.run_checks("hardy", cfg) if r.check_id == "hardy/battery-gaussian"]
+    assert (gauss.grid["nx"], gauss.grid["ny"]) == (64, 64)
+
+
 def test_pinned_grid_checks_keep_the_default_box():
     # adjointness pins a 32 x 32 grid on DEFAULT_BOX; a RunConfig box must not move it
     reports = vf.run_checks(["adjointness"], vf.RunConfig(L=3.0, H=6.0))

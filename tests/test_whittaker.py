@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import sys
 import warnings
 
 import numpy as np
@@ -50,37 +49,35 @@ def pde_residual_ratio(h: Field) -> float:
     ("Y", -0.5, 2.0 + 1.0j),
 ])
 def test_solution_branches_satisfy_their_equation(family, A, B):
-    sol = wh.WhittakerSolution(family, A, B)
-    assert wh.ode_residual(sol, T_GRID) < 1e-6
+    assert wh.ode_residual(family, A, B, T_GRID) < 1e-6
 
 
 def test_wrong_equation_sign_is_detected():
-    sol = wh.WhittakerSolution("X", 1.0, 0.0)
-    assert wh.ode_residual(sol, T_GRID, sign=-1) > 1e-2
+    assert wh.ode_residual("X", 1.0, 0.0, T_GRID, sign=-1) > 1e-2
 
 
 def test_solutions_are_linear_in_the_coefficients():
     t = np.geomspace(0.2, 5.0, 17)
-    a = wh.whittaker_X(t, 1.0, 0.0)
-    b = wh.whittaker_X(t, 0.0, 1.0)
-    c = wh.whittaker_X(t, 2.0, -3.0j)
+    a = wh.branch("X", 1.0, 0.0, t)
+    b = wh.branch("X", 0.0, 1.0, t)
+    c = wh.branch("X", 2.0, -3.0j, t)
     assert np.allclose(c, 2.0 * a - 3.0j * b, rtol=1e-13)
 
 
 def test_fast_branch_is_t_exp_half_t():
     t = np.array([0.5, 1.0, 30.0])
-    assert np.allclose(wh.whittaker_X(t, 1.0, 0.0), t * np.exp(t / 2), rtol=1e-13)
-    assert np.allclose(wh.whittaker_Y(t, 0.0, 1.0), t * np.exp(-t / 2), rtol=1e-13)
+    assert np.allclose(wh.branch("X", 1.0, 0.0, t), t * np.exp(t / 2), rtol=1e-13)
+    assert np.allclose(wh.branch("Y", 0.0, 1.0, t), t * np.exp(-t / 2), rtol=1e-13)
 
 
 def test_zero_coefficient_branch_is_skipped_at_large_t():
     # past t ~ 1420 the fast branch's e^{t/2} overflows, and past t ~ 709 so
     # does y_integral; a zero coefficient must not turn that into 0 * inf
     t = np.array([10.0, 1500.0])
-    x = wh.whittaker_X(t, 0.0, 1.0)
+    x = wh.branch("X", 0.0, 1.0, t)
     assert np.all(np.isfinite(x))
-    assert x[0] == wh.whittaker_X(10.0, 0.0, 1.0) > 0
-    y = wh.whittaker_Y(np.array([1000.0]), 0.0, 1.0)
+    assert x[0] == wh.branch("X", 0.0, 1.0, 10.0) > 0
+    y = wh.branch("Y", 0.0, 1.0, np.array([1000.0]))
     assert y[0] == pytest.approx(1000.0 * np.exp(-500.0), rel=1e-13)
 
 
@@ -147,13 +144,6 @@ def test_x_oracle_rejects_a_continued_fraction_cut_at_80_levels(monkeypatch):
     assert _oracle_error(wh.x_integral(ts), ts, _I) > X_ORACLE_TOL
 
 
-def test_fast_branch_limit_is_twice_the_lambert_w_of_half_dbl_max():
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        want = float(2 * mpmath.lambertw(mpmath.mpf(sys.float_info.max) / 2))
-    assert wh.X_FAST_T_MAX == want
-
-
 def test_x_oracle_rejects_the_bare_closed_form_at_large_t():
     ts = X_ORACLE_T[X_ORACLE_T <= 700.0]
     assert _oracle_error(_bare_exp1_form(ts), ts, _I) > X_ORACLE_TOL
@@ -178,23 +168,27 @@ def test_y_integral_refuses_t_past_its_overflow_limit():
     with pytest.raises(OverflowError, match="709.78"):
         wh.y_integral(710.0)
     with pytest.raises(OverflowError, match="709.78"):
-        wh.whittaker_Y(710.0, 1.0, 0.0)
+        wh.branch("Y", 1.0, 0.0, 710.0)
 
 
-def test_whittaker_X_refuses_t_past_its_fast_branch_overflow():
-    # t e^{t/2} overflows from X_FAST_T_MAX on; below it the value is finite
-    assert 1405.0 < wh.X_FAST_T_MAX < 1405.1
-    below = np.nextafter(wh.X_FAST_T_MAX, 0.0)
+def test_branch_X_refuses_where_its_fast_mode_times_A_overflows():
+    # at A = 1, t e^{t/2} overflows from t = 1405.07 on; below it the value is
+    # finite.  The refusal reads the product: at A = 1e-300, t = 1410 is
+    # 2.12e9, and the product overflows by t = 1420
+    below = np.nextafter(1405.0697413497535, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isfinite(wh.whittaker_X(below, 1.0, 0.0))
-    for t in (wh.X_FAST_T_MAX, 1419.0, [1.0, 1500.0]):
-        with pytest.raises(OverflowError, match="1405.07"):
-            wh.whittaker_X(t, 1.0, 0.0)
-    with pytest.raises(OverflowError, match="1405.07"):
-        wh.ode_residual(wh.WhittakerSolution("X", 1.0, 0.0), [1000.0, 1500.0])
-    # the slow branch alone stays finite there
-    assert np.isfinite(wh.whittaker_X(1500.0, 0.0, 1.0))
+        assert np.isfinite(wh.branch("X", 1.0, 0.0, below))
+        assert wh.branch("X", 1e-300, 0.0, 1410.0) == pytest.approx(2.1224079e9, rel=1e-7)
+    for t in (1405.0697413497535, 1500.0, [1.0, 1500.0]):
+        with pytest.raises(OverflowError, match=r"X branch .* overflows at \|A\| = 1, "):
+            wh.branch("X", 1.0, 0.0, t)
+    with pytest.raises(OverflowError, match=r"\|A\| = 1e-300, \|B\| = 0: .* from t = 1420"):
+        wh.branch("X", 1e-300, 0.0, 1420.0)
+    with pytest.raises(OverflowError, match="from t = 1500"):
+        wh.ode_residual("X", 1.0, 0.0, [1000.0, 1500.0])
+    # the slow mode alone stays finite there
+    assert np.isfinite(wh.branch("X", 0.0, 1.0, 1500.0))
 
 
 def test_slow_branch_integral_asymptotics():
@@ -211,7 +205,7 @@ def test_y_integral_small_t_series():
 
 
 def test_slow_y_branch_tends_to_one_at_zero():
-    v = complex(wh.whittaker_Y(np.array([1e-4]), 1.0, 0.0)[0])
+    v = complex(wh.branch("Y", 1.0, 0.0, np.array([1e-4]))[0])
     assert abs(v - 1.0) < 2e-3
 
 
@@ -430,7 +424,7 @@ def test_decaying_mode_is_classified_as_cokernel():
 
 def test_slow_mode_is_rejected_by_the_energy_growth_probe():
     res = _classify_single_mode(
-        lambda t: np.asarray(wh.whittaker_Y(t, 1.0, 0.0), dtype=complex)
+        lambda t: np.asarray(wh.branch("Y", 1.0, 0.0, t), dtype=complex)
     )
     assert not res.is_cokernel
     assert res.dyadic_growth > res.thresholds["growth_tol"]
