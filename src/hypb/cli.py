@@ -171,18 +171,21 @@ def csv_rows(*cols, grid=None) -> list:
 
     With grid=(x, y) the columns hold a field's samples in C order (y slow,
     x fast), and each row starts with its point's x and y.  Each coordinate
-    is formatted once, into the row templates; a row is one `%` over its
-    template.  The templates are made as the rows consume them, so they
-    never all exist at once.
+    is formatted once, into one template per y row, the x strings joined on
+    that row's y and value fields; the row's lines are one `%` over its
+    template, split on the newlines.
     """
     tail = ",".join(["%.17g"] * len(cols))
     if grid is None:
-        templates = [tail] * len(cols[0])
-    else:
-        xs = ["%.17g," % v for v in grid[0].tolist()]
-        templates = (xv + yv + tail for yv in ["%.17g," % v for v in grid[1].tolist()]
-                     for xv in xs)
-    return [t % row for t, row in zip(templates, zip(*(c.tolist() for c in cols)))]
+        return [tail % row for row in zip(*(c.tolist() for c in cols))]
+    xs = ["%.17g," % v for v in grid[0].tolist()]
+    nx, out = len(xs), []
+    for j, yv in enumerate(grid[1].tolist()):
+        fields = "%.17g," % yv + tail
+        template = (fields + "\n").join(xs) + fields
+        row = np.column_stack([c[j * nx : (j + 1) * nx] for c in cols])
+        out += (template % tuple(row.ravel().tolist())).split("\n")
+    return out
 
 
 def _write_rows(path, header, rows):

@@ -45,10 +45,12 @@ written into the table when done (an entry's arithmetic does not depend on
 its block).  Corners mirrored in Im are exact conjugates, so the
 Im(offset) < 0 rows are the conjugated quadrant rows, bit for bit.  The
 lower half of the Re(offset) = 0 column follows from oddness, which differs
-there from conjugation only in the sign of a rounding-level part, and the
-Re(offset) < 0 half is the x-mirror, row by row; so a table can span any
-rows (down to dy = -b hy from the quadrant's rows up to b hy) and is
-exactly odd.
+there from conjugation only in the sign of a rounding-level part.  The
+table is the half plane Re(offset) >= 0 only, nx columns dx in [0, nx), and
+can span any rows (down to dy = -b hy from the quadrant's rows up to b hy).
+Its Re(offset) < 0 half is K(-conj zeta) = -conj K(zeta); the fft path
+never builds it, because that symmetry makes each row's x transform purely
+imaginary (`transforms`).
 """
 
 from __future__ import annotations
@@ -125,7 +127,8 @@ _ROW_BLOCK = 128  # quadrant rows per block of the corner lattice
 
 def _planar_all(ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
     """The fully averaged 1/zeta table at the offsets dy in [-below, ny), below =
-    len(out) - ny, times dx in (-nx, nx), in `out` (its real part if `out` is real)."""
+    len(out) - ny, times dx in [0, nx), in `out` (its real part if `out` is real);
+    the dx < 0 half is -conj of it (module docstring)."""
     below = len(out) - ny
     x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
     rows = max(ny, below + 1)  # quadrant rows dy / hy in [0, rows)
@@ -149,15 +152,12 @@ def _planar_all(ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
             quad[0, 0] = 0.0  # coincident cell, the only one across the cut
         quad = quad.real if out.dtype.kind == "f" else quad
         if j0 < ny:
-            out[below + j0 : below + min(j1, ny), nx - 1 :] = quad[: ny - j0]
+            out[below + j0 : below + min(j1, ny)] = quad[: ny - j0]
         lo, hi = max(j0, 1), min(j1, below + 1)  # the rows dy / hy = -j, lo <= j < hi
         if lo < hi:
             src, dst = quad[lo - j0 : hi - j0][::-1], out[below - hi + 1 : below - lo + 1]
-            np.conjugate(src[:, 1:], out=dst[:, nx:])  # K(conj zeta) = conj K(zeta)
-            np.multiply(src[:, 0], -1, out=dst[:, nx - 1])  # exact oddness at dx = 0
-    left = out[:, : nx - 1]
-    np.conjugate(out[:, : nx - 1 : -1], out=left)  # K(-conj zeta) = -conj K(zeta)
-    left *= -1
+            np.conjugate(src[:, 1:], out=dst[:, 1:])  # K(conj zeta) = conj K(zeta)
+            np.multiply(src[:, 0], -1, out=dst[:, 0])  # exact oddness at dx = 0
     return out
 
 

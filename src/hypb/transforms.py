@@ -71,8 +71,14 @@ each, with no P0 x P1 buffer.  The kept rows are written over the x-spectrum
 when f has at least k rows; each panel's columns are read into its buffer
 before its kept rows are written back.  The inverse applies 1/P0 and 1/P1 in
 separate passes where ifft2 applies 1/(P0 P1) once, so it can differ from
-ifft2 in the last bit.  Its sibling `_pruned_rfft2` takes a real kernel's
-half spectrum rfft2(k), P0 x (P1/2 + 1) (H. V. Sorensen et al., IEEE
+ifft2 in the last bit.  Every spectrum and symbol is stored as its rows ky
+in [0, P0 // 2] only, and the product reads row j > P0 // 2 as sigma
+conj(S[P0 - j]): sigma = -1 for the Cauchy spectra, +1 for the Beurling
+symbol (W. L. Briggs and V. E. Henson, The DFT: An Owner's Manual, SIAM
+1995).  It forms those rows in the panel itself, as conj(conj(row)
+S[P0 - j]), negated for sigma = -1: every step is exact, and no lower-half
+temporary is made.  Its sibling `_pruned_rfft2` takes a real kernel's
+spectrum on the columns kx in [0, P1 // 2] (H. V. Sorensen et al., IEEE
 Trans. ASSP 35 (1987) 849-863), and runs the same pass with rfft and irfft
 on the real, then the imaginary part of f.
 
@@ -93,20 +99,31 @@ those at conj z (flipped back in x for Cauchy).
 On the fft path the spectrum of the fully averaged 1/zeta table depends
 only on the geometry, so it is kept in a small LRU (`_cauchy_spectrum`,
 keyed by (top, ny, nx, hx, hy, real) for the rows dy / hy in (-ny, top)) as
-a read-only array; the table is built in its zero-padded box and
-transformed there.  For the real kernel the box is the half spectrum: the
-table fills the first P1 floats of each row of its float view (FFTW's padded
-in-place layout, M. Frigo and S. G. Johnson, Proc. IEEE 93 (2005) 216-231),
-whose rows are rfft'd over themselves before the in-place axis-0 fft.  The
-data spectrum is multiplied in place and inverted in place.  The quadrature
-path builds its own tables on every call and never reads that cache.
+a read-only array.  The table sits circularly in x in its P0 x P1 box: dx
+>= 0 in columns [0, nx), dx < 0 wrapped to [P1 - nx + 1, P1), so the
+products keep columns [0, nx).  `kernels._planar_all` builds the dx >= 0
+half only; the other half is K(-conj zeta) = -conj K(zeta), so i K is
+Hermitian in x and each row's x transform is -i R with R real, R = hfft of
+i K's half row.  For the real kernel 2 Re K each row is odd in x, and its
+transform is i R with R the imaginary part of the rfft of the odd row, kept
+on kx in [0, P1 // 2].  The half table is built in the leading columns of
+R's own rows, and each row panel's R is written over the table rows it was
+read from.  The y transform of a real R is Hermitian in ky, so the spectrum
+is -i (2i for 2 Re K) times the rfft of R along y, in column panels
+zero-padded to P0: (P0 // 2 + 1) x P1 complex, or (P0 // 2 + 1) x (P1 // 2
++ 1) for the real kernel, half the full spectrum's bytes, and its row P0 - j
+is -conj of row j.  The Beurling symbol conj(zeta)/zeta takes its
+conjugate at -ky (sigma = +1), and `_beurling_symbol` computes its rows ky
+in [0, py // 2] only, on every call.  The data spectrum is multiplied in
+place and inverted in place.  The quadrature path builds its own tables on
+every call and never reads that cache.
 
 The defect operator M + (i/2)(C_down + conj C_down conj) goes through one
 fused transform, `defect_sum` = C_down + conj C_down conj.  Conjugating
 C_down's input and output conjugates its kernel, so on the fft path the sum
 is a single convolution with the real kernel 2 Re(1/zeta), whose spectrum
-is kept as its half; on the quadrature methods it is the two cauchy_down
-calls.
+is kept on kx in [0, P1 // 2] as well; on the quadrature methods it is the
+two cauchy_down calls.
 
 The two paths share no code but `_fft_shape`, so agreement between them is
 a meaningful check rather than a tautology; tests/test_api_surface.py holds
@@ -249,10 +266,12 @@ def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
 _PANEL = 32  # rows of an x pass, or columns of a y pass, per block
 
 
-def _pruned(kspec, f, lift, odd, rows, cols, fold, xfft, xinv, out=None) -> np.ndarray:
+def _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, fold, xfft, xinv,
+            out=None) -> np.ndarray:
     """`_pruned_fft2` with the x transform xfft onto kspec's columns and its
     inverse xinv, into `out` or a complex array made after the y pass."""
-    P0, H = kspec.shape
+    h, H = kspec.shape
+    mirror = kspec[P0 - h : 0 : -1]  # row P0 - j, for each row j >= h
     k = len(range(P0)[rows]) // (2 if fold else 1)
     n = len(f)
     x = np.empty((n, H), dtype=complex)
@@ -268,10 +287,16 @@ def _pruned(kspec, f, lift, odd, rows, cols, fold, xfft, xinv, out=None) -> np.n
         if odd:
             np.negative(x[::-1, c], out=buf[:n])
         np.fft.fft(buf, axis=0, out=buf)
-        buf *= kspec[:, c]
+        buf[:h] *= kspec[:, c]
+        low = buf[h:]  # times sigma conj(kspec[P0 - j]) as conj(conj(low) kspec[P0 - j])
+        np.conjugate(low, out=low)
+        low *= mirror[:, c]
+        np.conjugate(low, out=low)
+        if sigma < 0:
+            np.negative(low, out=low)
         q = np.fft.ifft(buf, axis=0, out=buf)[rows]
         kept[:, c] = q[k:] - q[k - 1 :: -1] if fold else q
-    del x, buf, q  # only the kept rows live on beside the output
+    del x, buf, q, low  # only the kept rows live on beside the output
     if out is None:
         out = np.empty((k, len(range(H)[cols])), dtype=complex)
     for r in range(0, k, _PANEL):
@@ -279,37 +304,40 @@ def _pruned(kspec, f, lift, odd, rows, cols, fold, xfft, xinv, out=None) -> np.n
     return out
 
 
-def _pruned_fft2(kspec, f, lift, odd, rows, cols, fold=False) -> np.ndarray:
-    """Rows `rows`, columns `cols` of ifft2(kspec * fft2(box)), as a new array.
+def _pruned_fft2(kspec, P0, sigma, f, lift, odd, rows, cols, fold=False) -> np.ndarray:
+    """Rows `rows`, columns `cols` of ifft2(S * fft2(box)), as a new array.
 
-    The box has kspec's shape and is zero but for f, b0 x b1, at rows
-    [lift, lift + b0) and columns [0, b1), and with `odd` also -f[::-1] at
-    rows [0, b0) (lift >= b0).  With `fold` the 2 k kept rows Q give the k
-    rows Q[k + i] - Q[k - 1 - i].
+    S is P0 x P1, P1 = kspec.shape[1]: its rows j <= P0 // 2 are kspec, and
+    row j > P0 // 2 is sigma conj(kspec[P0 - j]) (module docstring).  The box
+    is zero but for f, b0 x b1, at rows [lift, lift + b0) and columns
+    [0, b1), and with `odd` also -f[::-1] at rows [0, b0) (lift >= b0).
+    With `fold` the 2 k kept rows Q give the k rows Q[k + i] - Q[k - 1 - i].
     """
     P1 = kspec.shape[1]
-    return _pruned(kspec, f, lift, odd, rows, cols, fold, lambda a: np.fft.fft(a, n=P1, axis=1),
-                   lambda a: np.fft.ifft(a, axis=1))
+    return _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, fold,
+                   lambda a: np.fft.fft(a, n=P1, axis=1), lambda a: np.fft.ifft(a, axis=1))
 
 
-def _pruned_rfft2(kspec, f, lift, odd, rows, cols, n1) -> np.ndarray:
-    """`_pruned_fft2` for a real kernel, kspec = rfft2(k) on a P0 x n1 box (module docstring)."""
-    out = np.empty((len(range(kspec.shape[0])[rows]), len(range(n1)[cols])), dtype=complex)
+def _pruned_rfft2(kspec, P0, sigma, f, lift, odd, rows, cols, n1) -> np.ndarray:
+    """`_pruned_fft2` for a real kernel on a P0 x n1 box, whose spectrum is
+    kept on the columns kx in [0, n1 // 2] only (module docstring)."""
+    out = np.empty((len(range(P0)[rows]), len(range(n1)[cols])), dtype=complex)
     for part in (np.real, np.imag):  # views of out
-        _pruned(kspec, f, lift, odd, rows, cols, False,
+        _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, False,
                 lambda a: np.fft.rfft(part(a), n=n1, axis=1),
                 lambda a: np.fft.irfft(a, n=n1, axis=1), part(out))
     return out
 
 
 def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
-    """The unimodular multiplier conj(zeta)/zeta on a py x px box, 0 at zeta = 0:
-    ((kx^2 - ky^2) - 2i kx ky) / (kx^2 + ky^2), with no complex division."""
+    """The unimodular multiplier conj(zeta)/zeta on the rows ky in [0, py // 2]
+    of a py x px box, 0 at zeta = 0: ((kx^2 - ky^2) - 2i kx ky) / (kx^2 + ky^2),
+    with no complex division.  Row py - j of the box is conj of row j."""
     kx = 2.0 * np.pi * np.fft.fftfreq(px, d=hx)
-    ky = 2.0 * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
+    ky = 2.0 * np.pi * np.fft.fftfreq(py, d=hy)[: py // 2 + 1, None]
     r2 = kx**2 + ky**2
     r2[0, 0] = 1.0  # at zeta = 0 both numerators are 0
-    mult = np.empty((py, px), dtype=complex)
+    mult = np.empty(r2.shape, dtype=complex)
     np.subtract(kx**2, ky**2, out=mult.real)
     np.multiply(-2.0 * kx, ky, out=mult.imag)
     mult.real /= r2
@@ -317,30 +345,42 @@ def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
     return mult
 
 
-# fully averaged 1/zeta spectra kept per geometry, at most 57 MB each in the
-# battery (cup-norm's 9216 x 384); no build or product holds a buffer of a
-# spectrum's size beside it, and evicting the older one first measured no gain
+# fully averaged 1/zeta spectra kept per geometry, at most 28.3 MB each in
+# the battery (cup-norm's tuned member: the 4609 x 384 rows kept of its
+# 9216 x 384 box); no build or product holds a buffer of a full spectrum's
+# size beside it, and evicting the older one first measured no gain
 _SPECTRUM_CACHE_SIZE = 2
 
 
 @functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
 def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: bool) -> np.ndarray:
-    """Read-only spectrum of the fully averaged 1/zeta table at the offsets
-    dy in (-ny, top) (rfft2 of 2 Re of it if real)."""
-    a0, a1 = top + ny - 1, 2 * nx - 1
-    P0, P1 = _fft_shape((a0, a1))
-    # real: the table in the first P1 floats of each half-spectrum row (module docstring)
-    kspec = np.zeros((P0, P1 // 2 + 1) if real else (P0, P1), dtype=complex)
-    box = kspec.view(float) if real else kspec
-    _planar_all(top, nx, hx, hy, out=box[:a0, :a1])
-    if real:
-        for r in range(0, P0, _PANEL):  # each row's rfft over its own memory
-            kspec[r : r + _PANEL] = np.fft.rfft(box[r : r + _PANEL, :P1], axis=1)
-        np.fft.fft(kspec, axis=0, out=kspec)
-        kspec *= 2.0  # exact: this is rfft2 of 2 Re K
-    else:  # fft2 in scipy.fft's axis order, 0 then 1
-        np.fft.fft(kspec, axis=0, out=kspec)
-        np.fft.fft(kspec, axis=1, out=kspec)
+    """Read-only rows ky in [0, P0 // 2] of the spectrum of the fully averaged
+    1/zeta table at the offsets dy in (-ny, top), laid out circularly in x in
+    its P0 x P1 box; with `real`, of 2 Re of it, on the columns kx in
+    [0, P1 // 2].  Row P0 - j of the box's spectrum is -conj of row j."""
+    a0 = top + ny - 1
+    P0, P1 = _fft_shape((a0, 2 * nx - 1))
+    W = P1 // 2 + 1 if real else P1
+    # each row's x transform is imaginary (module docstring): -1j R, or 1j R
+    # for the real kernel.  The table is built in R's leading columns, and
+    # each row panel's R goes over the table rows it was read from: so the
+    # build never holds a table beside R (P1 + P1 % 2 >= 2 nx floats)
+    R = np.empty((a0, W if real else P1 + P1 % 2))
+    tab = _planar_all(top, nx, hx, hy, R[:, :nx] if real else R[:, : 2 * nx].view(complex))
+    for r in range(0, a0, _PANEL):
+        t = tab[r : r + _PANEL]
+        if real:  # the odd row, its x-mirror negated
+            row = np.zeros((len(t), P1))
+            row[:, :nx] = t
+            np.negative(t[:, :0:-1], out=row[:, P1 - nx + 1 :])
+            R[r : r + _PANEL, :W] = np.fft.rfft(row, axis=1).imag
+        else:  # i K is Hermitian in x: its transform is real
+            R[r : r + _PANEL, :W] = np.fft.hfft(1j * t, n=P1, axis=1)
+    R = R[:, :W]
+    kspec = np.empty((P0 // 2 + 1, W), dtype=complex)
+    for c0 in range(0, W, _PANEL):  # y over R's columns, zero-padded to P0
+        kspec[:, c0 : c0 + _PANEL] = np.fft.rfft(R[:, c0 : c0 + _PANEL], n=P0, axis=0)
+    kspec *= 2j if real else -1j  # exact: 2 Re K for the real kernel
     kspec.flags.writeable = False
     return kspec
 
@@ -362,12 +402,12 @@ def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False)
         data, lift = f.data[::-1, ::-1], 0
     if kind == "beurling":
         symbol = _beurling_symbol(padding * box, padding * nx, s.hx, s.hy)
-        return _pruned_fft2(symbol, data, lift, odd, rows, slice(0, nx), fold=sign < 0)
-    kspec = _cauchy_spectrum(box, ny, nx, s.hx, s.hy, real)
-    args = (kspec, data, lift, odd, slice(rows.start + ny - 1, rows.stop + ny - 1),
-            slice(nx - 1, 2 * nx - 1))
-    out = (_pruned_rfft2(*args, _fft_shape([2 * nx - 1])[0]) if real
-           else _pruned_fft2(*args, fold=sign < 0))
+        return _pruned_fft2(symbol, padding * box, 1, data, lift, odd, rows, slice(0, nx),
+                            fold=sign < 0)
+    P0, P1 = _fft_shape((box + ny - 1, 2 * nx - 1))
+    args = (_cauchy_spectrum(box, ny, nx, s.hx, s.hy, real), P0, -1, data, lift, odd,
+            slice(rows.start + ny - 1, rows.stop + ny - 1), slice(0, nx))
+    out = _pruned_rfft2(*args, P1) if real else _pruned_fft2(*args, fold=sign < 0)
     if sign < 0:  # the fold of the flipped sum, flipped back in x
         return out[:, ::-1] * s.cell_measure
     out *= s.cell_measure

@@ -686,7 +686,7 @@ def check_cup(cfg: RunConfig) -> list:
         rec.record(f"battery-{name}", r, const, tol, r <= const * (1.0 + tol),
                    member=f"gaussian {name}")
     rec.at_most("oracle-recovery", _rel_l2(spec, up.data, F.data), tol)  # up is C_up dbar F
-    del up  # before the tuned member's 57 MB spectrum
+    del up  # before the tuned member's 28 MB spectrum
     tspec, g = tuned_cup_member()
     rt = lp_norm(tr.transform(g, "cauchy_up"), 2.0, HYP) / lp_norm(g, 2.0)
     rec.record("tuned-member", rt, 3.0, tol, rt >= 3.0, spec=tspec, method="fft",
@@ -732,10 +732,13 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 
 # residual = box truncation ~ 1/L plus quadrature; this box and grid land at
 # 9.9e-3 against the 1e-2 bar, and the check takes 0.9 s on a 2-core Xeon
-# (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 3071 x 2047 table built
-# in place in its 3072 x 1025 half spectrum, one fused convolution per
-# member, then `_sides`, which writes M f over f and the residual over the sum
-# (99 MiB traced): one more 1024^2 array is 16 MB, 11% of the battery's 150 MB peak
+# (x86-64, Python 3.11, numpy 2.4, scipy 1.17): one 3071 x 1024 half table
+# built in its rows' x transforms, 3071 x 1025, whose y transform keeps the
+# 1537 x 1025 rows ky in [0, 1536] of the 3072 x 2048 box's spectrum, one
+# fused convolution per member, then `_sides`, which writes M f over f and
+# the residual over the sum.  defect_sum traces 59 MiB from a cold cache,
+# and the check alone peaks at 110 MB VmHWM: one more 1024^2 array is
+# 16 MB, 12% of the battery's 130 MB peak
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 

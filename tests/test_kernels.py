@@ -139,11 +139,18 @@ def _mp_cell_average(power, i, j):
         return complex(val / h**2)
 
 
-def _lattice(ny, nx, hx, hy, dtype=complex, below=None):
+def _half(ny, nx, hx, hy, dtype=complex, below=None):
     """The fft path's fully averaged 1/zeta table at the rows dy / hy in
-    [-below, ny) (below = ny - 1 by default)."""
+    [-below, ny) (below = ny - 1 by default) and the columns dx in [0, nx)."""
     below = ny - 1 if below is None else below
-    return kn._planar_all(ny, nx, hx, hy, np.empty((below + ny, 2 * nx - 1), dtype))
+    return kn._planar_all(ny, nx, hx, hy, np.empty((below + ny, nx), dtype))
+
+
+def _lattice(ny, nx, hx, hy, dtype=complex, below=None):
+    """`_half` with the columns dx in (-nx, 0) put before it as its x-mirror
+    K(-conj zeta) = -conj K(zeta)."""
+    half = _half(ny, nx, hx, hy, dtype, below)
+    return np.concatenate([-np.conj(half[:, :0:-1]), half], axis=1)
 
 
 # the full cell average at offset (i, j) cells: for Cauchy the entry of the fft
@@ -174,8 +181,19 @@ def test_full_table_keeps_far_field_digits():
 
 
 def test_full_table_parity_is_exact():
-    tc = _lattice(9, 7, 0.1, 0.23)
+    # the half's own relations: the column dx = 0 is exactly odd in dy, and
+    # every other column exactly conjugate-symmetric, so the x-mirrored table
+    # is exactly odd.  Twin: the column dx = 0 conjugated instead
+    ny = 9
+    half = _half(ny, 7, 0.1, 0.23)
+    up, down = half[ny - 1 :], half[ny - 1 :: -1]
+    assert np.array_equal(down[:, 0], -up[:, 0])
+    assert np.array_equal(down[:, 1:], np.conj(up[:, 1:]))
+    tc = _lattice(ny, 7, 0.1, 0.23)
     assert np.array_equal(tc, -tc[::-1, ::-1])
+    half[: ny - 1, 0] = np.conj(half[: ny - 1 : -1, 0])
+    tc = np.concatenate([-np.conj(half[:, :0:-1]), half], axis=1)
+    assert not np.array_equal(tc, -tc[::-1, ::-1])
 
 
 def _is_conjugate_symmetric(tab) -> bool:
@@ -209,9 +227,9 @@ def test_full_table_is_conjugate_symmetric(ny, nx, hx, hy):
 def test_full_table_writes_its_real_part_into_a_real_box():
     ny, nx = 6, 5
     box = np.zeros((2 * ny + 3, 2 * nx + 1))
-    kn._planar_all(ny, nx, 0.3, 0.2, out=box[: 2 * ny - 1, : 2 * nx - 1])
-    assert np.array_equal(box[: 2 * ny - 1, : 2 * nx - 1], _lattice(ny, nx, 0.3, 0.2).real)
-    assert not box[2 * ny - 1 :].any() and not box[:, 2 * nx - 1 :].any()
+    kn._planar_all(ny, nx, 0.3, 0.2, out=box[: 2 * ny - 1, :nx])
+    assert np.array_equal(box[: 2 * ny - 1, :nx], _half(ny, nx, 0.3, 0.2).real)
+    assert not box[2 * ny - 1 :].any() and not box[:, nx:].any()
 
 
 ROW_RANGES = [(13, 21, 6), (40, 48, 19), (64, 64, 0), (8, 12, 15)]  # ny, nx, below

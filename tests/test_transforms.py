@@ -230,9 +230,15 @@ def _unpruned(data, kspec, rows, cols):
     return sfft.ifft2(sfft.fft2(data, s=kspec.shape) * kspec)[rows, cols]
 
 
-def _pruned(data, kspec, rows, cols):
+def _full_spectrum(half, P0, sigma):
+    """The P0-row spectrum whose rows j <= P0 // 2 are `half` and whose row
+    j > P0 // 2 is sigma conj(half[P0 - j])."""
+    return np.concatenate([half, sigma * np.conj(half[P0 - len(half) : 0 : -1])])
+
+
+def _pruned(data, kspec, P0, sigma, rows, cols):
     """The pruned primitive on data at row 0, keeping `rows` and `cols`."""
-    return tr._pruned_fft2(kspec, data, 0, False, rows, cols)
+    return tr._pruned_fft2(kspec, P0, sigma, data, 0, False, rows, cols)
 
 
 def _beurling_symbol(py, px, hx, hy):
@@ -246,27 +252,36 @@ def _beurling_symbol(py, px, hx, hy):
 
 @pytest.mark.parametrize("py, px", [(9, 13), (8, 6), (1, 7), (6, 1), (1, 1), (2048, 832)])
 def test_beurling_symbol_is_the_complex_quotient(py, px):
-    # the real and imaginary parts against conj(zeta) / zeta; a unit-modulus
-    # symbol, so the bar is absolute.  Twin: zeta / conj(zeta)
+    # the real and imaginary parts of its rows ky in [0, py // 2] against
+    # conj(zeta) / zeta, and the other rows as the conjugates the products
+    # read (sigma = +1); a unit-modulus symbol, so the bar is absolute.
+    # Twin: zeta / conj(zeta)
     hx, hy = 0.3, 0.2
     got, want = tr._beurling_symbol(py, px, hx, hy), _beurling_symbol(py, px, hx, hy)
-    assert got.shape == want.shape and got[0, 0] == 0
-    assert np.max(np.abs(got - want)) <= 1e-15
+    assert got.shape == (py // 2 + 1, px) and got[0, 0] == 0
+    assert np.max(np.abs(_full_spectrum(got, py, 1) - want)) <= 1e-15
     if py > 1 and px > 1:  # on an axis the symbol is real
-        assert np.max(np.abs(got - np.conj(want))) > 0.5
+        assert np.max(np.abs(got - np.conj(want[: py // 2 + 1]))) > 0.5
 
 
 @pytest.mark.parametrize("tab_shape, data_shape", PRUNE_CASES)
 def test_pruned_convolution_matches_the_unpruned_fft2(tab_shape, data_shape):
+    # the kept rows of a random spectrum, with each sign of the mirrored rows
     rng = np.random.default_rng(sum(tab_shape) + 3 * sum(data_shape))
-    kspec = sfft.fft2(_random_complex(rng, tab_shape), s=tr._fft_shape(tab_shape))
+    P0, P1 = tr._fft_shape(tab_shape)
+    kspec = sfft.fft2(_random_complex(rng, tab_shape), s=(P0, P1))[: P0 // 2 + 1]
     data = _random_complex(rng, data_shape)
     (a0, a1), (b0, b1) = tab_shape, data_shape
     cols = slice(b1 - 1, a1)
-    want = _unpruned(data, kspec, slice(b0 - 1, a0), cols)
-    assert _close(_pruned(data, kspec, slice(b0 - 1, a0), cols), want, PRUNE_TOL)
-    if b0 > 1:  # twin: the rows a full-mode convolution starts with
-        assert not _close(_pruned(data, kspec, slice(0, a0 - b0 + 1), cols), want, PRUNE_TOL)
+    for sigma in (1, -1):
+        want = _unpruned(data, _full_spectrum(kspec, P0, sigma), slice(b0 - 1, a0), cols)
+        assert _close(_pruned(data, kspec, P0, sigma, slice(b0 - 1, a0), cols), want, PRUNE_TOL)
+        if b0 > 1:  # twin: the rows a full-mode convolution starts with
+            assert not _close(_pruned(data, kspec, P0, sigma, slice(0, a0 - b0 + 1), cols),
+                              want, PRUNE_TOL)
+        if P0 > 2:  # twin: the mirrored rows with the other sign
+            assert not _close(_pruned(data, kspec, P0, -sigma, slice(b0 - 1, a0), cols),
+                              want, PRUNE_TOL)
 
 
 @pytest.mark.parametrize("shape", [(5, 7), (8, 3), (1, 6), (6, 1), (1, 1)])
@@ -275,13 +290,14 @@ def test_pruned_multiplier_matches_the_unpruned_fft2(shape, padding):
     rng = np.random.default_rng(shape[0] + 5 * shape[1] + padding)
     data = _random_complex(rng, shape)
     (ny, nx), hx, hy = shape, 0.3, 0.2
-    mult = _beurling_symbol(padding * ny, padding * nx, hx, hy)
+    py = padding * ny
+    mult = _beurling_symbol(py, padding * nx, hx, hy)
     want = _unpruned(data, mult, slice(0, ny), slice(0, nx))
-    pruned = tr._pruned_fft2(tr._beurling_symbol(padding * ny, padding * nx, hx, hy),
-                             data, 0, False, slice(0, ny), slice(0, nx))
-    assert _close(pruned, want, PRUNE_TOL)
+    half = tr._beurling_symbol(py, padding * nx, hx, hy)
+    assert _close(_pruned(data, half, py, 1, slice(0, ny), slice(0, nx)), want, PRUNE_TOL)
     # twin: the next block of rows of the padded box
-    assert not _close(_pruned(data, mult, slice(ny, 2 * ny), slice(0, nx)), want, PRUNE_TOL)
+    assert not _close(_pruned(data, half, py, 1, slice(ny, 2 * ny), slice(0, nx)), want,
+                      PRUNE_TOL)
 
 
 def test_conv_valid_rejects_data_larger_than_the_table():
@@ -334,15 +350,21 @@ def test_fft_shape_is_scipys_next_fast_len():
 @pytest.mark.parametrize("nx, ny", [(32, 32), (24, 40)])
 def test_half_plane_spectrum_spans_the_3_ny_minus_1_rows_it_reads(nx, ny):
     # the down operators read the offsets dy / hy in (-ny, 2 ny) and the up
-    # operators the flipped ones, so the box is next_fast_len(3 ny - 1) rows
-    # tall.  Twin: the 2 ny-row box's full table, 4 ny - 1 rows, is taller
+    # operators the flipped ones, so the box is P0 = next_fast_len(3 ny - 1)
+    # rows tall, of which the spectrum keeps the rows ky in [0, P0 // 2]:
+    # all P1 columns for the complex kernel, kx in [0, P1 // 2] for the
+    # real one.  Twin: the 2 ny-row box's full table, 4 ny - 1 rows, is taller
     gs = GridSpec(L=2.7, H=5.9, nx=nx, ny=ny, plane=PlaneKind.UPPER)
     tr._cauchy_spectrum.cache_clear()
-    tr.transform(Field(gs, _random_complex(np.random.default_rng(ny), (ny, nx))), "cauchy_down")
+    f = Field(gs, _random_complex(np.random.default_rng(ny), (ny, nx)))
+    tr.transform(f, "cauchy_down")
+    tr.defect_sum(f)
     kspec = tr._cauchy_spectrum(2 * ny, ny, nx, gs.hx, gs.hy, False)
-    assert tr._cauchy_spectrum.cache_info().hits == 1  # the spectrum cauchy_down cached
-    assert kspec.shape == (sfft.next_fast_len(3 * ny - 1), sfft.next_fast_len(2 * nx - 1))
-    assert kspec.shape[0] < sfft.next_fast_len(4 * ny - 1)
+    half = tr._cauchy_spectrum(2 * ny, ny, nx, gs.hx, gs.hy, True)
+    assert tr._cauchy_spectrum.cache_info().hits == 2  # the spectra the two calls cached
+    P0, P1 = sfft.next_fast_len(3 * ny - 1), sfft.next_fast_len(2 * nx - 1)
+    assert kspec.shape == (P0 // 2 + 1, P1) and half.shape == (P0 // 2 + 1, P1 // 2 + 1)
+    assert P0 < sfft.next_fast_len(4 * ny - 1)
     tr._cauchy_spectrum.cache_clear()
 
 
@@ -357,28 +379,42 @@ def test_accurate_product_quadrature_matches_the_fft_path(op):
     assert np.max(np.abs(a - b)) <= 2e-3 * np.max(np.abs(a))
 
 
+def _full_height_defect_sum(f):
+    """defect_sum's product beside the real kernel's full-height spectrum: all
+    P0 rows of it, built in place in its box (the x-mirrored table in the
+    float view of its P0 x (P1 // 2 + 1) rows, each row rfft'd over itself,
+    then an fft along y).  The product reads its first P0 // 2 + 1 rows, so
+    it holds what defect_sum holds when it stores the full height."""
+    s = f.spec
+    n = s.ny
+    a0, a1 = 3 * n - 1, 2 * n - 1
+    P0, P1 = tr._fft_shape((a0, a1))
+    kspec = np.zeros((P0, P1 // 2 + 1), dtype=complex)
+    box = kspec.view(float)
+    kn._planar_all(2 * n, n, s.hx, s.hy, out=box[:a0, n - 1 : a1])
+    np.negative(box[:a0, a1 - 1 : n - 1 : -1], out=box[:a0, : n - 1])
+    for r in range(0, P0, 32):
+        kspec[r : r + 32] = np.fft.rfft(box[r : r + 32, :P1], axis=1)
+    np.fft.fft(kspec, axis=0, out=kspec)
+    tr._pruned_rfft2(kspec[: P0 // 2 + 1], P0, -1, f.data, n, True, slice(2 * n - 1, 3 * n - 1),
+                     slice(0, n), P1)
+
+
 @pytest.mark.parametrize("n", [256, 512])
-def test_defect_sum_peak_memory_stays_under_1_15_full_spectra(n, peak_bytes):
-    # from a cold cache: the table of the 3 n - 1 rows the odd extension reads
-    # is built in place in the half spectrum, and the x-first panel pass holds
-    # a few fields beside it, 0.90-0.98 full spectra of that box.
-    # Twin: the full complex spectrum of the same real table
+def test_defect_sum_peak_memory_stays_under_0_87_full_spectra(n, peak_bytes):
+    # from a cold cache, in units of the full spectrum P0 P1 16 B of the 3 n - 1
+    # rows the odd extension reads: the half table, then its real x rows,
+    # then their half spectrum, and the x-first panel pass beside that
+    # spectrum, 0.75 at 256 and 0.65 at 512; the bars are 1.15 times those.
+    # Twin: the same product beside the full-height spectrum (0.98, 0.90)
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n), (n, n)))
     P0, P1 = tr._fft_shape((3 * n - 1, 2 * n - 1))
-    bar = 1.15 * P0 * P1 * 16
-
-    def full_spectrum_route():
-        tab = kn._planar_all(2 * n, n, gs.hx, gs.hy, np.empty((3 * n - 1, 2 * n - 1), complex))
-        kspec = sfft.fft2(2.0 * tab.real, s=(P0, P1))
-        del tab
-        tr._pruned_fft2(kspec, f.data, n, True, slice(2 * n - 1, 3 * n - 1),
-                        slice(n - 1, 2 * n - 1))
-
+    bar = {256: 0.87, 512: 0.75}[n] * P0 * P1 * 16
     tr._cauchy_spectrum.cache_clear()
     try:
         assert peak_bytes(lambda: tr.defect_sum(f)) <= bar
-        assert peak_bytes(full_spectrum_route) > bar
+        assert peak_bytes(lambda: _full_height_defect_sum(f)) > bar
     finally:
         tr._cauchy_spectrum.cache_clear()
 
@@ -403,7 +439,8 @@ def test_warm_cauchy_half_plane_ops_hold_under_0_7_full_spectra(n, peak_bytes):
     # beside the cached spectrum of the 3 n - 1 rows: the one x-spectrum
     # (n x P1, which takes the kept rows), a P0 x 32 panel and the result,
     # 0.52-0.54 full spectra for both signs.  Twin: the y-first pass on the
-    # same flipped input and spectrum holds a P0 x P1 buffer
+    # same flipped input, with the full spectrum the cached rows stand for,
+    # holds a P0 x P1 buffer
     gs = upper(n)
     f = Field(gs, _random_complex(np.random.default_rng(n + 1), (n, n)))
     P0, P1 = tr._fft_shape((3 * n - 1, 2 * n - 1))
@@ -411,22 +448,35 @@ def test_warm_cauchy_half_plane_ops_hold_under_0_7_full_spectra(n, peak_bytes):
     tr._cauchy_spectrum.cache_clear()
     try:
         tr.transform(f, "cauchy_down")  # warms the one spectrum both signs read
-        kspec = tr._cauchy_spectrum(2 * n, n, n, gs.hx, gs.hy, False)
+        kspec = _full_spectrum(tr._cauchy_spectrum(2 * n, n, n, gs.hx, gs.hy, False), P0, -1)
         for op in ("cauchy_up", "cauchy_down"):
             assert peak_bytes(lambda: tr.transform(f, op)) <= bar, op
         y_first = lambda: _y_first_pruned_fft2(kspec, f.data[::-1, ::-1],
-                                                slice(n - 1, 3 * n - 1), slice(n - 1, 2 * n - 1))
+                                                slice(n - 1, 3 * n - 1), slice(0, n))
         assert peak_bytes(y_first) > 1.0 * P0 * P1 * 16
     finally:
         tr._cauchy_spectrum.cache_clear()
 
 
+def _circular_box(tab, shape):
+    """The half table (dx in [0, nx)) in a zero box of `shape`, with its x-mirror
+    K(-conj zeta) = -conj K(zeta) wrapped to the last nx - 1 columns."""
+    a0, nx = tab.shape
+    box = np.zeros(shape, dtype=tab.dtype)
+    box[:a0, :nx] = tab
+    box[:a0, shape[1] - nx + 1 :] = -np.conj(tab[:, :0:-1])
+    return box
+
+
 def test_spectrum_builds_hold_little_beside_the_spectrum(peak_bytes, monkeypatch):
-    # in units of the full spectrum of the 3 n - 1 half-plane rows at 512^2:
-    # the real kernel's table is rfft'd in place in its half spectrum (0.71),
-    # the complex one is built in its box a row block at a time (1.21).
-    # Twins: the real table in a box of its own, then rfft2 (1.00), and the
-    # whole quadrant lattice at once (2.00)
+    # in units of the full spectrum P0 P1 16 B of the 3 n - 1 half-plane rows at
+    # 512^2, each build holds its real x rows, the half table built in their
+    # leading columns, then those rows and their half spectrum: 0.53 for the
+    # real kernel, 1.02 for the complex one; the bars are 1.15 times those.
+    # The stored spectra hold (P0 // 2 + 1) W complex entries.  Twins: the
+    # full-height spectra built in place in their P0 rows (real 0.71,
+    # complex 1.21); the circular real box, then rfft2 (1.25); the whole
+    # quadrant lattice at once (1.50)
     n = 512
     gs = upper(n)
     a0, a1 = 3 * n - 1, 2 * n - 1
@@ -436,19 +486,38 @@ def test_spectrum_builds_hold_little_beside_the_spectrum(peak_bytes, monkeypatch
     def build(real):
         return lambda: tr._cauchy_spectrum(2 * n, n, n, gs.hx, gs.hy, real)
 
+    def full_height_real_build():
+        kspec = np.zeros((P0, P1 // 2 + 1), dtype=complex)
+        box = kspec.view(float)
+        kn._planar_all(2 * n, n, gs.hx, gs.hy, out=box[:a0, n - 1 : a1])
+        np.negative(box[:a0, a1 - 1 : n - 1 : -1], out=box[:a0, : n - 1])
+        for r in range(0, P0, 32):
+            kspec[r : r + 32] = np.fft.rfft(box[r : r + 32, :P1], axis=1)
+        np.fft.fft(kspec, axis=0, out=kspec)
+
+    def full_height_complex_build():
+        kspec = np.zeros((P0, P1), dtype=complex)
+        kn._planar_all(2 * n, n, gs.hx, gs.hy, out=kspec[:a0, n - 1 : a1])
+        np.conjugate(kspec[:a0, a1 - 1 : n - 1 : -1], out=kspec[:a0, : n - 1])
+        kspec[:a0, : n - 1] *= -1
+        np.fft.fft(kspec, axis=0, out=kspec)
+        np.fft.fft(kspec, axis=1, out=kspec)
+
     def box_then_rfft2():
-        box = np.zeros((P0, P1))
-        kn._planar_all(2 * n, n, gs.hx, gs.hy, out=box[:a0, :a1])
-        sfft.rfft2(box)
+        tab = kn._planar_all(2 * n, n, gs.hx, gs.hy, np.empty((a0, n)))
+        sfft.rfft2(_circular_box(tab, (P0, P1)))
 
     try:
-        for fn, bar, below in [(build(True), 0.9, True), (box_then_rfft2, 0.9, False),
-                               (build(False), 1.4, True)]:
+        for fn, bar, below in [(build(True), 0.61, True), (full_height_real_build, 0.61, False),
+                               (box_then_rfft2, 0.61, False), (build(False), 1.17, True),
+                               (full_height_complex_build, 1.17, False)]:
             tr._cauchy_spectrum.cache_clear()
             assert (peak_bytes(fn) <= bar * unit) is below
+        for real, W in [(True, P1 // 2 + 1), (False, P1)]:
+            assert build(real)().size <= (P0 // 2 + 1) * W
         monkeypatch.setattr(kn, "_ROW_BLOCK", 3 * n)
         tr._cauchy_spectrum.cache_clear()
-        assert peak_bytes(build(False)) > 1.4 * unit
+        assert peak_bytes(build(False)) > 1.17 * unit
     finally:
         tr._cauchy_spectrum.cache_clear()
 
@@ -461,22 +530,33 @@ SPECTRUM_GEOMETRIES = [(13, 70), (5, 140), (24, 40)]
 @pytest.mark.parametrize("nx, ny", SPECTRUM_GEOMETRIES)
 @pytest.mark.parametrize("half", [False, True])
 def test_spectra_are_the_ffts_of_their_padded_boxes(nx, ny, half):
+    # bit for bit the explicit pipeline on the half table: each row's x
+    # transform as a real row R (hfft of i K; the imaginary part of the rfft
+    # of the odd row of Re K), then R's rfft along y, zero-padded to P0, times
+    # -1j (2j for 2 Re K).  With row P0 - j = -conj row j, those rows are fft2
+    # (2 rfft2 for 2 Re K) of the circular box to 1e-14 of its max.
+    # Twins: the mirrored rows with the sign +1, and the table one row lower
     hx, hy = 2.7 / nx, 5.9 / ny
     top = 2 * ny if half else ny
-    tab = kn._planar_all(top, nx, hx, hy, np.empty((top + ny - 1, 2 * nx - 1), complex))
-    shape = tr._fft_shape(tab.shape)
-    box = np.zeros(shape, dtype=complex)
-    box[: tab.shape[0], : tab.shape[1]] = tab
-    real_box = np.zeros(shape)
-    real_box[: tab.shape[0], : tab.shape[1]] = tab.real
+    a0 = top + ny - 1
+    P0, P1 = tr._fft_shape((a0, 2 * nx - 1))
+    tab = kn._planar_all(top, nx, hx, hy, np.empty((a0, nx), complex))
+    R = sfft.hfft(1j * tab, n=P1, axis=1)
+    R_real = sfft.rfft(_circular_box(tab.real, (a0, P1)), axis=1).imag
+    full = sfft.fft2(_circular_box(tab, (P0, P1)))
+    full_real = 2 * sfft.rfft2(_circular_box(tab.real, (P0, P1)))
     tr._cauchy_spectrum.cache_clear()
     try:
         kspec = tr._cauchy_spectrum(top, ny, nx, hx, hy, False)
-        assert np.array_equal(kspec, sfft.fft2(box))
+        assert np.array_equal(kspec, -1j * sfft.rfft(R, n=P0, axis=0))
         half_spec = tr._cauchy_spectrum(top, ny, nx, hx, hy, True)
-        assert np.array_equal(half_spec, 2 * sfft.rfft2(real_box))
-        # twin: the table one row lower in its box
-        assert not np.array_equal(half_spec, 2 * sfft.rfft2(np.roll(real_box, 1, axis=0)))
+        assert np.array_equal(half_spec, 2j * sfft.rfft(R_real, n=P0, axis=0))
+        for got, want in [(kspec, full), (half_spec, full_real)]:
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(_full_spectrum(got, P0, -1) - want)) <= 1e-14 * scale
+            assert np.max(np.abs(_full_spectrum(got, P0, 1) - want)) > 1e-3 * scale
+        lower = np.concatenate([np.zeros((1, R_real.shape[1])), R_real])
+        assert not np.array_equal(half_spec, 2j * sfft.rfft(lower, n=P0, axis=0))
     finally:
         tr._cauchy_spectrum.cache_clear()
 
@@ -487,13 +567,14 @@ def test_pruned_rfft2_blocks_are_the_extension_as_one_block(nx, ny):
     hx, hy = 2.7 / nx, 5.9 / ny
     f = _random_complex(np.random.default_rng(nx + ny), (ny, nx))
     kspec = tr._cauchy_spectrum(2 * ny, ny, nx, hx, hy, True)
-    n1 = tr._fft_shape([2 * nx - 1])[0]
-    rows, cols = slice(2 * ny - 1, 3 * ny - 1), slice(nx - 1, 2 * nx - 1)
+    P0, n1 = tr._fft_shape((3 * ny - 1, 2 * nx - 1))
+    rows, cols = slice(2 * ny - 1, 3 * ny - 1), slice(0, nx)
 
     def one_block(lower, upper):
-        return tr._pruned_rfft2(kspec, np.concatenate([lower, upper]), 0, False, rows, cols, n1)
+        return tr._pruned_rfft2(kspec, P0, -1, np.concatenate([lower, upper]), 0, False, rows,
+                                cols, n1)
 
-    got = tr._pruned_rfft2(kspec, f, ny, True, rows, cols, n1)
+    got = tr._pruned_rfft2(kspec, P0, -1, f, ny, True, rows, cols, n1)
     assert np.array_equal(got, one_block(-f[::-1], f))
     # twin: the even extension
     twin = one_block(f[::-1], f)
@@ -509,46 +590,57 @@ HALF_PLANE_FFT = {  # op: (kernel, sign, real kernel)
 }
 
 
-def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2):
-    """Odd (sign +1) or zero extension, whole-plane `kind`, restriction.
+def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2, kspec=None):
+    """Odd (sign +1) or zero extension, whole-plane `kind`, restriction; sign 0
+    sums `kind` over f alone.
 
-    The extension goes through the x pass, the y pass with the spectrum or
-    symbol, the restriction (sign -1: the rows at z less those at conj z),
-    then the inverse x pass.  The Cauchy spectrum is that of the table rows
-    dy / hy in (-ny, 2 ny): the zero extension is summed negated and flipped
-    in x and y, and its restriction negated and flipped back in x (1/zeta is
-    odd; the fold already mirrors y).  For the odd extension the rows z in
-    the lower half are wrapped sums, which the restriction drops.
-    `reflection` is the sign of the mirrored term: of the lower block for the
-    odd extension, of the subtracted values at conj z for the zero one.
+    The extension goes through the x pass, the y pass with the full spectrum
+    or symbol `kspec` (by default the stored one, whose rows j > P0 // 2 are
+    sigma conj of the stored row P0 - j: sigma = -1 for Cauchy, +1 for
+    Beurling), the restriction (sign -1: the rows at z less those at conj z),
+    then the inverse x pass, which keeps the columns [0, nx).  The Cauchy
+    spectrum is that of the table rows dy / hy in (-ny, top), top = 2 ny (ny
+    for sign 0): the zero extension is summed negated and flipped in x and
+    y, and its restriction negated and flipped back in x (1/zeta is odd; the
+    fold already mirrors y).  For the odd extension the rows z in the lower
+    half are wrapped sums, which the restriction drops.  `reflection` is the
+    sign of the mirrored term: of the lower block for the odd extension, of
+    the subtracted values at conj z for the zero one.
     """
     s = f.spec
     ny, nx = s.ny, s.nx
-    lower = np.zeros_like(f.data)
-    if sign == 1:
-        lower = -f.data[::-1] if reflection == -1 else f.data[::-1]
-    ext = np.concatenate([lower, f.data])
-    if kind == "cauchy":
-        kspec = tr._cauchy_spectrum(2 * ny, ny, nx, s.hx, s.hy, real)
-        data = ext if sign == 1 else -ext[::-1, ::-1]
-        rows, cols = slice(ny - 1, 3 * ny - 1), slice(nx - 1, 2 * nx - 1)
+    if sign == 0:
+        ext = f.data
     else:
-        kspec = tr._beurling_symbol(2 * padding * ny, padding * nx, s.hx, s.hy)
-        data, rows, cols = ext, slice(0, 2 * ny), slice(0, nx)
-    n1 = tr._fft_shape([2 * nx - 1])[0] if real else kspec.shape[1]
+        lower = np.zeros_like(f.data)
+        if sign == 1:
+            lower = -f.data[::-1] if reflection == -1 else f.data[::-1]
+        ext = np.concatenate([lower, f.data])
+    if kind == "cauchy":
+        top = ny if sign == 0 else 2 * ny
+        P0, n1 = tr._fft_shape((top + ny - 1, 2 * nx - 1))
+        if kspec is None:
+            kspec = _full_spectrum(tr._cauchy_spectrum(top, ny, nx, s.hx, s.hy, real), P0, -1)
+        data = -ext[::-1, ::-1] if sign == -1 else ext
+        rows = slice(ny - 1, top + ny - 1)
+    else:
+        P0, n1 = padding * len(ext), padding * nx
+        if kspec is None:
+            kspec = _full_spectrum(tr._beurling_symbol(P0, n1, s.hx, s.hy), P0, 1)
+        data, rows = ext, slice(0, len(ext))
 
     def passes(x_spectrum, x_inverse):
-        box = np.zeros((kspec.shape[0], x_spectrum.shape[1]), dtype=complex)
-        box[: 2 * ny] = x_spectrum
+        box = np.zeros((P0, x_spectrum.shape[1]), dtype=complex)
+        box[: len(ext)] = x_spectrum
         q = sfft.ifft(sfft.fft(box, axis=0) * kspec, axis=0)[rows]
         if sign == 1:
             q = q[ny:]
-        else:
+        elif sign == -1:
             mirror = q[ny - 1 :: -1]
             q = q[ny:] - mirror if reflection == -1 else q[ny:] + mirror
-        return x_inverse(q)[:, cols]
+        return x_inverse(q)[:, :nx]
 
-    if real:  # the real kernel's half spectrum, on the real then the imaginary part
+    if real:  # the real kernel's spectrum on kx in [0, n1 // 2], on the real then imaginary part
         out = np.empty((ny, nx), dtype=complex)
         for part, dst in ((np.real, out.real), (np.imag, out.imag)):
             dst[...] = passes(sfft.rfft(part(data), n=n1, axis=1),
@@ -558,7 +650,7 @@ def _explicit_half_plane(f, kind, sign, real, reflection=-1, padding=2):
     if kind == "beurling":
         return out
     out = out * s.cell_measure
-    return out if sign == 1 else -out[:, ::-1]
+    return -out[:, ::-1] if sign == -1 else out
 
 
 @pytest.mark.parametrize("op", sorted(HALF_PLANE_FFT))
@@ -573,6 +665,102 @@ def test_half_plane_fft_body_is_the_explicit_pipeline(op, nx, ny):
     # twin: the reflection with its sign flipped
     twin = _explicit_half_plane(f, kind, sign, real, reflection=+1)
     assert np.max(np.abs(got - twin)) > 1e-3 * np.max(np.abs(got))
+
+
+def _full_symbol(py, px, hx, hy):
+    """The Beurling symbol on all py rows of its box, each row computed by the
+    arithmetic of the stored rows ky in [0, py // 2]."""
+    kx = 2.0 * np.pi * np.fft.fftfreq(px, d=hx)
+    ky = 2.0 * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
+    r2 = kx**2 + ky**2
+    r2[0, 0] = 1.0
+    mult = np.empty((py, px), dtype=complex)
+    np.subtract(kx**2, ky**2, out=mult.real)
+    np.multiply(-2.0 * kx, ky, out=mult.imag)
+    mult.real /= r2
+    mult.imag /= r2
+    return mult
+
+
+# every fft-path body as (kernel, sign, real kernel), and each product
+# kernel as its factorization (module docstring of transforms):
+# c M^post body[M^pre f]
+FFT_BODIES = {**HALF_PLANE_FFT, "cauchy": ("cauchy", 0, False), "beurling": ("beurling", 0, False)}
+FFT_FACTORED = {"bicauchy_up": ("cauchy_up", 0, -1, 0.5j),
+                "bicauchy_down": ("cauchy_down", -1, 0, -0.5j),
+                "bicauchy_real": ("defect_sum", -1, -1, 0.125)}
+
+
+def _full_pipeline(f, op, padding, sigma=None):
+    """op by the explicit pipeline with the full spectrum: fft2 of the circular
+    box of the Cauchy table (2 rfft2 of its real part for the real kernel),
+    or the full Beurling symbol.  With `sigma` the Cauchy spectrum is the
+    stored half with its other rows sigma conj of the mirrored stored rows."""
+    if op in FFT_FACTORED:
+        body, pre, post, c = FFT_FACTORED[op]
+        y = f.spec.y[:, None]
+        return c * y**post * _full_pipeline(Field(f.spec, f.data * y**pre), body, padding, sigma)
+    kind, sign, real = FFT_BODIES[op]
+    s = f.spec
+    ny, nx = s.ny, s.nx
+    rows = ny if sign == 0 else 2 * ny
+    if kind == "beurling":
+        kspec = _full_symbol(padding * rows, padding * nx, s.hx, s.hy)
+    else:
+        top = rows
+        P0, P1 = tr._fft_shape((top + ny - 1, 2 * nx - 1))
+        if sigma is None:
+            tab = kn._planar_all(top, nx, s.hx, s.hy,
+                                 np.empty((top + ny - 1, nx), float if real else complex))
+            box = _circular_box(tab, (P0, P1))
+            kspec = 2 * sfft.rfft2(box) if real else sfft.fft2(box)
+        else:
+            kspec = _full_spectrum(tr._cauchy_spectrum(top, ny, nx, s.hx, s.hy, real), P0, sigma)
+    return _explicit_half_plane(f, kind, sign, real, padding=padding, kspec=kspec)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40), square=st.booleans(),
+       padding=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_half_spectra_products_are_the_full_spectrum_pipeline(nx, ny, square, padding, seed):
+    # the stored half spectra, their other rows by the sigma rule, against
+    # fft2 of the circular box to 1e-14 of the complex one's max at every
+    # size (at nx = 1 the real kernel is the dx = 0 column's rounding-level
+    # real part, which the half spectrum drops); on grids
+    # (at least 4 cells a side) the Cauchy kinds and defect_sum against the
+    # full-spectrum pipeline to 1e-13 of the max, the Beurling ops bit for
+    # bit, on odd and even P0 and P1.  Twin: the Cauchy spectrum's mirrored
+    # rows with sigma = +1, wherever the box has such rows
+    L = 2.7
+    hx, hy = L / nx, L / nx * (1.0 if square else 1.7)
+    tr._cauchy_spectrum.cache_clear()
+    try:
+        for top in (ny, 2 * ny):
+            P0, P1 = tr._fft_shape((top + ny - 1, 2 * nx - 1))
+            tab = kn._planar_all(top, nx, hx, hy, np.empty((top + ny - 1, nx), complex))
+            want = sfft.fft2(_circular_box(tab, (P0, P1)))
+            scale = np.max(np.abs(want))
+            for real, want in [(False, want), (True, 2 * sfft.rfft2(_circular_box(tab.real,
+                                                                                (P0, P1))))]:
+                got = _full_spectrum(tr._cauchy_spectrum(top, ny, nx, hx, hy, real), P0, -1)
+                assert np.max(np.abs(got - want)) <= 1e-14 * scale, (top, real)
+        if min(nx, ny) < 4:  # GridSpec's least grid
+            return
+        gs = GridSpec(L=L, H=ny * hy, nx=nx, ny=ny, plane=PlaneKind.UPPER)
+        f = Field(gs, _random_complex(np.random.default_rng(seed), (ny, nx)))
+        for op in (*FFT_BODIES, *FFT_FACTORED):
+            got = (tr.defect_sum(f) if op == "defect_sum" else tr.transform(f, op, "fft",
+                                                                             padding)).data
+            want = _full_pipeline(f, op, padding)
+            if FFT_BODIES.get(op, ("cauchy",))[0] == "beurling":
+                assert np.array_equal(got, want), op
+                continue
+            assert _close(got, want, 1e-13), op
+            rows = ny if op == "cauchy" else 2 * ny
+            if tr._fft_shape([rows + ny - 1])[0] > 2:
+                assert not _close(got, _full_pipeline(f, op, padding, sigma=1), 1e-3), op
+    finally:
+        tr._cauchy_spectrum.cache_clear()
 
 
 def _referenced_bytes(a: np.ndarray) -> int:

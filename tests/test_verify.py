@@ -366,3 +366,52 @@ def test_no_check_samples_one_closed_form_twice_or_classifies_one_member_twice(s
     assert {cid: r for cid, r in repeats.items() if r} == {}
     assert len(passes["whittaker-classify"]) == 3 and list(passes) == ["whittaker-classify"]
     assert sum(n for blocks in samples.values() for _, n in blocks) <= 8.4e6
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _golden_moves(method, payload) -> list:
+    """Every value of a battery's JSON payload (runtime_ms stripped) that moved
+    from tests/golden/battery-<method>.json, as (check id, key, golden, now).
+
+    lhs and ratio may move 1e-9 of themselves, or 1e-15 at the rounding
+    floor; every other key (check id and order included) must match exactly.
+    """
+    gold = json.loads((GOLDEN / f"battery-{method}.json").read_text())
+    if [g["check_id"] for g in gold] != [p["check_id"] for p in payload]:
+        return [("*", "check_id", [g["check_id"] for g in gold],
+                 [p["check_id"] for p in payload])]
+    moves = []
+    for g, p in zip(gold, payload):
+        for key in sorted(g.keys() | p.keys()):
+            a, b = g.get(key), p.get(key)
+            if key in ("lhs", "ratio") and a is not None and b is not None:
+                if not abs(a - b) <= max(1e-9 * abs(a), 1e-15):
+                    moves.append((g["check_id"], key, a, b))
+            elif a != b:
+                moves.append((g["check_id"], key, a, b))
+    return moves
+
+
+def _moves_table(moves) -> str:
+    """One line per moved value: id, key, golden, now, relative change and bar."""
+    lines = []
+    for cid, key, a, b in moves:
+        numeric = key in ("lhs", "ratio") and a is not None and b is not None
+        change = f"{abs(a - b) / abs(a):.2e}" if numeric and a else "-"
+        lines.append(f"{cid:48s} {key:10s} {a!r:>26} -> {b!r:26} {change:>9} "
+                     f"{'1e-9' if numeric else 'exact'}")
+    return "\n".join(lines)
+
+
+def test_the_battery_keeps_its_golden_numbers(spied_battery, strip_runtime):
+    # the committed values of `verify all --json` on each method, rewritten
+    # only by scripts/write_golden.py.  Twin: one lhs moved by 1e-8 of itself
+    method, reports, *_ = spied_battery
+    payload = strip_runtime(json.loads(reports_to_json(reports)))
+    moves = _golden_moves(method, payload)
+    assert not moves, f"moved from tests/golden/battery-{method}.json:\n" + _moves_table(moves)
+    i = next(i for i, p in enumerate(payload) if 1e-6 < abs(p["lhs"]) < math.inf)
+    payload[i]["lhs"] *= 1 + 1e-8
+    assert [m[:2] for m in _golden_moves(method, payload)] == [(payload[i]["check_id"], "lhs")]
