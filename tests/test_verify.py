@@ -83,6 +83,44 @@ def test_every_cheap_check_carries_a_negative_control(cheap_reports):
         assert all(next(iter(r.parameters)) == "negative_control" for r in controls)
 
 
+def _recorded(verdict: str, *args, **kw):
+    """The one report that a fresh recorder writes through `verdict`."""
+    rec = vf._Recorder("demo", None, "none")
+    getattr(rec, verdict)(*args, **kw)
+    [report] = rec.reports
+    return report
+
+
+def test_a_control_passes_exactly_when_its_comparison_fails():
+    # call sites once inverted each control's comparison by hand, so an
+    # at_most control whose value cleared its bar failed
+    assert _recorded("at_most", "control-x", 2.0, 1.0).passed
+    assert not _recorded("at_most", "control-x", 0.5, 1.0).passed
+    assert not _recorded("at_least", "control-x", 2.0, 1.0).passed
+    # a claim's comparison is its verdict
+    assert _recorded("at_most", "x", 0.5, 1.0).passed
+    assert not _recorded("at_most", "x", 2.0, 1.0).passed
+    assert _recorded("at_least", "x/y", 2.0, 1.0).passed
+    # record states the comparison as the claim does: a control whose comparison holds fails
+    assert not _recorded("record", "control-x", 1.0, 1.0, 1e-3, True).passed
+    assert _recorded("record", "control-x", 1.0, 1.0, 1e-3, False).passed
+    # only a "/control-" id is negated, and it alone carries the flag, first
+    assert _recorded("at_most", "controlled", 0.5, 1.0).parameters == {}
+    ctl = _recorded("at_most", "control-x", 2.0, 1.0, n=2)
+    assert list(ctl.parameters.items()) == [("negative_control", True), ("n", 2)]
+    # a value that is not a number passes neither as a claim nor as a control
+    for name in ("x", "control-x"):
+        assert not _recorded("at_most", name, math.nan, 1.0).passed
+        assert not _recorded("at_least", name, math.nan, 1.0).passed
+
+
+def test_a_reported_value_has_no_bar_and_passes():
+    r = _recorded("reported", "witness", 0.25, witness="holorat", notes={"why": "contrast"})
+    assert (r.lhs, r.rhs, r.tolerance, r.ratio, r.passed) == (0.25, math.inf, math.inf, 0.0, True)
+    assert list(r.parameters.items()) == [("label", "reported"), ("witness", "holorat")]
+    assert r.notes == {"why": "contrast"}
+
+
 def test_runtime_ms_is_each_reports_own_span():
     cfg = vf.RunConfig()  # made before the clock starts: it samples the battery member
     t = time.perf_counter()
@@ -339,6 +377,14 @@ def test_the_battery_passes_on_each_method(spied_battery):
     method, reports, *_ = spied_battery
     assert len(reports) == 84 and all(r.passed for r in reports), method
     assert sum(bool(r.parameters.get("negative_control")) for r in reports) == 25
+
+
+def test_the_registry_is_the_only_way_in_to_a_check(spied_battery):
+    # the battery's id prefixes are exactly the registry's, and no check body is exported
+    _, reports, *_ = spied_battery
+    assert {r.check_id.split("/")[0] for r in reports} == set(vf.CHECKS)
+    assert vf.__all__ == ["DEFAULT_BOX", "RunConfig", "HARDY_P2", "CUP_NORM_P2", "C2",
+                          "conjectured_bp", "CHECKS", "run_checks"]
 
 
 def test_no_check_evaluates_one_operator_twice_on_one_input(spied_battery):
