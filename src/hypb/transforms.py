@@ -37,9 +37,9 @@ Methods:
                       single source cell w = z omitted everywhere, so
                       pointwise kernel identities hold to rounding: both
                       sides then sum identical terms.
-  fft                 beurling via the unimodular Fourier multiplier
-                      conj(zeta)/zeta on a zero-padded box (`padding`
-                      scales it); cauchy via fast convolution with the
+  fft                 beurling via the Fourier multiplier conj(zeta)/zeta
+                      on a zero-padded box (`padding` scales it), with
+                      the Nyquist rule of `_beurling_symbol`; cauchy via fast convolution with the
                       fully cell-averaged 1/zeta table; the product kernels
                       via their exact factorizations through cauchy_up /
                       cauchy_down.
@@ -330,9 +330,16 @@ def _pruned_rfft2(kspec, P0, sigma, f, lift, odd, rows, cols, n1) -> np.ndarray:
 
 
 def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
-    """The unimodular multiplier conj(zeta)/zeta on the rows ky in [0, py // 2]
-    of a py x px box, 0 at zeta = 0: ((kx^2 - ky^2) - 2i kx ky) / (kx^2 + ky^2),
-    with no complex division.  Row py - j of the box is conj of row j."""
+    """The multiplier conj(zeta)/zeta on the rows ky in [0, py // 2] of a
+    py x px box, 0 at zeta = 0: ((kx^2 - ky^2) - 2i kx ky) / (kx^2 + ky^2),
+    with no complex division.  Row py - j of the box is conj of row j.
+
+    Nyquist rule: on an even axis one bin stands for both +pi/h and -pi/h,
+    so on that row or column the odd part -2 kx ky takes the mean of its two
+    aliases, 0 (W. L. Briggs and V. E. Henson, *The DFT*, SIAM 1995).  The
+    discrete kernel then keeps the x-reflection and transposition symmetries
+    of -1/zeta^2; the multiplier is unimodular away from zeta = 0 and
+    those lines."""
     kx = 2.0 * np.pi * np.fft.fftfreq(px, d=hx)
     ky = 2.0 * np.pi * np.fft.fftfreq(py, d=hy)[: py // 2 + 1, None]
     r2 = kx**2 + ky**2
@@ -342,6 +349,10 @@ def _beurling_symbol(py: int, px: int, hx: float, hy: float) -> np.ndarray:
     np.multiply(-2.0 * kx, ky, out=mult.imag)
     mult.real /= r2
     mult.imag /= r2
+    if py % 2 == 0:  # the Nyquist rule, in place
+        mult.imag[py // 2] = 0.0
+    if px % 2 == 0:
+        mult.imag[:, px // 2] = 0.0
     return mult
 
 

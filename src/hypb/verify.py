@@ -357,8 +357,9 @@ def check_planar_isometry(cfg: RunConfig) -> list:
 
     Ten seeded band-limited compactly supported fields on a full-plane grid;
     the fft path with padding 1 is exact to rounding because the discrete
-    multiplier is unimodular away from the zero mode.  A mean-bearing bump
-    breaks the hypothesis and moves the ratio by 1e-2.
+    multiplier is unimodular away from the zero mode and the Nyquist lines,
+    and the band-limited fields carry nothing on those lines.  A mean-bearing
+    bump breaks the hypothesis and moves the ratio by 1e-2.
     """
     rec = _Recorder("planar-isometry", GridSpec(L=4.0, H=4.0, nx=256, ny=256,
                                                 plane=PlaneKind.FULL), "fft")

@@ -241,7 +241,20 @@ def _pruned(data, kspec, P0, sigma, rows, cols):
     return tr._pruned_fft2(kspec, P0, sigma, data, 0, False, rows, cols)
 
 
-def _beurling_symbol(py, px, hx, hy):
+def _nyquist(mult):
+    """mult with its imaginary part 0 on the Nyquist row and column of an even
+    axis, where one bin stands for both +pi/h and -pi/h: the mean of the odd
+    part -2 kx ky over the two aliases."""
+    py, px = mult.shape
+    if py % 2 == 0:
+        mult.imag[py // 2] = 0.0
+    if px % 2 == 0:
+        mult.imag[:, px // 2] = 0.0
+    return mult
+
+
+def _quotient(py, px, hx, hy):
+    """conj(zeta) / zeta on the py x px box, 0 at zeta = 0."""
     zeta = (2.0 * np.pi * np.fft.fftfreq(px, d=hx)[None, :]
             + 2j * np.pi * np.fft.fftfreq(py, d=hy)[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -250,18 +263,70 @@ def _beurling_symbol(py, px, hx, hy):
     return mult
 
 
+def _beurling_symbol(py, px, hx, hy):
+    return _nyquist(_quotient(py, px, hx, hy))
+
+
 @pytest.mark.parametrize("py, px", [(9, 13), (8, 6), (1, 7), (6, 1), (1, 1), (2048, 832)])
 def test_beurling_symbol_is_the_complex_quotient(py, px):
     # the real and imaginary parts of its rows ky in [0, py // 2] against
-    # conj(zeta) / zeta, and the other rows as the conjugates the products
-    # read (sigma = +1); a unit-modulus symbol, so the bar is absolute.
-    # Twin: zeta / conj(zeta)
+    # conj(zeta) / zeta under the Nyquist rule, and the other rows as the
+    # conjugates the products read (sigma = +1); a unit-modulus symbol, so
+    # the bar is absolute.  Twins: zeta / conj(zeta), and the plain quotient
+    # wherever a Nyquist line leaves the axes
     hx, hy = 0.3, 0.2
     got, want = tr._beurling_symbol(py, px, hx, hy), _beurling_symbol(py, px, hx, hy)
     assert got.shape == (py // 2 + 1, px) and got[0, 0] == 0
     assert np.max(np.abs(_full_spectrum(got, py, 1) - want)) <= 1e-15
     if py > 1 and px > 1:  # on an axis the symbol is real
         assert np.max(np.abs(got - np.conj(want[: py // 2 + 1]))) > 0.5
+    plain = np.max(np.abs(_full_spectrum(got, py, 1) - _quotient(py, px, hx, hy)))
+    assert (plain > 0.5) == ((py % 2 == 0 and px > 1) or (px % 2 == 0 and py > 1))
+
+
+# a complex pair of two-gaussian members: a wide bump, whose odd extension
+# jumps at the axis, plus a steep one with content at the Nyquist frequencies
+SYMMETRY_F = ((4.0, 0.3 + 2.1j, 1 + 0.5j), (600.0, -0.5 + 1.4j, 0.2 - 0.7j))
+SYMMETRY_G = ((6.0, 0.8 + 3.0j, 0.4 - 1j), (900.0, -1.1 + 1.8j, 1 + 0.3j))
+# epsilon of each half-plane kernel's reflection; each down kernel's
+# transpose is epsilon times its up kernel
+SYMMETRY_SIGN = {"beurling_down": 1, "beurling_up": 1, "cauchy_down": -1, "cauchy_up": -1}
+
+
+def _symmetry_residuals(n) -> dict:
+    """Relative residuals on DEFAULT_BOX at n^2, fft path: of x-reflection
+    T(R f) = eps R conj T(conj f), R reversing the columns, in the max norm,
+    for each half-plane kernel; of transposition <T_down f, g> = eps <f, T_up g>
+    in the bilinear pairing sum u v, for each pair."""
+    spec = upper(n)
+    z = spec.zz()
+    f, g = (Field(spec, sum(a * np.exp(-s * np.abs(z - c) ** 2) for s, c, a in parts))
+            for parts in (SYMMETRY_F, SYMMETRY_G))
+    res = {}
+    for kernel, eps in SYMMETRY_SIGN.items():
+        lhs = tr.transform(Field(spec, f.data[:, ::-1]), kernel).data
+        rhs = eps * np.conj(tr.transform(f.conj(), kernel).data)[:, ::-1]
+        res["reflect", kernel] = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+    for down in ("beurling_down", "cauchy_down"):
+        a = np.sum(tr.transform(f, down).data * g.data)
+        b = SYMMETRY_SIGN[down] * np.sum(f.data * tr.transform(g, down[:-4] + "up").data)
+        res["transpose", down] = float(abs(a - b) / abs(b))
+    return res
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_fft_half_plane_kernels_keep_reflection_and_transposition(n, monkeypatch):
+    # both relations hold exactly for the kernels, so to rounding on any member.
+    # Twin: the plain quotient conj(zeta) / zeta as the Beurling symbol, whose
+    # odd part has no partner on the Nyquist lines, read 4e-11 (reflection)
+    # and 3.1e-6 (transposition) at 64^2, 9.1e-12 and 3.6e-9 at 128^2
+    res = _symmetry_residuals(n)
+    assert max(res.values()) <= 1e-12, res
+    monkeypatch.setattr(tr, "_beurling_symbol",
+                        lambda py, px, hx, hy: _quotient(py, px, hx, hy)[: py // 2 + 1])
+    twin = _symmetry_residuals(n)
+    assert min(twin["reflect", k] for k in ("beurling_down", "beurling_up")) > 1e-12, twin
+    assert twin["transpose", "beurling_down"] > 1e-12, twin
 
 
 @pytest.mark.parametrize("tab_shape, data_shape", PRUNE_CASES)
@@ -294,10 +359,16 @@ def test_pruned_multiplier_matches_the_unpruned_fft2(shape, padding):
     mult = _beurling_symbol(py, padding * nx, hx, hy)
     want = _unpruned(data, mult, slice(0, ny), slice(0, nx))
     half = tr._beurling_symbol(py, padding * nx, hx, hy)
-    assert _close(_pruned(data, half, py, 1, slice(0, ny), slice(0, nx)), want, PRUNE_TOL)
+    got = _pruned(data, half, py, 1, slice(0, ny), slice(0, nx))
+    assert _close(got, want, PRUNE_TOL)
     # twin: the next block of rows of the padded box
     assert not _close(_pruned(data, half, py, 1, slice(ny, 2 * ny), slice(0, nx)), want,
                       PRUNE_TOL)
+    # twin: the plain quotient, on an even box.  A single row or column has
+    # a transform even in the other frequency, which cancels the odd part
+    if min(shape) > 1 and (py % 2 == 0 or padding * nx % 2 == 0):
+        plain = _unpruned(data, _quotient(py, padding * nx, hx, hy), slice(0, ny), slice(0, nx))
+        assert not _close(got, plain, PRUNE_TOL)
 
 
 def test_conv_valid_rejects_data_larger_than_the_table():
@@ -669,7 +740,7 @@ def test_half_plane_fft_body_is_the_explicit_pipeline(op, nx, ny):
 
 def _full_symbol(py, px, hx, hy):
     """The Beurling symbol on all py rows of its box, each row computed by the
-    arithmetic of the stored rows ky in [0, py // 2]."""
+    arithmetic of the stored rows ky in [0, py // 2], under the Nyquist rule."""
     kx = 2.0 * np.pi * np.fft.fftfreq(px, d=hx)
     ky = 2.0 * np.pi * np.fft.fftfreq(py, d=hy)[:, None]
     r2 = kx**2 + ky**2
@@ -679,7 +750,7 @@ def _full_symbol(py, px, hx, hy):
     np.multiply(-2.0 * kx, ky, out=mult.imag)
     mult.real /= r2
     mult.imag /= r2
-    return mult
+    return _nyquist(mult)
 
 
 # every fft-path body as (kernel, sign, real kernel), and each product
