@@ -189,20 +189,45 @@ _MODES = {
 }
 
 
-def branch(family: str, A: complex, B: complex, t):
-    """A a(t) + B b(t) with the modes (a, b) of the family in `_MODES`.  A zero
-    coefficient skips its mode (e^{t/2} may be inf, y_integral refuses t past
-    709.78, and 0 * inf is NaN); a sum past the float range raises OverflowError.
+def _scale(A, B) -> int:
+    """e, the binary exponent of max(|A|, |B|): c 2^-e has modulus below 1."""
+    return math.frexp(max(abs(A), abs(B)))[1]
+
+
+def _modes(family: str, A, B, t: np.ndarray) -> np.ndarray:
+    """A a(t) + B b(t), each mode its left-to-right product.  An entry that is
+    not finite (c t, say, overflowing before e^{-t/2} scales it) is computed
+    again with the coefficients at c 2^-e (`_scale`) and multiplied by 2^e
+    in two steps: each factor is a power of two, so the value is the same
+    product with no overflow midway.  A zero coefficient skips its mode
+    (e^{t/2} may be inf, y_integral refuses t past 709.78, and 0 * inf is NaN).
     """
+    def total(A, B, t):
+        out = np.zeros_like(t)
+        for c, mode in zip((A, B), _MODES[family]):
+            if c != 0:
+                out = out + mode(c, t)
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse what stays
+        out = total(A, B, t)
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            e = _scale(A, B)
+            k = math.ldexp(1.0, -e)
+            scaled = total(A * k, B * k, t) * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
+            out = np.where(bad, scaled, out)
+    return out
+
+
+def branch(family: str, A: complex, B: complex, t):
+    """A a(t) + B b(t) with the modes (a, b) of the family in `_MODES`
+    (`_modes`); a value past the float range raises OverflowError."""
     if family not in _MODES:
         raise ValueError("family must be 'X' or 'Y'")
     t = np.asarray(t, dtype=float)
     _positive(t)
-    out = np.zeros_like(t)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for c, mode in zip((A, B), _MODES[family]):
-            if c != 0:
-                out = out + mode(c, t)
+    out = _modes(family, A, B, t)
     bad = ~np.isfinite(out)
     if bad.any():
         raise OverflowError(f"the {family} branch A a(t) + B b(t) overflows at |A| = "
@@ -217,21 +242,31 @@ def pointwise_residual(family: str, A, B, t_grid, sign: Optional[int] = None) ->
 
     Second derivative by the 5-point O(h^4) stencil with h small against the
     e^{t/2} scale; passing an explicit wrong `sign` turns this into the
-    branch negative control.  A residual past the float range (the stencil's
-    sums) raises OverflowError, as `branch` does for a value.
+    branch negative control.  The residual does not depend on the scale of
+    (A, B), so one whose stencil sums overflow is computed again with the
+    coefficients at 2^-e (`_scale`); one still past the float range raises
+    OverflowError, as `branch` does for a value.
     """
     s = (1 if family == "X" else -1) if sign is None else sign
     t = np.asarray(t_grid, dtype=float)
     h = np.minimum(0.01 * t, 0.05)
-    with np.errstate(all="ignore"):  # refused below
-        f0 = branch(family, A, B, t)  # refuses a t that is not positive
+    f0 = branch(family, A, B, t)  # refuses a t that is not positive
+
+    def residual(A, B, t, h, f0):
         d2 = (
-            -branch(family, A, B, t + 2 * h) + 16 * branch(family, A, B, t + h) - 30 * f0
-            + 16 * branch(family, A, B, t - h) - branch(family, A, B, t - 2 * h)
+            -_modes(family, A, B, t + 2 * h) + 16 * _modes(family, A, B, t + h) - 30 * f0
+            + 16 * _modes(family, A, B, t - h) - _modes(family, A, B, t - 2 * h)
         ) / (12.0 * h**2)
         target = (0.25 + s / t) * f0
-        denom = np.abs(f0) + np.abs(d2) + 1e-300
-        resid = np.abs(d2 - target) / denom
+        return np.abs(d2 - target) / (np.abs(f0) + np.abs(d2) + 1e-300)
+
+    with np.errstate(all="ignore"):  # refused below
+        resid = residual(A, B, t, h, f0)
+        bad = ~np.isfinite(resid)
+        if np.any(bad):
+            k = math.ldexp(1.0, -_scale(A, B))
+            resid = np.where(bad, residual(A * k, B * k, t, h, _modes(family, A * k, B * k, t)),
+                             resid)
     bad = ~np.isfinite(resid)
     if bad.any():
         raise OverflowError(f"the {family} branch or its residual is past the float range "

@@ -191,6 +191,20 @@ def test_branch_X_refuses_where_its_fast_mode_times_A_overflows():
     assert np.isfinite(wh.branch("X", 0.0, 1.0, 1500.0))
 
 
+def test_branch_keeps_a_value_whose_product_overflows_midway():
+    # B t overflowed before e^{-t/2} scaled it, so Y at B = 1e307 was refused
+    # from t = 18.4 though every value stays under 7.4e306.  Every entry is
+    # the left-to-right product without the overflow: the product at 2^-10
+    # times the coefficients, times 2^10, which scales exactly
+    t = np.geomspace(0.1, 30.0, 200)
+    for family, A, B in (("Y", 0.0, 1e307), ("Y", 0.0, 1e308), ("X", 0.0, 1e308),
+                         ("X", 1e300, 0.0), ("Y", 1e300, 1e307)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = wh.branch(family, A, B, t)
+        assert np.array_equal(got, wh.branch(family, A / 1024, B / 1024, t) * 1024.0)
+
+
 def test_slow_branch_integral_asymptotics():
     # I(t) ~ 1/t^2 for large t; I(t) = 1/t + log t + gamma + O(t log t) small
     assert abs(900.0 * wh.x_integral(30.0) - 1.0) < 0.1
