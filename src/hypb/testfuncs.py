@@ -2,11 +2,14 @@
 
 Each factory returns an :class:`AnalyticTestFunction` bundling a closed-form
 evaluator for F and, where checks read them, for dF, dbarF, the
-quarter-Laplacian lap F = d(dbar F) and d^2 F.  The gaussian, rational and
-harmonic members carry all five; the Hardy family carries F and its
-y-profile only, and `sample` refuses the other four by name.  Checks
-consume these instead of differentiating numerically, so a failed identity
-points at the operator under test, not at the input.
+quarter-Laplacian lap F = d(dbar F) and d^2 F.  The gaussian carries all
+five, the checks' derivative data.  The rational and harmonic members carry
+F alone: the checks read their defining properties (conjrat is
+anti-holomorphic, holorat holomorphic, imz, rez and poisson harmonic), not
+their derivatives.  The Hardy family carries F and its y-profile.  `sample`
+refuses a form a member lacks by name.  Checks consume these instead of
+differentiating numerically, so a failed identity points at the operator
+under test, not at the input.
 
 The derivative convention throughout:
 
@@ -14,7 +17,8 @@ The derivative convention throughout:
     lap  = d dbar = (1/4)(dxx + dyy)
 
 The tests audit the gaussian's closed forms by finite differences at
-random points: lap F against d(dbar F) and d2 F against d(d F).
+random points, lap F against d(dbar F) and d2 F against d(d F), and each
+other member's defining property by the fourth-order stencils on a grid.
 """
 
 from __future__ import annotations
@@ -156,19 +160,7 @@ def conj_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
     def f(z):
         return (np.conj(z) - 1j * a) ** (-k)
 
-    def dbar(z):
-        return -k * (np.conj(z) - 1j * a) ** (-k - 1)
-
-    zero = lambda z: np.zeros(np.shape(z), dtype=complex)
-    return AnalyticTestFunction(
-        name="conjrat",
-        f=f,
-        d=zero,
-        dbar=dbar,
-        lap=zero,
-        d2=zero,
-        params={"a": a, "k": k},
-    )
+    return AnalyticTestFunction(name="conjrat", f=f, params={"a": a, "k": k})
 
 
 def holo_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
@@ -179,22 +171,7 @@ def holo_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
     def f(z):
         return (z + 1j * a) ** (-k)
 
-    def d(z):
-        return -k * (z + 1j * a) ** (-k - 1)
-
-    def d2(z):
-        return k * (k + 1) * (z + 1j * a) ** (-k - 2)
-
-    zero = lambda z: np.zeros(np.shape(z), dtype=complex)
-    return AnalyticTestFunction(
-        name="holorat",
-        f=f,
-        d=d,
-        dbar=zero,
-        lap=zero,
-        d2=d2,
-        params={"a": a, "k": k},
-    )
+    return AnalyticTestFunction(name="holorat", f=f, params={"a": a, "k": k})
 
 
 # ---------------------------------------------------------------------------
@@ -203,34 +180,10 @@ def holo_rational(a: float = 1.0, k: int = 2) -> AnalyticTestFunction:
 
 def harmonic_samples() -> dict:
     """Three harmonic functions on C+."""
-    zero = lambda z: np.zeros(np.shape(z), dtype=complex)
-
-    imz = AnalyticTestFunction(
-        name="imz",
-        f=lambda z: z.imag.astype(complex),
-        d=lambda z: np.full(np.shape(z), -0.5j),
-        dbar=lambda z: np.full(np.shape(z), 0.5j),
-        lap=zero,
-        d2=zero,
-    )
-
-    rez = AnalyticTestFunction(
-        name="rez",
-        f=lambda z: z.real.astype(complex),
-        d=lambda z: np.full(np.shape(z), 0.5 + 0j),
-        dbar=lambda z: np.full(np.shape(z), 0.5 + 0j),
-        lap=zero,
-        d2=zero,
-    )
-
-    poisson = AnalyticTestFunction(
-        name="poisson",
-        f=lambda z: (z.imag / np.abs(z) ** 2).astype(complex),
-        d=lambda z: -0.5j / z**2,
-        dbar=lambda z: 0.5j / np.conj(z) ** 2,
-        lap=zero,
-        d2=lambda z: 1j / z**3,
-    )
+    imz = AnalyticTestFunction(name="imz", f=lambda z: z.imag.astype(complex))
+    rez = AnalyticTestFunction(name="rez", f=lambda z: z.real.astype(complex))
+    poisson = AnalyticTestFunction(name="poisson",
+                                   f=lambda z: (z.imag / np.abs(z) ** 2).astype(complex))
     return {"imz": imz, "rez": rez, "poisson": poisson}
 
 
