@@ -252,7 +252,7 @@ def pointwise_residual(family: str, A, B, t_grid, sign: Optional[int] = None) ->
     h = np.minimum(0.01 * t, 0.05)
     f0 = branch(family, A, B, t)  # refuses a t that is not positive
 
-    def residual(A, B, t, h, f0):
+    def residual(A, B, f0):
         d2 = (
             -_modes(family, A, B, t + 2 * h) + 16 * _modes(family, A, B, t + h) - 30 * f0
             + 16 * _modes(family, A, B, t - h) - _modes(family, A, B, t - 2 * h)
@@ -261,12 +261,11 @@ def pointwise_residual(family: str, A, B, t_grid, sign: Optional[int] = None) ->
         return np.abs(d2 - target) / (np.abs(f0) + np.abs(d2) + 1e-300)
 
     with np.errstate(all="ignore"):  # refused below
-        resid = residual(A, B, t, h, f0)
+        resid = residual(A, B, f0)
         bad = ~np.isfinite(resid)
         if np.any(bad):
             k = math.ldexp(1.0, -_scale(A, B))
-            resid = np.where(bad, residual(A * k, B * k, t, h, _modes(family, A * k, B * k, t)),
-                             resid)
+            resid = np.where(bad, residual(A * k, B * k, _modes(family, A * k, B * k, t)), resid)
     bad = ~np.isfinite(resid)
     if bad.any():
         raise OverflowError(f"the {family} branch or its residual is past the float range "
