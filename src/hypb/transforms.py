@@ -39,10 +39,10 @@ Methods:
                       sides then sum identical terms.
   fft                 beurling via the Fourier multiplier conj(zeta)/zeta
                       on a zero-padded box (`padding` scales it), with
-                      the Nyquist rule of `_beurling_symbol`; cauchy via fast convolution with the
-                      fully cell-averaged 1/zeta table; the product kernels
-                      via their exact factorizations through cauchy_up /
-                      cauchy_down.
+                      the Nyquist rule of `_beurling_symbol`; cauchy via
+                      fast convolution with the fully cell-averaged
+                      1/zeta table; the product kernels via their exact
+                      factorizations through cauchy_up / cauchy_down.
 
 Every transform is `numpy.fft` (pocketfft).  The complex 2-D forward
 transforms run as per-axis passes, axis 0 first, the order of
