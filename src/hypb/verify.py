@@ -210,14 +210,14 @@ class _Recorder:
 
     def record(self, name: str, lhs, rhs, tol, holds, *, spec: Optional[GridSpec] = None,
                method: Optional[str] = None, notes: Optional[dict] = None, **parameters):
-        """A control passes exactly when `holds` fails; a NaN lhs never passes."""
+        """A control passes exactly when `holds` fails; a NaN lhs or rhs never passes."""
         check_id = f"{self.prefix}/{name}" if name else self.prefix
         control = "/control-" in check_id
         if control:
             parameters = dict(negative_control=True, **parameters)
         ratio = lhs / rhs if rhs != 0.0 else math.inf
         grid = spec or self.spec
-        passed = bool(holds) != control and not math.isnan(lhs)
+        passed = bool(holds) != control and not (math.isnan(lhs) or math.isnan(rhs))
         self._add(CheckReport(check_id, parameters, float(lhs), float(rhs), float(ratio),
                               float(tol), passed, grid.summary() if grid else None,
                               method or self.method, notes=notes or {}))

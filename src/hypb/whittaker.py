@@ -189,34 +189,40 @@ _MODES = {
 }
 
 
-def _scale(A, B) -> int:
-    """e, the binary exponent of max(|A|, |B|): c 2^-e has modulus below 1."""
-    return math.frexp(max(abs(A), abs(B)))[1]
+def _mode(mode, c, t: np.ndarray) -> np.ndarray:
+    """c times a mode of `_MODES` at t, its left-to-right product.  A real
+    part that is not finite (c t, say, overflowing before e^{-t/2} scales
+    it) is computed again from that part r of c alone, each coefficient at
+    its own scale: for |r| >= 1 as the product at r 2^-s times 2^s, s half
+    the binary exponent of r, whose steps are the unscaled steps times 2^-s
+    and so round alike while they are normal.  With |r 2^-s| >= 1/4 and
+    t > 1e-300 a step is subnormal only where the product is, and those
+    entries are NaN for the caller to refuse: a finite entry is the
+    left-to-right product without the overflow midway, never one that lost
+    bits to the scaling.
+    """
+    v = mode(c, t)
+    if np.isfinite(v).all():
+        return v
+    v = np.array(v)  # writable, also for a scalar t
+    for part, r in ((v.real, c.real), (v.imag, c.imag)) if np.iscomplexobj(v) else ((v, c),):
+        s = max(-(-math.frexp(r)[1] // 2), 0)  # s <= 512: 2^s and r 2^-s are exact
+        w = mode(math.ldexp(r, -s), t) if r != 0 else np.zeros_like(t)
+        if s:
+            w = np.where(np.abs(w) >= sys.float_info.min, w, np.nan) * math.ldexp(1.0, s)
+        part[...] = np.where(np.isfinite(part), part, w)
+    return v
 
 
 def _modes(family: str, A, B, t: np.ndarray) -> np.ndarray:
-    """A a(t) + B b(t), each mode its left-to-right product.  An entry that is
-    not finite (c t, say, overflowing before e^{-t/2} scales it) is computed
-    again with the coefficients at c 2^-e (`_scale`) and multiplied by 2^e
-    in two steps: each factor is a power of two, so the value is the same
-    product with no overflow midway.  A zero coefficient skips its mode
-    (e^{t/2} may be inf, y_integral refuses t past 709.78, and 0 * inf is NaN).
-    """
-    def total(A, B, t):
-        out = np.zeros_like(t)
+    """A a(t) + B b(t), each mode by `_mode`.  A zero coefficient skips its
+    mode (e^{t/2} may be inf, y_integral refuses t past 709.78, and
+    0 * inf is NaN)."""
+    out = np.zeros_like(t)
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse what stays
         for c, mode in zip((A, B), _MODES[family]):
             if c != 0:
-                out = out + mode(c, t)
-        return out
-
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse what stays
-        out = total(A, B, t)
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            e = _scale(A, B)
-            k = math.ldexp(1.0, -e)
-            scaled = total(A * k, B * k, t) * math.ldexp(1.0, e // 2) * math.ldexp(1.0, e - e // 2)
-            out = np.where(bad, scaled, out)
+                out = out + _mode(mode, c, t)
     return out
 
 
@@ -243,29 +249,28 @@ def pointwise_residual(family: str, A, B, t_grid, sign: Optional[int] = None) ->
     Second derivative by the 5-point O(h^4) stencil with h small against the
     e^{t/2} scale; passing an explicit wrong `sign` turns this into the
     branch negative control.  The residual does not depend on the scale of
-    (A, B), so one whose stencil sums overflow is computed again with the
-    coefficients at 2^-e (`_scale`); one still past the float range raises
-    OverflowError, as `branch` does for a value.
+    H, so one whose stencil sums overflow is computed again from the same
+    values times 2^-e, e the binary exponent of |H(t)|; one still past the
+    float range raises OverflowError, as `branch` does for a value.
     """
     s = (1 if family == "X" else -1) if sign is None else sign
     t = np.asarray(t_grid, dtype=float)
     h = np.minimum(0.01 * t, 0.05)
     f0 = branch(family, A, B, t)  # refuses a t that is not positive
+    stencil = [_modes(family, A, B, t + 2 * h), _modes(family, A, B, t + h), f0,
+               _modes(family, A, B, t - h), _modes(family, A, B, t - 2 * h)]
 
-    def residual(A, B, f0):
-        d2 = (
-            -_modes(family, A, B, t + 2 * h) + 16 * _modes(family, A, B, t + h) - 30 * f0
-            + 16 * _modes(family, A, B, t - h) - _modes(family, A, B, t - 2 * h)
-        ) / (12.0 * h**2)
+    def residual(fp2, fp1, f0, fm1, fm2):
+        d2 = (-fp2 + 16 * fp1 - 30 * f0 + 16 * fm1 - fm2) / (12.0 * h**2)
         target = (0.25 + s / t) * f0
         return np.abs(d2 - target) / (np.abs(f0) + np.abs(d2) + 1e-300)
 
     with np.errstate(all="ignore"):  # refused below
-        resid = residual(A, B, f0)
+        resid = residual(*stencil)
         bad = ~np.isfinite(resid)
         if np.any(bad):
-            k = math.ldexp(1.0, -_scale(A, B))
-            resid = np.where(bad, residual(A * k, B * k, _modes(family, A * k, B * k, t)), resid)
+            k = np.ldexp(1.0, -np.frexp(np.abs(f0))[1])
+            resid = np.where(bad, residual(*(f * k for f in stencil)), resid)
     bad = ~np.isfinite(resid)
     if bad.any():
         raise OverflowError(f"the {family} branch or its residual is past the float range "

@@ -112,6 +112,9 @@ def test_a_control_passes_exactly_when_its_comparison_fails():
     for name in ("x", "control-x"):
         assert not _recorded("at_most", name, math.nan, 1.0).passed
         assert not _recorded("at_least", name, math.nan, 1.0).passed
+        # nor does a computed bar that is not a number
+        assert not _recorded("record", name, 1.0, math.nan, 1e-3, False).passed
+        assert not _recorded("record", name, 1.0, math.nan, 1e-3, True).passed
 
 
 def test_a_reported_value_has_no_bar_and_passes():

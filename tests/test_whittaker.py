@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -203,6 +204,34 @@ def test_branch_keeps_a_value_whose_product_overflows_midway():
             warnings.simplefilter("error")
             got = wh.branch(family, A, B, t)
         assert np.array_equal(got, wh.branch(family, A / 1024, B / 1024, t) * 1024.0)
+
+
+def test_branch_scales_each_coefficient_on_its_own():
+    # one scale for both coefficients, that of max(|A|, |B|), flushed the
+    # smaller one to 0: X at (1e-300, 1e308) read 0.047, the slow mode alone,
+    # where it is 2.12e9.  Each real part of each coefficient now keeps its
+    # own scale, so the sum is each mode computed alone, bit for bit
+    ldexp = math.ldexp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = wh.branch("X", 1e-300, 1e308, 1410.0)
+        slow = wh.branch("X", 0.0, ldexp(1e308, -600), 1410.0) * ldexp(1.0, 600)
+        assert got == wh.branch("X", 1e-300, 0.0, 1410.0) + slow
+        assert got == pytest.approx(2.1224079e9, rel=1e-7) and slow == pytest.approx(0.047, rel=1e-2)
+        t = np.geomspace(0.1, 30.0, 200)
+        for family in "XY":
+            assert np.array_equal(wh.branch(family, 1.0, 1e308, t),
+                                  wh.branch(family, 1.0, 0.0, t) + wh.branch(family, 0.0, 1e308, t))
+            for B in (1e308 + 1e-5j, 1e-300 - 1.7e308j):
+                v = wh.branch(family, 0.0, B, t)
+                assert np.array_equal(v.real, wh.branch(family, 0.0, B.real, t))
+                assert np.array_equal(v.imag, wh.branch(family, 0.0, B.imag, t))
+    # a scaled product below the normal range has lost bits: refused, named,
+    # as is a coefficient below it whose product overflows (it raised a bare
+    # "math range error" from the scale factor)
+    for family, A, B, t in (("Y", 0.0, 1e308, 1500.0), ("X", 5e-324, 0.0, 1420.0)):
+        with pytest.raises(OverflowError, match=f"{family} branch A a\\(t\\) \\+ B b\\(t\\) overflows"):
+            wh.branch(family, A, B, t)
 
 
 def test_slow_branch_integral_asymptotics():
