@@ -15,14 +15,21 @@ kernel and its image under w -> conj w (or z -> conj z):
     bicauchy_up    1 / ((z - w)(conj z - w))
     bicauchy_down  1 / ((z - w)(z - conj w))
     bicauchy_real  Re(z - w) / |(z - w)(z - conj w)|^2
+    defect_sum     2 Re (1/(z - w) - 1/(z - conj w))
+
+`defect_sum` is C_down + conj C_down conj, the transform part of the
+defect operator M + (i/2)(C_down + conj C_down conj): conjugating C_down's
+input and output conjugates its kernel, so the sum is cauchy_down with 2 Re
+of the kernel: one sum of a real table, on either path.
 
 `transform(f, kernel, method, padding)` is the one way to call an
 operator.  Its table `_KERNELS` gives each translation kernel as a
 whole-plane kind (1/zeta or -1/zeta^2) and a sign: the kind is summed over
 f (sign 0), over f's odd extension (+1: z - conj w, the down operators) or
 over f's zero extension less the values at conj z (-1: conj z - w, the up
-operators).  The product kernels map to None.  Each path has one body per
-class: `_plane_quad` and `_product_quad`, `_plane_fft` and `_FACTORIZATION`.
+operators); `defect_sum`'s third entry, True, takes 2 Re of the kind.  The
+product kernels map to None.  Each path has one body per class:
+`_plane_quad` and `_product_quad`, `_plane_fft` and `_FACTORIZATION`.
 
 Methods:
 
@@ -118,13 +125,6 @@ in [0, py // 2] only, on every call.  The data spectrum is multiplied in
 place and inverted in place.  The quadrature path builds its own tables on
 every call and never reads that cache.
 
-The defect operator M + (i/2)(C_down + conj C_down conj) goes through one
-fused transform, `defect_sum` = C_down + conj C_down conj.  Conjugating
-C_down's input and output conjugates its kernel, so on the fft path the sum
-is a single convolution with the real kernel 2 Re(1/zeta), whose spectrum
-is kept on kx in [0, P1 // 2] as well; on the quadrature methods it is the
-two cauchy_down calls.
-
 The two paths share no code but `_fft_shape`, so agreement between them is
 a meaningful check rather than a tautology; tests/test_api_surface.py holds
 them to it (`test_fft_and_quadrature_paths_share_only_fft_shape`).
@@ -144,7 +144,6 @@ __all__ = [
     "KERNEL_IDS",
     "WHOLE_PLANE",
     "transform",
-    "defect_sum",
     "conv_valid",
     "minimal_solve",
 ]
@@ -205,8 +204,10 @@ def conv_valid(tab: np.ndarray, data: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(prod, out=prod)[b0 - 1 : a0, b1 - 1 : a1]
 
 
-def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
-    """The whole-plane `kind` table summed over f (sign 0) or its extension.
+def _plane_quad(f: Field, kind: str, sign: int, real: bool = False, *,
+                average: str) -> np.ndarray:
+    """The whole-plane `kind` table, or 2 Re of it with `real`, summed over f
+    (sign 0) or its extension.
 
     For the half-plane signs f fills rows [ny, 2 ny) of a 2 ny-row box.
     sign +1 (z - conj w, the down operators) puts its negated reflection in
@@ -219,6 +220,8 @@ def _plane_quad(f: Field, kind: str, sign: int, average: str) -> np.ndarray:
     ny, nx = spec.ny, spec.nx
     rows = {0: range(1 - ny, ny), 1: range(1 - ny, 2 * ny), -1: range(1 - 2 * ny, ny)}[sign]
     tab = planar_table(kind, rows, nx, spec.hx, spec.hy, average=average)
+    if real:
+        tab = 2.0 * tab.real
     if sign == 1:
         out = conv_valid(tab, np.concatenate([-f.data[::-1], f.data]))
     else:
@@ -396,11 +399,12 @@ def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: boo
     return kspec
 
 
-def _plane_fft(f: Field, kind: str, sign: int, padding: int, real: bool = False) -> np.ndarray:
+def _plane_fft(f: Field, kind: str, sign: int, real: bool = False, *,
+               padding: int) -> np.ndarray:
     """Whole-plane `kind` on f (sign 0), its odd extension (+1) or its zero
     extension less the values at conj z (-1, subtracted before the inverse
-    x pass); `padding` scales the Beurling multiplier's box, `real` takes
-    2 Re of the Cauchy kernel (`defect_sum`)."""
+    x pass); `real` takes 2 Re of the Cauchy kernel, `padding` scales the
+    Beurling multiplier's box."""
     s = f.spec
     ny, nx = s.ny, s.nx
     # the half-plane boxes hold f in rows [ny, 2 ny) of 2 ny
@@ -435,7 +439,7 @@ _FACTORIZATION = {
     "bicauchy_down": lambda f: -0.5j * transform(mult_im_pow(f, -1), "cauchy_down").data,
     # real part of the sandwiched cauchy_down: (C + conj C conj)/2 = 4 M E M
     "bicauchy_real": lambda f: mult_im_pow(
-        Field(f.spec, 0.125 * defect_sum(mult_im_pow(f, -1)).data), -1).data,
+        Field(f.spec, 0.125 * transform(mult_im_pow(f, -1), "defect_sum").data), -1).data,
 }
 
 
@@ -443,13 +447,14 @@ _FACTORIZATION = {
 # the dispatcher
 
 
-# kernel id: (whole-plane kind, sign) of a translation kernel (module
-# docstring), None for a product kernel
+# kernel id: (whole-plane kind, sign[, real part]) of a translation kernel
+# (module docstring), None for a product kernel
 _KERNELS = {
     "cauchy": ("cauchy", 0), "beurling": ("beurling", 0),
     "cauchy_up": ("cauchy", -1), "cauchy_down": ("cauchy", 1),
     "beurling_up": ("beurling", -1), "beurling_down": ("beurling", 1),
     "bicauchy_up": None, "bicauchy_down": None, "bicauchy_real": None,
+    "defect_sum": ("cauchy", 1, True),
 }
 KERNEL_IDS = tuple(_KERNELS)
 WHOLE_PLANE = tuple(k for k, geo in _KERNELS.items() if geo is not None and geo[1] == 0)
@@ -458,8 +463,9 @@ _AVERAGE = {"quadrature": "shell", "quadrature-matched": "none"}
 
 
 def transform(f: Field, kernel: str, method: str = "fft", padding: int = 2) -> Field:
-    """The operator `kernel` on f by `method` ("fft", "quadrature" or
-    "quadrature-matched"); `padding` sets the Beurling multiplier's box."""
+    """The operator `kernel`, any of KERNEL_IDS, on f by `method` ("fft",
+    "quadrature" or "quadrature-matched"); `padding` sets the Beurling
+    multiplier's box.  The only function that picks a path."""
     if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}; choose from {KERNEL_IDS}")
     if method != "fft" and method not in _AVERAGE:
@@ -468,28 +474,12 @@ def transform(f: Field, kernel: str, method: str = "fft", padding: int = 2) -> F
     if kernel not in WHOLE_PLANE:
         _require_upper(f, kernel)
     if method == "fft":
-        out = _FACTORIZATION[kernel](f) if geometry is None else _plane_fft(f, *geometry, padding)
+        out = (_FACTORIZATION[kernel](f) if geometry is None
+               else _plane_fft(f, *geometry, padding=padding))
     elif geometry is None:
         out = _product_quad(f, kernel, _AVERAGE[method])
     else:
-        out = _plane_quad(f, *geometry, _AVERAGE[method])
-    return Field(f.spec, out)
-
-
-def defect_sum(f: Field, method: str = "fft") -> Field:
-    """C_down f + conj C_down(conj f), the transform part of the defect
-    operator M + (i/2)(C_down + conj C_down conj).
-
-    fft: one convolution of the odd extension with the real kernel
-    2 Re(1/zeta); a quadrature method: the two cauchy_down calls, whose
-    `transform` refuses an unknown method.
-    """
-    _require_upper(f, "defect_sum")
-    if method == "fft":
-        out = _plane_fft(f, "cauchy", 1, None, real=True)
-    else:
-        out = (transform(f, "cauchy_down", method).data
-               + transform(f.conj(), "cauchy_down", method).data.conj())
+        out = _plane_quad(f, *geometry, average=_AVERAGE[method])
     return Field(f.spec, out)
 
 

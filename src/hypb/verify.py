@@ -111,7 +111,8 @@ BATTERY = "gaussian:c=2,sigma=4"
 class RunConfig:
     """The battery's grid, box, method, p and seed.  Made only for a grid the
     checks can run on, else ValueError: one GridSpec refuses, one under the
-    fd4 stencil's 5 cells per axis, or a zero member (module docstring)."""
+    fd4 stencil's 5 cells per axis, or a zero member (module docstring); and
+    only for a finite p > 1 and a seed >= 0."""
 
     nx: int = 256
     ny: int = 256
@@ -122,6 +123,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not 1 < self.p < math.inf:
+            raise ValueError(f"p = {self.p!r}; expected a finite p > 1")
+        if self.seed < 0:  # checks seed their generators with a base seed plus it
+            raise ValueError(f"seed = {self.seed}; expected an integer >= 0")
         if min(self.nx, self.ny) < 5:
             raise ValueError("the checks need n >= 5, the width of the fd4 stencil")
         [F] = _fields(BATTERY, self.battery_spec(), "f")
@@ -170,7 +175,7 @@ def _norm_sides(member: str, spec: GridSpec, method: str, coefficients=(0.5j,), 
         return _sides(f, d2F.data, dF.data + dbF.data, coefficients)
     [f] = _fields(member, spec, "lap")
     bf = tr.transform(f, "beurling_down", method).data if top else None
-    return _sides(f, bf, tr.defect_sum(f, method=method).data, coefficients)
+    return _sides(f, bf, tr.transform(f, "defect_sum", method).data, coefficients)
 
 
 def _sides(f: Field, bf, s, coefficients=(0.5j,)) -> list:
@@ -428,9 +433,7 @@ def _commutator_errors(member: str, ngrid: int) -> list:
     for n in (-2, -1, 1, 2):
         lhs = d(Field(spec, y**n * F.data)).data - y**n * dF
         for sign in (-1, 1) if n == 2 else (-1,):
-            rhs = (sign * 0.5j * n) * y ** (n - 1) * F.data
-            sc = np.sqrt(np.sum(np.abs(rhs) ** 2)) + 1e-300
-            errs.append(float(np.sqrt(np.sum(np.abs(lhs - rhs) ** 2)) / sc))
+            errs.append(_rel_l2(spec, lhs, (sign * 0.5j * n) * y ** (n - 1) * F.data))
     return errs
 
 
@@ -486,8 +489,7 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     closed = (np.conj(zeta) / zeta) * (E - (1.0 - E) / (4.0 * r2))
     out = tr.transform(Field(fspec, E.astype(complex)), "beurling")
     mask = (np.abs(X) <= 2.4) & (np.abs(Y - 2.0) <= 2.4)
-    diff = (out.data - closed)[mask]
-    e = float(np.sqrt(np.sum(np.abs(diff) ** 2) / np.sum(np.abs(closed[mask]) ** 2)))
+    e = _rel_l2(fspec, out.data * mask, closed * mask)
     rec.at_most("b-planar-closed-form", e, tol, spec=fspec, method="fft",
                 member="radial gaussian", window="central")
     # wrong-target control
@@ -714,7 +716,7 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 # built in its rows' x transforms, 3071 x 1025, whose y transform keeps the
 # 1537 x 1025 rows ky in [0, 1536] of the 3072 x 2048 box's spectrum, one
 # fused convolution per member, then `_sides`, which writes M f over f and
-# the residual over the sum.  defect_sum traces 59 MiB from a cold cache,
+# the residual over the sum.  The defect sum traces 59 MiB from a cold cache,
 # and the check alone peaks at 110 MB VmHWM: one more 1024^2 array is
 # 16 MB, 12% of the battery's 130 MB peak
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
@@ -727,7 +729,7 @@ def check_nullspace(cfg: RunConfig) -> list:
 
     def residual(member):
         [f] = _fields(member, spec, "f")
-        side = _sides(f, None, tr.defect_sum(f, method="fft").data)[1]
+        side = _sides(f, None, tr.transform(f, "defect_sum", rec.method).data)[1]
         return lp_norm(Field(spec, side), 2.0) / lp_norm(f, 2.0)  # M f is over f
 
     conj, holo = "conjrat:a=1,k=3", "holorat:a=1,k=3"
@@ -955,9 +957,7 @@ def check_adjointness(cfg: RunConfig) -> list:
     ga = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     Df = tr.transform(fa, "bicauchy_down", m)
     Ug = tr.transform(ga, "bicauchy_up", m)
-    cell = spec.cell_measure
-    lhs = complex(np.sum(Df.data * ga.data) * cell)
-    rhs = complex(np.sum(fa.data * Ug.data) * cell)
+    lhs, rhs = inner_product(Df, ga.conj()), inner_product(fa, Ug.conj())
     e = abs(lhs - rhs) / (abs(lhs) + 1e-300)
     lhss, rhss = inner_product(Df, ga), inner_product(fa, Ug)
     es = abs(lhss - rhss) / (abs(lhss) + 1e-300)

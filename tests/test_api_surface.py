@@ -179,9 +179,9 @@ def test_an_unread_config_field_is_reported(tmp_path):
 
 QUADRATURE_ROOTS = ("_plane_quad", "_product_quad", "conv_valid")
 FFT_ROOTS = ("_plane_fft", "_cauchy_spectrum", "_beurling_symbol", "_FACTORIZATION")
-# the two functions that pick a path by their `method` argument; every
-# operator call goes through them, so the walk stops there
-PATH_SWITCHES = frozenset({"transform", "defect_sum"})
+# the one function that picks a path by its `method` argument; every
+# operator call goes through it, so the walk stops there
+PATH_SWITCHES = frozenset({"transform"})
 SHARED_BY_BOTH_PATHS = frozenset({"_fft_shape"})
 
 

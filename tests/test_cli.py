@@ -186,9 +186,9 @@ def _one_error_line(capsys, *needles) -> bool:
 ])
 def test_verify_refuses_p_and_tol_out_of_range(flag, value, capsys):
     # p must be finite and above 1: --p 1 and 0.5 ended in a ValueError
-    # traceback, --p nan printed NaN
+    # traceback, --p nan printed NaN.  RunConfig refuses it, on its error line
     assert run(["verify", "two-sided-p", "--grid", "64", "--json", flag, value]) == 2
-    assert _one_error_line(capsys, f"bad {flag}")
+    assert _one_error_line(capsys, f"{flag} {value} or --seed 0", "expected a finite p > 1")
 
 
 def test_verify_refuses_a_norm_past_the_float_range(capsys):
@@ -211,7 +211,20 @@ def test_transform_requires_testfn(capsys):
 
 def test_transform_unknown_op(capsys):
     assert run(["transform", "--op", "riesz", "--testfn", "gaussian:c=2,sigma=4"]) == 2
-    assert "riesz" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "riesz" in err and "'defect_sum'" in err
+
+
+@pytest.mark.parametrize("method", ["fft", "quadrature"])
+def test_transform_runs_the_defect_sum(method, capsys):
+    # every kernel id is an op, the defect sum C_down + conj C_down conj too:
+    # output_l2 reads 0.5736667430161383 on fft and 0.5736692464116191 on
+    # quadrature, 4.4e-6 apart
+    assert run(["transform", "--op", "defect_sum", "--testfn", "gaussian", "--grid", "64",
+                "--method", method, "--json"]) == 0
+    meta = json.loads(capsys.readouterr().out)
+    assert meta["op"] == "defect_sum" and meta["method"] == method
+    assert abs(meta["output_l2"] - 0.57366674) <= 1e-5 * 0.57366674
 
 
 @pytest.mark.parametrize("op, grid", [("b", "96"), ("b_down", "96:48")])
@@ -301,7 +314,7 @@ def test_verify_runs_to_a_verdict_on_a_small_member(capsys):
 def test_a_negative_seed_is_a_usage_error(capsys):
     # checks seed with a base plus --seed (adjointness 7), and numpy refuses a negative seed
     assert run(["verify", "adjointness", "--seed", "-100"]) == 2
-    assert _one_error_line(capsys, "--seed -100")
+    assert _one_error_line(capsys, "--p 2 or --seed -100", "seed = -100; expected an integer >= 0")
     assert run(["verify", "adjointness", "--seed", "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)
 

@@ -33,7 +33,8 @@ ZERO = Field(UPPER, np.zeros((8, 8)))
     (lambda: tf.holo_rational(k=1), ValueError, "need a > 0 and k >= 2"),
     (lambda: tf.hardy_family(ramp=0.0), ValueError, "ramp must be positive"),
     (lambda: tf.hardy_family(ramp=math.nan), ValueError, "ramp must be positive"),
-    (lambda: tr.defect_sum(ZERO, method="spectral"), ValueError, "unknown method 'spectral'"),
+    (lambda: tr.transform(ZERO, "defect_sum", "spectral"), ValueError,
+     "unknown method 'spectral'"),
     (lambda: wh.branch("Z", 0.0, 1.0, 1.0), ValueError, "family must be 'X' or 'Y'"),
     (lambda: wh.lemma_a1_classify(Field(GridSpec(L=16.0, H=4.0, nx=64, ny=16),
                                         np.zeros((16, 64)))), ValueError,

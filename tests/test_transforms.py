@@ -32,7 +32,7 @@ def test_halfplane_operators_reject_fullplane_fields():
     gs = GridSpec(L=1.0, H=1.0, nx=8, ny=8, plane=PlaneKind.FULL)
     f = Field(gs, np.ones((8, 8), dtype=complex))
     half_plane = [k for k in tr.KERNEL_IDS if k not in tr.WHOLE_PLANE]
-    assert len(half_plane) == 7
+    assert len(half_plane) == 8
     for op in half_plane:
         for method in ("fft", "quadrature"):
             with pytest.raises(ValueError, match="upper-half-plane"):
@@ -47,13 +47,19 @@ def test_unknown_method_mode_kernel_rejected():
         for k in tr.KERNEL_IDS:
             with pytest.raises(ValueError, match="unknown method"):
                 tr.transform(f, k, method)
-        for op in (tr.defect_sum, tr.minimal_solve):
-            with pytest.raises(ValueError, match="unknown method"):
-                op(f, method)
+        with pytest.raises(ValueError, match="unknown method"):
+            tr.minimal_solve(f, method)
     with pytest.raises(TypeError):
         tr.transform(f, "cauchy_down", "quadrature", mode="matched")
     with pytest.raises(ValueError):
         tr.transform(f, "riesz")
+
+
+def test_transform_is_the_one_way_in_to_every_operator():
+    # the defect sum C_down + conj C_down conj is a kernel id, no function of its own
+    assert tr.__all__ == ["KERNEL_IDS", "WHOLE_PLANE", "transform", "conv_valid",
+                          "minimal_solve"]
+    assert "defect_sum" in tr.KERNEL_IDS and not hasattr(tr, "defect_sum")
 
 
 def test_downward_kernels_reproduce_closed_derivatives(gaussian_fields):
@@ -126,9 +132,9 @@ def test_operators_run_the_named_method_and_padding():
     f = Field(gs, np.ones((16, 16), dtype=complex))
     out = tr.transform(f, "cauchy_down", "quadrature")
     assert out.spec == gs
-    assert np.array_equal(out.data, tr._plane_quad(f, "cauchy", +1, "shell"))
+    assert np.array_equal(out.data, tr._plane_quad(f, "cauchy", +1, average="shell"))
     outp = tr.transform(f, "beurling", padding=3)
-    assert np.array_equal(outp.data, tr._plane_fft(f, "beurling", 0, 3))
+    assert np.array_equal(outp.data, tr._plane_fft(f, "beurling", 0, padding=3))
 
 
 @settings(max_examples=10, deadline=None)
@@ -290,7 +296,8 @@ SYMMETRY_F = ((4.0, 0.3 + 2.1j, 1 + 0.5j), (600.0, -0.5 + 1.4j, 0.2 - 0.7j))
 SYMMETRY_G = ((6.0, 0.8 + 3.0j, 0.4 - 1j), (900.0, -1.1 + 1.8j, 1 + 0.3j))
 # epsilon of each half-plane kernel's reflection; each down kernel's
 # transpose is epsilon times its up kernel
-SYMMETRY_SIGN = {"beurling_down": 1, "beurling_up": 1, "cauchy_down": -1, "cauchy_up": -1}
+SYMMETRY_SIGN = {"beurling_down": 1, "beurling_up": 1, "cauchy_down": -1, "cauchy_up": -1,
+                 "defect_sum": -1}
 
 
 def _symmetry_residuals(n) -> dict:
@@ -381,10 +388,10 @@ def test_defect_sum_is_the_two_cauchy_down_calls(L, H, nx, ny):
     gs = GridSpec(L=L, H=H, nx=nx, ny=ny, plane=PlaneKind.UPPER)
     rng = np.random.default_rng(nx + ny)
     f = Field(gs, rng.standard_normal((ny, nx)) + 1j * rng.standard_normal((ny, nx)))
-    for method in ("fft", "quadrature"):
+    for method in ("fft", "quadrature", "quadrature-matched"):
         want = (tr.transform(f, "cauchy_down", method).data
                 + tr.transform(f.conj(), "cauchy_down", method).data.conj())
-        got = tr.defect_sum(f, method=method)
+        got = tr.transform(f, "defect_sum", method)
         assert np.max(np.abs(got.data - want)) <= 1e-13 * np.max(np.abs(want)), method
 
 
@@ -429,7 +436,7 @@ def test_half_plane_spectrum_spans_the_3_ny_minus_1_rows_it_reads(nx, ny):
     tr._cauchy_spectrum.cache_clear()
     f = Field(gs, _random_complex(np.random.default_rng(ny), (ny, nx)))
     tr.transform(f, "cauchy_down")
-    tr.defect_sum(f)
+    tr.transform(f, "defect_sum")
     kspec = tr._cauchy_spectrum(2 * ny, ny, nx, gs.hx, gs.hy, False)
     half = tr._cauchy_spectrum(2 * ny, ny, nx, gs.hx, gs.hy, True)
     assert tr._cauchy_spectrum.cache_info().hits == 2  # the spectra the two calls cached
@@ -451,11 +458,11 @@ def test_accurate_product_quadrature_matches_the_fft_path(op):
 
 
 def _full_height_defect_sum(f):
-    """defect_sum's product beside the real kernel's full-height spectrum: all
+    """The defect sum's product beside the real kernel's full-height spectrum: all
     P0 rows of it, built in place in its box (the x-mirrored table in the
     float view of its P0 x (P1 // 2 + 1) rows, each row rfft'd over itself,
     then an fft along y).  The product reads its first P0 // 2 + 1 rows, so
-    it holds what defect_sum holds when it stores the full height."""
+    it holds what the defect sum holds when it stores the full height."""
     s = f.spec
     n = s.ny
     a0, a1 = 3 * n - 1, 2 * n - 1
@@ -484,7 +491,7 @@ def test_defect_sum_peak_memory_stays_under_0_87_full_spectra(n, peak_bytes):
     bar = {256: 0.87, 512: 0.75}[n] * P0 * P1 * 16
     tr._cauchy_spectrum.cache_clear()
     try:
-        assert peak_bytes(lambda: tr.defect_sum(f)) <= bar
+        assert peak_bytes(lambda: tr.transform(f, "defect_sum")) <= bar
         assert peak_bytes(lambda: _full_height_defect_sum(f)) > bar
     finally:
         tr._cauchy_spectrum.cache_clear()
@@ -731,7 +738,7 @@ def test_half_plane_fft_body_is_the_explicit_pipeline(op, nx, ny):
     rng = np.random.default_rng(nx * ny)
     f = Field(gs, _random_complex(rng, (ny, nx)))
     kind, sign, real = HALF_PLANE_FFT[op]
-    got = (tr.defect_sum(f) if op == "defect_sum" else tr.transform(f, op)).data
+    got = tr.transform(f, op).data
     assert np.array_equal(got, _explicit_half_plane(f, kind, sign, real))
     # twin: the reflection with its sign flipped
     twin = _explicit_half_plane(f, kind, sign, real, reflection=+1)
@@ -820,8 +827,7 @@ def test_half_spectra_products_are_the_full_spectrum_pipeline(nx, ny, square, pa
         gs = GridSpec(L=L, H=ny * hy, nx=nx, ny=ny, plane=PlaneKind.UPPER)
         f = Field(gs, _random_complex(np.random.default_rng(seed), (ny, nx)))
         for op in (*FFT_BODIES, *FFT_FACTORED):
-            got = (tr.defect_sum(f) if op == "defect_sum" else tr.transform(f, op, "fft",
-                                                                             padding)).data
+            got = tr.transform(f, op, "fft", padding).data
             want = _full_pipeline(f, op, padding)
             if FFT_BODIES.get(op, ("cauchy",))[0] == "beurling":
                 assert np.array_equal(got, want), op

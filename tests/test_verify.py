@@ -142,6 +142,13 @@ def test_runtime_ms_is_each_reports_own_span():
     (dict(L=1700.0, H=3400.0, p=3.0), "L^3 norm 0"),
     (dict(nx=4, ny=64), "fd4"),
     (dict(L=1e-300, H=5.0), "cell measure"),
+    # two-sided-p raised from conjectured_bp at p = 0.5 and 1, failed two
+    # reports on NaN at p = nan; adjointness raised from numpy at seed -8
+    (dict(p=0.5), "expected a finite p > 1"),
+    (dict(p=1.0), "expected a finite p > 1"),
+    (dict(p=math.nan), "expected a finite p > 1"),
+    (dict(p=math.inf), "expected a finite p > 1"),
+    (dict(seed=-8), "seed = -8; expected an integer >= 0"),
 ])
 def test_run_config_refuses_a_grid_no_check_can_run_on(kw, needle):
     # the first three ended in a ZeroDivisionError or passed on a zero member.
@@ -324,10 +331,10 @@ def _reader_key(h) -> tuple:
 @pytest.fixture(scope="module", params=["fft", "quadrature"])
 def spied_battery(request):
     """The whole battery on one method, keyed by check: every `transforms.transform`
-    and `transforms.defect_sum` call, nested ones included, as (kernel, method,
-    padding, grid, hash of the input's bytes); every block of closed-form
-    rows, `testfuncs.RowSampler.rows`, as (member, grid, form, weight, rows) and
-    its point count; every classifier pass as its member.  Calls made outside a
+    call, nested ones included, as (kernel, method, padding, grid, hash of the
+    input's bytes); every block of closed-form rows, `testfuncs.RowSampler.rows`,
+    as (member, grid, form, weight, rows) and its point count; every classifier
+    pass as its member.  Calls made outside a
     check, such as RunConfig's zero-member refusal, are skipped."""
     calls, state = collections.defaultdict(list), {}
     samples, passes = collections.defaultdict(list), collections.defaultdict(list)
@@ -343,20 +350,18 @@ def spied_battery(request):
         passes[state["check"]].append(_reader_key(h))
         return classify(h, *args, **kw)
 
-    def spy(op):
-        sig = inspect.signature(op)
+    transform = tr.transform
+    sig = inspect.signature(transform)
 
-        def spied(*args, **kw):
-            a = sig.bind(*args, **kw)
-            a.apply_defaults()
-            a = a.arguments
-            f = a["f"]
-            calls[state["check"]].append((
-                a.get("kernel", op.__name__), a["method"], a.get("padding"),
-                tuple(f.spec.summary().values()),
-                hashlib.sha1(np.ascontiguousarray(f.data)).hexdigest()))
-            return op(*args, **kw)
-        return spied
+    def spied_transform(*args, **kw):
+        a = sig.bind(*args, **kw)
+        a.apply_defaults()
+        a = a.arguments
+        f = a["f"]
+        calls[state["check"]].append((
+            a["kernel"], a["method"], a["padding"], tuple(f.spec.summary().values()),
+            hashlib.sha1(np.ascontiguousarray(f.data)).hexdigest()))
+        return transform(*args, **kw)
 
     def in_check(cid, check):
         def run(cfg):
@@ -365,8 +370,7 @@ def spied_battery(request):
         return run
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "transform", spy(tr.transform))
-        mp.setattr(tr, "defect_sum", spy(tr.defect_sum))
+        mp.setattr(tr, "transform", spied_transform)
         mp.setattr(tf.RowSampler, "rows", spied_rows)
         mp.setattr(wh, "lemma_a1_classify", spied_classify)
         for cid, check in list(vf.CHECKS.items()):
@@ -397,7 +401,8 @@ def test_no_check_evaluates_one_operator_twice_on_one_input(spied_battery):
     repeats = {cid: sorted({key[:4] for key, n in collections.Counter(keys).items() if n > 1})
                for cid, keys in calls.items()}
     assert {cid: r for cid, r in repeats.items() if r} == {}
-    assert sum(map(len, calls.values())) <= {"fft": 54, "quadrature": 59}[method]
+    # each quadrature defect sum was three calls, its own and two cauchy_down
+    assert sum(map(len, calls.values())) <= {"fft": 54, "quadrature": 53}[method]
 
 
 def test_no_check_samples_one_closed_form_twice_or_classifies_one_member_twice(spied_battery):
@@ -420,9 +425,10 @@ def test_no_check_samples_one_closed_form_twice_or_classifies_one_member_twice(s
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def _golden_moves(method, payload) -> list:
-    """Every value of a battery's JSON payload (runtime_ms stripped) that moved
-    from tests/golden/battery-<method>.json, as (check id, key, golden, now).
+def _golden_moves(method, payload) -> tuple:
+    """The values of a battery's JSON payload (runtime_ms stripped) that moved
+    from tests/golden/battery-<method>.json, as (check id, key, golden, now):
+    those past the band, then those inside it.
 
     lhs and ratio may move 1e-9 of themselves, or 1e-15 at the rounding
     floor; every other key (check id and order included) must match exactly.
@@ -430,17 +436,19 @@ def _golden_moves(method, payload) -> list:
     gold = json.loads((GOLDEN / f"battery-{method}.json").read_text())
     if [g["check_id"] for g in gold] != [p["check_id"] for p in payload]:
         return [("*", "check_id", [g["check_id"] for g in gold],
-                 [p["check_id"] for p in payload])]
-    moves = []
+                 [p["check_id"] for p in payload])], []
+    moves, drift = [], []
     for g, p in zip(gold, payload):
         for key in sorted(g.keys() | p.keys()):
             a, b = g.get(key), p.get(key)
             if key in ("lhs", "ratio") and a is not None and b is not None:
                 if not abs(a - b) <= max(1e-9 * abs(a), 1e-15):
                     moves.append((g["check_id"], key, a, b))
+                elif a != b:
+                    drift.append((g["check_id"], key, a, b))
             elif a != b:
                 moves.append((g["check_id"], key, a, b))
-    return moves
+    return moves, drift
 
 
 def _moves_table(moves) -> str:
@@ -454,13 +462,28 @@ def _moves_table(moves) -> str:
     return "\n".join(lines)
 
 
+def _hold_to_golden(method, payload):
+    """Fail on a value moved past the band; warn, with the same table, on
+    each one moved inside it, so the golden file cannot fall behind unseen."""
+    moves, drift = _golden_moves(method, payload)
+    path = f"tests/golden/battery-{method}.json"
+    assert not moves, f"moved from {path}:\n" + _moves_table(moves)
+    if drift:
+        warnings.warn(f"moved inside the band from {path}; rewrite it with "
+                      f"scripts/write_golden.py:\n" + _moves_table(drift), UserWarning)
+
+
 def test_the_battery_keeps_its_golden_numbers(spied_battery, strip_runtime):
     # the committed values of `verify all --json` on each method, rewritten
-    # only by scripts/write_golden.py.  Twin: one lhs moved by 1e-8 of itself
+    # only by scripts/write_golden.py.  Twins: one lhs moved by 1e-8 of
+    # itself fails; moved by 1e-12 of itself it warns and passes
     method, reports, *_ = spied_battery
     payload = strip_runtime(json.loads(reports_to_json(reports)))
-    moves = _golden_moves(method, payload)
-    assert not moves, f"moved from tests/golden/battery-{method}.json:\n" + _moves_table(moves)
+    _hold_to_golden(method, payload)
     i = next(i for i, p in enumerate(payload) if 1e-6 < abs(p["lhs"]) < math.inf)
-    payload[i]["lhs"] *= 1 + 1e-8
-    assert [m[:2] for m in _golden_moves(method, payload)] == [(payload[i]["check_id"], "lhs")]
+    cid, lhs = payload[i]["check_id"], payload[i]["lhs"]
+    payload[i]["lhs"] = lhs * (1 + 1e-8)
+    assert [m[:2] for m in _golden_moves(method, payload)[0]] == [(cid, "lhs")]
+    payload[i]["lhs"] = lhs * (1 + 1e-12)
+    with pytest.warns(UserWarning, match=re.escape(cid)):
+        _hold_to_golden(method, payload)
