@@ -77,45 +77,34 @@ def parse_testfn(spec: str):
         _fail_usage(str(exc))
 
 
-def parse_grid(text: str):
+def _pair(text: str, flag: str, cast, ok, expected: str, single: bool = False):
+    """The two values of a colon pair `text` (one for both when `single`),
+    each made by `cast`, that `ok` accepts; else a usage error for `flag`."""
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            nx = ny = int(parts[0])
-        elif len(parts) == 2:
-            nx, ny = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError(text)
-        if nx >= 4 and ny >= 4:  # same floor the grid itself enforces
-            return nx, ny
+        if len(parts) == 2 or (single and len(parts) == 1):
+            a, b = cast(parts[0]), cast(parts[-1])
+            if ok(a, b):
+                return a, b
     except ValueError:
         pass
-    _fail_usage(f"bad --grid {text!r}; expected n or nx:ny with n >= 4")
+    _fail_usage(f"bad {flag} {text!r}; expected {expected}")
 
 
-def parse_domain(text: str):
-    parts = text.split(":")
-    try:
-        if len(parts) == 2:
-            L, H = float(parts[0]), float(parts[1])
-            if 0 < L < math.inf and 0 < H < math.inf:  # same bounds the grid enforces
-                return L, H
-    except ValueError:
-        pass
-    _fail_usage(f"bad --domain {text!r}; expected L:H with positive finite sides")
+def parse_grid(text: str):  # the floor the grid itself enforces
+    return _pair(text, "--grid", int, lambda nx, ny: nx >= 4 and ny >= 4,
+                 "n or nx:ny with n >= 4", single=True)
+
+
+def parse_domain(text: str):  # the bounds the grid enforces
+    return _pair(text, "--domain", float, lambda L, H: 0 < L < math.inf and 0 < H < math.inf,
+                 "L:H with positive finite sides")
 
 
 def parse_range(text: str):
-    parts = text.split(":")
-    try:
-        if len(parts) == 2:
-            t0, t1 = float(parts[0]), float(parts[1])
-            if TABULATE_T_MIN <= t0 < t1 <= TABULATE_T_MAX:
-                return t0, t1
-    except ValueError:
-        pass
-    _fail_usage(f"bad --range {text!r}; expected t0:t1 with "
-                f"{TABULATE_T_MIN:g} <= t0 < t1 <= {TABULATE_T_MAX:g}")
+    return _pair(text, "--range", float,
+                 lambda t0, t1: TABULATE_T_MIN <= t0 < t1 <= TABULATE_T_MAX,
+                 f"t0:t1 with {TABULATE_T_MIN:g} <= t0 < t1 <= {TABULATE_T_MAX:g}")
 
 
 def _add_grid(p: argparse.ArgumentParser):

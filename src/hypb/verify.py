@@ -27,8 +27,9 @@ Conventions shared by all checks:
     enter only the labeled consistency checks and are never treated as
     verified bounds.
 
-Every check writes its reports through one `_Recorder`, made as the check
-begins with the check's id prefix, default grid and method:
+Every check body, `(cfg, rec)`, writes its reports through one `_Recorder`
+that `run_checks` makes with the check's registry key as id prefix; the body
+sets its default grid and method once (`rec.on`) and returns nothing:
 
   * a report's runtime_ms is its own span: the time since the check's
     previous report, or since the check began for the first one, so a
@@ -203,15 +204,20 @@ class _Recorder:
     """The reports of one check (module docstring: recorder conventions).
 
     Ids are `prefix/name`, or the bare prefix when name is empty.  A report
-    takes the check's grid and method unless `spec` or `method` is given;
-    its other keyword arguments are its parameters.  A check that evaluates
-    no grid passes spec None, and its reports' grid is None.
+    takes the grid and method that the check set with `on` unless `spec` or
+    `method` is given; its other keyword arguments are its parameters.  A
+    check that evaluates no grid sets spec None, and its reports' grid is None.
     """
 
-    def __init__(self, prefix: str, spec: Optional[GridSpec], method: str):
-        self.prefix, self.spec, self.method = prefix, spec, method
+    def __init__(self, prefix: str):
+        self.prefix, self.spec, self.method = prefix, None, None
         self.reports: list = []
         self._mark = time.perf_counter()
+
+    def on(self, spec: Optional[GridSpec], method: str) -> Optional[GridSpec]:
+        """Set the check's default grid and method; returns the grid."""
+        self.spec, self.method = spec, method
+        return spec
 
     def record(self, name: str, lhs, rhs, tol, holds, *, spec: Optional[GridSpec] = None,
                method: Optional[str] = None, notes: Optional[dict] = None, **parameters):
@@ -312,7 +318,7 @@ def banded_field(spec: GridSpec, rng: np.random.Generator) -> Field:
 # checks
 
 
-def check_norm_identity_p2(cfg: RunConfig, mode: str = "transform") -> list:
+def check_norm_identity_p2(cfg: RunConfig, rec: _Recorder, mode: str = "transform"):
     """Isometry between the two derivative sides at p = 2.
 
     closed mode: compares || M d2 F || with || M lap F + (i/2)(dF + dbarF) ||
@@ -322,26 +328,23 @@ def check_norm_identity_p2(cfg: RunConfig, mode: str = "transform") -> list:
     doubles the i/2 coefficient, which moves the ratio by 4e-2.
     """
     closed = mode == "closed"
-    rec = _Recorder("norm-identity-closed" if closed else "norm-identity",
-                    cfg.battery_spec(), "closed-form" if closed else cfg.method)
-    lhs, rhs, rhs_ctl = (lp_norm(Field(rec.spec, side), 2.0)
-                         for side in _norm_sides(BATTERY, rec.spec, rec.method, (0.5j, 1.0j)))
+    spec = rec.on(cfg.battery_spec(), "closed-form" if closed else cfg.method)
+    lhs, rhs, rhs_ctl = (lp_norm(Field(spec, side), 2.0)
+                         for side in _norm_sides(BATTERY, spec, rec.method, (0.5j, 1.0j)))
     tol = 1e-4 if closed else 1e-3
     rec.record("", lhs, rhs, tol, abs(lhs / rhs - 1.0) <= tol, member=BATTERY, p=2.0)
     rec.record("control-doubled-coefficient", lhs, rhs_ctl, tol, abs(lhs / rhs_ctl - 1.0) <= tol,
                expected="ratio deviates")
-    return rec.reports
 
 
-def check_two_sided_lp(cfg: RunConfig) -> list:
+def check_two_sided_lp(cfg: RunConfig, rec: _Recorder):
     """Two-sided ratio at p != 2 against the conjectured constant.
 
     Labeled consistency, not verification: passing only says the measured
     ratio sits inside the conjectured bracket with slack, and the reported
     empirical ratio is the datum.  p = 2 is refused here (exact identity).
     """
-    rec = _Recorder("two-sided-p", cfg.battery_spec(), cfg.method)
-    spec = rec.spec
+    spec = rec.on(cfg.battery_spec(), cfg.method)
     top, bot = _norm_sides(BATTERY, spec, cfg.method)
     tol = 1e-3
     for p in cfg.two_sided_ps():
@@ -354,10 +357,9 @@ def check_two_sided_lp(cfg: RunConfig) -> list:
         tight = 1.05
         rec.record(f"p={p:g}/control-tight-bracket", ratio, tight, tol,
                    1.0 / tight <= ratio <= tight, label="consistency")
-    return rec.reports
 
 
-def check_planar_isometry(cfg: RunConfig) -> list:
+def check_planar_isometry(cfg: RunConfig, rec: _Recorder):
     """Whole-plane transform preserves the L2 norm of mean-zero fields.
 
     Ten seeded band-limited compactly supported fields on a full-plane grid;
@@ -366,9 +368,7 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     and the band-limited fields carry nothing on those lines.  A mean-bearing
     bump breaks the hypothesis and moves the ratio by 1e-2.
     """
-    rec = _Recorder("planar-isometry", GridSpec(L=4.0, H=4.0, nx=256, ny=256,
-                                                plane=PlaneKind.FULL), "fft")
-    spec = rec.spec
+    spec = rec.on(GridSpec(L=4.0, H=4.0, nx=256, ny=256, plane=PlaneKind.FULL), "fft")
     rng = np.random.default_rng(20260815 + cfg.seed)
     tol = 1e-6
     worst = 0.0
@@ -382,7 +382,6 @@ def check_planar_isometry(cfg: RunConfig) -> list:
     fb = Field(spec, np.exp(-4.0 * np.abs(zz) ** 2))
     dev = abs(lp_norm(tr.transform(fb, "beurling", padding=1), 2.0) / lp_norm(fb, 2.0) - 1.0)
     rec.record("control-mean-bearing", 1.0 + dev, 1.0, tol, dev <= tol)
-    return rec.reports
 
 
 def _potential_residuals(member: str, spec: GridSpec) -> tuple:
@@ -396,7 +395,7 @@ def _potential_residuals(member: str, spec: GridSpec) -> tuple:
             _rel_l2(spec, d_bar(G_wrong).data, target_db))
 
 
-def check_derivative_identities(cfg: RunConfig) -> list:
+def check_derivative_identities(cfg: RunConfig, rec: _Recorder):
     """The potential G = M dF + (i/2) F reproduces both target derivatives.
 
     dG must equal M d2 F and dbar G must equal M lap F + (i/2)(dF + dbarF);
@@ -405,22 +404,21 @@ def check_derivative_identities(cfg: RunConfig) -> list:
     takes the dbar residual on DEFAULT_BOX under dyadic refinement, at the
     commutators' bar; the wrong-sign potential's residual does not fall.
     """
-    rec = _Recorder("derivative-identities", cfg.battery_spec(), "fd4")
+    spec = rec.on(cfg.battery_spec(), "fd4")
     tol = 1e-4
-    err_d, err_db, err_wrong = at_battery = _potential_residuals(BATTERY, rec.spec)
+    err_d, err_db, err_wrong = at_battery = _potential_residuals(BATTERY, spec)
     rec.at_most("d", err_d, tol, member=BATTERY)
     rec.at_most("dbar", err_db, tol, member=BATTERY)
     rec.at_most("control-wrong-potential", err_wrong, tol)
     grids, thr = (64, 128, 256), 3.5
     # a refinement grid that is the battery grid reuses its residuals
-    by_grid = [at_battery if g == rec.spec else _potential_residuals(BATTERY, g)
+    by_grid = [at_battery if g == spec else _potential_residuals(BATTERY, g)
                for g in map(_box_spec, grids)]
     for name, k in (("h-order", 1), ("control-order-wrong-potential", 2)):
         errs = [res[k] for res in by_grid]
         orders, _, ok = _refinement(errs, thr)
         rec.record(name, min(orders), thr, thr, ok, spec=_box_spec(grids[-1]),
                    grids=list(grids), errors=errs, orders=orders, member=BATTERY)
-    return rec.reports
 
 
 def _commutator_errors(member: str, ngrid: int) -> list:
@@ -445,10 +443,10 @@ def _refinement(errs: list, threshold: float) -> tuple:
     return orders, monotone, monotone and min(orders) >= threshold
 
 
-def check_commutators(cfg: RunConfig) -> list:
+def check_commutators(cfg: RunConfig, rec: _Recorder):
     """[d, y^n] = -(i/2) n y^(n-1) at fourth order under dyadic refinement."""
     grids, thr = (64, 128, 256), 3.5
-    rec = _Recorder("commutators", _box_spec(grids[-1]), "fd4")
+    rec.on(_box_spec(grids[-1]), "fd4")
     member = "gaussian:c=2.8,sigma=8"  # steep, clear of the axis: y^n amplifies axis tails
     by_grid = [_commutator_errors(member, g) for g in grids]
     for n, errs in zip((-2, -1, 1, 2), map(list, zip(*by_grid))):  # zip leaves the control out
@@ -456,10 +454,9 @@ def check_commutators(cfg: RunConfig) -> list:
         rec.record(f"n={n}", min(orders), thr, thr, ok, grids=list(grids), errors=errs,
                    orders=orders, member=member)
     rec.at_most("control-wrong-sign", by_grid[-1][-1], 0.5, n=2)  # O(1) instead of O(h^4)
-    return rec.reports
 
 
-def check_transform_oracles(cfg: RunConfig) -> list:
+def check_transform_oracles(cfg: RunConfig, rec: _Recorder):
     """Each transform reproduces its closed-form action on the gaussian member.
 
     The four half-plane oracles feed f = lap F (or dbar F) through a kernel
@@ -467,8 +464,7 @@ def check_transform_oracles(cfg: RunConfig) -> list:
     The whole-plane singular transform is checked against its radial closed
     form on a central window (the frame is periodization-dominated).
     """
-    rec = _Recorder("transform-oracles", cfg.battery_spec(), cfg.method)
-    spec, m = rec.spec, rec.method
+    spec, m = rec.on(cfg.battery_spec(), cfg.method), rec.method
     F, dF, dbF, lapF, d2F = _fields(BATTERY, spec, "f", "d", "dbar", "lap", "d2")
     tol = 1e-3
     c_down = tr.transform(lapF, "cauchy_down", m).data
@@ -494,7 +490,6 @@ def check_transform_oracles(cfg: RunConfig) -> list:
                 member="radial gaussian", window="central")
     # wrong-target control
     rec.at_most("control-wrong-target", _rel_l2(spec, c_down, dbF.data), tol)
-    return rec.reports
 
 
 # method-agreement's own grid limit, in cells per axis.  The check takes
@@ -505,19 +500,21 @@ def check_transform_oracles(cfg: RunConfig) -> list:
 _AGREEMENT_N_MAX = 128
 
 
-def check_method_agreement(cfg: RunConfig) -> list:
+def check_method_agreement(cfg: RunConfig, rec: _Recorder):
     """fft and table-quadrature paths agree on grid-matched members.
 
-    Agreement is measured on the battery grid with both cell counts divided
-    by ceil(max(nx, ny) / 128), which keeps the cell shape (`_AGREEMENT_N_MAX`,
-    a cost limit of this check only).  The smooth-kernel transforms agree on
-    the gaussian member; the singular one needs the low-curvature dipole
-    member and fft padding 6 because its 1/z^2 tail periodizes slowly
-    (padding 1 is the control: 0.16).
+    Agreement is measured on nx:ny in lowest terms, a:b, scaled to (k a, k b)
+    with k <= gcd(nx, ny) the largest within `_AGREEMENT_N_MAX` cells per axis
+    (a cost limit of this check only), which keeps the battery's cell shape.
+    The smooth-kernel transforms agree on the gaussian member; the singular
+    one needs the low-curvature dipole member and fft padding 6 because its
+    1/z^2 tail periodizes slowly (padding 1 is the control: 0.16).
     """
-    k = math.ceil(max(cfg.nx, cfg.ny) / _AGREEMENT_N_MAX)
-    spec = GridSpec(L=cfg.L, H=cfg.H, nx=max(cfg.nx // k, 4), ny=max(cfg.ny // k, 4))
-    rec = _Recorder("method-agreement", spec, "fft-vs-quadrature")
+    g = math.gcd(cfg.nx, cfg.ny)
+    a, b = cfg.nx // g, cfg.ny // g
+    k = min(g, _AGREEMENT_N_MAX // max(a, b))
+    nx, ny = (k * a, k * b) if k * min(a, b) >= 4 else (cfg.nx, cfg.ny)  # GridSpec's floor
+    spec = rec.on(GridSpec(L=cfg.L, H=cfg.H, nx=nx, ny=ny), "fft-vs-quadrature")
     [lapF] = _fields(BATTERY, spec, "lap")
     tol = 1e-3
     for name, kernel in (("c_down", "cauchy_down"), ("c_up", "cauchy_up")):
@@ -529,10 +526,9 @@ def check_method_agreement(cfg: RunConfig) -> list:
     rec.at_most("b_down", _rel_l2(spec, a.data, b.data), tol, member="dipole", padding=6)
     a1 = tr.transform(f, "beurling_down", padding=1)
     rec.at_most("control-padding-1", _rel_l2(spec, a1.data, b.data), tol, padding=1)
-    return rec.reports
 
 
-def check_structural_identities(cfg: RunConfig) -> list:
+def check_structural_identities(cfg: RunConfig, rec: _Recorder):
     """Kernel-level factorizations hold per summand in matched quadrature.
 
     With matched averaging the two sides of each identity are the same
@@ -540,8 +536,7 @@ def check_structural_identities(cfg: RunConfig) -> list:
     1e-15 typical).  Mixing averaging modes breaks the per-summand pairing
     and is the control.
     """
-    rec = _Recorder("structural-identities", _box_spec(64), "quadrature-matched")
-    spec, m = rec.spec, rec.method
+    spec, m = rec.on(_box_spec(64), "quadrature-matched"), rec.method
     [F] = _fields(BATTERY, spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = 1e-10
@@ -560,18 +555,16 @@ def check_structural_identities(cfg: RunConfig) -> list:
 
     lhs = tr.transform(F, "cauchy_up", "quadrature").data
     rec.at_most("control-averaging-mismatch", _rel_pointwise(lhs, up_rhs), tol, method="quadrature")
-    return rec.reports
 
 
-def check_e_identity(cfg: RunConfig) -> list:
+def check_e_identity(cfg: RunConfig, rec: _Recorder):
     """Real-kernel identity and its two weighted contraction bounds.
 
     (1/2)(C_down + conj C_down) equals 4 M E M per summand in matched
     quadrature; E itself contracts plain-to-dual and hyperbolic-to-plain.
     The sign-flipped combination is the control.
     """
-    rec = _Recorder("e-identity", _box_spec(64), "quadrature-matched")
-    spec, m = rec.spec, rec.method
+    spec, m = rec.on(_box_spec(64), "quadrature-matched"), rec.method
     [F] = _fields(BATTERY, spec, "f")
     y = spec.y.reshape(-1, 1)
     tol = 1e-10
@@ -590,7 +583,6 @@ def check_e_identity(cfg: RunConfig) -> list:
     rec.record("contraction-hyp-to-plain", r2, 1.0, ctol, r2 <= 1.0 + ctol, spec=bspec,
                method=cfg.method)
     rec.at_most("control-minus-sign", _rel_pointwise(0.5 * (down - conj_part), rhs), tol)
-    return rec.reports
 
 
 def _hardy_oracle_1d(a: float, n: int, ramp: float = 1.8) -> float:
@@ -604,7 +596,7 @@ def _hardy_oracle_1d(a: float, n: int, ramp: float = 1.8) -> float:
     return float(num / den)
 
 
-def check_hardy(cfg: RunConfig) -> list:
+def check_hardy(cfg: RunConfig, rec: _Recorder):
     """Boundary-decay inequality: the weighted square norm is at most 16
     times the dbar energy, and the log-plateau family approaches the
     constant from below (the n = 64 member must exceed 12).
@@ -614,8 +606,7 @@ def check_hardy(cfg: RunConfig) -> list:
     gaussian.  A window whose plateau touches the boundary violates the
     decay hypothesis and sends the ratio far above 16.
     """
-    rec = _Recorder("hardy", cfg.battery_spec(), "grid")
-    spec = rec.spec
+    spec = rec.on(cfg.battery_spec(), "grid")
     const = HARDY_P2
     tol = 1e-3
     F, dbF = _fields(BATTERY, spec, "f", "dbar")
@@ -640,7 +631,6 @@ def check_hardy(cfg: RunConfig) -> list:
     fctl = Field(spec, (wx * wy).astype(complex))
     rc = (lp_norm(fctl, 2.0, HYP) / lp_norm(d_bar(fctl), 2.0)) ** 2
     rec.record("control-boundary-touching", rc, const, tol, rc <= const * (1.0 + tol))
-    return rec.reports
 
 
 # annihilation member grid: the conjugate-rational tail decays like 1/|z|,
@@ -648,7 +638,7 @@ def check_hardy(cfg: RunConfig) -> list:
 _ANNIHILATION_SPEC = dict(L=16.0, H=16.0, nx=384, ny=384)
 
 
-def check_cup(cfg: RunConfig) -> list:
+def check_cup(cfg: RunConfig, rec: _Recorder):
     """Upward transform: norm bound 4, oracle recovery, and annihilation.
 
     (i) battery members stay under the bound and the tuned member exceeds 3;
@@ -656,8 +646,7 @@ def check_cup(cfg: RunConfig) -> list:
     conjugate-holomorphic inputs (k = 3 member; the k = 2 tail only decays
     like 1/L, so its residual is reported, not asserted).
     """
-    rec = _Recorder("cup-norm", cfg.battery_spec(), cfg.method)
-    spec = rec.spec
+    spec = rec.on(cfg.battery_spec(), cfg.method)
     const = CUP_NORM_P2
     tol = 1e-3
     F, dbF = _fields(BATTERY, spec, "f", "dbar")
@@ -688,14 +677,12 @@ def check_cup(cfg: RunConfig) -> list:
     annihilation(rec.reported, "annihilation-k2-reported", "conjrat:a=1,k=2",
                  notes={"reason": "1/L truncation tail dominates at any feasible box"})
     annihilation(rec.at_most, "control-holomorphic", "holorat:a=1,k=3", 1e-1)
-    return rec.reports
 
 
-def check_minimal_solver(cfg: RunConfig) -> list:
+def check_minimal_solver(cfg: RunConfig, rec: _Recorder):
     """Minimal solution operator: norm bound 4 in the weighted norms on both
     sides, and the output actually solves the shifted dbar equation."""
-    rec = _Recorder("minimal-solver", cfg.battery_spec(), cfg.method)
-    spec = rec.spec
+    spec = rec.on(cfg.battery_spec(), cfg.method)
     const = C2
     tol = 1e-3
     F, dbF = _fields(BATTERY, spec, "f", "dbar")
@@ -707,7 +694,6 @@ def check_minimal_solver(cfg: RunConfig) -> list:
     rec.at_most("residual", _rel_l2(spec, dbar_down(u).data, F.data), 1e-2,
                 equation="shifted-dbar")
     rec.at_most("control-wrong-equation", _rel_l2(spec, d_bar(u).data, F.data), 1e-1)
-    return rec.reports
 
 
 # residual = box truncation ~ 1/L plus quadrature; this box and grid land at
@@ -722,10 +708,9 @@ def check_minimal_solver(cfg: RunConfig) -> list:
 _NULLSPACE_SPEC = dict(L=64.0, H=64.0, nx=1024, ny=1024)
 
 
-def check_nullspace(cfg: RunConfig) -> list:
+def check_nullspace(cfg: RunConfig, rec: _Recorder):
     """Conjugate-holomorphic inputs are annihilated by M + (i/2)(C + conj C)."""
-    rec = _Recorder("nullspace", GridSpec(plane=PlaneKind.UPPER, **_NULLSPACE_SPEC), "fft")
-    spec = rec.spec
+    spec = rec.on(GridSpec(plane=PlaneKind.UPPER, **_NULLSPACE_SPEC), "fft")
 
     def residual(member):
         [f] = _fields(member, spec, "f")
@@ -735,13 +720,11 @@ def check_nullspace(cfg: RunConfig) -> list:
     conj, holo = "conjrat:a=1,k=3", "holorat:a=1,k=3"
     rec.at_most("conjugate-member", residual(conj), 1e-2, member=conj)
     rec.at_most("control-holomorphic", residual(holo), 1e-1, member=holo)
-    return rec.reports
 
 
-def check_range_orthogonality(cfg: RunConfig) -> list:
+def check_range_orthogonality(cfg: RunConfig, rec: _Recorder):
     """Output of the defect operator is orthogonal to conjugate directions."""
-    rec = _Recorder("range-orthogonality", cfg.battery_spec(), cfg.method)
-    spec = rec.spec
+    spec = rec.on(cfg.battery_spec(), cfg.method)
     tol = 1e-3
     out = Field(spec, _norm_sides(BATTERY, spec, cfg.method, top=False)[1])
     conj, holo = "conjrat:a=1,k=2", "holorat:a=1,k=2"
@@ -750,7 +733,6 @@ def check_range_orthogonality(cfg: RunConfig) -> list:
     rec.at_most("conjugate-witness", pc, tol, witness=conj)
     rec.reported("holomorphic-witness", ph, witness=holo)
     rec.at_most("control-holomorphic-not-small", ph, tol, witness=holo)
-    return rec.reports
 
 
 # double-exponential quadrature: nodes at u = k h for |u| <= _DE_U, the step
@@ -812,7 +794,7 @@ def _de_quad(f, a, b) -> np.ndarray:
                           "end terms stay above the bar")
 
 
-def check_whittaker_ode(cfg: RunConfig) -> list:
+def check_whittaker_ode(cfg: RunConfig, rec: _Recorder):
     """Both one-dimensional solution branches satisfy their equation.
 
     Stencil residuals on [0.1, 30] for all four basis solutions,
@@ -820,7 +802,7 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     `x_integral`'s closed form, and two asymptotic normalizations.
     Evaluating a solution against the wrong equation sign is the control.
     """
-    rec = _Recorder("whittaker-ode", None, "stencil")
+    rec.on(None, "stencil")
     tgrid = np.geomspace(0.1, 30.0, 200)
     tol = 1e-6
     for name, family, A, B in (("X-fast", "X", 1.0, 0.0), ("X-slow", "X", 0.0, 1.0),
@@ -838,18 +820,16 @@ def check_whittaker_ode(cfg: RunConfig) -> list:
     rec.at_most("asymptotic-slow-branch", a2, 2e-3, method="series", t=1e-4)
     rw = wh.ode_residual("X", 1.0, 0.0, tgrid, sign=-1)
     rec.at_most("control-wrong-sign", rw, 1e-2)
-    return rec.reports
 
 
-def check_whittaker_classify(cfg: RunConfig) -> list:
+def check_whittaker_classify(cfg: RunConfig, rec: _Recorder):
     """Cokernel detector: accepts the weighted conjugate-rational member,
     recovers its boundary multiplier, and rejects the imposters.
 
     Each report's notes carry its member's x-truncation ratio (field size at
     x = +/-L over its peak), the scale of the x-truncation ripple.
     """
-    rec = _Recorder("whittaker-classify", wh.default_classify_spec(), "partial-fourier")
-    spec = rec.spec
+    spec = rec.on(wh.default_classify_spec(), "partial-fourier")
     res = wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(1, 2), spec, times_y=True))
     notes = {"x_truncation": res.x_truncation}
     tol = 1e-3
@@ -869,7 +849,6 @@ def check_whittaker_classify(cfg: RunConfig) -> list:
         r = wh.lemma_a1_classify(tf.RowSampler(tf.parse_testfn(imposter), spec, times_y=times_y))
         rec.record(name, 0.0 if r.is_cokernel else 1.0, 1.0, tol, r.is_cokernel,
                    notes={"x_truncation": r.x_truncation}, pos_energy_frac=r.pos_energy_frac)
-    return rec.reports
 
 
 def _strip_m2(fn, y) -> np.ndarray:
@@ -879,7 +858,7 @@ def _strip_m2(fn, y) -> np.ndarray:
     return y[..., 0] * _de_quad(lambda s: np.abs(fn.f(y * (s + 1j))) ** 2, -np.inf, np.inf)
 
 
-def check_liouville(cfg: RunConfig) -> list:
+def check_liouville(cfg: RunConfig, rec: _Recorder):
     """Strip-integral profile of harmonic members: closed value, convexity,
     and divergence of the weighted integral toward the boundary.
 
@@ -890,7 +869,7 @@ def check_liouville(cfg: RunConfig) -> list:
     double-exponential quadratures (`_de_quad`); the four blocks are one
     nested quadrature over a 2-D array of (y, x) nodes.
     """
-    rec = _Recorder("liouville", None, "quadrature")
+    rec.on(None, "quadrature")
     tol = 1e-3
     hs = tf.harmonic_samples()
     pois = hs["poisson"]
@@ -914,10 +893,9 @@ def check_liouville(cfg: RunConfig) -> list:
     logm = np.log(_strip_m2(tf.parse_testfn(BATTERY), np.geomspace(1.2, 2.4, 9)))
     d2g = float(np.diff(logm, 2).min())
     rec.record("control-nonharmonic", d2g, floor, abs(floor), d2g >= floor, member="gaussian")
-    return rec.reports
 
 
-def check_reflection_equivalence(cfg: RunConfig) -> list:
+def check_reflection_equivalence(cfg: RunConfig, rec: _Recorder):
     """The half-plane singular transform equals its two-table mirror form.
 
     The library sums the table rows dy / hy in (-ny, 2 ny) once over the odd
@@ -927,8 +905,7 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     agree to rounding, not bit for bit; flipping the mirror sign is the
     control.
     """
-    rec = _Recorder("reflection-equivalence", _box_spec(64), "quadrature")
-    spec = rec.spec
+    spec = rec.on(_box_spec(64), "quadrature")
     ny = spec.ny
     [F] = _fields(BATTERY, spec, "f")
     bd = tr.transform(F, "beurling_down", "quadrature")
@@ -940,18 +917,16 @@ def check_reflection_equivalence(cfg: RunConfig) -> list:
     rec.at_most("mirror-form", _rel_pointwise((c1 - c2) * spec.cell_measure, bd.data), tol)
     rec.at_most("control-flipped-sign", _rel_pointwise((c1 + c2) * spec.cell_measure, bd.data),
               tol)
-    return rec.reports
 
 
-def check_adjointness(cfg: RunConfig) -> list:
+def check_adjointness(cfg: RunConfig, rec: _Recorder):
     """Downward and upward product-kernel transforms are bilinear adjoints.
 
     The matched tables are literal transposes, so the pairing identity is
     rounding-exact.  The sesquilinear pairing is NOT preserved (the kernel
     is symmetric, not hermitian) and serves as the control.
     """
-    rec = _Recorder("adjointness", _box_spec(32), "quadrature-matched")
-    spec, m = rec.spec, rec.method
+    spec, m = rec.on(_box_spec(32), "quadrature-matched"), rec.method
     rng = np.random.default_rng(7 + cfg.seed)
     fa = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
     ga = Field(spec, rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32)))
@@ -963,15 +938,14 @@ def check_adjointness(cfg: RunConfig) -> list:
     es = abs(lhss - rhss) / (abs(lhss) + 1e-300)
     rec.at_most("bilinear", e, 1e-10, seed=7 + cfg.seed)
     rec.at_most("control-sesquilinear", es, 1e-2)
-    return rec.reports
 
 
 # ---------------------------------------------------------------------------
 # registry and drivers
 
 CHECKS: dict = {
-    "norm-identity": lambda cfg: check_norm_identity_p2(cfg, mode="transform"),
-    "norm-identity-closed": lambda cfg: check_norm_identity_p2(cfg, mode="closed"),
+    "norm-identity": lambda cfg, rec: check_norm_identity_p2(cfg, rec, mode="transform"),
+    "norm-identity-closed": lambda cfg, rec: check_norm_identity_p2(cfg, rec, mode="closed"),
     "two-sided-p": check_two_sided_lp,
     "planar-isometry": check_planar_isometry,
     "derivative-identities": check_derivative_identities,
@@ -994,13 +968,17 @@ CHECKS: dict = {
 
 
 def run_checks(names, cfg: Optional[RunConfig] = None) -> list:
-    """Run the named checks (or all of them) and return reports sorted by id."""
+    """Run the named checks (or all of them) and return reports sorted by id.
+    Any unknown name is refused before a check runs; each check writes through
+    a `_Recorder` made here as it begins, its registry key the id prefix."""
     cfg = cfg or RunConfig()
-    if isinstance(names, str):
-        names = list(CHECKS) if names == "all" else [names]
-    reports = []
+    names = list(CHECKS) if names == "all" else [names] if isinstance(names, str) else list(names)
     for name in names:
         if name not in CHECKS:
             raise KeyError(f"unknown check {name!r}; have {sorted(CHECKS)}")
-        reports.extend(CHECKS[name](cfg))
+    reports = []
+    for name in names:
+        rec = _Recorder(name)
+        CHECKS[name](cfg, rec)
+        reports.extend(rec.reports)
     return sorted(reports, key=lambda r: r.check_id)

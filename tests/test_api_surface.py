@@ -17,6 +17,10 @@ a knob that does nothing.
 The fft and quadrature paths of `transforms` share no code but
 `_fft_shape`: the module-level names that the bodies of one path reach
 through the call graph of `src/hypb` are not reached from the other.
+
+A check's id is written once, as its `CHECKS` key: in `src/` only
+`run_checks` makes a `_Recorder`, and no function that `CHECKS` registers
+returns a value, so no check body names or returns its own reports.
 """
 
 import ast
@@ -272,3 +276,83 @@ def test_a_bridge_between_the_paths_is_reported():
     for name, nodes in _definitions([ast.parse(BRIDGES)]).items():
         defs[name] = defs[name] + nodes
     assert {"_pruned_fft2", "_pruned", "_planar_all"} <= shared_path_names(defs)
+
+
+# ---------------------------------------------------------------------------
+# a check's id is its registry key alone
+
+
+def _own_body(node):
+    """The nodes of a function's body, less those of the functions and lambdas inside it."""
+    todo = list(node.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo += list(ast.iter_child_nodes(node))
+
+
+def _registered(tree) -> set:
+    """The functions a module's `CHECKS` dict names, directly or as the call a lambda makes."""
+    names = set()
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if any(isinstance(t, ast.Name) and t.id == "CHECKS" for t in targets):
+            for value in node.value.values:
+                call = value.body if isinstance(value, ast.Lambda) else value
+                name = call.func if isinstance(call, ast.Call) else call
+                names.add(name.id)
+    return names
+
+
+def recorder_breaches(trees) -> list:
+    """The breaches of the single name: "<name>: makes a _Recorder" for each
+    module-level statement but `run_checks` that makes one, and "<name>:
+    returns a value" for each registered check that returns one."""
+    breaches = []
+    for tree in trees:
+        checks = _registered(tree)
+        for node in tree.body:
+            name = getattr(node, "name", "<module>")
+            if name != "run_checks" and any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_Recorder"
+                    for n in ast.walk(node)):
+                breaches.append(f"{name}: makes a _Recorder")
+            if name in checks and any(isinstance(n, ast.Return) and n.value is not None
+                                      for n in _own_body(node)):
+                breaches.append(f"{name}: returns a value")
+    return breaches
+
+
+def test_only_run_checks_makes_a_recorder_and_no_check_returns_one():
+    trees = [tree for _, tree in _trees(ROOT, ("src",))]
+    assert any(_registered(tree) for tree in trees), "no CHECKS registry under src/"
+    breaches = recorder_breaches(trees)
+    assert not breaches, f"check bodies that name or return their own reports: {breaches}"
+
+
+# a check as every body was written before run_checks made the recorders
+ROGUE_CHECK = """
+def check_rogue(cfg):
+    rec = _Recorder("rogue", cfg.battery_spec(), cfg.method)
+
+    def inner():
+        return 1.0  # a nested helper's return is its own
+
+    rec.at_most("x", inner(), 2.0)
+    return rec.reports
+
+
+def check_quiet(cfg, rec):
+    rec.at_most("x", 1.0, 2.0)
+
+
+CHECKS: dict = {"rogue": check_rogue, "quiet": lambda cfg, rec: check_quiet(cfg, rec)}
+"""
+
+
+def test_a_check_that_builds_its_own_recorder_is_reported():
+    # negative control: the program's modules with a self-recording check added
+    trees = [tree for _, tree in _trees(ROOT, ("src",))] + [ast.parse(ROGUE_CHECK)]
+    assert recorder_breaches(trees) == ["check_rogue: makes a _Recorder",
+                                        "check_rogue: returns a value"]

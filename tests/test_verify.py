@@ -63,6 +63,17 @@ def test_unknown_check_raises():
         vf.run_checks("no-such-check")
 
 
+def test_an_unknown_name_is_refused_before_any_check_runs(monkeypatch):
+    # hardy ran in full, about 0.2 s, before the unknown name behind it raised
+    ran = []
+    monkeypatch.setitem(vf.CHECKS, "hardy", lambda cfg, rec: ran.append(rec.prefix))
+    with pytest.raises(KeyError, match="no-such-check"):
+        vf.run_checks(["hardy", "no-such-check"], vf.RunConfig())
+    assert ran == []
+    # twin: alone, the spy runs, on a recorder named by its registry key
+    assert vf.run_checks(["hardy"], vf.RunConfig()) == [] and ran == ["hardy"]
+
+
 def test_reports_are_sorted_and_pass(cheap_reports):
     ids = [r.check_id for r in cheap_reports]
     assert ids == sorted(ids)
@@ -85,7 +96,7 @@ def test_every_cheap_check_carries_a_negative_control(cheap_reports):
 
 def _recorded(verdict: str, *args, **kw):
     """The one report that a fresh recorder writes through `verdict`."""
-    rec = vf._Recorder("demo", None, "none")
+    rec = vf._Recorder("demo")
     getattr(rec, verdict)(*args, **kw)
     [report] = rec.reports
     return report
@@ -127,7 +138,7 @@ def test_a_reported_value_has_no_bar_and_passes():
 def test_runtime_ms_is_each_reports_own_span():
     cfg = vf.RunConfig()  # made before the clock starts: it samples the battery member
     t = time.perf_counter()
-    reports = vf.CHECKS["transform-oracles"](cfg)
+    reports = vf.run_checks("transform-oracles", cfg)
     wall_ms = (time.perf_counter() - t) * 1000.0
     spans = [r.runtime_ms for r in reports]
     assert len(spans) == 6
@@ -169,6 +180,15 @@ def test_method_agreement_keeps_the_battery_cell_shape():
     assert {(r.grid["nx"], r.grid["ny"]) for r in reports} == {(128, 64)}
     assert {(r.grid["nx"], r.grid["ny"]) for r in vf.run_checks("method-agreement")} == {
         (128, 128)}
+
+
+def test_method_agreement_keeps_the_cell_shape_when_the_counts_round_apart(strip_runtime):
+    # 304:152 divided both counts by 3 to 101:50, whose cells are not square,
+    # and the singular table refused them; the ratio 2:1 scales to 128:64
+    at = {n: strip_runtime([r.to_dict() for r in vf.run_checks(
+        "method-agreement", vf.RunConfig(nx=n, ny=n // 2, L=2.8, H=2.8))]) for n in (304, 256)}
+    assert at[304] == at[256] and {(r["grid"]["nx"], r["grid"]["ny"]) for r in at[304]} == {
+        (128, 64)}
 
 
 def test_determinism_bit_for_bit_modulo_runtime(strip_runtime):
@@ -364,9 +384,9 @@ def spied_battery(request):
         return transform(*args, **kw)
 
     def in_check(cid, check):
-        def run(cfg):
+        def run(cfg, rec):
             state["check"] = cid
-            return check(cfg)
+            return check(cfg, rec)
         return run
 
     with pytest.MonkeyPatch.context() as mp:
