@@ -36,16 +36,22 @@ the classification output.
 The classifier reads the field in blocks of 16 rows, x-transforms each block
 (hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by frequency
 group and the fit-window columns, the window block that its result keeps for
-`fit_profile` and its control: no grid-sized array exists.  B2, the fit
-residual and x_truncation are bit-identical to a whole-field pass; the
-energy fractions, weighted energy and growth probe sum the same terms by row
-first, which moves them at rounding level (1e-15 relative).
+`fit_profile` and its control: no grid-sized array exists.  The blocks run
+on the caller and a small thread pool together (numpy releases the GIL in
+the sampling ufuncs and in the FFT), each writing only its own rows; the
+caller reads them back in row order, so every result, refusal and message
+is bit-identical at any worker count.  B2, the fit residual and x_truncation are bit-identical to a
+whole-field pass; the energy fractions, weighted energy and growth probe
+sum the same terms by row first, which moves them at rounding level (1e-15
+relative).
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -327,7 +333,46 @@ CLASSIFY_POS_TOL = 1e-4
 CLASSIFY_WINDOW_MIN = 1e-2
 CLASSIFY_FIT_TOL = 1e-2
 CLASSIFY_GROWTH_TOL = 1.3
-_CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay in L2
+_CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay in one core's L2
+# how many threads run the classifier's blocks at once: one per CPU this
+# process may run on, at most this cap.  Each block in flight holds about
+# 1.4 MB of temporaries, and at 3 the classify peak passes the quarter field
+# its test allows
+_CLASSIFY_THREADS_CAP = 2
+# the caller runs blocks too, so its pool has one thread fewer (at least
+# one): each thread that runs blocks keeps a glibc malloc arena of its own,
+# about 2.5 MB over a whittaker bench pass, which an idle caller would add
+# for nothing.  The pool is built on the first classify, so importing the
+# package starts no thread
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _classify_pool():
+    """The classifier's thread pool, built on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            _pool = ThreadPoolExecutor(max(min(cpus, _CLASSIFY_THREADS_CAP) - 1, 1),
+                                       thread_name_prefix="hypb-classify")
+        return _pool
+
+
+def _run_here(fn, *args):
+    """fn(*args) run by the caller, as a done Future: its result, or the
+    exception it raised, for the caller to raise in turn as a worker's."""
+    from concurrent.futures import Future
+
+    done = Future()
+    try:
+        done.set_result(fn(*args))
+    except Exception as exc:
+        done.set_exception(exc)
+    return done
 
 
 def fit_profile(block: np.ndarray, xi: np.ndarray, y: np.ndarray, sign: float = 1.0) -> tuple:
@@ -357,8 +402,13 @@ def lemma_a1_classify(h) -> ClassifyResult:
 
     h is a Field or a `testfuncs.RowSampler`: anything with a `spec` and a
     `rows(r)` that returns the rows r (a slice) of the field.  It is read in
-    row blocks (module docstring); energies past the float range raise
-    OverflowError, and a field with none (zero, or underflowing) ValueError.
+    row blocks by the caller and the classifier's thread pool together
+    (module docstring), so `rows` may be called from several threads at
+    once; each block writes only its own rows, and the blocks are read back
+    in row order, so the result, and the refusal of the first block in row
+    order that fails, are bit-identical at any worker count.  Energies past
+    the float range raise OverflowError, and a field with none (zero, or
+    underflowing) ValueError.
     """
     spec = h.spec
     xi = 2.0 * np.pi * np.fft.fftfreq(spec.nx, d=spec.hx)
@@ -372,26 +422,45 @@ def lemma_a1_classify(h) -> ClassifyResult:
     # per row: the energy at xi = 0, xi > 0, xi < 0 and in the window
     energy = np.empty((4, spec.ny))
     block = np.empty((spec.ny, cols.size), dtype=complex, order="F")
-    edge = peak = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r0 in range(0, spec.ny, _CLASSIFY_ROWS):
-            r = slice(r0, min(r0 + _CLASSIFY_ROWS, spec.ny))
+
+    def run_block(r: slice) -> tuple:
+        """Sample and x-transform the rows r, write their energies and window
+        columns, and return their edge and peak magnitudes and whether their
+        energies are finite."""
+        # errstate is per thread: the caller's would not reach a pool worker
+        with np.errstate(over="ignore", invalid="ignore"):
             data = h.rows(r)
             mag = np.abs(data)
-            edge = max(edge, mag[:, 0].max(), mag[:, -1].max())
-            peak = max(peak, mag.max())
+            sizes = (mag[:, 0].max(), mag[:, -1].max(), mag.max())
+            del mag
             data = np.fft.fft(data, axis=1)
             data *= spec.hx
             data *= phase
             block[r] = data[:, win]
             absq = np.abs(data)
+            del data
             absq *= absq
             energy[:, r] = (absq[:, 0], absq[:, 1:split].sum(axis=1),
                             absq[:, split:].sum(axis=1), absq[:, win].sum(axis=1))
-            del data, mag, absq  # before the next block is sampled
-            if not np.all(np.isfinite(energy[:, r])):
-                raise OverflowError(f"the partial Fourier energies |hhat|^2 of rows "
-                                    f"{r.start}-{r.stop - 1} leave the float range")
+            return sizes, bool(np.all(np.isfinite(energy[:, r])))
+
+    blocks = [slice(r0, min(r0 + _CLASSIFY_ROWS, spec.ny))
+              for r0 in range(0, spec.ny, _CLASSIFY_ROWS)]
+    pool = _classify_pool()
+    runs = [pool.submit(run_block, r) for r in blocks]
+    # the workers take blocks from the first on, the caller from the last
+    # back, each one that no worker has started, until they meet
+    for i in reversed(range(len(blocks))):
+        if runs[i].cancel():
+            runs[i] = _run_here(run_block, blocks[i])
+    edge = peak = 0.0
+    for r, run in zip(blocks, runs):
+        (first, last, top), finite = run.result()
+        edge = max(edge, first, last)
+        peak = max(peak, top)
+        if not finite:
+            raise OverflowError(f"the partial Fourier energies |hhat|^2 of rows "
+                                f"{r.start}-{r.stop - 1} leave the float range")
 
     tot = float(np.sum(energy[:3]))
     if tot == 0.0:

@@ -1,8 +1,11 @@
 """Helpers shared by several test modules."""
 
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
+
+from hypb import whittaker as wh
 
 
 def _strip_runtime(payload):
@@ -32,3 +35,29 @@ def _peak_bytes(fn) -> int:
 @pytest.fixture
 def peak_bytes():
     return _peak_bytes
+
+
+class _NoWorkers:
+    """A pool without threads: nothing it is given starts, so the caller runs it."""
+
+    def submit(self, fn, *args):
+        return Future()
+
+
+@pytest.fixture
+def classify_threads(monkeypatch):
+    """threads(n) has n threads run the cokernel classifier's blocks for the
+    rest of the test: the caller and a fresh pool of n - 1 (none for n = 1);
+    each pool is shut down after the test."""
+    pools = []
+
+    def threads(n: int) -> None:
+        if n == 1:
+            monkeypatch.setattr(wh, "_pool", _NoWorkers())
+            return
+        pools.append(ThreadPoolExecutor(n - 1))
+        monkeypatch.setattr(wh, "_pool", pools[-1])
+
+    yield threads
+    for pool in pools:
+        pool.shutdown()

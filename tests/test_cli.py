@@ -757,32 +757,44 @@ def test_cli_import_leaves_scipy_signal_out():
     assert _loaded_after_cli_import(["scipy.signal"]) == []
 
 
+def test_cli_import_leaves_concurrent_futures_out():
+    # the classifier builds its thread pool, and imports the executor, on its
+    # first call
+    assert _loaded_after_cli_import(["concurrent.futures"]) == []
+
+
 def test_cli_import_leaves_quadrature_and_optimize_out():
     # the battery's quadratures are numpy's own (verify._de_quad); scipy.integrate
     # would load scipy.optimize with it
     assert _loaded_after_cli_import(["scipy.integrate", "scipy.optimize"]) == []
 
 
-_SCIPY_AFTER_EACH = """
-import contextlib, io, json, sys
+_AFTER_EACH = """
+import contextlib, io, json, sys, threading
 import hypb.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def probe():
+    return eval(sys.argv[1])
 
-seen = [scipy_modules()]
-for step in json.loads(sys.argv[1]):
+seen = [probe()]
+for step in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()):
         exec(step)
-    seen.append(scipy_modules())
+    seen.append(probe())
 print(json.dumps(seen))
 """
 
 
+def _after_each(probe: str, steps) -> list:
+    """`probe`, a Python expression, in a fresh interpreter after `import
+    hypb.cli`, then after each step (Python source) in turn."""
+    return _fresh_python(_AFTER_EACH, probe, json.dumps(steps))
+
+
 def _scipy_after_each(steps) -> list:
-    """The scipy modules a fresh interpreter holds after `import hypb.cli`,
-    then after each step (Python source) in turn."""
-    return _fresh_python(_SCIPY_AFTER_EACH, json.dumps(steps))
+    """The scipy modules held after `import hypb.cli`, then after each step."""
+    return _after_each("sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+                       steps)
 
 
 def _cli_step(argv) -> str:
@@ -803,6 +815,38 @@ def test_no_cli_command_loads_scipy():
     seen = _scipy_after_each([_cli_step(a) for a in argvs])
     assert len(seen) == len(argvs) + 1
     assert seen == [[]] * len(seen)
+
+
+def test_only_classify_starts_threads():
+    # transform, tabulate and verify adjointness run on the main thread alone;
+    # twin: the classifier's first call starts its pool
+    argvs = [["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
+              "--json"],
+             ["transform", "--op", "b_up", "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
+              "--method", "quadrature", "--json"],
+             ["whittaker", "tabulate", "--family", "Y", "--A", "1", "--B", "1"],
+             ["verify", "adjointness", "--json"],
+             ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M"]]
+    seen = _after_each("threading.active_count()", [_cli_step(a) for a in argvs])
+    assert seen[:-1] == [1] * len(argvs)
+    assert seen[-1] > 1
+
+
+def test_classify_refuses_an_overflow_on_the_pool_without_a_warning():
+    # numpy's errstate does not reach the pool's threads, so each block sets
+    # its own: under -W error a warning there would end in a traceback.
+    # Twin: k = 2 runs to a verdict with nothing on stderr
+    argv = [sys.executable, "-W", "error", "-m", "hypb", "whittaker", "classify", "--json",
+            "--testfn"]
+    proc = subprocess.run(argv + ["conjrat:a=0.01,k=200"], capture_output=True, text=True,
+                          timeout=120, env=_checkout_env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: the partial Fourier energies |hhat|^2 of rows 0-15")
+    assert proc.stderr.count("\n") == 1
+    proc = subprocess.run(argv + ["conjrat:a=0.01,k=2"], capture_output=True, text=True,
+                          timeout=120, env=_checkout_env())
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["testfn"] == "conjrat:a=0.01,k=2"
 
 
 def test_the_scipy_probe_flags_a_scipy_import():

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -354,6 +356,23 @@ def test_streamed_classifier_matches_on_partial_blocks_and_the_wrong_branch(nx, 
         assert fit_residual == want_wrong.fit_residual
 
 
+def test_more_threads_than_the_cap_switching_fast_lose_no_block(classify_threads):
+    # blocks write disjoint rows of shared arrays: on 2 * cap + 1 threads,
+    # switching every microsecond, every row still lands where the
+    # whole-field pass puts it
+    spec = wh.default_classify_spec()
+    fn = tf.conj_rational(1.0, 2)
+    want = _whole_field_classify(Field(spec, spec.y.reshape(-1, 1) * tf.sample(fn, spec).data))
+    classify_threads(2 * wh._CLASSIFY_THREADS_CAP + 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = wh.lemma_a1_classify(tf.RowSampler(fn, spec, times_y=True))
+    finally:
+        sys.setswitchinterval(interval)
+    _assert_same_classification(got, want)
+
+
 def test_a_reader_with_one_block_shifted_a_row_fails_the_comparison():
     spec = wh.default_classify_spec()
     field = tf.sample(tf.conj_rational(1.0, 2), spec)
@@ -396,10 +415,12 @@ def test_row_sampler_blocks_are_the_rows_of_the_sampled_field(name, nx, ny):
             assert np.array_equal(tf.sample(fn, spec, which).data, form(spec.zz())), which
 
 
-def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes):
-    # the classify run never holds a classify-grid field: its row blocks and
-    # the ny x 91 window block stay under a quarter of one.  Twin: sampling the
-    # whole field first holds more than one
+def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes, classify_threads):
+    # the classify run never holds a classify-grid field: its row blocks, as
+    # many in flight as threads may run them, and the ny x 91 window block
+    # stay under a quarter of one.  Twin: sampling the whole field first
+    # holds more than one
+    classify_threads(wh._CLASSIFY_THREADS_CAP)
     spec = wh.default_classify_spec()
     field_bytes = spec.nx * spec.ny * 16
     argv = ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M", "--json"]
@@ -426,8 +447,10 @@ def test_classifier_records_x_truncation_without_warning():
     assert res.x_truncation == pytest.approx(edge)
 
 
-def test_energies_past_the_float_range_are_an_overflow_error():
-    # |hhat|^2 of this member overflows in the first block of rows; twin: k = 2
+def test_energies_past_the_float_range_are_an_overflow_error(classify_threads):
+    # |hhat|^2 of this member overflows in the first block of rows; twin: k = 2.
+    # On two threads, one a worker whose errstate is not the caller's
+    classify_threads(2)
     spec = wh.default_classify_spec()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -435,6 +458,108 @@ def test_energies_past_the_float_range_are_an_overflow_error():
             wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(0.001, 200), spec))
         res = wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(0.001, 2), spec))
     assert np.isfinite(res.pos_energy_frac) and np.isfinite(res.dyadic_growth)
+
+
+class _Reader:
+    """The rows of a RowSampler times `scale`, read through a hook that sees
+    each block's slice first; `threads` collects the ident of every thread
+    that reads a block."""
+
+    def __init__(self, sampler, hook=lambda r: None, scale=1.0, threads=None):
+        self.spec, self._sampler, self._hook, self._scale = sampler.spec, sampler, hook, scale
+        self.threads = set() if threads is None else threads
+
+    def rows(self, r):
+        self.threads.add(threading.get_ident())
+        self._hook(r)
+        return self._scale * self._sampler.rows(r)
+
+
+def test_the_first_failing_block_in_row_order_is_refused(classify_threads):
+    # every block of this field overflows, and block 0 (the worker's first)
+    # is held until block 39 (the caller's first) is done: the refusal still
+    # names rows 0-15.  A closure's own exception reaches the caller as it
+    # was raised, and a refused block comes before a later block's exception,
+    # also one the caller raised itself
+    classify_threads(2)
+    gaussian = tf.RowSampler(tf.parse_testfn("gaussian:c=2,sigma=4"), wh.default_classify_spec())
+    last_done = threading.Event()
+
+    def hold_block_0(r):
+        if r.start == 38 * wh._CLASSIFY_ROWS:
+            last_done.set()
+        elif r.start == 0:
+            assert last_done.wait(10)
+
+    def fail_at_39(r):  # the caller's first block
+        if r.start == 39 * wh._CLASSIFY_ROWS:
+            raise ZeroDivisionError("the member's own message")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = _Reader(gaussian, hold_block_0, scale=1e300)
+        with pytest.raises(OverflowError, match="energies .* of rows 0-15 leave the float range"):
+            wh.lemma_a1_classify(huge)
+        assert last_done.is_set()
+        with pytest.raises(ZeroDivisionError, match="^the member's own message$"):
+            wh.lemma_a1_classify(_Reader(gaussian, fail_at_39))
+        with pytest.raises(OverflowError, match="rows 0-15"):
+            wh.lemma_a1_classify(_Reader(gaussian, fail_at_39, scale=1e300))
+
+
+DETERMINISM_FIELDS = [("conjrat:a=1,k=2", True), ("holorat:a=1,k=2", True),
+                      ("gaussian:c=2,sigma=4", False)]
+
+
+def _classify_outputs(tmp_path, strip_runtime, reader) -> list:
+    """On each of DETERMINISM_FIELDS (the flag: times Im z) the summary, b2
+    and window block as bytes of the result through `reader`, and the stdout
+    and CSV of `hypb whittaker classify --json --out`; then `hypb verify
+    whittaker-classify --json` less runtime_ms."""
+    spec = wh.default_classify_spec()
+    outputs = []
+    for testfn, times_y in DETERMINISM_FIELDS:
+        res = wh.lemma_a1_classify(reader(tf.RowSampler(tf.parse_testfn(testfn), spec, times_y)))
+        outputs += [json.dumps(res.summary()), res.b2.tobytes(), res.block.tobytes()]
+        csv = tmp_path / "b2.csv"
+        argv = ["whittaker", "classify", "--testfn", testfn, "--json", "--out", str(csv)]
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv + ["--premultiply-M"] * times_y) == 0
+        outputs += [out.getvalue(), csv.read_bytes()]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(["verify", "whittaker-classify", "--json"]) == 0
+    outputs.append(json.dumps(strip_runtime(json.loads(out.getvalue()))))
+    return outputs
+
+
+def _first_blocks_meet(barrier):
+    """A hook that holds each thread's first block at the barrier."""
+    met = set()
+
+    def hook(r):
+        if threading.get_ident() not in met:
+            met.add(threading.get_ident())
+            barrier.wait()
+
+    return hook
+
+
+def test_classify_is_bit_identical_on_one_and_two_threads(classify_threads, tmp_path,
+                                                          strip_runtime):
+    # the readers record the threads that read blocks.  On two threads each
+    # one's first block waits for the other's (10 s at most), so a pass that
+    # never runs two blocks at once fails
+    threads, runs = [], []
+    for n in (1, 2):
+        classify_threads(n)
+        hook, seen = _first_blocks_meet(threading.Barrier(n, timeout=10)), set()
+        runs.append(_classify_outputs(tmp_path, strip_runtime,
+                                      lambda sampler: _Reader(sampler, hook, threads=seen)))
+        threads.append(seen)
+    assert threads[0] == {threading.get_ident()} and len(threads[1]) == 2
+    assert len(runs[0]) == 3 * 5 + 1
+    for one, two in zip(*runs):
+        assert one == two
 
 
 def test_pde_residual_vanishes_on_weighted_antiholomorphic_fields():
