@@ -13,7 +13,8 @@ Conventions shared by all checks:
   * some members are calibrated on their own pinned grids (annihilation
     needs a large box, the tuned averaging member needs a tall thin one),
     and some checks pin their grid size on DEFAULT_BOX (`_box_spec`);
-    those grids are fixed constants, not RunConfig-driven;
+    those grids are fixed constants, not RunConfig-driven.  A RunConfig's
+    grid reaches the checks only as `battery_spec()`;
   * the battery member is the selector BATTERY; `_fields(member, spec, ...)`
     parses a selector (`testfuncs.parse_testfn`) and samples its closed forms;
   * RunConfig refuses a grid on which the battery member has L^q norm 0
@@ -492,29 +493,17 @@ def check_transform_oracles(cfg: RunConfig, rec: _Recorder):
     rec.at_most("control-wrong-target", _rel_l2(spec, c_down, dbF.data), tol)
 
 
-# method-agreement's own grid limit, in cells per axis.  The check takes
-# 0.10-0.12 s at 128^2 and 0.43-0.57 s at 256^2 on a 2-core Xeon (x86-64,
-# Python 3.11, numpy 2.4, scipy 1.17): at the default grid it would add
-# 0.3-0.45 s to the benchmark's 2.7 s battery round (bench/), whose bound is
-# 25%.  The limit stays until the grid-rate reports need the finer grid.
-_AGREEMENT_N_MAX = 128
-
-
 def check_method_agreement(cfg: RunConfig, rec: _Recorder):
     """fft and table-quadrature paths agree on grid-matched members.
 
-    Agreement is measured on nx:ny in lowest terms, a:b, scaled to (k a, k b)
-    with k <= gcd(nx, ny) the largest within `_AGREEMENT_N_MAX` cells per axis
-    (a cost limit of this check only), which keeps the battery's cell shape.
+    Agreement is measured on DEFAULT_BOX at 128^2 whatever the RunConfig
+    grid, which bounds the check's cost: the quadrature tables grow with the
+    grid (0.10-0.12 s here, 0.43-0.57 s at 256^2 on a 2-core x86-64 host).
     The smooth-kernel transforms agree on the gaussian member; the singular
     one needs the low-curvature dipole member and fft padding 6 because its
     1/z^2 tail periodizes slowly (padding 1 is the control: 0.16).
     """
-    g = math.gcd(cfg.nx, cfg.ny)
-    a, b = cfg.nx // g, cfg.ny // g
-    k = min(g, _AGREEMENT_N_MAX // max(a, b))
-    nx, ny = (k * a, k * b) if k * min(a, b) >= 4 else (cfg.nx, cfg.ny)  # GridSpec's floor
-    spec = rec.on(GridSpec(L=cfg.L, H=cfg.H, nx=nx, ny=ny), "fft-vs-quadrature")
+    spec = rec.on(_box_spec(128), "fft-vs-quadrature")
     [lapF] = _fields(BATTERY, spec, "lap")
     tol = 1e-3
     for name, kernel in (("c_down", "cauchy_down"), ("c_up", "cauchy_up")):

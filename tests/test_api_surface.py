@@ -21,6 +21,10 @@ through the call graph of `src/hypb` are not reached from the other.
 A check's id is written once, as its `CHECKS` key: in `src/` only
 `run_checks` makes a `_Recorder`, and no function that `CHECKS` registers
 returns a value, so no check body names or returns its own reports.
+
+A RunConfig's grid reaches the checks only as `battery_spec()`: outside the
+`RunConfig` class no code in `src/` reads a config's `nx`, `ny`, `L` or `H`,
+so no check derives a second grid of its own from them.
 """
 
 import ast
@@ -356,3 +360,77 @@ def test_a_check_that_builds_its_own_recorder_is_reported():
     trees = [tree for _, tree in _trees(ROOT, ("src",))] + [ast.parse(ROGUE_CHECK)]
     assert recorder_breaches(trees) == ["check_rogue: makes a _Recorder",
                                         "check_rogue: returns a value"]
+
+
+# ---------------------------------------------------------------------------
+# a RunConfig's grid reaches the checks as battery_spec() alone
+
+GRID_FIELDS = frozenset({"nx", "ny", "L", "H"})
+
+
+def grid_field_reads(trees) -> list:
+    """"<function>: <name>.<field>" for each read of a RunConfig's grid field
+    outside the `RunConfig` class, a config being a parameter annotated
+    with `RunConfig` or a name assigned a `RunConfig(...)` call."""
+    breaches = []
+    for tree in trees:
+        configs = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.arg) and node.annotation is not None:
+                if "RunConfig" in _reads(node.annotation):
+                    configs.add(node.arg)
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                if "RunConfig" in _reads(node.value.func):
+                    configs.update(t.id for t in node.targets if isinstance(t, ast.Name))
+
+        def visit(node, where):
+            if isinstance(node, ast.ClassDef) and node.name == "RunConfig":
+                return
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = node.name
+            if (isinstance(node, ast.Attribute) and node.attr in GRID_FIELDS
+                    and isinstance(node.value, ast.Name) and node.value.id in configs):
+                breaches.append(f"{where}: {node.value.id}.{node.attr}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, "<module>")
+    return list(dict.fromkeys(breaches))
+
+
+def test_no_check_reads_the_run_config_grid_but_through_battery_spec():
+    breaches = grid_field_reads(tree for _, tree in _trees(ROOT, ("src",)))
+    assert not breaches, f"RunConfig grid fields read outside battery_spec(): {breaches}"
+
+
+# a check that derives its own grid from the config's, and a caller that
+# reads a field of the config it made
+DERIVED_GRID = """
+class RunConfig:
+    nx: int = 256
+
+    def battery_spec(self):
+        return GridSpec(L=self.L, H=self.H, nx=self.nx, ny=self.ny)
+
+
+def check_scaled(cfg: RunConfig, rec: _Recorder):
+    g = math.gcd(cfg.nx, cfg.ny)
+    rec.on(GridSpec(L=cfg.L, H=cfg.H, nx=cfg.nx // g, ny=cfg.ny // g), "fft")
+
+
+def check_pinned(cfg: RunConfig, rec: _Recorder):
+    rec.on(cfg.battery_spec(), cfg.method)
+
+
+def main(nx):
+    cfg = vf.RunConfig(nx=nx)
+    return cfg.ny
+"""
+
+
+def test_a_check_that_derives_its_own_grid_is_reported():
+    # negative control: the program's modules with such a check added
+    trees = [tree for _, tree in _trees(ROOT, ("src",))] + [ast.parse(DERIVED_GRID)]
+    assert grid_field_reads(trees) == ["check_scaled: cfg.nx", "check_scaled: cfg.ny",
+                                       "check_scaled: cfg.L", "check_scaled: cfg.H",
+                                       "main: cfg.ny"]

@@ -715,13 +715,6 @@ def test_console_script_smoke():
     assert proc.returncode == 2
 
 
-def _checkout_env() -> dict:
-    """The environment with this checkout's hypb first on PYTHONPATH."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-
-
 @pytest.mark.parametrize("argv", [
     ["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4", "--grid", "128"],
     ["whittaker", "tabulate", "--family", "Y", "--points", "20000"],

@@ -172,23 +172,18 @@ def test_run_config_refuses_a_grid_no_check_can_run_on(kw, needle):
     assert vf.RunConfig(L=1500.0, H=3000.0, p=3.0).two_sided_ps() == (3.0,)
 
 
-def test_method_agreement_keeps_the_battery_cell_shape():
-    # min(nx, ny, 128) squashed 256:128 on 2.8:2.8 to 128:128, whose cells are
-    # 2:1, and the singular table refused them
-    cfg = vf.RunConfig(nx=256, ny=128, L=2.8, H=2.8)
-    reports = vf.run_checks("method-agreement", cfg)
-    assert {(r.grid["nx"], r.grid["ny"]) for r in reports} == {(128, 64)}
-    assert {(r.grid["nx"], r.grid["ny"]) for r in vf.run_checks("method-agreement")} == {
-        (128, 128)}
-
-
-def test_method_agreement_keeps_the_cell_shape_when_the_counts_round_apart(strip_runtime):
-    # 304:152 divided both counts by 3 to 101:50, whose cells are not square,
-    # and the singular table refused them; the ratio 2:1 scales to 128:64
-    at = {n: strip_runtime([r.to_dict() for r in vf.run_checks(
-        "method-agreement", vf.RunConfig(nx=n, ny=n // 2, L=2.8, H=2.8))]) for n in (304, 256)}
-    assert at[304] == at[256] and {(r["grid"]["nx"], r["grid"]["ny"]) for r in at[304]} == {
-        (128, 64)}
+def test_method_agreement_runs_on_the_default_box_at_128_whatever_the_grid(strip_runtime):
+    # no config moves the check off its grid: a grid of the battery's cell
+    # shape within 128 cells per axis does not exist at 511:512, whose whole
+    # grid takes 1.7 s against 0.07 s, and 256:128 or 304:152 on a square
+    # box would measure other cells
+    configs = [vf.RunConfig(), vf.RunConfig(nx=256, ny=128, L=2.8, H=2.8),
+               vf.RunConfig(nx=304, ny=152, L=2.8, H=2.8),
+               vf.RunConfig(nx=511, ny=512, H=5.6 * 512 / 511)]
+    runs = [strip_runtime([r.to_dict() for r in vf.run_checks("method-agreement", cfg)])
+            for cfg in configs]
+    assert all(r["grid"] == vf._box_spec(128).summary() for run in runs for r in run)
+    assert all(run == runs[0] for run in runs)
 
 
 def test_determinism_bit_for_bit_modulo_runtime(strip_runtime):

@@ -95,18 +95,21 @@ def test_slow_branch_integral_closed_form():
     assert np.max(np.abs(wh.x_integral(ts) - want) / np.abs(want)) < 1e-10
 
 
-# 40-digit oracles.  x_integral's E2 form has no cancellation below t = 40;
-# the exp1 form 1/t - e^t E1(t) loses about t ulps there (1.1e-14 on the
+# 40-digit oracles.  x_integral's E2 form has no cancellation; the exp1
+# form 1/t - e^t E1(t) loses about t ulps below t = 40 (1.1e-14 on the
 # dense scan of [27, 30]), and the bare forms past their ranges lose far
 # more, which the twin tests pin.
 # one ulp either side of the series / continued fraction switch (1), of the
-# switch's earlier place (0.5) and of the continued fraction / asymptotic
-# switch (40)
+# switch's earlier place (0.5) and of t = 40, where y_integral switches
+# series and the far set of X_ORACLE_FAR_TOL begins
 X_BRANCH_EDGES = [np.nextafter(t, t + side) for t in (0.5, 1.0, 40.0)
                   for side in (-1.0, 0.0, 1.0)]
 X_ORACLE_T = np.concatenate([np.geomspace(1e-4, 1500.0, 400), np.linspace(27.0, 30.0, 100),
                              [1e4], X_BRANCH_EDGES])
 X_ORACLE_TOL = 5e-15
+# from t = 40 on the continued fraction reads 2.3e-16; the asymptotic series
+# of 1 - t e^t E1(t) reads 2.0e-15 there, which this bar rejects
+X_ORACLE_FAR_TOL = 5e-16
 Y_ORACLE_T = np.geomspace(1e-3, 709.0, 400)
 Y_ORACLE_TOL = 5e-14
 
@@ -130,6 +133,14 @@ def _bare_exp1_form(t):
     return 1.0 / t - np.exp(t) * special.exp1(t)
 
 
+def _asymptotic_form(t):
+    """sum_{k=1}^{40} (-1)^(k+1) k!/t^(k+1), the asymptotic series of I."""
+    acc, term = np.zeros_like(t), 1.0 / t
+    for k in range(1, 41):
+        acc, term = acc + term, term * (-(k + 1) / t)
+    return acc / t
+
+
 def _bare_ei_form(t):
     return special.expi(t) - np.euler_gamma - np.log(t) - (np.expm1(t) - t) / t
 
@@ -138,6 +149,12 @@ def test_x_integral_matches_mpmath():
     got = wh.x_integral(X_ORACLE_T)
     assert np.all(np.isfinite(got))
     assert _oracle_error(got, X_ORACLE_T, _I) < X_ORACLE_TOL
+
+
+def test_x_integral_matches_mpmath_to_rounding_from_40_on():
+    ts = X_ORACLE_T[X_ORACLE_T >= 40.0]
+    assert _oracle_error(wh.x_integral(ts), ts, _I) < X_ORACLE_FAR_TOL
+    assert _oracle_error(_asymptotic_form(ts), ts, _I) > X_ORACLE_FAR_TOL
 
 
 def test_x_oracle_rejects_a_continued_fraction_cut_at_80_levels(monkeypatch):
@@ -357,13 +374,13 @@ def test_streamed_classifier_matches_on_partial_blocks_and_the_wrong_branch(nx, 
 
 
 def test_more_threads_than_the_cap_switching_fast_lose_no_block(classify_threads):
-    # blocks write disjoint rows of shared arrays: on 2 * cap + 1 threads,
-    # switching every microsecond, every row still lands where the
-    # whole-field pass puts it
+    # blocks write disjoint rows of shared arrays: on 5 threads, more than
+    # twice the classifier's 2, switching every microsecond, every row still
+    # lands where the whole-field pass puts it
     spec = wh.default_classify_spec()
     fn = tf.conj_rational(1.0, 2)
     want = _whole_field_classify(Field(spec, spec.y.reshape(-1, 1) * tf.sample(fn, spec).data))
-    classify_threads(2 * wh._CLASSIFY_THREADS_CAP + 1)
+    classify_threads(5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -420,7 +437,7 @@ def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes, classify_t
     # many in flight as threads may run them, and the ny x 91 window block
     # stay under a quarter of one.  Twin: sampling the whole field first
     # holds more than one
-    classify_threads(wh._CLASSIFY_THREADS_CAP)
+    classify_threads(2)
     spec = wh.default_classify_spec()
     field_bytes = spec.nx * spec.ny * 16
     argv = ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M", "--json"]
