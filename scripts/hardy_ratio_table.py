@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Climb of the log-plateau family toward the boundary-decay constant 16.
 
-Ratios come from the one-dimensional log-grid oracle, which handles the
-y-ranges (down to n^-(1+2 ramp)) that no two-dimensional grid can resolve.
+Ratios come from the one-dimensional oracle, double-exponential quadrature
+in log y, which handles the y-ranges (down to n^-(1+2 ramp)) that no
+two-dimensional grid can resolve.
 """
 
 import argparse
@@ -21,7 +22,7 @@ def main(argv=None) -> int:
 
     try:
         ratios = [vf._hardy_oracle_1d(args.a, n, ramp=args.ramp) for n in args.n]
-    except ValueError as exc:  # a cutoff scale below 2
+    except (ValueError, ArithmeticError) as exc:  # a cutoff scale below 2, or no convergence
         print(f"error: {exc}", file=sys.stderr)
         return 2
     const = vf.HARDY_P2

@@ -47,12 +47,12 @@ __all__ = [
 
 @dataclass
 class StripProfile:
-    """x-independent profile f(Im z) and its derivative, supported in [y_lo, y_hi]."""
+    """x-independent profile f(Im z) and its derivative, supported in
+    [knots[0], knots[-1]] and analytic between consecutive knots."""
 
     f: Callable[[np.ndarray], np.ndarray]
     d1: Callable[[np.ndarray], np.ndarray]
-    y_lo: float
-    y_hi: float
+    knots: tuple
 
 
 @dataclass
@@ -226,8 +226,8 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
     widening both with n is what drives the Hardy ratio toward the sharp
     constant.  Since f depends on y alone, dbar f = (i/2) f'(y) and the
     two-dimensional ratio reduces to the one-dimensional Hardy ratio, which
-    checks evaluate by log-spaced quadrature of `profile`; the member
-    carries no two-dimensional derivative fields.
+    checks evaluate by quadrature in log y over the pieces of `profile`;
+    the member carries no two-dimensional derivative fields.
     """
     if n < 2:
         raise ValueError("cutoff scale n must be an integer >= 2")
@@ -268,7 +268,7 @@ def hardy_family(a: float = 0.5, n: int = 64, ramp: float = 1.8) -> AnalyticTest
         name="hardy",
         f=lambda z: prof(z.imag).astype(complex),
         params={"a": a, "n": n, "ramp": ramp},
-        profile=StripProfile(f=prof, d1=dprof, y_lo=math.exp(t0), y_hi=1.0),
+        profile=StripProfile(f=prof, d1=dprof, knots=tuple(map(math.exp, (t0, t1, t2, t3)))),
     )
 
 

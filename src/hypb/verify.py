@@ -575,13 +575,12 @@ def check_e_identity(cfg: RunConfig, rec: _Recorder):
 
 
 def _hardy_oracle_1d(a: float, n: int, ramp: float = 1.8) -> float:
-    # log-grid quadrature of the one-dimensional profile ratio
-    fam = tf.hardy_family(a, n, ramp=ramp)
-    p = fam.profile
-    s = np.linspace(math.log(p.y_lo) - 0.5, math.log(max(p.y_hi, 1.0)) + 0.01, 200001)
-    y = np.exp(s)
-    num = np.trapezoid(p.f(y) ** 2 / y**2 * y, s)
-    den = 0.25 * np.trapezoid(p.d1(y) ** 2 * y, s)
+    # the ratio of int f^2/y ds to (1/4) int f'^2 y ds, s = log y, by `_de_quad`
+    # over the profile's analytic pieces (the two ramps and the plateau)
+    p = tf.hardy_family(a, n, ramp=ramp).profile
+    s = np.log(p.knots)
+    parts = lambda y: np.stack([p.f(y) ** 2 / y, p.d1(y) ** 2 * y / 4.0])
+    num, den = np.sum(_de_quad(lambda t: parts(np.exp(t)), s[:-1], s[1:]), axis=-1)
     return float(num / den)
 
 

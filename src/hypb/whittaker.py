@@ -37,10 +37,11 @@ The classifier reads the field in blocks of 16 rows, x-transforms each block
 (hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by frequency
 group and the fit-window columns, the window block that its result keeps for
 `fit_profile` and its control: no grid-sized array exists.  The blocks run
-on two threads, the caller and one pool worker (numpy releases the GIL in
-the sampling ufuncs and in the FFT), each writing only its own rows; the
-caller reads them back in row order, so every result, refusal and message
-is bit-identical at any worker count.  B2, the fit residual and
+on two threads, the caller and one helper that the call starts and joins
+before it returns or raises (numpy releases the GIL in the sampling ufuncs
+and in the FFT); both take blocks from one deque, each writing only its own
+rows, and the caller reads them back in row order, so every result, refusal
+and message is bit-identical at any thread count.  B2, the fit residual and
 x_truncation are bit-identical to a whole-field pass; the energy fractions,
 weighted energy and growth probe sum the same terms by row first, which
 moves them at rounding level (1e-15 relative).
@@ -51,6 +52,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -329,39 +331,14 @@ CLASSIFY_WINDOW_MIN = 1e-2
 CLASSIFY_FIT_TOL = 1e-2
 CLASSIFY_GROWTH_TOL = 1.3
 _CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay in one core's L2
-# the classifier's blocks run on two threads, the caller and the one worker
-# of this pool.  Each block in flight holds about 1.4 MB of temporaries, and
-# at 3 the classify peak passes the quarter field its test allows; each
-# thread that runs blocks keeps a glibc malloc arena of its own, about 2.5 MB
-# over a whittaker bench pass, which an idle caller beside two workers would
-# add for nothing.  The pool is built on the first classify, so importing
-# the package starts no thread
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _classify_pool():
-    """The classifier's thread pool, built on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="hypb-classify")
-        return _pool
-
-
-def _run_here(fn, *args):
-    """fn(*args) run by the caller, as a done Future: its result, or the
-    exception it raised, for the caller to raise in turn as a worker's."""
-    from concurrent.futures import Future
-
-    done = Future()
-    try:
-        done.set_result(fn(*args))
-    except Exception as exc:
-        done.set_exception(exc)
-    return done
+# the classifier's blocks run on this many threads: the caller and helpers
+# that each call starts and joins.  Each block in flight holds about 1.4 MB
+# of temporaries, and at 3 the classify peak passes the quarter field its
+# test allows; each thread that runs blocks keeps a glibc malloc arena of its
+# own, about 2.5 MB over a whittaker bench pass, which an idle caller beside
+# two helpers would add for nothing.  glibc hands an exited thread's arena
+# on to the next thread, so a helper per call costs no arena per call
+_CLASSIFY_THREADS = 2
 
 
 def fit_profile(block: np.ndarray, xi: np.ndarray, y: np.ndarray, sign: float = 1.0) -> tuple:
@@ -391,11 +368,12 @@ def lemma_a1_classify(h) -> ClassifyResult:
 
     h is a Field or a `testfuncs.RowSampler`: anything with a `spec` and a
     `rows(r)` that returns the rows r (a slice) of the field.  It is read in
-    row blocks by the caller and the classifier's thread pool together
+    row blocks by the caller and `_CLASSIFY_THREADS` - 1 helpers together
     (module docstring), so `rows` may be called from several threads at
-    once; each block writes only its own rows, and the blocks are read back
-    in row order, so the result, and the refusal of the first block in row
-    order that fails, are bit-identical at any worker count.  Energies past
+    once; the helpers are joined before the call returns or raises.  Each
+    block writes only its own rows, and the blocks are read back in row
+    order, so the result, and the refusal of the first block in row order
+    that fails, are bit-identical at any thread count.  Energies past
     the float range raise OverflowError, and a field with none (zero, or
     underflowing) ValueError.
     """
@@ -416,7 +394,7 @@ def lemma_a1_classify(h) -> ClassifyResult:
         """Sample and x-transform the rows r, write their energies and window
         columns, and return their edge and peak magnitudes and whether their
         energies are finite."""
-        # errstate is per thread: the caller's would not reach a pool worker
+        # errstate is per thread: the caller's would not reach a helper
         with np.errstate(over="ignore", invalid="ignore"):
             data = h.rows(r)
             mag = np.abs(data)
@@ -435,16 +413,37 @@ def lemma_a1_classify(h) -> ClassifyResult:
 
     blocks = [slice(r0, min(r0 + _CLASSIFY_ROWS, spec.ny))
               for r0 in range(0, spec.ny, _CLASSIFY_ROWS)]
-    pool = _classify_pool()
-    runs = [pool.submit(run_block, r) for r in blocks]
-    # the workers take blocks from the first on, the caller from the last
-    # back, each one that no worker has started, until they meet
-    for i in reversed(range(len(blocks))):
-        if runs[i].cancel():
-            runs[i] = _run_here(run_block, blocks[i])
+    todo, outcomes = deque(range(len(blocks))), [None] * len(blocks)
+
+    def drain(take) -> None:
+        """Run the blocks take() gives until todo is empty, keeping each
+        one's result or exception (a deque's pops are thread-safe)."""
+        while True:
+            try:
+                i = take()
+            except IndexError:
+                return
+            try:
+                outcomes[i] = run_block(blocks[i])
+            except Exception as exc:
+                outcomes[i] = exc
+
+    # the helpers take blocks from the first on, the caller from the last back
+    helpers = [threading.Thread(target=drain, args=(todo.popleft,))
+               for _ in range(_CLASSIFY_THREADS - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain(todo.pop)
+    finally:
+        todo.clear()  # an interrupted caller leaves the helpers no new block
+        for helper in helpers:
+            helper.join()
     edge = peak = 0.0
-    for r, run in zip(blocks, runs):
-        (first, last, top), finite = run.result()
+    for r, outcome in zip(blocks, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        (first, last, top), finite = outcome
         edge = max(edge, first, last)
         peak = max(peak, top)
         if not finite:

@@ -1,7 +1,6 @@
 """Helpers shared by several test modules."""
 
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -37,27 +36,8 @@ def peak_bytes():
     return _peak_bytes
 
 
-class _NoWorkers:
-    """A pool without threads: nothing it is given starts, so the caller runs it."""
-
-    def submit(self, fn, *args):
-        return Future()
-
-
 @pytest.fixture
 def classify_threads(monkeypatch):
     """threads(n) has n threads run the cokernel classifier's blocks for the
-    rest of the test: the caller and a fresh pool of n - 1 (none for n = 1);
-    each pool is shut down after the test."""
-    pools = []
-
-    def threads(n: int) -> None:
-        if n == 1:
-            monkeypatch.setattr(wh, "_pool", _NoWorkers())
-            return
-        pools.append(ThreadPoolExecutor(n - 1))
-        monkeypatch.setattr(wh, "_pool", pools[-1])
-
-    yield threads
-    for pool in pools:
-        pool.shutdown()
+    rest of the test: the caller and n - 1 helpers that each call starts."""
+    return lambda n: monkeypatch.setattr(wh, "_CLASSIFY_THREADS", n)

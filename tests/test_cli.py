@@ -751,8 +751,7 @@ def test_cli_import_leaves_scipy_signal_out():
 
 
 def test_cli_import_leaves_concurrent_futures_out():
-    # the classifier builds its thread pool, and imports the executor, on its
-    # first call
+    # no command uses an executor: the classifier starts and joins its own helper
     assert _loaded_after_cli_import(["concurrent.futures"]) == []
 
 
@@ -810,9 +809,9 @@ def test_no_cli_command_loads_scipy():
     assert seen == [[]] * len(seen)
 
 
-def test_only_classify_starts_threads():
+def test_no_cli_command_leaves_a_thread_or_loads_concurrent_futures():
     # transform, tabulate and verify adjointness run on the main thread alone;
-    # twin: the classifier's first call starts its pool
+    # classify joins its helper before it returns
     argvs = [["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
               "--json"],
              ["transform", "--op", "b_up", "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
@@ -820,13 +819,32 @@ def test_only_classify_starts_threads():
              ["whittaker", "tabulate", "--family", "Y", "--A", "1", "--B", "1"],
              ["verify", "adjointness", "--json"],
              ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M"]]
-    seen = _after_each("threading.active_count()", [_cli_step(a) for a in argvs])
-    assert seen[:-1] == [1] * len(argvs)
-    assert seen[-1] > 1
+    seen = _after_each("[threading.active_count(), 'concurrent.futures' in sys.modules]",
+                       [_cli_step(a) for a in argvs])
+    assert seen == [[1, False]] * (len(argvs) + 1)
 
 
-def test_classify_refuses_an_overflow_on_the_pool_without_a_warning():
-    # numpy's errstate does not reach the pool's threads, so each block sets
+_COUNTED_CLASSIFY = """
+from hypb import testfuncs as tf, whittaker as wh
+counts = []
+class Counted(tf.RowSampler):
+    def rows(self, r):
+        counts.append(threading.active_count())
+        return super().rows(r)
+member = tf.parse_testfn("conjrat:a=1,k=2")
+wh.lemma_a1_classify(Counted(member, wh.default_classify_spec(), times_y=True))
+inside = max(counts)
+"""
+
+
+def test_the_thread_probe_sees_the_classifiers_helper_during_a_classify():
+    # twin: a reader that counts the live threads from inside each block sees
+    # the caller and the helper
+    assert _after_each("globals().get('inside')", [_COUNTED_CLASSIFY]) == [None, 2]
+
+
+def test_classify_refuses_an_overflow_on_the_helper_without_a_warning():
+    # numpy's errstate does not reach the classifier's helper, so each block sets
     # its own: under -W error a warning there would end in a traceback.
     # Twin: k = 2 runs to a verdict with nothing on stderr
     argv = [sys.executable, "-W", "error", "-m", "hypb", "whittaker", "classify", "--json",

@@ -142,9 +142,9 @@ def test_gaussian_boundary_mass_is_negligible_on_the_battery_box():
 def test_hardy_family_profile_support_and_scale():
     fam = tf.hardy_family(0.5, 8, ramp=1.8)
     p = fam.profile
-    assert p.y_hi == 1.0
-    assert p.y_lo == pytest.approx(8.0 ** -(1 + 2 * 1.8))
-    y = np.array([p.y_lo * 0.5, 0.01, 1.5])
+    assert p.knots[-1] == 1.0
+    assert p.knots[0] == pytest.approx(8.0 ** -(1 + 2 * 1.8))
+    y = np.array([p.knots[0] * 0.5, 0.01, 1.5])
     vals = p.f(y)
     assert vals[0] == 0.0 and vals[2] == 0.0 and vals[1] > 0.0
     # plateau region matches the pure power y^a
@@ -154,7 +154,7 @@ def test_hardy_family_profile_support_and_scale():
 
 def test_hardy_family_derivatives_match_profile():
     p = tf.hardy_family(0.5, 8).profile
-    y = np.geomspace(2 * p.y_lo, 0.9, 200)
+    y = np.geomspace(2 * p.knots[0], 0.9, 200)
     h = 1e-6 * y
     fd1 = (p.f(y + h) - p.f(y - h)) / (2 * h)
     assert np.max(np.abs(fd1 - p.d1(y)) / (np.abs(p.d1(y)) + 1.0)) < 1e-4

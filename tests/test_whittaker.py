@@ -524,6 +524,36 @@ def test_the_first_failing_block_in_row_order_is_refused(classify_threads):
             wh.lemma_a1_classify(_Reader(gaussian, fail_at_39, scale=1e300))
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_no_thread_outlives_a_classify(classify_threads, n):
+    # after a verdict, a refusal, a reader's own exception and an interrupt
+    # in the caller's own block, as many threads are alive as before the call
+    classify_threads(n)
+    spec = wh.default_classify_spec()
+    before = threading.active_count()
+    wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(1.0, 2), spec, times_y=True))
+    assert threading.active_count() == before
+    with pytest.raises(OverflowError, match="leave the float range"):
+        wh.lemma_a1_classify(tf.RowSampler(tf.parse_testfn("conjrat:a=0.01,k=200"), spec))
+    assert threading.active_count() == before
+
+    def fail_at_3(r):
+        if r.start == 3 * wh._CLASSIFY_ROWS:
+            raise ZeroDivisionError("the member's own message")
+
+    def interrupt_at_39(r):  # the caller's first block
+        if r.start == 39 * wh._CLASSIFY_ROWS:
+            raise KeyboardInterrupt
+
+    gaussian = tf.RowSampler(tf.parse_testfn("gaussian:c=2,sigma=4"), spec)
+    with pytest.raises(ZeroDivisionError):
+        wh.lemma_a1_classify(_Reader(gaussian, fail_at_3))
+    assert threading.active_count() == before
+    with pytest.raises(KeyboardInterrupt):
+        wh.lemma_a1_classify(_Reader(gaussian, interrupt_at_39))
+    assert threading.active_count() == before
+
+
 DETERMINISM_FIELDS = [("conjrat:a=1,k=2", True), ("holorat:a=1,k=2", True),
                       ("gaussian:c=2,sigma=4", False)]
 
