@@ -296,7 +296,7 @@ def cmd_tabulate(args) -> int:
     try:
         vals, resid = wh.pointwise_residual(args.family, args.A, args.B, ts)
     except OverflowError as exc:
-        _fail_usage(f"{exc}; choose a smaller --A, --B or --range")
+        _fail_usage(f"{exc}; choose other --A, --B or --range")
     if args.out is not None or not args.json:  # --json alone prints no CSV
         _write_rows(args.out, "t,re,im,residual", csv_rows(ts, vals.real, vals.imag, resid))
     if args.json:

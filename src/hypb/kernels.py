@@ -42,7 +42,8 @@ each corner's log is taken once, the x step of the primitive is formed in
 closed form through log(c + hx) = log c + log1p(hx / c), and the y
 step is a finite difference along the lattice, in blocks of 128 rows, each
 written into the table when done (an entry's arithmetic does not depend on
-its block).  Corners mirrored in Im are exact conjugates, so the
+its block); the blocks run through `_blocks.run_blocks`, on the caller and
+one helper, and each writes only its own rows.  Corners mirrored in Im are exact conjugates, so the
 Im(offset) < 0 rows are the conjugated quadrant rows, bit for bit.  The
 lower half of the Re(offset) = 0 column follows from oddness, which differs
 there from conjugation only in the sign of a rounding-level part.  The
@@ -58,6 +59,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ._blocks import run_blocks
 
 __all__ = [
     "CellShapeError",
@@ -132,8 +135,10 @@ def _planar_all(ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
     below = len(out) - ny
     x0 = (np.arange(0, nx) - 0.5) * hx  # left corners of the dx >= 0 columns
     rows = max(ny, below + 1)  # quadrant rows dy / hy in [0, rows)
-    for j0 in range(0, rows, _ROW_BLOCK):
+
+    def block(b: int) -> None:
         # quadrant rows [j0, j1) from the corner rows [j0, j1], one shared with the next block
+        j0 = b * _ROW_BLOCK
         j1 = min(j0 + _ROW_BLOCK, rows)
         c = x0[None, :] + 1j * ((np.arange(j0, j1 + 1) - 0.5) * hy)[:, None]
         step = _log1p(hx / c)  # log(c + hx) - log c
@@ -158,6 +163,8 @@ def _planar_all(ny: int, nx: int, hx: float, hy: float, out) -> np.ndarray:
             src, dst = quad[lo - j0 : hi - j0][::-1], out[below - hi + 1 : below - lo + 1]
             np.conjugate(src[:, 1:], out=dst[:, 1:])  # K(conj zeta) = conj K(zeta)
             np.multiply(src[:, 0], -1, out=dst[:, 0])  # exact oddness at dx = 0
+
+    run_blocks(-(-rows // _ROW_BLOCK), block)
     return out
 
 

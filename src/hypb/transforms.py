@@ -125,6 +125,24 @@ in [0, py // 2] only, on every call.  The data spectrum is multiplied in
 place and inverted in place.  The quadrature path builds its own tables on
 every call and never reads that cache.
 
+Panels and threads.  Every panel loop of the fft path runs through
+`_blocks.run_blocks`: the x, y and inverse x passes of `_pruned` (32 rows
+or columns each, `_PANEL`), the R-row and y-column panels of
+`_cauchy_spectrum`, and the 128-row blocks of `kernels._planar_all`.  The
+calling thread and one helper, which each loop starts and joins before it
+returns or raises, take panels from the two ends of one deque; numpy's
+FFTs and ufuncs release the GIL, so two panels run at once.  Each panel
+writes only its own rows or columns, a pass ends in its join before the
+next one reads them, and the partition is fixed by `_PANEL` and
+`kernels._ROW_BLOCK` alone, so every output is bit-identical at any thread
+count.  Each thread in flight holds its own panel buffer (P0 x 32 complex
+in the y pass).  The x passes write their FFTs with `out=` straight into
+their rows of the x-spectrum, and the complex inverse x pass transforms
+its kept rows in place; the real kernel's irfft keeps a per-panel
+temporary, as its n1-wide real rows are wider than the nx columns they go
+to.  No public function of the package runs inside a panel.  The
+quadrature path stays serial.
+
 The two paths share no code but `_fft_shape`, so agreement between them is
 a meaningful check rather than a tautology; tests/test_api_surface.py holds
 them to it (`test_fft_and_quadrature_paths_share_only_fft_shape`).
@@ -136,6 +154,7 @@ import functools
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .calculus import mult_im_pow
 from .grid import Field, PlaneKind
 from .kernels import _planar_all, planar_table
@@ -269,23 +288,27 @@ def _product_quad(f: Field, which: str, average: str) -> np.ndarray:
 _PANEL = 32  # rows of an x pass, or columns of a y pass, per block
 
 
+def _by_panel(n: int, fn) -> None:
+    """fn(s) for each slice s of _PANEL of range(n), through `run_blocks`."""
+    run_blocks(-(-n // _PANEL), lambda i: fn(slice(i * _PANEL, min((i + 1) * _PANEL, n))))
+
+
 def _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, fold, xfft, xinv,
             out=None) -> np.ndarray:
-    """`_pruned_fft2` with the x transform xfft onto kspec's columns and its
-    inverse xinv, into `out` or a complex array made after the y pass."""
+    """`_pruned_fft2` with the x transform xfft(a, out) onto kspec's columns
+    and its inverse xinv, into `out` or a complex array made after the y pass."""
     h, H = kspec.shape
     mirror = kspec[P0 - h : 0 : -1]  # row P0 - j, for each row j >= h
     k = len(range(P0)[rows]) // (2 if fold else 1)
     n = len(f)
     x = np.empty((n, H), dtype=complex)
-    for r in range(0, n, _PANEL):  # x first, over f's rows only
-        x[r : r + _PANEL] = xfft(f[r : r + _PANEL])
+    _by_panel(n, lambda r: xfft(f[r], x[r]))  # x first, over f's rows only
     # the kept rows go over the x-spectrum if it is tall enough: each panel
     # reads its columns into the buffer before its kept rows are written back
     kept = x[:k] if n >= k else np.empty((k, H), dtype=complex)
-    for c0 in range(0, H, _PANEL):
-        c = slice(c0, min(c0 + _PANEL, H))
-        buf = np.zeros((P0, c.stop - c0), dtype=complex)
+
+    def y_panel(c: slice) -> None:
+        buf = np.zeros((P0, c.stop - c.start), dtype=complex)
         buf[lift : lift + n] = x[:, c]
         if odd:
             np.negative(x[::-1, c], out=buf[:n])
@@ -299,11 +322,16 @@ def _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, fold, xfft, xinv,
             np.negative(low, out=low)
         q = np.fft.ifft(buf, axis=0, out=buf)[rows]
         kept[:, c] = q[k:] - q[k - 1 :: -1] if fold else q
-    del x, buf, q, low  # only the kept rows live on beside the output
+
+    _by_panel(H, y_panel)
+    del x  # only the kept rows live on beside the output
     if out is None:
         out = np.empty((k, len(range(H)[cols])), dtype=complex)
-    for r in range(0, k, _PANEL):
-        out[r : r + _PANEL] = xinv(kept[r : r + _PANEL])[:, cols]
+
+    def inverse_panel(r: slice) -> None:
+        out[r] = xinv(kept[r])[:, cols]
+
+    _by_panel(k, inverse_panel)
     return out
 
 
@@ -318,7 +346,8 @@ def _pruned_fft2(kspec, P0, sigma, f, lift, odd, rows, cols, fold=False) -> np.n
     """
     P1 = kspec.shape[1]
     return _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, fold,
-                   lambda a: np.fft.fft(a, n=P1, axis=1), lambda a: np.fft.ifft(a, axis=1))
+                   lambda a, o: np.fft.fft(a, n=P1, axis=1, out=o),
+                   lambda a: np.fft.ifft(a, axis=1, out=a))
 
 
 def _pruned_rfft2(kspec, P0, sigma, f, lift, odd, rows, cols, n1) -> np.ndarray:
@@ -327,7 +356,7 @@ def _pruned_rfft2(kspec, P0, sigma, f, lift, odd, rows, cols, n1) -> np.ndarray:
     out = np.empty((len(range(P0)[rows]), len(range(n1)[cols])), dtype=complex)
     for part in (np.real, np.imag):  # views of out
         _pruned(kspec, P0, sigma, f, lift, odd, rows, cols, False,
-                lambda a: np.fft.rfft(part(a), n=n1, axis=1),
+                lambda a, o: np.fft.rfft(part(a), n=n1, axis=1, out=o),
                 lambda a: np.fft.irfft(a, n=n1, axis=1), part(out))
     return out
 
@@ -381,19 +410,25 @@ def _cauchy_spectrum(top: int, ny: int, nx: int, hx: float, hy: float, real: boo
     # build never holds a table beside R (P1 + P1 % 2 >= 2 nx floats)
     R = np.empty((a0, W if real else P1 + P1 % 2))
     tab = _planar_all(top, nx, hx, hy, R[:, :nx] if real else R[:, : 2 * nx].view(complex))
-    for r in range(0, a0, _PANEL):
-        t = tab[r : r + _PANEL]
+
+    def row_panel(r: slice) -> None:
+        t = tab[r]
         if real:  # the odd row, its x-mirror negated
             row = np.zeros((len(t), P1))
             row[:, :nx] = t
             np.negative(t[:, :0:-1], out=row[:, P1 - nx + 1 :])
-            R[r : r + _PANEL, :W] = np.fft.rfft(row, axis=1).imag
+            R[r, :W] = np.fft.rfft(row, axis=1).imag
         else:  # i K is Hermitian in x: its transform is real
-            R[r : r + _PANEL, :W] = np.fft.hfft(1j * t, n=P1, axis=1)
+            R[r, :W] = np.fft.hfft(1j * t, n=P1, axis=1)
+
+    _by_panel(a0, row_panel)
     R = R[:, :W]
     kspec = np.empty((P0 // 2 + 1, W), dtype=complex)
-    for c0 in range(0, W, _PANEL):  # y over R's columns, zero-padded to P0
-        kspec[:, c0 : c0 + _PANEL] = np.fft.rfft(R[:, c0 : c0 + _PANEL], n=P0, axis=0)
+
+    def column_panel(c: slice) -> None:  # y over R's columns, zero-padded to P0
+        kspec[:, c] = np.fft.rfft(R[:, c], n=P0, axis=0)
+
+    _by_panel(W, column_panel)
     kspec *= 2j if real else -1j  # exact: 2 Re K for the real kernel
     kspec.flags.writeable = False
     return kspec

@@ -37,11 +37,12 @@ The classifier reads the field in blocks of 16 rows, x-transforms each block
 (hhat = sum_x h e^{-i xi x} hx) and keeps only per-row energies by frequency
 group and the fit-window columns, the window block that its result keeps for
 `fit_profile` and its control: no grid-sized array exists.  The blocks run
-on two threads, the caller and one helper that the call starts and joins
-before it returns or raises (numpy releases the GIL in the sampling ufuncs
-and in the FFT); both take blocks from one deque, each writing only its own
-rows, and the caller reads them back in row order, so every result, refusal
-and message is bit-identical at any thread count.  B2, the fit residual and
+through `_blocks.run_blocks`, on the caller and one helper that the call
+starts and joins before it returns or raises (numpy releases the GIL in the
+sampling ufuncs and in the FFT); each block writes only its own rows and
+refuses its own energies past the float range, and the first refusal in
+row order is raised, so every result, refusal and message is bit-identical
+at any thread count.  B2, the fit residual and
 x_truncation are bit-identical to a whole-field pass; the energy fractions,
 weighted energy and growth probe sum the same terms by row first, which
 moves them at rounding level (1e-15 relative).
@@ -51,13 +52,12 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._blocks import run_blocks
 from .grid import GridSpec, PlaneKind
 
 __all__ = [
@@ -182,38 +182,63 @@ def y_integral(t) -> np.ndarray:
     return out if np.ndim(t) else float(out[0])
 
 
-# c times the modes (a, b) of the family with sign +1 (X) and -1 (Y) in
-# H'' = (1/4 + sign/t) H, each one left-to-right product
+# the modes (a, b) of the family with sign +1 (X) and -1 (Y) in
+# H'' = (1/4 + sign/t) H, each as the factors of its left-to-right product
 _MODES = {
-    "X": (lambda c, t: c * t * np.exp(t / 2.0),
-          lambda c, t: c * t * np.exp(-t / 2.0) * x_integral(t)),
-    "Y": (lambda c, t: c * np.exp(-t / 2.0) * (1.0 - t * np.log(t) - t * y_integral(t)),
-          lambda c, t: c * t * np.exp(-t / 2.0)),
+    "X": ((lambda t: t, lambda t: np.exp(t / 2.0)),
+          (lambda t: t, lambda t: np.exp(-t / 2.0), x_integral)),
+    "Y": ((lambda t: np.exp(-t / 2.0), lambda t: 1.0 - t * np.log(t) - t * y_integral(t)),
+          (lambda t: t, lambda t: np.exp(-t / 2.0))),
 }
+_NORMAL = sys.float_info.min  # the least normal double
 
 
-def _mode(mode, c, t: np.ndarray) -> np.ndarray:
-    """c times a mode of `_MODES` at t, its left-to-right product.  A real
-    part that is not finite (c t, say, overflowing before e^{-t/2} scales
-    it) is computed again from that part r of c alone, each coefficient at
-    its own scale: for |r| >= 1 as the product at r 2^-s times 2^s, s half
-    the binary exponent of r, whose steps are the unscaled steps times 2^-s
-    and so round alike while they are normal.  With |r 2^-s| >= 1/4 and
-    t > 1e-300 a step is subnormal only where the product is, and those
-    entries are NaN for the caller to refuse: a finite entry is the
-    left-to-right product without the overflow midway, never one that lost
-    bits to the scaling.
+def _product(c, factors: list) -> tuple:
+    """c times the factors, left to right, and where a step of it left the
+    normal range: a factor, or a real part of c or of a partial product,
+    below it (zero included), each part only where c's part is not 0.  A
+    step whose entries all keep one sign past the range is passed on its
+    extremes alone, without an elementwise test."""
+    parts = [p for p in (np.real, np.imag) if p(c) != 0]
+    v, low = c, any(abs(p(c)) < _NORMAL for p in parts)
+    for f in factors:
+        v = v * f
+        for step in [f] + [p(v) for p in parts]:
+            if not (np.min(step, initial=np.inf) >= _NORMAL
+                    or np.max(step, initial=-np.inf) <= -_NORMAL):
+                low = low | (np.abs(step) < _NORMAL)
+    return v, low
+
+
+def _mode(factors, c, t: np.ndarray) -> np.ndarray:
+    """c times a mode of `_MODES` at t, its left-to-right product; an entry
+    past the float range is inf, and one whose product lost bits below the
+    normal range (e^{-t/2} is subnormal past t = 1416.8) is NaN, for the
+    caller to refuse.  Where the product is not finite (c t, say,
+    overflowing before e^{-t/2} scales it), each real part r of c is
+    computed on its own, and where that overflows, again at its own scale:
+    for |r| >= 1 as the product at r 2^-s times 2^s, s half the binary
+    exponent of r, whose steps are the unscaled steps times 2^-s and so
+    round alike while they are normal; a scaled product with a step below
+    the normal range is inf.  A finite entry is the left-to-right product
+    without the overflow midway, never one that lost bits to the scaling or
+    to a subnormal step.  An exact zero of the factor 1 - t log t - t J(t)
+    is refused too: the rule cannot tell it from a product that underflowed.
     """
-    v = mode(c, t)
+    fs = [factor(t) for factor in factors]
+    v, low = _product(c, fs)
     if np.isfinite(v).all():
-        return v
+        return np.where(low, np.nan, v) if np.any(low) else v
     v = np.array(v)  # writable, also for a scalar t
     for part, r in ((v.real, c.real), (v.imag, c.imag)) if np.iscomplexobj(v) else ((v, c),):
+        if r == 0:
+            part[...] = np.where(np.isfinite(part), part, 0.0)
+            continue
+        u, low = _product(r, fs)
         s = max(-(-math.frexp(r)[1] // 2), 0)  # s <= 512: 2^s and r 2^-s are exact
-        w = mode(math.ldexp(r, -s), t) if r != 0 else np.zeros_like(t)
-        if s:
-            w = np.where(np.abs(w) >= sys.float_info.min, w, np.nan) * math.ldexp(1.0, s)
-        part[...] = np.where(np.isfinite(part), part, w)
+        w, w_low = _product(math.ldexp(r, -s), fs)
+        part[...] = np.where(np.isfinite(u), np.where(low, np.nan, u),
+                             np.where(w_low, np.inf, w * math.ldexp(1.0, s)))
     return v
 
 
@@ -231,7 +256,8 @@ def _modes(family: str, A, B, t: np.ndarray) -> np.ndarray:
 
 def branch(family: str, A: complex, B: complex, t):
     """A a(t) + B b(t) with the modes (a, b) of the family in `_MODES`
-    (`_modes`); a value past the float range raises OverflowError."""
+    (`_modes`); a value past the float range, or one whose product passed
+    below the normal range, raises OverflowError."""
     if family not in _MODES:
         raise ValueError("family must be 'X' or 'Y'")
     t = np.asarray(t, dtype=float)
@@ -239,9 +265,11 @@ def branch(family: str, A: complex, B: complex, t):
     out = _modes(family, A, B, t)
     bad = ~np.isfinite(out)
     if bad.any():
-        raise OverflowError(f"the {family} branch A a(t) + B b(t) overflows at |A| = "
-                            f"{abs(A):.6g}, |B| = {abs(B):.6g}: past the float range from "
-                            f"t = {np.min(t[bad]):.6g}")
+        t0 = np.min(t[bad])
+        how = ("overflows", "past the float range") if np.isinf(out[bad & (t == t0)]).any() else (
+            "underflows", "below the normal float range")
+        raise OverflowError(f"the {family} branch A a(t) + B b(t) {how[0]} at |A| = "
+                            f"{abs(A):.6g}, |B| = {abs(B):.6g}: {how[1]} from t = {t0:.6g}")
     return out
 
 
@@ -330,15 +358,9 @@ CLASSIFY_POS_TOL = 1e-4
 CLASSIFY_WINDOW_MIN = 1e-2
 CLASSIFY_FIT_TOL = 1e-2
 CLASSIFY_GROWTH_TOL = 1.3
-_CLASSIFY_ROWS = 16  # rows per block: a block's complex arrays (0.5 MiB) stay in one core's L2
-# the classifier's blocks run on this many threads: the caller and helpers
-# that each call starts and joins.  Each block in flight holds about 1.4 MB
-# of temporaries, and at 3 the classify peak passes the quarter field its
-# test allows; each thread that runs blocks keeps a glibc malloc arena of its
-# own, about 2.5 MB over a whittaker bench pass, which an idle caller beside
-# two helpers would add for nothing.  glibc hands an exited thread's arena
-# on to the next thread, so a helper per call costs no arena per call
-_CLASSIFY_THREADS = 2
+# rows per block: a block's complex arrays (0.5 MiB) stay in one core's L2,
+# and each block in flight holds about 1.4 MB of temporaries
+_CLASSIFY_ROWS = 16
 
 
 def fit_profile(block: np.ndarray, xi: np.ndarray, y: np.ndarray, sign: float = 1.0) -> tuple:
@@ -368,12 +390,11 @@ def lemma_a1_classify(h) -> ClassifyResult:
 
     h is a Field or a `testfuncs.RowSampler`: anything with a `spec` and a
     `rows(r)` that returns the rows r (a slice) of the field.  It is read in
-    row blocks by the caller and `_CLASSIFY_THREADS` - 1 helpers together
-    (module docstring), so `rows` may be called from several threads at
-    once; the helpers are joined before the call returns or raises.  Each
-    block writes only its own rows, and the blocks are read back in row
-    order, so the result, and the refusal of the first block in row order
-    that fails, are bit-identical at any thread count.  Energies past
+    row blocks by `_blocks.run_blocks` (module docstring), so `rows` may be
+    called from several threads at once; the helpers are joined before the
+    call returns or raises.  Each block writes only its own rows, so the
+    result, and the refusal of the first block in row order that fails, are
+    bit-identical at any thread count.  Energies past
     the float range raise OverflowError, and a field with none (zero, or
     underflowing) ValueError.
     """
@@ -390,11 +411,14 @@ def lemma_a1_classify(h) -> ClassifyResult:
     energy = np.empty((4, spec.ny))
     block = np.empty((spec.ny, cols.size), dtype=complex, order="F")
 
-    def run_block(r: slice) -> tuple:
-        """Sample and x-transform the rows r, write their energies and window
-        columns, and return their edge and peak magnitudes and whether their
-        energies are finite."""
-        # errstate is per thread: the caller's would not reach a helper
+    blocks = [slice(r0, min(r0 + _CLASSIFY_ROWS, spec.ny))
+              for r0 in range(0, spec.ny, _CLASSIFY_ROWS)]
+
+    def run_block(i: int) -> tuple:
+        """Sample and x-transform the rows of block i, write their energies
+        and window columns, and return their edge and peak magnitudes; energies
+        past the float range are refused."""
+        r = blocks[i]
         with np.errstate(over="ignore", invalid="ignore"):
             data = h.rows(r)
             mag = np.abs(data)
@@ -409,46 +433,14 @@ def lemma_a1_classify(h) -> ClassifyResult:
             absq *= absq
             energy[:, r] = (absq[:, 0], absq[:, 1:split].sum(axis=1),
                             absq[:, split:].sum(axis=1), absq[:, win].sum(axis=1))
-            return sizes, bool(np.all(np.isfinite(energy[:, r])))
-
-    blocks = [slice(r0, min(r0 + _CLASSIFY_ROWS, spec.ny))
-              for r0 in range(0, spec.ny, _CLASSIFY_ROWS)]
-    todo, outcomes = deque(range(len(blocks))), [None] * len(blocks)
-
-    def drain(take) -> None:
-        """Run the blocks take() gives until todo is empty, keeping each
-        one's result or exception (a deque's pops are thread-safe)."""
-        while True:
-            try:
-                i = take()
-            except IndexError:
-                return
-            try:
-                outcomes[i] = run_block(blocks[i])
-            except Exception as exc:
-                outcomes[i] = exc
-
-    # the helpers take blocks from the first on, the caller from the last back
-    helpers = [threading.Thread(target=drain, args=(todo.popleft,))
-               for _ in range(_CLASSIFY_THREADS - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        drain(todo.pop)
-    finally:
-        todo.clear()  # an interrupted caller leaves the helpers no new block
-        for helper in helpers:
-            helper.join()
-    edge = peak = 0.0
-    for r, outcome in zip(blocks, outcomes):
-        if isinstance(outcome, Exception):
-            raise outcome
-        (first, last, top), finite = outcome
-        edge = max(edge, first, last)
-        peak = max(peak, top)
-        if not finite:
+        if not np.all(np.isfinite(energy[:, r])):
             raise OverflowError(f"the partial Fourier energies |hhat|^2 of rows "
                                 f"{r.start}-{r.stop - 1} leave the float range")
+        return sizes
+
+    magnitudes = run_blocks(len(blocks), run_block)
+    edge = max(max(first, last) for first, last, _ in magnitudes)
+    peak = max(top for _, _, top in magnitudes)
 
     tot = float(np.sum(energy[:3]))
     if tot == 0.0:

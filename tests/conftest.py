@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from hypb import whittaker as wh
+from hypb import _blocks
 
 
 def _strip_runtime(payload):
@@ -37,7 +37,8 @@ def peak_bytes():
 
 
 @pytest.fixture
-def classify_threads(monkeypatch):
-    """threads(n) has n threads run the cokernel classifier's blocks for the
-    rest of the test: the caller and n - 1 helpers that each call starts."""
-    return lambda n: monkeypatch.setattr(wh, "_CLASSIFY_THREADS", n)
+def block_threads(monkeypatch):
+    """threads(n) has n threads run every loop of `_blocks.run_blocks` (the
+    classifier's row blocks, the fft path's panels) for the rest of the test:
+    the caller and n - 1 helpers that each loop starts."""
+    return lambda n: monkeypatch.setattr(_blocks, "THREADS", n)

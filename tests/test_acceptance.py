@@ -191,6 +191,10 @@ def test_criterion_10_two_sided_p():
 
 
 def test_criterion_11_full_battery_deterministic(strip_runtime):
+    """On the default two threads (`_blocks.THREADS`): the fft path's panels
+    and the classifier's row blocks run on the caller and one helper (the
+    thread counts are compared in
+    test_fft_battery_is_bit_identical_on_one_and_two_threads)."""
     t0 = time.perf_counter()
     first = vf.run_checks("all", vf.RunConfig())
     dt = time.perf_counter() - t0

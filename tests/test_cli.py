@@ -156,6 +156,8 @@ def test_verify_numerical_failure_exits_one(capsys):
 
 
 def test_verify_json_is_deterministic(capsys, strip_runtime):
+    """On one thread: adjointness pins the quadrature-matched path, which
+    runs no panel loop."""
     assert run(["verify", "adjointness", "--json"]) == 0
     first = json.loads(capsys.readouterr().out)
     assert run(["verify", "adjointness", "--json"]) == 0
@@ -810,8 +812,9 @@ def test_no_cli_command_loads_scipy():
 
 
 def test_no_cli_command_leaves_a_thread_or_loads_concurrent_futures():
-    # transform, tabulate and verify adjointness run on the main thread alone;
-    # classify joins its helper before it returns
+    # tabulate and verify adjointness (quadrature-matched) run on the main
+    # thread alone; the fft transform's panel loops and classify join their
+    # helper before they return
     argvs = [["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
               "--json"],
              ["transform", "--op", "b_up", "--testfn", "gaussian:c=2,sigma=4", "--grid", "32",
@@ -841,6 +844,27 @@ def test_the_thread_probe_sees_the_classifiers_helper_during_a_classify():
     # twin: a reader that counts the live threads from inside each block sees
     # the caller and the helper
     assert _after_each("globals().get('inside')", [_COUNTED_CLASSIFY]) == [None, 2]
+
+
+_COUNTED_TRANSFORM = """
+from hypb import _blocks, kernels as kn, transforms as tr
+counts = []
+def counted(n, fn):
+    def panel(i):
+        counts.append(threading.active_count())
+        return fn(i)
+    return _blocks.run_blocks(n, panel)
+tr.run_blocks = kn.run_blocks = counted
+assert hypb.cli.main(["transform", "--op", "c_down", "--testfn", "gaussian:c=2,sigma=4",
+                      "--grid", "32", "--json"]) == 0
+inside = max(counts)
+"""
+
+
+def test_the_thread_probe_sees_the_panel_helper_during_an_fft_transform():
+    # twin: panel loops that count the live threads from inside each panel
+    # see the caller and the helper
+    assert _after_each("globals().get('inside')", [_COUNTED_TRANSFORM]) == [None, 2]
 
 
 def test_classify_refuses_an_overflow_on_the_helper_without_a_warning():

@@ -1,4 +1,6 @@
 import functools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import fft as sfft
 
+from hypb import _blocks
 from hypb import kernels as kn
 from hypb import testfuncs as tf
 from hypb import transforms as tr
@@ -1019,3 +1022,96 @@ def test_conj_sandwich_is_a_linear_involution(name, method, seed):
     op = functools.partial(tr.transform, kernel=name, method=method)
     assert _is_linear_involution(_conj_sandwich, op, f)
     assert not _is_linear_involution(_input_only_sandwich, op, f)
+
+
+# ---------------------------------------------------------------------------
+# the fft path's panel loops on several threads
+
+# a cold cauchy_down at 96^2 runs six loops, each of two panels or more:
+# kernels._planar_all's row blocks, the spectrum's row and column panels,
+# then the x, y and inverse x passes of the product
+_COLD_CAUCHY_LOOPS = 6
+
+
+def _panel_fault(monkeypatch, loop, on_caller, exc):
+    """Have the first panel that the caller (or a helper) runs in the
+    `loop`-th panel loop of transforms and kernels raise exc.  The fault sets
+    an event that the other side's panels of that loop wait for (10 s at
+    most), so that the side named runs a panel; returns the panel count of
+    each loop seen."""
+    calls, fired, lock = [], threading.Event(), threading.Lock()
+
+    def spy(n, fn):
+        this = len(calls)
+        calls.append(n)
+
+        def panel(i):
+            if this == loop:
+                mine = threading.current_thread() is threading.main_thread()
+                with lock:
+                    first = mine == on_caller and not fired.is_set()
+                    if first:
+                        fired.set()
+                if first:
+                    raise exc
+                if mine != on_caller:
+                    assert fired.wait(10)
+            return fn(i)
+
+        return _blocks.run_blocks(n, panel)
+
+    for mod in (tr, kn):
+        monkeypatch.setattr(mod, "run_blocks", spy)
+    return calls
+
+
+@pytest.mark.parametrize("threads,on_caller", [(1, True), (2, True), (2, False), (5, True),
+                                               (5, False)])
+@pytest.mark.parametrize("kind", [ZeroDivisionError, KeyboardInterrupt])
+def test_a_panel_failure_reaches_the_caller_and_no_thread_outlives_it(
+        block_threads, monkeypatch, threads, on_caller, kind):
+    # in each of a cold cauchy_down's panel loops, an exception or an
+    # interrupt in the caller's or a helper's panel reaches the caller as
+    # it was raised, and as many threads are alive as before the call
+    block_threads(threads)
+    gs = upper(96)
+    f = Field(gs, _random_complex(np.random.default_rng(96), (96, 96)))
+    before = threading.active_count()
+    for loop in range(_COLD_CAUCHY_LOOPS):
+        exc = kind(f"panel loop {loop}")
+        calls = _panel_fault(monkeypatch, loop, on_caller, exc)
+        tr._cauchy_spectrum.cache_clear()
+        with pytest.raises(kind) as raised:
+            tr.transform(f, "cauchy_down")
+        assert raised.value is exc
+        assert len(calls) == loop + 1 and calls[loop] >= 2
+        assert threading.active_count() == before
+    calls = _panel_fault(monkeypatch, _COLD_CAUCHY_LOOPS, True, ZeroDivisionError())
+    tr._cauchy_spectrum.cache_clear()
+    try:
+        tr.transform(f, "cauchy_down")  # twin: no loop past the sixth, so none raises
+    finally:
+        tr._cauchy_spectrum.cache_clear()
+    assert len(calls) == _COLD_CAUCHY_LOOPS and min(calls) >= 2
+    assert threading.active_count() == before
+
+
+def test_panels_on_five_threads_switching_fast_match_one_thread(block_threads):
+    # panels write disjoint rows or columns of shared arrays: on 5 threads,
+    # switching every microsecond, each op from a cold cache (the spectrum
+    # builds' loops too) is bit for bit its one-thread value
+    gs = upper(96)
+    f = Field(gs, _random_complex(np.random.default_rng(5), (96, 96)))
+    ops = ["cauchy_down", "cauchy_up", "defect_sum", "beurling_up", "bicauchy_real"]
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        for n in (1, 5):
+            block_threads(n)
+            sys.setswitchinterval(1e-6 if n > 1 else interval)
+            tr._cauchy_spectrum.cache_clear()
+            runs.append([tr.transform(f, op).data.tobytes() for op in ops])
+    finally:
+        sys.setswitchinterval(interval)
+        tr._cauchy_spectrum.cache_clear()
+    assert runs[0] == runs[1]

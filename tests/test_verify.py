@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import re
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypb import _blocks
+from hypb import kernels as kn
 from hypb import testfuncs as tf
 from hypb import transforms as tr
 from hypb import verify as vf
@@ -187,11 +190,56 @@ def test_method_agreement_runs_on_the_default_box_at_128_whatever_the_grid(strip
 
 
 def test_determinism_bit_for_bit_modulo_runtime(strip_runtime):
+    """On one thread: both checks pin the quadrature-matched path, which
+    runs no panel loop (the thread counts are compared in
+    test_fft_battery_is_bit_identical_on_one_and_two_threads)."""
     a = vf.run_checks(["structural-identities", "adjointness"], vf.RunConfig())
     b = vf.run_checks(["structural-identities", "adjointness"], vf.RunConfig())
     ja = json.dumps(strip_runtime([r.to_dict() for r in a]), sort_keys=True)
     jb = json.dumps(strip_runtime([r.to_dict() for r in b]), sort_keys=True)
     assert ja == jb
+
+
+def _fft_battery_json(strip_runtime) -> str:
+    """`run_checks("all")` at the default RunConfig from cold spectrum caches,
+    less runtime_ms."""
+    tr._cauchy_spectrum.cache_clear()
+    try:
+        reports = vf.run_checks("all", vf.RunConfig())
+    finally:
+        tr._cauchy_spectrum.cache_clear()
+    return json.dumps(strip_runtime([r.to_dict() for r in reports]), sort_keys=True)
+
+
+def test_fft_battery_is_bit_identical_on_one_and_two_threads(block_threads, monkeypatch,
+                                                              strip_runtime):
+    # every panel loop of the fft path (the run_blocks of transforms and
+    # kernels) records the threads that run its panels.  On two threads the
+    # first panels of the first two threads in a loop of two panels or more
+    # wait for each other at a barrier (10 s at most), so a run that never
+    # runs two panels at once fails
+    runs, threads = [], []
+    for n in (1, 2):
+        block_threads(n)
+        barrier, seen = threading.Barrier(n, timeout=10), set()
+
+        def panel(fn, panels):
+            def run(i):
+                ident = threading.get_ident()
+                if panels > 1 and ident not in seen and len(seen) < n:
+                    seen.add(ident)
+                    barrier.wait()
+                seen.add(ident)
+                return fn(i)
+            return run
+
+        for mod in (tr, kn):
+            monkeypatch.setattr(mod, "run_blocks",
+                                lambda panels, fn: _blocks.run_blocks(panels, panel(fn, panels)))
+        runs.append(_fft_battery_json(strip_runtime))
+        threads.append(seen)
+    assert threads[0] == {threading.get_ident()} and len(threads[1]) >= 2
+    assert runs[0] == runs[1]
 
 
 def test_grid_free_checks_report_no_grid():

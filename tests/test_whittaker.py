@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -75,11 +76,14 @@ def test_fast_branch_is_t_exp_half_t():
 
 def test_zero_coefficient_branch_is_skipped_at_large_t():
     # past t ~ 1420 the fast branch's e^{t/2} overflows, and past t ~ 709 so
-    # does y_integral; a zero coefficient must not turn that into 0 * inf
-    t = np.array([10.0, 1500.0])
+    # does y_integral; a zero coefficient must not turn that into 0 * inf.
+    # X's slow mode is itself below the normal range there, and refused so
+    t = np.array([10.0, 1400.0])
     x = wh.branch("X", 0.0, 1.0, t)
     assert np.all(np.isfinite(x))
     assert x[0] == wh.branch("X", 0.0, 1.0, 10.0) > 0
+    with pytest.raises(OverflowError, match=r"X branch .* underflows .* from t = 1500$"):
+        wh.branch("X", 0.0, 1.0, [10.0, 1500.0])
     y = wh.branch("Y", 0.0, 1.0, np.array([1000.0]))
     assert y[0] == pytest.approx(1000.0 * np.exp(-500.0), rel=1e-13)
 
@@ -207,8 +211,30 @@ def test_branch_X_refuses_where_its_fast_mode_times_A_overflows():
         wh.branch("X", 1e-300, 0.0, 1420.0)
     with pytest.raises(OverflowError, match="from t = 1500"):
         wh.ode_residual("X", 1.0, 0.0, [1000.0, 1500.0])
-    # the slow mode alone stays finite there
-    assert np.isfinite(wh.branch("X", 0.0, 1.0, 1500.0))
+    # the slow mode alone does not overflow there: it is below the normal range
+    with pytest.raises(OverflowError, match=r"\|A\| = 0, \|B\| = 1: below the normal float range"):
+        wh.branch("X", 0.0, 1.0, 1500.0)
+
+
+def test_branch_refuses_a_product_that_passed_below_the_normal_range():
+    # e^{-t/2} is subnormal past t = 1416.8: Y's B mode read 2.93e-310, with
+    # about 35 bits, at t = 1440, and X's read 0.0 at t = 1500.  A product
+    # that comes back into the normal range lost the same bits in its
+    # subnormal step, and so does a coefficient's product that goes below it.
+    # Twin: at t = 1400, where e^{-700} is normal, the values stand bit for bit
+    for family, B, t, t0 in (("Y", 1, 1440.0, 1440), ("X", 1, 1500.0, 1500),
+                             ("Y", 1e300, [1400.0, 1440.0], 1440), ("X", 1e300, 1440.0, 1440),
+                             ("Y", 1e-300, [30.0, 50.0], 50)):
+        message = (f"the {family} branch A a(t) + B b(t) underflows at |A| = 0, |B| = {B:.6g}: "
+                   f"below the normal float range from t = {t0}")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            wh.branch(family, 0, B, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert wh.branch("Y", 0, 1, 1400.0) == 1400.0 * np.exp(-700.0)
+        assert wh.branch("X", 0, 1, 1400.0) == 1400.0 * np.exp(-700.0) * wh.x_integral(1400.0)
+        assert wh.branch("Y", 0, 1e300, 1400.0) == 1e300 * 1400.0 * np.exp(-700.0)
+        assert wh.branch("Y", 1, 1, np.array([])).shape == (0,)
 
 
 def test_branch_keeps_a_value_whose_product_overflows_midway():
@@ -241,7 +267,7 @@ def test_branch_scales_each_coefficient_on_its_own():
         for family in "XY":
             assert np.array_equal(wh.branch(family, 1.0, 1e308, t),
                                   wh.branch(family, 1.0, 0.0, t) + wh.branch(family, 0.0, 1e308, t))
-            for B in (1e308 + 1e-5j, 1e-300 - 1.7e308j):
+            for B in (1e308 + 1e-5j, 1e-290 - 1.7e308j):
                 v = wh.branch(family, 0.0, B, t)
                 assert np.array_equal(v.real, wh.branch(family, 0.0, B.real, t))
                 assert np.array_equal(v.imag, wh.branch(family, 0.0, B.imag, t))
@@ -373,14 +399,14 @@ def test_streamed_classifier_matches_on_partial_blocks_and_the_wrong_branch(nx, 
         assert fit_residual == want_wrong.fit_residual
 
 
-def test_more_threads_than_the_cap_switching_fast_lose_no_block(classify_threads):
+def test_more_threads_than_the_cap_switching_fast_lose_no_block(block_threads):
     # blocks write disjoint rows of shared arrays: on 5 threads, more than
     # twice the classifier's 2, switching every microsecond, every row still
     # lands where the whole-field pass puts it
     spec = wh.default_classify_spec()
     fn = tf.conj_rational(1.0, 2)
     want = _whole_field_classify(Field(spec, spec.y.reshape(-1, 1) * tf.sample(fn, spec).data))
-    classify_threads(5)
+    block_threads(5)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -432,12 +458,12 @@ def test_row_sampler_blocks_are_the_rows_of_the_sampled_field(name, nx, ny):
             assert np.array_equal(tf.sample(fn, spec, which).data, form(spec.zz())), which
 
 
-def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes, classify_threads):
+def test_classify_peak_memory_stays_under_a_quarter_field(peak_bytes, block_threads):
     # the classify run never holds a classify-grid field: its row blocks, as
     # many in flight as threads may run them, and the ny x 91 window block
     # stay under a quarter of one.  Twin: sampling the whole field first
     # holds more than one
-    classify_threads(2)
+    block_threads(2)
     spec = wh.default_classify_spec()
     field_bytes = spec.nx * spec.ny * 16
     argv = ["whittaker", "classify", "--testfn", "conjrat:a=1,k=2", "--premultiply-M", "--json"]
@@ -464,10 +490,10 @@ def test_classifier_records_x_truncation_without_warning():
     assert res.x_truncation == pytest.approx(edge)
 
 
-def test_energies_past_the_float_range_are_an_overflow_error(classify_threads):
+def test_energies_past_the_float_range_are_an_overflow_error(block_threads):
     # |hhat|^2 of this member overflows in the first block of rows; twin: k = 2.
     # On two threads, one a worker whose errstate is not the caller's
-    classify_threads(2)
+    block_threads(2)
     spec = wh.default_classify_spec()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -492,13 +518,13 @@ class _Reader:
         return self._scale * self._sampler.rows(r)
 
 
-def test_the_first_failing_block_in_row_order_is_refused(classify_threads):
+def test_the_first_failing_block_in_row_order_is_refused(block_threads):
     # every block of this field overflows, and block 0 (the worker's first)
     # is held until block 39 (the caller's first) is done: the refusal still
     # names rows 0-15.  A closure's own exception reaches the caller as it
     # was raised, and a refused block comes before a later block's exception,
     # also one the caller raised itself
-    classify_threads(2)
+    block_threads(2)
     gaussian = tf.RowSampler(tf.parse_testfn("gaussian:c=2,sigma=4"), wh.default_classify_spec())
     last_done = threading.Event()
 
@@ -525,10 +551,10 @@ def test_the_first_failing_block_in_row_order_is_refused(classify_threads):
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
-def test_no_thread_outlives_a_classify(classify_threads, n):
+def test_no_thread_outlives_a_classify(block_threads, n):
     # after a verdict, a refusal, a reader's own exception and an interrupt
     # in the caller's own block, as many threads are alive as before the call
-    classify_threads(n)
+    block_threads(n)
     spec = wh.default_classify_spec()
     before = threading.active_count()
     wh.lemma_a1_classify(tf.RowSampler(tf.conj_rational(1.0, 2), spec, times_y=True))
@@ -591,14 +617,14 @@ def _first_blocks_meet(barrier):
     return hook
 
 
-def test_classify_is_bit_identical_on_one_and_two_threads(classify_threads, tmp_path,
+def test_classify_is_bit_identical_on_one_and_two_threads(block_threads, tmp_path,
                                                           strip_runtime):
     # the readers record the threads that read blocks.  On two threads each
     # one's first block waits for the other's (10 s at most), so a pass that
     # never runs two blocks at once fails
     threads, runs = [], []
     for n in (1, 2):
-        classify_threads(n)
+        block_threads(n)
         hook, seen = _first_blocks_meet(threading.Barrier(n, timeout=10)), set()
         runs.append(_classify_outputs(tmp_path, strip_runtime,
                                       lambda sampler: _Reader(sampler, hook, threads=seen)))
